@@ -71,12 +71,12 @@ class PrincipalBasis:
 
 def pca(obs):
     """
-    Principal components of an observation matrix (mean removed).
+    Principal components of an observation matrix (mean removed), from
+    the SVD of the centred rows' QR factor R, so no (n, n) U is built.
 
-    Always returns a full 16-vector basis; when fewer samples than
-    dimensions are available the trailing singular values are zero.
-    A degenerate matrix of identical rows yields all-zero singular
-    values and a flat energy curve of ones.
+    Always returns a full 16-vector basis; with fewer samples than
+    dimensions the trailing singular values are zero. Identical rows
+    yield all-zero singular values and a flat energy curve of ones.
     """
     rows = obs.rows if isinstance(obs, ObservationMatrix) else np.asarray(obs, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 16:
@@ -86,7 +86,7 @@ def pca(obs):
         raise ValueError("PCA needs at least 2 samples")
     mean = rows.mean(axis=0)
     centered = rows - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=True)
+    _, svals, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"))
     full = np.zeros(16)
     full[: svals.shape[0]] = svals
     power = full**2

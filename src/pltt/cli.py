@@ -303,6 +303,10 @@ def cmd_decompose(args):
             {
                 "n_blocks": int(decomp.null_mask.size),
                 "n_null": decomp.n_null,
+                "n_singular": decomp.n_singular,
+                "n_negative_det": decomp.n_negative_det,
+                "n_reorthogonalized": decomp.n_reorthogonalized,
+                "n_clamped": decomp.n_clamped,
                 "floor_frac": args.floor,
                 "bins": list(bins),
             },

@@ -1,14 +1,19 @@
 """
 Polar decomposition of Mueller matrices into depolarizer, retarder,
-and diattenuator factors, M = M_depol @ M_ret @ M_diat, plus the
-scalar polarizance / retardance / diattenuation summaries.
+and diattenuator factors, M = M_depol @ M_ret @ M_diat (Lu & Chipman,
+JOSA A 13(5), 1996), plus the scalar polarizance / retardance /
+diattenuation summaries.
 
-The diattenuator is built from the first row of M; the depolarizer
-block is the symmetric factor recovered from the eigenvalues of
-m' m'^T with a sign branch on det(m'); the retarder is what remains.
-Singular diattenuators (|D| ~ 1, e.g. an ideal polarizer) switch every
-inversion to a pseudoinverse and are flagged; recomposition is then
-only approximate.
+``polar_decompose`` factors one 4x4 matrix or a (..., 4, 4) stack with
+broadcast LAPACK calls. The diattenuator is built from the first row of
+M; the depolarizer block is the symmetric factor recovered from the
+eigenvalues of m' m'^T with a sign branch on det(m'); the retarder is
+what remains. Each fallback is a per-block mask: singular diattenuators
+(|D| ~ 1, e.g. an ideal polarizer) switch every inversion to a
+pseudoinverse and recompose only approximately, solves with cond > 1e12
+use a pseudoinverse, and a non-orthogonal retarder block is snapped to
+the nearest rotation. ``decompose_tensor`` counts these fallbacks and
+clamped retardance arguments, and logs the counts once per call.
 """
 
 import logging
@@ -20,10 +25,14 @@ logger = logging.getLogger(__name__)
 
 SINGULAR_EPS = 1e-9
 ORTHOGONALITY_EPS = 1e-9
+COND_LIMIT = 1e12
+CLAMP_EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class DecompositionResult:
+    """Factors and summaries of one block (floats and bools) or a stack (arrays)."""
+
     m_depol: np.ndarray = field(repr=False)
     m_ret: np.ndarray = field(repr=False)
     m_diat: np.ndarray = field(repr=False)
@@ -33,145 +42,140 @@ class DecompositionResult:
     singular_diattenuator: bool = False
     negative_det_branch: bool = False
     reorthogonalized: bool = False
+    retardance_clamped: bool = False
 
     def recompose(self):
         return self.m_depol @ self.m_ret @ self.m_diat
 
 
+def _require_finite(m):
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    if bad.any():
+        raise ValueError("%d Mueller block(s) hold NaN or inf entries" % bad.sum())
+
+
+def _checked(m, what):
+    m = np.asarray(m, dtype=float)
+    _require_finite(m)
+    if np.any(m[..., 0, 0] <= 0):
+        raise ValueError("%s needs m00 > 0" % what)
+    return m
+
+
+def _scalar(x):
+    return x.item() if x.ndim == 0 else x
+
+
 def diattenuation(m):
     """Dependence of transmitted power on input polarization: first row of M."""
-    m = np.asarray(m, dtype=float)
-    if m[0, 0] <= 0:
-        raise ValueError("diattenuation needs m00 > 0")
-    return float(np.sqrt(m[0, 1] ** 2 + m[0, 2] ** 2 + m[0, 3] ** 2) / m[0, 0])
+    m = _checked(m, "diattenuation")
+    return _scalar(np.sqrt((m[..., 0, 1:] ** 2).sum(-1)) / m[..., 0, 0])
 
 
 def polarizance(m):
     """Degree of polarization of the output for unpolarized input: first column."""
-    m = np.asarray(m, dtype=float)
-    if m[0, 0] <= 0:
-        raise ValueError("polarizance needs m00 > 0")
-    return float(np.sqrt(m[1, 0] ** 2 + m[2, 0] ** 2 + m[3, 0] ** 2) / m[0, 0])
+    m = _checked(m, "polarizance")
+    return _scalar(np.sqrt((m[..., 1:, 0] ** 2).sum(-1)) / m[..., 0, 0])
 
 
 def _retardance_of(m_ret):
-    arg = float(np.trace(m_ret)) / 2.0 - 1.0
-    if abs(arg) > 1.0 + 1e-9:
-        logger.warning("retardance trace argument %.6g clamped to [-1, 1]", arg)
-    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
+    arg = np.trace(m_ret, axis1=-2, axis2=-1) / 2.0 - 1.0
+    return np.arccos(np.clip(arg, -1.0, 1.0)), np.abs(arg) > 1.0 + CLAMP_EPS
 
 
 def retardance(decomp):
-    """
-    Rotation angle of the retarder factor, in [0, pi].
-
-    arccos(tr(M_ret)/2 - 1), with the argument clamped to [-1, 1];
-    clamping beyond 1e-9 is logged.
-    """
-    return _retardance_of(decomp.m_ret)
+    """Retarder rotation angle in [0, pi]: arccos(tr(M_ret)/2 - 1), clamped to [-1, 1]."""
+    return _scalar(_retardance_of(decomp.m_ret)[0])
 
 
-def _nearest_rotation(block):
-    u, _, vt = np.linalg.svd(block)
-    rot = u @ vt
-    if np.linalg.det(rot) < 0:
-        rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return rot
+def _solve(a, b, fallback, cond_limit=None):
+    """a^-1 b per block; pinv(a) @ b on fallback blocks and where cond(a) > cond_limit."""
+    if cond_limit is not None:  # cond only where still needed; "not <=" also catches NaN
+        fallback = fallback.copy()
+        fallback[~fallback] = ~(np.linalg.cond(a[~fallback]) <= cond_limit)
+    out = np.empty(b.shape)
+    out[~fallback] = np.linalg.solve(a[~fallback], b[~fallback])
+    out[fallback] = np.linalg.pinv(a[fallback]) @ b[fallback]
+    return out
 
 
 def polar_decompose(m):
     """
-    Factor a Mueller matrix into depolarizer, retarder, diattenuator.
+    Factor one Mueller matrix, or a (..., 4, 4) stack, into depolarizer,
+    retarder, diattenuator.
 
     Returns a DecompositionResult whose factors recompose the input
-    (elementwise ~1e-8 for non-singular passive inputs). Flags record
-    the singular-diattenuator fallback, the negative-determinant
-    branch of the depolarizer block, and any re-orthogonalization of
-    the retarder block.
+    (elementwise ~1e-8 for non-singular passive inputs); its scalars and
+    flags are floats and bools for one matrix, arrays of the leading
+    shape for a stack. Flags record the singular-diattenuator fallback,
+    the negative-determinant branch of the depolarizer block, any
+    re-orthogonalization of the retarder block, and a retardance
+    argument clamped by more than 1e-9.
 
     Raises
     ------
     ValueError
-        If m00 <= 0.
+        If any block holds NaN/inf (the message counts them) or has m00 <= 0.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix, got %r" % (m.shape,))
-    m00 = m[0, 0]
-    if m00 <= 0:
-        raise ValueError("polar decomposition needs m00 > 0")
+    if m.ndim < 2 or m.shape[-2:] != (4, 4):
+        raise ValueError("expected a 4x4 matrix or a (..., 4, 4) stack, got %r" % (m.shape,))
+    m = _checked(m, "polar decomposition")
+    lead, m = m.shape[:-2], m.reshape(-1, 4, 4)
+    m00 = m[:, 0, 0, None]
+    eye3, eye4 = np.eye(3), np.broadcast_to(np.eye(4), m.shape)
 
-    d_vec = m[0, 1:] / m00
-    d_mag = float(np.linalg.norm(d_vec))
+    d_vec = m[:, 0, 1:] / m00
+    d_mag = np.sqrt(d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0]
     singular = d_mag >= 1.0 - SINGULAR_EPS
+    tiny = d_mag <= 1e-14                      # no diattenuation axis: M_D block = I
+    d_hat = d_vec / np.where(tiny, 1.0, d_mag)[:, None]
+    root = np.where(tiny, 1.0, np.sqrt(np.maximum(0.0, 1.0 - np.minimum(d_mag, 1.0) ** 2)))
+    m_diat = np.empty_like(m)
+    m_diat[:, 0, 0] = 1.0
+    m_diat[:, 0, 1:] = d_vec
+    m_diat[:, 1:, 0] = d_vec
+    m_diat[:, 1:, 1:] = (root[:, None, None] * eye3
+                         + (1.0 - root)[:, None, None] * (d_hat[:, :, None] * d_hat[:, None, :]))
+    m_diat *= m00[:, :, None]
 
-    if d_mag > 1e-14:
-        d_hat = d_vec / d_mag
-        root = np.sqrt(max(0.0, 1.0 - min(d_mag, 1.0) ** 2))
-        m_d_block = root * np.eye(3) + (1.0 - root) * np.outer(d_hat, d_hat)
-    else:
-        m_d_block = np.eye(3)
-    m_diat = np.empty((4, 4))
-    m_diat[0, 0] = 1.0
-    m_diat[0, 1:] = d_vec
-    m_diat[1:, 0] = d_vec
-    m_diat[1:, 1:] = m_d_block
-    m_diat *= m00
+    m_prime = m @ _solve(m_diat, eye4, singular)
+    sub = m_prime[:, 1:, 1:]
+    gram = sub @ sub.transpose(0, 2, 1)
+    s1, s2, s3 = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[:, ::-1].T
+    negative_branch = np.linalg.det(sub) < 0
+    sign = np.where(negative_branch, -1.0, 1.0)[:, None, None]
+    bracket = gram + (s1 * s2 + s2 * s3 + s3 * s1)[:, None, None] * eye3
+    target = (s1 + s2 + s3)[:, None, None] * gram + (s1 * s2 * s3)[:, None, None] * eye3
+    depol_block = sign * _solve(bracket, target, singular, COND_LIMIT)
 
-    inv_diat = np.linalg.pinv(m_diat) if singular else np.linalg.inv(m_diat)
-    m_prime = m @ inv_diat
+    m_depol = eye4.copy()
+    m_depol[:, 1:, 0] = m_prime[:, 1:, 0]
+    m_depol[:, 1:, 1:] = depol_block
+    m_ret = _solve(m_depol, m_prime, singular, COND_LIMIT)
 
-    sub = m_prime[1:, 1:]
-    gram = sub @ sub.T
-    eigvals = np.linalg.eigvalsh(gram)
-    roots = np.sqrt(np.clip(eigvals, 0.0, None))[::-1]   # descending
-    s1, s2, s3 = roots
-    det_sub = np.linalg.det(sub)
-    negative_branch = det_sub < 0
-    sign = -1.0 if negative_branch else 1.0
-    bracket = gram + (s1 * s2 + s2 * s3 + s3 * s1) * np.eye(3)
-    target = (s1 + s2 + s3) * gram + (s1 * s2 * s3) * np.eye(3)
-    bracket_cond = np.linalg.cond(bracket)
-    if singular or not np.isfinite(bracket_cond) or bracket_cond > 1e12:
-        depol_block = sign * (np.linalg.pinv(bracket) @ target)
-    else:
-        depol_block = sign * np.linalg.solve(bracket, target)
+    block = m_ret[:, 1:, 1:]
+    defect = np.abs(block @ block.transpose(0, 2, 1) - eye3).max(axis=(-2, -1))
+    reorthogonalized = defect > ORTHOGONALITY_EPS
+    u, _, vt = np.linalg.svd(block[reorthogonalized])
+    u[np.linalg.det(u @ vt) < 0, :, 2] *= -1.0  # nearest proper rotation
+    m_ret[reorthogonalized] = np.eye(4)
+    m_ret[reorthogonalized, 1:, 1:] = u @ vt
+    ret, clamped = _retardance_of(m_ret)
 
-    m_depol = np.eye(4)
-    m_depol[1:, 0] = m_prime[1:, 0]
-    m_depol[1:, 1:] = depol_block
-
-    depol_cond = np.linalg.cond(m_depol)
-    if singular or not np.isfinite(depol_cond) or depol_cond > 1e12:
-        m_ret = np.linalg.pinv(m_depol) @ m_prime
-    else:
-        m_ret = np.linalg.solve(m_depol, m_prime)
-
-    reorthogonalized = False
-    block = m_ret[1:, 1:]
-    defect = np.abs(block @ block.T - np.eye(3)).max()
-    if defect > ORTHOGONALITY_EPS:
-        block = _nearest_rotation(block)
-        m_ret = np.eye(4)
-        m_ret[1:, 1:] = block
-        reorthogonalized = True
-
+    out = {
+        "m_depol": m_depol, "m_ret": m_ret, "m_diat": m_diat,
+        "polarizance": polarizance(m), "retardance": ret, "diattenuation": diattenuation(m),
+        "singular_diattenuator": singular, "negative_det_branch": negative_branch,
+        "reorthogonalized": reorthogonalized, "retardance_clamped": clamped,
+    }
     return DecompositionResult(
-        m_depol=m_depol,
-        m_ret=m_ret,
-        m_diat=m_diat,
-        polarizance=polarizance(m),
-        retardance=_retardance_of(m_ret),
-        diattenuation=diattenuation(m),
-        singular_diattenuator=singular,
-        negative_det_branch=bool(negative_branch),
-        reorthogonalized=reorthogonalized,
-    )
+        **{k: _scalar(v.reshape(lead + v.shape[1:])) for k, v in out.items()})
 
 
 @dataclass(frozen=True)
 class TensorDecomposition:
-    """Per-(pixel, bin) scalar maps; NaN marks blocks below the floor."""
+    """Per-(pixel, bin) maps, NaN below the floor, and fallback counts."""
 
     polarizance: np.ndarray = field(repr=False)
     retardance: np.ndarray = field(repr=False)
@@ -181,6 +185,10 @@ class TensorDecomposition:
     m_diat: np.ndarray = field(repr=False)
     null_mask: np.ndarray = field(repr=False)
     n_null: int = 0
+    n_singular: int = 0
+    n_negative_det: int = 0
+    n_reorthogonalized: int = 0
+    n_clamped: int = 0
 
 
 def decompose_tensor(tensor, floor_frac=1e-6):
@@ -189,35 +197,27 @@ def decompose_tensor(tensor, floor_frac=1e-6):
 
     Blocks whose m00 falls below floor_frac times the tensor's largest
     m00 are left out (NaN in every map) and counted in ``n_null``;
-    the decomposition is meaningless on dark pixels.
+    the decomposition is meaningless on dark pixels. The rest go
+    through one stack call of ``polar_decompose``. A tensor holding
+    NaN or inf anywhere raises ValueError.
     """
-    data = tensor.data
-    m00 = data[:, :, 0, 0, :]
-    floor = floor_frac * max(m00.max(), 0.0)
-    shape = m00.shape
-    maps = {name: np.full(shape, np.nan) for name in ("p", "r", "d")}
-    factors = {name: np.full(shape + (4, 4), np.nan) for name in ("depol", "ret", "diat")}
-    null_mask = np.ones(shape, dtype=bool)
-    for s in range(shape[0]):
-        for x in range(shape[1]):
-            for t in range(shape[2]):
-                if not m00[s, x, t] > floor or m00[s, x, t] <= 0:
-                    continue
-                res = polar_decompose(data[s, x, :, :, t])
-                maps["p"][s, x, t] = res.polarizance
-                maps["r"][s, x, t] = res.retardance
-                maps["d"][s, x, t] = res.diattenuation
-                factors["depol"][s, x, t] = res.m_depol
-                factors["ret"][s, x, t] = res.m_ret
-                factors["diat"][s, x, t] = res.m_diat
-                null_mask[s, x, t] = False
-    return TensorDecomposition(
-        polarizance=maps["p"],
-        retardance=maps["r"],
-        diattenuation=maps["d"],
-        m_depol=factors["depol"],
-        m_ret=factors["ret"],
-        m_diat=factors["diat"],
-        null_mask=null_mask,
-        n_null=int(null_mask.sum()),
-    )
+    blocks = tensor.data.transpose(0, 1, 4, 2, 3)          # (S, P, T, 4, 4)
+    _require_finite(blocks)
+    m00 = blocks[..., 0, 0]
+    lit = (m00 > floor_frac * max(m00.max(), 0.0)) & (m00 > 0)
+    res = polar_decompose(blocks[lit])
+
+    def scatter(values):
+        grid = np.full(m00.shape + values.shape[1:], np.nan)
+        grid[lit] = values
+        return grid
+
+    counts = {key: int(getattr(res, flag).sum()) for key, flag in (
+        ("n_singular", "singular_diattenuator"), ("n_negative_det", "negative_det_branch"),
+        ("n_reorthogonalized", "reorthogonalized"), ("n_clamped", "retardance_clamped"))}
+    logger.log(logging.WARNING if counts["n_clamped"] else logging.INFO,
+               "decomposed %d of %d blocks: %s", lit.sum(), lit.size,
+               ", ".join("%s=%d" % kv for kv in counts.items()))
+    maps = {name: scatter(getattr(res, name)) for name in (
+        "polarizance", "retardance", "diattenuation", "m_depol", "m_ret", "m_diat")}
+    return TensorDecomposition(null_mask=~lit, n_null=int((~lit).sum()), **maps, **counts)

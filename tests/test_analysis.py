@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,22 @@ def test_pca_validation():
     basis = pca(ensemble_observation(n=5))
     with pytest.raises(ValueError, match="fraction"):
         basis.n_components_for(0.0)
+
+
+def test_pca_on_many_rows_stays_small_and_matches_the_full_svd():
+    # a full SVD would allocate a (4000, 4000) U: 128 MB on its own
+    rows = np.random.default_rng(4).normal(size=(4000, 16))
+    tracemalloc.start()
+    try:
+        basis = pca(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    _, svals, vt = np.linalg.svd(rows - rows.mean(axis=0), full_matrices=False)
+    np.testing.assert_allclose(basis.singular_values, svals, rtol=1e-12)
+    # same directions, each up to sign
+    np.testing.assert_allclose(np.abs(np.sum(basis.components * vt, axis=1)), 1.0, atol=1e-10)
 
 
 def test_summed_image_collapses_projector_and_time():

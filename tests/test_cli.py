@@ -5,8 +5,9 @@ import pytest
 
 from pltt.cli import main, parse_slice_expression
 from pltt.ellipsometry import drr_schedule, save_schedule
-from pltt.fileio import read_pltt
-from pltt.polarization import ideal_mirror
+from pltt.fileio import read_pltt, write_pltt
+from pltt.polarization import ideal_mirror, linear_polarizer
+from pltt.tensor import TransportTensor
 
 def mirror_scene(depth=0.15):
     return {
@@ -287,6 +288,38 @@ def test_decompose_writes_retardance_map(tmp_path, capsys):
     assert "60/64 blocks below floor" in capsys.readouterr().out
     for name in ("polarizance", "diattenuation"):
         assert (tmp_path / ("maps_%s_t10.pgm" % name)).exists()
+
+
+def write_branch_tensor(tmp_path):
+    data = np.zeros((2, 1, 4, 4, 1))
+    data[0, 0, :, :, 0] = linear_polarizer(0.4)              # singular diattenuator
+    data[1, 0, :, :, 0] = np.diag([1.0, 0.8125, 0.7, -0.6])  # negative-det branch
+    path = tmp_path / "branches.pltt"
+    write_pltt(str(path), TransportTensor(data, (1, 2), (1, 2), 1e-10, coaxial=True))
+    return path
+
+
+def test_decompose_summary_counts_the_fallbacks(tmp_path):
+    path = write_branch_tensor(tmp_path)
+    assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 0
+    summary = json.loads((tmp_path / "d_summary.json").read_text())
+    assert summary["n_null"] == 0
+    assert summary["n_singular"] == 1
+    assert summary["n_negative_det"] == 1
+    assert summary["n_reorthogonalized"] == 1
+    assert summary["n_clamped"] == 0
+
+
+def test_decompose_rejects_non_finite_blocks(tmp_path, capsys):
+    path = write_branch_tensor(tmp_path)
+    blob = path.read_bytes()
+    marker = np.array([0.8125], dtype="<f8").tobytes()
+    assert blob.count(marker) == 1
+    path.write_bytes(blob.replace(marker, np.array([np.nan], dtype="<f8").tobytes()))
+    assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "d_summary.json").exists()
 
 
 def test_pca_outputs_spectrum_and_basis(tmp_path):

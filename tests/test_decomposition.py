@@ -1,7 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pltt.decomposition import (
+    _retardance_of,
     decompose_tensor,
     diattenuation,
     polar_decompose,
@@ -187,3 +192,101 @@ def test_decompose_tensor_floor_is_relative():
     assert not np.isnan(eager.retardance[0, 1, 2])
     strict = decompose_tensor(tensor, floor_frac=0.9)
     assert strict.n_null == 5
+
+
+def make_branch_tensor():
+    # one block per fallback, one plain block and one dark block
+    blocks = [
+        quarter_wave_plate(0.3),                 # no fallback
+        linear_polarizer(0.4),                   # singular diattenuator, re-orthogonalized
+        np.diag([1.0, 0.8, 0.7, -0.6]),          # negative-determinant branch
+        np.diag([0.7, 0.0, 0.0, 0.0]),           # ideal depolarizer: re-orthogonalized
+        np.zeros((4, 4)),                        # dark: below the floor
+    ]
+    data = np.zeros((5, 1, 4, 4, 1))
+    for s, m in enumerate(blocks):
+        data[s, 0, :, :, 0] = m
+    return TransportTensor(data, cam_shape=(1, 5), proj_shape=(1, 5),
+                           time_bin_width=1e-10, coaxial=True)
+
+
+def test_decompose_tensor_counts_every_fallback_in_one_log_line(caplog):
+    with caplog.at_level(logging.INFO, logger="pltt.decomposition"):
+        result = decompose_tensor(make_branch_tensor())
+    assert result.n_null == 1
+    assert result.n_singular == 1
+    assert result.n_negative_det == 1
+    assert result.n_reorthogonalized == 2
+    # a proper rotation keeps tr(M_ret)/2 - 1 inside [-1, 1] up to rounding
+    assert result.n_clamped == 0
+    records = [r for r in caplog.records if r.name == "pltt.decomposition"]
+    assert len(records) == 1
+    assert "n_singular=1" in records[0].getMessage()
+    assert "n_reorthogonalized=2" in records[0].getMessage()
+
+
+def test_retardance_clamp_is_flagged_not_logged(caplog):
+    # an improper "rotation" passes the orthogonality test but its trace
+    # argument is -2; only the flag records the clamp
+    with caplog.at_level(logging.DEBUG, logger="pltt.decomposition"):
+        angle, clamped = _retardance_of(np.diag([1.0, -1.0, -1.0, -1.0]))
+    assert angle == pytest.approx(np.pi)
+    assert clamped
+    assert not caplog.records
+
+
+def test_non_finite_blocks_raise_a_counting_value_error():
+    stack = np.stack([quarter_wave_plate(0.1)] * 4)
+    stack[1, 2, 3] = np.nan
+    stack[3, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="2 Mueller block"):
+        polar_decompose(stack)
+    tensor = make_branch_tensor()
+    # dark blocks count too: a NaN m00 would otherwise poison the floor
+    tensor.data[4, 0, 0, 0, 0] = np.nan
+    tensor.data[0, 0, 1, 2, 0] = -np.inf
+    with pytest.raises(ValueError, match="2 Mueller block"):
+        decompose_tensor(tensor)
+
+
+def test_single_block_keeps_scalar_types():
+    result = polar_decompose(linear_polarizer(0.2))
+    for name in ("polarizance", "retardance", "diattenuation"):
+        assert type(getattr(result, name)) is float
+    for name in ("singular_diattenuator", "negative_det_branch", "reorthogonalized",
+                 "retardance_clamped"):
+        assert type(getattr(result, name)) is bool
+    assert result.m_ret.shape == (4, 4)
+
+
+def random_products(rng, shape):
+    n = int(np.prod(shape))
+    out = np.empty((n, 4, 4))
+    for i in range(n):
+        m_depol = random_depolarizer(rng, with_polarizance=bool(rng.integers(2)))
+        if rng.integers(2):
+            m_depol[3, 3] *= -1.0                # exercise the negative-det branch
+        m_ret = retarder(rng.uniform(0, np.pi), rng.uniform(0.0, 2 * np.pi))
+        out[i] = m_depol @ m_ret @ random_diattenuator(rng)
+    return out.reshape(shape + (4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+def test_stack_call_equals_per_block_calls(shape, seed):
+    stack = random_products(np.random.default_rng(seed), shape)
+    batched = polar_decompose(stack)
+    assert batched.m_ret.shape == shape + (4, 4)
+    assert np.shape(batched.retardance) == shape
+    assert np.abs(batched.recompose() - stack).max() < 1e-8
+    for idx in np.ndindex(*shape):
+        single = polar_decompose(stack[idx])
+        for name in ("m_depol", "m_ret", "m_diat"):
+            np.testing.assert_allclose(getattr(batched, name)[idx], getattr(single, name),
+                                       rtol=0, atol=1e-12)
+        for name in ("polarizance", "retardance", "diattenuation"):
+            assert np.asarray(getattr(batched, name))[idx] == pytest.approx(
+                getattr(single, name), abs=1e-12)
+        for name in ("singular_diattenuator", "negative_det_branch", "reorthogonalized"):
+            assert np.asarray(getattr(batched, name))[idx] == getattr(single, name)
