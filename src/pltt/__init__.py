@@ -83,13 +83,14 @@ from .scene import (
 from .ellipsometry import (
     AngleSchedule,
     DesignMatrix,
+    ForwardModel,
     MeasurementSet,
     ReconstructionResult,
     analyzer_rows,
     capture,
     design_matrix,
     drr_schedule,
-    forward_intensity,
+    forward_model,
     load_schedule,
     pinv_truncated,
     reconstruct,

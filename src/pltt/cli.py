@@ -631,7 +631,8 @@ def build_parser():
 
     p = sub.add_parser("reconstruct", help="recover Mueller blocks from measurements")
     p.add_argument("--measurements", required=True)
-    p.add_argument("--split", type=float, default=0.5)
+    p.add_argument("--split", type=float, default=None,
+                   help="beamsplitter split; must match the one stored with the measurements")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -22,10 +22,17 @@ Every capture is linear in the 16 entries of M: stacking rows
 kron(analyzer_row_k, source_stokes_k) gives the design matrix A with
 I = A vec(M) (row-major vec). Reconstruction is least squares through
 a truncated-SVD pseudoinverse, shared across pixels and time bins.
+
+``forward_model`` is the one forward model: it builds the source
+vectors, the analyzer rows and their angle derivatives for a whole
+schedule from (4, K, 4, 4) doubled-angle rotation stacks, with the coaxial
+folds and the beamsplitter split. Capture applies its A to the tensor,
+reconstruction inverts the same A, and angle learning differentiates it.
 """
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +45,6 @@ from .polarization import (
 from .tensor import TransportTensor, probe
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
-UNPOLARIZED = np.array([1.0, 0.0, 0.0, 0.0])
 RANK_TOL = 1e-10
 
 
@@ -130,6 +136,8 @@ def schedule_to_dict(schedule):
 
 
 def schedule_from_dict(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("a schedule must be a JSON object")
     for key in ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg"):
         if key not in obj:
             raise ValueError("schedule is missing field %r" % key)
@@ -157,6 +165,13 @@ def load_schedule(path):
 # forward model
 
 
+# the axis-aligned rotating elements: source LP, source QWP, detector QWP, detector LP
+_ELEMENTS = np.stack([linear_polarizer(), quarter_wave_plate(),
+                      quarter_wave_plate(), linear_polarizer()])[:, None]
+# first rows of the on-sensor analyzers of a polarizer-array sensor
+_ARRAY_ANALYZERS = np.stack([linear_polarizer(np.deg2rad(q))[0] for q in ANALYZER_ANGLES_DEG])
+
+
 def _coaxial_arms(split=0.5):
     """
     Folded source/detection factors: (galvo @ B_t, B_r @ galvo).
@@ -169,15 +184,80 @@ def _coaxial_arms(split=0.5):
     return g @ beamsplitter("transmit", split), beamsplitter("reflect", 1.0 - split) @ g
 
 
+def _oriented(theta):
+    """
+    The four rotating elements at a schedule's (4, K) angles, and d/dtheta.
+
+    Both are (4, K, 4, 4) stacks of R(theta) M0 R(theta)^T, built from
+    the doubled-angle rotation; R(-theta) is R(theta)^T.
+    """
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    rot = np.zeros(theta.shape + (4, 4))
+    rot[..., 0, 0] = rot[..., 3, 3] = 1.0
+    rot[..., 1:3, 1:3] = np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
+    d_rot = np.zeros_like(rot)
+    d_rot[..., 1:3, 1:3] = 2.0 * np.moveaxis(np.array([[-s, -c], [c, -s]]), (0, 1), (-2, -1))
+    rot_t = np.swapaxes(rot, -1, -2)
+    left = rot @ _ELEMENTS
+    return left @ rot_t, d_rot @ _ELEMENTS @ rot_t + left @ np.swapaxes(d_rot, -1, -2)
+
+
+class ForwardModel(NamedTuple):
+    """
+    Capture model of a schedule and its angle derivatives: source Stokes
+    vectors ``c`` (K, 4) with d/dtheta1, d/dtheta2, and capture-major
+    analyzer rows ``r`` (n_rows, 4) with d/dtheta3, d/dtheta4 (``dr4`` is
+    zero with the polarizer-array sensor, which ignores theta4).
+    """
+
+    c: np.ndarray
+    r: np.ndarray
+    dc1: np.ndarray
+    dc2: np.ndarray
+    dr3: np.ndarray
+    dr4: np.ndarray
+
+    def per_row(self, v):
+        """Repeat a per-capture (K, 4) array to one entry per row."""
+        return np.repeat(v, self.r.shape[0] // self.c.shape[0], axis=0)
+
+    def design(self):
+        """Design matrix rows kron(r, c), shape (n_rows, 16)."""
+        return np.einsum("ki,kj->kij", self.r, self.per_row(self.c)).reshape(-1, 16)
+
+
+def forward_model(schedule, coaxial=False, split=0.5):
+    """
+    Source vectors, analyzer rows and their angle derivatives.
+
+    The whole schedule is one batch of (K, 4, 4) element stacks; in
+    coaxial geometry the constant beamsplitter/galvo arms multiply the
+    source vectors and the analyzer rows.
+    """
+    into_scene, out_of_scene = _coaxial_arms(split) if coaxial else (np.eye(4), np.eye(4))
+    angles = np.stack([schedule.theta1, schedule.theta2, schedule.theta3, schedule.theta4])
+    (lp1, qwp2, qwp3, lp4), (d_lp1, d_qwp2, d_qwp3, d_lp4) = _oriented(angles)
+    # the source polarizer applied to unpolarized light is its first column
+    light, d_light = lp1[:, :, :1], d_lp1[:, :, :1]
+    lift = into_scene @ qwp2
+    detect = qwp3 @ out_of_scene
+    if schedule.sensor_mode == "polarizer_array":
+        front, d_front = _ARRAY_ANALYZERS, np.zeros((4, 4))
+    else:
+        front, d_front = lp4[:, :1], d_lp4[:, :1]
+    return ForwardModel(
+        c=(lift @ light)[:, :, 0],
+        r=(front @ detect).reshape(-1, 4),
+        dc1=(lift @ d_light)[:, :, 0],
+        dc2=(into_scene @ d_qwp2 @ light)[:, :, 0],
+        dr3=(front @ d_qwp3 @ out_of_scene).reshape(-1, 4),
+        dr4=(d_front @ detect).reshape(-1, 4),
+    )
+
+
 def source_vectors(schedule, coaxial=False, split=0.5):
     """Per-capture source Stokes vectors c_k, shape (K, 4)."""
-    k = schedule.n_captures
-    out = np.empty((k, 4))
-    into_scene = _coaxial_arms(split)[0] if coaxial else np.eye(4)
-    for i in range(k):
-        out[i] = into_scene @ quarter_wave_plate(schedule.theta2[i]) \
-            @ linear_polarizer(schedule.theta1[i]) @ UNPOLARIZED
-    return out
+    return forward_model(schedule, coaxial, split).c
 
 
 def analyzer_rows(schedule, coaxial=False, split=0.5):
@@ -187,43 +267,7 @@ def analyzer_rows(schedule, coaxial=False, split=0.5):
     Intensity mode has one row per capture; polarizer_array mode has
     four per capture (analyzers 0/45/90/135 degrees), capture-major.
     """
-    k = schedule.n_captures
-    out_of_scene = _coaxial_arms(split)[1] if coaxial else np.eye(4)
-    if schedule.sensor_mode == "intensity":
-        rows = np.empty((k, 4))
-        for i in range(k):
-            rows[i] = (linear_polarizer(schedule.theta4[i])
-                       @ quarter_wave_plate(schedule.theta3[i]) @ out_of_scene)[0]
-        return rows
-    rows = np.empty((4 * k, 4))
-    analyzers = [linear_polarizer(np.deg2rad(q)) for q in ANALYZER_ANGLES_DEG]
-    for i in range(k):
-        detector = quarter_wave_plate(schedule.theta3[i]) @ out_of_scene
-        for j, analyzer in enumerate(analyzers):
-            rows[4 * i + j] = (analyzer @ detector)[0]
-    return rows
-
-
-def forward_intensity(m, schedule, k, q=None, coaxial=False, split=0.5):
-    """
-    Noiseless intensity of capture k for scene block ``m``.
-
-    In polarizer_array mode ``q`` selects the analyzer (0..3); in
-    intensity mode it must be omitted.
-    """
-    if not 0 <= k < schedule.n_captures:
-        raise ValueError("capture index %r out of range" % (k,))
-    c = source_vectors(schedule, coaxial, split)[k]
-    rows = analyzer_rows(schedule, coaxial, split)
-    if schedule.sensor_mode == "polarizer_array":
-        if q is None or not 0 <= q < 4:
-            raise ValueError("polarizer_array mode needs an analyzer index q in 0..3")
-        r = rows[4 * k + q]
-    else:
-        if q is not None:
-            raise ValueError("intensity mode takes no analyzer index")
-        r = rows[k]
-    return float(r @ np.asarray(m, dtype=float) @ c)
+    return forward_model(schedule, coaxial, split).r
 
 
 @dataclass(frozen=True)
@@ -245,11 +289,7 @@ def design_matrix(schedule, coaxial=False, split=0.5):
 
     Satisfies A @ vec(M) == stacked forward intensities exactly.
     """
-    c = source_vectors(schedule, coaxial, split)
-    r = analyzer_rows(schedule, coaxial, split)
-    if schedule.sensor_mode == "polarizer_array":
-        c = np.repeat(c, 4, axis=0)
-    a = np.einsum("ki,kj->kij", r, c).reshape(r.shape[0], 16)
+    a = forward_model(schedule, coaxial, split).design()
     svals = np.linalg.svd(a, compute_uv=False)
     tol = RANK_TOL * svals[0] if svals[0] > 0 else 0.0
     rank = int((svals > tol).sum())
@@ -269,7 +309,8 @@ class MeasurementSet:
 
     intensities has shape (n_rows, S_cam, S_proj, n_bins); coaxial
     geometry stores S_proj = 1 (the diagonal). Rows are capture-major
-    (analyzer index fastest in polarizer_array mode).
+    (analyzer index fastest in polarizer_array mode). ``split`` is the
+    beamsplitter fraction of a coaxial capture; reconstruction reads it.
     """
 
     intensities: np.ndarray = field(repr=False)
@@ -281,6 +322,7 @@ class MeasurementSet:
     noise_sigma: float = 0.0
     seed: int = None
     provenance: str = ""
+    split: float = 0.5
 
     def __post_init__(self):
         arr = np.asarray(self.intensities, dtype=float)
@@ -294,6 +336,8 @@ class MeasurementSet:
                              % (arr.shape[0], self.schedule.n_rows))
         if self.geometry_mode not in ("coaxial", "projector_camera"):
             raise ValueError("geometry_mode must be 'coaxial' or 'projector_camera'")
+        if not 0.0 <= self.split <= 1.0:
+            raise ValueError("split fraction must lie in [0, 1], got %r" % (self.split,))
 
 
 def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
@@ -315,12 +359,10 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
         if tensor.coaxial:
             raise ValueError("masks require projector_camera geometry")
         tensor = probe(tensor, masks)
-    coax = tensor.coaxial
-    c = source_vectors(schedule, coax, split)
-    r = analyzer_rows(schedule, coax, split)
-    if schedule.sensor_mode == "polarizer_array":
-        c = np.repeat(c, 4, axis=0)
-    vals = np.einsum("kp,sxpqt,kq->ksxt", r, tensor.data, c, optimize=True)
+    fwd = forward_model(schedule, tensor.coaxial, split)
+    # row k of A is kron(r_k, c_k); contracting the two factors separately
+    # keeps the output C-ordered, which the noise draw below adds to fast
+    vals = np.einsum("kp,sxpqt,kq->ksxt", fwd.r, tensor.data, fwd.per_row(fwd.c), optimize=True)
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
     if noise_sigma > 0:
@@ -335,7 +377,7 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
         time_bin_width=tensor.time_bin_width,
         noise_sigma=float(noise_sigma),
         seed=seed,
-        provenance="capture(split=%g)" % split,
+        split=float(split),
     )
 
 
@@ -359,31 +401,39 @@ class ReconstructionResult:
     residual_norms: np.ndarray = field(repr=False)
 
 
-def pinv_truncated(a, tol_factor=RANK_TOL):
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
+def _pinv_and_singular_values(a, tol_factor=RANK_TOL):
+    """Truncated pseudoinverse, all singular values, and the kept mask."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0:
         raise ValueError("design matrix is identically zero")
     keep = s > tol_factor * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T, int(keep.sum()), float(s[0] / s[keep][-1])
+    return (vt.T * inv) @ u.T, s, keep
 
 
-def reconstruct(meas, split=0.5):
+def pinv_truncated(a, tol_factor=RANK_TOL):
+    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
+    a_pinv, s, keep = _pinv_and_singular_values(a, tol_factor)
+    return a_pinv, int(keep.sum()), float(s[0] / s[keep][-1])
+
+
+def reconstruct(meas, split=None):
     """
     Per-pixel least-squares Mueller recovery from a measurement set.
 
     Solves min ||I - A vec(M)|| for every (camera pixel, projector
-    pixel, bin) with the shared design matrix of the recorded schedule.
-    Full-rank designs give the unique solution; rank-deficient ones
-    give the minimum-norm solution and set ``underdetermined``.
+    pixel, bin) with the shared design matrix of the recorded schedule
+    and split. Full-rank designs give the unique solution; rank-deficient
+    ones give the minimum-norm solution and set ``underdetermined``.
+    A ``split`` that differs from the recorded one is an error.
     """
+    if split is not None and split != meas.split:
+        raise ValueError("split %g conflicts with the split %g recorded with the measurements"
+                         % (split, meas.split))
     coax = meas.geometry_mode == "coaxial"
-    design = design_matrix(meas.schedule, coaxial=coax, split=split)
+    design = design_matrix(meas.schedule, coaxial=coax, split=meas.split)
     a = design.a
-    if not np.any(a):
-        raise ValueError("design matrix is identically zero")
     a_pinv, rank, cond = pinv_truncated(a)
     k_rows, s_cam, s_proj, n_bins = meas.intensities.shape
     stacked = meas.intensities.reshape(k_rows, -1)

@@ -18,8 +18,12 @@ the same seven slots):
 - illumination: (1, S_proj, 1, 4, n_bins or 1)
 - detected:     (S_cam, 1, 4, 1, n_bins)
 - measurement:  (S_cam, S_proj|1, K', 1, n_bins) with the capture index
-  in the first polarimetric slot; schedule and noise metadata ride in
-  the JSON block.
+  in the first polarimetric slot; schedule, noise and beamsplitter
+  split metadata ride in the JSON block (a file without ``split`` is
+  read as 0.5).
+
+Readers check the file length against the header dims and each kind's
+required metadata keys, and raise ValueError naming what is wrong.
 """
 
 import json
@@ -75,12 +79,58 @@ def write_pltt(path, obj, provenance=""):
                 "channel_id": "mono", "provenance": provenance,
                 "schedule": schedule_to_dict(obj.schedule),
                 "geometry_mode": obj.geometry_mode,
-                "noise_sigma": obj.noise_sigma, "seed": obj.seed}
+                "noise_sigma": obj.noise_sigma, "seed": obj.seed, "split": obj.split}
         blob = _pack(dims, coaxial, payload, meta)
     else:
         raise TypeError("cannot serialize %r" % type(obj))
     with open(path, "wb") as fh:
         fh.write(blob)
+
+
+# metadata keys each payload kind cannot be read without
+_REQUIRED_KEYS = {
+    "transport": ("time_bin_width",),
+    "illumination": (),
+    "detected": ("time_bin_width",),
+    "measurement": ("time_bin_width", "schedule", "geometry_mode", "noise_sigma", "seed"),
+}
+
+
+def _parse(blob):
+    """
+    Split a PLTT v1 blob into (dims, coaxial, payload offset, payload
+    count, metadata), or raise ValueError saying what is malformed.
+    """
+    offset = len(MAGIC) + _HEADER.size + 1
+    if blob[:len(MAGIC)] != MAGIC:
+        raise ValueError("not a PLTT v1 file: bad magic")
+    if len(blob) < offset:
+        raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(blob), offset))
+    dims = _HEADER.unpack_from(blob, len(MAGIC))
+    coaxial = bool(blob[offset - 1])
+    cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
+    count = cam_w * cam_h * (1 if coaxial else proj_w * proj_h) * dim_p * dim_q * n_bins
+    end = offset + 8 * count
+    if len(blob) < end:
+        raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
+                         "the file has %d" % (dims, end, len(blob)))
+    try:
+        meta = json.loads(blob[end:].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError("PLTT metadata is not valid UTF-8 JSON: %s" % exc) from None
+    if not isinstance(meta, dict):
+        raise ValueError("PLTT metadata must be a JSON object")
+    kind = meta.get("kind", "transport")
+    if kind not in _REQUIRED_KEYS:
+        raise ValueError("unknown PLTT payload kind %r" % (kind,))
+    for key in _REQUIRED_KEYS[kind]:
+        if key not in meta:
+            raise ValueError("PLTT %s metadata lacks the required key %r" % (kind, key))
+    for key in ("time_bin_width", "noise_sigma", "split"):
+        value = meta.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError("PLTT metadata key %r must be a number, got %r" % (key, value))
+    return dims, coaxial, offset, count, meta
 
 
 def read_pltt(path):
@@ -89,19 +139,11 @@ def read_pltt(path):
 
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:16] != MAGIC:
-        raise ValueError("not a PLTT v1 file: bad magic")
-    dims = _HEADER.unpack_from(blob, 16)
-    coaxial = bool(blob[16 + _HEADER.size])
-    offset = 16 + _HEADER.size + 1
+    dims, coaxial, offset, count, meta = _parse(blob)
     cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
-    s_cam = cam_w * cam_h
     s_proj = 1 if coaxial else proj_w * proj_h
-    count = s_cam * s_proj * dim_p * dim_q * n_bins
-    nbytes = count * 8
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    payload = payload.reshape(s_cam, s_proj, dim_p, dim_q, n_bins).copy()
-    meta = json.loads(blob[offset + nbytes:].decode("utf-8"))
+    payload = payload.reshape(cam_w * cam_h, s_proj, dim_p, dim_q, n_bins).copy()
     kind = meta.get("kind", "transport")
     if kind == "transport":
         return TransportTensor(payload, (cam_h, cam_w), (proj_h, proj_w),
@@ -114,34 +156,26 @@ def read_pltt(path):
         return IlluminationTensor(data, (proj_h, proj_w), meta.get("time_bin_width"))
     if kind == "detected":
         return DetectedTensor(payload[:, 0, :, 0, :], (cam_h, cam_w), meta["time_bin_width"])
-    if kind == "measurement":
-        intensities = payload[:, :, :, 0, :].transpose(2, 0, 1, 3)
-        return MeasurementSet(
-            intensities=intensities,
-            schedule=schedule_from_dict(meta["schedule"]),
-            geometry_mode=meta["geometry_mode"],
-            cam_shape=(cam_h, cam_w),
-            proj_shape=(proj_h, proj_w),
-            time_bin_width=meta["time_bin_width"],
-            noise_sigma=meta["noise_sigma"],
-            seed=meta["seed"],
-            provenance=meta.get("provenance", ""),
-        )
-    raise ValueError("unknown PLTT payload kind %r" % kind)
+    intensities = payload[:, :, :, 0, :].transpose(2, 0, 1, 3)
+    return MeasurementSet(
+        intensities=intensities,
+        schedule=schedule_from_dict(meta["schedule"]),
+        geometry_mode=meta["geometry_mode"],
+        cam_shape=(cam_h, cam_w),
+        proj_shape=(proj_h, proj_w),
+        time_bin_width=meta["time_bin_width"],
+        noise_sigma=meta["noise_sigma"],
+        seed=meta["seed"],
+        provenance=meta.get("provenance", ""),
+        # files written before the split was stored were reconstructed at 0.5
+        split=meta.get("split", 0.5),
+    )
 
 
 def read_metadata(path):
     """Return just the trailing metadata block of a PLTT file."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:16] != MAGIC:
-        raise ValueError("not a PLTT v1 file: bad magic")
-    dims = _HEADER.unpack_from(blob, 16)
-    coaxial = bool(blob[16 + _HEADER.size])
-    cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
-    s_proj = 1 if coaxial else proj_w * proj_h
-    nbytes = cam_w * cam_h * s_proj * dim_p * dim_q * n_bins * 8
-    return json.loads(blob[16 + _HEADER.size + 1 + nbytes:].decode("utf-8"))
+        return _parse(fh.read())[4]
 
 
 # ---------------------------------------------------------------------------

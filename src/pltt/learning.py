@@ -5,10 +5,12 @@ The target is the Monte Carlo reconstruction loss
 
     L = mean_n || A(theta)^+ (A(theta) vec(M_n) + eta_n) - vec(M_n) ||^2
 
-over a training set of Mueller matrices and Gaussian noise draws. The
-gradient flows through the design matrix rows (analytic derivatives of
-the rotation-conjugated element matrices) and through the truncated
-pseudoinverse via the fixed-rank differential
+over a training set of Mueller matrices and Gaussian noise draws. A(theta)
+and its angle derivatives come from ``ellipsometry.forward_model``, the
+same forward model that capture and reconstruction use (it also folds
+in the coaxial beamsplitter and galvo, which ``expected_noise_floor``
+takes). The gradient flows through the design matrix rows and through
+the truncated pseudoinverse via the fixed-rank differential
 
     dA+ = -A+ dA A+ + A+ A+^T dA^T (I - A A+) + (I - A+ A) dA^T A+^T A+
 
@@ -18,7 +20,8 @@ angles and finite-difference checks are well posed.
 
 Optimization is plain Adam from the classical dual-rotating-retarder
 initialization, with cosine step-size decay, an 80/20 held-out split,
-and best-iterate tracking on the held-out loss.
+and best-iterate tracking on the held-out loss. Each iteration builds
+and factors A once for both the batch loss and its gradient.
 """
 
 import hashlib
@@ -27,88 +30,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .polarization import (
-    linear_polarizer,
-    quarter_wave_plate,
-    rotation_mueller,
-    rotation_mueller_deriv,
-)
 from .ellipsometry import (
-    ANALYZER_ANGLES_DEG,
+    RANK_TOL,
     AngleSchedule,
-    UNPOLARIZED,
-    design_matrix,
+    _pinv_and_singular_values,
     drr_schedule,
+    forward_model,
     pinv_truncated,
 )
 
-RANK_TOL = 1e-10
-_LP0 = 0.5 * np.array([
-    [1.0, 1.0, 0.0, 0.0],
-    [1.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0],
-])
-_QWP0 = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
-
-
-def _element_and_deriv(m0, theta):
-    """M(theta) = R M0 R^-1 and its angle derivative."""
-    r_pos = rotation_mueller(theta)
-    r_neg = rotation_mueller(-theta)
-    d_pos = rotation_mueller_deriv(theta)
-    d_neg = rotation_mueller_deriv(-theta)
-    m = r_pos @ m0 @ r_neg
-    dm = d_pos @ m0 @ r_neg - r_pos @ m0 @ d_neg
-    return m, dm
-
 
 def _vec(mats):
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim == 2:
-        mats = mats[None]
-    return mats.reshape(mats.shape[0], 16)
-
-
-def _pieces(schedule):
-    """Source/analyzer vectors and their per-angle derivatives."""
-    k = schedule.n_captures
-    c = np.empty((k, 4))
-    dc1 = np.empty((k, 4))
-    dc2 = np.empty((k, 4))
-    pa = schedule.sensor_mode == "polarizer_array"
-    rows_per = 4 if pa else 1
-    r = np.empty((rows_per * k, 4))
-    dr3 = np.empty((rows_per * k, 4))
-    dr4 = np.zeros((rows_per * k, 4))
-    analyzers = [linear_polarizer(np.deg2rad(q)) for q in ANALYZER_ANGLES_DEG]
-    for i in range(k):
-        l1, dl1 = _element_and_deriv(_LP0, schedule.theta1[i])
-        q2, dq2 = _element_and_deriv(_QWP0, schedule.theta2[i])
-        q3, dq3 = _element_and_deriv(_QWP0, schedule.theta3[i])
-        c[i] = q2 @ (l1 @ UNPOLARIZED)
-        dc1[i] = q2 @ (dl1 @ UNPOLARIZED)
-        dc2[i] = dq2 @ (l1 @ UNPOLARIZED)
-        if pa:
-            for j, analyzer in enumerate(analyzers):
-                r[4 * i + j] = (analyzer @ q3)[0]
-                dr3[4 * i + j] = (analyzer @ dq3)[0]
-        else:
-            l4, dl4 = _element_and_deriv(_LP0, schedule.theta4[i])
-            r[i] = (l4 @ q3)[0]
-            dr3[i] = (l4 @ dq3)[0]
-            dr4[i] = (dl4 @ q3)[0]
-    return c, dc1, dc2, r, dr3, dr4, rows_per
-
-
-def _design_from_pieces(c, r, rows_per):
-    c_rows = np.repeat(c, rows_per, axis=0) if rows_per > 1 else c
-    return np.einsum("ki,kj->kij", r, c_rows).reshape(r.shape[0], 16)
+    return np.asarray(mats, dtype=float).reshape(-1, 16)
 
 
 def default_trainable(sensor_mode):
@@ -118,18 +51,17 @@ def default_trainable(sensor_mode):
     return (True, True, True, True)
 
 
-def loss(schedule, mats, noise):
+def _loss_and_grad(schedule, mats, noise, trainable=None, with_grad=True):
     """
-    Monte Carlo reconstruction loss for explicit noise draws.
+    Batch loss and, unless ``with_grad`` is false, its angle gradient.
 
-    mats: (B, 4, 4) scene blocks. noise: (B, K') or (B, D, K') draws;
-    D draws per sample average over repeated measurements of the same
-    block. Returns the mean squared Frobenius reconstruction error.
+    Builds the design matrix once and factors it once; returns
+    (loss, grads, rank_marginal), the last two None when not asked for.
     """
+    fwd = forward_model(schedule)
+    a = fwd.design()
+    a_pinv, s, keep = _pinv_and_singular_values(a)
     m = _vec(mats)
-    c, _, _, r, _, _, rows_per = _pieces(schedule)
-    a = _design_from_pieces(c, r, rows_per)
-    a_pinv, _, _ = pinv_truncated(a)
     noise = np.asarray(noise, dtype=float)
     if noise.ndim == 3:
         m = np.repeat(m, noise.shape[1], axis=0)
@@ -139,41 +71,12 @@ def loss(schedule, mats, noise):
                          % (noise.shape, m.shape[0], a.shape[0]))
     y = m @ a.T + noise
     resid = y @ a_pinv.T - m
-    return float(np.mean(np.sum(resid * resid, axis=1)))
+    batch_loss = float(np.mean(np.sum(resid * resid, axis=1)))
+    if not with_grad:
+        return batch_loss, None, None
 
-
-def grad_loss(schedule, mats, noise, trainable=None):
-    """
-    Analytic gradient of ``loss`` over the trainable angle columns.
-
-    Returns (grads, rank_marginal) where grads is a (4, K) array with
-    untrainable entries zero, and rank_marginal flags singular values
-    close enough to the truncation cutoff that the fixed-rank gradient
-    is a subgradient surrogate.
-    """
-    if trainable is None:
-        trainable = default_trainable(schedule.sensor_mode)
-    m = _vec(mats)
-    c, dc1, dc2, r, dr3, dr4, rows_per = _pieces(schedule)
-    a = _design_from_pieces(c, r, rows_per)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] <= 0:
-        raise ValueError("design matrix is identically zero")
     cutoff = RANK_TOL * s[0]
-    keep = s > cutoff
     rank_marginal = bool(np.any((s > cutoff * 1e-2) & (s < cutoff * 1e2) & keep))
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    a_pinv = (vt.T * inv) @ u.T
-
-    noise = np.asarray(noise, dtype=float)
-    if noise.ndim == 3:
-        m = np.repeat(m, noise.shape[1], axis=0)
-        noise = noise.reshape(-1, noise.shape[2])
-    n_total = m.shape[0]
-    y = m @ a.T + noise
-    resid = y @ a_pinv.T - m
-
     yr = y.T @ resid                      # (K', 16)
     ry = yr.T                             # (16, K')
     mr = m.T @ resid                      # (16, 16)
@@ -185,27 +88,49 @@ def grad_loss(schedule, mats, noise, trainable=None):
          + mr @ a_pinv)                   # (16, K'), dL = (2/N) tr(dA g)
     g_blocks = g.T.reshape(a.shape[0], 4, 4)
 
-    k = schedule.n_captures
-    grads = np.zeros((4, k))
-    scale = 2.0 / n_total
-    c_rows = np.repeat(c, rows_per, axis=0) if rows_per > 1 else c
-    for i in range(k):
-        rows = range(rows_per * i, rows_per * (i + 1))
-        if trainable[0]:
-            grads[0, i] = scale * sum(r[row] @ g_blocks[row] @ dc1[i] for row in rows)
-        if trainable[1]:
-            grads[1, i] = scale * sum(r[row] @ g_blocks[row] @ dc2[i] for row in rows)
-        if trainable[2]:
-            grads[2, i] = scale * sum(dr3[row] @ g_blocks[row] @ c_rows[row] for row in rows)
-        if trainable[3] and schedule.sensor_mode == "intensity":
-            grads[3, i] = scale * sum(dr4[row] @ g_blocks[row] @ c_rows[row] for row in rows)
+    # row n of A is kron(r_n, c_n), so dL/dtheta sums dr_n G_n c_n + r_n G_n dc_n
+    # over the rows of each capture
+    c_rows = fwd.per_row(fwd.c)
+    per_row = np.stack([
+        np.einsum("ni,nij,nj->n", fwd.r, g_blocks, fwd.per_row(fwd.dc1)),
+        np.einsum("ni,nij,nj->n", fwd.r, g_blocks, fwd.per_row(fwd.dc2)),
+        np.einsum("ni,nij,nj->n", fwd.dr3, g_blocks, c_rows),
+        np.einsum("ni,nij,nj->n", fwd.dr4, g_blocks, c_rows),
+    ])
+    grads = (2.0 / m.shape[0]) * per_row.reshape(4, schedule.n_captures, -1).sum(axis=2)
+    if trainable is None:
+        trainable = default_trainable(schedule.sensor_mode)
+    grads[~np.asarray(trainable, dtype=bool)] = 0.0
+    return batch_loss, grads, rank_marginal
+
+
+def loss(schedule, mats, noise):
+    """
+    Monte Carlo reconstruction loss for explicit noise draws.
+
+    mats: (B, 4, 4) scene blocks. noise: (B, K') or (B, D, K') draws;
+    D draws per sample average over repeated measurements of the same
+    block. Returns the mean squared Frobenius reconstruction error.
+    """
+    return _loss_and_grad(schedule, mats, noise, with_grad=False)[0]
+
+
+def grad_loss(schedule, mats, noise, trainable=None):
+    """
+    Analytic gradient of ``loss`` over the trainable angle columns.
+
+    Returns (grads, rank_marginal) where grads is a (4, K) array with
+    untrainable entries zero, and rank_marginal flags singular values
+    close enough to the truncation cutoff that the fixed-rank gradient
+    is a subgradient surrogate.
+    """
+    _, grads, rank_marginal = _loss_and_grad(schedule, mats, noise, trainable)
     return grads, rank_marginal
 
 
 def expected_noise_floor(schedule, noise_sigma, coaxial=False):
     """Analytic full-rank loss floor: sigma^2 ||A+||_F^2."""
-    a = design_matrix(schedule, coaxial=coaxial).a
-    a_pinv, _, _ = pinv_truncated(a)
+    a_pinv, _, _ = pinv_truncated(forward_model(schedule, coaxial).design())
     return float(noise_sigma ** 2 * np.sum(a_pinv * a_pinv))
 
 
@@ -300,10 +225,9 @@ def learn(config):
     init = drr_schedule(config.k, sensor_mode=config.sensor_mode)
     fixed = tuple(not t for t in config.trainable)
     angles = _angles_of(init)
-    mask = np.zeros_like(angles, dtype=bool)
-    for col, trainable in enumerate(config.trainable):
-        if trainable and not (config.sensor_mode == "polarizer_array" and col == 3):
-            mask[col] = True
+    # the array sensor has no detector polarizer to turn
+    movable = np.asarray(config.trainable) & np.asarray(default_trainable(config.sensor_mode))
+    mask = np.repeat(movable[:, None], config.k, axis=1)
 
     n_rows = init.n_rows
     hold_noise = np.random.default_rng(config.seed + 1).normal(
@@ -333,8 +257,7 @@ def learn(config):
         batch = train_set[batch_idx]
         noise = rng.normal(0.0, config.noise_sigma,
                            size=(config.batch_size, config.draws, n_rows))
-        batch_loss = loss(sched, batch, noise)
-        grads, _ = grad_loss(sched, batch, noise, config.trainable)
+        batch_loss, grads, _ = _loss_and_grad(sched, batch, noise, config.trainable)
         loss_curve[it] = batch_loss
         if initial_batch_loss is None:
             initial_batch_loss = batch_loss
@@ -386,7 +309,7 @@ def evaluate(schedule, samples, noise_sigma, draws=32, seed=0):
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sigma, size=(samples.shape[0], draws, schedule.n_rows))
     m = _vec(samples)
-    a = design_matrix(schedule).a
+    a = forward_model(schedule).design()
     a_pinv, _, _ = pinv_truncated(a)
     y = np.einsum("ni,ki->nk", m, a)[:, None, :] + noise
     recon = np.einsum("ndk,ik->ndi", y, a_pinv)

@@ -45,18 +45,6 @@ def rotation_mueller(theta):
     ])
 
 
-def rotation_mueller_deriv(theta):
-    """Derivative of ``rotation_mueller`` with respect to ``theta``."""
-    c = np.cos(2.0 * theta)
-    s = np.sin(2.0 * theta)
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, -2.0 * s, -2.0 * c, 0.0],
-        [0.0, 2.0 * c, -2.0 * s, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-
-
 def rotate_element(m0, theta):
     """Orient an axis-aligned element matrix at angle ``theta``."""
     return rotation_mueller(theta) @ m0 @ rotation_mueller(-theta)

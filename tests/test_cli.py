@@ -1,10 +1,15 @@
+import functools
 import json
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pltt.cli import main, parse_slice_expression
-from pltt.ellipsometry import drr_schedule, save_schedule
+from pltt.ellipsometry import capture, drr_schedule, save_schedule
 from pltt.fileio import read_pltt, write_pltt
 from pltt.polarization import ideal_mirror, linear_polarizer
 from pltt.tensor import TransportTensor
@@ -132,6 +137,92 @@ def test_capture_reconstruct_round_trip(tmp_path, capsys):
     diag = (tmp_path / "recon_diagnostics.csv").read_text().strip().splitlines()
     assert diag[0] == "cam_index,proj_index,bin,residual_norm"
     assert len(diag) == 1 + 4 * 1 * 16
+
+
+def test_reconstruct_uses_the_split_stored_with_the_measurements(tmp_path, capsys):
+    tensor_path = simulate(tmp_path, MIRROR_SCENE)
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--split", "0.3",
+                 "--out", meas_path]) == 0
+    recon_path = str(tmp_path / "recon.pltt")
+    assert main(["reconstruct", "--measurements", meas_path, "--out", recon_path]) == 0
+    # the ideal mirror's echo lands in bin 10 with m00 = 1
+    np.testing.assert_allclose(read_pltt(recon_path).data[:, 0, :, :, 10],
+                               np.broadcast_to(ideal_mirror(), (4, 4, 4)), atol=1e-9)
+    capsys.readouterr()
+    assert main(["reconstruct", "--measurements", meas_path, "--split", "0.5",
+                 "--out", str(tmp_path / "other.pltt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "conflicts" in err
+
+
+def rewrite_metadata(path, edit):
+    # replace the trailing JSON block of a PLTT file by edit(metadata)
+    blob = open(path, "rb").read()
+    dims = struct.unpack_from("<7I", blob, 16)
+    coaxial = blob[44]
+    cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
+    s_proj = 1 if coaxial else proj_w * proj_h
+    end = 45 + 8 * cam_w * cam_h * s_proj * dim_p * dim_q * n_bins
+    meta = edit(json.loads(blob[end:].decode("utf-8")))
+    with open(path, "wb") as fh:
+        fh.write(blob[:end] + json.dumps(meta).encode("utf-8"))
+
+
+def test_reconstruct_names_a_missing_metadata_key(tmp_path, capsys):
+    tensor_path = simulate(tmp_path, mirror_scene(0.015), bins=4)
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--k", "16", "--out", meas_path]) == 0
+    rewrite_metadata(meas_path, lambda meta: {k: v for k, v in meta.items()
+                                              if k != "time_bin_width"})
+    capsys.readouterr()
+    assert main(["reconstruct", "--measurements", meas_path,
+                 "--out", str(tmp_path / "recon.pltt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "time_bin_width" in err
+
+
+def test_measurements_without_a_stored_split_read_as_one_half(tmp_path):
+    tensor_path = simulate(tmp_path, mirror_scene(0.015), bins=4)
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--k", "16", "--out", meas_path]) == 0
+    rewrite_metadata(meas_path, lambda meta: {k: v for k, v in meta.items() if k != "split"})
+    assert read_pltt(meas_path).split == 0.5
+
+
+@functools.lru_cache(maxsize=None)
+def small_measurement_blob():
+    with tempfile.TemporaryDirectory() as tmp:
+        tensor = TransportTensor(np.broadcast_to(ideal_mirror()[None, None, :, :, None],
+                                                 (2, 1, 4, 4, 2)).copy(),
+                                 (1, 2), (1, 2), 1e-10, coaxial=True)
+        meas = capture(tensor, drr_schedule(16), noise_sigma=1e-3, seed=3, split=0.4)
+        path = os.path.join(tmp, "meas.pltt")
+        write_pltt(path, meas, provenance="fuzz")
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_measurement_container_exits_zero_or_two(data):
+    blob = small_measurement_blob()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "meas.pltt")
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        # a flipped exponent byte can make an intensity near 1e308, whose
+        # residual norm then overflows to inf: a valid, if useless, result
+        with np.errstate(over="ignore"):
+            assert main(["reconstruct", "--measurements", path,
+                         "--out", os.path.join(tmp, "recon.pltt")]) in (0, 2)
 
 
 def test_reconstruct_warns_when_underdetermined(tmp_path, capsys):

@@ -1,23 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pltt.ellipsometry import (
     AngleSchedule,
     capture,
     design_matrix,
     drr_schedule,
-    forward_intensity,
+    forward_model,
     load_schedule,
     pinv_truncated,
     reconstruct,
     save_schedule,
 )
-from pltt.polarization import linear_polarizer, quarter_wave_plate
+from pltt.polarization import beamsplitter, galvo_mirror, linear_polarizer, quarter_wave_plate
 from pltt.scene import generate_ensemble
 from pltt.tensor import TransportTensor, epipolar_masks, probe
 
 BIN = 1e-10
 UNPOL = np.array([1.0, 0.0, 0.0, 0.0])
+ARRAY_ANALYZERS = np.deg2rad([0.0, 45.0, 90.0, 135.0])
 
 
 def random_schedule(rng, k, sensor_mode="intensity"):
@@ -37,73 +39,110 @@ def chain_intensity(m, th1, th2, th3, th4):
     return analyzed[0]
 
 
-def test_forward_intensity_matches_longhand_chain():
+def design_intensities(m, schedule):
+    return design_matrix(schedule).a @ np.asarray(m).reshape(16)
+
+
+def test_design_rows_match_longhand_chain():
     rng = np.random.default_rng(0)
     schedule = random_schedule(rng, 6)
     m = rng.normal(size=(4, 4))
+    predicted = design_intensities(m, schedule)
     for k in range(6):
         expected = chain_intensity(
             m, schedule.theta1[k], schedule.theta2[k],
             schedule.theta3[k], schedule.theta4[k],
         )
-        assert forward_intensity(m, schedule, k) == pytest.approx(expected, abs=1e-12)
+        assert predicted[k] == pytest.approx(expected, abs=1e-12)
 
 
-def test_forward_intensity_identity_all_zero_angles():
+def test_design_row_of_identity_at_zero_angles():
     schedule = drr_schedule(1)
-    assert forward_intensity(np.eye(4), schedule, 0) == pytest.approx(0.5, abs=1e-12)
+    assert design_intensities(np.eye(4), schedule)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_polarizer_array_rows_are_capture_major():
     rng = np.random.default_rng(1)
     schedule = random_schedule(rng, 3, "polarizer_array")
     m = rng.normal(size=(4, 4))
-    analyzer_angles = np.deg2rad([0.0, 45.0, 90.0, 135.0])
+    predicted = design_intensities(m, schedule)
     for k in range(3):
         source = quarter_wave_plate(schedule.theta2[k]) \
             @ linear_polarizer(schedule.theta1[k]) @ UNPOL
-        for q, ang in enumerate(analyzer_angles):
+        for q, ang in enumerate(ARRAY_ANALYZERS):
             expected = (linear_polarizer(ang) @ quarter_wave_plate(schedule.theta3[k])
                         @ m @ source)[0]
-            assert forward_intensity(m, schedule, k, q=q) == pytest.approx(
-                expected, abs=1e-12
-            )
-
-
-def test_forward_intensity_argument_validation():
-    schedule = drr_schedule(2)
-    with pytest.raises(ValueError):
-        forward_intensity(np.eye(4), schedule, 5)
-    with pytest.raises(ValueError):
-        forward_intensity(np.eye(4), schedule, 0, q=1)   # intensity mode has no q
-    pa = drr_schedule(2, sensor_mode="polarizer_array")
-    with pytest.raises(ValueError):
-        forward_intensity(np.eye(4), pa, 0)              # needs q
-    with pytest.raises(ValueError):
-        forward_intensity(np.eye(4), pa, 0, q=4)
+            assert predicted[4 * k + q] == pytest.approx(expected, abs=1e-12)
 
 
 def test_design_matrix_rows_reproduce_forward_model():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(4, 4))
-    vec = m.reshape(16)
     for mode in ("intensity", "polarizer_array"):
         schedule = random_schedule(rng, 5, mode)
-        design = design_matrix(schedule)
-        predicted = design.a @ vec
+        predicted = design_intensities(m, schedule)
         row = 0
         for k in range(5):
-            if mode == "intensity":
+            angles = (schedule.theta1[k], schedule.theta2[k], schedule.theta3[k])
+            # the array sensor's fixed analyzers stand in for theta4
+            detector = [schedule.theta4[k]] if mode == "intensity" else ARRAY_ANALYZERS
+            for th4 in detector:
                 assert predicted[row] == pytest.approx(
-                    forward_intensity(m, schedule, k), abs=1e-12
+                    chain_intensity(m, *angles, th4), abs=1e-12
                 )
                 row += 1
-            else:
-                for q in range(4):
-                    assert predicted[row] == pytest.approx(
-                        forward_intensity(m, schedule, k, q=q), abs=1e-12
-                    )
-                    row += 1
+        assert row == schedule.n_rows
+
+
+def longhand_vectors(schedule, coaxial, split):
+    # per-capture element chains, with the coaxial folds written out
+    into_scene = np.eye(4)
+    out_of_scene = np.eye(4)
+    if coaxial:
+        into_scene = galvo_mirror() @ beamsplitter("transmit", split)
+        out_of_scene = beamsplitter("reflect", 1.0 - split) @ galvo_mirror()
+    c, r = [], []
+    for k in range(schedule.n_captures):
+        c.append(into_scene @ quarter_wave_plate(schedule.theta2[k])
+                 @ linear_polarizer(schedule.theta1[k]) @ UNPOL)
+        detector = quarter_wave_plate(schedule.theta3[k]) @ out_of_scene
+        if schedule.sensor_mode == "polarizer_array":
+            r.extend((linear_polarizer(ang) @ detector)[0] for ang in ARRAY_ANALYZERS)
+        else:
+            r.append((linear_polarizer(schedule.theta4[k]) @ detector)[0])
+    return np.array(c), np.array(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 36),
+       mode=st.sampled_from(["intensity", "polarizer_array"]),
+       coaxial=st.booleans(),
+       # subnormal splits leave too few significant bits for any difference quotient
+       split=st.floats(0.0, 1.0, allow_subnormal=False),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_model_matches_longhand_chain_and_central_differences(
+        k, mode, coaxial, split, seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(4, k))
+    schedule = AngleSchedule(*angles, sensor_mode=mode)
+    fwd = forward_model(schedule, coaxial, split)
+    c, r = longhand_vectors(schedule, coaxial, split)
+    assert fwd.c.shape == (k, 4) and fwd.r.shape == (schedule.n_rows, 4)
+    np.testing.assert_allclose(fwd.c, c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fwd.r, r, rtol=0, atol=1e-12)
+
+    # captures are independent, so moving a whole angle column at once
+    # gives every capture's own derivative
+    h = 1e-6
+    for slot, derivative in enumerate((fwd.dc1, fwd.dc2, fwd.dr3, fwd.dr4)):
+        step = np.zeros_like(angles)
+        step[slot] = h
+        up = forward_model(AngleSchedule(*(angles + step), sensor_mode=mode), coaxial, split)
+        down = forward_model(AngleSchedule(*(angles - step), sensor_mode=mode), coaxial, split)
+        field = "c" if slot < 2 else "r"
+        fd = (getattr(up, field) - getattr(down, field)) / (2.0 * h)
+        scale = max(np.abs(derivative).max(), np.abs(fd).max())
+        assert np.abs(fd - derivative).max() <= 1e-6 * scale
 
 
 def test_drr_schedule_structure():
@@ -209,6 +248,26 @@ def test_capture_mask_on_coaxial_tensor_raises():
     epi, _ = epipolar_masks(tensor.cam_shape, tensor.cam_shape)
     with pytest.raises(ValueError, match="projector_camera"):
         capture(tensor, drr_schedule(10), masks=epi)
+
+
+def test_capture_records_the_split_and_reconstruct_reads_it():
+    rng = np.random.default_rng(13)
+    tensor = random_tensor(rng, True)
+    meas = capture(tensor, drr_schedule(36), split=0.3)
+    assert meas.split == 0.3
+    np.testing.assert_allclose(reconstruct(meas).tensor.data, tensor.data, atol=1e-9)
+    np.testing.assert_allclose(reconstruct(meas, split=0.3).tensor.data, tensor.data,
+                               atol=1e-9)
+    with pytest.raises(ValueError, match="conflicts"):
+        reconstruct(meas, split=0.5)
+
+
+def test_capture_rejects_a_split_outside_the_unit_interval():
+    rng = np.random.default_rng(14)
+    # projector-camera capture never builds the beamsplitter arms
+    tensor = random_tensor(rng, False)
+    with pytest.raises(ValueError, match="split"):
+        capture(tensor, drr_schedule(4), split=1.5)
 
 
 def test_coaxial_capture_folds_the_optics():

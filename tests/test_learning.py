@@ -283,3 +283,42 @@ def test_cross_validate_scores_each_fold_and_comparison():
     with pytest.raises(ValueError, match="fold"):
         cross_validate(TrainingConfig(samples=samples[:2], k=6, batch_size=1),
                        n_folds=3)
+
+
+# Schedules and best held-out losses of two 60-iteration runs, recorded
+# with the per-capture forward model this package used before the
+# batched one; the batched model must follow the same trajectory.
+PINNED_RUNS = {
+    "polarizer_array": (
+        [[0.062413582633752906, 3.0724268782986983, 3.0918799705563766,
+          0.058346958013576054, 3.0949399787840672, 3.069854178739206],
+         [3.0976798063335687, 0.03086760660763008, 0.23055046878638052,
+          0.20691387966232927, 0.40465701010042604, 0.43871777873501494],
+         [3.095503547618122, 0.48984996692101873, 0.8149274126589976,
+          1.365827615492883, 1.6899002892643646, 2.235296761566949],
+         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+        0.01318860301188335,
+    ),
+    "intensity": (
+        [[0.16488316092369812, 2.9379150047426177, 0.0059653623202405226,
+          0.1750123154986416, 0.07623008689037956, 0.24646507480700378],
+         [0.008194638366350543, 0.037651962402705665, 0.13964150248412016,
+          0.3463672112045125, 0.30263432062860607, 0.3366712739191113],
+         [3.1132274565238998, 0.5055920734168489, 0.8655583421104013,
+          1.2776127756743483, 1.816116919757471, 2.333495913883357],
+         [0.1277328071357277, 0.11761260144924869, 0.047027245175717776,
+          0.019841364356867123, 0.004175782472025355, 3.0338862734237844]],
+        0.08896490966890622,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_RUNS))
+def test_learn_reproduces_the_pinned_trajectory(mode):
+    samples = generate_ensemble(11, 40).samples
+    result = learn(tiny_config(samples, sensor_mode=mode, iterations=60))
+    angles, best = PINNED_RUNS[mode]
+    for slot, name in enumerate(("theta1", "theta2", "theta3", "theta4")):
+        np.testing.assert_allclose(getattr(result.schedule, name), angles[slot],
+                                   rtol=0, atol=1e-9)
+    assert abs(result.best_heldout_loss - best) <= 1e-9 * best
