@@ -157,6 +157,21 @@ def cmd_capture(args):
 
 # ------------------------------------------------------------- reconstruct
 
+def _write_diagnostics(path, res):
+    """
+    Residual norms as CSV rows ``cam_index,proj_index,bin,residual_norm``
+    in (s, x, t) order, with the csv module's CRLF line ends: one format
+    string holds every row's indices, and one ``%`` fills in the values.
+    """
+    n_cam, n_proj, n_bins = res.shape
+    cells = ["%d,%d," % (s, x) for s in range(n_cam) for x in range(n_proj)]
+    bins = ["%d,%%.17g\r\n" % t for t in range(n_bins)]
+    rows = "".join([c + b for c in cells for b in bins])
+    with open(path, "w", newline="") as fh:
+        fh.write("cam_index,proj_index,bin,residual_norm\r\n")
+        fh.write(rows % tuple(res.ravel().tolist()))
+
+
 def cmd_reconstruct(args):
     meas = read_pltt(args.measurements)
     if not isinstance(meas, MeasurementSet):
@@ -173,13 +188,7 @@ def cmd_reconstruct(args):
     )
     diag_path = _stem(args.out) + "_diagnostics.csv"
     res = result.residual_norms
-    with open(diag_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cam_index", "proj_index", "bin", "residual_norm"])
-        for s in range(res.shape[0]):
-            for x in range(res.shape[1]):
-                for t in range(res.shape[2]):
-                    writer.writerow([s, x, t, "%.17g" % res[s, x, t]])
+    _write_diagnostics(diag_path, res)
     print("wrote %s: rank=%d cond=%.6g max_residual=%.3e" % (
         args.out, result.rank, result.cond, float(res.max())))
     return {

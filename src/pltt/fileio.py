@@ -22,11 +22,17 @@ the same seven slots):
   split metadata ride in the JSON block (a file without ``split`` is
   read as 0.5).
 
-Readers check the file length against the header dims and each kind's
-required metadata keys, and raise ValueError naming what is wrong.
+Readers check the file length against the header dims, each kind's
+fixed header slots (every literal 1 and 4 above, a steady illumination's
+single bin, and a measurement's K' against its schedule's row count) and
+each kind's required metadata keys, and raise ValueError naming what is
+wrong. The writer streams the payload from its array (a measurement's
+after one transpose into file order) and the reader reads it straight
+into a new array; neither holds a bytes copy of it.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -35,13 +41,20 @@ from .tensor import TransportTensor, IlluminationTensor, DetectedTensor
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
+# magic, dims, coaxial flag: the bytes before the payload
+_PREFIX = len(MAGIC) + _HEADER.size + 1
+_SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
 
 
-def _pack(dims, coaxial, payload, meta):
-    parts = [MAGIC, _HEADER.pack(*dims), struct.pack("<B", 1 if coaxial else 0)]
-    parts.append(np.ascontiguousarray(payload, dtype="<f8").tobytes())
-    parts.append(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    return b"".join(parts)
+def _write(path, dims, coaxial, payload, meta):
+    """Write the header, the payload's own bytes and the metadata in turn."""
+    head = MAGIC + _HEADER.pack(*dims) + struct.pack("<B", 1 if coaxial else 0)
+    tail = json.dumps(meta, sort_keys=True).encode("utf-8")
+    payload = np.ascontiguousarray(payload, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(memoryview(payload))
+        fh.write(tail)
 
 
 def write_pltt(path, obj, provenance=""):
@@ -53,7 +66,7 @@ def write_pltt(path, obj, provenance=""):
                 4, 4, obj.n_bins)
         meta = {"kind": "transport", "time_bin_width": obj.time_bin_width,
                 "channel_id": obj.channel_id, "provenance": provenance}
-        blob = _pack(dims, obj.coaxial, obj.data, meta)
+        _write(path, dims, obj.coaxial, obj.data, meta)
     elif isinstance(obj, IlluminationTensor):
         n_bins = obj.data.shape[2] if obj.has_time else 1
         dims = (1, 1, obj.proj_shape[1], obj.proj_shape[0], 1, 4, n_bins)
@@ -62,13 +75,13 @@ def write_pltt(path, obj, provenance=""):
         meta = {"kind": "illumination", "time_bin_width": obj.time_bin_width,
                 "channel_id": "mono", "provenance": provenance,
                 "has_time": obj.has_time}
-        blob = _pack(dims, False, payload, meta)
+        _write(path, dims, False, payload, meta)
     elif isinstance(obj, DetectedTensor):
         dims = (obj.cam_shape[1], obj.cam_shape[0], 1, 1, 4, 1, obj.data.shape[2])
         payload = obj.data[:, None, :, None, :]
         meta = {"kind": "detected", "time_bin_width": obj.time_bin_width,
                 "channel_id": "mono", "provenance": provenance}
-        blob = _pack(dims, False, payload, meta)
+        _write(path, dims, False, payload, meta)
     elif isinstance(obj, MeasurementSet):
         k_rows, s_cam, s_proj, n_bins = obj.intensities.shape
         dims = (obj.cam_shape[1], obj.cam_shape[0], obj.proj_shape[1], obj.proj_shape[0],
@@ -80,11 +93,9 @@ def write_pltt(path, obj, provenance=""):
                 "schedule": schedule_to_dict(obj.schedule),
                 "geometry_mode": obj.geometry_mode,
                 "noise_sigma": obj.noise_sigma, "seed": obj.seed, "split": obj.split}
-        blob = _pack(dims, coaxial, payload, meta)
+        _write(path, dims, coaxial, payload, meta)
     else:
         raise TypeError("cannot serialize %r" % type(obj))
-    with open(path, "wb") as fh:
-        fh.write(blob)
 
 
 # metadata keys each payload kind cannot be read without
@@ -95,27 +106,53 @@ _REQUIRED_KEYS = {
     "measurement": ("time_bin_width", "schedule", "geometry_mode", "noise_sigma", "seed"),
 }
 
+# header slots each payload kind fixes; a measurement's dim_p is its
+# schedule's row count, and steady illumination has one bin
+_FIXED_SLOTS = {
+    "transport": {"dim_p": 4, "dim_q": 4},
+    "illumination": {"cam_w": 1, "cam_h": 1, "dim_p": 1, "dim_q": 4},
+    "detected": {"proj_w": 1, "proj_h": 1, "dim_p": 4, "dim_q": 1},
+    "measurement": {"dim_q": 1},
+}
 
-def _parse(blob):
+
+def _parse(fh, with_payload=True):
     """
-    Split a PLTT v1 blob into (dims, coaxial, payload offset, payload
-    count, metadata), or raise ValueError saying what is malformed.
+    Read a PLTT v1 file from the start of ``fh`` into (dims, coaxial,
+    payload, metadata, schedule), or raise ValueError saying what is
+    malformed.
+
+    ``payload`` is the flat float64 payload, read straight into its
+    array, or None when ``with_payload`` is false and the payload is
+    skipped. ``schedule`` is a measurement's parsed schedule, else None.
     """
-    offset = len(MAGIC) + _HEADER.size + 1
-    if blob[:len(MAGIC)] != MAGIC:
+    from .ellipsometry import schedule_from_dict
+
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_PREFIX)
+    if head[:len(MAGIC)] != MAGIC:
         raise ValueError("not a PLTT v1 file: bad magic")
-    if len(blob) < offset:
-        raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(blob), offset))
-    dims = _HEADER.unpack_from(blob, len(MAGIC))
-    coaxial = bool(blob[offset - 1])
+    if len(head) < _PREFIX:
+        raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(head), _PREFIX))
+    dims = _HEADER.unpack_from(head, len(MAGIC))
+    coaxial = bool(head[-1])
     cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
     count = cam_w * cam_h * (1 if coaxial else proj_w * proj_h) * dim_p * dim_q * n_bins
-    end = offset + 8 * count
-    if len(blob) < end:
+    end = _PREFIX + 8 * count
+    if size < end:
         raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
-                         "the file has %d" % (dims, end, len(blob)))
+                         "the file has %d" % (dims, end, size))
+    payload = None
+    if with_payload:
+        payload = np.empty(count, dtype="<f8")
+        got = fh.readinto(payload)
+        if got != 8 * count:
+            raise ValueError("PLTT payload is truncated: read %d of %d bytes"
+                             % (got, 8 * count))
+    else:
+        fh.seek(end)
     try:
-        meta = json.loads(blob[end:].decode("utf-8"))
+        meta = json.loads(fh.read().decode("utf-8"))
     except ValueError as exc:
         raise ValueError("PLTT metadata is not valid UTF-8 JSON: %s" % exc) from None
     if not isinstance(meta, dict):
@@ -130,20 +167,30 @@ def _parse(blob):
         value = meta.get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError("PLTT metadata key %r must be a number, got %r" % (key, value))
-    return dims, coaxial, offset, count, meta
+    fixed = dict(_FIXED_SLOTS[kind])
+    schedule = None
+    if kind == "measurement":
+        schedule = schedule_from_dict(meta["schedule"])
+        fixed["dim_p"] = schedule.n_rows
+    elif kind == "illumination" and not meta.get("has_time", False):
+        fixed["n_bins"] = 1
+    for slot, want in fixed.items():
+        value = dims[_SLOTS.index(slot)]
+        if value != want:
+            raise ValueError("PLTT %s header slot %s is %d, must be %d"
+                             % (kind, slot, value, want))
+    return dims, coaxial, payload, meta, schedule
 
 
 def read_pltt(path):
     """Read a PLTT v1 file back into its in-memory object."""
-    from .ellipsometry import MeasurementSet, schedule_from_dict
+    from .ellipsometry import MeasurementSet
 
     with open(path, "rb") as fh:
-        blob = fh.read()
-    dims, coaxial, offset, count, meta = _parse(blob)
+        dims, coaxial, payload, meta, schedule = _parse(fh)
     cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
     s_proj = 1 if coaxial else proj_w * proj_h
-    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    payload = payload.reshape(cam_w * cam_h, s_proj, dim_p, dim_q, n_bins).copy()
+    payload = payload.reshape(cam_w * cam_h, s_proj, dim_p, dim_q, n_bins)
     kind = meta.get("kind", "transport")
     if kind == "transport":
         return TransportTensor(payload, (cam_h, cam_w), (proj_h, proj_w),
@@ -159,7 +206,7 @@ def read_pltt(path):
     intensities = payload[:, :, :, 0, :].transpose(2, 0, 1, 3)
     return MeasurementSet(
         intensities=intensities,
-        schedule=schedule_from_dict(meta["schedule"]),
+        schedule=schedule,
         geometry_mode=meta["geometry_mode"],
         cam_shape=(cam_h, cam_w),
         proj_shape=(proj_h, proj_w),
@@ -173,9 +220,9 @@ def read_pltt(path):
 
 
 def read_metadata(path):
-    """Return just the trailing metadata block of a PLTT file."""
+    """Return just the trailing metadata block of a PLTT file, skipping the payload."""
     with open(path, "rb") as fh:
-        return _parse(fh.read())[4]
+        return _parse(fh, with_payload=False)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt.cli import main, parse_slice_expression
-from pltt.ellipsometry import capture, drr_schedule, save_schedule
+from pltt.ellipsometry import capture, drr_schedule, reconstruct, save_schedule
 from pltt.fileio import read_pltt, write_pltt
 from pltt.polarization import ideal_mirror, linear_polarizer
 from pltt.tensor import TransportTensor
@@ -137,6 +138,27 @@ def test_capture_reconstruct_round_trip(tmp_path, capsys):
     diag = (tmp_path / "recon_diagnostics.csv").read_text().strip().splitlines()
     assert diag[0] == "cam_index,proj_index,bin,residual_norm"
     assert len(diag) == 1 + 4 * 1 * 16
+
+
+def test_diagnostics_csv_matches_the_csv_writer_rows(tmp_path):
+    tensor_path = simulate(tmp_path, dense_scene(0.02), bins=3)
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--k", "20", "--noise", "1e-3",
+                 "--seed", "4", "--out", meas_path]) == 0
+    assert main(["reconstruct", "--measurements", meas_path,
+                 "--out", str(tmp_path / "recon.pltt")]) == 0
+    res = reconstruct(read_pltt(meas_path)).residual_norms
+    assert res.shape == (4, 4, 3) and np.all(res > 0)
+    # the row-at-a-time csv.writer loop the command used to run
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cam_index", "proj_index", "bin", "residual_norm"])
+        for s in range(res.shape[0]):
+            for x in range(res.shape[1]):
+                for t in range(res.shape[2]):
+                    writer.writerow([s, x, t, "%.17g" % res[s, x, t]])
+    assert (tmp_path / "recon_diagnostics.csv").read_bytes() == oracle.read_bytes()
 
 
 def test_reconstruct_uses_the_split_stored_with_the_measurements(tmp_path, capsys):

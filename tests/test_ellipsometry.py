@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt.ellipsometry import (
+    _NOISE_CHUNK,
     AngleSchedule,
     capture,
     design_matrix,
@@ -233,6 +234,17 @@ def test_capture_noise_is_seeded():
     assert a.seed == 5
 
 
+def test_capture_noise_is_the_normal_stream_of_the_seed():
+    rng = np.random.default_rng(12)
+    tensor = TransportTensor(rng.normal(size=(16, 16, 4, 4, 8)), (4, 4), (4, 4), BIN)
+    schedule = drr_schedule(36)
+    clean = capture(tensor, schedule).intensities
+    assert clean.size > _NOISE_CHUNK
+    noisy = capture(tensor, schedule, noise_sigma=2e-3, seed=41).intensities
+    expected = clean + np.random.default_rng(41).normal(0.0, 2e-3, clean.shape)
+    assert noisy.tobytes() == expected.tobytes()
+
+
 def test_capture_with_mask_equals_probe_then_capture():
     rng = np.random.default_rng(8)
     tensor = random_tensor(rng, False)
@@ -325,3 +337,6 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         AngleSchedule(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
                       sensor_mode="telepathy")
+    # finite in radians, but inf in the degrees a file would store
+    with pytest.raises(ValueError, match="theta3"):
+        AngleSchedule(np.zeros(2), np.zeros(2), np.array([0.0, 1e307]), np.zeros(2))

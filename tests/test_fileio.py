@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pltt.ellipsometry import MeasurementSet, drr_schedule
+import pltt.fileio
+from pltt.cli import main
+from pltt.ellipsometry import AngleSchedule, MeasurementSet, drr_schedule, schedule_to_dict
 from pltt.fileio import (
     MAGIC,
     read_metadata,
@@ -121,6 +127,149 @@ def test_bad_magic_and_truncation(tmp_path):
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError):
         read_pltt(truncated)
+
+
+SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
+
+
+def _crafted_cases():
+    rng = np.random.default_rng(8)
+    transport = TransportTensor(rng.normal(size=(4, 1, 4, 4, 2)), (2, 2), (1, 1), BIN)
+    steady = IlluminationTensor(rng.normal(size=(4, 4)), (2, 2))
+    detected = DetectedTensor(rng.normal(size=(4, 4, 2)), (2, 2), BIN)
+    meas = MeasurementSet(rng.normal(size=(8, 2, 1, 4)), drr_schedule(8), "projector_camera",
+                          (1, 2), (1, 1), BIN)
+    # each rewrite keeps the payload length, so only the slot checks can catch it
+    cases = [
+        ("transport", transport, {"dim_p": 2, "dim_q": 8}, "dim_p is 2, must be 4"),
+        ("illumination", steady, {"cam_w": 2, "proj_w": 2, "proj_h": 1},
+         "cam_w is 2, must be 1"),
+        ("illumination", steady, {"proj_w": 1, "proj_h": 1, "n_bins": 4},
+         "n_bins is 4, must be 1"),
+        ("detected", detected, {"cam_h": 1, "proj_w": 2}, "proj_w is 2, must be 1"),
+        ("measurement", meas, {"dim_q": 2, "n_bins": 2}, "dim_q is 2, must be 1"),
+        ("measurement", meas, {"dim_p": 4, "n_bins": 8}, "dim_p is 4, must be 8"),
+    ]
+    return [pytest.param(*case, id="%s-%s" % (case[0], case[3].split()[0])) for case in cases]
+
+
+@pytest.mark.parametrize("kind, obj, slots, message", _crafted_cases())
+def test_crafted_header_slots_exit_two_naming_the_slot(tmp_path, capsys, kind, obj, slots,
+                                                       message):
+    path = tmp_path / "crafted.pltt"
+    write_pltt(path, obj)
+    blob = bytearray(path.read_bytes())
+    dims = list(struct.unpack_from("<7I", blob, len(MAGIC)))
+    count = np.prod(dims)
+    for slot, value in slots.items():
+        dims[SLOTS.index(slot)] = value
+    assert np.prod(dims) == count
+    struct.pack_into("<7I", blob, len(MAGIC), *dims)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="PLTT %s header slot %s" % (kind, message)):
+        read_metadata(path)
+    assert main(["reconstruct", "--measurements", str(path),
+                 "--out", str(tmp_path / "recon.pltt")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: PLTT %s header slot %s\n" % (kind, message)
+
+
+def _values(shape, finite=True):
+    return arrays(np.float64, shape,
+                  elements=st.floats(allow_nan=not finite, allow_infinity=not finite))
+
+
+@st.composite
+def containers(draw):
+    """A random object of one of the four kinds (coaxial where it has a geometry)."""
+    kind = draw(st.sampled_from(("transport", "illumination", "detected", "measurement")))
+    cam = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    coaxial = kind in ("transport", "measurement") and draw(st.booleans())
+    proj = cam if coaxial else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    s_cam, s_proj = cam[0] * cam[1], 1 if coaxial else proj[0] * proj[1]
+    n_bins = draw(st.integers(1, 3))
+    width = draw(st.floats(1e-15, 1.0))
+    if kind == "transport":
+        return TransportTensor(draw(_values((s_cam, s_proj, 4, 4, n_bins))), cam, proj, width,
+                               channel_id=draw(st.text(max_size=8)), coaxial=coaxial)
+    if kind == "illumination":
+        if draw(st.booleans()):
+            return IlluminationTensor(draw(_values((s_proj, 4, n_bins))), proj, width)
+        return IlluminationTensor(draw(_values((s_proj, 4))), proj)
+    if kind == "detected":
+        return DetectedTensor(draw(_values((s_cam, 4, n_bins))), cam, width)
+    k = draw(st.integers(1, 4))
+    # AngleSchedule takes angles up to about 3e306 radians, where degrees overflow
+    angles = [draw(arrays(np.float64, k, elements=st.floats(-1e300, 1e300)))
+              for _ in range(4)]
+    schedule = AngleSchedule(*angles, sensor_mode=draw(
+        st.sampled_from(("intensity", "polarizer_array"))),
+        fixed=tuple(draw(st.booleans()) for _ in range(4)))
+    return MeasurementSet(
+        draw(_values((schedule.n_rows, s_cam, s_proj, n_bins), finite=False)), schedule,
+        "coaxial" if coaxial else "projector_camera", cam, proj, width,
+        noise_sigma=draw(st.floats(0.0, 1.0)), seed=draw(st.none() | st.integers(0, 2**63)),
+        split=draw(st.floats(0.0, 1.0)))
+
+
+_FIELDS = {
+    TransportTensor: ("cam_shape", "proj_shape", "time_bin_width", "channel_id", "coaxial"),
+    IlluminationTensor: ("proj_shape", "time_bin_width", "has_time"),
+    DetectedTensor: ("cam_shape", "time_bin_width"),
+    MeasurementSet: ("geometry_mode", "cam_shape", "proj_shape", "time_bin_width",
+                     "noise_sigma", "seed", "split", "provenance"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=containers(), provenance=st.text(max_size=12))
+def test_container_round_trip_property(tmp_path_factory, obj, provenance):
+    tmp = tmp_path_factory.mktemp("round_trip")
+    first, second = tmp / "first.pltt", tmp / "second.pltt"
+    if isinstance(obj, MeasurementSet):
+        obj = dataclasses.replace(obj, provenance=provenance)
+    write_pltt(first, obj, provenance=provenance)
+    back = read_pltt(first)
+    assert type(back) is type(obj)
+    data = "intensities" if isinstance(obj, MeasurementSet) else "data"
+    assert getattr(back, data).shape == getattr(obj, data).shape
+    assert getattr(back, data).tobytes() == getattr(obj, data).tobytes()
+    for name in _FIELDS[type(obj)]:
+        assert getattr(back, name) == getattr(obj, name), name
+    if isinstance(obj, MeasurementSet):
+        # angles are stored in degrees; the stored degrees survive exactly
+        assert schedule_to_dict(back.schedule) == schedule_to_dict(obj.schedule)
+    assert read_metadata(first)["provenance"] == provenance
+    write_pltt(second, back, provenance=provenance)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
+    class ShortReads:
+        """A file whose reads stop halfway through the payload, as if it shrank."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def readinto(self, buf):
+            view = memoryview(buf).cast("B")
+            return self.fh.readinto(view[:len(view) // 2])
+
+    path = tmp_path / "t.pltt"
+    write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN))
+    monkeypatch.setattr(pltt.fileio, "open", lambda p, mode: ShortReads(open(p, mode)),
+                        raising=False)
+    with pytest.raises(ValueError, match="payload is truncated: read 128 of 256 bytes"):
+        read_pltt(path)
 
 
 def test_read_metadata_without_payload(tmp_path):
