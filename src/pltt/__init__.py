@@ -25,14 +25,6 @@ if _threads.isdigit() and int(_threads) > 0:
 __version__ = "0.1.0"
 
 from .polarization import (
-    CustomMueller,
-    GalvoMirror,
-    IdealMirror,
-    LinearPolarizer,
-    NonPolarizingBeamsplitter,
-    QuarterWavePlate,
-    Retarder,
-    Rotator,
     apply_mueller,
     beamsplitter,
     compose,
@@ -42,7 +34,6 @@ from .polarization import (
     is_passive,
     is_valid_stokes,
     linear_polarizer,
-    mueller_of,
     quarter_wave_plate,
     random_physical_stokes,
     retarder,
@@ -86,7 +77,6 @@ from .ellipsometry import (
     ForwardModel,
     MeasurementSet,
     ReconstructionResult,
-    analyzer_rows,
     capture,
     design_matrix,
     drr_schedule,
@@ -95,7 +85,6 @@ from .ellipsometry import (
     pinv_truncated,
     reconstruct,
     save_schedule,
-    source_vectors,
 )
 from .learning import (
     LearnedSchedule,
@@ -113,6 +102,7 @@ from .decomposition import (
     TensorDecomposition,
     decompose_tensor,
     diattenuation,
+    lit_blocks,
     polar_decompose,
     polarizance,
     retardance,

@@ -13,17 +13,20 @@ from scipy.optimize import minimize
 from .tensor import probe
 
 
+def _check_compression(c):
+    if not 0.0 < c < np.inf:  # also rejects NaN
+        raise ValueError("compression factor must be finite and positive, got %r" % (c,))
+
+
 def arctan_map(m, c=8.0):
     """Elementwise y = arctan(c * x): squashes each entry into (-pi/2, pi/2)."""
-    if c <= 0:
-        raise ValueError("compression factor must be positive")
+    _check_compression(c)
     return np.arctan(c * np.asarray(m, dtype=float))
 
 
 def arctan_unmap(y, c=8.0):
     """Inverse of arctan_map; |y| >= pi/2 has no preimage and raises."""
-    if c <= 0:
-        raise ValueError("compression factor must be positive")
+    _check_compression(c)
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(y) >= np.pi / 2):
         raise ValueError("arctan_unmap needs |y| < pi/2 everywhere")

@@ -24,7 +24,7 @@ import re
 import struct
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .analysis import (
     pca,
     summed_polarimetric_image,
 )
-from .decomposition import decompose_tensor
+from .decomposition import decompose_tensor, lit_blocks
 from .ellipsometry import (
     MeasurementSet,
     capture,
@@ -200,15 +200,11 @@ def cmd_reconstruct(args):
 
 # ------------------------------------------------------------ learn-angles
 
-_LEARN_KEYS = {
-    "seed", "n_samples", "family_weights", "k", "sensor_mode", "noise_sigma",
-    "iterations", "batch_size", "step_size", "draws", "holdout_fraction",
-    "eval_every", "eval_draws", "eval_seed", "n_eval",
-}
-_CONFIG_FIELDS = (
-    "k", "sensor_mode", "noise_sigma", "iterations", "batch_size",
-    "step_size", "draws", "seed", "holdout_fraction", "eval_every", "eval_draws",
-)
+# TrainingConfig fields a config file sets directly; the ensemble keys
+# build its samples, and the trainable columns follow the sensor mode
+_CONFIG_FIELDS = tuple(f.name for f in fields(TrainingConfig)
+                       if f.name not in ("samples", "trainable"))
+_LEARN_KEYS = set(_CONFIG_FIELDS) | {"n_samples", "family_weights", "eval_seed", "n_eval"}
 
 
 def cmd_learn_angles(args):
@@ -335,10 +331,8 @@ def cmd_decompose(args):
 
 def cmd_pca(args):
     tensor = _require_transport(read_pltt(args.tensor), args.tensor)
-    blocks = tensor.data.transpose(0, 1, 4, 2, 3).reshape(-1, 4, 4)
-    m00 = blocks[:, 0, 0]
-    floor = args.floor * max(m00.max(), 0.0)
-    blocks = blocks[m00 > floor]
+    blocks, lit = lit_blocks(tensor, args.floor)
+    blocks = blocks[lit]
     if blocks.shape[0] < 2:
         raise ValueError("fewer than 2 usable Mueller blocks above the floor")
     obs = build_observation(blocks, c=args.c)
@@ -715,12 +709,13 @@ def main(argv=None):
     start = time.monotonic()
     try:
         info = args.func(args)
-    except (ValueError, OSError, struct.error) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    # LinAlgError is a ValueError, so the numerical failures go first
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except (ValueError, OSError, struct.error) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     _write_manifest(args, info, time.monotonic() - start)
     return 0
 

@@ -191,24 +191,36 @@ class TensorDecomposition:
     n_clamped: int = 0
 
 
-def decompose_tensor(tensor, floor_frac=1e-6):
+def lit_blocks(tensor, floor_frac):
     """
-    Polar-decompose every polarimetric block of a transport tensor.
+    A tensor's (S, P, T, 4, 4) Mueller blocks and the mask of lit ones.
 
-    Blocks whose m00 falls below floor_frac times the tensor's largest
-    m00 are left out (NaN in every map) and counted in ``n_null``;
-    the decomposition is meaningless on dark pixels. The rest go
-    through one stack call of ``polar_decompose``. A tensor holding
+    A block is lit when its m00 is positive and above floor_frac times
+    the tensor's largest m00; the decomposition is meaningless on dark
+    pixels. floor_frac must be finite and in [0, 1). A tensor holding
     NaN or inf anywhere raises ValueError.
     """
-    blocks = tensor.data.transpose(0, 1, 4, 2, 3)          # (S, P, T, 4, 4)
+    if not 0.0 <= floor_frac < 1.0:  # also rejects NaN
+        raise ValueError("floor fraction must be finite and in [0, 1), got %r" % (floor_frac,))
+    blocks = tensor.data.transpose(0, 1, 4, 2, 3)
     _require_finite(blocks)
     m00 = blocks[..., 0, 0]
-    lit = (m00 > floor_frac * max(m00.max(), 0.0)) & (m00 > 0)
+    return blocks, (m00 > floor_frac * max(m00.max(), 0.0)) & (m00 > 0)
+
+
+def decompose_tensor(tensor, floor_frac=1e-6):
+    """
+    Polar-decompose every lit polarimetric block of a transport tensor.
+
+    Blocks that ``lit_blocks`` leaves out are NaN in every map and
+    counted in ``n_null``. The rest go through one stack call of
+    ``polar_decompose``.
+    """
+    blocks, lit = lit_blocks(tensor, floor_frac)
     res = polar_decompose(blocks[lit])
 
     def scatter(values):
-        grid = np.full(m00.shape + values.shape[1:], np.nan)
+        grid = np.full(lit.shape + values.shape[1:], np.nan)
         grid[lit] = values
         return grid
 

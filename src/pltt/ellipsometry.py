@@ -274,19 +274,15 @@ def forward_model(schedule, coaxial=False, split=0.5):
     )
 
 
-def source_vectors(schedule, coaxial=False, split=0.5):
-    """Per-capture source Stokes vectors c_k, shape (K, 4)."""
-    return forward_model(schedule, coaxial, split).c
-
-
-def analyzer_rows(schedule, coaxial=False, split=0.5):
+def _rank_and_cond(s, tol_factor=RANK_TOL):
     """
-    Per-row analyzer vectors r, shape (n_rows, 4).
+    Rank and condition number from descending singular values ``s``.
 
-    Intensity mode has one row per capture; polarizer_array mode has
-    four per capture (analyzers 0/45/90/135 degrees), capture-major.
+    Values at or below ``tol_factor * s[0]`` count as zero, so an
+    all-zero matrix has rank 0 and cond inf.
     """
-    return forward_model(schedule, coaxial, split).r
+    kept = s[s > tol_factor * s[0]]
+    return kept.size, float(kept[0] / kept[-1]) if kept.size else np.inf
 
 
 @dataclass(frozen=True)
@@ -297,10 +293,6 @@ class DesignMatrix:
     rank: int
     cond: float
 
-    @property
-    def n_rows(self):
-        return self.a.shape[0]
-
 
 def design_matrix(schedule, coaxial=False, split=0.5):
     """
@@ -309,12 +301,7 @@ def design_matrix(schedule, coaxial=False, split=0.5):
     Satisfies A @ vec(M) == stacked forward intensities exactly.
     """
     a = forward_model(schedule, coaxial, split).design()
-    svals = np.linalg.svd(a, compute_uv=False)
-    tol = RANK_TOL * svals[0] if svals[0] > 0 else 0.0
-    rank = int((svals > tol).sum())
-    positive = svals[svals > tol]
-    cond = float(positive[0] / positive[-1]) if positive.size else np.inf
-    return DesignMatrix(a, rank, cond)
+    return DesignMatrix(a, *_rank_and_cond(np.linalg.svd(a, compute_uv=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +360,8 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     masks, if given, probe the tensor before the scan (projector-camera
     geometry only).
     """
+    if not 0.0 <= noise_sigma < np.inf:  # also rejects NaN
+        raise ValueError("noise_sigma must be finite and >= 0, got %r" % (noise_sigma,))
     geometry = "coaxial" if tensor.coaxial else "projector_camera"
     if masks is not None:
         if tensor.coaxial:
@@ -382,8 +371,6 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     # row k of A is kron(r_k, c_k); contracting the two factors separately
     # keeps the output C-ordered, which the noise draw below adds to fast
     vals = np.einsum("kp,sxpqt,kq->ksxt", fwd.r, tensor.data, fwd.per_row(fwd.c), optimize=True)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
     if noise_sigma > 0:
         # the same stream as rng.normal(0, sigma, vals.shape), added in place
         rng = np.random.default_rng(seed)
@@ -442,8 +429,8 @@ def _pinv_and_singular_values(a, tol_factor=RANK_TOL):
 
 def pinv_truncated(a, tol_factor=RANK_TOL):
     """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
-    a_pinv, s, keep = _pinv_and_singular_values(a, tol_factor)
-    return a_pinv, int(keep.sum()), float(s[0] / s[keep][-1])
+    a_pinv, s, _ = _pinv_and_singular_values(a, tol_factor)
+    return (a_pinv,) + _rank_and_cond(s, tol_factor)
 
 
 def reconstruct(meas, split=None):

@@ -26,7 +26,7 @@ and factors A once for both the batch loss and its gradient.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -169,15 +169,8 @@ class TrainingConfig:
             object.__setattr__(self, "trainable", default_trainable(self.sensor_mode))
 
     def digest(self):
-        payload = {
-            "k": self.k, "sensor_mode": self.sensor_mode,
-            "noise_sigma": self.noise_sigma, "iterations": self.iterations,
-            "batch_size": self.batch_size, "step_size": self.step_size,
-            "draws": self.draws, "seed": self.seed,
-            "trainable": list(self.trainable),
-            "holdout_fraction": self.holdout_fraction,
-            "eval_every": self.eval_every, "eval_draws": self.eval_draws,
-        }
+        # every field but the samples, which are hashed as raw bytes
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
         h = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
         h.update(np.ascontiguousarray(self.samples).tobytes())
         return h.hexdigest()[:16]

@@ -16,8 +16,6 @@ Conventions, fixed once and locked by tests:
   at user-facing boundaries (CLI flags, schedule files, scene files).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -131,95 +129,10 @@ def galvo_mirror(orientation=0.0):
     """
     Scanning galvo mirror.
 
-    Modeled as an ideal mirror for every scan orientation; pass a
-    CustomMueller element to substitute a calibrated matrix.
+    Modeled as an ideal mirror for every scan orientation.
     """
     del orientation
     return ideal_mirror()
-
-
-# ---------------------------------------------------------------------------
-# element descriptions
-
-
-@dataclass(frozen=True)
-class LinearPolarizer:
-    theta: float = 0.0
-
-
-@dataclass(frozen=True)
-class QuarterWavePlate:
-    theta: float = 0.0
-
-
-@dataclass(frozen=True)
-class Retarder:
-    theta: float
-    delta: float
-
-
-@dataclass(frozen=True)
-class Rotator:
-    theta: float
-
-
-@dataclass(frozen=True)
-class IdealMirror:
-    pass
-
-
-@dataclass(frozen=True)
-class NonPolarizingBeamsplitter:
-    mode: str = "transmit"
-    split: float = 0.5
-
-
-@dataclass(frozen=True)
-class GalvoMirror:
-    orientation: float = 0.0
-
-
-@dataclass(frozen=True)
-class CustomMueller:
-    m: np.ndarray = field(repr=False)
-
-
-def mueller_of(element):
-    """
-    Mueller matrix of a polarizing element description.
-
-    Angles must be finite; beamsplitter split fractions must lie in [0, 1].
-    """
-    if isinstance(element, LinearPolarizer):
-        _check_finite_angle(element.theta)
-        return linear_polarizer(element.theta)
-    if isinstance(element, QuarterWavePlate):
-        _check_finite_angle(element.theta)
-        return quarter_wave_plate(element.theta)
-    if isinstance(element, Retarder):
-        _check_finite_angle(element.theta)
-        _check_finite_angle(element.delta)
-        return retarder(element.theta, element.delta)
-    if isinstance(element, Rotator):
-        _check_finite_angle(element.theta)
-        return rotator(element.theta)
-    if isinstance(element, IdealMirror):
-        return ideal_mirror()
-    if isinstance(element, NonPolarizingBeamsplitter):
-        return beamsplitter(element.mode, element.split)
-    if isinstance(element, GalvoMirror):
-        return galvo_mirror(element.orientation)
-    if isinstance(element, CustomMueller):
-        m = np.asarray(element.m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("custom Mueller matrix must be 4x4, got %r" % (m.shape,))
-        return m.copy()
-    raise TypeError("not a polarizing element: %r" % (element,))
-
-
-def _check_finite_angle(value):
-    if not np.isfinite(value):
-        raise ValueError("angle must be finite, got %r" % (value,))
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,6 @@ class ProbeMask:
             if np.any(m < 0.0) or np.any(m > 1.0):
                 raise ValueError("%s mask values must lie in [0, 1]" % name)
 
-    @property
-    def n_steps(self):
-        return self.camera_mask.shape[0]
-
     def coupling(self):
         """Effective (S_cam, S_proj) pairwise weight matrix."""
         return np.einsum("js,jx->sx", self.camera_mask, self.projector_mask)
@@ -177,6 +173,16 @@ class ProbeMask:
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def _apply_stokes(tensor, pattern):
+    """
+    sum_{s', p'} T(s, s', p, p', t) P(s', p') for a (S_proj, 4) pattern P;
+    coaxial tensors use only the s' = s diagonal.
+    """
+    if tensor.coaxial:
+        return np.einsum("spqt,sq->spt", tensor.data[:, 0], pattern)
+    return np.einsum("sxpqt,xq->spt", tensor.data, pattern)
 
 
 def contract(tensor, illum):
@@ -192,11 +198,8 @@ def contract(tensor, illum):
     if illum.proj_shape != tensor.proj_shape:
         raise ValueError("illumination grid %r does not match tensor projector grid %r"
                          % (illum.proj_shape, tensor.proj_shape))
-    if tensor.coaxial:
-        out = np.einsum("spqt,sq->spt", tensor.data[:, 0], illum.data)
-    else:
-        out = np.einsum("sxpqt,xq->spt", tensor.data, illum.data)
-    return DetectedTensor(out, tensor.cam_shape, tensor.time_bin_width)
+    return DetectedTensor(_apply_stokes(tensor, illum.data), tensor.cam_shape,
+                          tensor.time_bin_width)
 
 
 def convolve_time(tensor, illum):
@@ -218,17 +221,11 @@ def convolve_time(tensor, illum):
                          % (tensor.time_bin_width, illum.time_bin_width))
     n_bins = tensor.n_bins
     out = np.zeros((tensor.n_cam, 4, n_bins))
-    for t_in in range(illum.data.shape[2]):
-        if t_in >= n_bins:
-            break
-        pulse = illum.data[:, :, t_in]
+    for t_in in range(min(illum.data.shape[2], n_bins)):
         # contract the full tensor, then shift-and-truncate: keeping the
         # einsum shape fixed per iteration makes delaying the pulse by a
         # bin shift the output bitwise-exactly
-        if tensor.coaxial:
-            part = np.einsum("spqt,sq->spt", tensor.data[:, 0], pulse)
-        else:
-            part = np.einsum("sxpqt,xq->spt", tensor.data, pulse)
+        part = _apply_stokes(tensor, illum.data[:, :, t_in])
         out[:, :, t_in:] += part[:, :, :n_bins - t_in]
     return DetectedTensor(out, tensor.cam_shape, tensor.time_bin_width)
 

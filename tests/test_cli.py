@@ -472,6 +472,59 @@ def test_descatter_target_size_mismatch(tmp_path, capsys):
     assert "camera pixels" in capsys.readouterr().err
 
 
+def test_pca_keeps_the_blocks_decompose_keeps(tmp_path):
+    truth = simulate(tmp_path, MIRROR_SCENE)
+    meas, recon = str(tmp_path / "meas.pltt"), str(tmp_path / "recon.pltt")
+    assert main(["capture", "--tensor", truth, "--k", "12", "--noise", "1e-3",
+                 "--seed", "5", "--out", meas]) == 0
+    assert main(["reconstruct", "--measurements", meas, "--out", recon]) == 0
+    floor = ["--floor", "1e-2"]
+    assert main(["decompose", "--tensor", recon, "--out", str(tmp_path / "d")] + floor) == 0
+    assert main(["pca", "--tensor", recon, "--out", str(tmp_path / "p")] + floor) == 0
+    decomposed = json.loads((tmp_path / "d_summary.json").read_text())
+    principal = json.loads((tmp_path / "p_summary.json").read_text())
+    # noise lifts some dark blocks over the floor and leaves others under it
+    assert 0 < decomposed["n_null"] < decomposed["n_blocks"] - 4
+    assert principal["n_samples"] == decomposed["n_blocks"] - decomposed["n_null"]
+
+
+def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("pltt.cli.decompose_tensor", fail)
+    tensor = simulate(tmp_path, MIRROR_SCENE)
+    assert main(["decompose", "--tensor", tensor, "--out", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "d.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("capture", ["--noise", "nan"]),
+    ("capture", ["--noise", "inf"]),
+    ("capture", ["--noise=-1"]),
+    ("decompose", ["--floor", "nan"]),
+    ("decompose", ["--floor", "2"]),
+    ("decompose", ["--floor=-1e-6"]),
+    ("pca", ["--floor", "nan"]),
+    ("pca", ["--c", "nan"]),
+    ("pca", ["--c", "inf"]),
+    ("pca", ["--c", "0"]),
+])
+def test_non_finite_or_out_of_range_numbers_exit_two(tmp_path, capsys, command, flags):
+    scene = write_scene(tmp_path, MIRROR_SCENE)
+    tensor = str(tmp_path / "truth.pltt")
+    assert main(["simulate", "--scene", scene, "--resolution", "3x3", "--bins", "16",
+                 "--bin-width", "1e-10", "--out", tensor]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    assert main([command, "--tensor", tensor, "--out", out] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out")] == []
+
+
 def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
     rc = main(["capture", "--tensor", str(tmp_path / "nope.pltt"),
                "--out", str(tmp_path / "m.pltt")])

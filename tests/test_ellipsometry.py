@@ -167,6 +167,21 @@ def test_design_rank_by_schedule_size():
     assert design_matrix(drr_schedule(36), coaxial=True).rank == 16
 
 
+@pytest.mark.parametrize("schedule, coaxial, split", [
+    (drr_schedule(8), False, 0.5),
+    (drr_schedule(15), False, 0.5),
+    (drr_schedule(36), False, 0.5),
+    (drr_schedule(15, sensor_mode="polarizer_array"), False, 0.5),
+    (drr_schedule(36), True, 0.4),
+])
+def test_design_matrix_and_pinv_truncated_agree_on_rank_and_cond(schedule, coaxial, split):
+    design = design_matrix(schedule, coaxial=coaxial, split=split)
+    _, rank, cond = pinv_truncated(design.a)
+    assert design.rank == rank
+    # the SVD with and without singular vectors may round differently
+    assert design.cond == pytest.approx(cond, rel=1e-12)
+
+
 def test_schedule_json_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     schedule = random_schedule(rng, 7, "polarizer_array")
@@ -327,6 +342,11 @@ def test_reconstruction_is_unbiased_under_noise():
 def test_pinv_truncated_rejects_zero_matrix():
     with pytest.raises(ValueError):
         pinv_truncated(np.zeros((4, 16)))
+    # with split 0 the beamsplitter sends no light into the scene
+    design = design_matrix(drr_schedule(36), coaxial=True, split=0.0)
+    assert (design.rank, design.cond) == (0, np.inf)
+    with pytest.raises(ValueError, match="identically zero"):
+        pinv_truncated(design.a)
 
 
 def test_schedule_validation():

@@ -255,6 +255,13 @@ def test_config_hash_tracks_samples_and_settings():
     assert TrainingConfig(samples=a, k=7, batch_size=8).digest() != base.digest()
 
 
+def test_config_hash_is_pinned():
+    # a config_hash names a training run in reports; the same config must
+    # keep its hash across releases
+    samples = np.arange(8 * 16, dtype=float).reshape(8, 4, 4) / 16.0
+    assert TrainingConfig(samples=samples, k=6, batch_size=8).digest() == "4b436dce8c694341"
+
+
 def test_evaluate_matches_loss_on_the_same_draws():
     samples = generate_ensemble(19, 12).samples
     schedule = drr_schedule(12)

@@ -2,14 +2,6 @@ import numpy as np
 import pytest
 
 from pltt.polarization import (
-    CustomMueller,
-    GalvoMirror,
-    IdealMirror,
-    LinearPolarizer,
-    NonPolarizingBeamsplitter,
-    QuarterWavePlate,
-    Retarder,
-    Rotator,
     apply_mueller,
     beamsplitter,
     compose,
@@ -19,7 +11,6 @@ from pltt.polarization import (
     is_passive,
     is_valid_stokes,
     linear_polarizer,
-    mueller_of,
     quarter_wave_plate,
     random_physical_stokes,
     retarder,
@@ -182,25 +173,6 @@ def test_folded_circular_polarizer_extinguishes():
     naive = compose([lp0, q45, mir, q45, lp0])
     np.testing.assert_allclose(naive, lp0, atol=1e-12)
     assert (naive @ UNPOL)[0] > 0.4
-
-
-def test_mueller_of_dispatch():
-    pairs = [
-        (LinearPolarizer(0.3), linear_polarizer(0.3)),
-        (QuarterWavePlate(0.4), quarter_wave_plate(0.4)),
-        (Retarder(0.2, 1.3), retarder(0.2, 1.3)),
-        (Rotator(0.6), rotator(0.6)),
-        (IdealMirror(), ideal_mirror()),
-        (NonPolarizingBeamsplitter("reflect", 0.25), beamsplitter("reflect", 0.25)),
-        (GalvoMirror(0.1), galvo_mirror(0.1)),
-        (CustomMueller(np.eye(4)), np.eye(4)),
-    ]
-    for element, expected in pairs:
-        np.testing.assert_allclose(mueller_of(element), expected, atol=1e-15)
-    with pytest.raises(ValueError):
-        mueller_of(LinearPolarizer(np.nan))
-    with pytest.raises(ValueError):
-        mueller_of(CustomMueller(np.eye(3)))
 
 
 def test_rotate_element_matches_direct_construction():
