@@ -7,7 +7,8 @@ diattenuation) make good per-pixel material signatures.
 
 import numpy as np
 
-from pltt.decomposition import decompose_tensor, polar_decompose
+from pltt.decomposition import decompose_tensor, noise_floor, polar_decompose
+from pltt.ellipsometry import capture, drr_schedule, reconstruct
 from pltt.polarization import linear_polarizer, quarter_wave_plate
 from pltt.scene import build_transport, fresnel_mueller, parse_scene
 
@@ -49,10 +50,19 @@ print(maps.retardance[:, 0, t_echo].reshape(4, 4))
 kept = np.abs(np.diagonal(maps.m_depol[:, 0, t_echo], axis1=1, axis2=2))[:, 1:].mean(axis=1)
 print("polarization kept through the depolarizer factor:")
 print(np.round(kept.reshape(4, 4), 3))
-print("blocks below the intensity floor: %d of %d (dark bins are NaN)"
-      % (maps.n_null, maps.null_mask.size))
+print("blocks below the floor: %d of %d (dark bins are NaN); a simulated tensor has"
+      " no noise model, so only the relative floor applies" % (maps.n_null, maps.null_mask.size))
 
 left = maps.retardance[0, 0, t_echo]
 right = kept[3]
 print("left-half retardance %.4f (pi/2 = %.4f), right-half polarization kept %.3f"
       % (left, np.pi / 2, right))
+
+# -- a noisy capture: reconstruction stores its noise model with the tensor,
+# and the floor then rises to 5 standard deviations of the m00 noise
+recon = reconstruct(capture(tensor, drr_schedule(36), noise_sigma=1e-3, seed=5)).tensor
+noisy = decompose_tensor(recon)
+print("\nnoisy reconstruction: floor %.4f on m00, %d of %d blocks kept (%d lit in the truth),"
+      " %d not physically realisable"
+      % (noise_floor(recon), noisy.null_mask.size - noisy.n_null, noisy.null_mask.size,
+         maps.null_mask.size - maps.n_null, noisy.n_unrealisable))

@@ -103,6 +103,7 @@ from .decomposition import (
     decompose_tensor,
     diattenuation,
     lit_blocks,
+    noise_floor,
     polar_decompose,
     polarizance,
     retardance,

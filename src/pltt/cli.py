@@ -36,7 +36,7 @@ from .analysis import (
     pca,
     summed_polarimetric_image,
 )
-from .decomposition import decompose_tensor, lit_blocks
+from .decomposition import NOISE_Z, decompose_tensor, lit_blocks, noise_floor
 from .ellipsometry import (
     MeasurementSet,
     capture,
@@ -157,6 +157,11 @@ def cmd_capture(args):
 
 # ------------------------------------------------------------- reconstruct
 
+# design condition number above which pltt reconstruct warns: DRR-36 has
+# about 13, the rank-16 DRR-16 about 2.3e5
+ILL_CONDITIONED = 1e3
+
+
 def _write_diagnostics(path, res):
     """
     Residual norms as CSV rows ``cam_index,proj_index,bin,residual_norm``
@@ -182,6 +187,11 @@ def cmd_reconstruct(args):
             "warning: UNDERDETERMINED reconstruction (design rank %d < 16); "
             "minimum-norm solution" % result.rank
         )
+    if result.cond > ILL_CONDITIONED:
+        print(
+            "warning: ILL-CONDITIONED design (cond %.3g > %g); the reconstruction "
+            "amplifies the measurement noise" % (result.cond, ILL_CONDITIONED)
+        )
     write_pltt(
         args.out, result.tensor,
         provenance="reconstruct(%s)" % os.path.basename(args.measurements),
@@ -189,8 +199,8 @@ def cmd_reconstruct(args):
     diag_path = _stem(args.out) + "_diagnostics.csv"
     res = result.residual_norms
     _write_diagnostics(diag_path, res)
-    print("wrote %s: rank=%d cond=%.6g max_residual=%.3e" % (
-        args.out, result.rank, result.cond, float(res.max())))
+    print("wrote %s: rank=%d cond=%.6g max_residual=%.3e sigma_hat=%.4g" % (
+        args.out, result.rank, result.cond, float(res.max()), result.sigma_hat))
     return {
         "inputs": {"measurements": args.measurements},
         "outputs": [args.out, diag_path],
@@ -276,7 +286,9 @@ def cmd_learn_angles(args):
 def cmd_decompose(args):
     tensor = _require_transport(read_pltt(args.tensor), args.tensor)
     if not tensor.coaxial and tensor.data.shape[1] > 1:
-        # fold the projector axis: total-illumination Mueller image per bin
+        # fold the projector axis: total-illumination Mueller image per bin;
+        # the sum of S_proj independent noises has sqrt(S_proj) times their std
+        std = tensor.noise_std
         tensor = TransportTensor(
             tensor.data.sum(axis=1, keepdims=True),
             tensor.cam_shape,
@@ -284,6 +296,7 @@ def cmd_decompose(args):
             tensor.time_bin_width,
             channel_id=tensor.channel_id,
             coaxial=False,
+            noise_std=None if std is None else std * np.sqrt(tensor.data.shape[1]),
         )
     decomp = decompose_tensor(tensor, floor_frac=args.floor)
     bins = range(tensor.n_bins) if args.bin is None else [args.bin]
@@ -312,7 +325,9 @@ def cmd_decompose(args):
                 "n_negative_det": decomp.n_negative_det,
                 "n_reorthogonalized": decomp.n_reorthogonalized,
                 "n_clamped": decomp.n_clamped,
+                "n_unrealisable": decomp.n_unrealisable,
                 "floor_frac": args.floor,
+                "noise_floor": noise_floor(tensor),
                 "bins": list(bins),
             },
             fh, indent=2, sort_keys=True,
@@ -357,6 +372,7 @@ def cmd_pca(args):
                 "n_samples": int(obs.rows.shape[0]),
                 "n_skipped": obs.n_skipped,
                 "compression": args.c,
+                "noise_floor": noise_floor(tensor),
                 "components_for_95pct": basis.n_components_for(0.95),
                 "energy": basis.energy.tolist(),
             },
@@ -603,6 +619,10 @@ def cmd_slice(args):
 
 # -------------------------------------------------------------- entrypoint
 
+_FLOOR_HELP = ("m00 floor as a fraction of the largest m00; with a stored noise model, "
+               "m00 must also exceed %g standard deviations of its noise" % NOISE_Z)
+
+
 def build_parser():
     parser = _Parser(
         prog="pltt",
@@ -646,7 +666,7 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="polar-decompose every Mueller block")
     p.add_argument("--tensor", required=True)
-    p.add_argument("--floor", type=float, default=1e-6, help="m00 floor as a fraction of max")
+    p.add_argument("--floor", type=float, default=1e-6, help=_FLOOR_HELP)
     p.add_argument("--bin", type=int, default=None, help="restrict to one time bin")
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_decompose)
@@ -654,7 +674,7 @@ def build_parser():
     p = sub.add_parser("pca", help="principal components of the tensor's Mueller blocks")
     p.add_argument("--tensor", required=True)
     p.add_argument("--c", type=float, default=8.0, help="arctan compression factor")
-    p.add_argument("--floor", type=float, default=1e-6)
+    p.add_argument("--floor", type=float, default=1e-6, help=_FLOOR_HELP)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_pca)
 

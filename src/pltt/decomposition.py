@@ -12,8 +12,15 @@ what remains. Each fallback is a per-block mask: singular diattenuators
 (|D| ~ 1, e.g. an ideal polarizer) switch every inversion to a
 pseudoinverse and recompose only approximately, solves with cond > 1e12
 use a pseudoinverse, and a non-orthogonal retarder block is snapped to
-the nearest rotation. ``decompose_tensor`` counts these fallbacks and
-clamped retardance arguments, and logs the counts once per call.
+the nearest rotation.
+
+``decompose_tensor`` factors only the blocks ``lit_blocks`` keeps: those
+whose m00 stands above the tensor's noise (NOISE_Z standard deviations
+of m00 under the noise model a reconstruction stores with its tensor)
+as well as above a fraction of the largest m00. It counts the fallbacks,
+clamped retardance arguments and blocks that no physical system can
+produce (a negative eigenvalue of the coherency matrix; Cloude, Proc.
+SPIE 1166, 1989), and logs the counts once per call.
 """
 
 import logging
@@ -27,6 +34,10 @@ SINGULAR_EPS = 1e-9
 ORTHOGONALITY_EPS = 1e-9
 COND_LIMIT = 1e12
 CLAMP_EPS = 1e-9
+# coherency eigenvalues above -REALISABLE_EPS * m00 count as non-negative
+REALISABLE_EPS = 1e-9
+# a block is lit when its m00 exceeds NOISE_Z standard deviations of m00 noise
+NOISE_Z = 5.0
 
 
 @dataclass(frozen=True)
@@ -175,7 +186,7 @@ def polar_decompose(m):
 
 @dataclass(frozen=True)
 class TensorDecomposition:
-    """Per-(pixel, bin) maps, NaN below the floor, and fallback counts."""
+    """Per-(pixel, bin) maps, NaN below the floor, fallback and realisability counts."""
 
     polarizance: np.ndarray = field(repr=False)
     retardance: np.ndarray = field(repr=False)
@@ -189,23 +200,65 @@ class TensorDecomposition:
     n_negative_det: int = 0
     n_reorthogonalized: int = 0
     n_clamped: int = 0
+    n_unrealisable: int = 0
+
+
+def noise_floor(tensor):
+    """NOISE_Z standard deviations of m00 under the tensor's noise model, or None without one."""
+    return None if tensor.noise_std is None else NOISE_Z * float(tensor.noise_std[0, 0])
 
 
 def lit_blocks(tensor, floor_frac):
     """
     A tensor's (S, P, T, 4, 4) Mueller blocks and the mask of lit ones.
 
-    A block is lit when its m00 is positive and above floor_frac times
-    the tensor's largest m00; the decomposition is meaningless on dark
-    pixels. floor_frac must be finite and in [0, 1). A tensor holding
-    NaN or inf anywhere raises ValueError.
+    A block is lit when its m00 is positive, above floor_frac times the
+    tensor's largest m00 and, for a tensor with a noise model, above
+    ``noise_floor``: the decomposition is meaningless on dark pixels and
+    on blocks that noise alone could produce. Without a noise model only
+    the relative floor applies. floor_frac must be finite and in [0, 1).
+    A tensor holding NaN or inf anywhere raises ValueError.
     """
     if not 0.0 <= floor_frac < 1.0:  # also rejects NaN
         raise ValueError("floor fraction must be finite and in [0, 1), got %r" % (floor_frac,))
     blocks = tensor.data.transpose(0, 1, 4, 2, 3)
     _require_finite(blocks)
     m00 = blocks[..., 0, 0]
-    return blocks, (m00 > floor_frac * max(m00.max(), 0.0)) & (m00 > 0)
+    floor = floor_frac * max(m00.max(), 0.0)
+    if tensor.noise_std is not None:
+        floor = max(floor, noise_floor(tensor))
+    return blocks, (m00 > floor) & (m00 > 0)
+
+
+def _coherency_basis():
+    """
+    The coherency matrix H = sum_ij m_ij (s_i kron conj(s_j)) / 4 of a
+    Mueller matrix, over the Pauli matrices s_0..s_3, is Hermitian and
+    positive semidefinite exactly when M is a mixture of Jones systems.
+    Returns the (16, 8, 8) real basis whose m-weighted sum is the real
+    symmetric form [[Re H, -Im H], [Im H, Re H]] of H: it has the same
+    eigenvalues as H, each twice.
+    """
+    re = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]],
+                  dtype=float)
+    im = np.zeros((4, 2, 2))
+    im[3] = [[0, -1], [1, 0]]
+
+    def kron(a, b):  # (a_i kron b_j) / 4 for every pair (i, j)
+        return np.einsum("iab,jcd->ijacbd", a, b).reshape(16, 4, 4) / 4.0
+
+    # s_i kron conj(s_j), with s = re + i im
+    h_re, h_im = kron(re, re) + kron(im, im), kron(im, re) - kron(re, im)
+    return np.block([[h_re, -h_im], [h_im, h_re]])
+
+
+def _unrealisable(m):
+    """
+    Mask of (n, 4, 4) Mueller blocks that no physical system produces:
+    their coherency matrix has an eigenvalue below -REALISABLE_EPS * m00.
+    """
+    coherency = (m.reshape(-1, 16) @ _coherency_basis().reshape(16, 64)).reshape(-1, 8, 8)
+    return np.linalg.eigvalsh(coherency)[:, 0] < -REALISABLE_EPS * m[:, 0, 0]
 
 
 def decompose_tensor(tensor, floor_frac=1e-6):
@@ -214,10 +267,12 @@ def decompose_tensor(tensor, floor_frac=1e-6):
 
     Blocks that ``lit_blocks`` leaves out are NaN in every map and
     counted in ``n_null``. The rest go through one stack call of
-    ``polar_decompose``.
+    ``polar_decompose``; ``n_unrealisable`` counts those among them that
+    are not physically realisable.
     """
     blocks, lit = lit_blocks(tensor, floor_frac)
-    res = polar_decompose(blocks[lit])
+    kept = blocks[lit]
+    res = polar_decompose(kept)
 
     def scatter(values):
         grid = np.full(lit.shape + values.shape[1:], np.nan)
@@ -227,6 +282,7 @@ def decompose_tensor(tensor, floor_frac=1e-6):
     counts = {key: int(getattr(res, flag).sum()) for key, flag in (
         ("n_singular", "singular_diattenuator"), ("n_negative_det", "negative_det_branch"),
         ("n_reorthogonalized", "reorthogonalized"), ("n_clamped", "retardance_clamped"))}
+    counts["n_unrealisable"] = int(_unrealisable(kept).sum())
     logger.log(logging.WARNING if counts["n_clamped"] else logging.INFO,
                "decomposed %d of %d blocks: %s", lit.sum(), lit.size,
                ", ".join("%s=%d" % kv for kv in counts.items()))

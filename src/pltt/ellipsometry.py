@@ -405,8 +405,10 @@ class ReconstructionResult:
     """
     Per-pixel(-bin) recovered Mueller blocks plus solver diagnostics.
 
-    ``tensor`` mirrors the captured tensor's layout. ``residual_norms``
-    has shape (S_cam, S_proj, n_bins).
+    ``tensor`` mirrors the captured tensor's layout and carries the
+    noise model. ``residual_norms`` has shape (S_cam, S_proj, n_bins).
+    ``sigma_hat`` is the per-row measurement noise the model was built
+    from.
     """
 
     tensor: TransportTensor
@@ -414,6 +416,7 @@ class ReconstructionResult:
     cond: float
     underdetermined: bool
     residual_norms: np.ndarray = field(repr=False)
+    sigma_hat: float
 
 
 def _pinv_and_singular_values(a, tol_factor=RANK_TOL):
@@ -442,6 +445,12 @@ def reconstruct(meas, split=None):
     and split. Full-rank designs give the unique solution; rank-deficient
     ones give the minimum-norm solution and set ``underdetermined``.
     A ``split`` that differs from the recorded one is an error.
+
+    The recovered tensor carries its noise model: the row noise
+    sigma_hat^2 = sum ||r||^2 / (N (K' - rank)) over the N solves' residuals
+    r (the measurement's stored ``noise_sigma`` when K' = rank leaves no
+    residual), propagated through A+ to per-entry standard deviations
+    sigma_hat * ||row of A+||.
     """
     if split is not None and split != meas.split:
         raise ValueError("split %g conflicts with the split %g recorded with the measurements"
@@ -457,7 +466,11 @@ def reconstruct(meas, split=None):
     residual -= stacked
     # the sum of squares np.linalg.norm(axis=0) takes, without its temporaries
     residual *= residual
-    residual_norms = np.sqrt(np.add.reduce(residual, axis=0)).reshape(s_cam, s_proj, n_bins)
+    squares = np.add.reduce(residual, axis=0)
+    dof = squares.size * (k_rows - rank)
+    sigma_hat = float(np.sqrt(squares.sum() / dof)) if dof else meas.noise_sigma
+    residual_norms = np.sqrt(squares).reshape(s_cam, s_proj, n_bins)
+    noise_std = sigma_hat * np.sqrt((a_pinv * a_pinv).sum(axis=1)).reshape(4, 4)
     tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape,
-                             meas.time_bin_width, coaxial=coax)
-    return ReconstructionResult(tensor, rank, cond, rank < 16, residual_norms)
+                             meas.time_bin_width, coaxial=coax, noise_std=noise_std)
+    return ReconstructionResult(tensor, rank, cond, rank < 16, residual_norms, sigma_hat)

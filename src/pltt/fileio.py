@@ -9,7 +9,9 @@ Layout of a PLTT v1 file:
   and holds the s' = s diagonal)
 - float64 little-endian payload, C order, axes (s, s', p, p', t)
 - trailing UTF-8 JSON metadata: at least time_bin_width, channel_id,
-  provenance, and a ``kind`` selecting the payload semantics
+  provenance, and a ``kind`` selecting the payload semantics; a
+  transport with a noise model adds ``noise_std``, its 16 per-entry
+  standard deviations in row-major (p, p') order
 
 One container serves four kinds. Axis extents by kind (header dims in
 the same seven slots):
@@ -34,6 +36,7 @@ into a new array; neither holds a bytes copy of it.
 import json
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -66,6 +69,8 @@ def write_pltt(path, obj, provenance=""):
                 4, 4, obj.n_bins)
         meta = {"kind": "transport", "time_bin_width": obj.time_bin_width,
                 "channel_id": obj.channel_id, "provenance": provenance}
+        if obj.noise_std is not None:
+            meta["noise_std"] = obj.noise_std.ravel().tolist()
         _write(path, dims, obj.coaxial, obj.data, meta)
     elif isinstance(obj, IlluminationTensor):
         n_bins = obj.data.shape[2] if obj.has_time else 1
@@ -167,6 +172,13 @@ def _parse(fh, with_payload=True):
         value = meta.get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError("PLTT metadata key %r must be a number, got %r" % (key, value))
+    std = meta.get("noise_std")
+    # "<= max" also rejects NaN, inf and integers too large for a float
+    if std is not None and not (isinstance(std, list) and len(std) == 16 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and 0.0 <= v <= sys.float_info.max for v in std)):
+        raise ValueError("PLTT metadata key 'noise_std' must be a list of 16 finite "
+                         "numbers >= 0")
     fixed = dict(_FIXED_SLOTS[kind])
     schedule = None
     if kind == "measurement":
@@ -193,9 +205,10 @@ def read_pltt(path):
     payload = payload.reshape(cam_w * cam_h, s_proj, dim_p, dim_q, n_bins)
     kind = meta.get("kind", "transport")
     if kind == "transport":
+        std = meta.get("noise_std")
         return TransportTensor(payload, (cam_h, cam_w), (proj_h, proj_w),
                                meta["time_bin_width"], meta.get("channel_id", "mono"),
-                               coaxial)
+                               coaxial, None if std is None else np.reshape(std, (4, 4)))
     if kind == "illumination":
         data = payload[0, :, 0]
         if not meta.get("has_time", False):

@@ -34,6 +34,11 @@ class TransportTensor:
         Logical 2D pixel grids; flattening is row-major.
     time_bin_width : float
         Seconds per bin.
+    noise_std : ndarray, shape (4, 4), or None
+        Standard deviation of the zero-mean noise on each block entry
+        (p, p'), the same for every block, as estimated by the
+        reconstruction that produced the tensor; None when the tensor
+        has no noise model (simulated truth, probed tensors).
     """
 
     data: np.ndarray = field(repr=False)
@@ -42,6 +47,7 @@ class TransportTensor:
     time_bin_width: float
     channel_id: str = "mono"
     coaxial: bool = False
+    noise_std: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -67,6 +73,11 @@ class TransportTensor:
             raise ValueError("tensor values must be finite")
         if not self.time_bin_width > 0.0:
             raise ValueError("time_bin_width must be positive, got %r" % (self.time_bin_width,))
+        if self.noise_std is not None:
+            std = np.asarray(self.noise_std, dtype=float)
+            object.__setattr__(self, "noise_std", std)
+            if std.shape != (4, 4) or not np.all(std >= 0.0) or not np.all(np.isfinite(std)):
+                raise ValueError("noise_std must be a (4, 4) array of finite values >= 0")
 
     @property
     def n_cam(self):

@@ -397,6 +397,9 @@ def test_decompose_writes_retardance_map(tmp_path, capsys):
     summary = json.loads((tmp_path / "maps_summary.json").read_text())
     assert summary["n_blocks"] == 4 * 16
     assert summary["n_null"] == 4 * 15
+    # a simulated tensor has no noise model: only the relative floor applies
+    assert summary["noise_floor"] is None
+    assert summary["n_unrealisable"] == 0
     assert summary["bins"] == [10]
     assert "60/64 blocks below floor" in capsys.readouterr().out
     for name in ("polarizance", "diattenuation"):
@@ -472,20 +475,94 @@ def test_descatter_target_size_mismatch(tmp_path, capsys):
     assert "camera pixels" in capsys.readouterr().err
 
 
-def test_pca_keeps_the_blocks_decompose_keeps(tmp_path):
+def noisy_mirror_reconstruction(tmp_path, k):
     truth = simulate(tmp_path, MIRROR_SCENE)
     meas, recon = str(tmp_path / "meas.pltt"), str(tmp_path / "recon.pltt")
-    assert main(["capture", "--tensor", truth, "--k", "12", "--noise", "1e-3",
+    assert main(["capture", "--tensor", truth, "--k", str(k), "--noise", "1e-3",
                  "--seed", "5", "--out", meas]) == 0
     assert main(["reconstruct", "--measurements", meas, "--out", recon]) == 0
-    floor = ["--floor", "1e-2"]
-    assert main(["decompose", "--tensor", recon, "--out", str(tmp_path / "d")] + floor) == 0
-    assert main(["pca", "--tensor", recon, "--out", str(tmp_path / "p")] + floor) == 0
+    return recon
+
+
+def test_pca_keeps_the_blocks_decompose_keeps(tmp_path):
+    recon = noisy_mirror_reconstruction(tmp_path, 36)
+    assert main(["decompose", "--tensor", recon, "--out", str(tmp_path / "d")]) == 0
+    assert main(["pca", "--tensor", recon, "--out", str(tmp_path / "p")]) == 0
     decomposed = json.loads((tmp_path / "d_summary.json").read_text())
     principal = json.loads((tmp_path / "p_summary.json").read_text())
-    # noise lifts some dark blocks over the floor and leaves others under it
-    assert 0 < decomposed["n_null"] < decomposed["n_blocks"] - 4
-    assert principal["n_samples"] == decomposed["n_blocks"] - decomposed["n_null"]
+    # the stored noise model keeps the mirror's 4 echo blocks and no noise block
+    assert decomposed["n_null"] == decomposed["n_blocks"] - 4 == 60
+    assert principal["n_samples"] == 4
+    floor = read_pltt(recon).noise_std[0, 0] * 5.0
+    assert decomposed["noise_floor"] == principal["noise_floor"] == floor
+
+
+def test_pca_exits_two_when_every_block_is_below_the_noise_floor(tmp_path, capsys):
+    # DRR-12 has rank 12, which leaves no residual: the model takes the
+    # capture's sigma, and the amplified m00 noise (~0.44) buries the mirror
+    recon = noisy_mirror_reconstruction(tmp_path, 12)
+    assert read_pltt(recon).noise_std[0, 0] > 0.2
+    assert main(["decompose", "--tensor", recon, "--out", str(tmp_path / "d")]) == 0
+    assert json.loads((tmp_path / "d_summary.json").read_text())["n_null"] == 64
+    capsys.readouterr()
+    assert main(["pca", "--tensor", recon, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: fewer than 2 usable Mueller blocks above the floor\n"
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("scene, size, seed", [
+    ("found_projector_camera_8x8_seed61.json", 8, 61),
+    ("found_coaxial_16x16_seed17.json", 16, 17),
+])
+def test_pca_samples_about_the_truth_lit_blocks(tmp_path, scene, size, seed):
+    # the benchmark's random scenes (perfbench/workloads.py random_scene with
+    # np.random.default_rng(seed)) on which the relative floor let thousands
+    # of noise-only blocks into pca: 32,760 for 96 lit, and 2,188 for 302
+    truth, meas, recon = (str(tmp_path / n) for n in ("truth.pltt", "m.pltt", "r.pltt"))
+    assert main(["simulate", "--scene", os.path.join(DATA, scene), "--resolution",
+                 "%dx%d" % (size, size), "--bins", "16", "--bin-width", "1e-10",
+                 "--out", truth]) == 0
+    assert main(["capture", "--tensor", truth, "--noise", "5e-4", "--seed", str(seed),
+                 "--out", meas]) == 0
+    assert main(["reconstruct", "--measurements", meas, "--out", recon]) == 0
+    assert main(["pca", "--tensor", recon, "--out", str(tmp_path / "p")]) == 0
+    assert main(["decompose", "--tensor", recon, "--out", str(tmp_path / "d")]) == 0
+    n_lit = int(np.sum(read_pltt(truth).data[:, :, 0, 0, :] > 0))
+    assert n_lit == {8: 96, 16: 302}[size]
+    principal = json.loads((tmp_path / "p_summary.json").read_text())
+    assert abs(principal["n_samples"] - n_lit) <= 3
+    recovered = read_pltt(recon)
+    std00 = recovered.noise_std[0, 0]
+    assert principal["noise_floor"] == 5.0 * std00
+    # decompose folds the projector axis, which sums S_proj noises
+    folds = 1 if recovered.coaxial else size * size
+    decomposed = json.loads((tmp_path / "d_summary.json").read_text())
+    assert decomposed["noise_floor"] == pytest.approx(5.0 * std00 * np.sqrt(folds), rel=1e-12)
+
+
+def test_reconstruct_warns_when_ill_conditioned(tmp_path, capsys):
+    tensor_path = simulate(tmp_path, mirror_scene(0.015), bins=4)
+    lines = {}
+    for k in (16, 36):
+        meas_path = str(tmp_path / ("meas%d.pltt" % k))
+        assert main(["capture", "--tensor", tensor_path, "--k", str(k), "--noise", "1e-3",
+                     "--seed", "2", "--out", meas_path]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--measurements", meas_path,
+                     "--out", str(tmp_path / ("r%d.pltt" % k))]) == 0
+        lines[k] = capsys.readouterr().out
+    # DRR-16 has full rank but cond 2.3e5; DRR-36 has cond 13
+    assert "warning: ILL-CONDITIONED design (cond 2.28e+05 > 1000)" in lines[16]
+    assert "UNDERDETERMINED" not in lines[16]
+    assert "ILL-CONDITIONED" not in lines[36]
+    # 16 rows leave no residual, so the capture's sigma stands in; 36 rows
+    # leave 20 per solve, which estimate it to a few percent
+    sigma_hat = {k: float(lines[k].rsplit("sigma_hat=", 1)[1]) for k in lines}
+    assert sigma_hat[16] == 1e-3
+    assert sigma_hat[36] != 1e-3 and abs(sigma_hat[36] - 1e-3) < 2e-4
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom, norm
 
 from pltt.decomposition import (
+    NOISE_Z,
     _retardance_of,
     decompose_tensor,
     diattenuation,
+    lit_blocks,
+    noise_floor,
     polar_decompose,
     polarizance,
     retardance,
 )
+from pltt.ellipsometry import capture, design_matrix, drr_schedule, reconstruct
 from pltt.polarization import (
     ideal_mirror,
     linear_polarizer,
@@ -219,10 +224,13 @@ def test_decompose_tensor_counts_every_fallback_in_one_log_line(caplog):
     assert result.n_reorthogonalized == 2
     # a proper rotation keeps tr(M_ret)/2 - 1 inside [-1, 1] up to rounding
     assert result.n_clamped == 0
+    # diag(1, 0.8, 0.7, -0.6) has the coherency eigenvalue (1 - 0.8 - 0.7 - 0.6) / 4
+    assert result.n_unrealisable == 1
     records = [r for r in caplog.records if r.name == "pltt.decomposition"]
     assert len(records) == 1
     assert "n_singular=1" in records[0].getMessage()
     assert "n_reorthogonalized=2" in records[0].getMessage()
+    assert "n_unrealisable=1" in records[0].getMessage()
 
 
 def test_retardance_clamp_is_flagged_not_logged(caplog):
@@ -290,3 +298,89 @@ def test_stack_call_equals_per_block_calls(shape, seed):
                 getattr(single, name), abs=1e-12)
         for name in ("singular_diattenuator", "negative_det_branch", "reorthogonalized"):
             assert np.asarray(getattr(batched, name))[idx] == getattr(single, name)
+
+
+def realisable_depolarizer(rng):
+    # diag(1, a, b, c) is realisable exactly when (a, b, c) lies in the
+    # tetrahedron spanned by (1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)
+    vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
+    return np.diag(np.concatenate(([1.0], rng.dirichlet(np.ones(4)) @ vertices)))
+
+
+def coaxial_tensor(blocks):
+    blocks = np.asarray(blocks, dtype=float)
+    n = blocks.shape[0]
+    return TransportTensor(blocks[:, None, :, :, None], (1, n), (1, n), 1e-10, coaxial=True)
+
+
+def test_realisable_products_count_zero_and_a_superluminous_block_counts_one():
+    # criterion 5's depolarizer * retarder * diattenuator products, with the
+    # depolarizer drawn from the realisable set: criterion 5's own draws
+    # (diagonal in [0.2, 0.95], polarizance column in [-0.2, 0.2]) are not
+    # all realisable
+    rng = np.random.default_rng(55)
+    products = [realisable_depolarizer(rng) @ retarder(rng.uniform(0, np.pi),
+                                                       rng.uniform(0, 2 * np.pi))
+                @ random_diattenuator(rng) for _ in range(200)]
+    products += [linear_polarizer(0.3), quarter_wave_plate(0.7), ideal_mirror(),
+                 fresnel_mueller(1.5, np.arctan(1.5)), np.diag([0.7, 0.0, 0.0, 0.0])]
+    assert decompose_tensor(coaxial_tensor(products)).n_unrealisable == 0
+    superluminous = np.zeros((4, 4))
+    superluminous[0, :2] = [1.0, 1.2]     # |m01| > m00: more light out than in
+    result = decompose_tensor(coaxial_tensor(products + [superluminous]))
+    assert result.n_unrealisable == 1
+
+
+def test_noise_model_raises_the_floor_and_its_absence_keeps_the_relative_one():
+    tensor = make_mixed_tensor()
+    m00 = tensor.data[:, :, 0, 0, :]
+    for floor_frac in (0.0, 1e-6, 0.9):
+        # the relative floor as it stood before noise models existed
+        reference = (m00 > floor_frac * max(m00.max(), 0.0)) & (m00 > 0)
+        np.testing.assert_array_equal(lit_blocks(tensor, floor_frac)[1], reference)
+    assert noise_floor(tensor) is None
+    std = np.full((4, 4), 0.005)
+    modelled = TransportTensor(tensor.data, (1, 1), (1, 2), 1e-10, noise_std=std)
+    assert noise_floor(modelled) == NOISE_Z * 0.005
+    # the lit m00 values are 1, 0.030 and 1e-12: 5 * 0.01 drops the second
+    strong = TransportTensor(tensor.data, (1, 1), (1, 2), 1e-10, noise_std=2 * std)
+    assert lit_blocks(modelled, 1e-6)[1].sum() == 2
+    assert lit_blocks(strong, 1e-6)[1].sum() == 1
+    # the larger of the two floors applies
+    assert lit_blocks(modelled, 0.9)[1].sum() == 1
+
+
+COAX_DRR36_PINV = np.linalg.pinv(design_matrix(drr_schedule(36), coaxial=True).a)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sigma=st.floats(1e-6, 1e-1), seed=st.integers(0, 2**32 - 1),
+       n_lit=st.integers(1, 32))
+def test_noise_floor_keeps_lit_blocks_and_drops_noise_at_the_gaussian_rate(sigma, seed, n_lit):
+    """
+    Capture and reconstruct a coaxial tensor of dark blocks and lit ones
+    whose m00 is 8 to 1000 standard deviations of the m00 noise, then
+    apply the floor the stored noise model sets.
+
+    A dark block passes 5 standard deviations with probability
+    P(Z > 5) ~ 2.9e-7, so the count kept must not be improbable under
+    that rate. A lit block at 8 standard deviations is dropped with
+    probability P(Z < -3) ~ 1.3e-3, and with m00 spread log-uniformly up
+    to 1000 about 1e-5 on average, so the draws are fixed.
+    """
+    rng = np.random.default_rng(seed)
+    sigma_m00 = sigma * np.linalg.norm(COAX_DRR36_PINV[0])
+    n_blocks = 4096
+    lit = np.zeros(n_blocks, dtype=bool)
+    lit[rng.choice(n_blocks, n_lit, replace=False)] = True
+    blocks = np.zeros((n_blocks, 4, 4))
+    m00 = sigma_m00 * np.exp(rng.uniform(np.log(8.0), np.log(1000.0), n_lit))
+    blocks[lit] = m00[:, None, None] * np.stack([
+        realisable_depolarizer(rng) @ retarder(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
+        for _ in range(n_lit)])
+    recon = reconstruct(capture(coaxial_tensor(blocks), drr_schedule(36), noise_sigma=sigma,
+                                seed=seed)).tensor
+    kept = lit_blocks(recon, 1e-6)[1][:, 0, 0]
+    assert np.all(kept[lit])
+    n_dark_kept = int(np.sum(kept & ~lit))
+    assert binom.sf(n_dark_kept - 1, n_blocks - n_lit, norm.sf(NOISE_Z)) > 1e-6

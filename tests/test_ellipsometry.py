@@ -237,6 +237,35 @@ def test_underdetermined_schedule_is_flagged():
     assert result.residual_norms.max() < 1e-9
 
 
+def test_reconstruct_estimates_the_noise_and_stores_its_model():
+    rng = np.random.default_rng(13)
+    tensor = random_tensor(rng, True, cam=(8, 8), bins=16)
+    sigma = 5e-4
+    result = reconstruct(capture(tensor, drr_schedule(36), noise_sigma=sigma, seed=13))
+    # 64 x 16 solves with 36 - 16 residual degrees of freedom each: sigma_hat
+    # has a relative spread of about 1 / sqrt(2 * 20480), or 0.5%
+    assert abs(result.sigma_hat - sigma) < 0.02 * sigma
+    a_pinv = np.linalg.pinv(design_matrix(drr_schedule(36), coaxial=True).a)
+    np.testing.assert_allclose(result.tensor.noise_std,
+                               result.sigma_hat * np.linalg.norm(a_pinv, axis=1).reshape(4, 4),
+                               rtol=1e-9)
+    # the stored per-entry stds describe the actual recovery error
+    error = (result.tensor.data - tensor.data).transpose(2, 3, 0, 1, 4).reshape(4, 4, -1)
+    np.testing.assert_allclose(error.std(axis=-1), result.tensor.noise_std, rtol=0.1)
+
+
+def test_reconstruct_without_residual_takes_the_captured_sigma():
+    rng = np.random.default_rng(14)
+    tensor = random_tensor(rng, False)
+    # K' = rank = 16 leaves no residual to estimate sigma from
+    result = reconstruct(capture(tensor, drr_schedule(16), noise_sigma=2e-3, seed=1))
+    assert result.rank == 16
+    assert result.sigma_hat == 2e-3
+    noiseless = reconstruct(capture(tensor, drr_schedule(16)))
+    assert noiseless.sigma_hat == 0.0
+    assert np.all(noiseless.tensor.noise_std == 0.0)
+
+
 def test_capture_noise_is_seeded():
     rng = np.random.default_rng(7)
     tensor = random_tensor(rng, True)

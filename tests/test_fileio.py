@@ -190,8 +190,10 @@ def containers(draw):
     n_bins = draw(st.integers(1, 3))
     width = draw(st.floats(1e-15, 1.0))
     if kind == "transport":
+        noise_std = draw(st.none() | arrays(np.float64, (4, 4), elements=st.floats(0.0, 1e300)))
         return TransportTensor(draw(_values((s_cam, s_proj, 4, 4, n_bins))), cam, proj, width,
-                               channel_id=draw(st.text(max_size=8)), coaxial=coaxial)
+                               channel_id=draw(st.text(max_size=8)), coaxial=coaxial,
+                               noise_std=noise_std)
     if kind == "illumination":
         if draw(st.booleans()):
             return IlluminationTensor(draw(_values((s_proj, 4, n_bins))), proj, width)
@@ -236,12 +238,39 @@ def test_container_round_trip_property(tmp_path_factory, obj, provenance):
     assert getattr(back, data).tobytes() == getattr(obj, data).tobytes()
     for name in _FIELDS[type(obj)]:
         assert getattr(back, name) == getattr(obj, name), name
+    if isinstance(obj, TransportTensor):
+        assert (back.noise_std is None) == (obj.noise_std is None)
+        if obj.noise_std is not None:
+            assert back.noise_std.tobytes() == obj.noise_std.tobytes()
     if isinstance(obj, MeasurementSet):
         # angles are stored in degrees; the stored degrees survive exactly
         assert schedule_to_dict(back.schedule) == schedule_to_dict(obj.schedule)
     assert read_metadata(first)["provenance"] == provenance
     write_pltt(second, back, provenance=provenance)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("value", [
+    "0.1", [0.1] * 15, [[0.1] * 4] * 4, [0.1] * 15 + [-1e-3], [0.1] * 15 + [float("nan")],
+    [0.1] * 15 + [float("inf")], [0.1] * 15 + [True], [0.1] * 15 + [10 ** 400],
+    [0.1] * 15 + ["0.1"],
+], ids=["string", "15 values", "nested", "negative", "nan", "inf", "bool", "huge int", "text"])
+def test_malformed_noise_model_exits_two(tmp_path, capsys, value):
+    path = tmp_path / "t.pltt"
+    write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN,
+                                     noise_std=np.full((4, 4), 0.1)))
+    blob = path.read_bytes()
+    end = len(MAGIC) + 7 * 4 + 1 + 8 * 32
+    meta = json.loads(blob[end:])
+    assert meta["noise_std"] == [0.1] * 16
+    meta["noise_std"] = value
+    path.write_bytes(blob[:end] + json.dumps(meta).encode("utf-8"))
+    with pytest.raises(ValueError, match="'noise_std' must be a list of 16 finite numbers"):
+        read_pltt(path)
+    assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "noise_std" in err
 
 
 def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):

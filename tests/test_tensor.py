@@ -227,6 +227,14 @@ def test_probe_partition_is_exact():
     np.testing.assert_array_equal(together, tensor.data)
 
 
+def test_probed_tensors_carry_no_noise_model():
+    rng = np.random.default_rng(12)
+    tensor = make_dense(rng, cam=(2, 2), proj=(2, 3))
+    modelled = TransportTensor(tensor.data, (2, 2), (2, 3), BIN, noise_std=np.full((4, 4), 0.1))
+    epi, _ = epipolar_masks((2, 2), (2, 3))
+    assert probe(modelled, epi).noise_std is None
+
+
 def test_epipolar_masks_are_complementary_rows():
     epi, non_epi = epipolar_masks((2, 2), (2, 3))
     assert epi.label == "epipolar" and non_epi.label == "non_epipolar"
@@ -280,6 +288,10 @@ def test_transport_tensor_validation():
     bad[0, 0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         TransportTensor(bad, (2, 2), (2, 2), BIN)
+    TransportTensor(good, (2, 2), (2, 2), BIN, coaxial=True, noise_std=np.zeros((4, 4)))
+    for std in (np.zeros(16), -np.eye(4), np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
+        with pytest.raises(ValueError, match="noise_std"):
+            TransportTensor(good, (2, 2), (2, 2), BIN, coaxial=True, noise_std=std)
 
 
 def test_illumination_physicality_check():
