@@ -35,7 +35,6 @@ from .polarization import (
     is_valid_stokes,
     linear_polarizer,
     quarter_wave_plate,
-    random_physical_stokes,
     retarder,
     reverse_pass,
     rotate_element,
@@ -55,7 +54,7 @@ from .tensor import (
     slice_spatial,
     slice_temporal,
 )
-from .fileio import read_metadata, read_pltt, write_csv_grid, write_pgm, write_pltt
+from .fileio import read_pltt, write_csv_grid, write_pgm, write_pltt
 from .scene import (
     SPEED_OF_LIGHT,
     BounceChain,

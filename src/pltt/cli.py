@@ -165,16 +165,18 @@ ILL_CONDITIONED = 1e3
 def _write_diagnostics(path, res):
     """
     Residual norms as CSV rows ``cam_index,proj_index,bin,residual_norm``
-    in (s, x, t) order, with the csv module's CRLF line ends: one format
-    string holds every row's indices, and one ``%`` fills in the values.
+    in (s, x, t) order, with the csv module's CRLF line ends, one camera
+    pixel at a time: its rows' indices go into one format string, and one
+    ``%`` fills in the values.
     """
     n_cam, n_proj, n_bins = res.shape
-    cells = ["%d,%d," % (s, x) for s in range(n_cam) for x in range(n_proj)]
-    bins = ["%d,%%.17g\r\n" % t for t in range(n_bins)]
-    rows = "".join([c + b for c in cells for b in bins])
+    rows = ["%d,%d,%%.17g" % (x, t) for x in range(n_proj) for t in range(n_bins)]
     with open(path, "w", newline="") as fh:
         fh.write("cam_index,proj_index,bin,residual_norm\r\n")
-        fh.write(rows % tuple(res.ravel().tolist()))
+        for s in range(n_cam):
+            cell = "%d," % s
+            text = cell + ("\r\n" + cell).join(rows) + "\r\n"
+            fh.write(text % tuple(res[s].ravel().tolist()))
 
 
 def cmd_reconstruct(args):

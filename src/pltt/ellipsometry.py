@@ -48,6 +48,8 @@ ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 RANK_TOL = 1e-10
 # noise values drawn and added per step of capture; bounds the noise buffer
 _NOISE_CHUNK = 1 << 16
+# pixels whose residuals reconstruct forms at once; bounds the residual buffer
+_PIXEL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -315,8 +317,10 @@ class MeasurementSet:
 
     intensities has shape (n_rows, S_cam, S_proj, n_bins); coaxial
     geometry stores S_proj = 1 (the diagonal). Rows are capture-major
-    (analyzer index fastest in polarizer_array mode). ``split`` is the
-    beamsplitter fraction of a coaxial capture; reconstruction reads it.
+    (analyzer index fastest in polarizer_array mode); ``capture`` and
+    ``read_pltt`` give a view of a buffer in the container's (S_cam,
+    S_proj, n_rows, n_bins) order. ``split`` is the beamsplitter
+    fraction of a coaxial capture; reconstruction reads it.
     """
 
     intensities: np.ndarray = field(repr=False)
@@ -367,24 +371,26 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
         if tensor.coaxial:
             raise ValueError("masks require projector_camera geometry")
         tensor = probe(tensor, masks)
-    fwd = forward_model(schedule, tensor.coaxial, split)
-    # row k of A is kron(r_k, c_k); contracting the two factors separately
-    # keeps the output C-ordered, which the noise draw below adds to fast
-    vals = np.einsum("kp,sxpqt,kq->ksxt", fwd.r, tensor.data, fwd.per_row(fwd.c), optimize=True)
+    s_cam, s_proj, _, _, n_bins = tensor.data.shape
+    n_pix = s_cam * s_proj
+    a = forward_model(schedule, tensor.coaxial, split).design()
+    # one (K', T) record per (camera, projector) pixel: the container's order
+    vals = np.matmul(a, tensor.data.reshape(n_pix, 16, n_bins))
     if noise_sigma > 0:
-        # the same stream as rng.normal(0, sigma, vals.shape), added in place
+        # the stream of rng.normal(0, sigma, (K', S_cam, S_proj, T)), added in
+        # place row by row over pixel chunks of at most _NOISE_CHUNK values
         rng = np.random.default_rng(seed)
-        vals = np.ascontiguousarray(vals)
-        flat = vals.reshape(-1)
-        noise = np.empty(min(_NOISE_CHUNK, flat.size))
-        for start in range(0, flat.size, _NOISE_CHUNK):
-            part = flat[start:start + _NOISE_CHUNK]
-            chunk = noise[:part.size]
-            rng.standard_normal(out=chunk)
-            chunk *= noise_sigma
-            part += chunk
+        step = max(1, _NOISE_CHUNK // n_bins)
+        noise = np.empty((min(step, n_pix), n_bins))
+        for row in range(len(a)):
+            for start in range(0, n_pix, step):
+                part = vals[start:start + step, row]
+                chunk = noise[:part.shape[0]]
+                rng.standard_normal(out=chunk)
+                chunk *= noise_sigma
+                part += chunk
     return MeasurementSet(
-        intensities=vals,
+        intensities=vals.reshape(s_cam, s_proj, -1, n_bins).transpose(2, 0, 1, 3),
         schedule=schedule,
         geometry_mode=geometry,
         cam_shape=tensor.cam_shape,
@@ -451,6 +457,10 @@ def reconstruct(meas, split=None):
     r (the measurement's stored ``noise_sigma`` when K' = rank leaves no
     residual), propagated through A+ to per-entry standard deviations
     sigma_hat * ||row of A+||.
+
+    The solve reads a container-order measurement without a copy and forms
+    the residuals ``_PIXEL_CHUNK`` pixels at a time; non-finite
+    measurements, or ones that overflow it, are a ValueError.
     """
     if split is not None and split != meas.split:
         raise ValueError("split %g conflicts with the split %g recorded with the measurements"
@@ -459,18 +469,32 @@ def reconstruct(meas, split=None):
     a = forward_model(meas.schedule, coaxial=coax, split=meas.split).design()
     a_pinv, rank, cond = pinv_truncated(a)
     k_rows, s_cam, s_proj, n_bins = meas.intensities.shape
-    stacked = meas.intensities.reshape(k_rows, -1)
-    solution = a_pinv @ stacked
-    blocks = solution.T.reshape(s_cam, s_proj, n_bins, 4, 4).transpose(0, 1, 3, 4, 2)
-    residual = a @ solution
-    residual -= stacked
-    # the sum of squares np.linalg.norm(axis=0) takes, without its temporaries
-    residual *= residual
-    squares = np.add.reduce(residual, axis=0)
+    n_pix = s_cam * s_proj
+    # (pixel, row, bin): a view of a container-order measurement
+    stacked = meas.intensities.transpose(1, 2, 0, 3).reshape(n_pix, k_rows, n_bins)
+    squares = np.empty((n_pix, n_bins))
+    residual = np.empty((min(_PIXEL_CHUNK, n_pix), k_rows, n_bins))
+    # a flipped exponent byte in a container can hold an intensity near 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution = np.matmul(a_pinv, stacked)
+        for start in range(0, n_pix, _PIXEL_CHUNK):
+            part = slice(start, min(start + _PIXEL_CHUNK, n_pix))
+            chunk = np.matmul(a, solution[part], out=residual[:part.stop - start])
+            chunk -= stacked[part]
+            # the sum of squares np.linalg.norm takes, without its temporaries
+            chunk *= chunk
+            np.add.reduce(chunk, axis=1, out=squares[part])
+        total = squares.sum()
     dof = squares.size * (k_rows - rank)
-    sigma_hat = float(np.sqrt(squares.sum() / dof)) if dof else meas.noise_sigma
-    residual_norms = np.sqrt(squares).reshape(s_cam, s_proj, n_bins)
+    sigma_hat = float(np.sqrt(total / dof)) if dof else meas.noise_sigma
+    # a finite total has finite residuals, and so a finite solution: a solution
+    # entry that A+ can make non-zero meets a non-zero column of A
+    if not (np.isfinite(total) and np.isfinite(sigma_hat)):
+        raise ValueError("the measurements are not finite or overflow the reconstruction's "
+                         "solution, residuals or noise estimate")
+    residual_norms = np.sqrt(squares, out=squares).reshape(s_cam, s_proj, n_bins)
     noise_std = sigma_hat * np.sqrt((a_pinv * a_pinv).sum(axis=1)).reshape(4, 4)
+    blocks = solution.reshape(s_cam, s_proj, 4, 4, n_bins)
     tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape,
                              meas.time_bin_width, coaxial=coax, noise_std=noise_std)
     return ReconstructionResult(tensor, rank, cond, rank < 16, residual_norms, sigma_hat)

@@ -28,9 +28,10 @@ Readers check the file length against the header dims, each kind's
 fixed header slots (every literal 1 and 4 above, a steady illumination's
 single bin, and a measurement's K' against its schedule's row count) and
 each kind's required metadata keys, and raise ValueError naming what is
-wrong. The writer streams the payload from its array (a measurement's
-after one transpose into file order) and the reader reads it straight
-into a new array; neither holds a bytes copy of it.
+wrong. The writer streams the payload from its array and the reader
+reads it straight into a new array; neither holds a bytes copy of it.
+Measurements from ``capture`` or the reader are views of a buffer in
+file order, so neither side copies them either.
 """
 
 import json
@@ -121,15 +122,14 @@ _FIXED_SLOTS = {
 }
 
 
-def _parse(fh, with_payload=True):
+def _parse(fh):
     """
     Read a PLTT v1 file from the start of ``fh`` into (dims, coaxial,
     payload, metadata, schedule), or raise ValueError saying what is
     malformed.
 
     ``payload`` is the flat float64 payload, read straight into its
-    array, or None when ``with_payload`` is false and the payload is
-    skipped. ``schedule`` is a measurement's parsed schedule, else None.
+    array. ``schedule`` is a measurement's parsed schedule, else None.
     """
     from .ellipsometry import schedule_from_dict
 
@@ -147,15 +147,10 @@ def _parse(fh, with_payload=True):
     if size < end:
         raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
                          "the file has %d" % (dims, end, size))
-    payload = None
-    if with_payload:
-        payload = np.empty(count, dtype="<f8")
-        got = fh.readinto(payload)
-        if got != 8 * count:
-            raise ValueError("PLTT payload is truncated: read %d of %d bytes"
-                             % (got, 8 * count))
-    else:
-        fh.seek(end)
+    payload = np.empty(count, dtype="<f8")
+    got = fh.readinto(payload)
+    if got != 8 * count:
+        raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, 8 * count))
     try:
         meta = json.loads(fh.read().decode("utf-8"))
     except ValueError as exc:
@@ -230,12 +225,6 @@ def read_pltt(path):
         # files written before the split was stored were reconstructed at 0.5
         split=meta.get("split", 0.5),
     )
-
-
-def read_metadata(path):
-    """Return just the trailing metadata block of a PLTT file, skipping the payload."""
-    with open(path, "rb") as fh:
-        return _parse(fh, with_payload=False)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -244,20 +244,3 @@ def is_passive(m, tol=1e-9):
     gain = m00 + np.linalg.norm(m[..., 0, 1:], axis=-1)
     return bool(np.all(gain <= 1.0 + tol))
 
-
-def random_physical_stokes(rng, n=1, radius=1.0):
-    """
-    Sample physical Stokes vectors uniformly from the Poincare ball.
-
-    Unit intensity; polarized part drawn uniformly in the ball of the
-    given radius (<= 1).
-    """
-    v = rng.normal(size=(n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    r = radius * rng.random(n) ** (1.0 / 3.0)
-    out = np.empty((n, 4))
-    out[:, 0] = 1.0
-    out[:, 1:] = v * r[:, None]
-    if n == 1:
-        return out[0]
-    return out

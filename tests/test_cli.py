@@ -240,11 +240,24 @@ def test_damaged_measurement_container_exits_zero_or_two(data):
         path = os.path.join(tmp, "meas.pltt")
         with open(path, "wb") as fh:
             fh.write(damaged)
-        # a flipped exponent byte can make an intensity near 1e308, whose
-        # residual norm then overflows to inf: a valid, if useless, result
-        with np.errstate(over="ignore"):
-            assert main(["reconstruct", "--measurements", path,
-                         "--out", os.path.join(tmp, "recon.pltt")]) in (0, 2)
+        assert main(["reconstruct", "--measurements", path,
+                     "--out", os.path.join(tmp, "recon.pltt")]) in (0, 2)
+
+
+def test_overflowing_measurements_exit_two_without_numeric_warnings(tmp_path, capsys):
+    # a flipped exponent byte leaves one finite intensity near 2e307, and the
+    # solve and its residuals overflow
+    blob = bytearray(small_measurement_blob())
+    blob[268] ^= 64
+    path = tmp_path / "meas.pltt"
+    path.write_bytes(bytes(blob))
+    intensities = read_pltt(path).intensities
+    assert np.isfinite(intensities).all() and np.abs(intensities).max() > 1e307
+    assert main(["reconstruct", "--measurements", str(path),
+                 "--out", str(tmp_path / "recon.pltt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the measurements are not finite or overflow")
+    assert err.count("\n") == 1
 
 
 def test_reconstruct_warns_when_underdetermined(tmp_path, capsys):

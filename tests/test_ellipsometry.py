@@ -1,9 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt.ellipsometry import (
     _NOISE_CHUNK,
+    _PIXEL_CHUNK,
     AngleSchedule,
     capture,
     design_matrix,
@@ -14,6 +18,7 @@ from pltt.ellipsometry import (
     reconstruct,
     save_schedule,
 )
+from pltt.fileio import read_pltt, write_pltt
 from pltt.polarization import beamsplitter, galvo_mirror, linear_polarizer, quarter_wave_plate
 from pltt.scene import generate_ensemble
 from pltt.tensor import TransportTensor, epipolar_masks, probe
@@ -278,15 +283,72 @@ def test_capture_noise_is_seeded():
     assert a.seed == 5
 
 
-def test_capture_noise_is_the_normal_stream_of_the_seed():
-    rng = np.random.default_rng(12)
-    tensor = TransportTensor(rng.normal(size=(16, 16, 4, 4, 8)), (4, 4), (4, 4), BIN)
-    schedule = drr_schedule(36)
+@pytest.mark.parametrize("schedule, coaxial, cam, bins", [
+    # 256 pixels of 8 bins: one noise chunk per row
+    (drr_schedule(36), False, (4, 4), 8),
+    # 655 pixels of 100 bins per chunk: two uneven chunks per row
+    (drr_schedule(4, "polarizer_array"), False, (6, 6), 100),
+    # the whole measurement is smaller than one chunk
+    (drr_schedule(16), True, (4, 4), 7),
+], ids=["projector-camera", "polarizer-array", "coaxial"])
+def test_capture_noise_is_the_normal_stream_of_the_seed(schedule, coaxial, cam, bins):
+    tensor = random_tensor(np.random.default_rng(bins), coaxial, cam=cam, bins=bins)
     clean = capture(tensor, schedule).intensities
-    assert clean.size > _NOISE_CHUNK
     noisy = capture(tensor, schedule, noise_sigma=2e-3, seed=41).intensities
     expected = clean + np.random.default_rng(41).normal(0.0, 2e-3, clean.shape)
     assert noisy.tobytes() == expected.tobytes()
+
+
+def test_measurement_layout_does_not_change_reconstruct_or_the_container(tmp_path):
+    tensor = random_tensor(np.random.default_rng(15), False, cam=(3, 3), bins=5)
+    meas = capture(tensor, drr_schedule(20), noise_sigma=1e-3, seed=2)
+    # capture hands out a (K', S, S', T) view of a (S, S', K', T) buffer
+    assert meas.intensities.transpose(1, 2, 0, 3).flags.c_contiguous
+    c_ordered = dataclasses.replace(meas, intensities=np.ascontiguousarray(meas.intensities))
+    write_pltt(tmp_path / "view.pltt", meas)
+    write_pltt(tmp_path / "c.pltt", c_ordered)
+    assert (tmp_path / "view.pltt").read_bytes() == (tmp_path / "c.pltt").read_bytes()
+    results = [reconstruct(m) for m in (meas, c_ordered, read_pltt(tmp_path / "c.pltt"))]
+    for other in results[1:]:
+        assert other.tensor.data.tobytes() == results[0].tensor.data.tobytes()
+        assert other.residual_norms.tobytes() == results[0].residual_norms.tobytes()
+        assert other.tensor.noise_std.tobytes() == results[0].tensor.noise_std.tobytes()
+        assert other.sigma_hat == results[0].sigma_hat
+
+
+def test_capture_and_reconstruct_hold_one_chunk_beyond_their_arrays(tmp_path):
+    tensor = random_tensor(np.random.default_rng(16), False, cam=(8, 8), bins=16)
+    path = tmp_path / "meas.pltt"
+    tracemalloc.start()
+    try:
+        meas = capture(tensor, drr_schedule(36), noise_sigma=5e-4, seed=3)
+        write_pltt(path, meas)
+        capture_peak = tracemalloc.get_traced_memory()[1]
+        measurement = meas.intensities.nbytes
+        del meas
+        meas = read_pltt(path)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = reconstruct(meas)
+        reconstruct_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    slack = 1 << 20
+    assert capture_peak < measurement + 8 * _NOISE_CHUNK + slack
+    # the output tensor and its finiteness mask, the residual sums of its
+    # 64 x 64 pixels, and one chunk of their residuals
+    residual_chunk = measurement // (64 * 64) * _PIXEL_CHUNK
+    assert reconstruct_peak < (result.tensor.data.nbytes * 9 // 8 + result.residual_norms.nbytes
+                               + residual_chunk + slack)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1.7e308])
+def test_reconstruct_rejects_measurements_it_cannot_solve(value):
+    meas = capture(random_tensor(np.random.default_rng(17), True), drr_schedule(16))
+    intensities = meas.intensities.copy()
+    intensities[3, 1, 0, 1] = value
+    with pytest.raises(ValueError, match="measurements are not finite or overflow"):
+        reconstruct(dataclasses.replace(meas, intensities=intensities))
 
 
 def test_capture_with_mask_equals_probe_then_capture():

@@ -12,7 +12,6 @@ from pltt.cli import main
 from pltt.ellipsometry import AngleSchedule, MeasurementSet, drr_schedule, schedule_to_dict
 from pltt.fileio import (
     MAGIC,
-    read_metadata,
     read_pltt,
     write_csv_grid,
     write_pgm,
@@ -167,7 +166,7 @@ def test_crafted_header_slots_exit_two_naming_the_slot(tmp_path, capsys, kind, o
     struct.pack_into("<7I", blob, len(MAGIC), *dims)
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="PLTT %s header slot %s" % (kind, message)):
-        read_metadata(path)
+        read_pltt(path)
     assert main(["reconstruct", "--measurements", str(path),
                  "--out", str(tmp_path / "recon.pltt")]) == 2
     err = capsys.readouterr().err
@@ -245,7 +244,9 @@ def test_container_round_trip_property(tmp_path_factory, obj, provenance):
     if isinstance(obj, MeasurementSet):
         # angles are stored in degrees; the stored degrees survive exactly
         assert schedule_to_dict(back.schedule) == schedule_to_dict(obj.schedule)
-    assert read_metadata(first)["provenance"] == provenance
+    # the JSON block follows the 45-byte prefix and the payload
+    tail = first.read_bytes()[len(MAGIC) + 7 * 4 + 1 + 8 * getattr(back, data).size:]
+    assert json.loads(tail)["provenance"] == provenance
     write_pltt(second, back, provenance=provenance)
     assert second.read_bytes() == first.read_bytes()
 
@@ -299,16 +300,6 @@ def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
                         raising=False)
     with pytest.raises(ValueError, match="payload is truncated: read 128 of 256 bytes"):
         read_pltt(path)
-
-
-def test_read_metadata_without_payload(tmp_path):
-    tensor = TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN)
-    path = tmp_path / "meta.pltt"
-    write_pltt(path, tensor, provenance="meta check")
-    meta = read_metadata(path)
-    assert meta["kind"] == "transport"
-    assert meta["provenance"] == "meta check"
-    assert meta["time_bin_width"] == BIN
 
 
 def test_write_pgm_format_and_sidecar(tmp_path):

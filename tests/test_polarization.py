@@ -12,13 +12,25 @@ from pltt.polarization import (
     is_valid_stokes,
     linear_polarizer,
     quarter_wave_plate,
-    random_physical_stokes,
     retarder,
     reverse_pass,
     rotate_element,
     rotation_mueller,
     rotator,
 )
+
+
+def random_physical_stokes(rng, n):
+    """
+    n physical Stokes vectors of unit intensity, the polarized part drawn
+    uniformly from the unit Poincare ball.
+    """
+    v = rng.normal(size=(n, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    out = np.ones((n, 4))
+    out[:, 1:] = v * (rng.random(n) ** (1.0 / 3.0))[:, None]
+    return out
+
 
 UNPOL = np.array([1.0, 0.0, 0.0, 0.0])
 HORIZ = np.array([1.0, 1.0, 0.0, 0.0])
