@@ -32,7 +32,7 @@ for k in (8, 15, 36):
 
 # -- noiseless capture with DRR-36 is exact ----------------------------------
 meas = capture(truth, drr_schedule(36))
-print("\nmeasurement record shape %s" % (meas.intensities.shape,))
+print("\nmeasurement record (S_cam, S_proj, rows, bins): %s" % (meas.intensities.shape,))
 result = reconstruct(meas)
 err = np.abs(result.tensor.data - truth.data).max()
 print("noiseless DRR-36 recovery: max error %.2e (rank %d)" % (err, result.rank))

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from pltt.ellipsometry import design_matrix, drr_schedule
+from pltt.ellipsometry import drr_schedule
 from pltt.learning import TrainingConfig, evaluate, learn
 from pltt.scene import generate_ensemble
 
@@ -52,8 +52,8 @@ contenders = [
 print("\n%-32s %5s %5s %10s" % ("schedule", "rows", "rank", "mse"))
 for name, schedule in contenders:
     stats = evaluate(schedule, test, noise_sigma=5e-4, seed=13)
-    rank = design_matrix(schedule).rank
-    print("%-32s %5d %5d %10.3e" % (name, schedule.n_rows, rank, stats["mean_squared"]))
+    print("%-32s %5d %5d %10.3e" % (name, schedule.n_rows, stats["design_rank"],
+                                    stats["mean_squared"]))
 
 angles = np.degrees(learned.schedule.theta2)
 print("\nlearned source-QWP angles (deg): %s" % np.round(angles, 1))

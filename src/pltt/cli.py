@@ -40,7 +40,6 @@ from .decomposition import NOISE_Z, decompose_tensor, lit_blocks, noise_floor
 from .ellipsometry import (
     MeasurementSet,
     capture,
-    design_matrix,
     drr_schedule,
     load_schedule,
     reconstruct,
@@ -97,7 +96,7 @@ def _save_image(prefix, image, sidecar_extra):
     """16-bit PGM for looking at, CSV for exact values, JSON sidecar."""
     pgm = prefix + ".pgm"
     csv_path = prefix + ".csv"
-    meta = write_pgm(pgm, image, bit_depth=16)
+    meta = write_pgm(pgm, image)
     write_csv_grid(csv_path, image)
     meta.update(sidecar_extra)
     side = prefix + ".json"
@@ -252,10 +251,9 @@ def cmd_learn_angles(args):
         writer = csv.writer(fh)
         writer.writerow(["schedule", "captures", "rows", "design_rank", "mean_squared_error"])
         for name, sched in contenders:
-            design = design_matrix(sched)
             stats = evaluate(sched, eval_samples, config.noise_sigma, seed=eval_seed)
             writer.writerow([
-                name, sched.n_captures, sched.n_rows, design.rank,
+                name, sched.n_captures, sched.n_rows, stats["design_rank"],
                 "%.17g" % stats["mean_squared"],
             ])
 

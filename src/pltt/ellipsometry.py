@@ -276,14 +276,14 @@ def forward_model(schedule, coaxial=False, split=0.5):
     )
 
 
-def _rank_and_cond(s, tol_factor=RANK_TOL):
+def _rank_and_cond(s):
     """
     Rank and condition number from descending singular values ``s``.
 
-    Values at or below ``tol_factor * s[0]`` count as zero, so an
+    Values at or below ``RANK_TOL * s[0]`` count as zero, so an
     all-zero matrix has rank 0 and cond inf.
     """
-    kept = s[s > tol_factor * s[0]]
+    kept = s[s > RANK_TOL * s[0]]
     return kept.size, float(kept[0] / kept[-1]) if kept.size else np.inf
 
 
@@ -315,12 +315,12 @@ class MeasurementSet:
     """
     Stack of modulated intensities with capture provenance.
 
-    intensities has shape (n_rows, S_cam, S_proj, n_bins); coaxial
-    geometry stores S_proj = 1 (the diagonal). Rows are capture-major
-    (analyzer index fastest in polarizer_array mode); ``capture`` and
-    ``read_pltt`` give a view of a buffer in the container's (S_cam,
-    S_proj, n_rows, n_bins) order. ``split`` is the beamsplitter
-    fraction of a coaxial capture; reconstruction reads it.
+    intensities has shape (S_cam, S_proj, n_rows, n_bins), the
+    container's order: one (n_rows, n_bins) record per camera and
+    projector pixel. Coaxial geometry stores S_proj = 1 (the diagonal).
+    Rows are capture-major (analyzer index fastest in polarizer_array
+    mode). ``split`` is the beamsplitter fraction of a coaxial capture;
+    reconstruction reads it.
     """
 
     intensities: np.ndarray = field(repr=False)
@@ -340,10 +340,10 @@ class MeasurementSet:
         object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
         object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
         if arr.ndim != 4:
-            raise ValueError("intensities must be 4D (rows, S_cam, S_proj, bins)")
-        if arr.shape[0] != self.schedule.n_rows:
+            raise ValueError("intensities must be 4D (S_cam, S_proj, rows, bins)")
+        if arr.shape[2] != self.schedule.n_rows:
             raise ValueError("row count %d does not match the schedule's %d"
-                             % (arr.shape[0], self.schedule.n_rows))
+                             % (arr.shape[2], self.schedule.n_rows))
         if self.geometry_mode not in ("coaxial", "projector_camera"):
             raise ValueError("geometry_mode must be 'coaxial' or 'projector_camera'")
         if not 0.0 <= self.split <= 1.0:
@@ -374,11 +374,12 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     s_cam, s_proj, _, _, n_bins = tensor.data.shape
     n_pix = s_cam * s_proj
     a = forward_model(schedule, tensor.coaxial, split).design()
-    # one (K', T) record per (camera, projector) pixel: the container's order
+    # one (K', T) record per (camera, projector) pixel
     vals = np.matmul(a, tensor.data.reshape(n_pix, 16, n_bins))
     if noise_sigma > 0:
-        # the stream of rng.normal(0, sigma, (K', S_cam, S_proj, T)), added in
-        # place row by row over pixel chunks of at most _NOISE_CHUNK values
+        # the stream of rng.normal(0, sigma, (K', S_cam, S_proj, T)) in the
+        # intensities' order, added in place row by row over pixel chunks
+        # of at most _NOISE_CHUNK values
         rng = np.random.default_rng(seed)
         step = max(1, _NOISE_CHUNK // n_bins)
         noise = np.empty((min(step, n_pix), n_bins))
@@ -390,7 +391,7 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
                 chunk *= noise_sigma
                 part += chunk
     return MeasurementSet(
-        intensities=vals.reshape(s_cam, s_proj, -1, n_bins).transpose(2, 0, 1, 3),
+        intensities=vals.reshape(s_cam, s_proj, -1, n_bins),
         schedule=schedule,
         geometry_mode=geometry,
         cam_shape=tensor.cam_shape,
@@ -425,21 +426,21 @@ class ReconstructionResult:
     sigma_hat: float
 
 
-def _pinv_and_singular_values(a, tol_factor=RANK_TOL):
+def _pinv_and_singular_values(a):
     """Truncated pseudoinverse, all singular values, and the kept mask."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0:
         raise ValueError("design matrix is identically zero")
-    keep = s > tol_factor * s[0]
+    keep = s > RANK_TOL * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T, s, keep
 
 
-def pinv_truncated(a, tol_factor=RANK_TOL):
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
-    a_pinv, s, _ = _pinv_and_singular_values(a, tol_factor)
-    return (a_pinv,) + _rank_and_cond(s, tol_factor)
+def pinv_truncated(a):
+    """Pseudoinverse cut at ``RANK_TOL * s[0]``, with its rank and cond."""
+    a_pinv, s, _ = _pinv_and_singular_values(a)
+    return (a_pinv,) + _rank_and_cond(s)
 
 
 def reconstruct(meas, split=None):
@@ -458,9 +459,10 @@ def reconstruct(meas, split=None):
     residual), propagated through A+ to per-entry standard deviations
     sigma_hat * ||row of A+||.
 
-    The solve reads a container-order measurement without a copy and forms
-    the residuals ``_PIXEL_CHUNK`` pixels at a time; non-finite
-    measurements, or ones that overflow it, are a ValueError.
+    The solve reads the (S_cam, S_proj, K', T) intensities as one
+    (pixel, row, bin) stack without a copy and forms the residuals
+    ``_PIXEL_CHUNK`` pixels at a time; non-finite measurements, or ones
+    that overflow it, are a ValueError.
     """
     if split is not None and split != meas.split:
         raise ValueError("split %g conflicts with the split %g recorded with the measurements"
@@ -468,10 +470,9 @@ def reconstruct(meas, split=None):
     coax = meas.geometry_mode == "coaxial"
     a = forward_model(meas.schedule, coaxial=coax, split=meas.split).design()
     a_pinv, rank, cond = pinv_truncated(a)
-    k_rows, s_cam, s_proj, n_bins = meas.intensities.shape
+    s_cam, s_proj, k_rows, n_bins = meas.intensities.shape
     n_pix = s_cam * s_proj
-    # (pixel, row, bin): a view of a container-order measurement
-    stacked = meas.intensities.transpose(1, 2, 0, 3).reshape(n_pix, k_rows, n_bins)
+    stacked = meas.intensities.reshape(n_pix, k_rows, n_bins)
     squares = np.empty((n_pix, n_bins))
     residual = np.empty((min(_PIXEL_CHUNK, n_pix), k_rows, n_bins))
     # a flipped exponent byte in a container can hold an intensity near 1e308

@@ -13,25 +13,21 @@ Layout of a PLTT v1 file:
   transport with a noise model adds ``noise_std``, its 16 per-entry
   standard deviations in row-major (p, p') order
 
-One container serves four kinds. Axis extents by kind (header dims in
-the same seven slots):
+One container serves two kinds, each stored as its in-memory array
+(header dims in the same seven slots):
 
-- transport:    (S_cam, S_proj|1, 4, 4, n_bins)
-- illumination: (1, S_proj, 1, 4, n_bins or 1)
-- detected:     (S_cam, 1, 4, 1, n_bins)
-- measurement:  (S_cam, S_proj|1, K', 1, n_bins) with the capture index
-  in the first polarimetric slot; schedule, noise and beamsplitter
-  split metadata ride in the JSON block (a file without ``split`` is
-  read as 0.5).
+- transport:   ``TransportTensor.data``, (S_cam, S_proj|1, 4, 4, n_bins)
+- measurement: ``MeasurementSet.intensities``, (S_cam, S_proj|1, K', n_bins),
+  with K' in dim_p and dim_q = 1; schedule, noise and beamsplitter split
+  metadata ride in the JSON block (a file without ``split`` is read as
+  0.5).
 
 Readers check the file length against the header dims, each kind's
-fixed header slots (every literal 1 and 4 above, a steady illumination's
-single bin, and a measurement's K' against its schedule's row count) and
-each kind's required metadata keys, and raise ValueError naming what is
-wrong. The writer streams the payload from its array and the reader
-reads it straight into a new array; neither holds a bytes copy of it.
-Measurements from ``capture`` or the reader are views of a buffer in
-file order, so neither side copies them either.
+fixed header slots (a transport's 4x4 block, a measurement's dim_q and
+its K' against its schedule's row count) and each kind's required
+metadata keys, and raise ValueError naming what is wrong. The writer
+streams the payload from its array and the reader reads it straight
+into a new array and only reshapes it; neither holds a bytes copy of it.
 """
 
 import json
@@ -41,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .tensor import TransportTensor, IlluminationTensor, DetectedTensor
+from .tensor import TransportTensor
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -62,7 +58,7 @@ def _write(path, dims, coaxial, payload, meta):
 
 
 def write_pltt(path, obj, provenance=""):
-    """Serialize a transport/illumination/detected/measurement object."""
+    """Serialize a transport tensor or a measurement set."""
     from .ellipsometry import MeasurementSet, schedule_to_dict
 
     if isinstance(obj, TransportTensor):
@@ -73,33 +69,16 @@ def write_pltt(path, obj, provenance=""):
         if obj.noise_std is not None:
             meta["noise_std"] = obj.noise_std.ravel().tolist()
         _write(path, dims, obj.coaxial, obj.data, meta)
-    elif isinstance(obj, IlluminationTensor):
-        n_bins = obj.data.shape[2] if obj.has_time else 1
-        dims = (1, 1, obj.proj_shape[1], obj.proj_shape[0], 1, 4, n_bins)
-        payload = obj.data if obj.has_time else obj.data[:, :, None]
-        payload = payload[None, :, None, :, :]
-        meta = {"kind": "illumination", "time_bin_width": obj.time_bin_width,
-                "channel_id": "mono", "provenance": provenance,
-                "has_time": obj.has_time}
-        _write(path, dims, False, payload, meta)
-    elif isinstance(obj, DetectedTensor):
-        dims = (obj.cam_shape[1], obj.cam_shape[0], 1, 1, 4, 1, obj.data.shape[2])
-        payload = obj.data[:, None, :, None, :]
-        meta = {"kind": "detected", "time_bin_width": obj.time_bin_width,
-                "channel_id": "mono", "provenance": provenance}
-        _write(path, dims, False, payload, meta)
     elif isinstance(obj, MeasurementSet):
-        k_rows, s_cam, s_proj, n_bins = obj.intensities.shape
         dims = (obj.cam_shape[1], obj.cam_shape[0], obj.proj_shape[1], obj.proj_shape[0],
-                k_rows, 1, n_bins)
-        payload = obj.intensities.transpose(1, 2, 0, 3)[:, :, :, None, :]
+                obj.schedule.n_rows, 1, obj.intensities.shape[3])
         coaxial = obj.geometry_mode == "coaxial"
         meta = {"kind": "measurement", "time_bin_width": obj.time_bin_width,
                 "channel_id": "mono", "provenance": provenance,
                 "schedule": schedule_to_dict(obj.schedule),
                 "geometry_mode": obj.geometry_mode,
                 "noise_sigma": obj.noise_sigma, "seed": obj.seed, "split": obj.split}
-        _write(path, dims, coaxial, payload, meta)
+        _write(path, dims, coaxial, obj.intensities, meta)
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 
@@ -107,17 +86,13 @@ def write_pltt(path, obj, provenance=""):
 # metadata keys each payload kind cannot be read without
 _REQUIRED_KEYS = {
     "transport": ("time_bin_width",),
-    "illumination": (),
-    "detected": ("time_bin_width",),
     "measurement": ("time_bin_width", "schedule", "geometry_mode", "noise_sigma", "seed"),
 }
 
 # header slots each payload kind fixes; a measurement's dim_p is its
-# schedule's row count, and steady illumination has one bin
+# schedule's row count
 _FIXED_SLOTS = {
     "transport": {"dim_p": 4, "dim_q": 4},
-    "illumination": {"cam_w": 1, "cam_h": 1, "dim_p": 1, "dim_q": 4},
-    "detected": {"proj_w": 1, "proj_h": 1, "dim_p": 4, "dim_q": 1},
     "measurement": {"dim_q": 1},
 }
 
@@ -179,8 +154,6 @@ def _parse(fh):
     if kind == "measurement":
         schedule = schedule_from_dict(meta["schedule"])
         fixed["dim_p"] = schedule.n_rows
-    elif kind == "illumination" and not meta.get("has_time", False):
-        fixed["n_bins"] = 1
     for slot, want in fixed.items():
         value = dims[_SLOTS.index(slot)]
         if value != want:
@@ -195,25 +168,16 @@ def read_pltt(path):
 
     with open(path, "rb") as fh:
         dims, coaxial, payload, meta, schedule = _parse(fh)
-    cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
+    cam_w, cam_h, proj_w, proj_h, dim_p, _, n_bins = dims
     s_proj = 1 if coaxial else proj_w * proj_h
-    payload = payload.reshape(cam_w * cam_h, s_proj, dim_p, dim_q, n_bins)
-    kind = meta.get("kind", "transport")
-    if kind == "transport":
+    if schedule is None:  # a transport
         std = meta.get("noise_std")
-        return TransportTensor(payload, (cam_h, cam_w), (proj_h, proj_w),
+        return TransportTensor(payload.reshape(cam_w * cam_h, s_proj, 4, 4, n_bins),
+                               (cam_h, cam_w), (proj_h, proj_w),
                                meta["time_bin_width"], meta.get("channel_id", "mono"),
                                coaxial, None if std is None else np.reshape(std, (4, 4)))
-    if kind == "illumination":
-        data = payload[0, :, 0]
-        if not meta.get("has_time", False):
-            data = data[:, :, 0]
-        return IlluminationTensor(data, (proj_h, proj_w), meta.get("time_bin_width"))
-    if kind == "detected":
-        return DetectedTensor(payload[:, 0, :, 0, :], (cam_h, cam_w), meta["time_bin_width"])
-    intensities = payload[:, :, :, 0, :].transpose(2, 0, 1, 3)
     return MeasurementSet(
-        intensities=intensities,
+        intensities=payload.reshape(cam_w * cam_h, s_proj, dim_p, n_bins),
         schedule=schedule,
         geometry_mode=meta["geometry_mode"],
         cam_shape=(cam_h, cam_w),
@@ -231,9 +195,9 @@ def read_pltt(path):
 # simple exports
 
 
-def write_pgm(path, image, bit_depth=16):
+def write_pgm(path, image):
     """
-    Write a grayscale image as binary PGM (P5).
+    Write a grayscale image as 16-bit binary PGM (P5).
 
     The image is min/max normalized to the full range; pass the raw
     array and record the range in a sidecar for exact reproduction.
@@ -242,25 +206,23 @@ def write_pgm(path, image, bit_depth=16):
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("PGM export needs a 2D array, got %r" % (image.shape,))
-    if bit_depth not in (8, 16):
-        raise ValueError("bit_depth must be 8 or 16")
-    maxval = (1 << bit_depth) - 1
+    maxval = 65535
     finite = np.isfinite(image)
     lo = image[finite].min() if finite.any() else 0.0
     hi = image[finite].max() if finite.any() else 0.0
     span = hi - lo if hi > lo else 1.0
     scaled = np.zeros_like(image)
     scaled[finite] = (image[finite] - lo) / span * maxval
-    pix = np.round(scaled).astype(">u2" if bit_depth == 16 else "u1")
+    pix = np.round(scaled).astype(">u2")
     header = ("P5\n%d %d\n%d\n" % (image.shape[1], image.shape[0], maxval)).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(pix.tobytes())
-    return {"min": float(lo), "max": float(hi), "bit_depth": bit_depth,
+    return {"min": float(lo), "max": float(hi), "bit_depth": 16,
             "nan_count": int((~finite).sum())}
 
 
-def write_csv_grid(path, grid, header=""):
+def write_csv_grid(path, grid):
     """Write a 2D array as CSV with full float precision."""
     grid = np.asarray(grid, dtype=float)
-    np.savetxt(path, grid, delimiter=",", header=header, fmt="%.17g")
+    np.savetxt(path, grid, delimiter=",", fmt="%.17g")

@@ -190,15 +190,6 @@ class LearnedSchedule:
     config_hash: str = ""
 
 
-def _angles_of(schedule):
-    return np.stack([schedule.theta1, schedule.theta2, schedule.theta3, schedule.theta4])
-
-
-def _schedule_from_angles(angles, sensor_mode, fixed):
-    return AngleSchedule(angles[0], angles[1], angles[2], angles[3],
-                         sensor_mode=sensor_mode, fixed=fixed)
-
-
 def learn(config):
     """
     Optimize a schedule with Adam from the dual-rotating-retarder start.
@@ -215,9 +206,9 @@ def learn(config):
     if train_set.shape[0] < config.batch_size:
         raise ValueError("not enough training samples after the held-out split")
 
-    init = drr_schedule(config.k, sensor_mode=config.sensor_mode)
-    fixed = tuple(not t for t in config.trainable)
-    angles = _angles_of(init)
+    init = replace(drr_schedule(config.k, sensor_mode=config.sensor_mode),
+                   fixed=tuple(not t for t in config.trainable))
+    angles = np.stack([init.theta1, init.theta2, init.theta3, init.theta4])
     # the array sensor has no detector polarizer to turn
     movable = np.asarray(config.trainable) & np.asarray(default_trainable(config.sensor_mode))
     mask = np.repeat(movable[:, None], config.k, axis=1)
@@ -266,7 +257,7 @@ def learn(config):
         v_hat = adam_v / (1.0 - beta2 ** (it + 1))
         flat = flat - lr * m_hat / (np.sqrt(v_hat) + eps)
         angles[mask] = flat
-        sched = _schedule_from_angles(angles, config.sensor_mode, fixed)
+        sched = init.with_angles(*angles)
 
         if (it + 1) % config.eval_every == 0 or it + 1 == config.iterations:
             hold = heldout_loss(sched)
@@ -277,10 +268,8 @@ def learn(config):
                 best_angles = angles.copy()
             best_curve.append(best_hold)
 
-    final_angles = np.mod(best_angles, np.pi)
-    final = _schedule_from_angles(final_angles, config.sensor_mode, fixed)
     return LearnedSchedule(
-        schedule=final,
+        schedule=init.with_angles(*np.mod(best_angles, np.pi)),
         loss_curve=loss_curve,
         heldout_iters=np.asarray(heldout_iters),
         heldout_curve=np.asarray(heldout_curve),
@@ -296,14 +285,15 @@ def evaluate(schedule, samples, noise_sigma, draws=32, seed=0):
     Reconstruction-error statistics of a schedule on an ensemble.
 
     Returns mean squared Frobenius error (the loss metric) plus
-    mean/median/decile statistics of the unsquared Frobenius error.
+    mean/median/decile statistics of the unsquared Frobenius error, and
+    the rank of the design the pseudoinverse kept.
     """
     samples = np.asarray(samples, dtype=float)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sigma, size=(samples.shape[0], draws, schedule.n_rows))
     m = _vec(samples)
     a = forward_model(schedule).design()
-    a_pinv, _, _ = pinv_truncated(a)
+    a_pinv, rank, _ = pinv_truncated(a)
     y = np.einsum("ni,ki->nk", m, a)[:, None, :] + noise
     recon = np.einsum("ndk,ik->ndi", y, a_pinv)
     err_sq = np.sum((recon - m[:, None, :]) ** 2, axis=2)
@@ -316,6 +306,7 @@ def evaluate(schedule, samples, noise_sigma, draws=32, seed=0):
         "p90": float(np.quantile(err, 0.90)),
         "n_samples": int(samples.shape[0]),
         "n_draws": int(draws),
+        "design_rank": rank,
     }
 
 

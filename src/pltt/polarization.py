@@ -125,13 +125,12 @@ def beamsplitter(mode="transmit", split=0.5):
     raise ValueError("beamsplitter mode must be 'transmit' or 'reflect', got %r" % (mode,))
 
 
-def galvo_mirror(orientation=0.0):
+def galvo_mirror():
     """
     Scanning galvo mirror.
 
     Modeled as an ideal mirror for every scan orientation.
     """
-    del orientation
     return ideal_mirror()
 
 

@@ -122,12 +122,6 @@ class IlluminationTensor:
     def has_time(self):
         return self.data.ndim == 3
 
-    def is_physical(self, tol=1e-9):
-        from .polarization import is_valid_stokes
-        if self.has_time:
-            return is_valid_stokes(np.moveaxis(self.data, 1, -1), tol)
-        return is_valid_stokes(self.data, tol)
-
 
 @dataclass(frozen=True)
 class DetectedTensor:
@@ -164,7 +158,6 @@ class ProbeMask:
 
     camera_mask: np.ndarray = field(repr=False)
     projector_mask: np.ndarray = field(repr=False)
-    label: str = "custom"
 
     def __post_init__(self):
         cam = np.atleast_2d(np.asarray(self.camera_mask, dtype=float))
@@ -298,7 +291,7 @@ def probe(tensor, mask):
 
 def epipolar_masks(cam_shape, proj_shape):
     """
-    Complementary epipolar / non-epipolar probe masks for rectified
+    Complementary (epipolar, non-epipolar) probe masks for rectified
     row-aligned camera and projector grids.
 
     Camera row i couples only to projector row i in the epipolar mask;
@@ -317,6 +310,4 @@ def epipolar_masks(cam_shape, proj_shape):
     for row in range(cam_h):
         cam_rows[row, row * cam_w:(row + 1) * cam_w] = 1.0
         proj_rows[row, row * proj_w:(row + 1) * proj_w] = 1.0
-    epi = ProbeMask(cam_rows, proj_rows, label="epipolar")
-    non_epi = ProbeMask(cam_rows, 1.0 - proj_rows, label="non_epipolar")
-    return epi, non_epi
+    return ProbeMask(cam_rows, proj_rows), ProbeMask(cam_rows, 1.0 - proj_rows)

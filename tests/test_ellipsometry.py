@@ -295,25 +295,23 @@ def test_capture_noise_is_the_normal_stream_of_the_seed(schedule, coaxial, cam, 
     tensor = random_tensor(np.random.default_rng(bins), coaxial, cam=cam, bins=bins)
     clean = capture(tensor, schedule).intensities
     noisy = capture(tensor, schedule, noise_sigma=2e-3, seed=41).intensities
-    expected = clean + np.random.default_rng(41).normal(0.0, 2e-3, clean.shape)
+    s_cam, s_proj, k_rows, n_bins = clean.shape
+    noise = np.random.default_rng(41).normal(0.0, 2e-3, (k_rows, s_cam, s_proj, n_bins))
+    expected = clean + noise.transpose(1, 2, 0, 3)
     assert noisy.tobytes() == expected.tobytes()
 
 
 def test_measurement_layout_does_not_change_reconstruct_or_the_container(tmp_path):
     tensor = random_tensor(np.random.default_rng(15), False, cam=(3, 3), bins=5)
     meas = capture(tensor, drr_schedule(20), noise_sigma=1e-3, seed=2)
-    # capture hands out a (K', S, S', T) view of a (S, S', K', T) buffer
-    assert meas.intensities.transpose(1, 2, 0, 3).flags.c_contiguous
-    c_ordered = dataclasses.replace(meas, intensities=np.ascontiguousarray(meas.intensities))
-    write_pltt(tmp_path / "view.pltt", meas)
-    write_pltt(tmp_path / "c.pltt", c_ordered)
-    assert (tmp_path / "view.pltt").read_bytes() == (tmp_path / "c.pltt").read_bytes()
-    results = [reconstruct(m) for m in (meas, c_ordered, read_pltt(tmp_path / "c.pltt"))]
-    for other in results[1:]:
-        assert other.tensor.data.tobytes() == results[0].tensor.data.tobytes()
-        assert other.residual_norms.tobytes() == results[0].residual_norms.tobytes()
-        assert other.tensor.noise_std.tobytes() == results[0].tensor.noise_std.tobytes()
-        assert other.sigma_hat == results[0].sigma_hat
+    write_pltt(tmp_path / "meas.pltt", meas)
+    back = read_pltt(tmp_path / "meas.pltt")
+    assert back.intensities.shape == meas.intensities.shape == (9, 9, 20, 5)
+    captured, read_back = reconstruct(meas), reconstruct(back)
+    assert read_back.tensor.data.tobytes() == captured.tensor.data.tobytes()
+    assert read_back.residual_norms.tobytes() == captured.residual_norms.tobytes()
+    assert read_back.tensor.noise_std.tobytes() == captured.tensor.noise_std.tobytes()
+    assert read_back.sigma_hat == captured.sigma_hat
 
 
 def test_capture_and_reconstruct_hold_one_chunk_beyond_their_arrays(tmp_path):
@@ -346,7 +344,7 @@ def test_capture_and_reconstruct_hold_one_chunk_beyond_their_arrays(tmp_path):
 def test_reconstruct_rejects_measurements_it_cannot_solve(value):
     meas = capture(random_tensor(np.random.default_rng(17), True), drr_schedule(16))
     intensities = meas.intensities.copy()
-    intensities[3, 1, 0, 1] = value
+    intensities[1, 0, 3, 1] = value
     with pytest.raises(ValueError, match="measurements are not finite or overflow"):
         reconstruct(dataclasses.replace(meas, intensities=intensities))
 
@@ -397,7 +395,7 @@ def test_coaxial_capture_folds_the_optics():
     meas = capture(tensor, schedule, split=0.4)
     design = design_matrix(schedule, coaxial=True, split=0.4)
     expected = design.a @ tensor.data[0, 0, :, :, 0].reshape(16)
-    np.testing.assert_allclose(meas.intensities[:, 0, 0, 0], expected, atol=1e-12)
+    np.testing.assert_allclose(meas.intensities[0, 0, :, 0], expected, atol=1e-12)
 
 
 def test_noise_floor_matches_pseudoinverse_norm():

@@ -17,7 +17,7 @@ from pltt.fileio import (
     write_pgm,
     write_pltt,
 )
-from pltt.tensor import DetectedTensor, IlluminationTensor, TransportTensor
+from pltt.tensor import TransportTensor
 
 BIN = 2e-11
 
@@ -49,39 +49,11 @@ def test_transport_round_trip_coaxial(tmp_path):
     np.testing.assert_array_equal(back.data, tensor.data)
 
 
-def test_illumination_round_trips(tmp_path):
-    rng = np.random.default_rng(2)
-    steady = IlluminationTensor(rng.normal(size=(6, 4)), (2, 3))
-    path = tmp_path / "i.pltt"
-    write_pltt(path, steady)
-    back = read_pltt(path)
-    assert isinstance(back, IlluminationTensor)
-    assert not back.has_time
-    np.testing.assert_array_equal(back.data, steady.data)
-
-    timed = IlluminationTensor(rng.normal(size=(6, 4, 7)), (2, 3), time_bin_width=BIN)
-    write_pltt(path, timed)
-    back = read_pltt(path)
-    assert back.has_time
-    assert back.time_bin_width == BIN
-    np.testing.assert_array_equal(back.data, timed.data)
-
-
-def test_detected_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    det = DetectedTensor(rng.normal(size=(4, 4, 3)), (2, 2), BIN)
-    path = tmp_path / "d.pltt"
-    write_pltt(path, det)
-    back = read_pltt(path)
-    assert isinstance(back, DetectedTensor)
-    np.testing.assert_array_equal(back.data, det.data)
-
-
 def test_measurement_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     schedule = drr_schedule(5)
     meas = MeasurementSet(
-        intensities=rng.normal(size=(5, 4, 1, 2)),
+        intensities=rng.normal(size=(4, 1, 5, 2)),
         schedule=schedule,
         geometry_mode="coaxial",
         cam_shape=(2, 2),
@@ -134,18 +106,11 @@ SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
 def _crafted_cases():
     rng = np.random.default_rng(8)
     transport = TransportTensor(rng.normal(size=(4, 1, 4, 4, 2)), (2, 2), (1, 1), BIN)
-    steady = IlluminationTensor(rng.normal(size=(4, 4)), (2, 2))
-    detected = DetectedTensor(rng.normal(size=(4, 4, 2)), (2, 2), BIN)
-    meas = MeasurementSet(rng.normal(size=(8, 2, 1, 4)), drr_schedule(8), "projector_camera",
+    meas = MeasurementSet(rng.normal(size=(2, 1, 8, 4)), drr_schedule(8), "projector_camera",
                           (1, 2), (1, 1), BIN)
     # each rewrite keeps the payload length, so only the slot checks can catch it
     cases = [
         ("transport", transport, {"dim_p": 2, "dim_q": 8}, "dim_p is 2, must be 4"),
-        ("illumination", steady, {"cam_w": 2, "proj_w": 2, "proj_h": 1},
-         "cam_w is 2, must be 1"),
-        ("illumination", steady, {"proj_w": 1, "proj_h": 1, "n_bins": 4},
-         "n_bins is 4, must be 1"),
-        ("detected", detected, {"cam_h": 1, "proj_w": 2}, "proj_w is 2, must be 1"),
         ("measurement", meas, {"dim_q": 2, "n_bins": 2}, "dim_q is 2, must be 1"),
         ("measurement", meas, {"dim_p": 4, "n_bins": 8}, "dim_p is 4, must be 8"),
     ]
@@ -180,10 +145,10 @@ def _values(shape, finite=True):
 
 @st.composite
 def containers(draw):
-    """A random object of one of the four kinds (coaxial where it has a geometry)."""
-    kind = draw(st.sampled_from(("transport", "illumination", "detected", "measurement")))
+    """A random transport or measurement set, coaxial or not."""
+    kind = draw(st.sampled_from(("transport", "measurement")))
     cam = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-    coaxial = kind in ("transport", "measurement") and draw(st.booleans())
+    coaxial = draw(st.booleans())
     proj = cam if coaxial else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     s_cam, s_proj = cam[0] * cam[1], 1 if coaxial else proj[0] * proj[1]
     n_bins = draw(st.integers(1, 3))
@@ -193,12 +158,6 @@ def containers(draw):
         return TransportTensor(draw(_values((s_cam, s_proj, 4, 4, n_bins))), cam, proj, width,
                                channel_id=draw(st.text(max_size=8)), coaxial=coaxial,
                                noise_std=noise_std)
-    if kind == "illumination":
-        if draw(st.booleans()):
-            return IlluminationTensor(draw(_values((s_proj, 4, n_bins))), proj, width)
-        return IlluminationTensor(draw(_values((s_proj, 4))), proj)
-    if kind == "detected":
-        return DetectedTensor(draw(_values((s_cam, 4, n_bins))), cam, width)
     k = draw(st.integers(1, 4))
     # AngleSchedule takes angles up to about 3e306 radians, where degrees overflow
     angles = [draw(arrays(np.float64, k, elements=st.floats(-1e300, 1e300)))
@@ -207,7 +166,7 @@ def containers(draw):
         st.sampled_from(("intensity", "polarizer_array"))),
         fixed=tuple(draw(st.booleans()) for _ in range(4)))
     return MeasurementSet(
-        draw(_values((schedule.n_rows, s_cam, s_proj, n_bins), finite=False)), schedule,
+        draw(_values((s_cam, s_proj, schedule.n_rows, n_bins), finite=False)), schedule,
         "coaxial" if coaxial else "projector_camera", cam, proj, width,
         noise_sigma=draw(st.floats(0.0, 1.0)), seed=draw(st.none() | st.integers(0, 2**63)),
         split=draw(st.floats(0.0, 1.0)))
@@ -215,8 +174,6 @@ def containers(draw):
 
 _FIELDS = {
     TransportTensor: ("cam_shape", "proj_shape", "time_bin_width", "channel_id", "coaxial"),
-    IlluminationTensor: ("proj_shape", "time_bin_width", "has_time"),
-    DetectedTensor: ("cam_shape", "time_bin_width"),
     MeasurementSet: ("geometry_mode", "cam_shape", "proj_shape", "time_bin_width",
                      "noise_sigma", "seed", "split", "provenance"),
 }
@@ -274,6 +231,23 @@ def test_malformed_noise_model_exits_two(tmp_path, capsys, value):
     assert "noise_std" in err
 
 
+@pytest.mark.parametrize("kind", ["illumination", "detected", "bogus"])
+def test_unknown_payload_kind_exits_two(tmp_path, capsys, kind):
+    path = tmp_path / "t.pltt"
+    write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN))
+    blob = path.read_bytes()
+    end = len(MAGIC) + 7 * 4 + 1 + 8 * 32
+    meta = json.loads(blob[end:])
+    assert meta["kind"] == "transport"
+    meta["kind"] = kind
+    path.write_bytes(blob[:end] + json.dumps(meta).encode("utf-8"))
+    with pytest.raises(ValueError, match="unknown PLTT payload kind '%s'" % kind):
+        read_pltt(path)
+    assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown PLTT payload kind '%s'\n" % kind
+
+
 def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
     class ShortReads:
         """A file whose reads stop halfway through the payload, as if it shrank."""
@@ -305,13 +279,14 @@ def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
 def test_write_pgm_format_and_sidecar(tmp_path):
     image = np.array([[0.0, 1.0], [2.0, np.nan]])
     path = tmp_path / "img.pgm"
-    info = write_pgm(path, image, bit_depth=16)
+    info = write_pgm(path, image)
     blob = path.read_bytes()
     assert blob.startswith(b"P5")
     assert b"65535" in blob.split(b"\n")[0:3][-1] or b"65535" in blob
     assert info["min"] == 0.0
     assert info["max"] == 2.0
     assert info["nan_count"] == 1
+    assert info["bit_depth"] == 16
     # 2x2 16-bit payload = 8 bytes after the header
     header_end = blob.index(b"65535\n") + len(b"65535\n")
     pixels = np.frombuffer(blob[header_end:], dtype=">u2").reshape(2, 2)

@@ -273,6 +273,7 @@ def test_evaluate_matches_loss_on_the_same_draws():
     assert stats["p10"] <= stats["median"] <= stats["p90"]
     assert stats["n_samples"] == 12
     assert stats["n_draws"] == 16
+    assert stats["design_rank"] == design_matrix(schedule).rank == 12
 
 
 def test_cross_validate_scores_each_fold_and_comparison():

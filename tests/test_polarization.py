@@ -130,7 +130,7 @@ def test_mirror_flips_handedness_and_s2():
     np.testing.assert_allclose(mir @ np.array([1.0, 0, 0, 1.0]), [1, 0, 0, -1], atol=1e-15)
     np.testing.assert_allclose(mir @ np.array([1.0, 0, 1.0, 0]), [1, 0, -1, 0], atol=1e-15)
     np.testing.assert_allclose(mir @ HORIZ, HORIZ, atol=1e-15)
-    np.testing.assert_allclose(galvo_mirror(0.3), mir, atol=1e-15)
+    np.testing.assert_allclose(galvo_mirror(), mir, atol=1e-15)
 
 
 def test_beamsplitter_arms():

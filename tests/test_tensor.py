@@ -237,7 +237,6 @@ def test_probed_tensors_carry_no_noise_model():
 
 def test_epipolar_masks_are_complementary_rows():
     epi, non_epi = epipolar_masks((2, 2), (2, 3))
-    assert epi.label == "epipolar" and non_epi.label == "non_epipolar"
     coupling = epi.coupling()
     assert coupling.shape == (4, 6)
     # camera pixel 0 sits in row 0, which holds projector pixels 0..2
@@ -292,15 +291,6 @@ def test_transport_tensor_validation():
     for std in (np.zeros(16), -np.eye(4), np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
         with pytest.raises(ValueError, match="noise_std"):
             TransportTensor(good, (2, 2), (2, 2), BIN, coaxial=True, noise_std=std)
-
-
-def test_illumination_physicality_check():
-    good = np.zeros((2, 4))
-    good[:, 0] = 1.0
-    assert IlluminationTensor(good, (1, 2)).is_physical()
-    bad = good.copy()
-    bad[0, 1] = 2.0
-    assert not IlluminationTensor(bad, (1, 2)).is_physical()
 
 
 def test_detected_tensor_shape_checks():
