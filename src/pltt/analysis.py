@@ -8,7 +8,6 @@ intensity image from the 16 polarimetric channels of a summed tensor.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .tensor import probe
 
@@ -219,6 +218,9 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
         )
         history = (obj,)
     elif method == "lbfgs":
+        # imported here: scipy.optimize costs every other command about 0.5 s of start-up
+        from scipy.optimize import minimize
+
         x0 = np.zeros(32)
         x0[0] = 1.0   # start from the plain-intensity readout
         history_list = []

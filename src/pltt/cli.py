@@ -12,7 +12,8 @@ Batch command line for the transport-tensor pipeline:
 
 Exit codes: 0 success, 2 usage/validation, 3 numerical failure. Errors
 go to stderr as single lines prefixed ``error:``. Every command writes
-a JSON manifest next to its primary output.
+a JSON manifest next to its primary output, with its wall time and the
+process's peak RSS.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import struct
 import sys
 import time
@@ -712,6 +714,9 @@ def _write_manifest(args, info, duration):
         "seed": info.get("seed"),
         "version": __version__,
         "duration_s": round(duration, 6),
+        # ru_maxrss is in KiB on Linux, in bytes on macOS
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                             / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 6),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

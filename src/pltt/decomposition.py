@@ -252,13 +252,22 @@ def _coherency_basis():
     return np.block([[h_re, -h_im], [h_im, h_re]])
 
 
-def _unrealisable(m):
+def _unrealisable(m, noise_std=None):
     """
     Mask of (n, 4, 4) Mueller blocks that no physical system produces:
     their coherency matrix has an eigenvalue below -REALISABLE_EPS * m00.
+
+    With a (4, 4) noise model the tolerance is at least NOISE_Z times
+    ||noise_std||_F / 2: the map M -> H scales every direction by 1/2 in
+    Frobenius norm, and by Weyl's inequality no eigenvalue of H moves by
+    more than ||dH||_F. A pure block has three zero eigenvalues, which
+    noise alone pushes below any fixed tolerance.
     """
     coherency = (m.reshape(-1, 16) @ _coherency_basis().reshape(16, 64)).reshape(-1, 8, 8)
-    return np.linalg.eigvalsh(coherency)[:, 0] < -REALISABLE_EPS * m[:, 0, 0]
+    tol = REALISABLE_EPS * m[:, 0, 0]
+    if noise_std is not None:
+        tol = np.maximum(tol, NOISE_Z * 0.5 * np.linalg.norm(noise_std))
+    return np.linalg.eigvalsh(coherency)[:, 0] < -tol
 
 
 def decompose_tensor(tensor, floor_frac=1e-6):
@@ -268,7 +277,8 @@ def decompose_tensor(tensor, floor_frac=1e-6):
     Blocks that ``lit_blocks`` leaves out are NaN in every map and
     counted in ``n_null``. The rest go through one stack call of
     ``polar_decompose``; ``n_unrealisable`` counts those among them that
-    are not physically realisable.
+    are not physically realisable beyond the tensor's noise, if it has
+    a noise model.
     """
     blocks, lit = lit_blocks(tensor, floor_frac)
     kept = blocks[lit]
@@ -282,7 +292,7 @@ def decompose_tensor(tensor, floor_frac=1e-6):
     counts = {key: int(getattr(res, flag).sum()) for key, flag in (
         ("n_singular", "singular_diattenuator"), ("n_negative_det", "negative_det_branch"),
         ("n_reorthogonalized", "reorthogonalized"), ("n_clamped", "retardance_clamped"))}
-    counts["n_unrealisable"] = int(_unrealisable(kept).sum())
+    counts["n_unrealisable"] = int(_unrealisable(kept, tensor.noise_std).sum())
     logger.log(logging.WARNING if counts["n_clamped"] else logging.INFO,
                "decomposed %d of %d blocks: %s", lit.sum(), lit.size,
                ", ".join("%s=%d" % kv for kv in counts.items()))

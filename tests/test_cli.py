@@ -399,6 +399,29 @@ def test_learn_angles_rejects_unknown_config_keys(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_every_manifest_records_the_peak_rss(tmp_path):
+    truth = simulate(tmp_path, MIRROR_SCENE)
+    target = str(tmp_path / "target.csv")
+    np.savetxt(target, np.arange(1.0, 5.0).reshape(2, 2), delimiter=",")
+    runs = {
+        "capture": ["--tensor", truth, "--out", str(tmp_path / "m.pltt")],
+        "reconstruct": ["--measurements", str(tmp_path / "m.pltt"),
+                        "--out", str(tmp_path / "r.pltt")],
+        "learn-angles": ["--config", write_learn_config(tmp_path),
+                         "--out", str(tmp_path / "s.json")],
+        "decompose": ["--tensor", truth, "--out", str(tmp_path / "d")],
+        "pca": ["--tensor", truth, "--out", str(tmp_path / "p")],
+        "descatter": ["--tensor", truth, "--target", target, "--out", str(tmp_path / "f")],
+        "slice": ["--tensor", truth, "--expr", "T(s,s,0,0,t)", "--out", str(tmp_path / "v")],
+    }
+    for command, argv in runs.items():
+        assert main([command] + argv) == 0, command
+    manifests = [json.loads(p.read_text()) for p in tmp_path.glob("*.manifest.json")]
+    assert sorted(m["command"] for m in manifests) == sorted(["simulate"] + list(runs))
+    for manifest in manifests:
+        assert manifest["peak_rss_mb"] > 0, manifest["command"]
+
+
 def test_decompose_writes_retardance_map(tmp_path, capsys):
     tensor_path = simulate(tmp_path, MIRROR_SCENE)
     out_prefix = str(tmp_path / "maps")
@@ -478,6 +501,30 @@ def test_descatter_cli_fits_the_intensity_channel(tmp_path):
     np.testing.assert_allclose(predicted, target, atol=1e-9)
 
 
+def test_descatter_lbfgs_reaches_the_closed_form_objective(tmp_path):
+    # a coaxial tensor whose summed image is well-conditioned affine data
+    rng = np.random.default_rng(17)
+    image = rng.normal(size=(120, 4, 4))
+    target = np.einsum("sij,ij->s", image + 0.1 * rng.normal(size=(4, 4)),
+                       rng.normal(size=(4, 4))) + 0.05 * rng.normal(size=120)
+    tensor_path = str(tmp_path / "image.pltt")
+    write_pltt(tensor_path, TransportTensor(image[:, None, :, :, None], (10, 12), (10, 12),
+                                            1e-10, coaxial=True))
+    target_path = str(tmp_path / "target.csv")
+    np.savetxt(target_path, target.reshape(10, 12), delimiter=",")
+    models = {}
+    for method in ("closed_form", "lbfgs"):
+        prefix = str(tmp_path / method)
+        assert main(["descatter", "--tensor", tensor_path, "--target", target_path,
+                     "--method", method, "--out", prefix]) == 0
+        manifest = json.loads((tmp_path / (method + ".manifest.json")).read_text())
+        assert manifest["command"] == "descatter"
+        models[method] = json.loads((tmp_path / (method + "_model.json")).read_text())
+        assert models[method]["method"] == method
+    assert len(models["lbfgs"]["history"]) > 1
+    assert abs(models["lbfgs"]["objective"] - models["closed_form"]["objective"]) < 1e-8
+
+
 def test_descatter_target_size_mismatch(tmp_path, capsys):
     tensor_path = simulate(tmp_path, dense_scene(0.045), bins=8)
     target_path = str(tmp_path / "bad.csv")
@@ -543,6 +590,7 @@ def test_pca_samples_about_the_truth_lit_blocks(tmp_path, scene, size, seed):
     assert main(["reconstruct", "--measurements", meas, "--out", recon]) == 0
     assert main(["pca", "--tensor", recon, "--out", str(tmp_path / "p")]) == 0
     assert main(["decompose", "--tensor", recon, "--out", str(tmp_path / "d")]) == 0
+    assert main(["decompose", "--tensor", truth, "--out", str(tmp_path / "t")]) == 0
     n_lit = int(np.sum(read_pltt(truth).data[:, :, 0, 0, :] > 0))
     assert n_lit == {8: 96, 16: 302}[size]
     principal = json.loads((tmp_path / "p_summary.json").read_text())
@@ -554,6 +602,11 @@ def test_pca_samples_about_the_truth_lit_blocks(tmp_path, scene, size, seed):
     folds = 1 if recovered.coaxial else size * size
     decomposed = json.loads((tmp_path / "d_summary.json").read_text())
     assert decomposed["noise_floor"] == pytest.approx(5.0 * std00 * np.sqrt(folds), rel=1e-12)
+    # every material in these scenes is realisable: with the fixed 1e-9 m00
+    # tolerance, noise alone counted 65 of 92 (8x8) and 36 of 302 (16x16)
+    # kept blocks, since a pure block has three zero coherency eigenvalues
+    assert decomposed["n_unrealisable"] == 0
+    assert json.loads((tmp_path / "t_summary.json").read_text())["n_unrealisable"] == 0
 
 
 def test_reconstruct_warns_when_ill_conditioned(tmp_path, capsys):

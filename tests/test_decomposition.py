@@ -307,10 +307,11 @@ def realisable_depolarizer(rng):
     return np.diag(np.concatenate(([1.0], rng.dirichlet(np.ones(4)) @ vertices)))
 
 
-def coaxial_tensor(blocks):
+def coaxial_tensor(blocks, noise_std=None):
     blocks = np.asarray(blocks, dtype=float)
     n = blocks.shape[0]
-    return TransportTensor(blocks[:, None, :, :, None], (1, n), (1, n), 1e-10, coaxial=True)
+    return TransportTensor(blocks[:, None, :, :, None], (1, n), (1, n), 1e-10, coaxial=True,
+                           noise_std=noise_std)
 
 
 def test_realisable_products_count_zero_and_a_superluminous_block_counts_one():
@@ -329,6 +330,22 @@ def test_realisable_products_count_zero_and_a_superluminous_block_counts_one():
     superluminous[0, :2] = [1.0, 1.2]     # |m01| > m00: more light out than in
     result = decompose_tensor(coaxial_tensor(products + [superluminous]))
     assert result.n_unrealisable == 1
+
+
+def test_noise_model_counts_only_blocks_unrealisable_beyond_the_noise():
+    # pure retarder * diattenuator blocks have three zero coherency
+    # eigenvalues, so noise alone puts nearly every one below zero (399 of 400)
+    rng = np.random.default_rng(23)
+    sigma = 5e-4
+    pure = np.array([retarder(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+                     @ random_diattenuator(rng) for _ in range(400)])
+    noisy = pure + rng.normal(0.0, sigma, pure.shape)
+    assert decompose_tensor(coaxial_tensor(noisy)).n_unrealisable > 300
+    std = np.full((4, 4), sigma)
+    assert decompose_tensor(coaxial_tensor(noisy, std)).n_unrealisable == 0
+    # an eigenvalue of -0.275 m00 stays far beyond 5 * ||noise_std||_F / 2 = 5e-3
+    unrealisable = np.concatenate([noisy, [np.diag([1.0, 0.8, 0.7, -0.6])]])
+    assert decompose_tensor(coaxial_tensor(unrealisable, std)).n_unrealisable == 1
 
 
 def test_noise_model_raises_the_floor_and_its_absence_keeps_the_relative_one():
