@@ -26,7 +26,6 @@ config = TrainingConfig(
     iterations=250,
     batch_size=32,
     step_size=3e-2,
-    draws=4,
     seed=1,
     eval_every=25,
 )
@@ -51,7 +50,7 @@ contenders = [
 ]
 print("\n%-32s %5s %5s %10s" % ("schedule", "rows", "rank", "mse"))
 for name, schedule in contenders:
-    stats = evaluate(schedule, test, noise_sigma=5e-4, seed=13)
+    stats = evaluate(schedule, test, noise_sigma=5e-4)
     print("%-32s %5d %5d %10.3e" % (name, schedule.n_rows, stats["design_rank"],
                                     stats["mean_squared"]))
 

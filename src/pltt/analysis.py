@@ -133,6 +133,8 @@ class DescatterModel:
     method: str = "closed_form"
     objective: float = 0.0
     history: tuple = ()
+    converged: bool = True      # False when L-BFGS stopped short; ``message`` says why
+    message: str = ""
 
 
 def apply_descatter(model, image):
@@ -190,7 +192,9 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
     equivalent affine least-squares exactly; "lbfgs" runs L-BFGS-B with
     analytic gradients from the identity initialization and records the
     objective history. Both land on the same objective value for
-    well-posed inputs.
+    well-posed inputs; an L-BFGS run that stops short of convergence
+    (the iteration cap on an ill-conditioned image) returns
+    ``converged=False`` with the optimizer's message.
     """
     image = np.asarray(image, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -217,6 +221,7 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
             np.concatenate([w_full, b_full]), x_flat, target, support_flat
         )
         history = (obj,)
+        converged, message = True, ""
     elif method == "lbfgs":
         # imported here: scipy.optimize costs every other command about 0.5 s of start-up
         from scipy.optimize import minimize
@@ -243,6 +248,7 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
         b_full = res.x[16:] * support_flat
         obj = float(res.fun)
         history = tuple(history_list)
+        converged, message = bool(res.success), str(res.message)
     else:
         raise ValueError("unknown descatter method %r" % (method,))
 
@@ -253,4 +259,6 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
         method=method,
         objective=obj,
         history=history,
+        converged=converged,
+        message=message,
     )

@@ -94,6 +94,12 @@ def _pick_mask(tensor, which):
     return epi if which == "epipolar" else non_epi
 
 
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _save_image(prefix, image, sidecar_extra):
     """16-bit PGM for looking at, CSV for exact values, JSON sidecar."""
     pgm = prefix + ".pgm"
@@ -101,11 +107,8 @@ def _save_image(prefix, image, sidecar_extra):
     meta = write_pgm(pgm, image)
     write_csv_grid(csv_path, image)
     meta.update(sidecar_extra)
-    side = prefix + ".json"
-    with open(side, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [pgm, csv_path, side]
+    _write_json(prefix + ".json", meta)
+    return [pgm, csv_path, prefix + ".json"]
 
 
 # ---------------------------------------------------------------- simulate
@@ -220,6 +223,13 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(TrainingConfig)
 _LEARN_KEYS = set(_CONFIG_FIELDS) | {"n_samples", "family_weights", "eval_seed", "n_eval"}
 
 
+def _config_int(raw, key, default, low):
+    value = raw.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError("%s must be an integer >= %d, got %r" % (key, low, value))
+    return value
+
+
 def cmd_learn_angles(args):
     with open(args.config) as fh:
         raw = json.load(fh)
@@ -229,9 +239,11 @@ def cmd_learn_angles(args):
     if unknown:
         raise ValueError("unknown config keys: %s" % ", ".join(unknown))
 
-    seed = int(raw.get("seed", 0))
-    n_samples = int(raw.get("n_samples", 500))
-    weights = tuple(raw.get("family_weights", (0.3, 0.35, 0.35)))
+    seed = _config_int(raw, "seed", 0, 0)
+    n_samples = _config_int(raw, "n_samples", 500, 1)
+    eval_seed = _config_int(raw, "eval_seed", seed + 9999, 0)
+    n_eval = _config_int(raw, "n_eval", 200, 1)
+    weights = raw.get("family_weights", [0.3, 0.35, 0.35])
     ensemble = generate_ensemble(seed, n_samples, weights=weights)
     kwargs = {key: raw[key] for key in _CONFIG_FIELDS if key in raw}
     kwargs["seed"] = seed
@@ -239,8 +251,6 @@ def cmd_learn_angles(args):
     learned = learn(config)
     save_schedule(args.out, learned.schedule)
 
-    eval_seed = int(raw.get("eval_seed", seed + 9999))
-    n_eval = int(raw.get("n_eval", 200))
     eval_samples = generate_ensemble(eval_seed, n_eval, weights=weights).samples
     contenders = [
         ("learned", learned.schedule),
@@ -253,7 +263,7 @@ def cmd_learn_angles(args):
         writer = csv.writer(fh)
         writer.writerow(["schedule", "captures", "rows", "design_rank", "mean_squared_error"])
         for name, sched in contenders:
-            stats = evaluate(sched, eval_samples, config.noise_sigma, seed=eval_seed)
+            stats = evaluate(sched, eval_samples, config.noise_sigma)
             writer.writerow([
                 name, sched.n_captures, sched.n_rows, stats["design_rank"],
                 "%.17g" % stats["mean_squared"],
@@ -271,9 +281,7 @@ def cmd_learn_angles(args):
         "config_hash": learned.config_hash,
         "ensemble": {"seed": seed, "n_samples": n_samples, "family_weights": list(weights)},
     }
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report_path, report)
     print("wrote %s: held-out loss %.6g -> %.6g" % (
         args.out, learned.init_heldout_loss, learned.best_heldout_loss))
     return {
@@ -318,23 +326,18 @@ def cmd_decompose(args):
                 prefix, grid[:, 0, t].reshape(h, w), {"map": name, "bin": t}
             )
     summary_path = args.out + "_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(
-            {
-                "n_blocks": int(decomp.null_mask.size),
-                "n_null": decomp.n_null,
-                "n_singular": decomp.n_singular,
-                "n_negative_det": decomp.n_negative_det,
-                "n_reorthogonalized": decomp.n_reorthogonalized,
-                "n_clamped": decomp.n_clamped,
-                "n_unrealisable": decomp.n_unrealisable,
-                "floor_frac": args.floor,
-                "noise_floor": noise_floor(tensor),
-                "bins": list(bins),
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(summary_path, {
+        "n_blocks": int(decomp.null_mask.size),
+        "n_null": decomp.n_null,
+        "n_singular": decomp.n_singular,
+        "n_negative_det": decomp.n_negative_det,
+        "n_reorthogonalized": decomp.n_reorthogonalized,
+        "n_clamped": decomp.n_clamped,
+        "n_unrealisable": decomp.n_unrealisable,
+        "floor_frac": args.floor,
+        "noise_floor": noise_floor(tensor),
+        "bins": list(bins),
+    })
     print("wrote %s_*: %d/%d blocks below floor" % (
         args.out, decomp.n_null, decomp.null_mask.size))
     return {
@@ -368,19 +371,14 @@ def cmd_pca(args):
     mean_path = args.out + "_mean.csv"
     write_csv_grid(mean_path, basis.mean.reshape(1, 16))
     summary_path = args.out + "_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(
-            {
-                "n_samples": int(obs.rows.shape[0]),
-                "n_skipped": obs.n_skipped,
-                "compression": args.c,
-                "noise_floor": noise_floor(tensor),
-                "components_for_95pct": basis.n_components_for(0.95),
-                "energy": basis.energy.tolist(),
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(summary_path, {
+        "n_samples": int(obs.rows.shape[0]),
+        "n_skipped": obs.n_skipped,
+        "compression": args.c,
+        "noise_floor": noise_floor(tensor),
+        "components_for_95pct": basis.n_components_for(0.95),
+        "energy": basis.energy.tolist(),
+    })
     print("wrote %s_*: %d samples, %d components reach 95%% energy" % (
         args.out, obs.rows.shape[0], basis.n_components_for(0.95)))
     return {
@@ -406,24 +404,22 @@ def cmd_descatter(args):
     predicted = apply_descatter(model, image).reshape(tensor.cam_shape)
 
     model_path = args.out + "_model.json"
-    with open(model_path, "w") as fh:
-        json.dump(
-            {
-                "weights": model.weights.tolist(),
-                "offsets": model.offsets.tolist(),
-                "mode": model.mode,
-                "method": model.method,
-                "objective": model.objective,
-                "history": list(model.history),
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(model_path, {
+        "weights": model.weights.tolist(),
+        "offsets": model.offsets.tolist(),
+        "mode": model.mode,
+        "method": model.method,
+        "objective": model.objective,
+        "history": list(model.history),
+        "converged": model.converged,
+    })
     outputs = [model_path]
     outputs += _save_image(
         args.out + "_prediction", predicted,
         {"mode": args.mode, "method": args.method},
     )
+    if not model.converged:
+        print("warning: L-BFGS stopped before converging (%s)" % model.message)
     print("wrote %s_*: objective %.6g (%s, %s)" % (
         args.out, model.objective, args.mode, args.method))
     return {
@@ -559,46 +555,24 @@ def evaluate_slice(tensor, query):
         block = block[query.cam : query.cam + 1]
         shape = (1, 1)
 
-    enum_p = enum_q = enum_t = False
-    if query.p is None:
-        if "p" in query.sums:
-            block = block.sum(axis=1, keepdims=True)
-        else:
-            enum_p = True
-    else:
-        block = block[:, query.p : query.p + 1]
-    if query.q is None:
-        if "pp" in query.sums:
-            block = block.sum(axis=2, keepdims=True)
-        else:
-            enum_q = True
-    else:
-        block = block[:, :, query.q : query.q + 1]
-    if query.t == "keep":
-        if "t" in query.sums:
-            block = block.sum(axis=3, keepdims=True)
-        else:
-            enum_t = True
-    else:
-        if not 0 <= query.t < block.shape[3]:
-            raise ValueError(
-                "time bin %d outside 0..%d" % (query.t, block.shape[3] - 1)
-            )
-        block = block[:, :, :, query.t : query.t + 1]
+    # block axes 1..3 are p, p', t; each is fixed, summed, or enumerated
+    labels = []
+    fixed_t = None if query.t == "keep" else query.t
+    for axis, index, name, label in ((1, query.p, "p", "_p%d"), (2, query.q, "pp", "_q%d"),
+                                     (3, fixed_t, "t", "_t%d")):
+        if index is not None:
+            if not 0 <= index < block.shape[axis]:   # p and p' are checked when parsed
+                raise ValueError("time bin %d outside 0..%d" % (index, block.shape[axis] - 1))
+            block = np.take(block, [index], axis=axis)
+        elif name in query.sums:
+            block = block.sum(axis=axis, keepdims=True)
+        labels.append(label if index is None and name not in query.sums else "")
 
     sign = -1.0 if query.negate else 1.0
     images = []
-    for ip in range(block.shape[1]):
-        for iq in range(block.shape[2]):
-            for it in range(block.shape[3]):
-                suffix = ""
-                if enum_p:
-                    suffix += "_p%d" % ip
-                if enum_q:
-                    suffix += "_q%d" % iq
-                if enum_t:
-                    suffix += "_t%d" % it
-                images.append((suffix, sign * block[:, ip, iq, it].reshape(shape)))
+    for idx in np.ndindex(block.shape[1:]):
+        suffix = "".join(label % i for label, i in zip(labels, idx) if label)
+        images.append((suffix, sign * block[(slice(None),) + idx].reshape(shape)))
     return images
 
 
@@ -718,9 +692,7 @@ def _write_manifest(args, info, duration):
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                              / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 6),
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
 
 

@@ -159,14 +159,12 @@ def schedule_to_dict(schedule):
 def schedule_from_dict(obj):
     if not isinstance(obj, dict):
         raise ValueError("a schedule must be a JSON object")
-    for key in ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg"):
+    keys = ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg")
+    for key in keys:
         if key not in obj:
             raise ValueError("schedule is missing field %r" % key)
     return AngleSchedule(
-        theta1=np.deg2rad(obj["theta1_deg"]),
-        theta2=np.deg2rad(obj["theta2_deg"]),
-        theta3=np.deg2rad(obj["theta3_deg"]),
-        theta4=np.deg2rad(obj["theta4_deg"]),
+        *(np.deg2rad(obj[key]) for key in keys),
         sensor_mode=obj.get("sensor_mode", "intensity"),
         fixed=tuple(obj.get("fixed", (True, False, False, True))),
     )

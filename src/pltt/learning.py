@@ -1,22 +1,22 @@
 """
 Gradient-based optimization of capture-angle schedules.
 
-The target is the Monte Carlo reconstruction loss
+The target is the expected reconstruction loss over a training set of
+Mueller matrices and measurement noise eta with second moment S:
 
-    L = mean_n || A(theta)^+ (A(theta) vec(M_n) + eta_n) - vec(M_n) ||^2
+    L = mean_n E || A(theta)^+ (A(theta) vec(M_n) + eta) - vec(M_n) ||^2
+      = mean_n || (A^+ A - I) vec(M_n) ||^2 + tr(A^+ S A^+^T)
 
-over a training set of Mueller matrices and Gaussian noise draws. A(theta)
+Training and scoring take white noise, S = sigma^2 I, so the loss is
+exact and no noise is drawn; at full rank it is sigma^2 ||A^+||_F^2, the
+noise-optimal polarimeter criterion. ``loss`` and ``grad_loss`` also
+take explicit draws E, S = E^T E / N, for their Monte Carlo loss. A(theta)
 and its angle derivatives come from ``ellipsometry.forward_model``, the
-same forward model that capture and reconstruction use (it also folds
-in the coaxial beamsplitter and galvo, which ``expected_noise_floor``
-takes). The gradient flows through the design matrix rows and through
-the truncated pseudoinverse via the fixed-rank differential
+forward model of capture and reconstruction. The gradient flows through
+the design matrix rows and the truncated pseudoinverse via the
+fixed-rank differential
 
     dA+ = -A+ dA A+ + A+ A+^T dA^T (I - A A+) + (I - A+ A) dA^T A+^T A+
-
-accumulated over the batch in matrix form. Noise enters as explicit
-arrays, so the loss is a deterministic, differentiable function of the
-angles and finite-difference checks are well posed.
 
 Optimization is plain Adam from the classical dual-rotating-retarder
 initialization, with cosine step-size decay, an 80/20 held-out split,
@@ -26,6 +26,7 @@ and factors A once for both the batch loss and its gradient.
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -40,10 +41,6 @@ from .ellipsometry import (
 )
 
 
-def _vec(mats):
-    return np.asarray(mats, dtype=float).reshape(-1, 16)
-
-
 def default_trainable(sensor_mode):
     """All four columns in intensity mode; no detector LP with an array sensor."""
     if sensor_mode == "polarizer_array":
@@ -51,41 +48,56 @@ def default_trainable(sensor_mode):
     return (True, True, True, True)
 
 
+def _plain(value, kind):
+    """``value`` is a ``kind`` (numbers.Integral or numbers.Real) but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+
+
+def _noise_moment(noise, n_blocks, n_rows):
+    """E[eta eta^T] (K', K'): sigma^2 I for a scalar std, E^T E / N for draws."""
+    if np.ndim(noise) == 0:
+        if not (_plain(noise, numbers.Real) and 0 <= noise < np.inf):
+            raise ValueError("noise sigma must be a finite number >= 0, got %r" % (noise,))
+        return float(noise) ** 2 * np.eye(n_rows)
+    noise = np.asarray(noise, dtype=float)
+    if (noise.ndim not in (2, 3) or noise.shape[0] != n_blocks
+            or noise.shape[-1] != n_rows or noise.size == 0):
+        raise ValueError("noise draws have shape %r, expected (%d, %d) or (%d, D, %d)"
+                         % (noise.shape, n_blocks, n_rows, n_blocks, n_rows))
+    draws = noise.reshape(-1, n_rows)
+    return draws.T @ draws / draws.shape[0]
+
+
 def _loss_and_grad(schedule, mats, noise, trainable=None, with_grad=True):
     """
     Batch loss and, unless ``with_grad`` is false, its angle gradient.
 
-    Builds the design matrix once and factors it once; returns
-    (loss, grads, rank_marginal), the last two None when not asked for.
+    The error splits into the bias (P - I) m, P = A+ A, and the noise
+    A+ eta, orthogonal since A+^T (I - P) = 0, so no cross term remains.
+    Factors the design once; returns (loss, rank, grads, rank_marginal),
+    the last two None when not asked for.
     """
     fwd = forward_model(schedule)
     a = fwd.design()
     a_pinv, s, keep = _pinv_and_singular_values(a)
-    m = _vec(mats)
-    noise = np.asarray(noise, dtype=float)
-    if noise.ndim == 3:
-        m = np.repeat(m, noise.shape[1], axis=0)
-        noise = noise.reshape(-1, noise.shape[2])
-    if noise.shape != (m.shape[0], a.shape[0]):
-        raise ValueError("noise draws have shape %r, expected (%d, %d)"
-                         % (noise.shape, m.shape[0], a.shape[0]))
-    y = m @ a.T + noise
-    resid = y @ a_pinv.T - m
-    batch_loss = float(np.mean(np.sum(resid * resid, axis=1)))
+    m = np.asarray(mats, dtype=float).reshape(-1, 16)
+    moment = _noise_moment(noise, m.shape[0], a.shape[0])
+    rank = int(np.count_nonzero(keep))
+    # at full rank P = I and the bias vanishes exactly; below it the bias is
+    # formed from A+ A m, since forming I - A+ A leaves a rounding floor
+    bias = (m @ a.T) @ a_pinv.T - m if rank < 16 else np.zeros_like(m)   # (B, 16)
+    gain = a_pinv @ moment                # (16, K')
+    batch_loss = float(np.mean(np.sum(bias * bias, axis=1)) + np.sum(gain * a_pinv))
     if not with_grad:
-        return batch_loss, None, None
+        return batch_loss, rank, None, None
 
     cutoff = RANK_TOL * s[0]
     rank_marginal = bool(np.any((s > cutoff * 1e-2) & (s < cutoff * 1e2) & keep))
-    yr = y.T @ resid                      # (K', 16)
-    ry = yr.T                             # (16, K')
-    mr = m.T @ resid                      # (16, 16)
-    proj_left = np.eye(a.shape[0]) - a @ a_pinv
-    proj_right = np.eye(16) - a_pinv @ a
-    g = (-a_pinv @ yr @ a_pinv
-         + (a_pinv @ a_pinv.T) @ ry @ proj_left
-         + proj_right @ ry @ (a_pinv.T @ a_pinv)
-         + mr @ a_pinv)                   # (16, K'), dL = (2/N) tr(dA g)
+    # dL = 2 tr(dA g) through the fixed-rank differential of A+; the last
+    # term vanishes for white noise, S = sigma^2 I
+    g = (bias.T @ m @ a_pinv / m.shape[0]
+         - gain @ a_pinv.T @ a_pinv
+         + (a_pinv @ a_pinv.T) @ gain @ (np.eye(a.shape[0]) - a @ a_pinv))   # (16, K')
     g_blocks = g.T.reshape(a.shape[0], 4, 4)
 
     # row n of A is kron(r_n, c_n), so dL/dtheta sums dr_n G_n c_n + r_n G_n dc_n
@@ -97,20 +109,21 @@ def _loss_and_grad(schedule, mats, noise, trainable=None, with_grad=True):
         np.einsum("ni,nij,nj->n", fwd.dr3, g_blocks, c_rows),
         np.einsum("ni,nij,nj->n", fwd.dr4, g_blocks, c_rows),
     ])
-    grads = (2.0 / m.shape[0]) * per_row.reshape(4, schedule.n_captures, -1).sum(axis=2)
+    grads = 2.0 * per_row.reshape(4, schedule.n_captures, -1).sum(axis=2)
     if trainable is None:
         trainable = default_trainable(schedule.sensor_mode)
     grads[~np.asarray(trainable, dtype=bool)] = 0.0
-    return batch_loss, grads, rank_marginal
+    return batch_loss, rank, grads, rank_marginal
 
 
 def loss(schedule, mats, noise):
     """
-    Monte Carlo reconstruction loss for explicit noise draws.
+    Mean squared Frobenius reconstruction error of the blocks ``mats``.
 
-    mats: (B, 4, 4) scene blocks. noise: (B, K') or (B, D, K') draws;
-    D draws per sample average over repeated measurements of the same
-    block. Returns the mean squared Frobenius reconstruction error.
+    mats: (B, 4, 4) scene blocks. noise: a scalar sigma >= 0 gives the
+    exact expectation over white Gaussian noise of that std; explicit
+    draws (B, K') or (B, D, K') give the Monte Carlo loss of those draws,
+    D draws per sample averaging over repeated measurements of a block.
     """
     return _loss_and_grad(schedule, mats, noise, with_grad=False)[0]
 
@@ -124,7 +137,7 @@ def grad_loss(schedule, mats, noise, trainable=None):
     close enough to the truncation cutoff that the fixed-rank gradient
     is a subgradient surrogate.
     """
-    _, grads, rank_marginal = _loss_and_grad(schedule, mats, noise, trainable)
+    _, _, grads, rank_marginal = _loss_and_grad(schedule, mats, noise, trainable)
     return grads, rank_marginal
 
 
@@ -140,7 +153,14 @@ def expected_noise_floor(schedule, noise_sigma, coaxial=False):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Everything a training run needs; hashable for provenance."""
+    """
+    Everything a training run needs; hashable for provenance.
+
+    ``draws`` and ``eval_draws`` no longer change any result: the batch
+    and held-out losses are exact expectations over the noise. The two
+    fields stay so that existing configs keep working, and
+    ``config_hash`` still covers them.
+    """
 
     samples: np.ndarray = field(repr=False)     # (n, 4, 4) training ensemble
     k: int = 36
@@ -161,8 +181,23 @@ class TrainingConfig:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 3 or samples.shape[1:] != (4, 4):
             raise ValueError("samples must be (n, 4, 4)")
-        if self.k < 1:
-            raise ValueError("K must be >= 1")
+        counts = (("k", 1), ("batch_size", 1), ("draws", 1), ("eval_every", 1),
+                  ("eval_draws", 1), ("iterations", 0), ("seed", 0))
+        rules = [(name, _plain(getattr(self, name), numbers.Integral)
+                  and getattr(self, name) >= low, "an integer >= %d" % low)
+                 for name, low in counts]
+        rules += [
+            ("noise_sigma", _plain(self.noise_sigma, numbers.Real)
+             and 0 <= self.noise_sigma < np.inf, "a finite number >= 0"),
+            ("step_size", _plain(self.step_size, numbers.Real)
+             and 0 < self.step_size < np.inf, "a finite number > 0"),
+            ("holdout_fraction", _plain(self.holdout_fraction, numbers.Real)
+             and 0 <= self.holdout_fraction < 1, "a number in [0, 1)"),
+        ]
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError("%s must be %s, got %r"
+                                 % ("K" if name == "k" else name, rule, getattr(self, name)))
         if self.batch_size > samples.shape[0]:
             raise ValueError("batch size exceeds the ensemble size")
         if self.trainable is None:
@@ -213,15 +248,8 @@ def learn(config):
     movable = np.asarray(config.trainable) & np.asarray(default_trainable(config.sensor_mode))
     mask = np.repeat(movable[:, None], config.k, axis=1)
 
-    n_rows = init.n_rows
-    hold_noise = np.random.default_rng(config.seed + 1).normal(
-        0.0, config.noise_sigma, size=(hold_set.shape[0], config.eval_draws, n_rows))
-
-    def heldout_loss(sched):
-        return loss(sched, hold_set, hold_noise)
-
     sched = init
-    init_hold = heldout_loss(sched)
+    init_hold = loss(sched, hold_set, config.noise_sigma)
     best_hold = init_hold
     best_angles = angles.copy()
     heldout_iters = [0]
@@ -233,17 +261,15 @@ def learn(config):
     adam_v = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     loss_curve = np.empty(config.iterations)
-    initial_batch_loss = None
 
     for it in range(config.iterations):
         lr = config.step_size * 0.5 * (1.0 + np.cos(np.pi * it / max(1, config.iterations)))
         batch_idx = rng.choice(train_set.shape[0], size=config.batch_size, replace=False)
         batch = train_set[batch_idx]
-        noise = rng.normal(0.0, config.noise_sigma,
-                           size=(config.batch_size, config.draws, n_rows))
-        batch_loss, grads, _ = _loss_and_grad(sched, batch, noise, config.trainable)
+        batch_loss, _, grads, _ = _loss_and_grad(sched, batch, config.noise_sigma,
+                                                 config.trainable)
         loss_curve[it] = batch_loss
-        if initial_batch_loss is None:
+        if it == 0:
             initial_batch_loss = batch_loss
         if batch_loss > 1e3 * max(initial_batch_loss, 1e-300):
             raise RuntimeError(
@@ -260,7 +286,7 @@ def learn(config):
         sched = init.with_angles(*angles)
 
         if (it + 1) % config.eval_every == 0 or it + 1 == config.iterations:
-            hold = heldout_loss(sched)
+            hold = loss(sched, hold_set, config.noise_sigma)
             heldout_iters.append(it + 1)
             heldout_curve.append(hold)
             if hold < best_hold:
@@ -280,34 +306,17 @@ def learn(config):
     )
 
 
-def evaluate(schedule, samples, noise_sigma, draws=32, seed=0):
+def evaluate(schedule, samples, noise_sigma):
     """
-    Reconstruction-error statistics of a schedule on an ensemble.
+    Exact expected reconstruction error of a schedule on an ensemble.
 
-    Returns mean squared Frobenius error (the loss metric) plus
-    mean/median/decile statistics of the unsquared Frobenius error, and
-    the rank of the design the pseudoinverse kept.
+    Returns the mean squared Frobenius error under white noise of std
+    ``noise_sigma`` (the loss metric, with no noise drawn) and the rank
+    of the design the pseudoinverse kept.
     """
-    samples = np.asarray(samples, dtype=float)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, noise_sigma, size=(samples.shape[0], draws, schedule.n_rows))
-    m = _vec(samples)
-    a = forward_model(schedule).design()
-    a_pinv, rank, _ = pinv_truncated(a)
-    y = np.einsum("ni,ki->nk", m, a)[:, None, :] + noise
-    recon = np.einsum("ndk,ik->ndi", y, a_pinv)
-    err_sq = np.sum((recon - m[:, None, :]) ** 2, axis=2)
-    err = np.sqrt(err_sq)
-    return {
-        "mean_squared": float(err_sq.mean()),
-        "mean": float(err.mean()),
-        "median": float(np.median(err)),
-        "p10": float(np.quantile(err, 0.10)),
-        "p90": float(np.quantile(err, 0.90)),
-        "n_samples": int(samples.shape[0]),
-        "n_draws": int(draws),
-        "design_rank": rank,
-    }
+    mean_squared, rank, _, _ = _loss_and_grad(schedule, samples, noise_sigma,
+                                              with_grad=False)
+    return {"mean_squared": mean_squared, "design_rank": rank}
 
 
 def cross_validate(config, n_folds=5, comparison_schedules=None):
@@ -315,8 +324,9 @@ def cross_validate(config, n_folds=5, comparison_schedules=None):
     K-fold harness: train on all but one fold, evaluate on the held-out
     fold, and score any comparison schedules on the same folds.
 
-    Returns a list of per-fold dicts with the learned schedule's test
-    error under key 'learned' plus one key per comparison schedule.
+    Returns a list of per-fold dicts with the learned schedule's exact
+    expected test error (``evaluate``) under key 'learned' plus one key
+    per comparison schedule; no noise is drawn.
     """
     samples = config.samples
     n = samples.shape[0]
@@ -333,12 +343,10 @@ def cross_validate(config, n_folds=5, comparison_schedules=None):
         test = samples[test_idx]
         entry = {
             "fold": i,
-            "learned": evaluate(learned.schedule, test, config.noise_sigma,
-                                draws=config.eval_draws, seed=config.seed + i)["mean_squared"],
+            "learned": evaluate(learned.schedule, test, config.noise_sigma)["mean_squared"],
             "learned_schedule": learned,
         }
         for name, sched in comparison_schedules.items():
-            entry[name] = evaluate(sched, test, config.noise_sigma,
-                                   draws=config.eval_draws, seed=config.seed + i)["mean_squared"]
+            entry[name] = evaluate(sched, test, config.noise_sigma)["mean_squared"]
         results.append(entry)
     return results

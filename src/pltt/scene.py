@@ -118,17 +118,32 @@ def material_mueller(spec):
         return retarder(np.deg2rad(_need(spec, "axis_deg")),
                         np.deg2rad(_need(spec, "retardance_deg")))
     if kind == "custom":
-        m = np.asarray(_need(spec, "matrix"), dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("material field 'matrix' must be 4x4, got %r" % (m.shape,))
-        return m
+        return _need(spec, "matrix", shape=(4, 4))
     raise ValueError("unknown material kind %r" % (kind,))
 
 
-def _need(spec, key):
+def _need(spec, key, shape=()):
     if key not in spec:
         raise ValueError("material kind %r is missing field %r" % (spec.get("kind"), key))
-    return spec[key]
+    return _finite(spec[key], "material field %r" % key, shape=shape)
+
+
+def _finite(value, name, low=-np.inf, high=np.inf, shape=()):
+    """
+    ``value`` as a float (array) if it nests finite JSON numbers, not
+    bools, of ``shape`` (any shape for None) within [low, high].
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:   # ragged nesting
+        arr = np.asarray(None)
+    if (arr.dtype.kind not in "iuf" or shape not in (None, arr.shape)
+            or not np.all(np.isfinite(arr) & (arr >= low) & (arr <= high))):
+        what = ("a finite number" if shape == () else "finite numbers" if shape is None
+                else "finite numbers of shape %s" % (shape,))
+        bounds = "" if (low, high) == (-np.inf, np.inf) else " in [%g, %g]" % (low, high)
+        raise ValueError("%s must be %s%s, got %r" % (name, what, bounds, value))
+    return arr.astype(float) if arr.ndim else float(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +188,17 @@ def parse_scene(obj):
     if mode not in ("coaxial", "projector_camera"):
         raise ValueError("field 'geometry_mode' must be 'coaxial' or 'projector_camera', got %r"
                          % (mode,))
+    for key in ("surfaces", "chains"):
+        items = obj.get(key, [])
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise ValueError("field '%s' must be a list of objects, got %r" % (key, items))
     surfaces = []
     for i, raw in enumerate(obj.get("surfaces", [])):
         patch = _parse_patch(raw, "surfaces[%d].patch" % i)
-        depth = raw.get("depth_m")
-        if not isinstance(depth, (int, float)) or depth < 0:
-            raise ValueError("field 'surfaces[%d].depth_m' must be a number >= 0, got %r"
-                             % (i, depth))
+        depth = _finite(raw.get("depth_m"), "field 'surfaces[%d].depth_m'" % i, low=0.0)
         material = raw.get("material")
         material_mueller(material)   # validates, result rebuilt later
-        surfaces.append(Surface(patch, float(depth), material))
+        surfaces.append(Surface(patch, depth, material))
     chains = []
     for i, raw in enumerate(obj.get("chains", [])):
         mats = raw.get("materials")
@@ -190,31 +206,26 @@ def parse_scene(obj):
             raise ValueError("field 'chains[%d].materials' must be a nonempty list" % i)
         for mat in mats:
             material_mueller(mat)
-        length = raw.get("path_length_m")
-        if not isinstance(length, (int, float)) or length < 0:
-            raise ValueError("field 'chains[%d].path_length_m' must be a number >= 0, got %r"
-                             % (i, length))
+        length = _finite(raw.get("path_length_m"), "field 'chains[%d].path_length_m'" % i,
+                         low=0.0)
         cam_patch = _parse_patch({"patch": raw.get("camera_patch")},
                                  "chains[%d].camera_patch" % i)
         proj_patch = None
         if raw.get("projector_patch") is not None:
             proj_patch = _parse_patch({"patch": raw.get("projector_patch")},
                                       "chains[%d].projector_patch" % i)
-        chains.append(BounceChain(tuple(mats), float(length), cam_patch, proj_patch))
+        chains.append(BounceChain(tuple(mats), length, cam_patch, proj_patch))
     volume = None
     if obj.get("scatter_volume") is not None:
         raw = obj["scatter_volume"]
-        depth = raw.get("depth_m")
-        if not isinstance(depth, (int, float)) or depth < 0:
-            raise ValueError("field 'scatter_volume.depth_m' must be a number >= 0, got %r"
-                             % (depth,))
+        if not isinstance(raw, dict):
+            raise ValueError("field 'scatter_volume' must be an object, got %r" % (raw,))
+        depth = _finite(raw.get("depth_m"), "field 'scatter_volume.depth_m'", low=0.0)
         strength = raw.get("strength")
-        strength_arr = np.asarray(strength, dtype=float)
-        if np.any(strength_arr < 0.0) or np.any(strength_arr > 1.0):
-            raise ValueError("field 'scatter_volume.strength' must lie in [0, 1]")
+        _finite(strength, "field 'scatter_volume.strength'", 0.0, 1.0, shape=None)
         backscatter = raw.get("backscatter")
         material_mueller(backscatter)
-        volume = ScatterVolume(backscatter, strength, float(depth))
+        volume = ScatterVolume(backscatter, strength, depth)
     return SceneSpec(mode, tuple(surfaces), tuple(chains), volume)
 
 
@@ -231,7 +242,7 @@ def load_scene(path):
 def _parse_patch(raw, name):
     patch = raw.get("patch")
     if (not isinstance(patch, (list, tuple)) or len(patch) != 4
-            or not all(isinstance(v, int) for v in patch)):
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in patch)):
         raise ValueError("field '%s' must be [row0, row1, col0, col1] integers, got %r"
                          % (name, patch))
     r0, r1, c0, c1 = patch
@@ -255,11 +266,11 @@ def _patch_pixels(patch, shape):
 
 
 def _time_bin(path_length_m, bin_width, n_bins, what):
-    t_bin = int(np.floor(path_length_m / SPEED_OF_LIGHT / bin_width))
-    if t_bin >= n_bins:
-        raise ValueError("%s needs time bin %d but the tensor has only %d bins"
+    t_bin = np.floor(path_length_m / SPEED_OF_LIGHT / bin_width)
+    if not t_bin < n_bins:
+        raise ValueError("%s needs time bin %.0f but the tensor has only %d bins"
                          % (what, t_bin, n_bins))
-    return t_bin
+    return int(t_bin)
 
 
 def build_transport(scene, resolution, n_bins, time_bin_width):
@@ -362,9 +373,9 @@ def generate_ensemble(seed, n, weights=(0.3, 0.35, 0.35)):
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (3,) or np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("weights must be three nonnegative numbers")
+    weights = _finite(weights, "family weights", low=0.0, shape=(3,))
+    if weights.sum() <= 0:
+        raise ValueError("family weights must not all be 0")
     probs = weights / weights.sum()
     streams = np.random.SeedSequence(seed).spawn(n)
     samples = np.empty((n, 4, 4))

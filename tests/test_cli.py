@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pltt.analysis import summed_polarimetric_image
 from pltt.cli import main, parse_slice_expression
 from pltt.ellipsometry import capture, drr_schedule, reconstruct, save_schedule
 from pltt.fileio import read_pltt, write_pltt
@@ -109,6 +110,101 @@ def test_simulate_reports_the_offending_scene_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "geometry_mode" in err
+
+
+def fuzz_scene():
+    # every scene part once, placed so that 2x2 pixels and 4 bins of 1 ns hold it
+    return {
+        "geometry_mode": "projector_camera",
+        "surfaces": [
+            {"patch": [0, 1, 0, 2], "depth_m": 0.15,
+             "material": {"kind": "diffuse_depolarizer", "albedo": 0.5, "residual_dop": 0.3}},
+            {"patch": [1, 2, 0, 1], "depth_m": 0.3,
+             "material": {"kind": "fresnel_dielectric", "eta": 1.5, "incidence_deg": 35.0}},
+        ],
+        "chains": [
+            {"materials": [{"kind": "retarder_plate", "retardance_deg": 90.0, "axis_deg": 30.0},
+                           {"kind": "custom", "matrix": (0.5 * np.eye(4)).tolist()}],
+             "path_length_m": 0.45, "camera_patch": [0, 2, 1, 2],
+             "projector_patch": [0, 1, 0, 1]},
+        ],
+        "scatter_volume": {"backscatter": {"kind": "ideal_mirror"}, "strength": 0.2,
+                           "depth_m": 0.05},
+    }
+
+
+def run_simulate(tmp_dir, scene):
+    path = os.path.join(tmp_dir, "scene.json")
+    with open(path, "w") as fh:
+        json.dump(scene, fh)
+    return main(["simulate", "--scene", path, "--resolution", "2x2", "--bins", "4",
+                 "--bin-width", "1e-9", "--out", os.path.join(tmp_dir, "t.pltt")])
+
+
+def test_fuzz_scene_simulates(tmp_path):
+    assert run_simulate(str(tmp_path), fuzz_scene()) == 0
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda s: s.update(surfaces={"patch": [0, 1, 0, 1]}), "surfaces"),
+    (lambda s: s["surfaces"].append("mirror"), "surfaces"),
+    (lambda s: s.update(chains={}), "chains"),
+    (lambda s: s.update(scatter_volume=[0.2]), "scatter_volume"),
+    (lambda s: s["scatter_volume"].update(strength="0.2"), "strength"),
+    (lambda s: s["scatter_volume"].update(strength=None), "strength"),
+    (lambda s: s["surfaces"][0]["material"].update(albedo="0.5"), "albedo"),
+    (lambda s: s["surfaces"][1]["material"].update(eta=None), "eta"),
+    (lambda s: s["surfaces"][1]["material"].update(incidence_deg=True), "incidence_deg"),
+    (lambda s: s["chains"][0]["materials"][0].update(axis_deg=float("inf")), "axis_deg"),
+    (lambda s: s["chains"][0]["materials"][1]["matrix"][2].__setitem__(1, None), "matrix"),
+    (lambda s: s["surfaces"][0].update(depth_m=float("nan")), "depth_m"),
+    (lambda s: s["surfaces"][0].update(depth_m=1e308), "surface 0"),
+    (lambda s: s["chains"][0].update(path_length_m=10 ** 400), "path_length_m"),
+    (lambda s: s["surfaces"][0].update(patch=[0, True, 0, 1]), "patch"),
+], ids=["surfaces-object", "surfaces-string", "chains-object", "scatter-list",
+        "strength-string", "strength-null", "albedo-string", "eta-null", "incidence-bool",
+        "axis-inf", "matrix-null", "depth-nan", "depth-beyond-bins", "length-huge-int",
+        "patch-bool"])
+def test_malformed_scene_exits_two_naming_the_field(tmp_path, capsys, edit, field):
+    scene = fuzz_scene()
+    edit(scene)
+    assert run_simulate(str(tmp_path), scene) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert field in err
+
+
+def json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_scene_exits_zero_or_two(data):
+    scene = fuzz_scene()
+    path = data.draw(st.sampled_from(list(json_paths(scene))), label="path")
+    value = data.draw(JSON_VALUES, label="value")
+    if path:
+        parent = scene
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        scene = value
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_simulate(tmp, scene) in (0, 2)
 
 
 def test_simulate_rejects_malformed_resolution(tmp_path, capsys):
@@ -399,6 +495,39 @@ def test_learn_angles_rejects_unknown_config_keys(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"k": "12"}, "K"),
+    ({"k": 2.5}, "K"),
+    ({"k": True}, "K"),
+    ({"iterations": "5"}, "iterations"),
+    ({"iterations": -1}, "iterations"),
+    ({"batch_size": None}, "batch_size"),
+    ({"step_size": [1]}, "step_size"),
+    ({"step_size": 0}, "step_size"),
+    ({"eval_every": 0}, "eval_every"),
+    ({"draws": 0}, "draws"),
+    ({"eval_draws": 0}, "eval_draws"),
+    ({"noise_sigma": -1}, "noise_sigma"),
+    ({"noise_sigma": float("nan")}, "noise_sigma"),
+    ({"holdout_fraction": 1.0}, "holdout_fraction"),
+    ({"seed": "3"}, "seed"),
+    ({"seed": 3.5}, "seed"),
+    ({"n_samples": 40.5}, "n_samples"),
+    ({"eval_seed": "1"}, "eval_seed"),
+    ({"n_eval": 0}, "n_eval"),
+    ({"family_weights": 3}, "family weights"),
+    ({"family_weights": {"a": 1}}, "family weights"),
+])
+def test_malformed_training_config_exits_two(tmp_path, capsys, overrides, field):
+    config = write_learn_config(tmp_path, **overrides)
+    out = tmp_path / "o.json"
+    assert main(["learn-angles", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert field in err
+    assert not out.exists()
+
+
 def test_every_manifest_records_the_peak_rss(tmp_path):
     truth = simulate(tmp_path, MIRROR_SCENE)
     target = str(tmp_path / "target.csv")
@@ -522,7 +651,44 @@ def test_descatter_lbfgs_reaches_the_closed_form_objective(tmp_path):
         models[method] = json.loads((tmp_path / (method + "_model.json")).read_text())
         assert models[method]["method"] == method
     assert len(models["lbfgs"]["history"]) > 1
+    assert models["lbfgs"]["converged"] is True
     assert abs(models["lbfgs"]["objective"] - models["closed_form"]["objective"]) < 1e-8
+
+
+def test_descatter_says_when_lbfgs_stops_short(tmp_path, capsys):
+    # an exactly affine target on a noisy coaxial reconstruction: the closed
+    # form fits it to rounding, L-BFGS reaches its iteration cap first
+    scene = write_scene(tmp_path, {"geometry_mode": "coaxial", "surfaces": [
+        {"patch": [0, 2, 0, 4], "depth_m": 0.15,
+         "material": {"kind": "diffuse_depolarizer", "albedo": 0.6, "residual_dop": 0.4}},
+        {"patch": [2, 4, 0, 4], "depth_m": 0.3,
+         "material": {"kind": "fresnel_dielectric", "eta": 1.5, "incidence_deg": 40.0}},
+        {"patch": [0, 4, 4, 8], "depth_m": 0.45,
+         "material": {"kind": "retarder_plate", "retardance_deg": 60.0, "axis_deg": 20.0}},
+    ]})
+    truth, meas, recon = (str(tmp_path / n) for n in ("t.pltt", "m.pltt", "r.pltt"))
+    assert main(["simulate", "--scene", scene, "--resolution", "4x8", "--bins", "4",
+                 "--bin-width", "1e-9", "--out", truth]) == 0
+    assert main(["capture", "--tensor", truth, "--schedule", "drr", "--k", "36",
+                 "--noise", "1e-3", "--seed", "4", "--out", meas]) == 0
+    assert main(["reconstruct", "--measurements", meas, "--out", recon]) == 0
+    image = summed_polarimetric_image(read_pltt(recon))
+    target = str(tmp_path / "target.csv")
+    weights = np.random.default_rng(1).normal(size=16)
+    np.savetxt(target, (image.reshape(-1, 16) @ weights + 0.3).reshape(4, 8), delimiter=",")
+    capsys.readouterr()
+    models = {}
+    for method in ("closed_form", "lbfgs"):
+        out = str(tmp_path / method)
+        assert main(["descatter", "--tensor", recon, "--target", target,
+                     "--method", method, "--out", out]) == 0
+        models[method] = json.loads((tmp_path / (method + "_model.json")).read_text())
+        warned = "warning: L-BFGS stopped before converging (" in capsys.readouterr().out
+        assert warned == (method == "lbfgs")
+    assert models["closed_form"]["converged"] is True
+    assert models["closed_form"]["objective"] < 1e-20
+    assert models["lbfgs"]["converged"] is False
+    assert models["lbfgs"]["objective"] > 1e6 * models["closed_form"]["objective"]
 
 
 def test_descatter_target_size_mismatch(tmp_path, capsys):
