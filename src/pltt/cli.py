@@ -448,13 +448,17 @@ class SliceQuery:
     t: object         # "keep" or int
 
 
+def _int_slot(token, name):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("bad %s slot %r; %s" % (name, token, _SLICE_GRAMMAR))
+
+
 def _parse_pol_slot(token, name):
     if token == ":":
         return None
-    try:
-        value = int(token)
-    except ValueError:
-        raise ValueError("bad %s slot %r; %s" % (name, token, _SLICE_GRAMMAR))
+    value = _int_slot(token, name)
     if not 0 <= value <= 3:
         raise ValueError("%s index %d outside 0..3" % (name, value))
     return value
@@ -482,21 +486,8 @@ def parse_slice_expression(expr):
         raise ValueError("cannot parse %r; %s" % (expr, _SLICE_GRAMMAR))
     cam_tok, proj_tok, p_tok, q_tok, t_tok = m.groups()
 
-    cam = "s" if cam_tok == "s" else None
-    if cam is None:
-        try:
-            cam = int(cam_tok)
-        except ValueError:
-            raise ValueError("bad camera slot %r; %s" % (cam_tok, _SLICE_GRAMMAR))
-
-    if proj_tok in ("s", "s_e", "s_n"):
-        proj = proj_tok
-    else:
-        try:
-            proj = int(proj_tok)
-        except ValueError:
-            raise ValueError("bad projector slot %r; %s" % (proj_tok, _SLICE_GRAMMAR))
-
+    cam = cam_tok if cam_tok == "s" else _int_slot(cam_tok, "camera")
+    proj = proj_tok if proj_tok in ("s", "s_e", "s_n") else _int_slot(proj_tok, "projector")
     p = _parse_pol_slot(p_tok, "p")
     q = _parse_pol_slot(q_tok, "p'")
 

@@ -23,25 +23,30 @@ kron(analyzer_row_k, source_stokes_k) gives the design matrix A with
 I = A vec(M) (row-major vec). Reconstruction is least squares through
 a truncated-SVD pseudoinverse, shared across pixels and time bins.
 
-``forward_model`` is the one forward model: it builds the source
-vectors, the analyzer rows and their angle derivatives for a whole
-schedule from (4, K, 4, 4) doubled-angle rotation stacks, with the coaxial
-folds and the beamsplitter split. Capture applies its A to the tensor,
-reconstruction inverts the same A, and angle learning differentiates it.
+``forward_model`` is the one forward model, in closed form. With
+c = cos 2beta, s = sin 2beta and d = beta - alpha, a linear polarizer at
+alpha next to a quarter-wave plate at beta gives
+
+    v(alpha, beta) = 1/2 [1, c cos 2d, s cos 2d, sin 2d]
+
+in ``polarization``'s conventions (positive s3 right-circular, the
+retarder turning (s2, s3) as ``retarder`` does). The source vector is
+v(theta1, theta2); the analyzer row, the first row of L(theta4) Q(theta3),
+is v(theta4, theta3) with its circular component negated, or the same
+at each fixed on-sensor analyzer angle. The angle derivatives are as
+short, and the coaxial folds multiply the vectors. Capture applies the
+design A to the tensor, reconstruction inverts the same A, and angle
+learning differentiates it.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .polarization import (
-    beamsplitter,
-    galvo_mirror,
-    linear_polarizer,
-    quarter_wave_plate,
-)
+from .polarization import beamsplitter, galvo_mirror
 from .tensor import TransportTensor, probe
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
@@ -159,15 +164,22 @@ def schedule_to_dict(schedule):
 def schedule_from_dict(obj):
     if not isinstance(obj, dict):
         raise ValueError("a schedule must be a JSON object")
-    keys = ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg")
-    for key in keys:
+    columns = []
+    for key in ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg"):
         if key not in obj:
             raise ValueError("schedule is missing field %r" % key)
-    return AngleSchedule(
-        *(np.deg2rad(obj[key]) for key in keys),
-        sensor_mode=obj.get("sensor_mode", "intensity"),
-        fixed=tuple(obj.get("fixed", (True, False, False, True))),
-    )
+        # "<= max" also rejects NaN, inf and integers too large for a float
+        if not (isinstance(obj[key], list) and obj[key] and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max for v in obj[key])):
+            raise ValueError("schedule field %r must be a non-empty list of finite numbers" % key)
+        columns.append(np.deg2rad(obj[key]))
+    fixed = obj.get("fixed", [True, False, False, True])
+    if not (isinstance(fixed, list) and len(fixed) == 4
+            and all(isinstance(b, bool) for b in fixed)):
+        raise ValueError("schedule field 'fixed' must be a list of 4 booleans, got %r" % (fixed,))
+    return AngleSchedule(*columns, sensor_mode=obj.get("sensor_mode", "intensity"),
+                         fixed=tuple(fixed))
 
 
 def save_schedule(path, schedule):
@@ -184,13 +196,6 @@ def load_schedule(path):
 # forward model
 
 
-# the axis-aligned rotating elements: source LP, source QWP, detector QWP, detector LP
-_ELEMENTS = np.stack([linear_polarizer(), quarter_wave_plate(),
-                      quarter_wave_plate(), linear_polarizer()])[:, None]
-# first rows of the on-sensor analyzers of a polarizer-array sensor
-_ARRAY_ANALYZERS = np.stack([linear_polarizer(np.deg2rad(q))[0] for q in ANALYZER_ANGLES_DEG])
-
-
 def _coaxial_arms(split=0.5):
     """
     Folded source/detection factors: (galvo @ B_t, B_r @ galvo).
@@ -203,22 +208,18 @@ def _coaxial_arms(split=0.5):
     return g @ beamsplitter("transmit", split), beamsplitter("reflect", 1.0 - split) @ g
 
 
-def _oriented(theta):
+def _arm(alpha, beta):
     """
-    The four rotating elements at a schedule's (4, K) angles, and d/dtheta.
-
-    Both are (4, K, 4, 4) stacks of R(theta) M0 R(theta)^T, built from
-    the doubled-angle rotation; R(-theta) is R(theta)^T.
+    v(alpha, beta) of the module docstring, dv/dalpha and dv/dbeta, stacked
+    as an array of ``alpha``'s shape plus (3, 4).
     """
-    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    rot = np.zeros(theta.shape + (4, 4))
-    rot[..., 0, 0] = rot[..., 3, 3] = 1.0
-    rot[..., 1:3, 1:3] = np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
-    d_rot = np.zeros_like(rot)
-    d_rot[..., 1:3, 1:3] = 2.0 * np.moveaxis(np.array([[-s, -c], [c, -s]]), (0, 1), (-2, -1))
-    rot_t = np.swapaxes(rot, -1, -2)
-    left = rot @ _ELEMENTS
-    return left @ rot_t, d_rot @ _ELEMENTS @ rot_t + left @ np.swapaxes(d_rot, -1, -2)
+    c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
+    cd, sd = np.cos(2.0 * (beta - alpha)), np.sin(2.0 * (beta - alpha))
+    c_cd, s_cd, c_sd, s_sd = c * cd, s * cd, c * sd, s * sd
+    zero = np.zeros_like(cd)
+    return np.stack([zero + 0.5, 0.5 * c_cd, 0.5 * s_cd, 0.5 * sd,
+                     zero, c_sd, s_sd, -cd,
+                     zero, -s_cd - c_sd, c_cd - s_sd, cd], axis=-1).reshape(cd.shape + (3, 4))
 
 
 class ForwardModel(NamedTuple):
@@ -236,42 +237,42 @@ class ForwardModel(NamedTuple):
     dr3: np.ndarray
     dr4: np.ndarray
 
-    def per_row(self, v):
-        """Repeat a per-capture (K, 4) array to one entry per row."""
-        return np.repeat(v, self.r.shape[0] // self.c.shape[0], axis=0)
-
     def design(self):
         """Design matrix rows kron(r, c), shape (n_rows, 16)."""
-        return np.einsum("ki,kj->kij", self.r, self.per_row(self.c)).reshape(-1, 16)
+        k = self.c.shape[0]
+        return (self.r.reshape(k, -1, 4, 1) * self.c[:, None, None, :]).reshape(-1, 16)
 
 
 def forward_model(schedule, coaxial=False, split=0.5):
     """
-    Source vectors, analyzer rows and their angle derivatives.
-
-    The whole schedule is one batch of (K, 4, 4) element stacks; in
-    coaxial geometry the constant beamsplitter/galvo arms multiply the
-    source vectors and the analyzer rows.
+    Source vectors, analyzer rows and their angle derivatives in closed
+    form (module docstring); in coaxial geometry the constant
+    beamsplitter/galvo arms multiply the vectors.
     """
-    into_scene, out_of_scene = _coaxial_arms(split) if coaxial else (np.eye(4), np.eye(4))
     angles = np.stack([schedule.theta1, schedule.theta2, schedule.theta3, schedule.theta4])
-    (lp1, qwp2, qwp3, lp4), (d_lp1, d_qwp2, d_qwp3, d_lp4) = _oriented(angles)
-    # the source polarizer applied to unpolarized light is its first column
-    light, d_light = lp1[:, :, :1], d_lp1[:, :, :1]
-    lift = into_scene @ qwp2
-    detect = qwp3 @ out_of_scene
-    if schedule.sensor_mode == "polarizer_array":
-        front, d_front = _ARRAY_ANALYZERS, np.zeros((4, 4))
-    else:
-        front, d_front = lp4[:, :1], d_lp4[:, :1]
-    return ForwardModel(
-        c=(lift @ light)[:, :, 0],
-        r=(front @ detect).reshape(-1, 4),
-        dc1=(lift @ d_light)[:, :, 0],
-        dc2=(into_scene @ d_qwp2 @ light)[:, :, 0],
-        dr3=(front @ d_qwp3 @ out_of_scene).reshape(-1, 4),
-        dr4=(d_front @ detect).reshape(-1, 4),
-    )
+    return _forward(angles, schedule.sensor_mode, coaxial, split)
+
+
+def _forward(angles, sensor_mode, coaxial=False, split=0.5):
+    """``forward_model`` of the (4, K) angles theta1..theta4 of a schedule."""
+    theta1, theta2, theta3, theta4 = angles
+    front = np.deg2rad(ANALYZER_ANGLES_DEG) if sensor_mode == "polarizer_array" else theta4[:, None]
+    # one batch of arms per capture: the source, then the detection arms
+    alpha = np.empty((theta1.shape[0], 1 + front.shape[-1]))
+    beta = np.empty_like(alpha)
+    alpha[:, 0], alpha[:, 1:] = theta1, front
+    beta[:, 0], beta[:, 1:] = theta2, theta3[:, None]
+    arms = _arm(alpha, beta)
+    arms[:, 1:, :, 3] *= -1.0      # an analyzer row negates the circular component
+    c, dc1, dc2 = arms[:, 0].transpose(1, 0, 2)
+    r, dr4, dr3 = arms[:, 1:].reshape(-1, 3, 4).transpose(1, 0, 2)
+    if sensor_mode == "polarizer_array":
+        dr4 = np.zeros_like(r)
+    if coaxial:
+        into_scene, out_of_scene = _coaxial_arms(split)
+        c, dc1, dc2 = (x @ into_scene.T for x in (c, dc1, dc2))
+        r, dr3, dr4 = (x @ out_of_scene for x in (r, dr3, dr4))
+    return ForwardModel(c, r, dc1, dc2, dr3, dr4)
 
 
 def _rank_and_cond(s):
@@ -424,21 +425,21 @@ class ReconstructionResult:
     sigma_hat: float
 
 
-def _pinv_and_singular_values(a):
-    """Truncated pseudoinverse, all singular values, and the kept mask."""
+def _truncated_svd(a):
+    """Thin SVD u, s, vt of ``a`` and 1/s, zero at or below ``RANK_TOL * s[0]``."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0:
         raise ValueError("design matrix is identically zero")
     keep = s > RANK_TOL * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T, s, keep
+    return u, s, vt, inv
 
 
 def pinv_truncated(a):
     """Pseudoinverse cut at ``RANK_TOL * s[0]``, with its rank and cond."""
-    a_pinv, s, _ = _pinv_and_singular_values(a)
-    return (a_pinv,) + _rank_and_cond(s)
+    u, s, vt, inv = _truncated_svd(a)
+    return ((vt.T * inv) @ u.T,) + _rank_and_cond(s)
 
 
 def reconstruct(meas, split=None):

@@ -8,20 +8,25 @@ Mueller matrices and measurement noise eta with second moment S:
       = mean_n || (A^+ A - I) vec(M_n) ||^2 + tr(A^+ S A^+^T)
 
 Training and scoring take white noise, S = sigma^2 I, so the loss is
-exact and no noise is drawn; at full rank it is sigma^2 ||A^+||_F^2, the
-noise-optimal polarimeter criterion. ``loss`` and ``grad_loss`` also
-take explicit draws E, S = E^T E / N, for their Monte Carlo loss. A(theta)
-and its angle derivatives come from ``ellipsometry.forward_model``, the
-forward model of capture and reconstruction. The gradient flows through
-the design matrix rows and the truncated pseudoinverse via the
-fixed-rank differential
+exact and no noise is drawn. With A = U S V^T its noise term is
+sigma^2 sum_i s_i^-2 over the kept singular values (sigma^2 ||A^+||_F^2,
+the noise-optimal polarimeter criterion), and dL = 2 tr(dA G) with
+G = -sigma^2 V S^-3 U^T; below rank 16 the bias R = (A^+ A - I) M adds
+R^T M A^+ / B to G. ``loss`` and ``grad_loss`` also take explicit draws
+E, S = E^T E / N, for their Monte Carlo loss; that path differentiates
+the truncated pseudoinverse through the fixed-rank differential
 
     dA+ = -A+ dA A+ + A+ A+^T dA^T (I - A A+) + (I - A+ A) dA^T A+^T A+
 
+A(theta) and its angle derivatives come from ``ellipsometry``'s closed-form
+forward model, the one capture and reconstruction use; row n of A is
+kron(r_n, c_n), so G reaches the angles through G_n c_n and r_n G_n.
+
 Optimization is plain Adam from the classical dual-rotating-retarder
 initialization, with cosine step-size decay, an 80/20 held-out split,
-and best-iterate tracking on the held-out loss. Each iteration builds
-and factors A once for both the batch loss and its gradient.
+and best-iterate tracking on the held-out loss. Each iteration keeps the
+angles as a (4, K) array and factors A once for both the batch loss and
+its gradient.
 """
 
 import hashlib
@@ -34,10 +39,10 @@ import numpy as np
 from .ellipsometry import (
     RANK_TOL,
     AngleSchedule,
-    _pinv_and_singular_values,
+    _forward,
+    _truncated_svd,
     drr_schedule,
     forward_model,
-    pinv_truncated,
 )
 
 
@@ -54,11 +59,11 @@ def _plain(value, kind):
 
 
 def _noise_moment(noise, n_blocks, n_rows):
-    """E[eta eta^T] (K', K'): sigma^2 I for a scalar std, E^T E / N for draws."""
+    """E[eta eta^T]: sigma^2 (for sigma^2 I) from a scalar std, E^T E / N from draws."""
     if np.ndim(noise) == 0:
         if not (_plain(noise, numbers.Real) and 0 <= noise < np.inf):
             raise ValueError("noise sigma must be a finite number >= 0, got %r" % (noise,))
-        return float(noise) ** 2 * np.eye(n_rows)
+        return float(noise) ** 2
     noise = np.asarray(noise, dtype=float)
     if (noise.ndim not in (2, 3) or noise.shape[0] != n_blocks
             or noise.shape[-1] != n_rows or noise.size == 0):
@@ -68,51 +73,55 @@ def _noise_moment(noise, n_blocks, n_rows):
     return draws.T @ draws / draws.shape[0]
 
 
-def _loss_and_grad(schedule, mats, noise, trainable=None, with_grad=True):
+def _loss_and_grad(fwd, mats, noise, trainable=None):
     """
-    Batch loss and, unless ``with_grad`` is false, its angle gradient.
+    Batch loss of a ``ForwardModel`` and its angle gradient.
 
     The error splits into the bias (P - I) m, P = A+ A, and the noise
     A+ eta, orthogonal since A+^T (I - P) = 0, so no cross term remains.
-    Factors the design once; returns (loss, rank, grads, rank_marginal),
-    the last two None when not asked for.
+    Factors the design once; returns (loss, rank, grads, rank_marginal).
+    Without a ``trainable`` mask no column is zeroed (dr4 is zero with the
+    polarizer-array sensor).
     """
-    fwd = forward_model(schedule)
     a = fwd.design()
-    a_pinv, s, keep = _pinv_and_singular_values(a)
+    u, s, vt, inv = _truncated_svd(a)
+    a_pinv = (vt.T * inv) @ u.T
+    rank = int(np.count_nonzero(inv))
     m = np.asarray(mats, dtype=float).reshape(-1, 16)
     moment = _noise_moment(noise, m.shape[0], a.shape[0])
-    rank = int(np.count_nonzero(keep))
+    # the noise term and its part of g, where dL = 2 tr(dA g) through the
+    # fixed-rank differential of A+
+    if np.ndim(moment) == 0:
+        # sigma^2 tr(A+ A+^T) = sigma^2 sum 1/s_i^2 over the kept s_i, and
+        # g = -sigma^2 A+ A+^T A+ = -sigma^2 V S^-3 U^T
+        batch_loss = moment * float(inv @ inv)
+        g = (vt.T * (-moment * inv ** 3)) @ u.T                          # (16, K')
+    else:
+        gain = a_pinv @ moment                # (16, K')
+        batch_loss = float(np.sum(gain * a_pinv))
+        g = ((a_pinv @ a_pinv.T) @ gain @ (np.eye(a.shape[0]) - a @ a_pinv)
+             - gain @ a_pinv.T @ a_pinv)
     # at full rank P = I and the bias vanishes exactly; below it the bias is
     # formed from A+ A m, since forming I - A+ A leaves a rounding floor
-    bias = (m @ a.T) @ a_pinv.T - m if rank < 16 else np.zeros_like(m)   # (B, 16)
-    gain = a_pinv @ moment                # (16, K')
-    batch_loss = float(np.mean(np.sum(bias * bias, axis=1)) + np.sum(gain * a_pinv))
-    if not with_grad:
-        return batch_loss, rank, None, None
+    if rank < 16:
+        bias = (m @ a.T) @ a_pinv.T - m      # (B, 16)
+        batch_loss += float(np.mean(np.sum(bias * bias, axis=1)))
+        g += bias.T @ m @ a_pinv / m.shape[0]
 
     cutoff = RANK_TOL * s[0]
-    rank_marginal = bool(np.any((s > cutoff * 1e-2) & (s < cutoff * 1e2) & keep))
-    # dL = 2 tr(dA g) through the fixed-rank differential of A+; the last
-    # term vanishes for white noise, S = sigma^2 I
-    g = (bias.T @ m @ a_pinv / m.shape[0]
-         - gain @ a_pinv.T @ a_pinv
-         + (a_pinv @ a_pinv.T) @ gain @ (np.eye(a.shape[0]) - a @ a_pinv))   # (16, K')
-    g_blocks = g.T.reshape(a.shape[0], 4, 4)
-
+    rank_marginal = bool(np.any((s > cutoff * 1e-2) & (s < cutoff * 1e2) & (inv > 0)))
     # row n of A is kron(r_n, c_n), so dL/dtheta sums dr_n G_n c_n + r_n G_n dc_n
-    # over the rows of each capture
-    c_rows = fwd.per_row(fwd.c)
-    per_row = np.stack([
-        np.einsum("ni,nij,nj->n", fwd.r, g_blocks, fwd.per_row(fwd.dc1)),
-        np.einsum("ni,nij,nj->n", fwd.r, g_blocks, fwd.per_row(fwd.dc2)),
-        np.einsum("ni,nij,nj->n", fwd.dr3, g_blocks, c_rows),
-        np.einsum("ni,nij,nj->n", fwd.dr4, g_blocks, c_rows),
-    ])
-    grads = 2.0 * per_row.reshape(4, schedule.n_captures, -1).sum(axis=2)
-    if trainable is None:
-        trainable = default_trainable(schedule.sensor_mode)
-    grads[~np.asarray(trainable, dtype=bool)] = 0.0
+    # over the rows n of each capture
+    k = fwd.c.shape[0]
+    g_blocks = g.T.reshape(k, -1, 4, 4)
+    g_c = np.einsum("kqij,kj->kqi", g_blocks, fwd.c).reshape(-1, 4)
+    r_g = np.einsum("kqi,kqij->kj", fwd.r.reshape(k, -1, 4), g_blocks)
+    grads = 2.0 * np.array([np.einsum("kj,kj->k", r_g, fwd.dc1),
+                            np.einsum("kj,kj->k", r_g, fwd.dc2),
+                            np.einsum("ni,ni->n", fwd.dr3, g_c).reshape(k, -1).sum(axis=1),
+                            np.einsum("ni,ni->n", fwd.dr4, g_c).reshape(k, -1).sum(axis=1)])
+    if trainable is not None:
+        grads[~np.asarray(trainable, dtype=bool)] = 0.0
     return batch_loss, rank, grads, rank_marginal
 
 
@@ -125,7 +134,7 @@ def loss(schedule, mats, noise):
     draws (B, K') or (B, D, K') give the Monte Carlo loss of those draws,
     D draws per sample averaging over repeated measurements of a block.
     """
-    return _loss_and_grad(schedule, mats, noise, with_grad=False)[0]
+    return _loss_and_grad(forward_model(schedule), mats, noise)[0]
 
 
 def grad_loss(schedule, mats, noise, trainable=None):
@@ -137,14 +146,13 @@ def grad_loss(schedule, mats, noise, trainable=None):
     close enough to the truncation cutoff that the fixed-rank gradient
     is a subgradient surrogate.
     """
-    _, _, grads, rank_marginal = _loss_and_grad(schedule, mats, noise, trainable)
+    _, _, grads, rank_marginal = _loss_and_grad(forward_model(schedule), mats, noise, trainable)
     return grads, rank_marginal
 
 
 def expected_noise_floor(schedule, noise_sigma, coaxial=False):
     """Analytic full-rank loss floor: sigma^2 ||A+||_F^2."""
-    a_pinv, _, _ = pinv_truncated(forward_model(schedule, coaxial).design())
-    return float(noise_sigma ** 2 * np.sum(a_pinv * a_pinv))
+    return _loss_and_grad(forward_model(schedule, coaxial), np.zeros(16), noise_sigma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +256,7 @@ def learn(config):
     movable = np.asarray(config.trainable) & np.asarray(default_trainable(config.sensor_mode))
     mask = np.repeat(movable[:, None], config.k, axis=1)
 
-    sched = init
-    init_hold = loss(sched, hold_set, config.noise_sigma)
+    init_hold = loss(init, hold_set, config.noise_sigma)
     best_hold = init_hold
     best_angles = angles.copy()
     heldout_iters = [0]
@@ -266,8 +273,8 @@ def learn(config):
         lr = config.step_size * 0.5 * (1.0 + np.cos(np.pi * it / max(1, config.iterations)))
         batch_idx = rng.choice(train_set.shape[0], size=config.batch_size, replace=False)
         batch = train_set[batch_idx]
-        batch_loss, _, grads, _ = _loss_and_grad(sched, batch, config.noise_sigma,
-                                                 config.trainable)
+        batch_loss, _, grads, _ = _loss_and_grad(_forward(angles, config.sensor_mode), batch,
+                                                 config.noise_sigma, config.trainable)
         loss_curve[it] = batch_loss
         if it == 0:
             initial_batch_loss = batch_loss
@@ -283,10 +290,9 @@ def learn(config):
         v_hat = adam_v / (1.0 - beta2 ** (it + 1))
         flat = flat - lr * m_hat / (np.sqrt(v_hat) + eps)
         angles[mask] = flat
-        sched = init.with_angles(*angles)
 
         if (it + 1) % config.eval_every == 0 or it + 1 == config.iterations:
-            hold = loss(sched, hold_set, config.noise_sigma)
+            hold = loss(init.with_angles(*angles), hold_set, config.noise_sigma)
             heldout_iters.append(it + 1)
             heldout_curve.append(hold)
             if hold < best_hold:
@@ -314,8 +320,7 @@ def evaluate(schedule, samples, noise_sigma):
     ``noise_sigma`` (the loss metric, with no noise drawn) and the rank
     of the design the pseudoinverse kept.
     """
-    mean_squared, rank, _, _ = _loss_and_grad(schedule, samples, noise_sigma,
-                                              with_grad=False)
+    mean_squared, rank, _, _ = _loss_and_grad(forward_model(schedule), samples, noise_sigma)
     return {"mean_squared": mean_squared, "design_rank": rank}
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pltt.analysis import summed_polarimetric_image
 from pltt.cli import main, parse_slice_expression
-from pltt.ellipsometry import capture, drr_schedule, reconstruct, save_schedule
+from pltt.ellipsometry import capture, drr_schedule, reconstruct, save_schedule, schedule_to_dict
 from pltt.fileio import read_pltt, write_pltt
 from pltt.polarization import ideal_mirror, linear_polarizer
 from pltt.tensor import TransportTensor
@@ -390,6 +390,40 @@ def test_capture_mode_conflicting_with_schedule_file(tmp_path, capsys):
                "--mode", "polarizer_array", "--out", str(tmp_path / "m.pltt")])
     assert rc == 2
     assert "conflicts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,field", [
+    ({"theta1_deg": ["a"]}, "theta1_deg"),
+    ({"theta1_deg": None}, "theta1_deg"),
+    ({"theta1_deg": 5.0}, "theta1_deg"),
+    ({"theta2_deg": []}, "theta2_deg"),
+    ({"theta2_deg": [[0.0]] * 16}, "theta2_deg"),
+    ({"theta3_deg": [True] * 16}, "theta3_deg"),
+    ({"theta3_deg": [float("nan")] * 16}, "theta3_deg"),
+    ({"theta4_deg": [10 ** 400] * 16}, "theta4_deg"),
+    ({"theta4_deg": [0.0]}, "capture count"),
+    ({"fixed": 5}, "fixed"),
+    ({"fixed": None}, "fixed"),
+    ({"fixed": [1, 0, 0, 1]}, "fixed"),
+    ({"fixed": [True, False]}, "fixed"),
+])
+def test_malformed_schedule_exits_two(tmp_path, capsys, edit, field):
+    tensor_path = simulate(tmp_path, mirror_scene(0.015), bins=4)
+    schedule = dict(schedule_to_dict(drr_schedule(16)), **edit)
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(json.dumps(schedule))
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--k", "16", "--out", meas_path]) == 0
+    rewrite_metadata(meas_path, lambda meta: dict(meta, schedule=schedule))
+    capsys.readouterr()
+    for argv in (["capture", "--tensor", tensor_path, "--schedule", str(sched_path)],
+                 ["reconstruct", "--measurements", meas_path]):
+        out = tmp_path / "out.pltt"
+        assert main(argv + ["--out", str(out)]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert field in err
+        assert not out.exists()
 
 
 def test_slice_enumerates_free_polarimetric_indices(tmp_path):

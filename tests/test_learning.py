@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pltt.ellipsometry import AngleSchedule, design_matrix, drr_schedule, pinv_truncated
 from pltt.learning import (
@@ -79,6 +80,27 @@ def test_gradient_matches_central_differences(k, mode):
             denom = max(abs(fd), abs(grads[slot, i]))
             assert denom > 0
             assert abs(fd - grads[slot, i]) / denom < FD_RTOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 16),
+       mode=st.sampled_from(["intensity", "polarizer_array"]),
+       sigma=st.sampled_from([0.0, 1e-3, 1e-1]),
+       trainable=st.tuples(*[st.booleans()] * 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_scalar_sigma_gradient_matches_central_differences(k, mode, sigma, trainable, seed):
+    # K from 1 to 16 covers designs below full rank (the bias term) and at it
+    rng = np.random.default_rng(seed)
+    schedule = random_schedule(rng, k, mode)
+    mats = generate_ensemble(seed % 1000, 4).samples
+    grads, marginal = grad_loss(schedule, mats, sigma, trainable)
+    assume(not marginal)
+    fd = np.array([[fd_gradient(schedule, mats, sigma, slot, i) for i in range(k)]
+                   for slot in range(4)])
+    on = np.asarray(trainable)
+    assert np.all(grads[~on] == 0.0)
+    scale = max(np.abs(fd).max(), np.abs(grads).max())
+    assert np.abs(grads[on] - fd[on]).max(initial=0.0) <= FD_RTOL * scale
 
 
 def test_gradient_with_averaged_draws_matches_fd():
