@@ -76,7 +76,8 @@ def pca(obs):
     Principal components of an observation matrix (mean removed), from
     the SVD of the centred rows' QR factor R, so no (n, n) U is built.
 
-    Always returns a full 16-vector basis; with fewer samples than
+    Always returns a full 16-vector basis, each component signed so its
+    largest-magnitude entry is positive; with fewer samples than
     dimensions the trailing singular values are zero. Identical rows
     yield all-zero singular values and a flat energy curve of ones.
     """
@@ -89,6 +90,8 @@ def pca(obs):
     mean = rows.mean(axis=0)
     centered = rows - mean
     _, svals, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"))
+    # the SVD fixes a component only up to sign: make its largest-magnitude entry positive
+    vt *= np.sign(vt[np.arange(16), np.abs(vt).argmax(axis=1)])[:, None]
     full = np.zeros(16)
     full[: svals.shape[0]] = svals
     power = full**2

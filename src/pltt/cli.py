@@ -12,7 +12,8 @@ Batch command line for the transport-tensor pipeline:
 
 Exit codes: 0 success, 2 usage/validation, 3 numerical failure. Errors
 go to stderr as single lines prefixed ``error:``. Every command writes
-a JSON manifest next to its primary output, with its wall time and the
+the JSON manifest ``<--out>.manifest.json``: its file arguments as
+``inputs``, the files it wrote, its seed, its wall time and the
 process's peak RSS.
 """
 
@@ -77,19 +78,16 @@ def _stem(path):
     return root
 
 
-def _require_transport(obj, path):
-    if not isinstance(obj, TransportTensor):
-        raise ValueError("%s does not hold a transport tensor" % (path,))
+def _read(path, kind=TransportTensor, what="transport tensor"):
+    obj = read_pltt(path)
+    if not isinstance(obj, kind):
+        raise ValueError("%s does not hold a %s" % (path, what))
     return obj
 
 
 def _pick_mask(tensor, which):
     if which is None:
         return None
-    if tensor.coaxial:
-        raise ValueError(
-            "cannot probe a coaxial tensor: its projector axis is virtual"
-        )
     epi, non_epi = epipolar_masks(tensor.cam_shape, tensor.proj_shape)
     return epi if which == "epipolar" else non_epi
 
@@ -120,7 +118,7 @@ def cmd_simulate(args):
     write_pltt(args.out, tensor, provenance="simulate(%s)" % os.path.basename(args.scene))
     print("wrote %s: %s %s, %d bins" % (
         args.out, scene.geometry_mode, "x".join(str(v) for v in resolution), args.bins))
-    return {"inputs": {"scene": args.scene}, "outputs": [args.out]}
+    return {"outputs": [args.out]}
 
 
 # ----------------------------------------------------------------- capture
@@ -138,7 +136,7 @@ def _load_cli_schedule(args):
 
 
 def cmd_capture(args):
-    tensor = _require_transport(read_pltt(args.tensor), args.tensor)
+    tensor = _read(args.tensor)
     schedule = _load_cli_schedule(args)
     mask = _pick_mask(tensor, args.mask)
     meas = capture(
@@ -152,11 +150,7 @@ def cmd_capture(args):
     write_pltt(args.out, meas, provenance="capture(%s)" % os.path.basename(args.tensor))
     print("wrote %s: %d rows (%s, K=%d)" % (
         args.out, schedule.n_rows, schedule.sensor_mode, schedule.n_captures))
-    return {
-        "inputs": {"tensor": args.tensor, "schedule": args.schedule},
-        "outputs": [args.out],
-        "seed": args.seed,
-    }
+    return {"outputs": [args.out], "seed": args.seed}
 
 
 # ------------------------------------------------------------- reconstruct
@@ -184,9 +178,7 @@ def _write_diagnostics(path, res):
 
 
 def cmd_reconstruct(args):
-    meas = read_pltt(args.measurements)
-    if not isinstance(meas, MeasurementSet):
-        raise ValueError("%s does not hold a measurement set" % (args.measurements,))
+    meas = _read(args.measurements, MeasurementSet, "measurement set")
     result = reconstruct(meas, split=args.split)
     if result.underdetermined:
         print(
@@ -207,11 +199,7 @@ def cmd_reconstruct(args):
     _write_diagnostics(diag_path, res)
     print("wrote %s: rank=%d cond=%.6g max_residual=%.3e sigma_hat=%.4g" % (
         args.out, result.rank, result.cond, float(res.max()), result.sigma_hat))
-    return {
-        "inputs": {"measurements": args.measurements},
-        "outputs": [args.out, diag_path],
-        "seed": meas.seed,
-    }
+    return {"outputs": [args.out, diag_path], "seed": meas.seed}
 
 
 # ------------------------------------------------------------ learn-angles
@@ -284,17 +272,15 @@ def cmd_learn_angles(args):
     _write_json(report_path, report)
     print("wrote %s: held-out loss %.6g -> %.6g" % (
         args.out, learned.init_heldout_loss, learned.best_heldout_loss))
-    return {
-        "inputs": {"config": args.config},
-        "outputs": [args.out, report_path, table_path],
-        "seed": seed,
-    }
+    return {"outputs": [args.out, report_path, table_path], "seed": seed}
 
 
 # --------------------------------------------------------------- decompose
 
 def cmd_decompose(args):
-    tensor = _require_transport(read_pltt(args.tensor), args.tensor)
+    tensor = _read(args.tensor)
+    if args.bin is not None and not 0 <= args.bin < tensor.n_bins:
+        raise ValueError("bin %d outside 0..%d" % (args.bin, tensor.n_bins - 1))
     if not tensor.coaxial and tensor.data.shape[1] > 1:
         # fold the projector axis: total-illumination Mueller image per bin;
         # the sum of S_proj independent noises has sqrt(S_proj) times their std
@@ -318,8 +304,6 @@ def cmd_decompose(args):
         "diattenuation": decomp.diattenuation,
     }
     for t in bins:
-        if not 0 <= t < tensor.n_bins:
-            raise ValueError("bin %d outside 0..%d" % (t, tensor.n_bins - 1))
         for name, grid in maps.items():
             prefix = "%s_%s_t%d" % (args.out, name, t)
             outputs += _save_image(
@@ -340,17 +324,13 @@ def cmd_decompose(args):
     })
     print("wrote %s_*: %d/%d blocks below floor" % (
         args.out, decomp.n_null, decomp.null_mask.size))
-    return {
-        "inputs": {"tensor": args.tensor},
-        "outputs": [summary_path] + outputs,
-        "manifest_base": args.out,
-    }
+    return {"outputs": [summary_path] + outputs}
 
 
 # --------------------------------------------------------------------- pca
 
 def cmd_pca(args):
-    tensor = _require_transport(read_pltt(args.tensor), args.tensor)
+    tensor = _read(args.tensor)
     blocks, lit = lit_blocks(tensor, args.floor)
     blocks = blocks[lit]
     if blocks.shape[0] < 2:
@@ -381,17 +361,13 @@ def cmd_pca(args):
     })
     print("wrote %s_*: %d samples, %d components reach 95%% energy" % (
         args.out, obs.rows.shape[0], basis.n_components_for(0.95)))
-    return {
-        "inputs": {"tensor": args.tensor},
-        "outputs": [summary_path, sv_path, comp_path, mean_path],
-        "manifest_base": args.out,
-    }
+    return {"outputs": [summary_path, sv_path, comp_path, mean_path]}
 
 
 # --------------------------------------------------------------- descatter
 
 def cmd_descatter(args):
-    tensor = _require_transport(read_pltt(args.tensor), args.tensor)
+    tensor = _read(args.tensor)
     mask = _pick_mask(tensor, args.mask)
     image = summed_polarimetric_image(tensor, mask)
     target = np.loadtxt(args.target, delimiter=",", ndmin=2)
@@ -422,11 +398,7 @@ def cmd_descatter(args):
         print("warning: L-BFGS stopped before converging (%s)" % model.message)
     print("wrote %s_*: objective %.6g (%s, %s)" % (
         args.out, model.objective, args.mode, args.method))
-    return {
-        "inputs": {"tensor": args.tensor, "target": args.target},
-        "outputs": outputs,
-        "manifest_base": args.out,
-    }
+    return {"outputs": outputs}
 
 
 # ------------------------------------------------------------------- slice
@@ -568,7 +540,7 @@ def evaluate_slice(tensor, query):
 
 
 def cmd_slice(args):
-    tensor = _require_transport(read_pltt(args.tensor), args.tensor)
+    tensor = _read(args.tensor)
     query = parse_slice_expression(args.expr)
     images = evaluate_slice(tensor, query)
     outputs = []
@@ -577,11 +549,7 @@ def cmd_slice(args):
             args.out + suffix, image, {"expression": args.expr, "suffix": suffix}
         )
     print("wrote %d image(s) for %r" % (len(images), args.expr))
-    return {
-        "inputs": {"tensor": args.tensor},
-        "outputs": outputs,
-        "manifest_base": args.out,
-    }
+    return {"outputs": outputs}
 
 
 # -------------------------------------------------------------- entrypoint
@@ -668,13 +636,15 @@ def _config_hash(args):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# the arguments that name a file a command reads: the manifest's inputs
+_INPUT_ARGS = ("scene", "tensor", "schedule", "measurements", "config", "target")
+
+
 def _write_manifest(args, info, duration):
-    base = info.get("manifest_base", info["outputs"][0])
-    path = base + ".manifest.json"
     manifest = {
         "command": args.command,
-        "inputs": info.get("inputs", {}),
-        "outputs": list(info["outputs"]),
+        "inputs": {k: v for k, v in vars(args).items() if k in _INPUT_ARGS},
+        "outputs": info["outputs"],
         "config_hash": _config_hash(args),
         "seed": info.get("seed"),
         "version": __version__,
@@ -683,8 +653,7 @@ def _write_manifest(args, info, duration):
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                              / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 6),
     }
-    _write_json(path, manifest)
-    return path
+    _write_json(args.out + ".manifest.json", manifest)
 
 
 def main(argv=None):

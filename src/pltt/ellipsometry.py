@@ -316,7 +316,7 @@ class MeasurementSet:
 
     intensities has shape (S_cam, S_proj, n_rows, n_bins), the
     container's order: one (n_rows, n_bins) record per camera and
-    projector pixel. Coaxial geometry stores S_proj = 1 (the diagonal).
+    projector pixel. A ``coaxial`` set stores S_proj = 1 (the diagonal).
     Rows are capture-major (analyzer index fastest in polarizer_array
     mode). ``split`` is the beamsplitter fraction of a coaxial capture;
     reconstruction reads it.
@@ -324,7 +324,7 @@ class MeasurementSet:
 
     intensities: np.ndarray = field(repr=False)
     schedule: AngleSchedule
-    geometry_mode: str
+    coaxial: bool
     cam_shape: tuple
     proj_shape: tuple
     time_bin_width: float
@@ -343,8 +343,8 @@ class MeasurementSet:
         if arr.shape[2] != self.schedule.n_rows:
             raise ValueError("row count %d does not match the schedule's %d"
                              % (arr.shape[2], self.schedule.n_rows))
-        if self.geometry_mode not in ("coaxial", "projector_camera"):
-            raise ValueError("geometry_mode must be 'coaxial' or 'projector_camera'")
+        if not isinstance(self.coaxial, (bool, np.bool_)):
+            raise ValueError("coaxial must be a bool, got %r" % (self.coaxial,))
         if not 0.0 <= self.split <= 1.0:
             raise ValueError("split fraction must lie in [0, 1], got %r" % (self.split,))
 
@@ -365,10 +365,7 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     """
     if not 0.0 <= noise_sigma < np.inf:  # also rejects NaN
         raise ValueError("noise_sigma must be finite and >= 0, got %r" % (noise_sigma,))
-    geometry = "coaxial" if tensor.coaxial else "projector_camera"
     if masks is not None:
-        if tensor.coaxial:
-            raise ValueError("masks require projector_camera geometry")
         tensor = probe(tensor, masks)
     s_cam, s_proj, _, _, n_bins = tensor.data.shape
     n_pix = s_cam * s_proj
@@ -392,7 +389,7 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     return MeasurementSet(
         intensities=vals.reshape(s_cam, s_proj, -1, n_bins),
         schedule=schedule,
-        geometry_mode=geometry,
+        coaxial=tensor.coaxial,
         cam_shape=tensor.cam_shape,
         proj_shape=tensor.proj_shape,
         time_bin_width=tensor.time_bin_width,
@@ -466,8 +463,7 @@ def reconstruct(meas, split=None):
     if split is not None and split != meas.split:
         raise ValueError("split %g conflicts with the split %g recorded with the measurements"
                          % (split, meas.split))
-    coax = meas.geometry_mode == "coaxial"
-    a = forward_model(meas.schedule, coaxial=coax, split=meas.split).design()
+    a = forward_model(meas.schedule, coaxial=meas.coaxial, split=meas.split).design()
     a_pinv, rank, cond = pinv_truncated(a)
     s_cam, s_proj, k_rows, n_bins = meas.intensities.shape
     n_pix = s_cam * s_proj
@@ -496,5 +492,5 @@ def reconstruct(meas, split=None):
     noise_std = sigma_hat * np.sqrt((a_pinv * a_pinv).sum(axis=1)).reshape(4, 4)
     blocks = solution.reshape(s_cam, s_proj, 4, 4, n_bins)
     tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape,
-                             meas.time_bin_width, coaxial=coax, noise_std=noise_std)
+                             meas.time_bin_width, coaxial=meas.coaxial, noise_std=noise_std)
     return ReconstructionResult(tensor, rank, cond, rank < 16, residual_norms, sigma_hat)

@@ -20,14 +20,15 @@ One container serves two kinds, each stored as its in-memory array
 - measurement: ``MeasurementSet.intensities``, (S_cam, S_proj|1, K', n_bins),
   with K' in dim_p and dim_q = 1; schedule, noise and beamsplitter split
   metadata ride in the JSON block (a file without ``split`` is read as
-  0.5).
+  0.5), with a ``geometry_mode`` that repeats the coaxial flag.
 
-Readers check the file length against the header dims, each kind's
-fixed header slots (a transport's 4x4 block, a measurement's dim_q and
-its K' against its schedule's row count) and each kind's required
-metadata keys, and raise ValueError naming what is wrong. The writer
-streams the payload from its array and the reader reads it straight
-into a new array and only reshapes it; neither holds a bytes copy of it.
+``read_pltt`` checks the file length against the header dims, each
+kind's fixed header slots (a transport's 4x4 block, a measurement's
+dim_q and its K' against its schedule's row count), each kind's required
+metadata keys and a measurement's geometry_mode against the coaxial
+flag, and raises ValueError naming what is wrong. The writer streams the
+payload from its array and the reader reads it straight into a new array
+and only reshapes it; neither holds a bytes copy of it.
 """
 
 import json
@@ -37,6 +38,7 @@ import sys
 
 import numpy as np
 
+from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
 from .tensor import TransportTensor
 
 MAGIC = b"PLTT-TENSOR-v001"
@@ -44,6 +46,8 @@ _HEADER = struct.Struct("<7I")
 # magic, dims, coaxial flag: the bytes before the payload
 _PREFIX = len(MAGIC) + _HEADER.size + 1
 _SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
+# a measurement's geometry_mode metadata, by the header's coaxial flag
+_GEOMETRY = {False: "projector_camera", True: "coaxial"}
 
 
 def _write(path, dims, coaxial, payload, meta):
@@ -59,8 +63,6 @@ def _write(path, dims, coaxial, payload, meta):
 
 def write_pltt(path, obj, provenance=""):
     """Serialize a transport tensor or a measurement set."""
-    from .ellipsometry import MeasurementSet, schedule_to_dict
-
     if isinstance(obj, TransportTensor):
         dims = (obj.cam_shape[1], obj.cam_shape[0], obj.proj_shape[1], obj.proj_shape[0],
                 4, 4, obj.n_bins)
@@ -72,13 +74,12 @@ def write_pltt(path, obj, provenance=""):
     elif isinstance(obj, MeasurementSet):
         dims = (obj.cam_shape[1], obj.cam_shape[0], obj.proj_shape[1], obj.proj_shape[0],
                 obj.schedule.n_rows, 1, obj.intensities.shape[3])
-        coaxial = obj.geometry_mode == "coaxial"
         meta = {"kind": "measurement", "time_bin_width": obj.time_bin_width,
                 "channel_id": "mono", "provenance": provenance,
                 "schedule": schedule_to_dict(obj.schedule),
-                "geometry_mode": obj.geometry_mode,
+                "geometry_mode": _GEOMETRY[obj.coaxial],
                 "noise_sigma": obj.noise_sigma, "seed": obj.seed, "split": obj.split}
-        _write(path, dims, coaxial, obj.intensities, meta)
+        _write(path, dims, obj.coaxial, obj.intensities, meta)
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 
@@ -97,39 +98,35 @@ _FIXED_SLOTS = {
 }
 
 
-def _parse(fh):
+def read_pltt(path):
     """
-    Read a PLTT v1 file from the start of ``fh`` into (dims, coaxial,
-    payload, metadata, schedule), or raise ValueError saying what is
-    malformed.
-
-    ``payload`` is the flat float64 payload, read straight into its
-    array. ``schedule`` is a measurement's parsed schedule, else None.
+    Read a PLTT v1 file back into its in-memory object, or raise
+    ValueError saying what is malformed.
     """
-    from .ellipsometry import schedule_from_dict
-
-    size = os.fstat(fh.fileno()).st_size
-    head = fh.read(_PREFIX)
-    if head[:len(MAGIC)] != MAGIC:
-        raise ValueError("not a PLTT v1 file: bad magic")
-    if len(head) < _PREFIX:
-        raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(head), _PREFIX))
-    dims = _HEADER.unpack_from(head, len(MAGIC))
-    coaxial = bool(head[-1])
-    cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
-    count = cam_w * cam_h * (1 if coaxial else proj_w * proj_h) * dim_p * dim_q * n_bins
-    end = _PREFIX + 8 * count
-    if size < end:
-        raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
-                         "the file has %d" % (dims, end, size))
-    payload = np.empty(count, dtype="<f8")
-    got = fh.readinto(payload)
-    if got != 8 * count:
-        raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, 8 * count))
-    try:
-        meta = json.loads(fh.read().decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError("PLTT metadata is not valid UTF-8 JSON: %s" % exc) from None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_PREFIX)
+        if head[:len(MAGIC)] != MAGIC:
+            raise ValueError("not a PLTT v1 file: bad magic")
+        if len(head) < _PREFIX:
+            raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(head), _PREFIX))
+        dims = _HEADER.unpack_from(head, len(MAGIC))
+        coaxial = bool(head[-1])
+        cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
+        s_proj = 1 if coaxial else proj_w * proj_h
+        count = cam_w * cam_h * s_proj * dim_p * dim_q * n_bins
+        end = _PREFIX + 8 * count
+        if size < end:
+            raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
+                             "the file has %d" % (dims, end, size))
+        payload = np.empty(count, dtype="<f8")
+        got = fh.readinto(payload)
+        if got != 8 * count:
+            raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, 8 * count))
+        try:
+            meta = json.loads(fh.read().decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError("PLTT metadata is not valid UTF-8 JSON: %s" % exc) from None
     if not isinstance(meta, dict):
         raise ValueError("PLTT metadata must be a JSON object")
     kind = meta.get("kind", "transport")
@@ -150,28 +147,18 @@ def _parse(fh):
         raise ValueError("PLTT metadata key 'noise_std' must be a list of 16 finite "
                          "numbers >= 0")
     fixed = dict(_FIXED_SLOTS[kind])
-    schedule = None
     if kind == "measurement":
         schedule = schedule_from_dict(meta["schedule"])
         fixed["dim_p"] = schedule.n_rows
+        if meta["geometry_mode"] != _GEOMETRY[coaxial]:
+            raise ValueError("PLTT measurement metadata geometry_mode %r disagrees with the "
+                             "header's coaxial flag %d" % (meta["geometry_mode"], coaxial))
     for slot, want in fixed.items():
         value = dims[_SLOTS.index(slot)]
         if value != want:
             raise ValueError("PLTT %s header slot %s is %d, must be %d"
                              % (kind, slot, value, want))
-    return dims, coaxial, payload, meta, schedule
-
-
-def read_pltt(path):
-    """Read a PLTT v1 file back into its in-memory object."""
-    from .ellipsometry import MeasurementSet
-
-    with open(path, "rb") as fh:
-        dims, coaxial, payload, meta, schedule = _parse(fh)
-    cam_w, cam_h, proj_w, proj_h, dim_p, _, n_bins = dims
-    s_proj = 1 if coaxial else proj_w * proj_h
-    if schedule is None:  # a transport
-        std = meta.get("noise_std")
+    if kind == "transport":
         return TransportTensor(payload.reshape(cam_w * cam_h, s_proj, 4, 4, n_bins),
                                (cam_h, cam_w), (proj_h, proj_w),
                                meta["time_bin_width"], meta.get("channel_id", "mono"),
@@ -179,7 +166,7 @@ def read_pltt(path):
     return MeasurementSet(
         intensities=payload.reshape(cam_w * cam_h, s_proj, dim_p, n_bins),
         schedule=schedule,
-        geometry_mode=meta["geometry_mode"],
+        coaxial=coaxial,
         cam_shape=(cam_h, cam_w),
         proj_shape=(proj_h, proj_w),
         time_bin_width=meta["time_bin_width"],

@@ -276,7 +276,7 @@ def probe(tensor, mask):
     T'(s, s', ...) = sum_j camera_mask[j, s] projector_mask[j, s'] T(s, s', ...)
     """
     if tensor.coaxial:
-        raise ValueError("cannot probe a coaxial tensor: its projector axis is virtual")
+        raise ValueError("cannot probe a coaxial tensor: masks require projector_camera geometry")
     if mask.camera_mask.shape[1] != tensor.n_cam:
         raise ValueError("camera mask length %d does not match tensor %d"
                          % (mask.camera_mask.shape[1], tensor.n_cam))

@@ -122,6 +122,15 @@ def test_pca_on_many_rows_stays_small_and_matches_the_full_svd():
     np.testing.assert_allclose(np.abs(np.sum(basis.components * vt, axis=1)), 1.0, atol=1e-10)
 
 
+def test_pca_component_signs_do_not_depend_on_the_row_order():
+    rows = np.random.default_rng(12).normal(size=(500, 16))
+    basis = pca(rows)
+    np.testing.assert_allclose(pca(rows[::-1]).components, basis.components, rtol=0,
+                               atol=1e-12)
+    comps = basis.components
+    assert np.all(comps[np.arange(16), np.abs(comps).argmax(axis=1)] > 0)
+
+
 def test_summed_image_collapses_projector_and_time():
     rng = np.random.default_rng(11)
     data = rng.uniform(0.1, 1.0, size=(2, 2, 4, 4, 3))

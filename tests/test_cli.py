@@ -301,6 +301,26 @@ def test_reconstruct_names_a_missing_metadata_key(tmp_path, capsys):
     assert "time_bin_width" in err
 
 
+@pytest.mark.parametrize("scene, edited", [(DENSE_SCENE, "coaxial"),
+                                           (MIRROR_SCENE, "projector_camera")])
+def test_geometry_mode_disagreeing_with_the_header_exits_two(tmp_path, capsys, scene, edited):
+    # at 1x1 both geometries store one projector pixel, so only the flag tells them apart
+    scene = dict(scene, surfaces=[dict(scene["surfaces"][0], patch=[0, 1, 0, 1])])
+    tensor_path = str(tmp_path / "t.pltt")
+    assert main(["simulate", "--scene", write_scene(tmp_path, scene), "--resolution", "1x1",
+                 "--bins", "16", "--bin-width", "1e-10", "--out", tensor_path]) == 0
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--out", meas_path]) == 0
+    rewrite_metadata(meas_path, lambda meta: dict(meta, geometry_mode=edited))
+    capsys.readouterr()
+    assert main(["reconstruct", "--measurements", meas_path,
+                 "--out", str(tmp_path / "recon.pltt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "geometry_mode" in err and "coaxial flag" in err
+    assert not (tmp_path / "recon.pltt").exists()
+
+
 def test_measurements_without_a_stored_split_read_as_one_half(tmp_path):
     tensor_path = simulate(tmp_path, mirror_scene(0.015), bins=4)
     meas_path = str(tmp_path / "meas.pltt")
@@ -583,6 +603,63 @@ def test_every_manifest_records_the_peak_rss(tmp_path):
     assert sorted(m["command"] for m in manifests) == sorted(["simulate"] + list(runs))
     for manifest in manifests:
         assert manifest["peak_rss_mb"] > 0, manifest["command"]
+
+
+def test_every_manifest_names_its_file_inputs_outputs_and_seed(tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    scene = write_scene(tmp_path, MIRROR_SCENE)
+    schedule = path("sched.json")
+    save_schedule(schedule, drr_schedule(20))
+    config = write_learn_config(tmp_path)
+    target = path("target.csv")
+    np.savetxt(target, np.arange(1.0, 5.0).reshape(2, 2), delimiter=",")
+    truth = path("truth.pltt")
+
+    def images(prefix):
+        return [prefix + ext for ext in (".pgm", ".csv", ".json")]
+
+    # command, argv, manifest path, inputs, outputs, seed
+    runs = [
+        ("simulate", ["--scene", scene, "--resolution", "2x2", "--bins", "16",
+                      "--bin-width", "1e-10", "--out", truth],
+         truth, {"scene": scene}, [truth], None),
+        ("capture", ["--tensor", truth, "--seed", "7", "--noise", "1e-3",
+                     "--out", path("m.pltt")],
+         path("m.pltt"), {"tensor": truth, "schedule": "drr"}, [path("m.pltt")], 7),
+        ("capture", ["--tensor", truth, "--schedule", schedule, "--out", path("m2.pltt")],
+         path("m2.pltt"), {"tensor": truth, "schedule": schedule}, [path("m2.pltt")], None),
+        ("reconstruct", ["--measurements", path("m.pltt"), "--out", path("r.pltt")],
+         path("r.pltt"), {"measurements": path("m.pltt")},
+         [path("r.pltt"), path("r_diagnostics.csv")], 7),
+        ("learn-angles", ["--config", config, "--out", path("s.json")],
+         path("s.json"), {"config": config},
+         [path("s.json"), path("s_report.json"), path("s_comparison.csv")], 3),
+        ("decompose", ["--tensor", truth, "--bin", "10", "--out", path("d")],
+         path("d"), {"tensor": truth},
+         [path("d_summary.json")] + [f for name in ("polarizance", "retardance",
+                                                    "diattenuation")
+                                     for f in images(path("d_%s_t10" % name))], None),
+        ("pca", ["--tensor", truth, "--out", path("p")],
+         path("p"), {"tensor": truth},
+         [path("p_summary.json"), path("p_singular_values.csv"),
+          path("p_components.csv"), path("p_mean.csv")], None),
+        ("descatter", ["--tensor", truth, "--target", target, "--out", path("f")],
+         path("f"), {"tensor": truth, "target": target},
+         [path("f_model.json")] + images(path("f_prediction")), None),
+        ("slice", ["--tensor", truth, "--expr", "T(s,s,0,:,t=10)", "--out", path("v")],
+         path("v"), {"tensor": truth},
+         [f for q in range(4) for f in images(path("v_q%d" % q))], None),
+    ]
+    for command, argv, base, inputs, outputs, seed in runs:
+        assert main([command] + argv) == 0, command
+        manifest = json.loads(open(base + ".manifest.json").read())
+        assert manifest["command"] == command
+        assert manifest["inputs"] == inputs, command
+        assert manifest["outputs"] == outputs, command
+        assert manifest["seed"] == seed, command
+        assert all(os.path.exists(p) for p in outputs), command
 
 
 def test_decompose_writes_retardance_map(tmp_path, capsys):

@@ -55,7 +55,7 @@ def test_measurement_round_trip(tmp_path):
     meas = MeasurementSet(
         intensities=rng.normal(size=(4, 1, 5, 2)),
         schedule=schedule,
-        geometry_mode="coaxial",
+        coaxial=True,
         cam_shape=(2, 2),
         proj_shape=(2, 2),
         time_bin_width=BIN,
@@ -70,7 +70,7 @@ def test_measurement_round_trip(tmp_path):
     np.testing.assert_array_equal(back.intensities, meas.intensities)
     np.testing.assert_allclose(back.schedule.theta2, schedule.theta2, atol=1e-15)
     assert back.schedule.sensor_mode == "intensity"
-    assert back.geometry_mode == "coaxial"
+    assert back.coaxial is True
     assert back.noise_sigma == 1e-4
     assert back.seed == 99
 
@@ -106,7 +106,7 @@ SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
 def _crafted_cases():
     rng = np.random.default_rng(8)
     transport = TransportTensor(rng.normal(size=(4, 1, 4, 4, 2)), (2, 2), (1, 1), BIN)
-    meas = MeasurementSet(rng.normal(size=(2, 1, 8, 4)), drr_schedule(8), "projector_camera",
+    meas = MeasurementSet(rng.normal(size=(2, 1, 8, 4)), drr_schedule(8), False,
                           (1, 2), (1, 1), BIN)
     # each rewrite keeps the payload length, so only the slot checks can catch it
     cases = [
@@ -167,14 +167,14 @@ def containers(draw):
         fixed=tuple(draw(st.booleans()) for _ in range(4)))
     return MeasurementSet(
         draw(_values((s_cam, s_proj, schedule.n_rows, n_bins), finite=False)), schedule,
-        "coaxial" if coaxial else "projector_camera", cam, proj, width,
+        coaxial, cam, proj, width,
         noise_sigma=draw(st.floats(0.0, 1.0)), seed=draw(st.none() | st.integers(0, 2**63)),
         split=draw(st.floats(0.0, 1.0)))
 
 
 _FIELDS = {
     TransportTensor: ("cam_shape", "proj_shape", "time_bin_width", "channel_id", "coaxial"),
-    MeasurementSet: ("geometry_mode", "cam_shape", "proj_shape", "time_bin_width",
+    MeasurementSet: ("coaxial", "cam_shape", "proj_shape", "time_bin_width",
                      "noise_sigma", "seed", "split", "provenance"),
 }
 
