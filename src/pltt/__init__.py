@@ -44,11 +44,11 @@ from .polarization import (
 from .tensor import (
     DetectedTensor,
     IlluminationTensor,
-    ProbeMask,
     TransportTensor,
     contract,
     convolve_time,
     epipolar_masks,
+    fold,
     probe,
     slice_polarimetric,
     slice_spatial,

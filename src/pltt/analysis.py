@@ -5,11 +5,11 @@ vectors, and an affine descattering fit that predicts a scatter-free
 intensity image from the 16 polarimetric channels of a summed tensor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import probe
+from .tensor import fold
 
 
 def _check_compression(c):
@@ -115,12 +115,11 @@ def pca_reconstruct(basis, coeffs):
 def summed_polarimetric_image(tensor, mask=None):
     """
     Per-camera-pixel 4x4 Mueller image: the transport tensor summed
-    over projector pixels and time bins, optionally through a probe
-    mask first (dense tensors only).
+    over time bins and then folded over projector pixels, optionally
+    through a probe mask (dense tensors only).
     """
-    if mask is not None:
-        tensor = probe(tensor, mask)
-    return tensor.data.sum(axis=(1, 4))
+    summed = replace(tensor, data=tensor.data.sum(axis=4, keepdims=True))
+    return fold(summed, mask).data[:, 0, :, :, 0]
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from .ellipsometry import (
 from .fileio import read_pltt, write_csv_grid, write_pgm, write_pltt
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
-from .tensor import TransportTensor, epipolar_masks, probe
+from .tensor import TransportTensor, epipolar_masks, fold
 
 
 class _Parser(argparse.ArgumentParser):
@@ -278,37 +278,19 @@ def cmd_learn_angles(args):
 # --------------------------------------------------------------- decompose
 
 def cmd_decompose(args):
-    tensor = _read(args.tensor)
+    # the total-illumination Mueller image per bin
+    tensor = fold(_read(args.tensor))
     if args.bin is not None and not 0 <= args.bin < tensor.n_bins:
         raise ValueError("bin %d outside 0..%d" % (args.bin, tensor.n_bins - 1))
-    if not tensor.coaxial and tensor.data.shape[1] > 1:
-        # fold the projector axis: total-illumination Mueller image per bin;
-        # the sum of S_proj independent noises has sqrt(S_proj) times their std
-        std = tensor.noise_std
-        tensor = TransportTensor(
-            tensor.data.sum(axis=1, keepdims=True),
-            tensor.cam_shape,
-            (1, 1),
-            tensor.time_bin_width,
-            channel_id=tensor.channel_id,
-            coaxial=False,
-            noise_std=None if std is None else std * np.sqrt(tensor.data.shape[1]),
-        )
     decomp = decompose_tensor(tensor, floor_frac=args.floor)
     bins = range(tensor.n_bins) if args.bin is None else [args.bin]
     h, w = tensor.cam_shape
     outputs = []
-    maps = {
-        "polarizance": decomp.polarizance,
-        "retardance": decomp.retardance,
-        "diattenuation": decomp.diattenuation,
-    }
     for t in bins:
-        for name, grid in maps.items():
-            prefix = "%s_%s_t%d" % (args.out, name, t)
-            outputs += _save_image(
-                prefix, grid[:, 0, t].reshape(h, w), {"map": name, "bin": t}
-            )
+        for name in ("polarizance", "retardance", "diattenuation"):
+            outputs += _save_image("%s_%s_t%d" % (args.out, name, t),
+                                   getattr(decomp, name)[:, 0, t].reshape(h, w),
+                                   {"map": name, "bin": t})
     summary_path = args.out + "_summary.json"
     _write_json(summary_path, {
         "n_blocks": int(decomp.null_mask.size),
@@ -498,8 +480,7 @@ def evaluate_slice(tensor, query):
             block = data[np.arange(n_cam), np.arange(n_cam)]
     elif query.proj in ("s_e", "s_n"):
         label = "epipolar" if query.proj == "s_e" else "non_epipolar"
-        mask = _pick_mask(tensor, label)
-        block = probe(tensor, mask).data.sum(axis=1)
+        block = fold(tensor, _pick_mask(tensor, label)).data[:, 0]
     else:
         if tensor.coaxial:
             raise ValueError(

@@ -77,16 +77,19 @@ def _scalar(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _tilt(m):
+    """||(m01, m02, m03)|| / m00 of checked blocks: diattenuation, or polarizance of M^T."""
+    return np.sqrt((m[..., 0, 1:] ** 2).sum(-1)) / m[..., 0, 0]
+
+
 def diattenuation(m):
     """Dependence of transmitted power on input polarization: first row of M."""
-    m = _checked(m, "diattenuation")
-    return _scalar(np.sqrt((m[..., 0, 1:] ** 2).sum(-1)) / m[..., 0, 0])
+    return _scalar(_tilt(_checked(m, "diattenuation")))
 
 
 def polarizance(m):
     """Degree of polarization of the output for unpolarized input: first column."""
-    m = _checked(m, "polarizance")
-    return _scalar(np.sqrt((m[..., 1:, 0] ** 2).sum(-1)) / m[..., 0, 0])
+    return _scalar(_tilt(_checked(m, "polarizance").swapaxes(-1, -2)))
 
 
 def _retardance_of(m_ret):
@@ -176,7 +179,7 @@ def polar_decompose(m):
 
     out = {
         "m_depol": m_depol, "m_ret": m_ret, "m_diat": m_diat,
-        "polarizance": polarizance(m), "retardance": ret, "diattenuation": diattenuation(m),
+        "polarizance": _tilt(m.swapaxes(1, 2)), "retardance": ret, "diattenuation": _tilt(m),
         "singular_diattenuator": singular, "negative_det_branch": negative_branch,
         "reorthogonalized": reorthogonalized, "retardance_clamped": clamped,
     }

@@ -40,6 +40,7 @@ learning differentiates it.
 """
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polarization import beamsplitter, galvo_mirror
-from .tensor import TransportTensor, probe
+from .tensor import TransportTensor, check_bin_width, probe
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 RANK_TOL = 1e-10
@@ -345,6 +346,9 @@ class MeasurementSet:
                              % (arr.shape[2], self.schedule.n_rows))
         if not isinstance(self.coaxial, (bool, np.bool_)):
             raise ValueError("coaxial must be a bool, got %r" % (self.coaxial,))
+        check_bin_width(self.time_bin_width)
+        if not (isinstance(self.noise_sigma, numbers.Real) and 0.0 <= self.noise_sigma < np.inf):
+            raise ValueError("noise_sigma must be finite and >= 0, got %r" % (self.noise_sigma,))
         if not 0.0 <= self.split <= 1.0:
             raise ValueError("split fraction must lie in [0, 1], got %r" % (self.split,))
 
@@ -360,11 +364,9 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     diagonal. Gaussian noise of the given sigma is added per record,
     deterministically for a given seed.
 
-    masks, if given, probe the tensor before the scan (projector-camera
-    geometry only).
+    masks, if given, is an (S_cam, S_proj) probe mask applied to the
+    tensor before the scan (projector-camera geometry only).
     """
-    if not 0.0 <= noise_sigma < np.inf:  # also rejects NaN
-        raise ValueError("noise_sigma must be finite and >= 0, got %r" % (noise_sigma,))
     if masks is not None:
         tensor = probe(tensor, masks)
     s_cam, s_proj, _, _, n_bins = tensor.data.shape

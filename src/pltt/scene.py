@@ -292,33 +292,29 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
     h, w = (int(resolution[0]), int(resolution[1]))
     n_pix = h * w
     coaxial = scene.geometry_mode == "coaxial"
-    s_proj = 1 if coaxial else n_pix
-    data = np.zeros((n_pix, s_proj, 4, 4, int(n_bins)))
+    data = np.zeros((n_pix, 1 if coaxial else n_pix, 4, 4, int(n_bins)))
+
+    def add(cam, proj, t_bin, block):
+        # a coaxial tensor stores only the diagonal, at projector index 0
+        data[cam, 0 if coaxial else proj, :, :, t_bin] += block
 
     for i, surf in enumerate(scene.surfaces):
         block = material_mueller(surf.material)
         t_bin = _time_bin(2.0 * surf.depth_m, time_bin_width, n_bins,
                           "surface %d at depth %g m" % (i, surf.depth_m))
         pix = _patch_pixels(surf.patch, (h, w))
-        if coaxial:
-            data[pix, 0, :, :, t_bin] += block
-        else:
-            data[pix, pix, :, :, t_bin] += block
+        add(pix, pix, t_bin, block)
 
     for i, chain in enumerate(scene.chains):
         block = compose([material_mueller(m) for m in reversed(chain.materials)])
         t_bin = _time_bin(chain.path_length_m, time_bin_width, n_bins,
                           "chain %d of path length %g m" % (i, chain.path_length_m))
         cam_pix = _patch_pixels(chain.camera_patch, (h, w))
-        if coaxial:
-            if chain.projector_patch is not None:
-                raise ValueError("chain %d: coaxial scenes cannot give a projector_patch" % i)
-            data[cam_pix, 0, :, :, t_bin] += block
-        else:
-            proj_patch = chain.projector_patch or chain.camera_patch
-            proj_pix = _patch_pixels(proj_patch, (h, w))
-            for s in cam_pix:
-                data[s, proj_pix, :, :, t_bin] += block
+        if coaxial and chain.projector_patch is not None:
+            raise ValueError("chain %d: coaxial scenes cannot give a projector_patch" % i)
+        proj_pix = _patch_pixels(chain.projector_patch or chain.camera_patch, (h, w))
+        # every camera pixel of the patch couples to every projector pixel
+        add(cam_pix[:, None], proj_pix[None, :], t_bin, block)
 
     if scene.scatter_volume is not None:
         vol = scene.scatter_volume
@@ -326,19 +322,11 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
         t_bin = _time_bin(2.0 * vol.depth_m, time_bin_width, n_bins,
                           "scatter volume at depth %g m" % vol.depth_m)
         strength = np.asarray(vol.strength, dtype=float)
-        if strength.ndim == 0:
-            strength = np.full(n_pix, float(strength))
-        elif strength.shape == (h, w):
-            strength = strength.ravel()
-        else:
+        if strength.shape not in ((), (h, w)):
             raise ValueError("scatter strength must be a scalar or a %dx%d map, got %r"
                              % (h, w, strength.shape))
-        contribution = strength[:, None, None] * block
-        if coaxial:
-            data[:, 0, :, :, t_bin] += contribution
-        else:
-            idx = np.arange(n_pix)
-            data[idx, idx, :, :, t_bin] += contribution
+        idx = np.arange(n_pix)
+        add(idx, idx, t_bin, strength.reshape(-1, 1, 1) * block)
 
     return TransportTensor(data, (h, w), (h, w), float(time_bin_width),
                            coaxial=coaxial)

@@ -11,8 +11,11 @@ metadata.
 Coaxial tensors sample only the s' = s diagonal; they store a projector
 axis of length 1 with ``coaxial=True`` and the logical projector shape
 equal to the camera shape.
+A probe mask is an (S_cam, S_proj) array of weights in [0, 1] on the
+(s, s') couplings (O'Toole et al., "Primal-dual coding", SIGGRAPH 2012).
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +23,12 @@ import numpy as np
 
 def _flat(shape):
     return int(shape[0]) * int(shape[1])
+
+
+def check_bin_width(width):
+    """Raise ValueError unless a time bin width is a finite number > 0."""
+    if not (isinstance(width, numbers.Real) and 0.0 < width < np.inf):  # also rejects NaN
+        raise ValueError("time_bin_width must be a finite number > 0, got %r" % (width,))
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,7 @@ class TransportTensor:
             raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
         if not np.all(np.isfinite(data)):
             raise ValueError("tensor values must be finite")
-        if not self.time_bin_width > 0.0:
-            raise ValueError("time_bin_width must be positive, got %r" % (self.time_bin_width,))
+        check_bin_width(self.time_bin_width)
         if self.noise_std is not None:
             std = np.asarray(self.noise_std, dtype=float)
             object.__setattr__(self, "noise_std", std)
@@ -142,37 +150,6 @@ class DetectedTensor:
                              % (data.shape, self.cam_shape))
         if not np.all(np.isfinite(data)):
             raise ValueError("detected values must be finite")
-
-
-@dataclass(frozen=True)
-class ProbeMask:
-    """
-    Spatial probing pattern as a stack of scan steps.
-
-    camera_mask has shape (J, S_cam) and projector_mask (J, S_proj);
-    probing applies sum_j camera_mask[j, s] * projector_mask[j, s'] to
-    the (s, s') coupling. A single pattern may be given as 1D vectors
-    (J = 1), which reduces to a plain separable mask. Values must lie
-    in [0, 1].
-    """
-
-    camera_mask: np.ndarray = field(repr=False)
-    projector_mask: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        cam = np.atleast_2d(np.asarray(self.camera_mask, dtype=float))
-        proj = np.atleast_2d(np.asarray(self.projector_mask, dtype=float))
-        object.__setattr__(self, "camera_mask", cam)
-        object.__setattr__(self, "projector_mask", proj)
-        if cam.shape[0] != proj.shape[0]:
-            raise ValueError("camera and projector mask stacks must have the same step count")
-        for name, m in (("camera", cam), ("projector", proj)):
-            if np.any(m < 0.0) or np.any(m > 1.0):
-                raise ValueError("%s mask values must lie in [0, 1]" % name)
-
-    def coupling(self):
-        """Effective (S_cam, S_proj) pairwise weight matrix."""
-        return np.einsum("js,jx->sx", self.camera_mask, self.projector_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -269,30 +246,54 @@ def slice_polarimetric(tensor):
     return tensor.data.sum(axis=(0, 1, 4))
 
 
+def _weights(tensor, mask):
+    """A probe mask as an (S_cam, S_proj) weight array, checked against a tensor."""
+    if tensor.coaxial:
+        raise ValueError("cannot probe a coaxial tensor: masks require projector_camera geometry")
+    weight = np.asarray(mask, dtype=float)
+    if weight.shape != tensor.data.shape[:2]:
+        raise ValueError("probe mask shape %r does not match the tensor's (S_cam, S_proj) = %r"
+                         % (weight.shape, tensor.data.shape[:2]))
+    if not np.all((weight >= 0.0) & (weight <= 1.0)):  # also rejects NaN
+        raise ValueError("probe mask values must lie in [0, 1]")
+    return weight
+
+
 def probe(tensor, mask):
     """
     Keep only the pixel couplings selected by a probe mask.
 
-    T'(s, s', ...) = sum_j camera_mask[j, s] projector_mask[j, s'] T(s, s', ...)
+    T'(s, s', ...) = mask[s, s'] T(s, s', ...)
     """
-    if tensor.coaxial:
-        raise ValueError("cannot probe a coaxial tensor: masks require projector_camera geometry")
-    if mask.camera_mask.shape[1] != tensor.n_cam:
-        raise ValueError("camera mask length %d does not match tensor %d"
-                         % (mask.camera_mask.shape[1], tensor.n_cam))
-    if mask.projector_mask.shape[1] != tensor.n_proj:
-        raise ValueError("projector mask length %d does not match tensor %d"
-                         % (mask.projector_mask.shape[1], tensor.n_proj))
-    weight = mask.coupling()
-    data = tensor.data * weight[:, :, None, None, None]
+    data = tensor.data * _weights(tensor, mask)[:, :, None, None, None]
     return TransportTensor(data, tensor.cam_shape, tensor.proj_shape,
                            tensor.time_bin_width, tensor.channel_id, False)
 
 
+def fold(tensor, mask=None):
+    """
+    F(s, 0, p, p', t) = sum_{s'} mask[s, s'] T(s, s', p, p', t), with proj_shape (1, 1).
+
+    A coaxial tensor, whose only s' is s, is its own fold and takes no mask.
+    Without a mask the sum of S_proj independent noises has sqrt(S_proj)
+    times their std; a masked fold carries no noise model.
+    """
+    if mask is None:
+        if tensor.coaxial:
+            return tensor
+        weight = np.ones(tensor.data.shape[:2])
+        std = None if tensor.noise_std is None else tensor.noise_std * np.sqrt(weight.shape[1])
+    else:
+        weight, std = _weights(tensor, mask), None
+    data = np.einsum("sx,sxpqt->spqt", weight, tensor.data)[:, None]
+    return TransportTensor(data, tensor.cam_shape, (1, 1), tensor.time_bin_width,
+                           tensor.channel_id, False, std)
+
+
 def epipolar_masks(cam_shape, proj_shape):
     """
-    Complementary (epipolar, non-epipolar) probe masks for rectified
-    row-aligned camera and projector grids.
+    Complementary (epipolar, non-epipolar) (S_cam, S_proj) probe masks
+    for rectified row-aligned camera and projector grids.
 
     Camera row i couples only to projector row i in the epipolar mask;
     the non-epipolar mask holds exactly the complementary couplings, so
@@ -303,11 +304,6 @@ def epipolar_masks(cam_shape, proj_shape):
     if cam_h != proj_h:
         raise ValueError("rectified geometry needs equal row counts, got %d vs %d"
                          % (cam_h, proj_h))
-    n_cam = cam_h * cam_w
-    n_proj = proj_h * proj_w
-    cam_rows = np.zeros((cam_h, n_cam))
-    proj_rows = np.zeros((cam_h, n_proj))
-    for row in range(cam_h):
-        cam_rows[row, row * cam_w:(row + 1) * cam_w] = 1.0
-        proj_rows[row, row * proj_w:(row + 1) * proj_w] = 1.0
-    return ProbeMask(cam_rows, proj_rows), ProbeMask(cam_rows, 1.0 - proj_rows)
+    epi = (np.arange(cam_h * cam_w)[:, None] // cam_w
+           == np.arange(proj_h * proj_w)[None, :] // proj_w).astype(float)
+    return epi, 1.0 - epi

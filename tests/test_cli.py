@@ -301,6 +301,26 @@ def test_reconstruct_names_a_missing_metadata_key(tmp_path, capsys):
     assert "time_bin_width" in err
 
 
+@pytest.mark.parametrize("field, value", [("time_bin_width", float("inf")),
+                                          ("time_bin_width", -1e-10),
+                                          ("noise_sigma", float("nan")),
+                                          ("noise_sigma", -0.5)])
+def test_bad_stored_bin_width_or_noise_sigma_exits_two_naming_it(tmp_path, capsys, field,
+                                                                 value):
+    # at K' = 16 = rank reconstruct would fall back to the stored noise_sigma
+    tensor_path = simulate(tmp_path, mirror_scene(0.015), bins=4)
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--k", "16", "--out", meas_path]) == 0
+    rewrite_metadata(meas_path, lambda meta: dict(meta, **{field: value}))
+    capsys.readouterr()
+    assert main(["reconstruct", "--measurements", meas_path,
+                 "--out", str(tmp_path / "recon.pltt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert field in err
+    assert not (tmp_path / "recon.pltt").exists()
+
+
 @pytest.mark.parametrize("scene, edited", [(DENSE_SCENE, "coaxial"),
                                            (MIRROR_SCENE, "projector_camera")])
 def test_geometry_mode_disagreeing_with_the_header_exits_two(tmp_path, capsys, scene, edited):

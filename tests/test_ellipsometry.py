@@ -349,6 +349,17 @@ def test_reconstruct_rejects_measurements_it_cannot_solve(value):
         reconstruct(dataclasses.replace(meas, intensities=intensities))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time_bin_width", -1.0), ("time_bin_width", 0.0), ("time_bin_width", np.nan),
+    ("time_bin_width", np.inf), ("time_bin_width", "1e-10"),
+    ("noise_sigma", -0.5), ("noise_sigma", np.nan), ("noise_sigma", np.inf),
+])
+def test_measurement_set_rejects_a_bad_bin_width_or_noise_sigma(field, value):
+    meas = capture(random_tensor(np.random.default_rng(18), True), drr_schedule(16))
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(meas, **{field: value})
+
+
 def test_capture_with_mask_equals_probe_then_capture():
     rng = np.random.default_rng(8)
     tensor = random_tensor(rng, False)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pltt.polarization import ideal_mirror, is_passive, linear_polarizer, rotator
+from pltt.polarization import compose, ideal_mirror, is_passive, linear_polarizer, rotator
 from pltt.scene import (
     SPEED_OF_LIGHT,
     build_transport,
@@ -216,6 +216,29 @@ def test_chain_with_projector_patch_couples_off_diagonal():
     tensor = build_transport(scene, (2, 2), 1, 1e-9)
     np.testing.assert_array_equal(tensor.data[0, 3, :, :, 0], ideal_mirror())
     assert np.abs(tensor.data).sum() == np.abs(tensor.data[0, 3]).sum()
+
+
+def test_chain_couples_every_patch_pixel_pair_like_a_loop():
+    scene = parse_scene({
+        "geometry_mode": "projector_camera",
+        "surfaces": [{"patch": [0, 2, 1, 3], "depth_m": 0.0,
+                      "material": {"kind": "fresnel_dielectric", "eta": 1.5,
+                                   "incidence_deg": 30.0}}],
+        "chains": [{"materials": [{"kind": "retarder_plate", "retardance_deg": 40.0,
+                                   "axis_deg": 10.0}, {"kind": "ideal_mirror"}],
+                    "path_length_m": 0.0, "camera_patch": [0, 2, 0, 2],
+                    "projector_patch": [1, 2, 1, 3]}],
+    })
+    tensor = build_transport(scene, (2, 3), 1, 1e-9)
+    # reference: one += per (camera, projector) pair, in patch order
+    expected = np.zeros((6, 6, 4, 4, 1))
+    for s in (1, 2, 4, 5):
+        expected[s, s, :, :, 0] += material_mueller(scene.surfaces[0].material)
+    chain = compose([material_mueller(m) for m in reversed(scene.chains[0].materials)])
+    for s in (0, 1, 3, 4):
+        for x in (4, 5):
+            expected[s, x, :, :, 0] += chain
+    np.testing.assert_array_equal(tensor.data, expected)
 
 
 def test_coaxial_chain_rejects_projector_patch():

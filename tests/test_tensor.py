@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pltt.analysis import summed_polarimetric_image
 from pltt.tensor import (
     DetectedTensor,
     IlluminationTensor,
-    ProbeMask,
     TransportTensor,
     contract,
     convolve_time,
     epipolar_masks,
+    fold,
     probe,
     slice_polarimetric,
     slice_spatial,
@@ -237,24 +239,24 @@ def test_probed_tensors_carry_no_noise_model():
 
 def test_epipolar_masks_are_complementary_rows():
     epi, non_epi = epipolar_masks((2, 2), (2, 3))
-    coupling = epi.coupling()
-    assert coupling.shape == (4, 6)
+    assert epi.shape == (4, 6)
     # camera pixel 0 sits in row 0, which holds projector pixels 0..2
-    np.testing.assert_array_equal(coupling[0], [1, 1, 1, 0, 0, 0])
-    np.testing.assert_array_equal(coupling[3], [0, 0, 0, 1, 1, 1])
-    np.testing.assert_array_equal(coupling + non_epi.coupling(), np.ones((4, 6)))
+    np.testing.assert_array_equal(epi[0], [1, 1, 1, 0, 0, 0])
+    np.testing.assert_array_equal(epi[3], [0, 0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(epi + non_epi, np.ones((4, 6)))
     with pytest.raises(ValueError):
         epipolar_masks((2, 2), (3, 2))
 
 
 def test_single_step_mask_is_rank_one():
+    # a separable pattern: camera pixel 0 lit, projector pixels at weights 0.5 and 1
     rng = np.random.default_rng(12)
     tensor = make_dense(rng)
-    cam = np.array([[1.0, 0.0]])
-    proj = np.array([[0.5, 1.0]])
-    mask = ProbeMask(cam, proj)
-    expected = tensor.data * np.outer(cam[0], proj[0])[:, :, None, None, None]
+    mask = np.outer([1.0, 0.0], [0.5, 1.0])
+    expected = tensor.data * mask[:, :, None, None, None]
     np.testing.assert_allclose(probe(tensor, mask).data, expected, atol=1e-15)
+    np.testing.assert_array_equal(probe(tensor, mask).data[0, 0], 0.5 * tensor.data[0, 0])
+    np.testing.assert_array_equal(probe(tensor, mask).data[1], 0.0)
 
 
 def test_probe_rejects_coaxial_tensor():
@@ -266,10 +268,73 @@ def test_probe_rejects_coaxial_tensor():
 
 
 def test_probe_mask_validation():
-    with pytest.raises(ValueError):
-        ProbeMask(np.array([[0.5, 1.5]]), np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        ProbeMask(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    tensor = make_dense(np.random.default_rng(14))
+    for mask, message in (
+        ([[0.5, 1.5], [1.0, 0.0]], r"\[0, 1\]"),
+        ([[0.5, -0.1], [1.0, 0.0]], r"\[0, 1\]"),
+        ([[0.5, np.nan], [1.0, 0.0]], r"\[0, 1\]"),
+        ([[0.5, 0.5]], "shape"),
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "shape"),
+    ):
+        for op in (probe, fold):
+            with pytest.raises(ValueError, match=message):
+                op(tensor, np.array(mask))
+
+
+@st.composite
+def dense_and_mask(draw):
+    """A dense tensor with a noise model and a random 0/1 or epipolar mask for it."""
+    rows, cam_w, proj_w, bins = (draw(st.integers(1, 3)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows * cam_w, rows * proj_w, 4, 4, bins)
+    # entries spread over orders of magnitude make the order of additions show
+    data = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    tensor = TransportTensor(data, (rows, cam_w), (rows, proj_w), BIN,
+                             noise_std=rng.uniform(0, 1, size=(4, 4)))
+    if draw(st.booleans()):
+        mask = epipolar_masks(tensor.cam_shape, tensor.proj_shape)[draw(st.integers(0, 1))]
+    else:
+        mask = (rng.uniform(size=shape[:2]) < 0.5).astype(float)
+    return tensor, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_and_mask())
+def test_fold_is_the_projector_sum_of_the_probe(case):
+    tensor, mask = case
+    probed = probe(tensor, mask)
+    np.testing.assert_array_equal(fold(tensor, mask).data[:, 0], probed.data.sum(axis=1))
+    np.testing.assert_array_equal(summed_polarimetric_image(tensor, mask),
+                                  probed.data.sum(axis=(1, 4)))
+    np.testing.assert_array_equal(summed_polarimetric_image(tensor),
+                                  tensor.data.sum(axis=(1, 4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_and_mask())
+def test_fold_scales_the_noise_model_and_a_masked_fold_drops_it(case):
+    tensor, mask = case
+    folded = fold(tensor)
+    assert folded.data.shape == (tensor.n_cam, 1, 4, 4, tensor.n_bins)
+    assert folded.proj_shape == (1, 1) and not folded.coaxial
+    np.testing.assert_array_equal(folded.noise_std,
+                                  tensor.noise_std * np.sqrt(tensor.n_proj))
+    assert fold(tensor, mask).noise_std is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_a_coaxial_tensor_is_its_own_fold_and_takes_no_mask(seed, h, w):
+    coax = make_coaxial(np.random.default_rng(seed), cam=(h, w))
+    assert fold(coax) is coax
+    with pytest.raises(ValueError, match="cannot probe a coaxial tensor"):
+        fold(coax, np.ones((h * w, h * w)))
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, "1e-10", None])
+def test_transport_tensor_rejects_a_bad_bin_width(width):
+    with pytest.raises(ValueError, match="time_bin_width"):
+        TransportTensor(np.zeros((4, 1, 4, 4, 2)), (2, 2), (2, 2), width, coaxial=True)
 
 
 def test_transport_tensor_validation():

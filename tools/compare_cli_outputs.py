@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""
+Compare the pltt CLI's outputs of two checkouts, file by file.
+
+    python3 tools/compare_cli_outputs.py <parent-checkout> <change-checkout>
+
+Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
+on both scenes in the change checkout's ``tests/data``: simulate; capture,
+plain and with ``--mask epipolar``; reconstruct; decompose; pca; descatter
+with no mask, ``epipolar`` and ``non_epipolar``; and slices, among them
+``s_e`` and ``s_n``. Each command runs in its own Python process, and each
+checkout in its own temporary directory, with relative paths, so both
+sides see the same arguments.
+
+Every output file is compared byte for byte, except the manifests, which
+are compared as JSON without their ``duration_s`` and ``peak_rss_mb``.
+Exit codes and the commands' stdout and stderr are compared too. Prints
+each difference and exits 1 if there is any, 0 otherwise.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# (scene file in tests/data, camera resolution, capture seed)
+SCENES = (
+    ("found_projector_camera_8x8_seed61.json", "8x8", "61"),
+    ("found_coaxial_16x16_seed17.json", "16x16", "17"),
+)
+# fields of a manifest that measure the run rather than describe its result
+UNSTABLE = ("duration_s", "peak_rss_mb")
+
+
+def commands(resolution, seed):
+    """(label, argv) pairs; each scene runs in a fresh directory holding scene.json."""
+    return [
+        ("simulate", ["simulate", "--scene", "scene.json", "--resolution", resolution,
+                      "--bins", "16", "--bin-width", "1e-10", "--out", "truth.pltt"]),
+        ("capture", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
+                     "--seed", seed, "--out", "meas.pltt"]),
+        ("capture_epipolar", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
+                              "--seed", seed, "--mask", "epipolar", "--out", "meas_epi.pltt"]),
+        ("reconstruct", ["reconstruct", "--measurements", "meas.pltt", "--out", "recon.pltt"]),
+        ("decompose", ["decompose", "--tensor", "recon.pltt", "--out", "dec"]),
+        ("decompose_truth", ["decompose", "--tensor", "truth.pltt", "--out", "dec_truth"]),
+        ("pca", ["pca", "--tensor", "recon.pltt", "--out", "pca"]),
+        # the direct (diagonal) light of the truth is the descatter target
+        ("target", ["slice", "--tensor", "truth.pltt", "--expr", "sum_t T(s, s, 0, 0, t)",
+                    "--out", "target"]),
+        ("descatter", ["descatter", "--tensor", "recon.pltt", "--target", "target.csv",
+                       "--out", "desc"]),
+        ("descatter_epipolar", ["descatter", "--tensor", "recon.pltt", "--target", "target.csv",
+                                "--mask", "epipolar", "--out", "desc_epi"]),
+        ("descatter_non_epipolar", ["descatter", "--tensor", "recon.pltt",
+                                    "--target", "target.csv", "--mask", "non_epipolar",
+                                    "--out", "desc_non"]),
+        ("slice_s_e", ["slice", "--tensor", "recon.pltt", "--expr", "sum_t T(s, s_e, :, 0, t)",
+                       "--out", "slice_e"]),
+        ("slice_s_n", ["slice", "--tensor", "recon.pltt", "--expr",
+                       "-sum_pp T(s, s_n, 0, :, :)", "--out", "slice_n"]),
+        ("slice_diagonal", ["slice", "--tensor", "recon.pltt", "--expr", "T(s, s, 1, 2, t=5)",
+                            "--out", "slice_d"]),
+    ]
+
+
+def run_checkout(checkout, data_dir, workdir):
+    """Run every command for both scenes; returns {label: (exit code, stdout, stderr)}."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    results = {}
+    for scene, resolution, seed in SCENES:
+        scene_dir = os.path.join(workdir, os.path.splitext(scene)[0])
+        os.makedirs(scene_dir)
+        with open(os.path.join(data_dir, scene), "rb") as src, \
+                open(os.path.join(scene_dir, "scene.json"), "wb") as dst:
+            dst.write(src.read())
+        for label, argv in commands(resolution, seed):
+            proc = subprocess.run([sys.executable, "-m", "pltt.cli"] + argv, cwd=scene_dir,
+                                  env=env, capture_output=True, text=True)
+            results["%s/%s" % (os.path.basename(scene_dir), label)] = (
+                proc.returncode, proc.stdout, proc.stderr)
+    return results
+
+
+def files_under(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
+def same_file(path_a, path_b):
+    if path_a.endswith(".manifest.json"):
+        with open(path_a) as fa, open(path_b) as fb:
+            a, b = json.load(fa), json.load(fb)
+        for key in UNSTABLE:
+            a.pop(key, None)
+            b.pop(key, None)
+        return a == b
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        return fa.read() == fb.read()
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = argv
+    data_dir = os.path.join(change, "tests", "data")
+    differences = []
+    with tempfile.TemporaryDirectory() as dir_a, tempfile.TemporaryDirectory() as dir_b:
+        runs_a = run_checkout(parent, data_dir, dir_a)
+        runs_b = run_checkout(change, data_dir, dir_b)
+        for label, (code_a, out_a, err_a) in runs_a.items():
+            code_b, out_b, err_b = runs_b[label]
+            if code_a != code_b:
+                differences.append("%s: exit code %d vs %d" % (label, code_a, code_b))
+            for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+                if a != b:
+                    differences.append("%s: %s differs" % (label, stream))
+        files_a, files_b = files_under(dir_a), files_under(dir_b)
+        for name in sorted(set(files_a) ^ set(files_b)):
+            differences.append("%s: only in the %s run"
+                               % (name, "parent" if name in files_a else "change"))
+        common = sorted(set(files_a) & set(files_b))
+        for name in common:
+            if not same_file(os.path.join(dir_a, name), os.path.join(dir_b, name)):
+                differences.append("%s: differs" % name)
+    for line in differences:
+        print(line)
+    codes = {}
+    for code, _, _ in runs_a.values():
+        codes[code] = codes.get(code, 0) + 1
+    print("%d commands (exit codes %s), %d files compared: %d difference(s)" % (
+        len(runs_a), ", ".join("%d: %d" % kv for kv in sorted(codes.items())),
+        len(common), len(differences)))
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
