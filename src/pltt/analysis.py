@@ -9,23 +9,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import fold
-
-
-def _check_compression(c):
-    if not 0.0 < c < np.inf:  # also rejects NaN
-        raise ValueError("compression factor must be finite and positive, got %r" % (c,))
+from .tensor import check_number, fold
 
 
 def arctan_map(m, c=8.0):
     """Elementwise y = arctan(c * x): squashes each entry into (-pi/2, pi/2)."""
-    _check_compression(c)
+    c = check_number(c, "compression factor", above=0.0)
     return np.arctan(c * np.asarray(m, dtype=float))
 
 
 def arctan_unmap(y, c=8.0):
     """Inverse of arctan_map; |y| >= pi/2 has no preimage and raises."""
-    _check_compression(c)
+    c = check_number(c, "compression factor", above=0.0)
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(y) >= np.pi / 2):
         raise ValueError("arctan_unmap needs |y| < pi/2 everywhere")
@@ -66,8 +61,7 @@ class PrincipalBasis:
 
     def n_components_for(self, fraction):
         """Smallest component count whose cumulative energy reaches fraction."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
+        fraction = check_number(fraction, "fraction", above=0.0, high=1.0)
         return int(np.searchsorted(self.energy, fraction - 1e-12) + 1)
 
 

@@ -52,7 +52,7 @@ from .ellipsometry import (
 from .fileio import read_pltt, write_csv_grid, write_pgm, write_pltt
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
-from .tensor import TransportTensor, epipolar_masks, fold
+from .tensor import TransportTensor, check_number, epipolar_masks, fold
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,13 +211,6 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(TrainingConfig)
 _LEARN_KEYS = set(_CONFIG_FIELDS) | {"n_samples", "family_weights", "eval_seed", "n_eval"}
 
 
-def _config_int(raw, key, default, low):
-    value = raw.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValueError("%s must be an integer >= %d, got %r" % (key, low, value))
-    return value
-
-
 def cmd_learn_angles(args):
     with open(args.config) as fh:
         raw = json.load(fh)
@@ -227,10 +220,10 @@ def cmd_learn_angles(args):
     if unknown:
         raise ValueError("unknown config keys: %s" % ", ".join(unknown))
 
-    seed = _config_int(raw, "seed", 0, 0)
-    n_samples = _config_int(raw, "n_samples", 500, 1)
-    eval_seed = _config_int(raw, "eval_seed", seed + 9999, 0)
-    n_eval = _config_int(raw, "n_eval", 200, 1)
+    seed = check_number(raw.get("seed", 0), "seed", low=0, integer=True)
+    n_samples = check_number(raw.get("n_samples", 500), "n_samples", low=1, integer=True)
+    eval_seed = check_number(raw.get("eval_seed", seed + 9999), "eval_seed", low=0, integer=True)
+    n_eval = check_number(raw.get("n_eval", 200), "n_eval", low=1, integer=True)
     weights = raw.get("family_weights", [0.3, 0.35, 0.35])
     ensemble = generate_ensemble(seed, n_samples, weights=weights)
     kwargs = {key: raw[key] for key in _CONFIG_FIELDS if key in raw}

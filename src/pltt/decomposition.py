@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import check_number
+
 logger = logging.getLogger(__name__)
 
 SINGULAR_EPS = 1e-9
@@ -222,8 +224,7 @@ def lit_blocks(tensor, floor_frac):
     the relative floor applies. floor_frac must be finite and in [0, 1).
     A tensor holding NaN or inf anywhere raises ValueError.
     """
-    if not 0.0 <= floor_frac < 1.0:  # also rejects NaN
-        raise ValueError("floor fraction must be finite and in [0, 1), got %r" % (floor_frac,))
+    floor_frac = check_number(floor_frac, "floor fraction", low=0.0, below=1.0)
     blocks = tensor.data.transpose(0, 1, 4, 2, 3)
     _require_finite(blocks)
     m00 = blocks[..., 0, 0]

@@ -40,15 +40,13 @@ learning differentiates it.
 """
 
 import json
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .polarization import beamsplitter, galvo_mirror
-from .tensor import TransportTensor, check_bin_width, probe
+from .tensor import TransportTensor, check_number, probe
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 RANK_TOL = 1e-10
@@ -123,8 +121,7 @@ def drr_schedule(k, sensor_mode="intensity"):
     and the detector QWP 25 degrees (1:5 ratio), k = 1..K mapping to
     5(k-1) and 25(k-1) degrees.
     """
-    if k < 1:
-        raise ValueError("K must be >= 1")
+    k = check_number(k, "K", low=1, integer=True)
     idx = np.arange(k, dtype=float)
     return AngleSchedule(
         theta1=np.zeros(k),
@@ -169,12 +166,8 @@ def schedule_from_dict(obj):
     for key in ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg"):
         if key not in obj:
             raise ValueError("schedule is missing field %r" % key)
-        # "<= max" also rejects NaN, inf and integers too large for a float
-        if not (isinstance(obj[key], list) and obj[key] and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max for v in obj[key])):
-            raise ValueError("schedule field %r must be a non-empty list of finite numbers" % key)
-        columns.append(np.deg2rad(obj[key]))
+        columns.append(np.deg2rad(check_number(obj[key], "schedule field %r" % key,
+                                               shape=(None,))))
     fixed = obj.get("fixed", [True, False, False, True])
     if not (isinstance(fixed, list) and len(fixed) == 4
             and all(isinstance(b, bool) for b in fixed)):
@@ -346,11 +339,11 @@ class MeasurementSet:
                              % (arr.shape[2], self.schedule.n_rows))
         if not isinstance(self.coaxial, (bool, np.bool_)):
             raise ValueError("coaxial must be a bool, got %r" % (self.coaxial,))
-        check_bin_width(self.time_bin_width)
-        if not (isinstance(self.noise_sigma, numbers.Real) and 0.0 <= self.noise_sigma < np.inf):
-            raise ValueError("noise_sigma must be finite and >= 0, got %r" % (self.noise_sigma,))
-        if not 0.0 <= self.split <= 1.0:
-            raise ValueError("split fraction must lie in [0, 1], got %r" % (self.split,))
+        for name, bounds in (("time_bin_width", {"above": 0.0}), ("noise_sigma", {"low": 0.0}),
+                             ("split", {"low": 0.0, "high": 1.0})):
+            object.__setattr__(self, name, check_number(getattr(self, name), name, **bounds))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_number(self.seed, "seed", low=0, integer=True))
 
 
 def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
@@ -367,6 +360,9 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     masks, if given, is an (S_cam, S_proj) probe mask applied to the
     tensor before the scan (projector-camera geometry only).
     """
+    noise_sigma = check_number(noise_sigma, "noise_sigma", low=0.0)
+    if seed is not None:
+        seed = check_number(seed, "seed", low=0, integer=True)
     if masks is not None:
         tensor = probe(tensor, masks)
     s_cam, s_proj, _, _, n_bins = tensor.data.shape
@@ -395,9 +391,9 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
         cam_shape=tensor.cam_shape,
         proj_shape=tensor.proj_shape,
         time_bin_width=tensor.time_bin_width,
-        noise_sigma=float(noise_sigma),
+        noise_sigma=noise_sigma,
         seed=seed,
-        split=float(split),
+        split=split,
     )
 
 

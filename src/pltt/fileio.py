@@ -34,12 +34,11 @@ and only reshapes it; neither holds a bytes copy of it.
 import json
 import os
 import struct
-import sys
 
 import numpy as np
 
 from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
-from .tensor import TransportTensor
+from .tensor import TransportTensor, check_number
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -135,17 +134,9 @@ def read_pltt(path):
     for key in _REQUIRED_KEYS[kind]:
         if key not in meta:
             raise ValueError("PLTT %s metadata lacks the required key %r" % (kind, key))
-    for key in ("time_bin_width", "noise_sigma", "split"):
-        value = meta.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ValueError("PLTT metadata key %r must be a number, got %r" % (key, value))
     std = meta.get("noise_std")
-    # "<= max" also rejects NaN, inf and integers too large for a float
-    if std is not None and not (isinstance(std, list) and len(std) == 16 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and 0.0 <= v <= sys.float_info.max for v in std)):
-        raise ValueError("PLTT metadata key 'noise_std' must be a list of 16 finite "
-                         "numbers >= 0")
+    if std is not None:
+        std = check_number(std, "PLTT metadata key 'noise_std'", low=0.0, shape=(16,))
     fixed = dict(_FIXED_SLOTS[kind])
     if kind == "measurement":
         schedule = schedule_from_dict(meta["schedule"])
@@ -162,7 +153,7 @@ def read_pltt(path):
         return TransportTensor(payload.reshape(cam_w * cam_h, s_proj, 4, 4, n_bins),
                                (cam_h, cam_w), (proj_h, proj_w),
                                meta["time_bin_width"], meta.get("channel_id", "mono"),
-                               coaxial, None if std is None else np.reshape(std, (4, 4)))
+                               coaxial, None if std is None else std.reshape(4, 4))
     return MeasurementSet(
         intensities=payload.reshape(cam_w * cam_h, s_proj, dim_p, n_bins),
         schedule=schedule,

@@ -31,7 +31,6 @@ its gradient.
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -44,6 +43,7 @@ from .ellipsometry import (
     drr_schedule,
     forward_model,
 )
+from .tensor import check_number
 
 
 def default_trainable(sensor_mode):
@@ -53,17 +53,10 @@ def default_trainable(sensor_mode):
     return (True, True, True, True)
 
 
-def _plain(value, kind):
-    """``value`` is a ``kind`` (numbers.Integral or numbers.Real) but not a bool."""
-    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
-
-
 def _noise_moment(noise, n_blocks, n_rows):
     """E[eta eta^T]: sigma^2 (for sigma^2 I) from a scalar std, E^T E / N from draws."""
     if np.ndim(noise) == 0:
-        if not (_plain(noise, numbers.Real) and 0 <= noise < np.inf):
-            raise ValueError("noise sigma must be a finite number >= 0, got %r" % (noise,))
-        return float(noise) ** 2
+        return check_number(noise, "noise sigma", low=0.0) ** 2
     noise = np.asarray(noise, dtype=float)
     if (noise.ndim not in (2, 3) or noise.shape[0] != n_blocks
             or noise.shape[-1] != n_rows or noise.size == 0):
@@ -191,25 +184,19 @@ class TrainingConfig:
             raise ValueError("samples must be (n, 4, 4)")
         counts = (("k", 1), ("batch_size", 1), ("draws", 1), ("eval_every", 1),
                   ("eval_draws", 1), ("iterations", 0), ("seed", 0))
-        rules = [(name, _plain(getattr(self, name), numbers.Integral)
-                  and getattr(self, name) >= low, "an integer >= %d" % low)
-                 for name, low in counts]
-        rules += [
-            ("noise_sigma", _plain(self.noise_sigma, numbers.Real)
-             and 0 <= self.noise_sigma < np.inf, "a finite number >= 0"),
-            ("step_size", _plain(self.step_size, numbers.Real)
-             and 0 < self.step_size < np.inf, "a finite number > 0"),
-            ("holdout_fraction", _plain(self.holdout_fraction, numbers.Real)
-             and 0 <= self.holdout_fraction < 1, "a number in [0, 1)"),
-        ]
-        for name, ok, rule in rules:
-            if not ok:
-                raise ValueError("%s must be %s, got %r"
-                                 % ("K" if name == "k" else name, rule, getattr(self, name)))
+        rules = [(name, {"low": low, "integer": True}) for name, low in counts] + [
+            ("noise_sigma", {"low": 0.0}), ("step_size", {"above": 0.0}),
+            ("holdout_fraction", {"low": 0.0, "below": 1.0})]
+        for name, rule in rules:
+            object.__setattr__(self, name, check_number(
+                getattr(self, name), "K" if name == "k" else name, **rule))
         if self.batch_size > samples.shape[0]:
             raise ValueError("batch size exceeds the ensemble size")
-        if self.trainable is None:
-            object.__setattr__(self, "trainable", default_trainable(self.sensor_mode))
+        trainable = (default_trainable(self.sensor_mode) if self.trainable is None
+                     else self.trainable)
+        if np.shape(trainable) != (4,):
+            raise ValueError("trainable must be 4 flags, got %r" % (trainable,))
+        object.__setattr__(self, "trainable", tuple(bool(t) for t in trainable))
 
     def digest(self):
         # every field but the samples, which are hashed as raw bytes

@@ -18,6 +18,8 @@ Conventions, fixed once and locked by tests:
 
 import numpy as np
 
+from .tensor import check_number
+
 
 def rotation_mueller(theta):
     """
@@ -116,8 +118,7 @@ def beamsplitter(mode="transmit", split=0.5):
     ``transmit`` is a scaled identity, ``reflect`` a scaled mirror flip;
     ``split`` is the fraction of intensity sent into the arm.
     """
-    if not 0.0 <= split <= 1.0:
-        raise ValueError("split fraction must lie in [0, 1], got %r" % (split,))
+    split = check_number(split, "split fraction", low=0.0, high=1.0)
     if mode == "transmit":
         return split * np.eye(4)
     if mode == "reflect":

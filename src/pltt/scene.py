@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polarization import compose, ideal_mirror, is_passive, retarder, rotator
-from .tensor import TransportTensor
+from .tensor import TransportTensor, check_number
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -59,10 +59,8 @@ def fresnel_mueller(eta, theta_i):
     the matrix is a perfect diattenuator; at normal incidence both
     reflectances equal ((eta-1)/(eta+1))**2.
     """
-    if not eta > 1.0:
-        raise ValueError("relative refractive index must be > 1, got %r" % (eta,))
-    if not 0.0 <= theta_i < np.pi / 2.0:
-        raise ValueError("incidence angle must lie in [0, pi/2), got %r" % (theta_i,))
+    eta = check_number(eta, "relative refractive index", above=1.0)
+    theta_i = check_number(theta_i, "incidence angle", low=0.0, below=np.pi / 2.0)
     ci = np.cos(theta_i)
     st = np.sin(theta_i) / eta
     ct = np.sqrt(1.0 - st * st)
@@ -89,11 +87,8 @@ def diffuse_depolarizer(albedo, residual_dop):
     survives; the circular residual decays twice as fast (a modeling
     knob, not a law).
     """
-    if not 0.0 <= albedo <= 1.0:
-        raise ValueError("albedo must lie in [0, 1], got %r" % (albedo,))
-    if not 0.0 <= residual_dop <= 1.0:
-        raise ValueError("residual_dop must lie in [0, 1], got %r" % (residual_dop,))
-    r = residual_dop
+    albedo = check_number(albedo, "albedo", low=0.0, high=1.0)
+    r = check_number(residual_dop, "residual_dop", low=0.0, high=1.0)
     return albedo * np.diag([1.0, r, r, 0.5 * r])
 
 
@@ -125,25 +120,7 @@ def material_mueller(spec):
 def _need(spec, key, shape=()):
     if key not in spec:
         raise ValueError("material kind %r is missing field %r" % (spec.get("kind"), key))
-    return _finite(spec[key], "material field %r" % key, shape=shape)
-
-
-def _finite(value, name, low=-np.inf, high=np.inf, shape=()):
-    """
-    ``value`` as a float (array) if it nests finite JSON numbers, not
-    bools, of ``shape`` (any shape for None) within [low, high].
-    """
-    try:
-        arr = np.asarray(value)
-    except ValueError:   # ragged nesting
-        arr = np.asarray(None)
-    if (arr.dtype.kind not in "iuf" or shape not in (None, arr.shape)
-            or not np.all(np.isfinite(arr) & (arr >= low) & (arr <= high))):
-        what = ("a finite number" if shape == () else "finite numbers" if shape is None
-                else "finite numbers of shape %s" % (shape,))
-        bounds = "" if (low, high) == (-np.inf, np.inf) else " in [%g, %g]" % (low, high)
-        raise ValueError("%s must be %s%s, got %r" % (name, what, bounds, value))
-    return arr.astype(float) if arr.ndim else float(arr)
+    return check_number(spec[key], "material field %r" % key, shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +172,7 @@ def parse_scene(obj):
     surfaces = []
     for i, raw in enumerate(obj.get("surfaces", [])):
         patch = _parse_patch(raw, "surfaces[%d].patch" % i)
-        depth = _finite(raw.get("depth_m"), "field 'surfaces[%d].depth_m'" % i, low=0.0)
+        depth = check_number(raw.get("depth_m"), "field 'surfaces[%d].depth_m'" % i, low=0.0)
         material = raw.get("material")
         material_mueller(material)   # validates, result rebuilt later
         surfaces.append(Surface(patch, depth, material))
@@ -206,7 +183,7 @@ def parse_scene(obj):
             raise ValueError("field 'chains[%d].materials' must be a nonempty list" % i)
         for mat in mats:
             material_mueller(mat)
-        length = _finite(raw.get("path_length_m"), "field 'chains[%d].path_length_m'" % i,
+        length = check_number(raw.get("path_length_m"), "field 'chains[%d].path_length_m'" % i,
                          low=0.0)
         cam_patch = _parse_patch({"patch": raw.get("camera_patch")},
                                  "chains[%d].camera_patch" % i)
@@ -220,9 +197,9 @@ def parse_scene(obj):
         raw = obj["scatter_volume"]
         if not isinstance(raw, dict):
             raise ValueError("field 'scatter_volume' must be an object, got %r" % (raw,))
-        depth = _finite(raw.get("depth_m"), "field 'scatter_volume.depth_m'", low=0.0)
+        depth = check_number(raw.get("depth_m"), "field 'scatter_volume.depth_m'", low=0.0)
         strength = raw.get("strength")
-        _finite(strength, "field 'scatter_volume.strength'", 0.0, 1.0, shape=None)
+        check_number(strength, "field 'scatter_volume.strength'", 0.0, 1.0, shape=None)
         backscatter = raw.get("backscatter")
         material_mueller(backscatter)
         volume = ScatterVolume(backscatter, strength, depth)
@@ -240,13 +217,10 @@ def load_scene(path):
 
 
 def _parse_patch(raw, name):
-    patch = raw.get("patch")
-    if (not isinstance(patch, (list, tuple)) or len(patch) != 4
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in patch)):
-        raise ValueError("field '%s' must be [row0, row1, col0, col1] integers, got %r"
-                         % (name, patch))
-    r0, r1, c0, c1 = patch
-    if r0 < 0 or c0 < 0 or r1 <= r0 or c1 <= c0:
+    patch = check_number(raw.get("patch"), "field '%s' [row0, row1, col0, col1]" % name,
+                         low=0, shape=(4,), integer=True)
+    r0, r1, c0, c1 = patch.tolist()
+    if r1 <= r0 or c1 <= c0:
         raise ValueError("field '%s' must satisfy 0 <= row0 < row1, 0 <= col0 < col1" % name)
     return (r0, r1, c0, c1)
 
@@ -290,9 +264,11 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
     Deterministic; bit-identical across runs.
     """
     h, w = (int(resolution[0]), int(resolution[1]))
+    n_bins = check_number(n_bins, "n_bins", low=1, integer=True)
+    time_bin_width = check_number(time_bin_width, "time_bin_width", above=0.0)
     n_pix = h * w
     coaxial = scene.geometry_mode == "coaxial"
-    data = np.zeros((n_pix, 1 if coaxial else n_pix, 4, 4, int(n_bins)))
+    data = np.zeros((n_pix, 1 if coaxial else n_pix, 4, 4, n_bins))
 
     def add(cam, proj, t_bin, block):
         # a coaxial tensor stores only the diagonal, at projector index 0
@@ -328,8 +304,7 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
         idx = np.arange(n_pix)
         add(idx, idx, t_bin, strength.reshape(-1, 1, 1) * block)
 
-    return TransportTensor(data, (h, w), (h, w), float(time_bin_width),
-                           coaxial=coaxial)
+    return TransportTensor(data, (h, w), (h, w), time_bin_width, coaxial=coaxial)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +334,9 @@ def generate_ensemble(seed, n, weights=(0.3, 0.35, 0.35)):
     random retarder and rotator. Deterministic for a given seed, with
     per-sample RNG streams so generation order does not matter.
     """
-    if n < 1:
-        raise ValueError("ensemble size must be >= 1")
-    weights = _finite(weights, "family weights", low=0.0, shape=(3,))
+    n = check_number(n, "ensemble size", low=1, integer=True)
+    seed = check_number(seed, "seed", low=0, integer=True)
+    weights = check_number(weights, "family weights", low=0.0, shape=(3,))
     if weights.sum() <= 0:
         raise ValueError("family weights must not all be 0")
     probs = weights / weights.sum()

@@ -15,7 +15,6 @@ A probe mask is an (S_cam, S_proj) array of weights in [0, 1] on the
 (s, s') couplings (O'Toole et al., "Primal-dual coding", SIGGRAPH 2012).
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +24,57 @@ def _flat(shape):
     return int(shape[0]) * int(shape[1])
 
 
-def check_bin_width(width):
-    """Raise ValueError unless a time bin width is a finite number > 0."""
-    if not (isinstance(width, numbers.Real) and 0.0 < width < np.inf):  # also rejects NaN
-        raise ValueError("time_bin_width must be a finite number > 0, got %r" % (width,))
+def _holds_bool(value):
+    """Whether a list nests a bool, which np.asarray would turn into 0 or 1."""
+    return isinstance(value, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) or _holds_bool(v) for v in value)
+
+
+def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.inf,
+                 shape=(), integer=False):
+    """
+    ``value`` as a plain float (int when ``integer``), or as an array of them
+    for a ``shape`` other than (), if it is finite numbers of that shape with
+    low <= v <= high and above < v < below. A None in ``shape`` matches any
+    length >= 1, and shape None any shape. Numpy scalars are accepted; a
+    bool (also inside a list), a string, None, NaN, inf or a value out of
+    range is a ValueError naming ``name``.
+    """
+    if shape == () and isinstance(value, (np.integer, np.floating)):
+        value = value.item()
+    if shape == () and type(value) is (int if integer else float):
+        # plain numbers skip numpy: angle learning checks its sigma every step
+        ok, arr = low <= value <= high and above < value < below, value
+    else:
+        try:
+            arr = np.asarray(value)
+        except ValueError:   # ragged nesting
+            arr = np.asarray(None)
+        ok = (arr.dtype.kind in ("iu" if integer else "iuf")
+              and (shape is None or len(shape) == arr.ndim and all(
+                  n == want or (want is None and n > 0) for n, want in zip(arr.shape, shape)))
+              and bool(np.all((arr >= low) & (arr <= high) & (arr > above) & (arr < below)))
+              and not _holds_bool(value))
+    if not ok:
+        ends = ["%s %g" % end for end in ((">=", low), (">", above), ("<=", high), ("<", below))
+                if abs(end[1]) < np.inf]
+        noun = "integer" if integer else "finite number"
+        if ends == ["> 0"]:
+            noun, ends = "positive " + noun, []
+        if shape == ():
+            what = ("an " if noun[0] == "i" else "a ") + noun
+        elif shape is None or len(shape) > 1:
+            what = noun + "s" + ("" if shape is None else " of shape %s" % (shape,))
+        elif shape[0] is None:
+            what = "a non-empty list of %ss" % noun
+        else:
+            what = "a list of %d %ss" % (shape[0], noun)
+        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        raise ValueError("%s must be %s, got %r"
+                         % (name, (what + " " + " and ".join(ends)).rstrip(), shown))
+    if shape != ():
+        return arr.astype(int if integer else float, copy=False)
+    return int(arr) if integer else float(arr)
 
 
 @dataclass(frozen=True)
@@ -80,12 +126,11 @@ class TransportTensor:
             raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
         if not np.all(np.isfinite(data)):
             raise ValueError("tensor values must be finite")
-        check_bin_width(self.time_bin_width)
+        object.__setattr__(self, "time_bin_width",
+                           check_number(self.time_bin_width, "time_bin_width", above=0.0))
         if self.noise_std is not None:
-            std = np.asarray(self.noise_std, dtype=float)
-            object.__setattr__(self, "noise_std", std)
-            if std.shape != (4, 4) or not np.all(std >= 0.0) or not np.all(np.isfinite(std)):
-                raise ValueError("noise_std must be a (4, 4) array of finite values >= 0")
+            object.__setattr__(self, "noise_std",
+                               check_number(self.noise_std, "noise_std", low=0.0, shape=(4, 4)))
 
     @property
     def n_cam(self):
@@ -123,6 +168,9 @@ class IlluminationTensor:
                              % (data.shape, self.proj_shape))
         if data.ndim == 3 and self.time_bin_width is None:
             raise ValueError("time-resolved illumination needs a time_bin_width")
+        if self.time_bin_width is not None:
+            object.__setattr__(self, "time_bin_width",
+                               check_number(self.time_bin_width, "time_bin_width", above=0.0))
         if not np.all(np.isfinite(data)):
             raise ValueError("illumination values must be finite")
 

@@ -7,10 +7,12 @@ Compare the pltt CLI's outputs of two checkouts, file by file.
 Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
 on both scenes in the change checkout's ``tests/data``: simulate; capture,
 plain and with ``--mask epipolar``; reconstruct; decompose; pca; descatter
-with no mask, ``epipolar`` and ``non_epipolar``; and slices, among them
-``s_e`` and ``s_n``. Each command runs in its own Python process, and each
-checkout in its own temporary directory, with relative paths, so both
-sides see the same arguments.
+with no mask, ``epipolar`` and ``non_epipolar``; slices, among them ``s_e``
+and ``s_n``; ``learn-angles`` on a small K=6 ``polarizer_array`` config,
+then a capture with the learned schedule and its reconstruction. Each
+command runs in its own Python process, and each checkout in its own
+temporary directory, with relative paths, so both sides see the same
+arguments.
 
 Every output file is compared byte for byte, except the manifests, which
 are compared as JSON without their ``duration_s`` and ``peak_rss_mb``.
@@ -29,12 +31,18 @@ SCENES = (
     ("found_projector_camera_8x8_seed61.json", "8x8", "61"),
     ("found_coaxial_16x16_seed17.json", "16x16", "17"),
 )
+# the learn-angles config, written beside scene.json: small enough to run in a second
+LEARN_CONFIG = {"k": 6, "sensor_mode": "polarizer_array", "iterations": 20, "batch_size": 8,
+                "eval_every": 5, "n_samples": 40, "n_eval": 20, "seed": 3}
 # fields of a manifest that measure the run rather than describe its result
 UNSTABLE = ("duration_s", "peak_rss_mb")
 
 
 def commands(resolution, seed):
-    """(label, argv) pairs; each scene runs in a fresh directory holding scene.json."""
+    """
+    (label, argv) pairs; each scene runs in a fresh directory holding
+    scene.json and learn.json.
+    """
     return [
         ("simulate", ["simulate", "--scene", "scene.json", "--resolution", resolution,
                       "--bins", "16", "--bin-width", "1e-10", "--out", "truth.pltt"]),
@@ -62,6 +70,12 @@ def commands(resolution, seed):
                        "-sum_pp T(s, s_n, 0, :, :)", "--out", "slice_n"]),
         ("slice_diagonal", ["slice", "--tensor", "recon.pltt", "--expr", "T(s, s, 1, 2, t=5)",
                             "--out", "slice_d"]),
+        ("learn_angles", ["learn-angles", "--config", "learn.json", "--out", "learned.json"]),
+        ("capture_learned", ["capture", "--tensor", "truth.pltt", "--schedule", "learned.json",
+                             "--mode", "polarizer_array", "--noise", "5e-4", "--seed", seed,
+                             "--out", "meas_learned.pltt"]),
+        ("reconstruct_learned", ["reconstruct", "--measurements", "meas_learned.pltt",
+                                 "--out", "recon_learned.pltt"]),
     ]
 
 
@@ -75,6 +89,8 @@ def run_checkout(checkout, data_dir, workdir):
         with open(os.path.join(data_dir, scene), "rb") as src, \
                 open(os.path.join(scene_dir, "scene.json"), "wb") as dst:
             dst.write(src.read())
+        with open(os.path.join(scene_dir, "learn.json"), "w") as fh:
+            json.dump(LEARN_CONFIG, fh)
         for label, argv in commands(resolution, seed):
             proc = subprocess.run([sys.executable, "-m", "pltt.cli"] + argv, cwd=scene_dir,
                                   env=env, capture_output=True, text=True)
