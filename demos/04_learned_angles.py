@@ -2,9 +2,10 @@
 
 With a snapshot polarizer-array sensor every capture yields four
 intensities, so far fewer captures can span the full 16-dimensional
-Mueller space -- if the angles are chosen well. Here we descend the
-expected reconstruction error over a synthetic material ensemble and
-compare the learned K=12 schedule against the classic baselines.
+Mueller space -- if the angles are chosen well. Here one L-BFGS solve
+minimizes the expected reconstruction error over a synthetic material
+ensemble, and we compare the learned K=12 schedule against the classic
+baselines.
 """
 
 import time
@@ -31,8 +32,9 @@ config = TrainingConfig(
 )
 start = time.monotonic()
 learned = learn(config)
-print("trained %d iterations in %.1f s (config %s)"
-      % (config.iterations, time.monotonic() - start, learned.config_hash))
+print("trained %d of at most %d L-BFGS iterations in %.2f s (config %s)"
+      % (len(learned.loss_curve), config.iterations, time.monotonic() - start,
+         learned.config_hash))
 print("held-out loss: %.3e at init -> %.3e at best"
       % (learned.init_heldout_loss, learned.best_heldout_loss))
 

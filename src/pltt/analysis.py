@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .learning import lbfgs
 from .tensor import check_number, fold
 
 
@@ -185,11 +186,11 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
     mode "full" fits all 16 channels; "intensity_only" restricts weight
     and offset support to the (0, 0) channel, which is what a camera
     without polarimetry could do. method "closed_form" solves the
-    equivalent affine least-squares exactly; "lbfgs" runs L-BFGS-B with
-    analytic gradients from the identity initialization and records the
-    objective history. Both land on the same objective value for
-    well-posed inputs; an L-BFGS run that stops short of convergence
-    (the iteration cap on an ill-conditioned image) returns
+    equivalent affine least-squares exactly; "lbfgs" runs ``learning.lbfgs``
+    with analytic gradients from the identity initialization and records
+    the objective after each iteration. Both land on the same objective
+    value for well-posed inputs; an L-BFGS run that stops short of
+    convergence (the iteration cap on an ill-conditioned image) returns
     ``converged=False`` with the optimizer's message.
     """
     image = np.asarray(image, dtype=float)
@@ -208,53 +209,25 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
     x_flat = image.reshape(image.shape[0], 16) * support_flat
 
     if method == "closed_form":
-        w, b = _closed_form(x_flat[:, support_flat > 0], target)
-        w_full = np.zeros(16)
-        b_full = np.zeros(16)
-        w_full[support_flat > 0] = w
-        b_full[support_flat > 0] = b
-        obj, _ = _objective_and_grad(
-            np.concatenate([w_full, b_full]), x_flat, target, support_flat
-        )
-        history = (obj,)
-        converged, message = True, ""
+        params = np.zeros(32)
+        params[np.tile(support_flat > 0, 2)] = np.concatenate(
+            _closed_form(x_flat[:, support_flat > 0], target))
+        obj, _ = _objective_and_grad(params, x_flat, target, support_flat)
+        history, converged, message = (obj,), True, ""
     elif method == "lbfgs":
-        # imported here: scipy.optimize costs every other command about 0.5 s of start-up
-        from scipy.optimize import minimize
-
-        x0 = np.zeros(32)
-        x0[0] = 1.0   # start from the plain-intensity readout
-        history_list = []
-
-        def track(params):
-            history_list.append(
-                _objective_and_grad(params, x_flat, target, support_flat)[0]
-            )
-
-        res = minimize(
-            _objective_and_grad,
-            x0,
-            args=(x_flat, target, support_flat),
-            jac=True,
-            method="L-BFGS-B",
-            callback=track,
-            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        w_full = res.x[:16] * support_flat
-        b_full = res.x[16:] * support_flat
-        obj = float(res.fun)
-        history = tuple(history_list)
-        converged, message = bool(res.success), str(res.message)
+        x0 = np.eye(32)[0]   # start from the plain-intensity readout
+        params, obj, history, converged, message = lbfgs(
+            lambda p: _objective_and_grad(p, x_flat, target, support_flat), x0, 500, 1.0)
     else:
         raise ValueError("unknown descatter method %r" % (method,))
 
     return DescatterModel(
-        weights=w_full.reshape(4, 4),
-        offsets=b_full.reshape(4, 4),
+        weights=(params[:16] * support_flat).reshape(4, 4),
+        offsets=(params[16:] * support_flat).reshape(4, 4),
         mode=mode,
         method=method,
         objective=obj,
-        history=history,
+        history=tuple(history),
         converged=converged,
         message=message,
     )

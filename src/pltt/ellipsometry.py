@@ -56,6 +56,15 @@ _NOISE_CHUNK = 1 << 16
 _PIXEL_CHUNK = 1024
 
 
+def check_flags(flags, name):
+    """``flags`` as 4 bools, one per rotating element, from 4 bools or 0/1 integers."""
+    values = flags.tolist() if isinstance(flags, np.ndarray) else flags
+    if not (isinstance(values, (list, tuple)) and len(values) == 4 and all(
+            isinstance(v, (bool, int, np.bool_, np.integer)) and v in (0, 1) for v in values)):
+        raise ValueError("%s must be 4 flags (bools or 0/1), got %r" % (name, flags))
+    return tuple(bool(v) for v in values)
+
+
 @dataclass(frozen=True)
 class AngleSchedule:
     """
@@ -92,7 +101,7 @@ class AngleSchedule:
         if self.sensor_mode not in ("intensity", "polarizer_array"):
             raise ValueError("sensor_mode must be 'intensity' or 'polarizer_array', got %r"
                              % (self.sensor_mode,))
-        object.__setattr__(self, "fixed", tuple(bool(b) for b in self.fixed))
+        object.__setattr__(self, "fixed", check_flags(self.fixed, "fixed"))
 
     @property
     def n_captures(self):
@@ -129,7 +138,6 @@ def drr_schedule(k, sensor_mode="intensity"):
         theta3=np.deg2rad(25.0 * idx),
         theta4=np.zeros(k),
         sensor_mode=sensor_mode,
-        fixed=(True, False, False, True),
     )
 
 
@@ -169,11 +177,9 @@ def schedule_from_dict(obj):
         columns.append(np.deg2rad(check_number(obj[key], "schedule field %r" % key,
                                                shape=(None,))))
     fixed = obj.get("fixed", [True, False, False, True])
-    if not (isinstance(fixed, list) and len(fixed) == 4
-            and all(isinstance(b, bool) for b in fixed)):
-        raise ValueError("schedule field 'fixed' must be a list of 4 booleans, got %r" % (fixed,))
-    return AngleSchedule(*columns, sensor_mode=obj.get("sensor_mode", "intensity"),
-                         fixed=tuple(fixed))
+    if not (isinstance(fixed, list) and all(isinstance(b, bool) for b in fixed)):
+        raise ValueError("schedule field 'fixed' must be a list of booleans, got %r" % (fixed,))
+    return AngleSchedule(*columns, sensor_mode=obj.get("sensor_mode", "intensity"), fixed=fixed)
 
 
 def save_schedule(path, schedule):
@@ -361,6 +367,7 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     tensor before the scan (projector-camera geometry only).
     """
     noise_sigma = check_number(noise_sigma, "noise_sigma", low=0.0)
+    split = check_number(split, "split", low=0.0, high=1.0)
     if seed is not None:
         seed = check_number(seed, "seed", low=0, integer=True)
     if masks is not None:

@@ -22,15 +22,14 @@ A(theta) and its angle derivatives come from ``ellipsometry``'s closed-form
 forward model, the one capture and reconstruction use; row n of A is
 kron(r_n, c_n), so G reaches the angles through G_n c_n and r_n G_n.
 
-Optimization is plain Adam from the classical dual-rotating-retarder
-initialization, with cosine step-size decay, an 80/20 held-out split,
-and best-iterate tracking on the held-out loss. Each iteration keeps the
-angles as a (4, K) array and factors A once for both the batch loss and
-its gradient.
+Optimization is one full-batch L-BFGS solve (``lbfgs``; Liu & Nocedal,
+Math. Prog. 45, 1989) from the classical dual-rotating-retarder start, with
+best-iterate tracking on an 80/20 held-out split.
 """
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -40,6 +39,7 @@ from .ellipsometry import (
     AngleSchedule,
     _forward,
     _truncated_svd,
+    check_flags,
     drr_schedule,
     forward_model,
 )
@@ -66,15 +66,14 @@ def _noise_moment(noise, n_blocks, n_rows):
     return draws.T @ draws / draws.shape[0]
 
 
-def _loss_and_grad(fwd, mats, noise, trainable=None):
+def _loss_and_grad(fwd, mats, noise):
     """
     Batch loss of a ``ForwardModel`` and its angle gradient.
 
     The error splits into the bias (P - I) m, P = A+ A, and the noise
     A+ eta, orthogonal since A+^T (I - P) = 0, so no cross term remains.
     Factors the design once; returns (loss, rank, grads, rank_marginal).
-    Without a ``trainable`` mask no column is zeroed (dr4 is zero with the
-    polarizer-array sensor).
+    dr4, and so the theta4 gradient, is zero with the polarizer-array sensor.
     """
     a = fwd.design()
     u, s, vt, inv = _truncated_svd(a)
@@ -113,8 +112,6 @@ def _loss_and_grad(fwd, mats, noise, trainable=None):
                             np.einsum("kj,kj->k", r_g, fwd.dc2),
                             np.einsum("ni,ni->n", fwd.dr3, g_c).reshape(k, -1).sum(axis=1),
                             np.einsum("ni,ni->n", fwd.dr4, g_c).reshape(k, -1).sum(axis=1)])
-    if trainable is not None:
-        grads[~np.asarray(trainable, dtype=bool)] = 0.0
     return batch_loss, rank, grads, rank_marginal
 
 
@@ -139,7 +136,9 @@ def grad_loss(schedule, mats, noise, trainable=None):
     close enough to the truncation cutoff that the fixed-rank gradient
     is a subgradient surrogate.
     """
-    _, _, grads, rank_marginal = _loss_and_grad(forward_model(schedule), mats, noise, trainable)
+    _, _, grads, rank_marginal = _loss_and_grad(forward_model(schedule), mats, noise)
+    if trainable is not None:
+        grads[~np.asarray(trainable, dtype=bool)] = 0.0
     return grads, rank_marginal
 
 
@@ -152,15 +151,63 @@ def expected_noise_floor(schedule, noise_sigma, coaxial=False):
 # training
 
 
+# L-BFGS memory, Armijo fraction, line-search halvings, relative gradient and decrease tolerances
+_MEMORY, _ARMIJO, _BACKTRACKS, _GTOL, _FTOL = 10, 1e-4, 60, 1e-10, 1e-13
+
+
+def lbfgs(fun, x0, max_iter, first_step, callback=None):
+    """
+    Minimize ``fun(x) -> (value, gradient)`` by L-BFGS with Armijo
+    backtracking, so no iteration raises the value; the first step moves the
+    farthest-moving coordinate by ``first_step``. ``callback(k, x)`` runs
+    after iteration k. Returns (x, value, value per iteration, converged,
+    message); the cap and a line search that finds no decrease do not converge.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    g_start, pairs, values, gamma = np.abs(g).max(initial=0.0), deque(maxlen=_MEMORY), [], 1.0
+    for k in range(1, max_iter + 1):
+        if not np.abs(g).max(initial=0.0) > _GTOL * g_start:
+            return x, f, values, True, "gradient below tolerance"
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        d *= gamma    # H0 = gamma I, gamma = s.y / y.y of the newest pair
+        for (s, y, rho), alpha in zip(pairs, alphas[::-1]):
+            d += (alpha - rho * (y @ d)) * s
+        if not g @ d < 0:    # rounding broke the descent: restart from the gradient
+            pairs.clear()
+            d = -g
+        t = 1.0 if pairs else first_step / np.abs(d).max()
+        for _ in range(_BACKTRACKS):
+            f_new, g_new = fun(x + t * d)
+            if f_new <= f + _ARMIJO * t * (g @ d):
+                break
+            t *= 0.5
+        else:
+            return x, f, values, False, "line search found no decrease"
+        s, y = t * d, g_new - g
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs.append((s, y, 1.0 / (s @ y)))
+            gamma = (s @ y) / (y @ y)
+        x, f, g, decrease = x + s, f_new, g_new, f - f_new
+        values.append(f)
+        if callback is not None:
+            callback(k, x)
+        if decrease <= _FTOL * abs(f):
+            return x, f, values, True, "decrease below tolerance"
+    return x, f, values, False, "stopped at the iteration cap"
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """
     Everything a training run needs; hashable for provenance.
 
-    ``draws`` and ``eval_draws`` no longer change any result: the batch
-    and held-out losses are exact expectations over the noise. The two
-    fields stay so that existing configs keep working, and
-    ``config_hash`` still covers them.
+    ``iterations`` caps the L-BFGS solve and ``step_size`` is its first step's
+    largest angle move (radians). ``batch_size``, ``draws`` and ``eval_draws``
+    change no result; they stay so that configs keep working and are hashed.
     """
 
     samples: np.ndarray = field(repr=False)     # (n, 4, 4) training ensemble
@@ -194,9 +241,7 @@ class TrainingConfig:
             raise ValueError("batch size exceeds the ensemble size")
         trainable = (default_trainable(self.sensor_mode) if self.trainable is None
                      else self.trainable)
-        if np.shape(trainable) != (4,):
-            raise ValueError("trainable must be 4 flags, got %r" % (trainable,))
-        object.__setattr__(self, "trainable", tuple(bool(t) for t in trainable))
+        object.__setattr__(self, "trainable", check_flags(trainable, "trainable"))
 
     def digest(self):
         # every field but the samples, which are hashed as raw bytes
@@ -211,7 +256,7 @@ class LearnedSchedule:
     """Training outcome: best-held-out schedule plus the loss record."""
 
     schedule: AngleSchedule
-    loss_curve: np.ndarray = field(repr=False)          # per-iteration batch loss
+    loss_curve: np.ndarray = field(repr=False)          # training loss per iteration
     heldout_iters: np.ndarray = field(repr=False)
     heldout_curve: np.ndarray = field(repr=False)       # raw held-out losses
     best_curve: np.ndarray = field(repr=False)          # running minimum
@@ -222,15 +267,13 @@ class LearnedSchedule:
 
 def learn(config):
     """
-    Optimize a schedule with Adam from the dual-rotating-retarder start.
-
-    Deterministic for a given config. Raises RuntimeError if the batch
-    loss diverges past 1000x its initial value.
+    Optimize a schedule by L-BFGS on the whole training split from the DRR
+    start; return the iterate with the best held-out loss, scored at the
+    start, every ``eval_every`` iterations and at the last iterate.
     """
-    rng = np.random.default_rng(config.seed)
     n = config.samples.shape[0]
     n_hold = max(1, int(round(config.holdout_fraction * n)))
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(config.seed).permutation(n)
     hold_set = config.samples[perm[:n_hold]]
     train_set = config.samples[perm[n_hold:]]
     if train_set.shape[0] < config.batch_size:
@@ -239,62 +282,37 @@ def learn(config):
     init = replace(drr_schedule(config.k, sensor_mode=config.sensor_mode),
                    fixed=tuple(not t for t in config.trainable))
     angles = np.stack([init.theta1, init.theta2, init.theta3, init.theta4])
-    # the array sensor has no detector polarizer to turn
-    movable = np.asarray(config.trainable) & np.asarray(default_trainable(config.sensor_mode))
-    mask = np.repeat(movable[:, None], config.k, axis=1)
+    # the array sensor's theta4 has a zero gradient, so L-BFGS never moves it
+    mask = np.repeat(np.asarray(config.trainable)[:, None], config.k, axis=1)
 
-    init_hold = loss(init, hold_set, config.noise_sigma)
-    best_hold = init_hold
-    best_angles = angles.copy()
-    heldout_iters = [0]
-    heldout_curve = [init_hold]
-    best_curve = [init_hold]
-
-    flat = angles[mask]
-    adam_m = np.zeros_like(flat)
-    adam_v = np.zeros_like(flat)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    loss_curve = np.empty(config.iterations)
-
-    for it in range(config.iterations):
-        lr = config.step_size * 0.5 * (1.0 + np.cos(np.pi * it / max(1, config.iterations)))
-        batch_idx = rng.choice(train_set.shape[0], size=config.batch_size, replace=False)
-        batch = train_set[batch_idx]
-        batch_loss, _, grads, _ = _loss_and_grad(_forward(angles, config.sensor_mode), batch,
-                                                 config.noise_sigma, config.trainable)
-        loss_curve[it] = batch_loss
-        if it == 0:
-            initial_batch_loss = batch_loss
-        if batch_loss > 1e3 * max(initial_batch_loss, 1e-300):
-            raise RuntimeError(
-                "angle learning diverged at iteration %d: batch loss %.3e vs initial %.3e"
-                % (it, batch_loss, initial_batch_loss))
-
-        g_flat = grads[mask]
-        adam_m = beta1 * adam_m + (1.0 - beta1) * g_flat
-        adam_v = beta2 * adam_v + (1.0 - beta2) * g_flat * g_flat
-        m_hat = adam_m / (1.0 - beta1 ** (it + 1))
-        v_hat = adam_v / (1.0 - beta2 ** (it + 1))
-        flat = flat - lr * m_hat / (np.sqrt(v_hat) + eps)
+    def train_loss(flat):
         angles[mask] = flat
+        value, _, grads, _ = _loss_and_grad(_forward(angles, config.sensor_mode), train_set,
+                                            config.noise_sigma)
+        return value, grads[mask]
 
-        if (it + 1) % config.eval_every == 0 or it + 1 == config.iterations:
-            hold = loss(init.with_angles(*angles), hold_set, config.noise_sigma)
-            heldout_iters.append(it + 1)
-            heldout_curve.append(hold)
-            if hold < best_hold:
-                best_hold = hold
-                best_angles = angles.copy()
-            best_curve.append(best_hold)
+    scored = []    # (iteration, held-out loss, angles)
 
+    def score(k, flat):
+        angles[mask] = flat
+        hold = loss(init.with_angles(*angles), hold_set, config.noise_sigma)
+        scored.append((k, hold, angles.copy()))
+
+    score(0, angles[mask])
+    flat, _, loss_curve, _, _ = lbfgs(train_loss, angles[mask], config.iterations, config.step_size,
+                                      lambda k, x: None if k % config.eval_every else score(k, x))
+    if scored[-1][0] != len(loss_curve):
+        score(len(loss_curve), flat)
+    iters, curve, tried = zip(*scored)
+    best = int(np.argmin(curve))    # the first of equal losses
     return LearnedSchedule(
-        schedule=init.with_angles(*np.mod(best_angles, np.pi)),
-        loss_curve=loss_curve,
-        heldout_iters=np.asarray(heldout_iters),
-        heldout_curve=np.asarray(heldout_curve),
-        best_curve=np.asarray(best_curve),
-        best_heldout_loss=float(best_hold),
-        init_heldout_loss=float(init_hold),
+        schedule=init.with_angles(*np.mod(tried[best], np.pi)),
+        loss_curve=np.asarray(loss_curve),
+        heldout_iters=np.asarray(iters),
+        heldout_curve=np.asarray(curve),
+        best_curve=np.minimum.accumulate(curve),
+        best_heldout_loss=float(curve[best]),
+        init_heldout_loss=float(curve[0]),
         config_hash=config.digest(),
     )
 

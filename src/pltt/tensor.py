@@ -191,6 +191,8 @@ class DetectedTensor:
         data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
+        object.__setattr__(self, "time_bin_width",
+                           check_number(self.time_bin_width, "time_bin_width", above=0.0))
         if data.ndim != 3 or data.shape[1] != 4:
             raise ValueError("detected data must be (S,4,T), got %r" % (data.shape,))
         if data.shape[0] != _flat(self.cam_shape):

@@ -200,6 +200,13 @@ def test_schedule_json_round_trip(tmp_path):
     assert back.fixed == schedule.fixed
 
 
+def test_integer_fixed_flags_save_and_load_as_booleans(tmp_path):
+    schedule = dataclasses.replace(drr_schedule(4), fixed=(1, 0, np.int64(0), 1))
+    assert schedule.fixed == (True, False, False, True)
+    save_schedule(tmp_path / "sched.json", schedule)
+    assert load_schedule(tmp_path / "sched.json").fixed == schedule.fixed
+
+
 def random_tensor(rng, coaxial, cam=(2, 2), bins=2):
     n = cam[0] * cam[1]
     if coaxial:

@@ -10,6 +10,7 @@ from pltt.learning import (
     evaluate,
     expected_noise_floor,
     grad_loss,
+    lbfgs,
     learn,
     loss,
 )
@@ -308,6 +309,63 @@ def test_learn_tiny_run_tracks_best_heldout_iterate():
         assert np.all((arr >= 0) & (arr < np.pi))
 
 
+def quadratic(seed, n=8):
+    """A convex quadratic 0.5 x'Hx - b'x as (fun, minimizer)."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, n))
+    h = q @ q.T + 0.5 * np.eye(n)
+    b = rng.normal(size=n)
+    return (lambda x: (0.5 * x @ h @ x - b @ x, h @ x - b)), np.linalg.solve(h, b)
+
+
+def test_lbfgs_converges_to_the_minimizer_of_a_convex_quadratic():
+    fun, x_star = quadratic(3)
+    seen = []
+    x, value, values, converged, message = lbfgs(fun, np.zeros(8), 200, 1.0,
+                                                 lambda k, x: seen.append(k))
+    assert converged, message
+    # a relative-decrease stop pins the value far tighter than the minimizer
+    best = fun(x_star)[0]
+    assert value - best <= 1e-12 * abs(best)
+    np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-6 * np.abs(x_star).max())
+    assert value == values[-1] == fun(x)[0]
+    assert np.all(np.diff(values) <= 0)
+    assert seen == list(range(1, len(values) + 1))
+
+
+def test_lbfgs_stopped_by_its_cap_is_not_converged():
+    fun, _ = quadratic(3)
+    x, value, values, converged, message = lbfgs(fun, np.zeros(8), 2, 1.0)
+    assert not converged
+    assert "cap" in message
+    assert len(values) == 2 and value < fun(np.zeros(8))[0]
+
+
+def test_lbfgs_first_step_sets_the_largest_move():
+    fun, _ = quadratic(5)
+    x0 = np.ones(8)
+    moves = []
+    lbfgs(fun, x0, 1, 1e-3, lambda k, x: moves.append(np.abs(x - x0).max()))
+    assert moves[0] == pytest.approx(1e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_learned_full_rank_schedule_is_a_stationary_point(seed):
+    # perfbench's learn_angles config: a full-rank K=12 array design, where
+    # 900 minibatch Adam steps stopped at a loss of 7.80e-5 on every seed
+    samples = generate_ensemble(seed, 300).samples
+    config = TrainingConfig(samples=samples, k=12, sensor_mode="polarizer_array",
+                            noise_sigma=1e-3, iterations=900, batch_size=32, step_size=0.01,
+                            eval_every=25, seed=seed)
+    result = learn(config)
+    trainable = default_trainable("polarizer_array")
+    start, _ = grad_loss(drr_schedule(12, "polarizer_array"), samples, 1e-3, trainable)
+    end, marginal = grad_loss(result.schedule, samples, 1e-3, trainable)
+    assert not marginal
+    assert loss(result.schedule, samples, 1e-3) < 4e-5
+    assert np.linalg.norm(end) < 1e-6 * np.linalg.norm(start)
+
+
 def test_learn_is_deterministic_for_a_config():
     samples = generate_ensemble(11, 40).samples
     first = learn(tiny_config(samples))
@@ -397,30 +455,30 @@ def test_cross_validate_scores_each_fold_and_comparison():
                        n_folds=3)
 
 
-# Schedules and best held-out losses of two 60-iteration runs, recorded
-# on the exact expected loss (no noise draws); any change to the loss, its
-# gradient or the optimizer that moves them shows here.
+# Schedules and best held-out losses of two L-BFGS runs capped at 60
+# iterations, recorded on the exact expected loss (no noise draws); any
+# change to the loss, its gradient or the optimizer that moves them shows here.
 PINNED_RUNS = {
     "polarizer_array": (
-        [[0.0635983033936472, 3.0708003930395398, 3.0926298289565404,
-          0.05856448173341879, 3.0949132095291705, 3.0680688557518305],
-         [3.0936073158882, 0.030984030339555012, 0.2303758081389808,
-          0.20709114634279957, 0.40454136146701936, 0.4376274308731033],
-         [3.0967735707666733, 0.4893985483225009, 0.8151465838840766,
-          1.3659926711711283, 1.6899920513465163, 2.2353680001423393],
+        [[0.05269037093953493, 3.0341466304708047, 0.04612531878052758,
+          0.08516017869217643, 3.1030030010830734, 3.1244352983982737],
+         [3.097961786992764, 0.04988096852661677, 0.19873655831279982,
+          0.2563295023370822, 0.3677969345091776, 0.45969295161193324],
+         [3.137165715791379, 0.44111467546687366, 0.8605469962869123,
+          1.3241103436715052, 1.7415223216782596, 2.185574029297578],
          [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
-        0.012952127168665046,
+        0.020760113426166148,
     ),
     "intensity": (
-        [[0.17541132829135545, 2.9492708870242152, 0.010413856562831982,
-          0.15341820128407757, 0.08526577770433809, 0.240852479334033],
-         [0.06759225882138206, 0.023392609630509972, 0.12725341046690616,
-          0.3567502643242423, 0.29886186325363184, 0.32477591052916277],
-         [3.0982396131936385, 0.5094157993615847, 0.8716977283060866,
-          1.2656828731780965, 1.8330798648495839, 2.353820430029906],
-         [0.12031430379770791, 0.11618958295646738, 0.043861474537124,
-          0.040631442716608034, 3.124483903351373, 3.018412468294427]],
-        0.0887541790020408,
+        [[0.22119193812829538, 1.9774149257578642, 0.3720152947490352,
+          1.0773081325650435, 0.6216281394117721, 1.0134357893607586],
+         [0.23407823859028937, 2.24744301252437, 2.9880040707071984,
+          0.5039923388731048, 0.6882413290546756, 2.889989288543508],
+         [3.106543416842714, 0.4023517821141192, 1.2840520416497077,
+          1.2716858003253866, 1.6269243177701807, 2.2688489042450692],
+         [3.104795895886609, 3.0118710382756357, 3.0497152444383846,
+          2.9535112964758423, 3.106969533011113, 0.013450831042463545]],
+        0.09110843532667978,
     ),
 }
 

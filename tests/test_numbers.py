@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from pltt.fileio import read_pltt, write_pltt
 from pltt.learning import TrainingConfig, learn
 from pltt.polarization import beamsplitter
 from pltt.scene import diffuse_depolarizer, generate_ensemble
-from pltt.tensor import IlluminationTensor, TransportTensor, check_number
+from pltt.tensor import DetectedTensor, IlluminationTensor, TransportTensor, check_number
 
 BIN = 1e-10
 
@@ -46,6 +47,20 @@ def dense_tensor(seed=0):
 
 def measurement():
     return capture(coaxial_tensor(), drr_schedule(16), noise_sigma=1e-3, seed=4)
+
+
+class _NoDraws:
+    """A generator whose every draw fails: an error must come before the noise."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("noise drawn before the error")
+
+    normal = standard_normal
+
+
+def capture_drawing_nothing(tensor, **kwargs):
+    with mock.patch.object(np.random, "default_rng", lambda *args, **kw: _NoDraws()):
+        return capture(tensor, drr_schedule(16), noise_sigma=1e-3, seed=1, **kwargs)
 
 
 def rewrite_metadata(path, payload_bytes, edit):
@@ -76,9 +91,11 @@ def schedule_with_column(key, column):
      "time_bin_width"),
     (lambda: IlluminationTensor(np.zeros((4, 4, 2)), (2, 2), -1.0), "time_bin_width"),
     (lambda: IlluminationTensor(np.zeros((4, 4, 2)), (2, 2), np.inf), "time_bin_width"),
+    (lambda: DetectedTensor(np.zeros((4, 4, 2)), (2, 2), -1.0), "time_bin_width"),
     (lambda: capture(coaxial_tensor(), drr_schedule(16), noise_sigma=True), "noise_sigma"),
     (lambda: capture(dense_tensor(), drr_schedule(16), split="0.5"), "split"),
     (lambda: capture(coaxial_tensor(), drr_schedule(16), split="0.5"), "split"),
+    (lambda: capture_drawing_nothing(dense_tensor(), split=-0.5), "split"),
     (lambda: dataclasses.replace(measurement(), split=None), "split"),
     (lambda: decompose_tensor(coaxial_tensor(), floor_frac="0.1"), "floor fraction"),
     (lambda: arctan_map(np.eye(4), c="8"), "compression factor"),
@@ -88,6 +105,8 @@ def schedule_with_column(key, column):
     (lambda: diffuse_depolarizer(True, 0.5), "albedo"),
     (lambda: TrainingConfig(samples=generate_ensemble(1, 8).samples, k=6, batch_size=8,
                             trainable=(True, True, True)), "trainable"),
+    (lambda: dataclasses.replace(drr_schedule(4), fixed=(True,)), "fixed"),
+    (lambda: dataclasses.replace(drr_schedule(4), fixed=(1, 0, "", 1)), "fixed"),
     (lambda: capture(coaxial_tensor(), drr_schedule(16), noise_sigma=1e-3, seed=-1), "seed"),
     (lambda: dataclasses.replace(measurement(), seed="abc"), "seed"),
     (lambda: dataclasses.replace(measurement(), seed=1.5), "seed"),
@@ -98,9 +117,11 @@ def schedule_with_column(key, column):
     (lambda: read_with_noise_std([0.1] * 15 + [True]), "noise_std"),
     (lambda: schedule_with_column("theta2_deg", [True] + [0.0] * 15), "theta2_deg"),
 ], ids=["tensor-width-bool", "illumination-width-negative", "illumination-width-inf",
-        "capture-sigma-bool", "capture-split-string", "coaxial-split-string", "split-none",
+        "detected-width-negative", "capture-sigma-bool", "capture-split-string",
+        "coaxial-split-string", "capture-split-before-noise", "split-none",
         "floor-string", "c-string", "unmap-c-bool", "beamsplitter-split-string", "c-bool",
-        "albedo-bool", "trainable-three-flags", "capture-seed-negative", "seed-string",
+        "albedo-bool", "trainable-three-flags", "fixed-one-flag", "fixed-string-flag",
+        "capture-seed-negative", "seed-string",
         "seed-fraction", "seed-negative", "seed-bool", "drr-k-fraction", "ensemble-seed-negative",
         "container-noise-std-bool", "schedule-column-bool"])
 def test_a_malformed_number_is_a_value_error_naming_its_field(call, field):

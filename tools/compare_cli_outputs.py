@@ -7,12 +7,12 @@ Compare the pltt CLI's outputs of two checkouts, file by file.
 Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
 on both scenes in the change checkout's ``tests/data``: simulate; capture,
 plain and with ``--mask epipolar``; reconstruct; decompose; pca; descatter
-with no mask, ``epipolar`` and ``non_epipolar``; slices, among them ``s_e``
-and ``s_n``; ``learn-angles`` on a small K=6 ``polarizer_array`` config,
-then a capture with the learned schedule and its reconstruction. Each
-command runs in its own Python process, and each checkout in its own
-temporary directory, with relative paths, so both sides see the same
-arguments.
+with no mask, ``epipolar`` and ``non_epipolar``, and with ``--method lbfgs``;
+slices, among them ``s_e`` and ``s_n``; ``learn-angles`` on a small K=6
+``polarizer_array`` config, then a capture with the learned schedule and
+its reconstruction. Each command runs in its own Python process, and each
+checkout in its own temporary directory, with relative paths, so both
+sides see the same arguments.
 
 Every output file is compared byte for byte, except the manifests, which
 are compared as JSON without their ``duration_s`` and ``peak_rss_mb``.
@@ -64,6 +64,8 @@ def commands(resolution, seed):
         ("descatter_non_epipolar", ["descatter", "--tensor", "recon.pltt",
                                     "--target", "target.csv", "--mask", "non_epipolar",
                                     "--out", "desc_non"]),
+        ("descatter_lbfgs", ["descatter", "--tensor", "recon.pltt", "--target", "target.csv",
+                             "--method", "lbfgs", "--out", "desc_lbfgs"]),
         ("slice_s_e", ["slice", "--tensor", "recon.pltt", "--expr", "sum_t T(s, s_e, :, 0, t)",
                        "--out", "slice_e"]),
         ("slice_s_n", ["slice", "--tensor", "recon.pltt", "--expr",
