@@ -49,6 +49,7 @@ from .polarization import beamsplitter, galvo_mirror
 from .tensor import TransportTensor, check_number, probe
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
+_ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
 RANK_TOL = 1e-10
 # noise values drawn and added per step of capture; bounds the noise buffer
 _NOISE_CHUNK = 1 << 16
@@ -216,10 +217,12 @@ def _arm(alpha, beta):
     c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
     cd, sd = np.cos(2.0 * (beta - alpha)), np.sin(2.0 * (beta - alpha))
     c_cd, s_cd, c_sd, s_sd = c * cd, s * cd, c * sd, s * sd
-    zero = np.zeros_like(cd)
-    return np.stack([zero + 0.5, 0.5 * c_cd, 0.5 * s_cd, 0.5 * sd,
-                     zero, c_sd, s_sd, -cd,
-                     zero, -s_cd - c_sd, c_cd - s_sd, cd], axis=-1).reshape(cd.shape + (3, 4))
+    out = np.zeros(cd.shape + (3, 4))
+    out[..., 0, 0] = 0.5
+    out[..., 0, 1], out[..., 0, 2], out[..., 0, 3] = 0.5 * c_cd, 0.5 * s_cd, 0.5 * sd
+    out[..., 1, 1], out[..., 1, 2], out[..., 1, 3] = c_sd, s_sd, -cd
+    out[..., 2, 1], out[..., 2, 2], out[..., 2, 3] = -s_cd - c_sd, c_cd - s_sd, cd
+    return out
 
 
 class ForwardModel(NamedTuple):
@@ -256,7 +259,7 @@ def forward_model(schedule, coaxial=False, split=0.5):
 def _forward(angles, sensor_mode, coaxial=False, split=0.5):
     """``forward_model`` of the (4, K) angles theta1..theta4 of a schedule."""
     theta1, theta2, theta3, theta4 = angles
-    front = np.deg2rad(ANALYZER_ANGLES_DEG) if sensor_mode == "polarizer_array" else theta4[:, None]
+    front = _ANALYZER_ANGLES if sensor_mode == "polarizer_array" else theta4[:, None]
     # one batch of arms per capture: the source, then the detection arms
     alpha = np.empty((theta1.shape[0], 1 + front.shape[-1]))
     beta = np.empty_like(alpha)

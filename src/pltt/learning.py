@@ -77,10 +77,11 @@ def _loss_and_grad(fwd, mats, noise):
     """
     a = fwd.design()
     u, s, vt, inv = _truncated_svd(a)
-    a_pinv = (vt.T * inv) @ u.T
     rank = int(np.count_nonzero(inv))
     m = np.asarray(mats, dtype=float).reshape(-1, 16)
     moment = _noise_moment(noise, m.shape[0], a.shape[0])
+    # white noise at full rank, the path angle learning takes, needs no A+
+    a_pinv = None if np.ndim(moment) == 0 and rank == 16 else (vt.T * inv) @ u.T
     # the noise term and its part of g, where dL = 2 tr(dA g) through the
     # fixed-rank differential of A+
     if np.ndim(moment) == 0:
@@ -101,7 +102,7 @@ def _loss_and_grad(fwd, mats, noise):
         g += bias.T @ m @ a_pinv / m.shape[0]
 
     cutoff = RANK_TOL * s[0]
-    rank_marginal = bool(np.any((s > cutoff * 1e-2) & (s < cutoff * 1e2) & (inv > 0)))
+    rank_marginal = bool(((s > cutoff * 1e-2) & (s < cutoff * 1e2) & (inv > 0)).any())
     # row n of A is kron(r_n, c_n), so dL/dtheta sums dr_n G_n c_n + r_n G_n dc_n
     # over the rows n of each capture
     k = fwd.c.shape[0]

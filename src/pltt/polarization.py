@@ -27,22 +27,21 @@ def rotation_mueller(theta):
 
     Parameters
     ----------
-    theta : float
-        Rotation angle in radians.
+    theta : float or ndarray
+        Rotation angle in radians, or an array of them.
 
     Returns
     -------
     ndarray
-        4x4 rotation Mueller matrix.
+        4x4 rotation Mueller matrix, stacked over ``theta``'s shape.
     """
     c = np.cos(2.0 * theta)
     s = np.sin(2.0 * theta)
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, c, -s, 0.0],
-        [0.0, s, c, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+    m = np.zeros(np.shape(theta) + (4, 4))
+    m[..., 0, 0] = m[..., 3, 3] = 1.0
+    m[..., 1, 1] = m[..., 2, 2] = c
+    m[..., 1, 2], m[..., 2, 1] = -s, s
+    return m
 
 
 def rotate_element(m0, theta):
@@ -73,25 +72,23 @@ def retarder(theta, delta):
 
     Parameters
     ----------
-    theta : float
+    theta : float or ndarray
         Fast-axis orientation, radians.
-    delta : float
+    delta : float or ndarray
         Retardance, radians.
 
     Returns
     -------
     ndarray
-        4x4 Mueller matrix.
+        4x4 Mueller matrix, stacked over the broadcast shape of the angles.
     """
     cd = np.cos(delta)
     sd = np.sin(delta)
-    m0 = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, cd, sd],
-        [0.0, 0.0, -sd, cd],
-    ])
-    if theta == 0.0:
+    m0 = np.zeros(np.shape(delta) + (4, 4))
+    m0[..., 0, 0] = m0[..., 1, 1] = 1.0
+    m0[..., 2, 2] = m0[..., 3, 3] = cd
+    m0[..., 2, 3], m0[..., 3, 2] = sd, -sd
+    if np.ndim(theta) == 0 and theta == 0.0:
         return m0
     return rotate_element(m0, theta)
 

@@ -41,17 +41,17 @@ def fresnel_mueller(eta, theta_i):
 
     Parameters
     ----------
-    eta : float
+    eta : float or ndarray
         Relative refractive index, > 1.
-    theta_i : float
-        Incidence angle in radians, 0 <= theta_i < pi/2.
+    theta_i : float or ndarray
+        Incidence angle in radians, 0 <= theta_i < pi/2, of eta's shape.
 
     Returns
     -------
     ndarray
-        4x4 reflection Mueller matrix. The lower 2x2 block is negated
-        (both s2 and s3 rows) so the perfect-reflector limit matches
-        ``ideal_mirror()``.
+        4x4 reflection Mueller matrix, stacked over eta's shape. The lower
+        2x2 block is negated (both s2 and s3 rows) so the perfect-reflector
+        limit matches ``ideal_mirror()``.
 
     Notes
     -----
@@ -59,8 +59,9 @@ def fresnel_mueller(eta, theta_i):
     the matrix is a perfect diattenuator; at normal incidence both
     reflectances equal ((eta-1)/(eta+1))**2.
     """
-    eta = check_number(eta, "relative refractive index", above=1.0)
-    theta_i = check_number(theta_i, "incidence angle", low=0.0, below=np.pi / 2.0)
+    shape = np.shape(eta)
+    eta = check_number(eta, "relative refractive index", above=1.0, shape=shape)
+    theta_i = check_number(theta_i, "incidence angle", low=0.0, below=np.pi / 2.0, shape=shape)
     ci = np.cos(theta_i)
     st = np.sin(theta_i) / eta
     ct = np.sqrt(1.0 - st * st)
@@ -71,12 +72,11 @@ def fresnel_mueller(eta, theta_i):
     a = 0.5 * (refl_s + refl_p)
     b = 0.5 * (refl_s - refl_p)
     c = np.sqrt(refl_s * refl_p)
-    return np.array([
-        [a, b, 0.0, 0.0],
-        [b, a, 0.0, 0.0],
-        [0.0, 0.0, -c, 0.0],
-        [0.0, 0.0, 0.0, -c],
-    ])
+    m = np.zeros(shape + (4, 4))
+    m[..., 0, 0] = m[..., 1, 1] = a
+    m[..., 0, 1] = m[..., 1, 0] = b
+    m[..., 2, 2] = m[..., 3, 3] = -c
+    return m
 
 
 def diffuse_depolarizer(albedo, residual_dop):
@@ -321,7 +321,9 @@ class SyntheticMuellerEnsemble:
         return self.samples.shape[0]
 
 
-_FAMILIES = ("fresnel", "fresnel_depolarized", "composed")
+def _uniform(u, low, high):
+    """Draws ``u`` in [0, 1) mapped to [low, high) as ``Generator.uniform`` maps them."""
+    return low + (high - low) * u
 
 
 def generate_ensemble(seed, n, weights=(0.3, 0.35, 0.35)):
@@ -331,34 +333,35 @@ def generate_ensemble(seed, n, weights=(0.3, 0.35, 0.35)):
     Families: raw dielectric reflections (eta in [1.3, 2.5], incidence
     in [5, 85] degrees); convex mixes of a reflection with the ideal
     depolarizer of equal throughput; reflections sandwiched between a
-    random retarder and rotator. Deterministic for a given seed, with
-    per-sample RNG streams so generation order does not matter.
+    random retarder and rotator. Deterministic for a given seed: each
+    sample has its own RNG stream, spawned from the seed, that draws its
+    six uniforms (family, eta, incidence, then the mix or the rotator,
+    retarder axis and retardance), and all samples are then built in one
+    batched pass, so n does not change the first samples.
     """
     n = check_number(n, "ensemble size", low=1, integer=True)
     seed = check_number(seed, "seed", low=0, integer=True)
     weights = check_number(weights, "family weights", low=0.0, shape=(3,))
-    if weights.sum() <= 0:
-        raise ValueError("family weights must not all be 0")
-    probs = weights / weights.sum()
-    streams = np.random.SeedSequence(seed).spawn(n)
-    samples = np.empty((n, 4, 4))
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        family = _FAMILIES[rng.choice(3, p=probs)]
-        eta = rng.uniform(1.3, 2.5)
-        theta_i = np.deg2rad(rng.uniform(5.0, 85.0))
-        m = fresnel_mueller(eta, theta_i)
-        if family == "fresnel_depolarized":
-            lam = rng.uniform(0.1, 0.9)
-            depol = np.diag([m[0, 0], 0.0, 0.0, 0.0])
-            m = lam * m + (1.0 - lam) * depol
-        elif family == "composed":
-            before = rotator(rng.uniform(0.0, np.pi))
-            after = retarder(rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi))
-            m = compose([after, m, before])
-        samples[i] = m
-    ensemble = SyntheticMuellerEnsemble(samples, int(seed), tuple(float(p) for p in probs))
-    bad = [i for i in range(n) if not is_passive(ensemble.samples[i], tol=1e-9)]
-    if bad:
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError("family weights must have a positive finite sum, got %r"
+                         % weights.tolist())
+    probs = weights / total
+    # Generator.choice(3, p=probs)'s cdf, searched with the first draw
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = np.array([np.random.default_rng(stream).random(6)
+                  for stream in np.random.SeedSequence(seed).spawn(n)])
+    family = cdf.searchsorted(u[:, 0], side="right")
+    m = fresnel_mueller(_uniform(u[:, 1], 1.3, 2.5), np.deg2rad(_uniform(u[:, 2], 5.0, 85.0)))
+    lam = _uniform(u[:, 3, None, None], 0.1, 0.9)
+    depol = np.zeros_like(m)
+    depol[:, 0, 0] = m[:, 0, 0]
+    angle = _uniform(u[:, 3:], 0.0, np.pi)
+    composed = compose([retarder(angle[:, 1], angle[:, 2]), m, rotator(angle[:, 0])])
+    samples = np.choose(family[:, None, None], [m, lam * m + (1.0 - lam) * depol, composed])
+    if not is_passive(samples, tol=1e-9):
+        bad = [i for i in range(n) if not is_passive(samples[i], tol=1e-9)]
         raise RuntimeError("ensemble produced non-passive samples at indices %r" % bad[:5])
-    return ensemble
+    return SyntheticMuellerEnsemble(samples, int(seed), tuple(float(p) for p in probs))

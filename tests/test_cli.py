@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -591,6 +592,7 @@ def test_learn_angles_rejects_unknown_config_keys(tmp_path, capsys):
     ({"n_eval": 0}, "n_eval"),
     ({"family_weights": 3}, "family weights"),
     ({"family_weights": {"a": 1}}, "family weights"),
+    ({"family_weights": [1e308, 1e308, 1e308]}, "family weights"),
 ])
 def test_malformed_training_config_exits_two(tmp_path, capsys, overrides, field):
     config = write_learn_config(tmp_path, **overrides)
@@ -600,6 +602,16 @@ def test_malformed_training_config_exits_two(tmp_path, capsys, overrides, field)
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert field in err
     assert not out.exists()
+
+
+def test_family_weights_whose_sum_overflows_exit_two_without_a_warning(tmp_path, capsys):
+    config = write_learn_config(tmp_path, family_weights=[1e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["learn-angles", "--config", config,
+                     "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == ("error: family weights must have a positive finite sum, "
+                                       "got [1e+308, 1e+308, 1e+308]\n")
 
 
 def test_every_manifest_records_the_peak_rss(tmp_path):

@@ -9,6 +9,7 @@ from pltt.ellipsometry import (
     _NOISE_CHUNK,
     _PIXEL_CHUNK,
     AngleSchedule,
+    _arm,
     capture,
     design_matrix,
     drr_schedule,
@@ -149,6 +150,64 @@ def test_forward_model_matches_longhand_chain_and_central_differences(
         fd = (getattr(up, field) - getattr(down, field)) / (2.0 * h)
         scale = max(np.abs(derivative).max(), np.abs(fd).max())
         assert np.abs(fd - derivative).max() <= 1e-6 * scale
+
+
+def closed_form_arm(alpha, beta):
+    # v(alpha, beta) = 1/2 [1, c cos 2d, s cos 2d, sin 2d] with c = cos 2beta,
+    # s = sin 2beta, d = beta - alpha, and its two derivatives, term by term
+    alpha, beta = np.broadcast_arrays(alpha, beta)
+    c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
+    cos2d, sin2d = np.cos(2.0 * (beta - alpha)), np.sin(2.0 * (beta - alpha))
+    zero = np.zeros_like(c)
+    v = np.stack([zero + 0.5, 0.5 * (c * cos2d), 0.5 * (s * cos2d), 0.5 * sin2d], axis=-1)
+    dv_dalpha = np.stack([zero, c * sin2d, s * sin2d, -cos2d], axis=-1)
+    dv_dbeta = np.stack([zero, -(s * cos2d) - c * sin2d, c * cos2d - s * sin2d, cos2d], axis=-1)
+    return v, dv_dalpha, dv_dbeta
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 36), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_arm_is_the_closed_form_bit_for_bit(k, wide, seed):
+    rng = np.random.default_rng(seed)
+    alpha, beta = rng.uniform(-2 * np.pi, 2 * np.pi, size=(2, k, 5) if wide else (2, k))
+    arms = _arm(alpha, beta)
+    assert arms.shape == alpha.shape + (3, 4)
+    for got, want in zip(np.moveaxis(arms, -2, 0), closed_form_arm(alpha, beta)):
+        assert_same_bits(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 36),
+       mode=st.sampled_from(["intensity", "polarizer_array"]),
+       coaxial=st.booleans(),
+       split=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_model_is_the_closed_form_bit_for_bit(k, mode, coaxial, split, seed):
+    # capture and reconstruct read the same vectors, so these bits are the
+    # bits of every design matrix
+    rng = np.random.default_rng(seed)
+    theta1, theta2, theta3, theta4 = rng.uniform(-2 * np.pi, 2 * np.pi, size=(4, k))
+    fwd = forward_model(AngleSchedule(theta1, theta2, theta3, theta4, sensor_mode=mode),
+                        coaxial, split)
+    c, dc1, dc2 = closed_form_arm(theta1, theta2)
+    front = ARRAY_ANALYZERS[None, :] if mode == "polarizer_array" else theta4[:, None]
+    # an analyzer row is v(theta4, theta3) with its circular component negated
+    flip = np.array([1.0, 1.0, 1.0, -1.0])
+    r, dr4, dr3 = (x.reshape(-1, 4) * flip for x in closed_form_arm(front, theta3[:, None]))
+    if mode == "polarizer_array":
+        dr4 = np.zeros_like(r)
+    if coaxial:
+        into_scene = galvo_mirror() @ beamsplitter("transmit", split)
+        out_of_scene = beamsplitter("reflect", 1.0 - split) @ galvo_mirror()
+        c, dc1, dc2 = (x @ into_scene.T for x in (c, dc1, dc2))
+        r, dr3, dr4 = (x @ out_of_scene for x in (r, dr3, dr4))
+    for got, want in zip(fwd, (c, r, dc1, dc2, dr3, dr4)):
+        assert_same_bits(got, want)
 
 
 def test_drr_schedule_structure():

@@ -1,7 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pltt.polarization import compose, ideal_mirror, is_passive, linear_polarizer, rotator
+from pltt.polarization import (
+    compose,
+    ideal_mirror,
+    is_passive,
+    linear_polarizer,
+    retarder,
+    rotator,
+)
 from pltt.scene import (
     SPEED_OF_LIGHT,
     build_transport,
@@ -64,6 +74,18 @@ def test_fresnel_validation():
         fresnel_mueller(1.5, np.pi / 2)
     with pytest.raises(ValueError):
         fresnel_mueller(1.5, -0.1)
+    with pytest.raises(ValueError, match="incidence angle"):
+        fresnel_mueller(np.array([1.5, 2.0]), np.array([0.3, np.pi / 2]))
+
+
+def test_stacked_elements_are_the_stack_of_single_elements():
+    rng = np.random.default_rng(5)
+    eta, theta_i = rng.uniform(1.1, 2.5, 6), rng.uniform(0.0, 1.5, 6)
+    axis, delta = rng.uniform(-np.pi, np.pi, (2, 6))
+    for stacked, single in ((fresnel_mueller(eta, theta_i), map(fresnel_mueller, eta, theta_i)),
+                            (retarder(axis, delta), map(retarder, axis, delta)),
+                            (rotator(axis), map(rotator, axis))):
+        assert stacked.tobytes() == np.array(list(single)).tobytes()
 
 
 def test_diffuse_depolarizer_block():
@@ -327,3 +349,52 @@ def test_ensemble_weights_shift_family_mix():
         generate_ensemble(7, 40, weights=(1.0, 0.0))
     with pytest.raises(ValueError):
         generate_ensemble(7, 0)
+
+
+def reference_ensemble(seed, n, weights):
+    # the per-sample loop generate_ensemble replaced, frozen as its oracle:
+    # one Generator per sample, drawing the family with choice and each
+    # parameter with uniform, and building one 4x4 matrix at a time
+    weights = np.asarray(weights, dtype=float)
+    probs = weights / weights.sum()
+    samples = np.empty((n, 4, 4))
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        rng = np.random.default_rng(stream)
+        family = rng.choice(3, p=probs)
+        m = fresnel_mueller(rng.uniform(1.3, 2.5), np.deg2rad(rng.uniform(5.0, 85.0)))
+        if family == 1:
+            lam = rng.uniform(0.1, 0.9)
+            m = lam * m + (1.0 - lam) * np.diag([m[0, 0], 0.0, 0.0, 0.0])
+        elif family == 2:
+            before = rotator(rng.uniform(0.0, np.pi))
+            after = retarder(rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi))
+            m = compose([after, m, before])
+        samples[i] = m
+    return samples
+
+
+@pytest.mark.parametrize("seed, n", [(7, 300), (123, 200)])
+def test_batched_ensemble_is_the_per_sample_loop_bit_for_bit(seed, n):
+    weights = (0.3, 0.35, 0.35)
+    ensemble = generate_ensemble(seed, n, weights)
+    assert ensemble.samples.tobytes() == reference_ensemble(seed, n, weights).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+       weights=st.one_of(
+           st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+           st.tuples(*[st.floats(0.0, 1e3)] * 3).filter(lambda w: sum(w) > 0)))
+def test_batched_ensemble_equals_the_reference_loop(seed, n, weights):
+    ensemble = generate_ensemble(seed, n, weights)
+    assert ensemble.samples.shape == (n, 4, 4)
+    assert ensemble.samples.tobytes() == reference_ensemble(seed, n, weights).tobytes()
+    np.testing.assert_allclose(ensemble.weights, np.asarray(weights) / sum(weights), rtol=1e-15)
+
+
+@pytest.mark.parametrize("weights", [(1e308, 1e308, 1e308), (0.0, 0.0, 0.0)])
+def test_family_weights_need_a_positive_finite_sum(weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="family weights must have a positive finite sum"):
+            generate_ensemble(7, 10, weights)
