@@ -53,37 +53,48 @@ def test_workload_summary_skips_pairs_with_a_failed_run_and_counts_failures():
     assert summary["pipeline_s"]["change_wins"] == 2
 
 
-def fake_checkout(root, offset):
-    # a checkout whose bench prints pipeline_s = seed + offset
+def fake_checkout(root, offset, nproc_from_seed=99):
+    # a checkout whose bench prints pipeline_s = seed + offset, and nproc 1
+    # from seed nproc_from_seed on
     os.makedirs(os.path.join(root, "perfbench"))
     with open(os.path.join(root, "BENCHMARK.json"), "w") as fh:
-        json.dump({"workloads": [{"name": "w"}], "end_to_end": END_TO_END}, fh)
+        json.dump({"workloads": [{"name": "w"}], "end_to_end": END_TO_END,
+                   "run_seconds": 7}, fh)
     with open(os.path.join(root, "perfbench", "run.py"), "w") as fh:
         fh.write(textwrap.dedent("""
             import json, sys
-            seed = float(sys.argv[sys.argv.index("--seed") + 1])
+            arg = lambda name: sys.argv[sys.argv.index(name) + 1]
+            seed = float(arg("--seed"))
+            print("env " + json.dumps({"workload": arg("--workload"), "seed": seed,
+                                       "seconds": arg("--seconds"),
+                                       "nproc": 1 if seed >= %r else 2}))
             print("metric lines first")
             print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
                 "pipeline_s": {"value": seed + %r, "unit": "s"},
                 "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}))
-        """ % offset))
+        """ % (nproc_from_seed, offset)))
     return str(root)
 
 
-def test_pairs_alternate_order_run_seed_i_and_write_the_file(tmp_path):
+def test_pairs_alternate_order_run_seed_i_and_write_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
     parent = fake_checkout(tmp_path / "parent", 1.0)
-    change = fake_checkout(tmp_path / "change", 0.5)
+    change = fake_checkout(tmp_path / "change", 0.5, nproc_from_seed=3)
     out = tmp_path / "BENCH_0.json"
-    assert bench_pairs.main([parent, change, "--out", str(out), "--pairs", "3",
-                             "--seconds", "1", "--first-seed", "4",
-                             "--claim", "w:pipeline_s"]) == 0
+    assert bench_pairs.main([parent, change, "--out", str(out), "--claim", "w:pipeline_s"]) == 0
     bench = json.loads(out.read_text())
-    assert bench["bench"] == "BENCH_0" and bench["seeds"] == [4, 5, 6]
+    assert bench["bench"] == "BENCH_0" and bench["seeds"] == [1, 2, 3]
     assert bench["claim"] == {"workload": "w", "metric": "pipeline_s"}
+    assert bench["command"].endswith("--seconds 7 --trace 0")
+    # each side's first environment line, less the run's workload and seed
+    assert bench["env"] == {side: {"seconds": "7", "nproc": 2} for side in ("parent", "change")}
     entry = bench["workloads"]["w"]
     assert entry["pairs"] == 3
     assert entry["pair_order"] == ["parent first", "change first", "parent first"]
-    assert [r["pipeline_s"] for r in entry["runs"]["parent"]] == [5.0, 6.0, 7.0]
-    assert [r["pipeline_s"] for r in entry["runs"]["change"]] == [4.5, 5.5, 6.5]
+    assert [r["pipeline_s"] for r in entry["runs"]["parent"]] == [2.0, 3.0, 4.0]
+    assert [r["pipeline_s"] for r in entry["runs"]["change"]] == [1.5, 2.5, 3.5]
+    assert [r.get("env") for r in entry["runs"]["change"]] == [None, None,
+                                                               {"seconds": "7", "nproc": 1}]
+    assert all("env" not in r for r in entry["runs"]["parent"])
     assert entry["summary"]["pipeline_s"]["change_wins"] == 3
     assert entry["summary"]["failed"] == {"parent": 0, "change": 0}

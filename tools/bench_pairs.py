@@ -3,17 +3,19 @@
 Paired benchmark of two checkouts: the generator of the ``BENCH_<pr>.json`` files.
 
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> --out BENCH_18.json \\
-        [--pairs 10] [--seconds 15] [--first-seed 1] [--workloads learn_angles ...] \\
         [--about "what the change does"] [--claim learn_angles:pipeline_s]
 
 Runs each checkout's own, unchanged ``perfbench/run.py --workload <w> --seed
-<seed> --seconds <s> --trace 0`` in that checkout, one process at a time.
-Pair i runs seed ``first_seed + i`` on both sides, the parent first in
-even-numbered pairs (0, 2, ...) and the change first in the others, so
+<seed> --seconds <run_seconds> --trace 0`` in that checkout, one process at
+a time, with ``run_seconds`` from the parent's BENCHMARK.json. There are
+ten pairs per workload: pair i (1..10) runs seed i on both sides, the
+parent first in odd-numbered pairs and the change first in the others, so
 neither side always runs on a machine the other has just warmed. A run's
 values are the end-to-end metrics of its last JSON line plus ``correct``,
 ``attempted`` and ``failed``; a run that exits non-zero or prints no
-result is kept with ``failed: null`` and its error.
+result is kept with ``failed: null`` and its error. ``env`` holds, per
+side, the environment line that side's first run printed, less its
+workload and seed; a later run whose environment differs keeps its own.
 
 The file is rewritten after every pair, so an interrupted bench keeps the
 pairs it finished. Per workload and end-to-end metric the summary holds the
@@ -28,15 +30,17 @@ better), ``resolved`` (the parent's spread is within the bound) and
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 
 import numpy as np
 
+PAIRS = 10
 RUN_FIELDS = ("correct", "attempted", "failed")
-METHOD = ("unchanged perfbench run from each checkout; pair i runs seed first_seed + i on both "
-          "sides, parent first in even pairs and change first in odd ones; values are each "
+# the fields of perfbench's environment line that name the run, not the machine
+RUN_NAMES = ("workload", "seed")
+METHOD = ("unchanged perfbench run from each checkout; pair i runs seed i on both sides, "
+          "parent first in odd pairs and change first in even ones; values are each "
           "run's end-to-end metrics (its last JSON line); quartiles are numpy linear percentiles "
           "over the parent's runs; spread is (max - min) / median; a win is a change value "
           "strictly better than the parent's in the same pair; rel is change median / parent "
@@ -46,21 +50,28 @@ METHOD = ("unchanged perfbench run from each checkout; pair i runs seed first_se
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One perfbench run in ``checkout``: its end-to-end values and health, or an error."""
+    """
+    One perfbench run in ``checkout``: its end-to-end values and health, or an
+    error, and the environment line it printed (None if it printed none).
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    if env is not None:
+        for name in RUN_NAMES:
+            env.pop(name, None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = None
     if proc.returncode != 0 or not isinstance(result, dict):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {"failed": None, "error": "exit %d: %s" % (proc.returncode, tail)}
+        return {"failed": None, "error": "exit %d: %s" % (proc.returncode, tail)}, env
     run = {name: entry["value"] for name, entry in result["metrics"].items()}
     run.update((name, result[name]) for name in RUN_FIELDS)
-    return run
+    return run, env
 
 
 def summarize(parent, change, bound, better="lower"):
@@ -100,29 +111,18 @@ def summarize_workload(runs, end_to_end):
     return summary
 
 
-def environment(seconds):
-    # perfbench/run.py pins PLTT_NUM_THREADS to 1 in every run
-    return {"PLTT_NUM_THREADS": "1", "cpu_count": os.cpu_count(), "machine": platform.machine(),
-            "numpy": np.__version__, "python": platform.python_version(),
-            "seconds": seconds, "trace": 0}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--about", default="", help="what the change does")
     parser.add_argument("--claim", default=None, help="workload:metric the change claims")
     args = parser.parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seconds = bench["run_seconds"]
+    seeds = list(range(1, PAIRS + 1))
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")
@@ -132,20 +132,23 @@ def main(argv=None):
         "change": args.about,
         "claim": claim,
         "command": "python3 perfbench/run.py --workload <w> --seed <seed> --seconds %g --trace 0"
-                   % args.seconds,
+                   % seconds,
         "method": METHOD,
-        "env": environment(args.seconds),
+        "env": {},
         "seeds": seeds,
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {"parent": [], "change": []}
         entry = out["workloads"][workload] = {"pairs": 0, "pair_order": [], "runs": runs}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(checkout, workload, seed, args.seconds))
+                run, env = run_once(checkout, workload, seed, seconds)
+                if env is not None and out["env"].setdefault(side, env) != env:
+                    run["env"] = env
+                runs[side].append(run)
             entry["pairs"] += 1
             entry["pair_order"].append("%s first" % order[0])
             entry["summary"] = summarize_workload(runs, bench["end_to_end"])
