@@ -39,7 +39,7 @@ print("held-out loss: %.3e at init -> %.3e at best"
       % (learned.init_heldout_loss, learned.best_heldout_loss))
 
 # the initial iterate is the DRR schedule, so learning can only improve it
-curve = ["%.2e" % v for v in learned.best_curve]
+curve = ["%.2e" % v for v in np.minimum.accumulate(learned.heldout_curve)]
 print("best-so-far held-out curve: %s" % " ".join(curve))
 
 # -- score on fresh samples the optimizer never saw --------------------------

@@ -32,7 +32,6 @@ from .polarization import (
     galvo_mirror,
     ideal_mirror,
     is_passive,
-    is_valid_stokes,
     linear_polarizer,
     quarter_wave_plate,
     retarder,

@@ -10,11 +10,11 @@ Batch command line for the transport-tensor pipeline:
     pltt descatter     tensor + target image -> fitted suppression model
     pltt slice         tensor + slice expression -> signed images
 
-Exit codes: 0 success, 2 usage/validation, 3 numerical failure. Errors
-go to stderr as single lines prefixed ``error:``. Every command writes
-the JSON manifest ``<--out>.manifest.json``: its file arguments as
-``inputs``, the files it wrote, its seed, its wall time and the
-process's peak RSS.
+Exit codes: 0 success, 2 usage/validation, 3 numerical failure or an
+array too large to allocate. Errors go to stderr as single lines
+prefixed ``error:``. Every command writes the JSON manifest
+``<--out>.manifest.json``: its file arguments as ``inputs``, the files
+it wrote, its seed, its wall time and the process's peak RSS.
 """
 
 import argparse
@@ -27,7 +27,7 @@ import resource
 import struct
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -83,6 +83,13 @@ def _read(path, kind=TransportTensor, what="transport tensor"):
     if not isinstance(obj, kind):
         raise ValueError("%s does not hold a %s" % (path, what))
     return obj
+
+
+def _index(value, what, size):
+    """``value`` as an index into an axis of ``size``, or a ValueError naming ``what``."""
+    if not 0 <= value < size:
+        raise ValueError("%s %d outside 0..%d" % (what, value, size - 1))
+    return value
 
 
 def _pick_mask(tensor, which):
@@ -273,8 +280,8 @@ def cmd_learn_angles(args):
 def cmd_decompose(args):
     # the total-illumination Mueller image per bin
     tensor = fold(_read(args.tensor))
-    if args.bin is not None and not 0 <= args.bin < tensor.n_bins:
-        raise ValueError("bin %d outside 0..%d" % (args.bin, tensor.n_bins - 1))
+    if args.bin is not None:
+        _index(args.bin, "bin", tensor.n_bins)
     decomp = decompose_tensor(tensor, floor_frac=args.floor)
     bins = range(tensor.n_bins) if args.bin is None else [args.bin]
     h, w = tensor.cam_shape
@@ -384,17 +391,6 @@ _SLICE_GRAMMAR = (
 )
 
 
-@dataclass(frozen=True)
-class SliceQuery:
-    negate: bool
-    sums: frozenset
-    cam: object       # "s" or int
-    proj: object      # "s", "s_e", "s_n", or int
-    p: object         # int or None (enumerate)
-    q: object
-    t: object         # "keep" or int
-
-
 def _int_slot(token, name):
     try:
         return int(token)
@@ -402,17 +398,13 @@ def _int_slot(token, name):
         raise ValueError("bad %s slot %r; %s" % (name, token, _SLICE_GRAMMAR))
 
 
-def _parse_pol_slot(token, name):
-    if token == ":":
-        return None
-    value = _int_slot(token, name)
-    if not 0 <= value <= 3:
-        raise ValueError("%s index %d outside 0..3" % (name, value))
-    return value
-
-
-def parse_slice_expression(expr):
-    """Parse a slice expression; raises ValueError with a grammar hint."""
+def slice_images(tensor, expr):
+    """
+    Evaluate a slice expression against a tensor; returns (suffix, image)
+    pairs. Raises ValueError with a grammar hint. Every slot is read
+    before the tensor is indexed, so a malformed expression fails the
+    same way on any tensor.
+    """
     text = expr.strip()
     negate = text.startswith("-")
     if negate:
@@ -424,99 +416,67 @@ def parse_slice_expression(expr):
             raise ValueError("bad sum prefix in %r; %s" % (expr, _SLICE_GRAMMAR))
         sums.add(m.group(1))
         text = text[m.end():]
-    m = re.fullmatch(
-        r"T\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*,"
-        r"\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)",
-        text,
-    )
+    m = re.fullmatch(r"T\(%s\)" % ",".join([r"\s*([^,()\s]+)\s*"] * 5), text)
     if not m:
         raise ValueError("cannot parse %r; %s" % (expr, _SLICE_GRAMMAR))
-    cam_tok, proj_tok, p_tok, q_tok, t_tok = m.groups()
+    cam, proj, p, q, t = m.groups()
+    if cam != "s":
+        cam = _int_slot(cam, "camera")
+    if proj not in ("s", "s_e", "s_n"):
+        proj = _int_slot(proj, "projector")
+    # None enumerates or sums an axis; an int fixes it
+    p = None if p == ":" else _index(_int_slot(p, "p"), "p index", 4)
+    q = None if q == ":" else _index(_int_slot(q, "p'"), "p' index", 4)
+    tm = re.fullmatch(r"t|:|t=(-?\d+)", t)
+    if not tm:
+        raise ValueError("bad time slot %r; %s" % (t, _SLICE_GRAMMAR))
+    t = None if tm.group(1) is None else int(tm.group(1))
+    for name, index, what in (("t", t, "a fixed time bin"), ("p", p, "a fixed p index"),
+                              ("pp", q, "a fixed p' index")):
+        if name in sums and index is not None:
+            raise ValueError("sum_%s conflicts with %s" % (name, what))
 
-    cam = cam_tok if cam_tok == "s" else _int_slot(cam_tok, "camera")
-    proj = proj_tok if proj_tok in ("s", "s_e", "s_n") else _int_slot(proj_tok, "projector")
-    p = _parse_pol_slot(p_tok, "p")
-    q = _parse_pol_slot(q_tok, "p'")
-
-    if t_tok in ("t", ":"):
-        t = "keep"
-    else:
-        tm = re.fullmatch(r"t=(-?\d+)", t_tok)
-        if not tm:
-            raise ValueError("bad time slot %r; %s" % (t_tok, _SLICE_GRAMMAR))
-        t = int(tm.group(1))
-
-    if "t" in sums and t != "keep":
-        raise ValueError("sum_t conflicts with a fixed time bin")
-    if "p" in sums and p is not None:
-        raise ValueError("sum_p conflicts with a fixed p index")
-    if "pp" in sums and q is not None:
-        raise ValueError("sum_pp conflicts with a fixed p' index")
-    return SliceQuery(
-        negate=negate, sums=frozenset(sums), cam=cam, proj=proj, p=p, q=q, t=t
-    )
-
-
-def evaluate_slice(tensor, query):
-    """Resolve a parsed slice against a tensor; returns (suffix, image) pairs."""
     data = tensor.data
     n_cam = data.shape[0]
-
-    if query.proj == "s":
-        if tensor.coaxial:
-            block = data[:, 0]
-        else:
-            if data.shape[1] != n_cam:
-                raise ValueError(
-                    "diagonal slice needs matching camera and projector sizes"
-                )
-            block = data[np.arange(n_cam), np.arange(n_cam)]
-    elif query.proj in ("s_e", "s_n"):
-        label = "epipolar" if query.proj == "s_e" else "non_epipolar"
-        block = fold(tensor, _pick_mask(tensor, label)).data[:, 0]
+    if proj in ("s_e", "s_n"):
+        mask = _pick_mask(tensor, "epipolar" if proj == "s_e" else "non_epipolar")
+        block = fold(tensor, mask).data[:, 0]
+    elif proj == "s" and tensor.coaxial:
+        block = data[:, 0]
+    elif proj == "s":
+        if data.shape[1] != n_cam:
+            raise ValueError("diagonal slice needs matching camera and projector sizes")
+        block = data[np.arange(n_cam), np.arange(n_cam)]
+    elif tensor.coaxial:
+        raise ValueError("a coaxial tensor has no projector axis to index; use 's'")
     else:
-        if tensor.coaxial:
-            raise ValueError(
-                "a coaxial tensor has no projector axis to index; use 's'"
-            )
-        if not 0 <= query.proj < data.shape[1]:
-            raise ValueError(
-                "projector index %d outside 0..%d" % (query.proj, data.shape[1] - 1)
-            )
-        block = data[:, query.proj]
+        block = data[:, _index(proj, "projector index", data.shape[1])]
 
-    shape = tensor.cam_shape
-    if query.cam != "s":
-        if not 0 <= query.cam < n_cam:
-            raise ValueError("camera index %d outside 0..%d" % (query.cam, n_cam - 1))
-        block = block[query.cam : query.cam + 1]
-        shape = (1, 1)
+    if cam != "s":
+        cam = _index(cam, "camera index", n_cam)
+        block = block[cam : cam + 1]
+    if t is not None:
+        _index(t, "time bin", data.shape[-1])
 
     # block axes 1..3 are p, p', t; each is fixed, summed, or enumerated
     labels = []
-    fixed_t = None if query.t == "keep" else query.t
-    for axis, index, name, label in ((1, query.p, "p", "_p%d"), (2, query.q, "pp", "_q%d"),
-                                     (3, fixed_t, "t", "_t%d")):
+    for axis, index, name, label in ((1, p, "p", "_p%d"), (2, q, "pp", "_q%d"),
+                                     (3, t, "t", "_t%d")):
         if index is not None:
-            if not 0 <= index < block.shape[axis]:   # p and p' are checked when parsed
-                raise ValueError("time bin %d outside 0..%d" % (index, block.shape[axis] - 1))
             block = np.take(block, [index], axis=axis)
-        elif name in query.sums:
+        elif name in sums:
             block = block.sum(axis=axis, keepdims=True)
-        labels.append(label if index is None and name not in query.sums else "")
+        labels.append(label if index is None and name not in sums else "")
 
-    sign = -1.0 if query.negate else 1.0
-    images = []
-    for idx in np.ndindex(block.shape[1:]):
-        suffix = "".join(label % i for label, i in zip(labels, idx) if label)
-        images.append((suffix, sign * block[(slice(None),) + idx].reshape(shape)))
-    return images
+    shape = tensor.cam_shape if cam == "s" else (1, 1)
+    sign = -1.0 if negate else 1.0
+    return [("".join(label % i for label, i in zip(labels, idx) if label),
+             sign * block[(slice(None),) + idx].reshape(shape))
+            for idx in np.ndindex(block.shape[1:])]
 
 
 def cmd_slice(args):
-    tensor = _read(args.tensor)
-    query = parse_slice_expression(args.expr)
-    images = evaluate_slice(tensor, query)
+    images = slice_images(_read(args.tensor), args.expr)
     outputs = []
     for suffix, image in images:
         outputs += _save_image(
@@ -641,7 +601,7 @@ def main(argv=None):
     try:
         info = args.func(args)
     # LinAlgError is a ValueError, so the numerical failures go first
-    except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except (ValueError, OSError, struct.error) as exc:

@@ -260,7 +260,6 @@ class LearnedSchedule:
     loss_curve: np.ndarray = field(repr=False)          # training loss per iteration
     heldout_iters: np.ndarray = field(repr=False)
     heldout_curve: np.ndarray = field(repr=False)       # raw held-out losses
-    best_curve: np.ndarray = field(repr=False)          # running minimum
     best_heldout_loss: float = np.inf
     init_heldout_loss: float = np.inf
     config_hash: str = ""
@@ -311,7 +310,6 @@ def learn(config):
         loss_curve=np.asarray(loss_curve),
         heldout_iters=np.asarray(iters),
         heldout_curve=np.asarray(curve),
-        best_curve=np.minimum.accumulate(curve),
         best_heldout_loss=float(curve[best]),
         init_heldout_loss=float(curve[0]),
         config_hash=config.digest(),

@@ -206,22 +206,6 @@ def degree_of_polarization(s):
     return dop
 
 
-def is_valid_stokes(s, tol=1e-9):
-    """
-    True when ``s`` could be physical light: s0 >= 0 and
-    s1^2 + s2^2 + s3^2 <= s0^2 within a relative slack of ``tol``.
-
-    The all-zero vector is valid (no light). Works on batches; all
-    entries must pass.
-    """
-    s = np.asarray(s, dtype=float)
-    s0 = s[..., 0]
-    if np.any(s0 < 0.0):
-        return False
-    pol_sq = s[..., 1] ** 2 + s[..., 2] ** 2 + s[..., 3] ** 2
-    return bool(np.all(pol_sq <= s0 * s0 * (1.0 + tol) + tol * np.finfo(float).tiny))
-
-
 def is_passive(m, tol=1e-9):
     """
     Passive-validity predicate for a Mueller matrix.

@@ -2,20 +2,22 @@ import csv
 import functools
 import json
 import os
+import re
 import struct
 import tempfile
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt.analysis import summed_polarimetric_image
-from pltt.cli import main, parse_slice_expression
+from pltt.cli import main, slice_images
 from pltt.ellipsometry import capture, drr_schedule, reconstruct, save_schedule, schedule_to_dict
 from pltt.fileio import read_pltt, write_pltt
 from pltt.polarization import ideal_mirror, linear_polarizer
-from pltt.tensor import TransportTensor
+from pltt.tensor import TransportTensor, epipolar_masks, fold
 
 def mirror_scene(depth=0.15):
     return {
@@ -515,7 +517,7 @@ def test_slice_grammar_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:")
     with pytest.raises(ValueError, match="expected"):
-        parse_slice_expression("T(s,s)")
+        slice_images(read_pltt(tensor_path), "T(s,s)")
 
 
 def test_slice_coaxial_tensor_has_no_projector_index(tmp_path, capsys):
@@ -524,6 +526,201 @@ def test_slice_coaxial_tensor_has_no_projector_index(tmp_path, capsys):
                "--out", str(tmp_path / "c")])
     assert rc == 2
     assert "coaxial" in capsys.readouterr().err
+
+
+# The slice parser and evaluator as they were before they became one
+# function, kept frozen as the reference that slice_images must match.
+_REF_GRAMMAR = (
+    "expected [-][sum_t ][sum_p ][sum_pp ]"
+    "T(s|<int>, s|s_e|s_n|<int>, <0-3>|:, <0-3>|:, t|t=<int>|:)"
+)
+
+
+@dataclass(frozen=True)
+class _RefQuery:
+    negate: bool
+    sums: frozenset
+    cam: object       # "s" or int
+    proj: object      # "s", "s_e", "s_n", or int
+    p: object         # int or None (enumerate)
+    q: object
+    t: object         # "keep" or int
+
+
+def _ref_int_slot(token, name):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("bad %s slot %r; %s" % (name, token, _REF_GRAMMAR))
+
+
+def _ref_pol_slot(token, name):
+    if token == ":":
+        return None
+    value = _ref_int_slot(token, name)
+    if not 0 <= value <= 3:
+        raise ValueError("%s index %d outside 0..3" % (name, value))
+    return value
+
+
+def _ref_parse(expr):
+    text = expr.strip()
+    negate = text.startswith("-")
+    if negate:
+        text = text[1:].lstrip()
+    sums = set()
+    while text.startswith("sum_"):
+        m = re.match(r"sum_([a-z']+)\s+", text)
+        if not m or m.group(1) not in ("t", "p", "pp"):
+            raise ValueError("bad sum prefix in %r; %s" % (expr, _REF_GRAMMAR))
+        sums.add(m.group(1))
+        text = text[m.end():]
+    m = re.fullmatch(
+        r"T\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*,"
+        r"\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)",
+        text,
+    )
+    if not m:
+        raise ValueError("cannot parse %r; %s" % (expr, _REF_GRAMMAR))
+    cam_tok, proj_tok, p_tok, q_tok, t_tok = m.groups()
+
+    cam = cam_tok if cam_tok == "s" else _ref_int_slot(cam_tok, "camera")
+    proj = proj_tok if proj_tok in ("s", "s_e", "s_n") else _ref_int_slot(proj_tok, "projector")
+    p = _ref_pol_slot(p_tok, "p")
+    q = _ref_pol_slot(q_tok, "p'")
+
+    if t_tok in ("t", ":"):
+        t = "keep"
+    else:
+        tm = re.fullmatch(r"t=(-?\d+)", t_tok)
+        if not tm:
+            raise ValueError("bad time slot %r; %s" % (t_tok, _REF_GRAMMAR))
+        t = int(tm.group(1))
+
+    if "t" in sums and t != "keep":
+        raise ValueError("sum_t conflicts with a fixed time bin")
+    if "p" in sums and p is not None:
+        raise ValueError("sum_p conflicts with a fixed p index")
+    if "pp" in sums and q is not None:
+        raise ValueError("sum_pp conflicts with a fixed p' index")
+    return _RefQuery(
+        negate=negate, sums=frozenset(sums), cam=cam, proj=proj, p=p, q=q, t=t
+    )
+
+
+def _ref_evaluate(tensor, query):
+    data = tensor.data
+    n_cam = data.shape[0]
+
+    if query.proj == "s":
+        if tensor.coaxial:
+            block = data[:, 0]
+        else:
+            if data.shape[1] != n_cam:
+                raise ValueError(
+                    "diagonal slice needs matching camera and projector sizes"
+                )
+            block = data[np.arange(n_cam), np.arange(n_cam)]
+    elif query.proj in ("s_e", "s_n"):
+        epi, non_epi = epipolar_masks(tensor.cam_shape, tensor.proj_shape)
+        block = fold(tensor, epi if query.proj == "s_e" else non_epi).data[:, 0]
+    else:
+        if tensor.coaxial:
+            raise ValueError(
+                "a coaxial tensor has no projector axis to index; use 's'"
+            )
+        if not 0 <= query.proj < data.shape[1]:
+            raise ValueError(
+                "projector index %d outside 0..%d" % (query.proj, data.shape[1] - 1)
+            )
+        block = data[:, query.proj]
+
+    shape = tensor.cam_shape
+    if query.cam != "s":
+        if not 0 <= query.cam < n_cam:
+            raise ValueError("camera index %d outside 0..%d" % (query.cam, n_cam - 1))
+        block = block[query.cam : query.cam + 1]
+        shape = (1, 1)
+
+    labels = []
+    fixed_t = None if query.t == "keep" else query.t
+    for axis, index, name, label in ((1, query.p, "p", "_p%d"), (2, query.q, "pp", "_q%d"),
+                                     (3, fixed_t, "t", "_t%d")):
+        if index is not None:
+            if not 0 <= index < block.shape[axis]:
+                raise ValueError("time bin %d outside 0..%d" % (index, block.shape[axis] - 1))
+            block = np.take(block, [index], axis=axis)
+        elif name in query.sums:
+            block = block.sum(axis=axis, keepdims=True)
+        labels.append(label if index is None and name not in query.sums else "")
+
+    sign = -1.0 if query.negate else 1.0
+    images = []
+    for idx in np.ndindex(block.shape[1:]):
+        suffix = "".join(label % i for label, i in zip(labels, idx) if label)
+        images.append((suffix, sign * block[(slice(None),) + idx].reshape(shape)))
+    return images
+
+
+def _random_tensor(seed, cam_shape, proj_shape, coaxial=False, n_bins=4):
+    n_proj = 1 if coaxial else proj_shape[0] * proj_shape[1]
+    data = np.random.default_rng(seed).normal(
+        size=(cam_shape[0] * cam_shape[1], n_proj, 4, 4, n_bins))
+    return TransportTensor(data, cam_shape, proj_shape, 1e-10, coaxial=coaxial)
+
+
+SLICE_TENSORS = {
+    "projector_camera": _random_tensor(1, (2, 2), (2, 2)),
+    "coaxial": _random_tensor(2, (2, 2), (2, 2), coaxial=True),
+    "non_square": _random_tensor(3, (1, 2), (2, 2)),
+}
+# tokens for each part of an expression: well-formed ones, repeated so
+# that well-formed expressions are common, then a doubled sign,
+# unknown or unspaced sums, and bad, negative and out-of-range slots
+SLICE_SIGNS = ("", "-", " - ") * 3 + ("--",)
+SLICE_SUMS = ("sum_t ", "sum_p ", "sum_pp ", "sum_p\t") * 3 + ("sum_x ", "sum_tT(")
+SLICE_SLOTS = (
+    ("s", "0", "1", "3") * 4 + ("-1", "4", "x"),
+    ("s", "s_e", "s_n", "0", "3") * 4 + ("-1", "4", "5", "s_x"),
+    (":", ":", "0", "3") * 4 + ("-1", "4", "t"),
+    (":", ":", "1", "2") * 4 + ("-2", "9", "x"),
+    ("t", ":", "t=0", "t=3") * 4 + ("t=-1", "t=4", "t=x", "2"),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(name=st.sampled_from(sorted(SLICE_TENSORS)), sign=st.sampled_from(SLICE_SIGNS),
+       sums=st.lists(st.sampled_from(SLICE_SUMS), max_size=2),
+       slots=st.tuples(*(st.sampled_from(pool) for pool in SLICE_SLOTS)),
+       n_slots=st.sampled_from((5,) * 9 + (2,)), comma=st.sampled_from((",", ", ", " ,")))
+def test_slice_images_matches_the_frozen_reference(name, sign, sums, slots, n_slots, comma):
+    # n_slots 2 gives T(s,s)-like expressions
+    tensor = SLICE_TENSORS[name]
+    expr = sign + "".join(sums) + "T(" + comma.join(slots[:n_slots]) + ")"
+    try:
+        expected = _ref_evaluate(tensor, _ref_parse(expr))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            slice_images(tensor, expr)
+        assert str(info.value) == str(exc), expr
+        return
+    got = slice_images(tensor, expr)
+    assert [suffix for suffix, _ in got] == [suffix for suffix, _ in expected], expr
+    for (_, image), (_, ref) in zip(got, expected):
+        assert image.shape == ref.shape and image.dtype == ref.dtype, expr
+        assert image.tobytes() == ref.tobytes(), expr
+
+
+def test_simulate_too_large_to_allocate_exits_three(tmp_path, capsys):
+    # 16e6 x 16e6 couplings of 16 doubles is 29 PiB, beyond any address space
+    out = tmp_path / "big.pltt"
+    assert main(["simulate", "--scene", write_scene(tmp_path, DENSE_SCENE),
+                 "--resolution", "4000x4000", "--bins", "1", "--bin-width", "1e-10",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "allocate" in err
+    assert not out.exists() and not (tmp_path / "big.pltt.manifest.json").exists()
 
 
 def write_learn_config(tmp_path, **overrides):

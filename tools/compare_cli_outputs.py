@@ -8,16 +8,19 @@ Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
 on both scenes in the change checkout's ``tests/data``: simulate; capture,
 plain and with ``--mask epipolar``; reconstruct; decompose; pca; descatter
 with no mask, ``epipolar`` and ``non_epipolar``, and with ``--method lbfgs``;
-slices, among them ``s_e`` and ``s_n``; ``learn-angles`` on a small K=6
-``polarizer_array`` config, then a capture with the learned schedule and
-its reconstruction. Each command runs in its own Python process, and each
-checkout in its own temporary directory, with relative paths, so both
-sides see the same arguments.
+slices, among them ``s_e`` and ``s_n``, a camera and a projector index (on
+the coaxial scene the masks and the projector index fail alike on both
+sides), and two expressions that must fail, one malformed and one out of
+range; ``learn-angles`` on a small K=6 ``polarizer_array`` config, then a
+capture with the learned schedule and its reconstruction. Each command
+runs in its own Python process, and each checkout in its own temporary
+directory, with relative paths, so both sides see the same arguments.
 
 Every output file is compared byte for byte, except the manifests, which
 are compared as JSON without their ``duration_s`` and ``peak_rss_mb``.
-Exit codes and the commands' stdout and stderr are compared too. Prints
-each difference and exits 1 if there is any, 0 otherwise.
+Exit codes and the commands' stdout and stderr are compared too, and the
+two failing slices must exit 2. Prints each difference and exits 1 if
+there is any, 0 otherwise.
 """
 
 import json
@@ -36,6 +39,8 @@ LEARN_CONFIG = {"k": 6, "sensor_mode": "polarizer_array", "iterations": 20, "bat
                 "eval_every": 5, "n_samples": 40, "n_eval": 20, "seed": 3}
 # fields of a manifest that measure the run rather than describe its result
 UNSTABLE = ("duration_s", "peak_rss_mb")
+# commands that must fail with a usage error on both sides
+MUST_FAIL = ("slice_malformed", "slice_out_of_range")
 
 
 def commands(resolution, seed):
@@ -72,6 +77,16 @@ def commands(resolution, seed):
                        "-sum_pp T(s, s_n, 0, :, :)", "--out", "slice_n"]),
         ("slice_diagonal", ["slice", "--tensor", "recon.pltt", "--expr", "T(s, s, 1, 2, t=5)",
                             "--out", "slice_d"]),
+        ("slice_camera", ["slice", "--tensor", "recon.pltt", "--expr", "T(3, s, 0, 0, t=10)",
+                          "--out", "slice_cam"]),
+        ("slice_projector", ["slice", "--tensor", "recon.pltt", "--expr", "T(s, 5, :, 0, t=10)",
+                             "--out", "slice_proj"]),
+        ("slice_summed", ["slice", "--tensor", "recon.pltt", "--expr",
+                          "-sum_p sum_t T(s, s, :, 2, t)", "--out", "slice_sum"]),
+        ("slice_malformed", ["slice", "--tensor", "recon.pltt", "--expr", "T(s, s, 0, 0)",
+                             "--out", "slice_bad"]),
+        ("slice_out_of_range", ["slice", "--tensor", "recon.pltt", "--expr",
+                                "T(s, s, 0, 0, t=16)", "--out", "slice_far"]),
         ("learn_angles", ["learn-angles", "--config", "learn.json", "--out", "learned.json"]),
         ("capture_learned", ["capture", "--tensor", "truth.pltt", "--schedule", "learned.json",
                              "--mode", "polarizer_array", "--noise", "5e-4", "--seed", seed,
@@ -82,7 +97,7 @@ def commands(resolution, seed):
 
 
 def run_checkout(checkout, data_dir, workdir):
-    """Run every command for both scenes; returns {label: (exit code, stdout, stderr)}."""
+    """Run every command for both scenes; returns {(scene, label): (exit code, stdout, stderr)}."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
     results = {}
     for scene, resolution, seed in SCENES:
@@ -96,7 +111,7 @@ def run_checkout(checkout, data_dir, workdir):
         for label, argv in commands(resolution, seed):
             proc = subprocess.run([sys.executable, "-m", "pltt.cli"] + argv, cwd=scene_dir,
                                   env=env, capture_output=True, text=True)
-            results["%s/%s" % (os.path.basename(scene_dir), label)] = (
+            results[(os.path.basename(scene_dir), label)] = (
                 proc.returncode, proc.stdout, proc.stderr)
     return results
 
@@ -129,10 +144,13 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as dir_a, tempfile.TemporaryDirectory() as dir_b:
         runs_a = run_checkout(parent, data_dir, dir_a)
         runs_b = run_checkout(change, data_dir, dir_b)
-        for label, (code_a, out_a, err_a) in runs_a.items():
-            code_b, out_b, err_b = runs_b[label]
+        for (scene, command), (code_a, out_a, err_a) in runs_a.items():
+            code_b, out_b, err_b = runs_b[scene, command]
+            label = "%s/%s" % (scene, command)
             if code_a != code_b:
                 differences.append("%s: exit code %d vs %d" % (label, code_a, code_b))
+            elif command in MUST_FAIL and code_a != 2:
+                differences.append("%s: exit code %d on both sides, expected 2" % (label, code_a))
             for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
                 if a != b:
                     differences.append("%s: %s differs" % (label, stream))
