@@ -44,9 +44,7 @@ def build_observation(samples, c=8.0):
     map, so the rows are invariant to overall attenuation. Samples with
     m00 <= 0 are skipped and counted.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or samples.shape[1:] != (4, 4):
-        raise ValueError("expected samples of shape (n, 4, 4), got %r" % (samples.shape,))
+    samples = check_number(samples, "samples", shape=(None, 4, 4))
     keep = samples[:, 0, 0] > 0
     used = samples[keep]
     rows = arctan_map(used / used[:, :1, :1], c=c).reshape(used.shape[0], 16)
@@ -76,11 +74,9 @@ def pca(obs):
     dimensions the trailing singular values are zero. Identical rows
     yield all-zero singular values and a flat energy curve of ones.
     """
-    rows = obs.rows if isinstance(obs, ObservationMatrix) else np.asarray(obs, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 16:
-        raise ValueError("expected an (n, 16) observation matrix, got %r" % (rows.shape,))
-    n = rows.shape[0]
-    if n < 2:
+    rows = check_number(obs.rows if isinstance(obs, ObservationMatrix) else obs,
+                        "observation rows", shape=(None, 16))
+    if rows.shape[0] < 2:
         raise ValueError("PCA needs at least 2 samples")
     mean = rows.mean(axis=0)
     centered = rows - mean
@@ -135,9 +131,7 @@ class DescatterModel:
 
 
 def apply_descatter(model, image):
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 3 or image.shape[1:] != (4, 4):
-        raise ValueError("expected an image of shape (n, 4, 4), got %r" % (image.shape,))
+    image = check_number(image, "image", shape=(None, 4, 4))
     return np.einsum("sij,ij->s", image + model.offsets, model.weights)
 
 
@@ -193,12 +187,9 @@ def fit_descatter(image, target, mode="full", method="closed_form"):
     convergence (the iteration cap on an ill-conditioned image) returns
     ``converged=False`` with the optimizer's message.
     """
-    image = np.asarray(image, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if image.ndim != 3 or image.shape[1:] != (4, 4):
-        raise ValueError("expected an image of shape (n, 4, 4), got %r" % (image.shape,))
-    if target.shape != (image.shape[0],):
-        raise ValueError("target must have one value per camera pixel")
+    image = check_number(image, "image", shape=(None, 4, 4))
+    target = check_number(target, "target (one value per camera pixel)",
+                          shape=(image.shape[0],))
     if image.shape[0] < 2:
         raise ValueError("descatter fit needs at least 2 pixels")
     if not np.any(image):

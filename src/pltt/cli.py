@@ -27,6 +27,7 @@ import resource
 import struct
 import sys
 import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -352,7 +353,9 @@ def cmd_descatter(args):
     tensor = _read(args.tensor)
     mask = _pick_mask(tensor, args.mask)
     image = summed_polarimetric_image(tensor, mask)
-    target = np.loadtxt(args.target, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():     # an empty file is the size error below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        target = np.loadtxt(args.target, delimiter=",", ndmin=2)
     if target.size != image.shape[0]:
         raise ValueError(
             "target has %d values but the tensor has %d camera pixels"
@@ -391,11 +394,12 @@ _SLICE_GRAMMAR = (
 )
 
 
-def _int_slot(token, name):
-    try:
-        return int(token)
-    except ValueError:
+def _int_slot(token, name, prefix=""):
+    """The ASCII integer ``-?[0-9]+`` after ``prefix`` in a slot, or a ValueError naming it."""
+    m = re.fullmatch(re.escape(prefix) + r"(-?[0-9]+)", token)
+    if not m:
         raise ValueError("bad %s slot %r; %s" % (name, token, _SLICE_GRAMMAR))
+    return int(m.group(1))
 
 
 def slice_images(tensor, expr):
@@ -427,10 +431,7 @@ def slice_images(tensor, expr):
     # None enumerates or sums an axis; an int fixes it
     p = None if p == ":" else _index(_int_slot(p, "p"), "p index", 4)
     q = None if q == ":" else _index(_int_slot(q, "p'"), "p' index", 4)
-    tm = re.fullmatch(r"t|:|t=(-?\d+)", t)
-    if not tm:
-        raise ValueError("bad time slot %r; %s" % (t, _SLICE_GRAMMAR))
-    t = None if tm.group(1) is None else int(tm.group(1))
+    t = None if t in ("t", ":") else _int_slot(t, "time", "t=")
     for name, index, what in (("t", t, "a fixed time bin"), ("p", p, "a fixed p index"),
                               ("pp", q, "a fixed p' index")):
         if name in sums and index is not None:

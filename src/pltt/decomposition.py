@@ -234,26 +234,11 @@ def lit_blocks(tensor, floor_frac):
     return blocks, (m00 > floor) & (m00 > 0)
 
 
-def _coherency_basis():
-    """
-    The coherency matrix H = sum_ij m_ij (s_i kron conj(s_j)) / 4 of a
-    Mueller matrix, over the Pauli matrices s_0..s_3, is Hermitian and
-    positive semidefinite exactly when M is a mixture of Jones systems.
-    Returns the (16, 8, 8) real basis whose m-weighted sum is the real
-    symmetric form [[Re H, -Im H], [Im H, Re H]] of H: it has the same
-    eigenvalues as H, each twice.
-    """
-    re = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]],
-                  dtype=float)
-    im = np.zeros((4, 2, 2))
-    im[3] = [[0, -1], [1, 0]]
-
-    def kron(a, b):  # (a_i kron b_j) / 4 for every pair (i, j)
-        return np.einsum("iab,jcd->ijacbd", a, b).reshape(16, 4, 4) / 4.0
-
-    # s_i kron conj(s_j), with s = re + i im
-    h_re, h_im = kron(re, re) + kron(im, im), kron(im, re) - kron(re, im)
-    return np.block([[h_re, -h_im], [h_im, h_re]])
+# the Pauli matrices s_0..s_3, and the basis s_i kron conj(s_j) / 4 (as 16 rows) whose
+# m-weighted sum is a Mueller matrix's coherency matrix H: Hermitian, and positive
+# semidefinite exactly when M is a mixture of Jones systems
+_PAULI = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+_COHERENCY = np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI.conj()).reshape(16, 16) / 4.0
 
 
 def _unrealisable(m, noise_std=None):
@@ -267,7 +252,7 @@ def _unrealisable(m, noise_std=None):
     more than ||dH||_F. A pure block has three zero eigenvalues, which
     noise alone pushes below any fixed tolerance.
     """
-    coherency = (m.reshape(-1, 16) @ _coherency_basis().reshape(16, 64)).reshape(-1, 8, 8)
+    coherency = (m.reshape(-1, 16) @ _COHERENCY).reshape(-1, 4, 4)
     tol = REALISABLE_EPS * m[:, 0, 0]
     if noise_std is not None:
         tol = np.maximum(tol, NOISE_Z * 0.5 * np.linalg.norm(noise_std))

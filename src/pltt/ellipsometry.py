@@ -51,6 +51,8 @@ from .tensor import TransportTensor, check_number, probe
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
 RANK_TOL = 1e-10
+# files store degrees: the largest angle in radians whose degrees are finite
+_MAX_RADIANS = np.deg2rad(np.finfo(float).max)
 # noise values drawn and added per step of capture; bounds the noise buffer
 _NOISE_CHUNK = 1 << 16
 # pixels whose residuals reconstruct forms at once; bounds the residual buffer
@@ -86,19 +88,11 @@ class AngleSchedule:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3", "theta4"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, arr)
-            # files store degrees, which overflow past about 3e306 radians
-            with np.errstate(over="ignore"):
-                finite = np.all(np.isfinite(np.rad2deg(arr)))
-            if arr.ndim != 1 or not finite:
-                raise ValueError("%s must be a 1D array of angles finite in degrees" % name)
+            object.__setattr__(self, name, check_number(
+                getattr(self, name), name, low=-_MAX_RADIANS, high=_MAX_RADIANS, shape=(None,)))
         k = self.theta1.shape[0]
-        if k < 1:
-            raise ValueError("a schedule needs at least one capture")
-        for name in ("theta2", "theta3", "theta4"):
-            if getattr(self, name).shape[0] != k:
-                raise ValueError("angle columns must share the capture count K=%d" % k)
+        if any(getattr(self, name).shape[0] != k for name in ("theta2", "theta3", "theta4")):
+            raise ValueError("angle columns must share the capture count K=%d" % k)
         if self.sensor_mode not in ("intensity", "polarizer_array"):
             raise ValueError("sensor_mode must be 'intensity' or 'polarizer_array', got %r"
                              % (self.sensor_mode,))

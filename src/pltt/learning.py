@@ -57,18 +57,15 @@ def _noise_moment(noise, n_blocks, n_rows):
     """E[eta eta^T]: sigma^2 (for sigma^2 I) from a scalar std, E^T E / N from draws."""
     if np.ndim(noise) == 0:
         return check_number(noise, "noise sigma", low=0.0) ** 2
-    noise = np.asarray(noise, dtype=float)
-    if (noise.ndim not in (2, 3) or noise.shape[0] != n_blocks
-            or noise.shape[-1] != n_rows or noise.size == 0):
-        raise ValueError("noise draws have shape %r, expected (%d, %d) or (%d, D, %d)"
-                         % (noise.shape, n_blocks, n_rows, n_blocks, n_rows))
-    draws = noise.reshape(-1, n_rows)
+    shape = (n_blocks, n_rows) if np.ndim(noise) == 2 else (n_blocks, None, n_rows)
+    draws = check_number(noise, "noise draws", shape=shape).reshape(-1, n_rows)
     return draws.T @ draws / draws.shape[0]
 
 
 def _loss_and_grad(fwd, mats, noise):
     """
-    Batch loss of a ``ForwardModel`` and its angle gradient.
+    Batch loss of a ``ForwardModel`` and its angle gradient on checked
+    (B, 4, 4) blocks ``mats``.
 
     The error splits into the bias (P - I) m, P = A+ A, and the noise
     A+ eta, orthogonal since A+^T (I - P) = 0, so no cross term remains.
@@ -78,7 +75,7 @@ def _loss_and_grad(fwd, mats, noise):
     a = fwd.design()
     u, s, vt, inv = _truncated_svd(a)
     rank = int(np.count_nonzero(inv))
-    m = np.asarray(mats, dtype=float).reshape(-1, 16)
+    m = mats.reshape(-1, 16)
     moment = _noise_moment(noise, m.shape[0], a.shape[0])
     # white noise at full rank, the path angle learning takes, needs no A+
     a_pinv = None if np.ndim(moment) == 0 and rank == 16 else (vt.T * inv) @ u.T
@@ -125,6 +122,7 @@ def loss(schedule, mats, noise):
     draws (B, K') or (B, D, K') give the Monte Carlo loss of those draws,
     D draws per sample averaging over repeated measurements of a block.
     """
+    mats = check_number(mats, "mats", shape=(None, 4, 4))
     return _loss_and_grad(forward_model(schedule), mats, noise)[0]
 
 
@@ -137,6 +135,7 @@ def grad_loss(schedule, mats, noise, trainable=None):
     close enough to the truncation cutoff that the fixed-rank gradient
     is a subgradient surrogate.
     """
+    mats = check_number(mats, "mats", shape=(None, 4, 4))
     _, _, grads, rank_marginal = _loss_and_grad(forward_model(schedule), mats, noise)
     if trainable is not None:
         grads[~np.asarray(trainable, dtype=bool)] = 0.0
@@ -145,7 +144,7 @@ def grad_loss(schedule, mats, noise, trainable=None):
 
 def expected_noise_floor(schedule, noise_sigma, coaxial=False):
     """Analytic full-rank loss floor: sigma^2 ||A+||_F^2."""
-    return _loss_and_grad(forward_model(schedule, coaxial), np.zeros(16), noise_sigma)[0]
+    return _loss_and_grad(forward_model(schedule, coaxial), np.zeros((1, 4, 4)), noise_sigma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +225,8 @@ class TrainingConfig:
     eval_draws: int = 32
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = check_number(self.samples, "samples", shape=(None, 4, 4))
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 3 or samples.shape[1:] != (4, 4):
-            raise ValueError("samples must be (n, 4, 4)")
         counts = (("k", 1), ("batch_size", 1), ("draws", 1), ("eval_every", 1),
                   ("eval_draws", 1), ("iterations", 0), ("seed", 0))
         rules = [(name, {"low": low, "integer": True}) for name, low in counts] + [
@@ -324,6 +321,7 @@ def evaluate(schedule, samples, noise_sigma):
     ``noise_sigma`` (the loss metric, with no noise drawn) and the rank
     of the design the pseudoinverse kept.
     """
+    samples = check_number(samples, "samples", shape=(None, 4, 4))
     mean_squared, rank, _, _ = _loss_and_grad(forward_model(schedule), samples, noise_sigma)
     return {"mean_squared": mean_squared, "design_rank": rank}
 

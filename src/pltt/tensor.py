@@ -37,8 +37,9 @@ def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.
     for a ``shape`` other than (), if it is finite numbers of that shape with
     low <= v <= high and above < v < below. A None in ``shape`` matches any
     length >= 1, and shape None any shape. Numpy scalars are accepted; a
-    bool (also inside a list), a string, None, NaN, inf or a value out of
-    range is a ValueError naming ``name``.
+    bool (also inside a list or as an array's dtype), a string, None, NaN,
+    inf or a value out of range is a one-line ValueError naming ``name``,
+    which shows an array of more than 16 values by its shape.
     """
     if shape == () and isinstance(value, (np.integer, np.floating)):
         value = value.item()
@@ -50,11 +51,15 @@ def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.
             arr = np.asarray(value)
         except ValueError:   # ragged nesting
             arr = np.asarray(None)
+        # one isfinite pass, then one comparison per bound that is set
         ok = (arr.dtype.kind in ("iu" if integer else "iuf")
               and (shape is None or len(shape) == arr.ndim and all(
                   n == want or (want is None and n > 0) for n, want in zip(arr.shape, shape)))
-              and bool(np.all((arr >= low) & (arr <= high) & (arr > above) & (arr < below)))
-              and not _holds_bool(value))
+              and not _holds_bool(value)
+              and bool(np.isfinite(arr).all())
+              and all(bool(test(arr, end).all()) for test, end in (
+                  (np.greater_equal, low), (np.less_equal, high), (np.greater, above),
+                  (np.less, below)) if abs(end) < np.inf))
     if not ok:
         ends = ["%s %g" % end for end in ((">=", low), (">", above), ("<=", high), ("<", below))
                 if abs(end[1]) < np.inf]
@@ -69,9 +74,10 @@ def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.
             what = "a non-empty list of %ss" % noun
         else:
             what = "a list of %d %ss" % (shape[0], noun)
-        shown = value.tolist() if isinstance(value, np.ndarray) else value
-        raise ValueError("%s must be %s, got %r"
-                         % (name, (what + " " + " and ".join(ends)).rstrip(), shown))
+        got = ("an array of shape %s" % (np.shape(arr),) if np.size(arr) > 16
+               else repr(value.tolist() if isinstance(value, np.ndarray) else value))
+        raise ValueError("%s must be %s, got %s"
+                         % (name, (what + " " + " and ".join(ends)).rstrip(), got))
     if shape != ():
         return arr.astype(int if integer else float, copy=False)
     return int(arr) if integer else float(arr)
@@ -105,17 +111,11 @@ class TransportTensor:
     noise_std: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = check_number(self.data, "transport data", shape=(None, None, 4, 4, None))
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
         object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
-        if data.ndim != 5:
-            raise ValueError("transport data must be 5-dimensional, got %d axes" % data.ndim)
-        s_cam, s_proj, p, q, n_bins = data.shape
-        if min(data.shape) < 1:
-            raise ValueError("all tensor dimensions must be >= 1, got %r" % (data.shape,))
-        if (p, q) != (4, 4):
-            raise ValueError("polarimetric block must be 4x4, got %dx%d" % (p, q))
+        s_cam, s_proj = data.shape[:2]
         if s_cam != _flat(self.cam_shape):
             raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, self.cam_shape))
         expected = 1 if self.coaxial else _flat(self.proj_shape)
@@ -124,8 +124,6 @@ class TransportTensor:
                              % (s_proj, self.proj_shape, self.coaxial))
         if self.coaxial and self.proj_shape != self.cam_shape:
             raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("tensor values must be finite")
         object.__setattr__(self, "time_bin_width",
                            check_number(self.time_bin_width, "time_bin_width", above=0.0))
         if self.noise_std is not None:
@@ -158,21 +156,15 @@ class IlluminationTensor:
     time_bin_width: float = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
         object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
-        if data.ndim not in (2, 3):
-            raise ValueError("illumination data must be (S,4) or (S,4,T), got %r" % (data.shape,))
-        if data.shape[0] != _flat(self.proj_shape) or data.shape[1] != 4:
-            raise ValueError("illumination shape %r does not match proj_shape %r"
-                             % (data.shape, self.proj_shape))
+        shape = (_flat(self.proj_shape), 4) + (None,) * (np.ndim(self.data) == 3)
+        data = check_number(self.data, "illumination data", shape=shape)
+        object.__setattr__(self, "data", data)
         if data.ndim == 3 and self.time_bin_width is None:
             raise ValueError("time-resolved illumination needs a time_bin_width")
         if self.time_bin_width is not None:
             object.__setattr__(self, "time_bin_width",
                                check_number(self.time_bin_width, "time_bin_width", above=0.0))
-        if not np.all(np.isfinite(data)):
-            raise ValueError("illumination values must be finite")
 
     @property
     def has_time(self):
@@ -188,18 +180,11 @@ class DetectedTensor:
     time_bin_width: float
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
         object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
+        object.__setattr__(self, "data", check_number(
+            self.data, "detected data", shape=(_flat(self.cam_shape), 4, None)))
         object.__setattr__(self, "time_bin_width",
                            check_number(self.time_bin_width, "time_bin_width", above=0.0))
-        if data.ndim != 3 or data.shape[1] != 4:
-            raise ValueError("detected data must be (S,4,T), got %r" % (data.shape,))
-        if data.shape[0] != _flat(self.cam_shape):
-            raise ValueError("detected shape %r does not match cam_shape %r"
-                             % (data.shape, self.cam_shape))
-        if not np.all(np.isfinite(data)):
-            raise ValueError("detected values must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +285,10 @@ def _weights(tensor, mask):
     """A probe mask as an (S_cam, S_proj) weight array, checked against a tensor."""
     if tensor.coaxial:
         raise ValueError("cannot probe a coaxial tensor: masks require projector_camera geometry")
-    weight = np.asarray(mask, dtype=float)
-    if weight.shape != tensor.data.shape[:2]:
-        raise ValueError("probe mask shape %r does not match the tensor's (S_cam, S_proj) = %r"
-                         % (weight.shape, tensor.data.shape[:2]))
-    if not np.all((weight >= 0.0) & (weight <= 1.0)):  # also rejects NaN
-        raise ValueError("probe mask values must lie in [0, 1]")
-    return weight
+    weight = np.asarray(mask)
+    return check_number(weight.astype(float) if weight.dtype == bool else weight,
+                        "probe mask (weights in [0, 1])", low=0.0, high=1.0,
+                        shape=tensor.data.shape[:2])
 
 
 def probe(tensor, mask):

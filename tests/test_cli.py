@@ -711,6 +711,24 @@ def test_slice_images_matches_the_frozen_reference(name, sign, sums, slots, n_sl
         assert image.tobytes() == ref.tobytes(), expr
 
 
+@pytest.mark.parametrize("expr, slot", [
+    ("T(+1, s, 0, 0, t=1)", "camera"),
+    ("T(1_0, s, 0, 0, t=1)", "camera"),
+    ("T(\u0661, s, 0, 0, t=1)", "camera"),
+    ("T(s, +0, 0, 0, t)", "projector"),
+    ("T(s, \uff10, 0, 0, t)", "projector"),
+    ("T(s, s, +1, 0, t)", "p"),
+    ("T(s, s, 0, 0_1, t)", "p'"),
+    ("T(s, s, 0, 0, t=+1)", "time"),
+    ("T(s, s, 0, 0, t=\u0661)", "time"),
+    ("T(s, s, 0, 0, t=1_0)", "time"),
+])
+def test_every_slice_slot_takes_only_ascii_integers(expr, slot):
+    # int() alone would read a sign, an underscore or a non-ASCII digit
+    with pytest.raises(ValueError, match=r"^bad %s slot " % re.escape(slot)):
+        slice_images(SLICE_TENSORS["projector_camera"], expr)
+
+
 def test_simulate_too_large_to_allocate_exits_three(tmp_path, capsys):
     # 16e6 x 16e6 couplings of 16 doubles is 29 PiB, beyond any address space
     out = tmp_path / "big.pltt"
@@ -1039,6 +1057,37 @@ def test_descatter_target_size_mismatch(tmp_path, capsys):
                "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "camera pixels" in capsys.readouterr().err
+
+
+def run_descatter(tmp_path, target_text):
+    """pltt descatter of a 2x2 dense scene against a target CSV; returns (exit code, prefix)."""
+    tensor_path = simulate(tmp_path, dense_scene(0.045), bins=8)
+    target_path = tmp_path / "target.csv"
+    target_path.write_text(target_text)
+    prefix = tmp_path / "fit"
+    return main(["descatter", "--tensor", tensor_path, "--target", str(target_path),
+                 "--out", str(prefix)]), prefix
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_descatter_target_exits_two_writing_nothing(tmp_path, capsys, value):
+    code, prefix = run_descatter(tmp_path, "1.0,0.5\n%s,0.25\n" % value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: target") and len(err.strip().splitlines()) == 1
+    assert not os.path.exists(str(prefix) + "_model.json")
+    assert not os.path.exists(str(prefix) + ".manifest.json")
+
+
+def test_an_empty_descatter_target_is_one_error_line(tmp_path, capsys):
+    # numpy warns about an empty file; the warning must not reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, prefix = run_descatter(tmp_path, "")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: target has 0 values") and len(err.strip().splitlines()) == 1
+    assert not os.path.exists(str(prefix) + ".manifest.json")
 
 
 def noisy_mirror_reconstruction(tmp_path, k):

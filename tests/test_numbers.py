@@ -1,22 +1,32 @@
 """
-One number rule for every parameter: ``tensor.check_number``.
+One number rule for every parameter and every array: ``tensor.check_number``.
 
 A bool, a string, None, NaN, inf, a value out of range or a bool inside a
 list of numbers is a one-line ValueError naming the field; numpy scalars
-are accepted and stored as plain int or float.
+are accepted and stored as plain int or float. Arrays of the wrong shape
+or holding NaN or inf are refused the same way wherever they enter pltt.
 """
 
 import dataclasses
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pltt.analysis import arctan_map, arctan_unmap
+from pltt.analysis import (
+    apply_descatter,
+    arctan_map,
+    arctan_unmap,
+    build_observation,
+    fit_descatter,
+    pca,
+)
 from pltt.cli import main
 from pltt.decomposition import decompose_tensor
 from pltt.ellipsometry import (
@@ -27,10 +37,17 @@ from pltt.ellipsometry import (
     schedule_to_dict,
 )
 from pltt.fileio import read_pltt, write_pltt
-from pltt.learning import TrainingConfig, learn
+from pltt.learning import TrainingConfig, evaluate, grad_loss, learn, loss
 from pltt.polarization import beamsplitter
 from pltt.scene import diffuse_depolarizer, generate_ensemble
-from pltt.tensor import DetectedTensor, IlluminationTensor, TransportTensor, check_number
+from pltt.tensor import (
+    DetectedTensor,
+    IlluminationTensor,
+    TransportTensor,
+    check_number,
+    fold,
+    probe,
+)
 
 BIN = 1e-10
 
@@ -272,3 +289,103 @@ def test_plain_numbers_follow_the_rule_numpy_scalars_follow(value, bounds):
             outcomes.append(str(exc).split(", got")[0])
     assert outcomes[0] == outcomes[1]
     assert type(outcomes[1]) in (str, int if integer else float)
+
+
+# bounds that every value in [-100, 100] meets, with a value that breaks each
+ARRAY_BOUNDS = st.sampled_from([({}, None), ({"low": -100, "high": 100}, 101),
+                                ({"above": -101.0, "below": 101.0}, -101),
+                                ({"low": -100.0}, -100.5), ({"below": 100.5}, 100.5)])
+
+
+@st.composite
+def number_arrays(draw):
+    """An int or float array of up to 5 axes, the shape to ask for, bounds and a bad value."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    ints = draw(st.booleans())
+    values = draw(hnp.arrays(np.int64 if ints else float, dims,
+                             elements=st.integers(-100, 100) if ints else st.floats(-100, 100)))
+    wanted = tuple(None if draw(st.booleans()) else n for n in dims)
+    bounds, outside = draw(ARRAY_BOUNDS)
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf] + ([outside] if outside else [])))
+    return values, wanted, bounds, bad, draw(st.integers(0, values.size - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(number_arrays(), st.booleans())
+def test_an_array_passes_check_number_unchanged_or_fails_on_one_line(drawn, as_list):
+    values, wanted, bounds, bad, index = drawn
+    clean = values.tolist() if as_list else values
+    got = check_number(clean, "the array", shape=wanted, **bounds)
+    assert got.dtype == float and got.tobytes() == np.asarray(clean, float).tobytes()
+
+    dirty = values.astype(float)
+    dirty.flat[index] = bad
+    with pytest.raises(ValueError) as info:
+        check_number(dirty.tolist() if as_list else dirty, "the array", shape=wanted, **bounds)
+    message = str(info.value)
+    assert message.startswith("the array must be ") and "\n" not in message
+    if dirty.size > 16:
+        assert message.endswith(", got an array of shape %s" % (dirty.shape,))
+    else:
+        assert message.endswith(", got %r" % (dirty.tolist(),))
+
+
+BLOCKS = generate_ensemble(1, 12).samples
+IMAGE = np.random.default_rng(5).normal(size=(12, 4, 4))
+TARGET = np.random.default_rng(6).normal(size=12)
+SCHEDULE = drr_schedule(16)
+
+
+def poisoned(arr, value):
+    """A float copy of ``arr`` with ``value`` in its middle entry."""
+    out = np.array(arr, dtype=float)
+    out.flat[out.size // 2] = value
+    return out
+
+
+# every function or class that takes an array: the name its error must start
+# with, and a call that passes it one non-finite value
+ARRAY_ENTRY_POINTS = [
+    ("transport data", lambda v: TransportTensor(poisoned(dense_tensor().data, v), (2, 2),
+                                                 (2, 2), BIN)),
+    ("illumination data", lambda v: IlluminationTensor(poisoned(np.ones((4, 4)), v), (2, 2))),
+    ("detected data", lambda v: DetectedTensor(poisoned(np.ones((4, 4, 2)), v), (2, 2), BIN)),
+    ("probe mask", lambda v: probe(dense_tensor(), poisoned(np.ones((4, 4)), v))),
+    ("probe mask", lambda v: fold(dense_tensor(), poisoned(np.ones((4, 4)), v))),
+    ("theta2", lambda v: SCHEDULE.with_angles(theta2=poisoned(SCHEDULE.theta2, v))),
+    ("samples", lambda v: TrainingConfig(samples=poisoned(BLOCKS, v), k=6, batch_size=4)),
+    ("mats", lambda v: loss(SCHEDULE, poisoned(BLOCKS, v), 1e-3)),
+    ("mats", lambda v: grad_loss(SCHEDULE, poisoned(BLOCKS, v), 1e-3)),
+    ("samples", lambda v: evaluate(SCHEDULE, poisoned(BLOCKS, v), 1e-3)),
+    ("noise draws", lambda v: loss(SCHEDULE, BLOCKS, poisoned(np.zeros((12, 16)), v))),
+    ("samples", lambda v: build_observation(poisoned(BLOCKS, v))),
+    ("observation rows", lambda v: pca(poisoned(np.ones((5, 16)), v))),
+    ("image", lambda v: apply_descatter(fit_descatter(IMAGE, TARGET), poisoned(IMAGE, v))),
+    ("image", lambda v: fit_descatter(poisoned(IMAGE, v), TARGET)),
+    ("target", lambda v: fit_descatter(IMAGE, poisoned(TARGET, v))),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, call", ARRAY_ENTRY_POINTS, ids=[
+    "transport-tensor", "illumination-tensor", "detected-tensor", "probe", "fold",
+    "schedule", "training-config", "loss", "grad-loss", "evaluate", "loss-noise-draws",
+    "build-observation", "pca", "apply-descatter", "fit-descatter-image",
+    "fit-descatter-target"])
+def test_a_non_finite_array_is_a_value_error_naming_it(name, call, value):
+    with pytest.raises(ValueError, match="^" + re.escape(name)) as info:
+        call(value)
+    assert "\n" not in str(info.value)
+
+
+def test_loss_blocks_must_be_b_by_4_by_4():
+    # 48 values would reshape to three blocks
+    with pytest.raises(ValueError, match="^mats must be finite numbers of shape"):
+        loss(SCHEDULE, np.zeros((3, 16)), 1e-3)
+
+
+def test_a_bool_probe_mask_weighs_like_its_zeros_and_ones():
+    tensor = dense_tensor()
+    mask = np.eye(4, dtype=bool)
+    np.testing.assert_array_equal(probe(tensor, mask).data, probe(tensor, mask * 1.0).data)
+    np.testing.assert_array_equal(fold(tensor, mask).data, fold(tensor, mask * 1.0).data)

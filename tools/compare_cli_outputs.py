@@ -6,9 +6,11 @@ Compare the pltt CLI's outputs of two checkouts, file by file.
 
 Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
 on both scenes in the change checkout's ``tests/data``: simulate; capture,
-plain and with ``--mask epipolar``; reconstruct; decompose; pca; descatter
-with no mask, ``epipolar`` and ``non_epipolar``, and with ``--method lbfgs``;
-slices, among them ``s_e`` and ``s_n``, a camera and a projector index (on
+plain, with ``--mask epipolar`` and with ``--split 0.3`` (the coaxial
+scene's beamsplitter), and each plain and split capture's reconstruct;
+decompose, also of one ``--bin``; pca, also with ``--c 2 --floor 1e-3``;
+descatter with no mask, ``epipolar`` and ``non_epipolar``, with ``--method
+lbfgs`` and with ``--mode intensity_only``; slices, among them ``s_e`` and ``s_n``, a camera and a projector index (on
 the coaxial scene the masks and the projector index fail alike on both
 sides), and two expressions that must fail, one malformed and one out of
 range; ``learn-angles`` on a small K=6 ``polarizer_array`` config, then a
@@ -55,10 +57,18 @@ def commands(resolution, seed):
                      "--seed", seed, "--out", "meas.pltt"]),
         ("capture_epipolar", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
                               "--seed", seed, "--mask", "epipolar", "--out", "meas_epi.pltt"]),
+        ("capture_split", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
+                           "--seed", seed, "--split", "0.3", "--out", "meas_split.pltt"]),
         ("reconstruct", ["reconstruct", "--measurements", "meas.pltt", "--out", "recon.pltt"]),
+        ("reconstruct_split", ["reconstruct", "--measurements", "meas_split.pltt",
+                               "--out", "recon_split.pltt"]),
         ("decompose", ["decompose", "--tensor", "recon.pltt", "--out", "dec"]),
         ("decompose_truth", ["decompose", "--tensor", "truth.pltt", "--out", "dec_truth"]),
+        ("decompose_bin", ["decompose", "--tensor", "recon.pltt", "--bin", "10",
+                           "--out", "dec_bin"]),
         ("pca", ["pca", "--tensor", "recon.pltt", "--out", "pca"]),
+        ("pca_compressed", ["pca", "--tensor", "recon.pltt", "--c", "2", "--floor", "1e-3",
+                            "--out", "pca_c2"]),
         # the direct (diagonal) light of the truth is the descatter target
         ("target", ["slice", "--tensor", "truth.pltt", "--expr", "sum_t T(s, s, 0, 0, t)",
                     "--out", "target"]),
@@ -71,6 +81,9 @@ def commands(resolution, seed):
                                     "--out", "desc_non"]),
         ("descatter_lbfgs", ["descatter", "--tensor", "recon.pltt", "--target", "target.csv",
                              "--method", "lbfgs", "--out", "desc_lbfgs"]),
+        ("descatter_intensity_only", ["descatter", "--tensor", "recon.pltt",
+                                      "--target", "target.csv", "--mode", "intensity_only",
+                                      "--out", "desc_int"]),
         ("slice_s_e", ["slice", "--tensor", "recon.pltt", "--expr", "sum_t T(s, s_e, :, 0, t)",
                        "--out", "slice_e"]),
         ("slice_s_n", ["slice", "--tensor", "recon.pltt", "--expr",
