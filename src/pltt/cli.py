@@ -15,6 +15,8 @@ array too large to allocate. Errors go to stderr as single lines
 prefixed ``error:``. Every command writes the JSON manifest
 ``<--out>.manifest.json``: its file arguments as ``inputs``, the files
 it wrote, its seed, its wall time and the process's peak RSS.
+``capture`` and ``reconstruct`` stream their containers over runs of
+camera pixels, so neither holds a whole tensor or measurement stack.
 """
 
 import argparse
@@ -42,15 +44,24 @@ from .analysis import (
 )
 from .decomposition import NOISE_Z, decompose_tensor, lit_blocks, noise_floor
 from .ellipsometry import (
-    MeasurementSet,
-    capture,
+    CaptureKernel,
+    ReconstructKernel,
+    chunk_pixels,
     drr_schedule,
     load_schedule,
-    reconstruct,
     save_schedule,
     schedule_to_dict,
 )
-from .fileio import read_pltt, write_csv_grid, write_pgm, write_pltt
+from .fileio import (
+    PlttReader,
+    PlttWriter,
+    measurement_header,
+    read_pltt,
+    transport_header,
+    write_csv_grid,
+    write_pgm,
+    write_pltt,
+)
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
 from .tensor import TransportTensor, check_number, epipolar_masks, fold
@@ -79,11 +90,23 @@ def _stem(path):
     return root
 
 
-def _read(path, kind=TransportTensor, what="transport tensor"):
+_KIND_NAMES = {"transport": "transport tensor", "measurement": "measurement set"}
+
+
+def _read(path):
     obj = read_pltt(path)
-    if not isinstance(obj, kind):
-        raise ValueError("%s does not hold a %s" % (path, what))
+    if not isinstance(obj, TransportTensor):
+        raise ValueError("%s does not hold a transport tensor" % path)
     return obj
+
+
+def _open(path, kind):
+    """A PlttReader of ``path``, whose payload must be of ``kind``."""
+    src = PlttReader(path)
+    if src.header.kind != kind:
+        src.close()
+        raise ValueError("%s does not hold a %s" % (path, _KIND_NAMES[kind]))
+    return src
 
 
 def _index(value, what, size):
@@ -144,18 +167,22 @@ def _load_cli_schedule(args):
 
 
 def cmd_capture(args):
-    tensor = _read(args.tensor)
-    schedule = _load_cli_schedule(args)
-    mask = _pick_mask(tensor, args.mask)
-    meas = capture(
-        tensor,
-        schedule,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        masks=mask,
-        split=args.split,
-    )
-    write_pltt(args.out, meas, provenance="capture(%s)" % os.path.basename(args.tensor))
+    """Capture the tensor file chunk by chunk, as ``capture`` captures an in-memory tensor."""
+    with _open(args.tensor, "transport") as src:
+        truth = src.header
+        schedule = _load_cli_schedule(args)
+        kernel = CaptureKernel(truth, schedule, args.noise, args.seed,
+                               _pick_mask(truth, args.mask), args.split)
+        header = measurement_header(truth, schedule, kernel.noise_sigma, kernel.seed,
+                                    kernel.split, "capture(%s)" % os.path.basename(args.tensor))
+        step = chunk_pixels(truth.n_cam, truth.record, header.record)
+        records = np.empty((step,) + header.record)
+        with PlttWriter(args.out) as out:
+            for start, blocks in src.chunks(step):
+                n = len(blocks)
+                kernel.records(start, blocks, records[:n])
+                out.write(records[:n])
+            out.finish(header)
     print("wrote %s: %d rows (%s, K=%d)" % (
         args.out, schedule.n_rows, schedule.sensor_mode, schedule.n_captures))
     return {"outputs": [args.out], "seed": args.seed}
@@ -186,27 +213,40 @@ def _write_diagnostics(path, res):
 
 
 def cmd_reconstruct(args):
-    meas = _read(args.measurements, MeasurementSet, "measurement set")
-    result = reconstruct(meas, split=args.split)
-    if result.underdetermined:
+    """
+    Reconstruct the measurement file chunk by chunk, as ``reconstruct``
+    reconstructs an in-memory set, keeping only the squared residuals whole.
+    """
+    with _open(args.measurements, "measurement") as src:
+        meas = src.header
+        kernel = ReconstructKernel(meas, split=args.split)
+        s_proj, _, n_bins = meas.record
+        step = chunk_pixels(meas.n_cam, meas.record, (s_proj, 4, 4, n_bins))
+        blocks = np.empty((step, s_proj, 4, 4, n_bins))
+        squares = np.empty((meas.n_cam * s_proj, n_bins))
+        with PlttWriter(args.out) as out:
+            for start, records in src.chunks(step):
+                n = len(records)
+                kernel.solve(records, blocks[:n], squares[start * s_proj:(start + n) * s_proj])
+                out.write(blocks[:n])
+            sigma_hat, noise_std = kernel.noise_model(squares, meas.noise_sigma)
+            provenance = "reconstruct(%s)" % os.path.basename(args.measurements)
+            out.finish(transport_header(meas, noise_std, provenance=provenance))
+    if kernel.rank < 16:
         print(
             "warning: UNDERDETERMINED reconstruction (design rank %d < 16); "
-            "minimum-norm solution" % result.rank
+            "minimum-norm solution" % kernel.rank
         )
-    if result.cond > ILL_CONDITIONED:
+    if kernel.cond > ILL_CONDITIONED:
         print(
             "warning: ILL-CONDITIONED design (cond %.3g > %g); the reconstruction "
-            "amplifies the measurement noise" % (result.cond, ILL_CONDITIONED)
+            "amplifies the measurement noise" % (kernel.cond, ILL_CONDITIONED)
         )
-    write_pltt(
-        args.out, result.tensor,
-        provenance="reconstruct(%s)" % os.path.basename(args.measurements),
-    )
     diag_path = _stem(args.out) + "_diagnostics.csv"
-    res = result.residual_norms
+    res = np.sqrt(squares, out=squares).reshape(meas.n_cam, s_proj, n_bins)
     _write_diagnostics(diag_path, res)
     print("wrote %s: rank=%d cond=%.6g max_residual=%.3e sigma_hat=%.4g" % (
-        args.out, result.rank, result.cond, float(res.max()), result.sigma_hat))
+        args.out, kernel.rank, kernel.cond, float(res.max()), sigma_hat))
     return {"outputs": [args.out, diag_path], "seed": meas.seed}
 
 

@@ -222,11 +222,10 @@ def lit_blocks(tensor, floor_frac):
     ``noise_floor``: the decomposition is meaningless on dark pixels and
     on blocks that noise alone could produce. Without a noise model only
     the relative floor applies. floor_frac must be finite and in [0, 1).
-    A tensor holding NaN or inf anywhere raises ValueError.
+    A tensor's data is finite and read-only, so the blocks need no check.
     """
     floor_frac = check_number(floor_frac, "floor fraction", low=0.0, below=1.0)
     blocks = tensor.data.transpose(0, 1, 4, 2, 3)
-    _require_finite(blocks)
     m00 = blocks[..., 0, 0]
     floor = floor_frac * max(m00.max(), 0.0)
     if tensor.noise_std is not None:

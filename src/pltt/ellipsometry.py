@@ -40,23 +40,22 @@ learning differentiates it.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .polarization import beamsplitter, galvo_mirror
-from .tensor import TransportTensor, check_number, probe
+from .tensor import TransportTensor, check_number, probe_weights
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
 RANK_TOL = 1e-10
 # files store degrees: the largest angle in radians whose degrees are finite
 _MAX_RADIANS = np.deg2rad(np.finfo(float).max)
-# noise values drawn and added per step of capture; bounds the noise buffer
-_NOISE_CHUNK = 1 << 16
-# pixels whose residuals reconstruct forms at once; bounds the residual buffer
-_PIXEL_CHUNK = 1024
+# bytes of one buffer of camera pixels that capture and reconstruct fill at once
+CHUNK_BYTES = 1 << 21
 
 
 def check_flags(flags, name):
@@ -348,6 +347,60 @@ class MeasurementSet:
         if self.seed is not None:
             object.__setattr__(self, "seed", check_number(self.seed, "seed", low=0, integer=True))
 
+    @property
+    def n_bins(self):
+        return self.intensities.shape[3]
+
+
+def chunk_pixels(n_cam, *records):
+    """
+    Camera pixels per chunk: as many as keep a buffer of each per-pixel
+    record shape in ``records`` within ``CHUNK_BYTES``, at least 1 and at
+    most ``n_cam``.
+    """
+    return min(n_cam, max(1, CHUNK_BYTES // (8 * max(math.prod(r) for r in records))))
+
+
+class CaptureKernel:
+    """
+    The checked arguments of a capture of a tensor's layout (a
+    TransportTensor or a container Header) and its per-chunk step.
+
+    The noise is one ``SFC64(seed)`` stream of sigma * N(0, 1) draws, in
+    the measurement's own (s, s', row, t) order: the draws of successive
+    chunks concatenate, so the chunk size cannot change the values.
+    """
+
+    def __init__(self, tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
+        self.noise_sigma = check_number(noise_sigma, "noise_sigma", low=0.0)
+        self.split = check_number(split, "split", low=0.0, high=1.0)
+        self.seed = None if seed is None else check_number(seed, "seed", low=0, integer=True)
+        self.weights = None if masks is None else probe_weights(tensor, masks)
+        self.a = forward_model(schedule, tensor.coaxial, self.split).design()
+        self.rng = (np.random.Generator(np.random.SFC64(self.seed))
+                    if self.noise_sigma > 0 else None)
+        self.noise = np.empty(0)
+
+    def records(self, start, blocks, out):
+        """
+        Fill ``out`` (n, S_proj, K', T) with the records of camera pixels
+        ``start`` to ``start + n`` from their (n, S_proj, 4, 4, T) ``blocks``:
+        the design times each block, weighted by its probe-mask entry when
+        there is a mask, plus the next n * S_proj * K' * T noise values.
+        """
+        if self.weights is not None:
+            blocks = blocks * self.weights[start:start + len(blocks), :, None, None, None]
+        n, s_proj, _, _, n_bins = blocks.shape
+        np.matmul(self.a, blocks.reshape(n * s_proj, 16, n_bins),
+                  out=out.reshape(n * s_proj, -1, n_bins))
+        if self.rng is not None:
+            if self.noise.size < out.size:
+                self.noise = np.empty(out.size)
+            noise = self.noise[:out.size].reshape(out.shape)
+            self.rng.standard_normal(out=noise)
+            noise *= self.noise_sigma
+            out += noise
+
 
 def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
     """
@@ -355,49 +408,36 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
 
     Projector-camera tensors are captured as an impulse scan: each
     projector pixel is lit alone, so the record holds one intensity per
-    (row, camera pixel, projector pixel, bin). Coaxial tensors fold the
+    (camera pixel, projector pixel, row, bin). Coaxial tensors fold the
     beamsplitter and galvo into the optical chain and record the
-    diagonal. Gaussian noise of the given sigma is added per record,
-    deterministically for a given seed.
+    diagonal. Gaussian noise of the given sigma is added to every
+    intensity: the ``SFC64(seed)`` stream of sigma * N(0, 1) draws in
+    the intensities' own order, the same for every chunk size.
 
     masks, if given, is an (S_cam, S_proj) probe mask applied to the
     tensor before the scan (projector-camera geometry only).
+
+    The scan runs ``CaptureKernel`` over runs of camera pixels of about
+    ``CHUNK_BYTES`` each, as ``pltt capture`` does over a file; beyond
+    the tensor and the measurement it holds one chunk of noise and, with
+    a mask, one chunk of weighted blocks.
     """
-    noise_sigma = check_number(noise_sigma, "noise_sigma", low=0.0)
-    split = check_number(split, "split", low=0.0, high=1.0)
-    if seed is not None:
-        seed = check_number(seed, "seed", low=0, integer=True)
-    if masks is not None:
-        tensor = probe(tensor, masks)
+    kernel = CaptureKernel(tensor, schedule, noise_sigma, seed, masks, split)
     s_cam, s_proj, _, _, n_bins = tensor.data.shape
-    n_pix = s_cam * s_proj
-    a = forward_model(schedule, tensor.coaxial, split).design()
-    # one (K', T) record per (camera, projector) pixel
-    vals = np.matmul(a, tensor.data.reshape(n_pix, 16, n_bins))
-    if noise_sigma > 0:
-        # the stream of rng.normal(0, sigma, (K', S_cam, S_proj, T)) in the
-        # intensities' order, added in place row by row over pixel chunks
-        # of at most _NOISE_CHUNK values
-        rng = np.random.default_rng(seed)
-        step = max(1, _NOISE_CHUNK // n_bins)
-        noise = np.empty((min(step, n_pix), n_bins))
-        for row in range(len(a)):
-            for start in range(0, n_pix, step):
-                part = vals[start:start + step, row]
-                chunk = noise[:part.shape[0]]
-                rng.standard_normal(out=chunk)
-                chunk *= noise_sigma
-                part += chunk
+    vals = np.empty((s_cam, s_proj, schedule.n_rows, n_bins))
+    step = chunk_pixels(s_cam, tensor.data.shape[1:], vals.shape[1:])
+    for start in range(0, s_cam, step):
+        kernel.records(start, tensor.data[start:start + step], vals[start:start + step])
     return MeasurementSet(
-        intensities=vals.reshape(s_cam, s_proj, -1, n_bins),
+        intensities=vals,
         schedule=schedule,
         coaxial=tensor.coaxial,
         cam_shape=tensor.cam_shape,
         proj_shape=tensor.proj_shape,
         time_bin_width=tensor.time_bin_width,
-        noise_sigma=noise_sigma,
-        seed=seed,
-        split=split,
+        noise_sigma=kernel.noise_sigma,
+        seed=kernel.seed,
+        split=kernel.split,
     )
 
 
@@ -441,6 +481,62 @@ def pinv_truncated(a):
     return ((vt.T * inv) @ u.T,) + _rank_and_cond(s)
 
 
+class ReconstructKernel:
+    """
+    The design and truncated pseudoinverse of a measurement's schedule and
+    split (a MeasurementSet or a container Header), its per-chunk solve and
+    the noise model of the solved residuals. A ``split`` that differs from
+    the recorded one is an error.
+    """
+
+    def __init__(self, meas, split=None):
+        if split is not None and split != meas.split:
+            raise ValueError("split %g conflicts with the split %g recorded with the "
+                             "measurements" % (split, meas.split))
+        self.a = forward_model(meas.schedule, coaxial=meas.coaxial, split=meas.split).design()
+        self.a_pinv, self.rank, self.cond = pinv_truncated(self.a)
+        self.residual = np.empty(0)
+
+    def solve(self, records, blocks, squares):
+        """
+        Fill ``blocks`` (n, S_proj, 4, 4, T) with A+ applied to each (K', T)
+        record of ``records`` (n, S_proj, K', T), and ``squares``
+        (n * S_proj, T) with the sums over rows of their squared residuals.
+        """
+        n, s_proj, k_rows, n_bins = records.shape
+        stacked = records.reshape(n * s_proj, k_rows, n_bins)
+        solution = blocks.reshape(n * s_proj, 16, n_bins)
+        if self.residual.size < stacked.size:
+            self.residual = np.empty(stacked.size)
+        # a flipped exponent byte in a container can hold an intensity near 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(self.a_pinv, stacked, out=solution)
+            residual = np.matmul(self.a, solution,
+                                 out=self.residual[:stacked.size].reshape(stacked.shape))
+            residual -= stacked
+            # the sum of squares np.linalg.norm takes, without its temporaries
+            residual *= residual
+            np.add.reduce(residual, axis=1, out=squares)
+
+    def noise_model(self, squares, noise_sigma):
+        """
+        sigma_hat and the (4, 4) per-entry noise std from the squared
+        residuals of every record; ``noise_sigma`` when no residual is
+        left. Non-finite sums are a ValueError.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = squares.sum()
+        dof = squares.size * (self.a.shape[0] - self.rank)
+        sigma_hat = float(np.sqrt(total / dof)) if dof else noise_sigma
+        # a finite total has finite residuals, and so a finite solution: a solution
+        # entry that A+ can make non-zero meets a non-zero column of A
+        if not (np.isfinite(total) and np.isfinite(sigma_hat)):
+            raise ValueError("the measurements are not finite or overflow the reconstruction's "
+                             "solution, residuals or noise estimate")
+        noise_std = sigma_hat * np.sqrt((self.a_pinv * self.a_pinv).sum(axis=1)).reshape(4, 4)
+        return sigma_hat, noise_std
+
+
 def reconstruct(meas, split=None):
     """
     Per-pixel least-squares Mueller recovery from a measurement set.
@@ -457,42 +553,24 @@ def reconstruct(meas, split=None):
     residual), propagated through A+ to per-entry standard deviations
     sigma_hat * ||row of A+||.
 
-    The solve reads the (S_cam, S_proj, K', T) intensities as one
-    (pixel, row, bin) stack without a copy and forms the residuals
-    ``_PIXEL_CHUNK`` pixels at a time; non-finite measurements, or ones
-    that overflow it, are a ValueError.
+    The solve runs ``ReconstructKernel`` over runs of camera pixels of
+    about ``CHUNK_BYTES`` each, as ``pltt reconstruct`` does over a file,
+    and sums the squared residuals once at the end, so the chunk size
+    changes no output; non-finite measurements, or ones that overflow it,
+    are a ValueError.
     """
-    if split is not None and split != meas.split:
-        raise ValueError("split %g conflicts with the split %g recorded with the measurements"
-                         % (split, meas.split))
-    a = forward_model(meas.schedule, coaxial=meas.coaxial, split=meas.split).design()
-    a_pinv, rank, cond = pinv_truncated(a)
+    kernel = ReconstructKernel(meas, split)
     s_cam, s_proj, k_rows, n_bins = meas.intensities.shape
-    n_pix = s_cam * s_proj
-    stacked = meas.intensities.reshape(n_pix, k_rows, n_bins)
-    squares = np.empty((n_pix, n_bins))
-    residual = np.empty((min(_PIXEL_CHUNK, n_pix), k_rows, n_bins))
-    # a flipped exponent byte in a container can hold an intensity near 1e308
-    with np.errstate(over="ignore", invalid="ignore"):
-        solution = np.matmul(a_pinv, stacked)
-        for start in range(0, n_pix, _PIXEL_CHUNK):
-            part = slice(start, min(start + _PIXEL_CHUNK, n_pix))
-            chunk = np.matmul(a, solution[part], out=residual[:part.stop - start])
-            chunk -= stacked[part]
-            # the sum of squares np.linalg.norm takes, without its temporaries
-            chunk *= chunk
-            np.add.reduce(chunk, axis=1, out=squares[part])
-        total = squares.sum()
-    dof = squares.size * (k_rows - rank)
-    sigma_hat = float(np.sqrt(total / dof)) if dof else meas.noise_sigma
-    # a finite total has finite residuals, and so a finite solution: a solution
-    # entry that A+ can make non-zero meets a non-zero column of A
-    if not (np.isfinite(total) and np.isfinite(sigma_hat)):
-        raise ValueError("the measurements are not finite or overflow the reconstruction's "
-                         "solution, residuals or noise estimate")
+    blocks = np.empty((s_cam, s_proj, 4, 4, n_bins))
+    squares = np.empty((s_cam * s_proj, n_bins))
+    step = chunk_pixels(s_cam, meas.intensities.shape[1:], blocks.shape[1:])
+    for start in range(0, s_cam, step):
+        stop = min(start + step, s_cam)
+        kernel.solve(meas.intensities[start:stop], blocks[start:stop],
+                     squares[start * s_proj:stop * s_proj])
+    sigma_hat, noise_std = kernel.noise_model(squares, meas.noise_sigma)
     residual_norms = np.sqrt(squares, out=squares).reshape(s_cam, s_proj, n_bins)
-    noise_std = sigma_hat * np.sqrt((a_pinv * a_pinv).sum(axis=1)).reshape(4, 4)
-    blocks = solution.reshape(s_cam, s_proj, 4, 4, n_bins)
     tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape,
                              meas.time_bin_width, coaxial=meas.coaxial, noise_std=noise_std)
-    return ReconstructionResult(tensor, rank, cond, rank < 16, residual_norms, sigma_hat)
+    return ReconstructionResult(tensor, kernel.rank, kernel.cond, kernel.rank < 16,
+                                residual_norms, sigma_hat)

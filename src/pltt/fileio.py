@@ -22,23 +22,34 @@ One container serves two kinds, each stored as its in-memory array
   metadata ride in the JSON block (a file without ``split`` is read as
   0.5), with a ``geometry_mode`` that repeats the coaxial flag.
 
-``read_pltt`` checks the file length against the header dims, each
-kind's fixed header slots (a transport's 4x4 block, a measurement's
+The payload is a run of camera pixels, each one record of the kind's
+shape less its first axis, and both directions stream it in those
+records. ``PlttReader`` checks everything but the payload before it uses
+a payload byte: the file length against the header dims, the JSON block,
+each kind's fixed header slots (a transport's 4x4 block, a measurement's
 dim_q and its K' against its schedule's row count), each kind's required
-metadata keys and a measurement's geometry_mode against the coaxial
-flag, and raises ValueError naming what is wrong. The writer streams the
-payload from its array and the reader reads it straight into a new array
-and only reshapes it; neither holds a bytes copy of it.
+metadata keys and their values, and a measurement's geometry_mode
+against the coaxial flag; it raises ValueError naming what is wrong.
+It then ``readinto``s runs of camera pixels into one reused buffer (not
+``np.memmap``, whose touched pages count in resident memory), and checks
+that a transport's are finite. ``PlttWriter`` writes the payload
+chunks into a temporary file beside its output, then the metadata and
+the header, and renames the file over the output only when all of it is
+written, so a command that fails leaves no partial output. ``read_pltt``
+and ``write_pltt`` are the one-chunk case: the whole payload read into a
+new array, or an array's own bytes written, with no bytes copy of it.
 """
 
 import json
+import math
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
-from .tensor import TransportTensor, check_number
+from .tensor import TRANSPORT_SHAPE, TransportTensor, check_number
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -49,38 +60,145 @@ _SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
 _GEOMETRY = {False: "projector_camera", True: "coaxial"}
 
 
-def _write(path, dims, coaxial, payload, meta):
-    """Write the header, the payload's own bytes and the metadata in turn."""
-    head = MAGIC + _HEADER.pack(*dims) + struct.pack("<B", 1 if coaxial else 0)
-    tail = json.dumps(meta, sort_keys=True).encode("utf-8")
-    payload = np.ascontiguousarray(payload, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(memoryview(payload))
-        fh.write(tail)
+@dataclass(frozen=True)
+class Header:
+    """
+    A PLTT file's header slots, coaxial flag and JSON metadata, and a
+    measurement's schedule. A header the reader returns holds its checked
+    values in ``meta``, a measurement's ``split`` among them; its
+    properties are the ones a TransportTensor or a MeasurementSet of the
+    file has, so the capture and reconstruction kernels take either.
+    """
+
+    kind: str
+    dims: tuple
+    coaxial: bool
+    meta: dict
+    schedule: object = None
+
+    @property
+    def cam_shape(self):
+        return self.dims[1], self.dims[0]
+
+    @property
+    def proj_shape(self):
+        return self.dims[3], self.dims[2]
+
+    @property
+    def n_cam(self):
+        return self.dims[0] * self.dims[1]
+
+    @property
+    def n_bins(self):
+        return self.dims[6]
+
+    @property
+    def record(self):
+        """The payload shape of one camera pixel."""
+        s_proj = 1 if self.coaxial else self.dims[2] * self.dims[3]
+        dim_p, dim_q, n_bins = self.dims[4:]
+        if self.kind == "transport":
+            return s_proj, dim_p, dim_q, n_bins
+        return s_proj, dim_p, n_bins
+
+    @property
+    def time_bin_width(self):
+        return self.meta["time_bin_width"]
+
+    @property
+    def noise_sigma(self):
+        return self.meta["noise_sigma"]
+
+    @property
+    def seed(self):
+        return self.meta["seed"]
+
+    @property
+    def split(self):
+        return self.meta["split"]
+
+
+def _dims(layout, dim_p, dim_q):
+    (cam_h, cam_w), (proj_h, proj_w) = layout.cam_shape, layout.proj_shape
+    return cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, layout.n_bins
+
+
+def transport_header(layout, noise_std=None, channel_id="mono", provenance=""):
+    """
+    The header of a transport tensor with the grids, geometry, bin count
+    and bin width of ``layout`` (a tensor, a measurement set or a Header).
+    """
+    meta = {"kind": "transport", "time_bin_width": layout.time_bin_width,
+            "channel_id": channel_id, "provenance": provenance}
+    if noise_std is not None:
+        meta["noise_std"] = noise_std.ravel().tolist()
+    return Header("transport", _dims(layout, 4, 4), layout.coaxial, meta)
+
+
+def measurement_header(layout, schedule, noise_sigma, seed, split, provenance=""):
+    """The header of a measurement set of ``layout`` captured with a schedule."""
+    meta = {"kind": "measurement", "time_bin_width": layout.time_bin_width,
+            "channel_id": "mono", "provenance": provenance,
+            "schedule": schedule_to_dict(schedule), "geometry_mode": _GEOMETRY[layout.coaxial],
+            "noise_sigma": noise_sigma, "seed": seed, "split": split}
+    return Header("measurement", _dims(layout, schedule.n_rows, 1), layout.coaxial, meta,
+                  schedule)
+
+
+class PlttWriter:
+    """
+    Writes a PLTT file in camera-pixel order: ``write`` appends payload
+    chunks, and ``finish(header)`` adds the metadata and the header and
+    renames the temporary file beside ``path`` over it. Leaving the
+    ``with`` block without finishing removes the temporary file.
+    """
+
+    def __init__(self, path):
+        self._path = os.fspath(path)
+        self._temp = self._path + ".tmp"
+        self._fh = open(self._temp, "wb")
+        self._fh.seek(_PREFIX)     # finish writes the header once it is known
+        self._count = 0
+
+    def write(self, chunk):
+        chunk = np.ascontiguousarray(chunk, dtype="<f8")
+        self._fh.write(memoryview(chunk))
+        self._count += chunk.size
+
+    def finish(self, header):
+        count = header.n_cam * math.prod(header.record)
+        if self._count != count:
+            raise ValueError("PLTT payload has %d values, its header dims %r need %d"
+                             % (self._count, header.dims, count))
+        self._fh.write(json.dumps(header.meta, sort_keys=True).encode("utf-8"))
+        self._fh.seek(0)
+        self._fh.write(MAGIC + _HEADER.pack(*header.dims)
+                       + struct.pack("<B", 1 if header.coaxial else 0))
+        self._fh.close()
+        os.replace(self._temp, self._path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        if os.path.exists(self._temp):     # not finished, or failed while finishing
+            os.remove(self._temp)
 
 
 def write_pltt(path, obj, provenance=""):
     """Serialize a transport tensor or a measurement set."""
     if isinstance(obj, TransportTensor):
-        dims = (obj.cam_shape[1], obj.cam_shape[0], obj.proj_shape[1], obj.proj_shape[0],
-                4, 4, obj.n_bins)
-        meta = {"kind": "transport", "time_bin_width": obj.time_bin_width,
-                "channel_id": obj.channel_id, "provenance": provenance}
-        if obj.noise_std is not None:
-            meta["noise_std"] = obj.noise_std.ravel().tolist()
-        _write(path, dims, obj.coaxial, obj.data, meta)
+        header, data = transport_header(obj, obj.noise_std, obj.channel_id, provenance), obj.data
     elif isinstance(obj, MeasurementSet):
-        dims = (obj.cam_shape[1], obj.cam_shape[0], obj.proj_shape[1], obj.proj_shape[0],
-                obj.schedule.n_rows, 1, obj.intensities.shape[3])
-        meta = {"kind": "measurement", "time_bin_width": obj.time_bin_width,
-                "channel_id": "mono", "provenance": provenance,
-                "schedule": schedule_to_dict(obj.schedule),
-                "geometry_mode": _GEOMETRY[obj.coaxial],
-                "noise_sigma": obj.noise_sigma, "seed": obj.seed, "split": obj.split}
-        _write(path, dims, obj.coaxial, obj.intensities, meta)
+        header = measurement_header(obj, obj.schedule, obj.noise_sigma, obj.seed, obj.split,
+                                    provenance)
+        data = obj.intensities
     else:
         raise TypeError("cannot serialize %r" % type(obj))
+    with PlttWriter(path) as out:
+        out.write(data)
+        out.finish(header)
 
 
 # metadata keys each payload kind cannot be read without
@@ -97,35 +215,29 @@ _FIXED_SLOTS = {
 }
 
 
-def read_pltt(path):
-    """
-    Read a PLTT v1 file back into its in-memory object, or raise
-    ValueError saying what is malformed.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_PREFIX)
-        if head[:len(MAGIC)] != MAGIC:
-            raise ValueError("not a PLTT v1 file: bad magic")
-        if len(head) < _PREFIX:
-            raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(head), _PREFIX))
-        dims = _HEADER.unpack_from(head, len(MAGIC))
-        coaxial = bool(head[-1])
-        cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
-        s_proj = 1 if coaxial else proj_w * proj_h
-        count = cam_w * cam_h * s_proj * dim_p * dim_q * n_bins
-        end = _PREFIX + 8 * count
-        if size < end:
-            raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
-                             "the file has %d" % (dims, end, size))
-        payload = np.empty(count, dtype="<f8")
-        got = fh.readinto(payload)
-        if got != 8 * count:
-            raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, 8 * count))
-        try:
-            meta = json.loads(fh.read().decode("utf-8"))
-        except ValueError as exc:
-            raise ValueError("PLTT metadata is not valid UTF-8 JSON: %s" % exc) from None
+def _read_header(fh):
+    """A PLTT file's checked Header; reads the metadata and leaves ``fh`` at the payload."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_PREFIX)
+    if head[:len(MAGIC)] != MAGIC:
+        raise ValueError("not a PLTT v1 file: bad magic")
+    if len(head) < _PREFIX:
+        raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(head), _PREFIX))
+    dims = _HEADER.unpack_from(head, len(MAGIC))
+    coaxial = bool(head[-1])
+    cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
+    s_proj = 1 if coaxial else proj_w * proj_h
+    count = cam_w * cam_h * s_proj * dim_p * dim_q * n_bins
+    end = _PREFIX + 8 * count
+    if size < end:
+        raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
+                         "the file has %d" % (dims, end, size))
+    fh.seek(end)
+    try:
+        meta = json.loads(fh.read().decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError("PLTT metadata is not valid UTF-8 JSON: %s" % exc) from None
+    fh.seek(_PREFIX)
     if not isinstance(meta, dict):
         raise ValueError("PLTT metadata must be a JSON object")
     kind = meta.get("kind", "transport")
@@ -138,6 +250,7 @@ def read_pltt(path):
     if std is not None:
         std = check_number(std, "PLTT metadata key 'noise_std'", low=0.0, shape=(16,))
     fixed = dict(_FIXED_SLOTS[kind])
+    schedule = None
     if kind == "measurement":
         schedule = schedule_from_dict(meta["schedule"])
         fixed["dim_p"] = schedule.n_rows
@@ -149,24 +262,90 @@ def read_pltt(path):
         if value != want:
             raise ValueError("PLTT %s header slot %s is %d, must be %d"
                              % (kind, slot, value, want))
-    if kind == "transport":
-        return TransportTensor(payload.reshape(cam_w * cam_h, s_proj, 4, 4, n_bins),
-                               (cam_h, cam_w), (proj_h, proj_w),
-                               meta["time_bin_width"], meta.get("channel_id", "mono"),
-                               coaxial, None if std is None else std.reshape(4, 4))
-    return MeasurementSet(
-        intensities=payload.reshape(cam_w * cam_h, s_proj, dim_p, n_bins),
-        schedule=schedule,
-        coaxial=coaxial,
-        cam_shape=(cam_h, cam_w),
-        proj_shape=(proj_h, proj_w),
-        time_bin_width=meta["time_bin_width"],
-        noise_sigma=meta["noise_sigma"],
-        seed=meta["seed"],
-        provenance=meta.get("provenance", ""),
-        # files written before the split was stored were reconstructed at 0.5
-        split=meta.get("split", 0.5),
-    )
+    if count == 0:
+        raise ValueError("PLTT header dims %r hold no payload" % (dims,))
+    if coaxial and (proj_w, proj_h) != (cam_w, cam_h):
+        raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
+    # the values the in-memory objects check, checked before the payload is read
+    checked = {"time_bin_width": check_number(meta["time_bin_width"], "time_bin_width",
+                                              above=0.0),
+               "noise_std": None if std is None else std.reshape(4, 4)}
+    if kind == "measurement":
+        seed = meta["seed"]
+        checked.update(
+            noise_sigma=check_number(meta["noise_sigma"], "noise_sigma", low=0.0),
+            # files written before the split was stored were reconstructed at 0.5
+            split=check_number(meta.get("split", 0.5), "split", low=0.0, high=1.0),
+            seed=None if seed is None else check_number(seed, "seed", low=0, integer=True))
+    return Header(kind, dims, coaxial, dict(meta, **checked), schedule)
+
+
+class PlttReader:
+    """
+    An open PLTT file whose ``header`` is checked; ``read`` and ``chunks``
+    then read its payload in camera-pixel order.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self.header = _read_header(self._fh)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def read(self, n, out=None):
+        """The next ``n`` camera pixels' records, read into the start of ``out`` or a new array."""
+        shape = (n,) + self.header.record
+        size = math.prod(shape)
+        flat = np.empty(size, dtype="<f8") if out is None else out.reshape(-1)[:size]
+        got = self._fh.readinto(flat)
+        if got != flat.nbytes:
+            raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, flat.nbytes))
+        return flat.reshape(shape)
+
+    def chunks(self, step):
+        """
+        (first camera pixel, records) of ``step`` camera pixels at a time,
+        read into one reused buffer. A transport's records that hold NaN or
+        inf fail as TransportTensor fails on the whole payload.
+        """
+        head = self.header
+        whole = (head.n_cam,) + head.record
+        buf = np.empty(min(step, head.n_cam) * math.prod(head.record), dtype="<f8")
+        for start in range(0, head.n_cam, step):
+            records = self.read(min(step, head.n_cam - start), buf)
+            if head.kind == "transport" and not np.isfinite(records).all():
+                # a payload of more than 16 values shows only its shape in the message
+                bad = records if records.shape == whole else np.broadcast_to(np.nan, whole)
+                check_number(bad, "transport data", shape=TRANSPORT_SHAPE)
+            yield start, records
+
+
+def read_pltt(path):
+    """
+    Read a PLTT v1 file back into its in-memory object, or raise
+    ValueError saying what is malformed.
+    """
+    with PlttReader(path) as src:
+        head = src.header
+        payload = src.read(head.n_cam)
+    if head.kind == "transport":
+        return TransportTensor(payload, head.cam_shape, head.proj_shape, head.time_bin_width,
+                               head.meta.get("channel_id", "mono"), head.coaxial,
+                               head.meta["noise_std"])
+    return MeasurementSet(payload, head.schedule, head.coaxial, head.cam_shape, head.proj_shape,
+                          head.time_bin_width, head.noise_sigma, head.seed,
+                          head.meta.get("provenance", ""), head.split)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +380,17 @@ def write_pgm(path, image):
 
 
 def write_csv_grid(path, grid):
-    """Write a 2D array as CSV with full float precision."""
+    """
+    Write a 2D array as CSV with full float precision, byte for byte as
+    ``np.savetxt(path, grid, fmt="%.17g", delimiter=",")`` writes it (a 1D
+    array one value per line): one ``%`` fills a template of the whole grid.
+    """
     grid = np.asarray(grid, dtype=float)
-    np.savetxt(path, grid, delimiter=",", fmt="%.17g")
+    if grid.ndim == 1:
+        grid = grid[:, None]
+    if grid.ndim != 2:
+        raise ValueError("Expected 1D or 2D array, got %dD array instead" % grid.ndim)
+    rows, cols = grid.shape
+    template = (",".join(["%.17g"] * cols) + "\n") * rows
+    with open(path, "w") as fh:
+        fh.write(template % tuple(grid.ravel().tolist()))

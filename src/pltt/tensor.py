@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# the shape a TransportTensor's data must have
+TRANSPORT_SHAPE = (None, None, 4, 4, None)
+
+
 def _flat(shape):
     return int(shape[0]) * int(shape[1])
 
@@ -51,15 +55,16 @@ def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.
             arr = np.asarray(value)
         except ValueError:   # ragged nesting
             arr = np.asarray(None)
-        # one isfinite pass, then one comparison per bound that is set
         ok = (arr.dtype.kind in ("iu" if integer else "iuf")
               and (shape is None or len(shape) == arr.ndim and all(
                   n == want or (want is None and n > 0) for n, want in zip(arr.shape, shape)))
-              and not _holds_bool(value)
-              and bool(np.isfinite(arr).all())
-              and all(bool(test(arr, end).all()) for test, end in (
-                  (np.greater_equal, low), (np.less_equal, high), (np.greater, above),
-                  (np.less, below)) if abs(end) < np.inf))
+              and not _holds_bool(value))
+        if ok and arr.size:
+            # the values pass when their least and greatest do, as plain numbers
+            # would: NaN propagates to both, and the strict default bounds reject
+            # inf. Two reductions, and no bool array of the values' size.
+            lo, hi = arr.min(), arr.max()
+            ok = bool(low <= lo and hi <= high and above < lo and hi < below)
     if not ok:
         ends = ["%s %g" % end for end in ((">=", low), (">", above), ("<=", high), ("<", below))
                 if abs(end[1]) < np.inf]
@@ -100,6 +105,9 @@ class TransportTensor:
         (p, p'), the same for every block, as estimated by the
         reconstruction that produced the tensor; None when the tensor
         has no noise model (simulated truth, probed tensors).
+
+    ``data`` is kept as a read-only view of the checked array, so it stays
+    finite; the caller's own array stays writeable.
     """
 
     data: np.ndarray = field(repr=False)
@@ -111,7 +119,8 @@ class TransportTensor:
     noise_std: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        data = check_number(self.data, "transport data", shape=(None, None, 4, 4, None))
+        data = check_number(self.data, "transport data", shape=TRANSPORT_SHAPE).view()
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
         object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
@@ -281,14 +290,17 @@ def slice_polarimetric(tensor):
     return tensor.data.sum(axis=(0, 1, 4))
 
 
-def _weights(tensor, mask):
-    """A probe mask as an (S_cam, S_proj) weight array, checked against a tensor."""
+def probe_weights(tensor, mask):
+    """
+    A probe mask as an (S_cam, S_proj) weight array, checked against the
+    grids and geometry of ``tensor`` (a tensor or a container Header).
+    """
     if tensor.coaxial:
         raise ValueError("cannot probe a coaxial tensor: masks require projector_camera geometry")
     weight = np.asarray(mask)
     return check_number(weight.astype(float) if weight.dtype == bool else weight,
                         "probe mask (weights in [0, 1])", low=0.0, high=1.0,
-                        shape=tensor.data.shape[:2])
+                        shape=(_flat(tensor.cam_shape), _flat(tensor.proj_shape)))
 
 
 def probe(tensor, mask):
@@ -297,7 +309,7 @@ def probe(tensor, mask):
 
     T'(s, s', ...) = mask[s, s'] T(s, s', ...)
     """
-    data = tensor.data * _weights(tensor, mask)[:, :, None, None, None]
+    data = tensor.data * probe_weights(tensor, mask)[:, :, None, None, None]
     return TransportTensor(data, tensor.cam_shape, tensor.proj_shape,
                            tensor.time_bin_width, tensor.channel_id, False)
 
@@ -316,7 +328,7 @@ def fold(tensor, mask=None):
         weight = np.ones(tensor.data.shape[:2])
         std = None if tensor.noise_std is None else tensor.noise_std * np.sqrt(weight.shape[1])
     else:
-        weight, std = _weights(tensor, mask), None
+        weight, std = probe_weights(tensor, mask), None
     data = np.einsum("sx,sxpqt->spqt", weight, tensor.data)[:, None]
     return TransportTensor(data, tensor.cam_shape, (1, 1), tensor.time_bin_width,
                            tensor.channel_id, False, std)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt.ellipsometry import (
-    _NOISE_CHUNK,
-    _PIXEL_CHUNK,
+    CHUNK_BYTES,
     AngleSchedule,
     _arm,
     capture,
@@ -350,9 +349,9 @@ def test_capture_noise_is_seeded():
 
 
 @pytest.mark.parametrize("schedule, coaxial, cam, bins", [
-    # 256 pixels of 8 bins: one noise chunk per row
+    # 16 camera pixels of 16 x 36 x 8 values: one chunk
     (drr_schedule(36), False, (4, 4), 8),
-    # 655 pixels of 100 bins per chunk: two uneven chunks per row
+    # 36 camera pixels of 36 x 16 x 100 values: 4 per chunk, 9 chunks
     (drr_schedule(4, "polarizer_array"), False, (6, 6), 100),
     # the whole measurement is smaller than one chunk
     (drr_schedule(16), True, (4, 4), 7),
@@ -361,10 +360,9 @@ def test_capture_noise_is_the_normal_stream_of_the_seed(schedule, coaxial, cam, 
     tensor = random_tensor(np.random.default_rng(bins), coaxial, cam=cam, bins=bins)
     clean = capture(tensor, schedule).intensities
     noisy = capture(tensor, schedule, noise_sigma=2e-3, seed=41).intensities
-    s_cam, s_proj, k_rows, n_bins = clean.shape
-    noise = np.random.default_rng(41).normal(0.0, 2e-3, (k_rows, s_cam, s_proj, n_bins))
-    expected = clean + noise.transpose(1, 2, 0, 3)
-    assert noisy.tobytes() == expected.tobytes()
+    # sigma * N(0, 1) of one SFC64 stream, drawn in the intensities' own order
+    noise = 2e-3 * np.random.Generator(np.random.SFC64(41)).standard_normal(clean.shape)
+    assert noisy.tobytes() == (clean + noise).tobytes()
 
 
 def test_measurement_layout_does_not_change_reconstruct_or_the_container(tmp_path):
@@ -398,12 +396,12 @@ def test_capture_and_reconstruct_hold_one_chunk_beyond_their_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     slack = 1 << 20
-    assert capture_peak < measurement + 8 * _NOISE_CHUNK + slack
-    # the output tensor and its finiteness mask, the residual sums of its
-    # 64 x 64 pixels, and one chunk of their residuals
-    residual_chunk = measurement // (64 * 64) * _PIXEL_CHUNK
-    assert reconstruct_peak < (result.tensor.data.nbytes * 9 // 8 + result.residual_norms.nbytes
-                               + residual_chunk + slack)
+    # the measurement and one chunk of noise
+    assert capture_peak < measurement + CHUNK_BYTES + slack
+    # the output tensor, the residual sums of its 64 x 64 pixels, and one
+    # chunk of their residuals
+    assert reconstruct_peak < (result.tensor.data.nbytes + result.residual_norms.nbytes
+                               + CHUNK_BYTES + slack)
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf, 1.7e308])

@@ -276,6 +276,15 @@ def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
         read_pltt(path)
 
 
+def test_write_rejects_a_payload_its_header_does_not_describe(tmp_path):
+    # a measurement set does not check its camera axis against cam_shape
+    meas = MeasurementSet(np.zeros((3, 1, 16, 2)), drr_schedule(16), True, (2, 2), (2, 2), BIN)
+    with pytest.raises(ValueError, match=r"PLTT payload has 96 values, its header dims "
+                                         r"\(2, 2, 2, 2, 16, 1, 2\) need 128"):
+        write_pltt(tmp_path / "m.pltt", meas)
+    assert not list(tmp_path.iterdir())
+
+
 def test_write_pgm_format_and_sidecar(tmp_path):
     image = np.array([[0.0, 1.0], [2.0, np.nan]])
     path = tmp_path / "img.pgm"
@@ -312,3 +321,23 @@ def test_csv_grid_round_trips_exact_values(tmp_path):
     write_csv_grid(path, grid)
     back = np.loadtxt(path, delimiter=",")
     np.testing.assert_array_equal(back, grid)
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-309, 1e308, 0.1, -1.0]
+
+
+@pytest.mark.parametrize("grid", [
+    np.random.default_rng(9).normal(size=(5, 7)) * 1e-7,
+    np.array(_SPECIAL[:8]).reshape(2, 4),
+    np.array([_SPECIAL]),                 # 1 x N
+    np.array([_SPECIAL]).T,               # N x 1
+    np.array(_SPECIAL),                   # 1-D: one value per line
+    np.where(np.random.default_rng(10).random((32, 32)) < 0.93, np.nan,
+             np.random.default_rng(11).normal(size=(32, 32))),
+    np.array([[7]]),                      # integers are written as floats
+], ids=["dense", "special", "row", "column", "1-d", "mostly-nan", "int"])
+def test_csv_grid_is_byte_identical_to_savetxt(tmp_path, grid):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_csv_grid(ours, grid)
+    np.savetxt(theirs, np.asarray(grid, dtype=float), fmt="%.17g", delimiter=",")
+    assert ours.read_bytes() == theirs.read_bytes()

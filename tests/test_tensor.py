@@ -237,6 +237,16 @@ def test_probed_tensors_carry_no_noise_model():
     assert probe(modelled, epi).noise_std is None
 
 
+def test_transport_data_is_a_read_only_view_of_the_callers_array():
+    own = np.random.default_rng(13).normal(size=(2, 3, 4, 4, 2))
+    tensor = TransportTensor(own, (1, 2), (1, 3), BIN)
+    assert np.shares_memory(tensor.data, own)
+    with pytest.raises(ValueError, match="read-only"):
+        tensor.data[0, 0, 0, 0, 0] = np.nan
+    own[0, 0, 0, 0, 0] = 2.0
+    assert tensor.data[0, 0, 0, 0, 0] == 2.0
+
+
 def test_epipolar_masks_are_complementary_rows():
     epi, non_epi = epipolar_masks((2, 2), (2, 3))
     assert epi.shape == (4, 6)

@@ -6,8 +6,9 @@ Compare the pltt CLI's outputs of two checkouts, file by file.
 
 Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
 on both scenes in the change checkout's ``tests/data``: simulate; capture,
-plain, with ``--mask epipolar`` and with ``--split 0.3`` (the coaxial
-scene's beamsplitter), and each plain and split capture's reconstruct;
+plain, with ``--mask epipolar``, with ``--split 0.3`` (the coaxial
+scene's beamsplitter) and noiseless (``--noise 0``), and each plain, split
+and noiseless capture's reconstruct;
 decompose, also of one ``--bin``; pca, also with ``--c 2 --floor 1e-3``;
 descatter with no mask, ``epipolar`` and ``non_epipolar``, with ``--method
 lbfgs`` and with ``--mode intensity_only``; slices, among them ``s_e`` and ``s_n``, a camera and a projector index (on
@@ -59,7 +60,11 @@ def commands(resolution, seed):
                               "--seed", seed, "--mask", "epipolar", "--out", "meas_epi.pltt"]),
         ("capture_split", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
                            "--seed", seed, "--split", "0.3", "--out", "meas_split.pltt"]),
+        ("capture_noiseless", ["capture", "--tensor", "truth.pltt", "--noise", "0",
+                               "--out", "meas_clean.pltt"]),
         ("reconstruct", ["reconstruct", "--measurements", "meas.pltt", "--out", "recon.pltt"]),
+        ("reconstruct_noiseless", ["reconstruct", "--measurements", "meas_clean.pltt",
+                                   "--out", "recon_clean.pltt"]),
         ("reconstruct_split", ["reconstruct", "--measurements", "meas_split.pltt",
                                "--out", "recon_split.pltt"]),
         ("decompose", ["decompose", "--tensor", "recon.pltt", "--out", "dec"]),
