@@ -71,7 +71,7 @@ from .scene import (
 )
 from .ellipsometry import (
     AngleSchedule,
-    DesignMatrix,
+    Decoder,
     ForwardModel,
     MeasurementSet,
     ReconstructionResult,

@@ -45,7 +45,7 @@ from .analysis import (
 from .decomposition import NOISE_Z, decompose_tensor, lit_blocks, noise_floor
 from .ellipsometry import (
     CaptureKernel,
-    ReconstructKernel,
+    Decoder,
     chunk_pixels,
     drr_schedule,
     load_schedule,
@@ -219,7 +219,7 @@ def cmd_reconstruct(args):
     """
     with _open(args.measurements, "measurement") as src:
         meas = src.header
-        kernel = ReconstructKernel(meas, split=args.split)
+        decoder = Decoder.of_measurements(meas, split=args.split)
         s_proj, _, n_bins = meas.record
         step = chunk_pixels(meas.n_cam, meas.record, (s_proj, 4, 4, n_bins))
         blocks = np.empty((step, s_proj, 4, 4, n_bins))
@@ -227,26 +227,26 @@ def cmd_reconstruct(args):
         with PlttWriter(args.out) as out:
             for start, records in src.chunks(step):
                 n = len(records)
-                kernel.solve(records, blocks[:n], squares[start * s_proj:(start + n) * s_proj])
+                decoder.solve(records, blocks[:n], squares[start * s_proj:(start + n) * s_proj])
                 out.write(blocks[:n])
-            sigma_hat, noise_std = kernel.noise_model(squares, meas.noise_sigma)
+            sigma_hat, noise_std = decoder.noise_model(squares, meas.noise_sigma)
             provenance = "reconstruct(%s)" % os.path.basename(args.measurements)
             out.finish(transport_header(meas, noise_std, provenance=provenance))
-    if kernel.rank < 16:
+    if decoder.rank < 16:
         print(
             "warning: UNDERDETERMINED reconstruction (design rank %d < 16); "
-            "minimum-norm solution" % kernel.rank
+            "minimum-norm solution" % decoder.rank
         )
-    if kernel.cond > ILL_CONDITIONED:
+    if decoder.cond > ILL_CONDITIONED:
         print(
             "warning: ILL-CONDITIONED design (cond %.3g > %g); the reconstruction "
-            "amplifies the measurement noise" % (kernel.cond, ILL_CONDITIONED)
+            "amplifies the measurement noise" % (decoder.cond, ILL_CONDITIONED)
         )
     diag_path = _stem(args.out) + "_diagnostics.csv"
     res = np.sqrt(squares, out=squares).reshape(meas.n_cam, s_proj, n_bins)
     _write_diagnostics(diag_path, res)
     print("wrote %s: rank=%d cond=%.6g max_residual=%.3e sigma_hat=%.4g" % (
-        args.out, kernel.rank, kernel.cond, float(res.max()), sigma_hat))
+        args.out, decoder.rank, decoder.cond, float(res.max()), sigma_hat))
     return {"outputs": [args.out, diag_path], "seed": meas.seed}
 
 

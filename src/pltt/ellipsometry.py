@@ -21,7 +21,8 @@ itself.
 Every capture is linear in the 16 entries of M: stacking rows
 kron(analyzer_row_k, source_stokes_k) gives the design matrix A with
 I = A vec(M) (row-major vec). Reconstruction is least squares through
-a truncated-SVD pseudoinverse, shared across pixels and time bins.
+one ``Decoder``, a truncated-SVD pseudoinverse shared across pixels and
+time bins, that its noise model and angle learning read too.
 
 ``forward_model`` is the one forward model, in closed form. With
 c = cos 2beta, s = sin 2beta and d = beta - alpha, a linear polarizer at
@@ -39,6 +40,7 @@ design A to the tensor, reconstruction inverts the same A, and angle
 learning differentiates it.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polarization import beamsplitter, galvo_mirror
-from .tensor import TransportTensor, check_number, probe_weights
+from .tensor import TransportTensor, check_number, check_pixel_axes, probe_weights
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
@@ -271,34 +273,96 @@ def _forward(angles, sensor_mode, coaxial=False, split=0.5):
     return ForwardModel(c, r, dc1, dc2, dr3, dr4)
 
 
-def _rank_and_cond(s):
+class Decoder:
     """
-    Rank and condition number from descending singular values ``s``.
-
-    Values at or below ``RANK_TOL * s[0]`` count as zero, so an
-    all-zero matrix has rank 0 and cond inf.
+    The truncated-pseudoinverse decoder of a design ``a`` that reconstruction,
+    its noise model and angle learning share: the thin SVD ``u``, ``s``,
+    ``vt``; ``inv``, 1/s with zeros at or below ``RANK_TOL * s[0]``; the
+    ``rank`` and ``cond`` of the kept values (0 and inf for an all-zero
+    design); and A+ = V diag(inv) U^T, formed only when ``pinv`` is read.
     """
-    kept = s[s > RANK_TOL * s[0]]
-    return kept.size, float(kept[0] / kept[-1]) if kept.size else np.inf
 
+    def __init__(self, a):
+        self.a = a
+        self.u, self.s, self.vt = np.linalg.svd(a, full_matrices=False)
+        cutoff = RANK_TOL * self.s[0]
+        keep = self.s > cutoff
+        self.inv = np.zeros_like(self.s)
+        self.inv[keep] = 1.0 / self.s[keep]
+        # the singular values are in descending order, so the kept ones lead
+        self.rank = int(np.count_nonzero(keep))
+        self.cond = float(self.s[0] / self.s[self.rank - 1]) if self.rank else np.inf
+        # grad_loss's rank_marginal: a kept value within a factor 100 of the cut
+        self.marginal = bool(((self.s > cutoff * 1e-2) & (self.s < cutoff * 1e2) & keep).any())
+        self.residual = np.empty(0)
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Linearized capture model: intensities = a @ vec(M), row-major vec."""
+    @classmethod
+    def of_measurements(cls, meas, split=None):
+        """
+        The decoder of a MeasurementSet's or a Header's schedule and split. A
+        ``split`` other than the recorded one fails before any record is read.
+        """
+        if split is not None and split != meas.split:
+            raise ValueError("split %g conflicts with the split %g recorded with the "
+                             "measurements" % (split, meas.split))
+        decoder = cls(forward_model(meas.schedule, coaxial=meas.coaxial, split=meas.split).design())
+        decoder.pinv    # a solve needs A+: forming it now fails an all-zero design
+        return decoder
 
-    a: np.ndarray = field(repr=False)
-    rank: int
-    cond: float
+    @functools.cached_property
+    def pinv(self):
+        """A+, shape (16, K')."""
+        if not self.rank:
+            raise ValueError("design matrix is identically zero")
+        return (self.vt.T * self.inv) @ self.u.T
+
+    def solve(self, records, blocks, squares):
+        """
+        Fill ``blocks`` (n, S_proj, 4, 4, T) with A+ applied to each (K', T)
+        record of ``records`` (n, S_proj, K', T), and ``squares``
+        (n * S_proj, T) with the sums over rows of their squared residuals.
+        """
+        n, s_proj, k_rows, n_bins = records.shape
+        stacked = records.reshape(n * s_proj, k_rows, n_bins)
+        solution = blocks.reshape(n * s_proj, 16, n_bins)
+        if self.residual.size < stacked.size:
+            self.residual = np.empty(stacked.size)
+        # a flipped exponent byte in a container can hold an intensity near 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(self.pinv, stacked, out=solution)
+            residual = np.matmul(self.a, solution,
+                                 out=self.residual[:stacked.size].reshape(stacked.shape))
+            residual -= stacked
+            # the sum of squares np.linalg.norm takes, without its temporaries
+            residual *= residual
+            np.add.reduce(residual, axis=1, out=squares)
+
+    def noise_model(self, squares, noise_sigma):
+        """
+        sigma_hat and the (4, 4) per-entry noise std from the squared
+        residuals of every record; ``noise_sigma`` when no residual is
+        left. Non-finite sums are a ValueError.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = squares.sum()
+        dof = squares.size * (self.a.shape[0] - self.rank)
+        sigma_hat = float(np.sqrt(total / dof)) if dof else noise_sigma
+        # a finite total has finite residuals, and so a finite solution: a solution
+        # entry that A+ can make non-zero meets a non-zero column of A
+        if not (np.isfinite(total) and np.isfinite(sigma_hat)):
+            raise ValueError("the measurements are not finite or overflow the reconstruction's "
+                             "solution, residuals or noise estimate")
+        noise_std = sigma_hat * np.sqrt((self.pinv * self.pinv).sum(axis=1)).reshape(4, 4)
+        return sigma_hat, noise_std
 
 
 def design_matrix(schedule, coaxial=False, split=0.5):
     """
-    Design matrix of a schedule: row (k[,q]) equals kron(r_k, c_k).
+    The ``Decoder`` of a schedule's design matrix ``a``: row (k[,q]) equals kron(r_k, c_k).
 
     Satisfies A @ vec(M) == stacked forward intensities exactly.
     """
-    a = forward_model(schedule, coaxial, split).design()
-    return DesignMatrix(a, *_rank_and_cond(np.linalg.svd(a, compute_uv=False)))
+    return Decoder(forward_model(schedule, coaxial, split).design())
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +405,7 @@ class MeasurementSet:
                              % (arr.shape[2], self.schedule.n_rows))
         if not isinstance(self.coaxial, (bool, np.bool_)):
             raise ValueError("coaxial must be a bool, got %r" % (self.coaxial,))
+        check_pixel_axes(arr.shape, self.cam_shape, self.proj_shape, self.coaxial)
         for name, bounds in (("time_bin_width", {"above": 0.0}), ("noise_sigma", {"low": 0.0}),
                              ("split", {"low": 0.0, "high": 1.0})):
             object.__setattr__(self, name, check_number(getattr(self, name), name, **bounds))
@@ -464,77 +529,10 @@ class ReconstructionResult:
     sigma_hat: float
 
 
-def _truncated_svd(a):
-    """Thin SVD u, s, vt of ``a`` and 1/s, zero at or below ``RANK_TOL * s[0]``."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] <= 0:
-        raise ValueError("design matrix is identically zero")
-    keep = s > RANK_TOL * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return u, s, vt, inv
-
-
 def pinv_truncated(a):
-    """Pseudoinverse cut at ``RANK_TOL * s[0]``, with its rank and cond."""
-    u, s, vt, inv = _truncated_svd(a)
-    return ((vt.T * inv) @ u.T,) + _rank_and_cond(s)
-
-
-class ReconstructKernel:
-    """
-    The design and truncated pseudoinverse of a measurement's schedule and
-    split (a MeasurementSet or a container Header), its per-chunk solve and
-    the noise model of the solved residuals. A ``split`` that differs from
-    the recorded one is an error.
-    """
-
-    def __init__(self, meas, split=None):
-        if split is not None and split != meas.split:
-            raise ValueError("split %g conflicts with the split %g recorded with the "
-                             "measurements" % (split, meas.split))
-        self.a = forward_model(meas.schedule, coaxial=meas.coaxial, split=meas.split).design()
-        self.a_pinv, self.rank, self.cond = pinv_truncated(self.a)
-        self.residual = np.empty(0)
-
-    def solve(self, records, blocks, squares):
-        """
-        Fill ``blocks`` (n, S_proj, 4, 4, T) with A+ applied to each (K', T)
-        record of ``records`` (n, S_proj, K', T), and ``squares``
-        (n * S_proj, T) with the sums over rows of their squared residuals.
-        """
-        n, s_proj, k_rows, n_bins = records.shape
-        stacked = records.reshape(n * s_proj, k_rows, n_bins)
-        solution = blocks.reshape(n * s_proj, 16, n_bins)
-        if self.residual.size < stacked.size:
-            self.residual = np.empty(stacked.size)
-        # a flipped exponent byte in a container can hold an intensity near 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(self.a_pinv, stacked, out=solution)
-            residual = np.matmul(self.a, solution,
-                                 out=self.residual[:stacked.size].reshape(stacked.shape))
-            residual -= stacked
-            # the sum of squares np.linalg.norm takes, without its temporaries
-            residual *= residual
-            np.add.reduce(residual, axis=1, out=squares)
-
-    def noise_model(self, squares, noise_sigma):
-        """
-        sigma_hat and the (4, 4) per-entry noise std from the squared
-        residuals of every record; ``noise_sigma`` when no residual is
-        left. Non-finite sums are a ValueError.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = squares.sum()
-        dof = squares.size * (self.a.shape[0] - self.rank)
-        sigma_hat = float(np.sqrt(total / dof)) if dof else noise_sigma
-        # a finite total has finite residuals, and so a finite solution: a solution
-        # entry that A+ can make non-zero meets a non-zero column of A
-        if not (np.isfinite(total) and np.isfinite(sigma_hat)):
-            raise ValueError("the measurements are not finite or overflow the reconstruction's "
-                             "solution, residuals or noise estimate")
-        noise_std = sigma_hat * np.sqrt((self.a_pinv * self.a_pinv).sum(axis=1)).reshape(4, 4)
-        return sigma_hat, noise_std
+    """A+ of ``a`` with its rank and cond, as its ``Decoder`` gives them."""
+    decoder = Decoder(a)
+    return decoder.pinv, decoder.rank, decoder.cond
 
 
 def reconstruct(meas, split=None):
@@ -553,24 +551,24 @@ def reconstruct(meas, split=None):
     residual), propagated through A+ to per-entry standard deviations
     sigma_hat * ||row of A+||.
 
-    The solve runs ``ReconstructKernel`` over runs of camera pixels of
+    The solve runs the ``Decoder``'s ``solve`` over runs of camera pixels of
     about ``CHUNK_BYTES`` each, as ``pltt reconstruct`` does over a file,
     and sums the squared residuals once at the end, so the chunk size
     changes no output; non-finite measurements, or ones that overflow it,
     are a ValueError.
     """
-    kernel = ReconstructKernel(meas, split)
+    decoder = Decoder.of_measurements(meas, split)
     s_cam, s_proj, k_rows, n_bins = meas.intensities.shape
     blocks = np.empty((s_cam, s_proj, 4, 4, n_bins))
     squares = np.empty((s_cam * s_proj, n_bins))
     step = chunk_pixels(s_cam, meas.intensities.shape[1:], blocks.shape[1:])
     for start in range(0, s_cam, step):
         stop = min(start + step, s_cam)
-        kernel.solve(meas.intensities[start:stop], blocks[start:stop],
-                     squares[start * s_proj:stop * s_proj])
-    sigma_hat, noise_std = kernel.noise_model(squares, meas.noise_sigma)
+        decoder.solve(meas.intensities[start:stop], blocks[start:stop],
+                      squares[start * s_proj:stop * s_proj])
+    sigma_hat, noise_std = decoder.noise_model(squares, meas.noise_sigma)
     residual_norms = np.sqrt(squares, out=squares).reshape(s_cam, s_proj, n_bins)
     tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape,
                              meas.time_bin_width, coaxial=meas.coaxial, noise_std=noise_std)
-    return ReconstructionResult(tensor, kernel.rank, kernel.cond, kernel.rank < 16,
+    return ReconstructionResult(tensor, decoder.rank, decoder.cond, decoder.rank < 16,
                                 residual_norms, sigma_hat)

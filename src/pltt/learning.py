@@ -19,8 +19,9 @@ the truncated pseudoinverse through the fixed-rank differential
     dA+ = -A+ dA A+ + A+ A+^T dA^T (I - A A+) + (I - A+ A) dA^T A+^T A+
 
 A(theta) and its angle derivatives come from ``ellipsometry``'s closed-form
-forward model, the one capture and reconstruction use; row n of A is
-kron(r_n, c_n), so G reaches the angles through G_n c_n and r_n G_n.
+forward model, and its SVD, rank and A+ from ``ellipsometry.Decoder``, the
+ones capture and reconstruction use; row n of A is kron(r_n, c_n), so G
+reaches the angles through G_n c_n and r_n G_n.
 
 Optimization is one full-batch L-BFGS solve (``lbfgs``; Liu & Nocedal,
 Math. Prog. 45, 1989) from the classical dual-rotating-retarder start, with
@@ -35,10 +36,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .ellipsometry import (
-    RANK_TOL,
     AngleSchedule,
+    Decoder,
     _forward,
-    _truncated_svd,
     check_flags,
     drr_schedule,
     forward_model,
@@ -69,37 +69,33 @@ def _loss_and_grad(fwd, mats, noise):
 
     The error splits into the bias (P - I) m, P = A+ A, and the noise
     A+ eta, orthogonal since A+^T (I - P) = 0, so no cross term remains.
-    Factors the design once; returns (loss, rank, grads, rank_marginal).
+    Factors the design once, in a ``Decoder``; returns (loss, rank, grads, rank_marginal).
     dr4, and so the theta4 gradient, is zero with the polarizer-array sensor.
     """
-    a = fwd.design()
-    u, s, vt, inv = _truncated_svd(a)
-    rank = int(np.count_nonzero(inv))
+    dec = Decoder(fwd.design())
+    a = dec.a
     m = mats.reshape(-1, 16)
     moment = _noise_moment(noise, m.shape[0], a.shape[0])
-    # white noise at full rank, the path angle learning takes, needs no A+
-    a_pinv = None if np.ndim(moment) == 0 and rank == 16 else (vt.T * inv) @ u.T
     # the noise term and its part of g, where dL = 2 tr(dA g) through the
     # fixed-rank differential of A+
     if np.ndim(moment) == 0:
         # sigma^2 tr(A+ A+^T) = sigma^2 sum 1/s_i^2 over the kept s_i, and
-        # g = -sigma^2 A+ A+^T A+ = -sigma^2 V S^-3 U^T
-        batch_loss = moment * float(inv @ inv)
-        g = (vt.T * (-moment * inv ** 3)) @ u.T                          # (16, K')
+        # g = -sigma^2 A+ A+^T A+ = -sigma^2 V S^-3 U^T: white noise at full
+        # rank, the path angle learning takes, never forms A+
+        batch_loss = moment * float(dec.inv @ dec.inv)
+        g = (dec.vt.T * (-moment * dec.inv ** 3)) @ dec.u.T               # (16, K')
     else:
-        gain = a_pinv @ moment                # (16, K')
-        batch_loss = float(np.sum(gain * a_pinv))
-        g = ((a_pinv @ a_pinv.T) @ gain @ (np.eye(a.shape[0]) - a @ a_pinv)
-             - gain @ a_pinv.T @ a_pinv)
+        gain = dec.pinv @ moment                # (16, K')
+        batch_loss = float(np.sum(gain * dec.pinv))
+        g = ((dec.pinv @ dec.pinv.T) @ gain @ (np.eye(a.shape[0]) - a @ dec.pinv)
+             - gain @ dec.pinv.T @ dec.pinv)
     # at full rank P = I and the bias vanishes exactly; below it the bias is
     # formed from A+ A m, since forming I - A+ A leaves a rounding floor
-    if rank < 16:
-        bias = (m @ a.T) @ a_pinv.T - m      # (B, 16)
+    if dec.rank < 16:
+        bias = (m @ a.T) @ dec.pinv.T - m      # (B, 16)
         batch_loss += float(np.mean(np.sum(bias * bias, axis=1)))
-        g += bias.T @ m @ a_pinv / m.shape[0]
+        g += bias.T @ m @ dec.pinv / m.shape[0]
 
-    cutoff = RANK_TOL * s[0]
-    rank_marginal = bool(((s > cutoff * 1e-2) & (s < cutoff * 1e2) & (inv > 0)).any())
     # row n of A is kron(r_n, c_n), so dL/dtheta sums dr_n G_n c_n + r_n G_n dc_n
     # over the rows n of each capture
     k = fwd.c.shape[0]
@@ -110,7 +106,7 @@ def _loss_and_grad(fwd, mats, noise):
                             np.einsum("kj,kj->k", r_g, fwd.dc2),
                             np.einsum("ni,ni->n", fwd.dr3, g_c).reshape(k, -1).sum(axis=1),
                             np.einsum("ni,ni->n", fwd.dr4, g_c).reshape(k, -1).sum(axis=1)])
-    return batch_loss, rank, grads, rank_marginal
+    return batch_loss, dec.rank, grads, dec.marginal
 
 
 def loss(schedule, mats, noise):
@@ -142,9 +138,9 @@ def grad_loss(schedule, mats, noise, trainable=None):
     return grads, rank_marginal
 
 
-def expected_noise_floor(schedule, noise_sigma, coaxial=False):
+def expected_noise_floor(schedule, noise_sigma):
     """Analytic full-rank loss floor: sigma^2 ||A+||_F^2."""
-    return _loss_and_grad(forward_model(schedule, coaxial), np.zeros((1, 4, 4)), noise_sigma)[0]
+    return _loss_and_grad(forward_model(schedule), np.zeros((1, 4, 4)), noise_sigma)[0]
 
 
 # ---------------------------------------------------------------------------

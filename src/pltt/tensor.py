@@ -88,6 +88,19 @@ def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.
     return int(arr) if integer else float(arr)
 
 
+def check_pixel_axes(shape, cam_shape, proj_shape, coaxial):
+    """Check the first two axes of a tensor's or a measurement set's ``shape`` against its grids."""
+    s_cam, s_proj = shape[:2]
+    if s_cam != _flat(cam_shape):
+        raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, cam_shape))
+    expected = 1 if coaxial else _flat(proj_shape)
+    if s_proj != expected:
+        raise ValueError("projector axis %d does not match proj_shape %r (coaxial=%r)"
+                         % (s_proj, proj_shape, coaxial))
+    if coaxial and proj_shape != cam_shape:
+        raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
+
+
 @dataclass(frozen=True)
 class TransportTensor:
     """
@@ -124,15 +137,7 @@ class TransportTensor:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
         object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
-        s_cam, s_proj = data.shape[:2]
-        if s_cam != _flat(self.cam_shape):
-            raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, self.cam_shape))
-        expected = 1 if self.coaxial else _flat(self.proj_shape)
-        if s_proj != expected:
-            raise ValueError("projector axis %d does not match proj_shape %r (coaxial=%r)"
-                             % (s_proj, self.proj_shape, self.coaxial))
-        if self.coaxial and self.proj_shape != self.cam_shape:
-            raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
+        check_pixel_axes(data.shape, self.cam_shape, self.proj_shape, self.coaxial)
         object.__setattr__(self, "time_bin_width",
                            check_number(self.time_bin_width, "time_bin_width", above=0.0))
         if self.noise_std is not None:

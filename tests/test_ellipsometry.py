@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pltt.ellipsometry import (
     CHUNK_BYTES,
+    RANK_TOL,
     AngleSchedule,
+    Decoder,
+    MeasurementSet,
     _arm,
     capture,
     design_matrix,
@@ -19,6 +22,7 @@ from pltt.ellipsometry import (
     save_schedule,
 )
 from pltt.fileio import read_pltt, write_pltt
+from pltt.learning import evaluate
 from pltt.polarization import beamsplitter, galvo_mirror, linear_polarizer, quarter_wave_plate
 from pltt.scene import generate_ensemble
 from pltt.tensor import TransportTensor, epipolar_masks, probe
@@ -240,9 +244,33 @@ def test_design_rank_by_schedule_size():
 def test_design_matrix_and_pinv_truncated_agree_on_rank_and_cond(schedule, coaxial, split):
     design = design_matrix(schedule, coaxial=coaxial, split=split)
     _, rank, cond = pinv_truncated(design.a)
-    assert design.rank == rank
-    # the SVD with and without singular vectors may round differently
-    assert design.cond == pytest.approx(cond, rel=1e-12)
+    assert (design.rank, design.cond) == (rank, cond)
+    tensor = random_tensor(np.random.default_rng(5), coaxial, cam=(1, 1), bins=1)
+    result = reconstruct(capture(tensor, schedule, split=split))
+    assert (result.rank, result.cond) == (rank, cond)
+    if not coaxial:    # learning's designs are never coaxial
+        assert evaluate(schedule, np.zeros((1, 4, 4)), 1e-3)["design_rank"] == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 36),
+       mode=st.sampled_from(["intensity", "polarizer_array"]),
+       coaxial=st.booleans(),
+       # a split near 1e-308 leaves a design of subnormal entries
+       split=st.floats(1e-300, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_decoder_is_numpys_pseudoinverse_at_the_rank_cut(k, mode, coaxial, split, seed):
+    rng = np.random.default_rng(seed)
+    schedule = AngleSchedule(*rng.uniform(0, np.pi, size=(4, k)), sensor_mode=mode)
+    a = forward_model(schedule, coaxial, split).design()
+    s = np.linalg.svd(a, compute_uv=False)
+    cut = RANK_TOL * s[0]
+    # a singular value near the cut may fall on either side of it
+    assume(not ((s > cut / 100) & (s < cut * 100)).any())
+    decoder = Decoder(a)
+    assert decoder.rank == np.count_nonzero(s > cut)
+    want = np.linalg.pinv(a, rcond=RANK_TOL)
+    np.testing.assert_allclose(decoder.pinv, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
 def test_schedule_json_round_trip(tmp_path):
@@ -511,6 +539,14 @@ def test_pinv_truncated_rejects_zero_matrix():
     assert (design.rank, design.cond) == (0, np.inf)
     with pytest.raises(ValueError, match="identically zero"):
         pinv_truncated(design.a)
+
+
+def test_measurement_set_checks_its_pixel_axes():
+    # sets whose axes their grids do not describe, which a container cannot hold
+    with pytest.raises(ValueError, match="camera axis 3 does not match cam_shape"):
+        MeasurementSet(np.zeros((3, 1, 16, 2)), drr_schedule(16), True, (2, 2), (2, 2), BIN)
+    with pytest.raises(ValueError, match="projector axis 3 does not match proj_shape"):
+        MeasurementSet(np.zeros((4, 3, 16, 2)), drr_schedule(16), False, (2, 2), (2, 2), BIN)
 
 
 def test_schedule_validation():

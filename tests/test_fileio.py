@@ -12,6 +12,8 @@ from pltt.cli import main
 from pltt.ellipsometry import AngleSchedule, MeasurementSet, drr_schedule, schedule_to_dict
 from pltt.fileio import (
     MAGIC,
+    PlttWriter,
+    measurement_header,
     read_pltt,
     write_csv_grid,
     write_pgm,
@@ -277,11 +279,14 @@ def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
 
 
 def test_write_rejects_a_payload_its_header_does_not_describe(tmp_path):
-    # a measurement set does not check its camera axis against cam_shape
-    meas = MeasurementSet(np.zeros((3, 1, 16, 2)), drr_schedule(16), True, (2, 2), (2, 2), BIN)
+    # a writer handed three of a 2x2 measurement's four camera pixels
+    meas = MeasurementSet(np.zeros((4, 1, 16, 2)), drr_schedule(16), True, (2, 2), (2, 2), BIN)
+    header = measurement_header(meas, meas.schedule, meas.noise_sigma, meas.seed, meas.split)
     with pytest.raises(ValueError, match=r"PLTT payload has 96 values, its header dims "
                                          r"\(2, 2, 2, 2, 16, 1, 2\) need 128"):
-        write_pltt(tmp_path / "m.pltt", meas)
+        with PlttWriter(tmp_path / "m.pltt") as out:
+            out.write(meas.intensities[:3])
+            out.finish(header)
     assert not list(tmp_path.iterdir())
 
 

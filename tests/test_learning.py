@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pltt.ellipsometry import AngleSchedule, design_matrix, drr_schedule, pinv_truncated
+from pltt.ellipsometry import AngleSchedule, Decoder, design_matrix, drr_schedule, pinv_truncated
 from pltt.learning import (
     TrainingConfig,
     cross_validate,
@@ -262,6 +262,17 @@ def test_learning_and_scoring_draw_no_gaussian_noise(monkeypatch):
     evaluate(drr_schedule(6), samples, 1e-3)
     cross_validate(config, n_folds=3, comparison_schedules={"drr_6": drr_schedule(6)})
     assert wrapped   # learn and cross_validate shuffle with a wrapped generator
+
+
+def test_full_rank_white_noise_learning_never_forms_the_pseudoinverse(monkeypatch):
+    def refuse(decoder):
+        raise AssertionError("A+ formed")
+
+    monkeypatch.setattr(Decoder, "pinv", property(refuse))
+    samples = generate_ensemble(23, 30).samples
+    learn(TrainingConfig(samples=samples, k=12, sensor_mode="polarizer_array", iterations=10,
+                         batch_size=8, seed=1, eval_every=5))
+    assert evaluate(drr_schedule(16), samples, 1e-3)["design_rank"] == 16
 
 
 def test_noise_floor_matches_empirical_full_rank_loss():

@@ -8,7 +8,10 @@ Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
 on both scenes in the change checkout's ``tests/data``: simulate; capture,
 plain, with ``--mask epipolar``, with ``--split 0.3`` (the coaxial
 scene's beamsplitter) and noiseless (``--noise 0``), and each plain, split
-and noiseless capture's reconstruct;
+and noiseless capture's reconstruct; capture with ``--k 12`` (rank
+deficient), ``--k 16`` (ill-conditioned) and ``--mode polarizer_array --k
+5``, each followed by its reconstruct, so the minimum-norm solve and both
+reconstruct warnings run;
 decompose, also of one ``--bin``; pca, also with ``--c 2 --floor 1e-3``;
 descatter with no mask, ``epipolar`` and ``non_epipolar``, with ``--method
 lbfgs`` and with ``--mode intensity_only``; slices, among them ``s_e`` and ``s_n``, a camera and a projector index (on
@@ -67,6 +70,22 @@ def commands(resolution, seed):
                                    "--out", "recon_clean.pltt"]),
         ("reconstruct_split", ["reconstruct", "--measurements", "meas_split.pltt",
                                "--out", "recon_split.pltt"]),
+        # the decoder's other branches: rank 12 of 16 (UNDERDETERMINED, the
+        # minimum-norm solve), rank 16 at cond 2.3e5 (ILL-CONDITIONED) and a
+        # polarizer-array design with 20 rows of rank 13
+        ("capture_k12", ["capture", "--tensor", "truth.pltt", "--k", "12", "--noise", "5e-4",
+                         "--seed", seed, "--out", "meas_k12.pltt"]),
+        ("reconstruct_k12", ["reconstruct", "--measurements", "meas_k12.pltt",
+                             "--out", "recon_k12.pltt"]),
+        ("capture_k16", ["capture", "--tensor", "truth.pltt", "--k", "16", "--noise", "5e-4",
+                         "--seed", seed, "--out", "meas_k16.pltt"]),
+        ("reconstruct_k16", ["reconstruct", "--measurements", "meas_k16.pltt",
+                             "--out", "recon_k16.pltt"]),
+        ("capture_array_k5", ["capture", "--tensor", "truth.pltt", "--mode", "polarizer_array",
+                              "--k", "5", "--noise", "5e-4", "--seed", seed,
+                              "--out", "meas_array_k5.pltt"]),
+        ("reconstruct_array_k5", ["reconstruct", "--measurements", "meas_array_k5.pltt",
+                                  "--out", "recon_array_k5.pltt"]),
         ("decompose", ["decompose", "--tensor", "recon.pltt", "--out", "dec"]),
         ("decompose_truth", ["decompose", "--tensor", "truth.pltt", "--out", "dec_truth"]),
         ("decompose_bin", ["decompose", "--tensor", "recon.pltt", "--bin", "10",
