@@ -5,12 +5,12 @@ vectors, and an affine descattering fit that predicts a scatter-free
 intensity image from the 16 polarimetric channels of a summed tensor.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .learning import lbfgs
-from .tensor import check_number, fold
+from .tensor import Fold, check_number
 
 
 def arctan_map(m, c=8.0):
@@ -103,14 +103,17 @@ def pca_reconstruct(basis, coeffs):
     return coeffs @ basis.components[: coeffs.shape[1]] + basis.mean
 
 
-def summed_polarimetric_image(tensor, mask=None):
+def summed_polarimetric_image(tensor, mask=None, chunks=None):
     """
     Per-camera-pixel 4x4 Mueller image: the transport tensor summed
     over time bins and then folded over projector pixels, optionally
-    through a probe mask (dense tensors only).
+    through a probe mask (dense tensors only). Given (first camera pixel,
+    blocks) ``chunks`` of its payload, ``tensor`` may be a container Header,
+    as in ``fold``.
     """
-    summed = replace(tensor, data=tensor.data.sum(axis=4, keepdims=True))
-    return fold(summed, mask).data[:, 0, :, :, 0]
+    chunks = [(0, tensor.data)] if chunks is None else chunks
+    summed = ((start, blocks.sum(axis=4, keepdims=True)) for start, blocks in chunks)
+    return Fold(tensor, mask).run(summed, np.empty((tensor.n_cam, 4, 4, 1)))[..., 0]
 
 
 @dataclass(frozen=True)

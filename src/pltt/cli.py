@@ -15,8 +15,13 @@ array too large to allocate. Errors go to stderr as single lines
 prefixed ``error:``. Every command writes the JSON manifest
 ``<--out>.manifest.json``: its file arguments as ``inputs``, the files
 it wrote, its seed, its wall time and the process's peak RSS.
-``capture`` and ``reconstruct`` stream their containers over runs of
-camera pixels, so neither holds a whole tensor or measurement stack.
+Every command that reads a container streams it over runs of camera
+pixels of about ``ellipsometry.CHUNK_BYTES``, so none holds a whole
+transport tensor or measurement stack: ``capture`` and ``reconstruct``
+write their output a run at a time, ``decompose``, ``descatter`` and
+``slice`` keep only the projector fold or slice they read, and ``pca``
+only the blocks above the noise floor. ``simulate`` builds its tensor
+whole.
 """
 
 import argparse
@@ -56,7 +61,6 @@ from .fileio import (
     PlttReader,
     PlttWriter,
     measurement_header,
-    read_pltt,
     transport_header,
     write_csv_grid,
     write_pgm,
@@ -64,7 +68,7 @@ from .fileio import (
 )
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
-from .tensor import TransportTensor, check_number, epipolar_masks, fold
+from .tensor import Fold, check_number, epipolar_masks, fold
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,13 +97,6 @@ def _stem(path):
 _KIND_NAMES = {"transport": "transport tensor", "measurement": "measurement set"}
 
 
-def _read(path):
-    obj = read_pltt(path)
-    if not isinstance(obj, TransportTensor):
-        raise ValueError("%s does not hold a transport tensor" % path)
-    return obj
-
-
 def _open(path, kind):
     """A PlttReader of ``path``, whose payload must be of ``kind``."""
     src = PlttReader(path)
@@ -107,6 +104,12 @@ def _open(path, kind):
         src.close()
         raise ValueError("%s does not hold a %s" % (path, _KIND_NAMES[kind]))
     return src
+
+
+def _chunks(src):
+    """(first camera pixel, blocks) of an open transport file, ``CHUNK_BYTES`` at a time."""
+    head = src.header
+    return src.chunks(chunk_pixels(head.n_cam, head.record))
 
 
 def _index(value, what, size):
@@ -320,7 +323,8 @@ def cmd_learn_angles(args):
 
 def cmd_decompose(args):
     # the total-illumination Mueller image per bin
-    tensor = fold(_read(args.tensor))
+    with _open(args.tensor, "transport") as src:
+        tensor = fold(src.header, chunks=_chunks(src))
     if args.bin is not None:
         _index(args.bin, "bin", tensor.n_bins)
     decomp = decompose_tensor(tensor, floor_frac=args.floor)
@@ -353,9 +357,9 @@ def cmd_decompose(args):
 # --------------------------------------------------------------------- pca
 
 def cmd_pca(args):
-    tensor = _read(args.tensor)
-    blocks, lit = lit_blocks(tensor, args.floor)
-    blocks = blocks[lit]
+    with _open(args.tensor, "transport") as src:
+        tensor = src.header
+        blocks, _ = lit_blocks(tensor, args.floor, _chunks(src))
     if blocks.shape[0] < 2:
         raise ValueError("fewer than 2 usable Mueller blocks above the floor")
     obs = build_observation(blocks, c=args.c)
@@ -390,9 +394,9 @@ def cmd_pca(args):
 # --------------------------------------------------------------- descatter
 
 def cmd_descatter(args):
-    tensor = _read(args.tensor)
-    mask = _pick_mask(tensor, args.mask)
-    image = summed_polarimetric_image(tensor, mask)
+    with _open(args.tensor, "transport") as src:
+        tensor = src.header
+        image = summed_polarimetric_image(tensor, _pick_mask(tensor, args.mask), _chunks(src))
     with warnings.catch_warnings():     # an empty file is the size error below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         target = np.loadtxt(args.target, delimiter=",", ndmin=2)
@@ -442,12 +446,18 @@ def _int_slot(token, name, prefix=""):
     return int(m.group(1))
 
 
-def slice_images(tensor, expr):
+def slice_images(tensor, expr, chunks=None):
     """
     Evaluate a slice expression against a tensor; returns (suffix, image)
     pairs. Raises ValueError with a grammar hint. Every slot is read
     before the tensor is indexed, so a malformed expression fails the
     same way on any tensor.
+
+    The projector slot is resolved and checked first, then reduces
+    (first camera pixel, blocks) ``chunks`` of the tensor's payload, or its
+    data as one chunk, to an (S_cam, 4, 4, T) block: the masked fold for
+    ``s_e``/``s_n``, the diagonal for ``s`` and one projector pixel for an
+    index. ``chunks`` let ``tensor`` be a container Header.
     """
     text = expr.strip()
     negate = text.startswith("-")
@@ -477,27 +487,33 @@ def slice_images(tensor, expr):
         if name in sums and index is not None:
             raise ValueError("sum_%s conflicts with %s" % (name, what))
 
-    data = tensor.data
-    n_cam = data.shape[0]
+    n_cam = tensor.n_cam
     if proj in ("s_e", "s_n"):
-        mask = _pick_mask(tensor, "epipolar" if proj == "s_e" else "non_epipolar")
-        block = fold(tensor, mask).data[:, 0]
+        reduce = Fold(tensor, _pick_mask(tensor, "epipolar" if proj == "s_e" else "non_epipolar"))
     elif proj == "s" and tensor.coaxial:
-        block = data[:, 0]
+        reduce = Fold(tensor)     # a coaxial tensor's only s' is s
     elif proj == "s":
-        if data.shape[1] != n_cam:
+        if tensor.n_proj != n_cam:
             raise ValueError("diagonal slice needs matching camera and projector sizes")
-        block = data[np.arange(n_cam), np.arange(n_cam)]
+
+        def reduce(start, blocks, out):
+            out[...] = blocks[np.arange(len(blocks)), np.arange(start, start + len(blocks))]
     elif tensor.coaxial:
         raise ValueError("a coaxial tensor has no projector axis to index; use 's'")
     else:
-        block = data[:, _index(proj, "projector index", data.shape[1])]
+        index = _index(proj, "projector index", tensor.n_proj)
+
+        def reduce(start, blocks, out):
+            out[...] = blocks[:, index]
+    block = np.empty((n_cam, 4, 4, tensor.n_bins))
+    for start, blocks in [(0, tensor.data)] if chunks is None else chunks:
+        reduce(start, blocks, block[start:start + len(blocks)])
 
     if cam != "s":
         cam = _index(cam, "camera index", n_cam)
         block = block[cam : cam + 1]
     if t is not None:
-        _index(t, "time bin", data.shape[-1])
+        _index(t, "time bin", tensor.n_bins)
 
     # block axes 1..3 are p, p', t; each is fixed, summed, or enumerated
     labels = []
@@ -517,7 +533,8 @@ def slice_images(tensor, expr):
 
 
 def cmd_slice(args):
-    images = slice_images(_read(args.tensor), args.expr)
+    with _open(args.tensor, "transport") as src:
+        images = slice_images(src.header, args.expr, _chunks(src))
     outputs = []
     for suffix, image in images:
         outputs += _save_image(

@@ -23,6 +23,7 @@ produce (a negative eigenvalue of the coherency matrix; Cloude, Proc.
 SPIE 1166, 1989), and logs the counts once per call.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -191,15 +192,18 @@ def polar_decompose(m):
 
 @dataclass(frozen=True)
 class TensorDecomposition:
-    """Per-(pixel, bin) maps, NaN below the floor, fallback and realisability counts."""
+    """
+    Per-(pixel, bin) maps, NaN below the floor, fallback and realisability
+    counts, and ``factors``, the ``polar_decompose`` of the kept blocks only.
+    The full-grid factors ``m_depol``, ``m_ret`` and ``m_diat``, NaN below
+    the floor, are scattered from them when first read.
+    """
 
     polarizance: np.ndarray = field(repr=False)
     retardance: np.ndarray = field(repr=False)
     diattenuation: np.ndarray = field(repr=False)
-    m_depol: np.ndarray = field(repr=False)
-    m_ret: np.ndarray = field(repr=False)
-    m_diat: np.ndarray = field(repr=False)
     null_mask: np.ndarray = field(repr=False)
+    factors: DecompositionResult = field(repr=False)
     n_null: int = 0
     n_singular: int = 0
     n_negative_det: int = 0
@@ -207,30 +211,69 @@ class TensorDecomposition:
     n_clamped: int = 0
     n_unrealisable: int = 0
 
+    @functools.cached_property
+    def m_depol(self):
+        return _scatter(self.factors.m_depol, ~self.null_mask)
+
+    @functools.cached_property
+    def m_ret(self):
+        return _scatter(self.factors.m_ret, ~self.null_mask)
+
+    @functools.cached_property
+    def m_diat(self):
+        return _scatter(self.factors.m_diat, ~self.null_mask)
+
+
+def _scatter(values, lit):
+    """A grid of ``lit``'s shape holding ``values`` where it is True and NaN elsewhere."""
+    grid = np.full(lit.shape + values.shape[1:], np.nan)
+    grid[lit] = values
+    return grid
+
 
 def noise_floor(tensor):
     """NOISE_Z standard deviations of m00 under the tensor's noise model, or None without one."""
     return None if tensor.noise_std is None else NOISE_Z * float(tensor.noise_std[0, 0])
 
 
-def lit_blocks(tensor, floor_frac):
+def lit_blocks(tensor, floor_frac, chunks=None):
     """
-    A tensor's (S, P, T, 4, 4) Mueller blocks and the mask of lit ones.
+    A tensor's lit Mueller blocks, (n, 4, 4) in (s, s', t) order, and the
+    (S, P, T) mask of them.
 
     A block is lit when its m00 is positive, above floor_frac times the
     tensor's largest m00 and, for a tensor with a noise model, above
     ``noise_floor``: the decomposition is meaningless on dark pixels and
     on blocks that noise alone could produce. Without a noise model only
     the relative floor applies. floor_frac must be finite and in [0, 1).
-    A tensor's data is finite and read-only, so the blocks need no check.
+
+    The blocks are read from (first camera pixel, blocks) ``chunks`` of the
+    tensor's payload, which let ``tensor`` be a container Header, or from
+    its data as one chunk. Each chunk's blocks above the absolute floors
+    and the relative floor of the largest m00 so far are kept; the relative
+    floor of the largest m00 of all then drops the rest, so the blocks and
+    their order do not depend on the chunks. A tensor's data, and a chunk its reader
+    yields, are finite, so the blocks need no check.
     """
     floor_frac = check_number(floor_frac, "floor fraction", low=0.0, below=1.0)
-    blocks = tensor.data.transpose(0, 1, 4, 2, 3)
-    m00 = blocks[..., 0, 0]
-    floor = floor_frac * max(m00.max(), 0.0)
-    if tensor.noise_std is not None:
-        floor = max(floor, noise_floor(tensor))
-    return blocks, (m00 > floor) & (m00 > 0)
+    chunks = [(0, tensor.data)] if chunks is None else chunks
+    noise = noise_floor(tensor)
+    s_proj = 1 if tensor.coaxial else tensor.n_proj
+    lit = np.empty((tensor.n_cam, s_proj, tensor.n_bins), dtype=bool)
+    kept, peak = [], 0.0
+    for start, chunk in chunks:
+        m00 = chunk[:, :, 0, 0, :]
+        peak = max(peak, m00.max())
+        # the largest m00 only grows, so a block below the floor it sets now stays below
+        above = (m00 > 0) & (m00 > floor_frac * peak)
+        if noise is not None:
+            above &= m00 > noise
+        lit[start:start + len(chunk)] = above
+        kept.append(chunk.transpose(0, 1, 4, 2, 3)[above])
+    blocks = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    bright = blocks[:, 0, 0] > floor_frac * peak
+    lit[lit] = bright
+    return (blocks if bright.all() else blocks[bright]), lit
 
 
 # the Pauli matrices s_0..s_3, and the basis s_i kron conj(s_j) / 4 (as 16 rows) whose
@@ -264,19 +307,14 @@ def decompose_tensor(tensor, floor_frac=1e-6):
 
     Blocks that ``lit_blocks`` leaves out are NaN in every map and
     counted in ``n_null``. The rest go through one stack call of
-    ``polar_decompose``; ``n_unrealisable`` counts those among them that
-    are not physically realisable beyond the tensor's noise, if it has
-    a noise model.
+    ``polar_decompose``, kept as ``factors``; the scalar maps are
+    scattered onto the (S, P, T) grid at once, and the 4x4 factor grids
+    only when read. ``n_unrealisable`` counts the kept blocks that are not
+    physically realisable beyond the tensor's noise, if it has a noise
+    model.
     """
-    blocks, lit = lit_blocks(tensor, floor_frac)
-    kept = blocks[lit]
+    kept, lit = lit_blocks(tensor, floor_frac)
     res = polar_decompose(kept)
-
-    def scatter(values):
-        grid = np.full(lit.shape + values.shape[1:], np.nan)
-        grid[lit] = values
-        return grid
-
     counts = {key: int(getattr(res, flag).sum()) for key, flag in (
         ("n_singular", "singular_diattenuator"), ("n_negative_det", "negative_det_branch"),
         ("n_reorthogonalized", "reorthogonalized"), ("n_clamped", "retardance_clamped"))}
@@ -284,6 +322,7 @@ def decompose_tensor(tensor, floor_frac=1e-6):
     logger.log(logging.WARNING if counts["n_clamped"] else logging.INFO,
                "decomposed %d of %d blocks: %s", lit.sum(), lit.size,
                ", ".join("%s=%d" % kv for kv in counts.items()))
-    maps = {name: scatter(getattr(res, name)) for name in (
-        "polarizance", "retardance", "diattenuation", "m_depol", "m_ret", "m_diat")}
-    return TensorDecomposition(null_mask=~lit, n_null=int((~lit).sum()), **maps, **counts)
+    maps = {name: _scatter(getattr(res, name), lit)
+            for name in ("polarizance", "retardance", "diattenuation")}
+    return TensorDecomposition(null_mask=~lit, factors=res, n_null=int((~lit).sum()),
+                               **maps, **counts)

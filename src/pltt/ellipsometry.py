@@ -429,7 +429,9 @@ def chunk_pixels(n_cam, *records):
 class CaptureKernel:
     """
     The checked arguments of a capture of a tensor's layout (a
-    TransportTensor or a container Header) and its per-chunk step.
+    TransportTensor or a container Header) and its per-chunk step. A
+    design of rank 0, as a coaxial split of 0 or 1 gives, fails as
+    reconstruct fails on it.
 
     The noise is one ``SFC64(seed)`` stream of sigma * N(0, 1) draws, in
     the measurement's own (s, s', row, t) order: the draws of successive
@@ -442,6 +444,7 @@ class CaptureKernel:
         self.seed = None if seed is None else check_number(seed, "seed", low=0, integer=True)
         self.weights = None if masks is None else probe_weights(tensor, masks)
         self.a = forward_model(schedule, tensor.coaxial, self.split).design()
+        Decoder(self.a).pinv     # a record of an all-zero design would be noise alone
         self.rng = (np.random.Generator(np.random.SFC64(self.seed))
                     if self.noise_sigma > 0 else None)
         self.noise = np.empty(0)

@@ -67,7 +67,8 @@ class Header:
     measurement's schedule. A header the reader returns holds its checked
     values in ``meta``, a measurement's ``split`` among them; its
     properties are the ones a TransportTensor or a MeasurementSet of the
-    file has, so the capture and reconstruction kernels take either.
+    file has, so the per-chunk kernels (capture, reconstruction, the fold,
+    the lit blocks and the slice evaluator) take either.
     """
 
     kind: str
@@ -89,6 +90,10 @@ class Header:
         return self.dims[0] * self.dims[1]
 
     @property
+    def n_proj(self):
+        return self.dims[2] * self.dims[3]
+
+    @property
     def n_bins(self):
         return self.dims[6]
 
@@ -104,6 +109,14 @@ class Header:
     @property
     def time_bin_width(self):
         return self.meta["time_bin_width"]
+
+    @property
+    def channel_id(self):
+        return self.meta.get("channel_id", "mono")
+
+    @property
+    def noise_std(self):
+        return self.meta.get("noise_std")
 
     @property
     def noise_sigma(self):
@@ -341,8 +354,7 @@ def read_pltt(path):
         payload = src.read(head.n_cam)
     if head.kind == "transport":
         return TransportTensor(payload, head.cam_shape, head.proj_shape, head.time_bin_width,
-                               head.meta.get("channel_id", "mono"), head.coaxial,
-                               head.meta["noise_std"])
+                               head.channel_id, head.coaxial, head.noise_std)
     return MeasurementSet(payload, head.schedule, head.coaxial, head.cam_shape, head.proj_shape,
                           head.time_bin_width, head.noise_sigma, head.seed,
                           head.meta.get("provenance", ""), head.split)

@@ -89,7 +89,12 @@ def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.
 
 
 def check_pixel_axes(shape, cam_shape, proj_shape, coaxial):
-    """Check the first two axes of a tensor's or a measurement set's ``shape`` against its grids."""
+    """
+    Check that each grid is two positive integers, and the first two axes
+    of a tensor's or a measurement set's ``shape`` against the grids.
+    """
+    for name, grid in (("cam_shape", cam_shape), ("proj_shape", proj_shape)):
+        check_number(grid, name, low=1, shape=(2,), integer=True)
     s_cam, s_proj = shape[:2]
     if s_cam != _flat(cam_shape):
         raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, cam_shape))
@@ -319,24 +324,71 @@ def probe(tensor, mask):
                            tensor.time_bin_width, tensor.channel_id, False)
 
 
-def fold(tensor, mask=None):
+class Fold:
+    """
+    The per-chunk kernel of a fold through an optional probe mask, for a
+    layout (a TransportTensor or a container Header) the mask is checked
+    against before any block is read: ``fold``, ``summed_polarimetric_image``
+    and the slice evaluator's ``s_e``/``s_n`` run it over runs of camera
+    pixels of a tensor's data or of its file.
+    """
+
+    def __init__(self, layout, mask=None):
+        self.coaxial = layout.coaxial
+        self.weight = None if mask is None else probe_weights(layout, mask)
+
+    def __call__(self, start, blocks, out):
+        """
+        Fill ``out`` (n, 4, 4, T) with sum_{s'} w[s, s'] blocks[s, s'] of the
+        (n, S_proj, 4, 4, T) ``blocks`` of camera pixels ``start`` to
+        ``start + n``: w is the mask's rows, or ones without a mask, and a
+        coaxial tensor's only s' is s.
+        """
+        if self.weight is not None:
+            weight = self.weight[start:start + len(blocks)]
+        elif self.coaxial:
+            out[...] = blocks[:, 0]
+            return out
+        else:
+            weight = np.ones(blocks.shape[:2])
+        # each camera pixel's sum runs over s' in order, so chunks change no bit
+        return np.einsum("sx,sxpqt->spqt", weight, blocks, out=out)
+
+    def run(self, chunks, out):
+        """Fill ``out`` (S_cam, 4, 4, T) from (first camera pixel, blocks) ``chunks``."""
+        for start, blocks in chunks:
+            self(start, blocks, out[start:start + len(blocks)])
+        return out
+
+
+def fold(tensor, mask=None, chunks=None):
     """
     F(s, 0, p, p', t) = sum_{s'} mask[s, s'] T(s, s', p, p', t), with proj_shape (1, 1).
 
-    A coaxial tensor, whose only s' is s, is its own fold and takes no mask.
+    A coaxial tensor, whose only s' is s, is its own fold (a copy, when read
+    from chunks) and takes no mask.
     Without a mask the sum of S_proj independent noises has sqrt(S_proj)
     times their std; a masked fold carries no noise model.
+
+    ``chunks``, (first camera pixel, blocks) pairs of ``tensor``'s payload,
+    let ``tensor`` be a container Header: the fold then holds one chunk of
+    blocks at a time besides its (S_cam, 1, 4, 4, T) output. Without them
+    the tensor's data is the one chunk.
     """
-    if mask is None:
-        if tensor.coaxial:
+    itself = mask is None and tensor.coaxial
+    if chunks is None:
+        if itself:
             return tensor
-        weight = np.ones(tensor.data.shape[:2])
-        std = None if tensor.noise_std is None else tensor.noise_std * np.sqrt(weight.shape[1])
-    else:
-        weight, std = probe_weights(tensor, mask), None
-    data = np.einsum("sx,sxpqt->spqt", weight, tensor.data)[:, None]
-    return TransportTensor(data, tensor.cam_shape, (1, 1), tensor.time_bin_width,
-                           tensor.channel_id, False, std)
+        chunks = [(0, tensor.data)]
+    data = np.empty((tensor.n_cam, 1, 4, 4, tensor.n_bins))
+    Fold(tensor, mask).run(chunks, data[:, 0])
+    proj_shape, std = (1, 1), None
+    if itself:
+        proj_shape, std = tensor.proj_shape, tensor.noise_std
+    elif mask is None and tensor.noise_std is not None:
+        std = tensor.noise_std * np.sqrt(tensor.n_proj)
+    return TransportTensor(data, tensor.cam_shape, proj_shape, tensor.time_bin_width,
+                           tensor.channel_id, itself, std)
 
 
 def epipolar_masks(cam_shape, proj_shape):

@@ -277,6 +277,16 @@ def test_reconstruct_uses_the_split_stored_with_the_measurements(tmp_path, capsy
     assert err.startswith("error:") and "conflicts" in err
 
 
+@pytest.mark.parametrize("split", ["0", "1"])
+def test_capture_of_a_split_that_sends_no_light_one_way_exits_two(tmp_path, capsys, split):
+    tensor_path = simulate(tmp_path, MIRROR_SCENE)
+    capsys.readouterr()
+    assert main(["capture", "--tensor", tensor_path, "--split", split, "--noise", "1e-3",
+                 "--out", str(tmp_path / "meas.pltt")]) == 2
+    assert capsys.readouterr().err == "error: design matrix is identically zero\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("meas")) == []
+
+
 def rewrite_metadata(path, edit):
     # replace the trailing JSON block of a PLTT file by edit(metadata)
     blob = open(path, "rb").read()

@@ -489,6 +489,14 @@ def test_capture_rejects_a_split_outside_the_unit_interval():
         capture(tensor, drr_schedule(4), split=1.5)
 
 
+@pytest.mark.parametrize("split", [0.0, 1.0])
+def test_capture_refuses_a_split_that_sends_no_light_one_way(split):
+    # the design is all zero: the record would be noise alone, and reconstruct refuses it
+    tensor = random_tensor(np.random.default_rng(15), True)
+    with pytest.raises(ValueError, match="^design matrix is identically zero$"):
+        capture(tensor, drr_schedule(36), noise_sigma=1e-3, seed=1, split=split)
+
+
 def test_coaxial_capture_folds_the_optics():
     # one coaxial pixel: the measured row must equal the coaxial design
     # matrix applied to the block, which bakes in splitter and galvo
@@ -547,6 +555,11 @@ def test_measurement_set_checks_its_pixel_axes():
         MeasurementSet(np.zeros((3, 1, 16, 2)), drr_schedule(16), True, (2, 2), (2, 2), BIN)
     with pytest.raises(ValueError, match="projector axis 3 does not match proj_shape"):
         MeasurementSet(np.zeros((4, 3, 16, 2)), drr_schedule(16), False, (2, 2), (2, 2), BIN)
+    # grids of other than two positive integers
+    for cam, proj, name in (((2, 2, 1), (2, 2, 1), "cam_shape"), ((4,), (4,), "cam_shape"),
+                            ((2, 2), (2, 0), "proj_shape")):
+        with pytest.raises(ValueError, match="%s must be a list of 2 integers >= 1" % name):
+            MeasurementSet(np.zeros((4, 1, 16, 2)), drr_schedule(16), True, cam, proj, BIN)
 
 
 def test_schedule_validation():

@@ -368,6 +368,15 @@ def test_transport_tensor_validation():
             TransportTensor(good, (2, 2), (2, 2), BIN, coaxial=True, noise_std=std)
 
 
+@pytest.mark.parametrize("cam, proj", [((2, 2, 1), (2, 2, 1)), ((4,), (4,)), ((2, 2), (4,)),
+                                       ((0, 4), (0, 4)), ((2, 2), (2, 2, 1))])
+def test_each_grid_is_two_positive_integers(cam, proj):
+    # an extra or missing entry, or a zero, is a ValueError naming the grid at construction
+    name = "cam_shape" if len(cam) != 2 or min(cam) < 1 else "proj_shape"
+    with pytest.raises(ValueError, match="%s must be a list of 2 integers >= 1" % name):
+        TransportTensor(np.zeros((4, 1, 4, 4, 1)), cam, proj, BIN, coaxial=True)
+
+
 def test_detected_tensor_shape_checks():
     DetectedTensor(np.zeros((4, 4, 3)), (2, 2), BIN)
     with pytest.raises(ValueError):

@@ -11,16 +11,19 @@ scene's beamsplitter) and noiseless (``--noise 0``), and each plain, split
 and noiseless capture's reconstruct; capture with ``--k 12`` (rank
 deficient), ``--k 16`` (ill-conditioned) and ``--mode polarizer_array --k
 5``, each followed by its reconstruct, so the minimum-norm solve and both
-reconstruct warnings run;
-decompose, also of one ``--bin``; pca, also with ``--c 2 --floor 1e-3``;
-descatter with no mask, ``epipolar`` and ``non_epipolar``, with ``--method
-lbfgs`` and with ``--mode intensity_only``; slices, among them ``s_e`` and ``s_n``, a camera and a projector index (on
-the coaxial scene the masks and the projector index fail alike on both
-sides), and two expressions that must fail, one malformed and one out of
-range; ``learn-angles`` on a small K=6 ``polarizer_array`` config, then a
-capture with the learned schedule and its reconstruction. Each command
-runs in its own Python process, and each checkout in its own temporary
-directory, with relative paths, so both sides see the same arguments.
+reconstruct warnings run; decompose, also of one ``--bin``; pca, also
+with ``--c 2 --floor 1e-3`` and with ``--floor 0`` (every block with
+m00 > 0, the most blocks a streamed pca keeps); descatter with no mask,
+``epipolar`` and ``non_epipolar``, with ``--method lbfgs`` and with
+``--mode intensity_only``; slices, among them ``s_e`` and ``s_n``, a
+camera index, the last camera pixel (the end of the last chunk) and a
+projector index (on the coaxial scene the masks and the projector index
+fail alike on both sides), and two expressions that must fail, one
+malformed and one out of range; ``learn-angles`` on a small K=6
+``polarizer_array`` config, then a capture with the learned schedule and
+its reconstruction. Each command runs in its own Python process, and each
+checkout in its own temporary directory, with relative paths, so both
+sides see the same arguments.
 
 Every output file is compared byte for byte, except the manifests, which
 are compared as JSON without their ``duration_s`` and ``peak_rss_mb``.
@@ -54,6 +57,7 @@ def commands(resolution, seed):
     (label, argv) pairs; each scene runs in a fresh directory holding
     scene.json and learn.json.
     """
+    h, w = (int(v) for v in resolution.split("x"))
     return [
         ("simulate", ["simulate", "--scene", "scene.json", "--resolution", resolution,
                       "--bins", "16", "--bin-width", "1e-10", "--out", "truth.pltt"]),
@@ -93,6 +97,8 @@ def commands(resolution, seed):
         ("pca", ["pca", "--tensor", "recon.pltt", "--out", "pca"]),
         ("pca_compressed", ["pca", "--tensor", "recon.pltt", "--c", "2", "--floor", "1e-3",
                             "--out", "pca_c2"]),
+        ("pca_floor_zero", ["pca", "--tensor", "recon.pltt", "--floor", "0",
+                            "--out", "pca_f0"]),
         # the direct (diagonal) light of the truth is the descatter target
         ("target", ["slice", "--tensor", "truth.pltt", "--expr", "sum_t T(s, s, 0, 0, t)",
                     "--out", "target"]),
@@ -116,6 +122,8 @@ def commands(resolution, seed):
                             "--out", "slice_d"]),
         ("slice_camera", ["slice", "--tensor", "recon.pltt", "--expr", "T(3, s, 0, 0, t=10)",
                           "--out", "slice_cam"]),
+        ("slice_last_camera", ["slice", "--tensor", "recon.pltt", "--expr",
+                               "sum_t T(%d, s, :, :, t)" % (h * w - 1), "--out", "slice_last"]),
         ("slice_projector", ["slice", "--tensor", "recon.pltt", "--expr", "T(s, 5, :, 0, t=10)",
                              "--out", "slice_proj"]),
         ("slice_summed", ["slice", "--tensor", "recon.pltt", "--expr",
