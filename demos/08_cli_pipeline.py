@@ -14,9 +14,10 @@ import numpy as np
 
 from pltt.cli import main
 
-workdir = tempfile.mkdtemp(prefix="pltt_demo_")
-os.chdir(workdir)
-print("working in %s\n" % workdir)
+# removed at the end, or when the interpreter exits if a step fails
+workdir = tempfile.TemporaryDirectory(prefix="pltt_demo_")
+os.chdir(workdir.name)
+print("working in %s\n" % workdir.name)
 
 
 def run(argv):
@@ -76,3 +77,6 @@ print("reconstruct ran as %r in %.3f s, config hash %s..."
 files = sorted(os.listdir("."))
 print("\n%d files produced:" % len(files))
 print("  " + "\n  ".join(files))
+
+os.chdir(os.path.dirname(workdir.name))
+workdir.cleanup()

@@ -22,14 +22,21 @@ One container serves two kinds, each stored as its in-memory array
   metadata ride in the JSON block (a file without ``split`` is read as
   0.5), with a ``geometry_mode`` that repeats the coaxial flag.
 
+A ``Header`` holds a file's checked, typed values: its kind, grids,
+geometry and bin count, the fields of its JSON block and a measurement's
+schedule. The seven header slots (``dims``), one camera pixel's payload
+shape (``record``) and the JSON block (``meta``) are derived from them,
+so the writer writes what the reader checks.
+
 The payload is a run of camera pixels, each one record of the kind's
 shape less its first axis, and both directions stream it in those
 records. ``PlttReader`` checks everything but the payload before it uses
-a payload byte: the file length against the header dims, the JSON block,
-each kind's fixed header slots (a transport's 4x4 block, a measurement's
-dim_q and its K' against its schedule's row count), each kind's required
-metadata keys and their values, and a measurement's geometry_mode
-against the coaxial flag; it raises ValueError naming what is wrong.
+a payload byte: the coaxial flag, the file length against the header
+dims, the JSON block, each kind's required metadata keys and their
+values, a measurement's geometry_mode against the coaxial flag, and each
+kind's fixed header slots against the dims of the Header it builds (a
+transport's 4x4 block, a measurement's dim_q and its K' against its
+schedule's row count); it raises ValueError naming what is wrong.
 It then ``readinto``s runs of camera pixels into one reused buffer (not
 ``np.memmap``, whose touched pages count in resident memory), and checks
 that a transport's are finite. ``PlttWriter`` writes the payload
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
+from .ellipsometry import AngleSchedule, MeasurementSet, schedule_from_dict, schedule_to_dict
 from .tensor import TRANSPORT_SHAPE, TransportTensor, check_number
 
 MAGIC = b"PLTT-TENSOR-v001"
@@ -60,80 +67,66 @@ _SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
 _GEOMETRY = {False: "projector_camera", True: "coaxial"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Header:
     """
-    A PLTT file's header slots, coaxial flag and JSON metadata, and a
-    measurement's schedule. A header the reader returns holds its checked
-    values in ``meta``, a measurement's ``split`` among them; its
-    properties are the ones a TransportTensor or a MeasurementSet of the
-    file has, so the per-chunk kernels (capture, reconstruction, the fold,
-    the lit blocks and the slice evaluator) take either.
+    A PLTT file's checked, typed values, named as a TransportTensor's or a
+    MeasurementSet's, so the per-chunk kernels (capture, reconstruction,
+    the fold, the lit blocks and the slice evaluator) take either; the
+    header slots ``dims``, the per-pixel ``record`` and the JSON block
+    ``meta`` are derived from them. Headers compare by identity, as
+    ``noise_std`` and ``schedule`` hold arrays.
     """
 
     kind: str
-    dims: tuple
+    cam_shape: tuple
+    proj_shape: tuple
     coaxial: bool
-    meta: dict
-    schedule: object = None
-
-    @property
-    def cam_shape(self):
-        return self.dims[1], self.dims[0]
-
-    @property
-    def proj_shape(self):
-        return self.dims[3], self.dims[2]
+    n_bins: int
+    time_bin_width: float
+    channel_id: str = "mono"
+    provenance: str = ""
+    noise_std: np.ndarray = None
+    schedule: AngleSchedule = None
+    noise_sigma: float = 0.0
+    seed: int = None
+    split: float = 0.5
 
     @property
     def n_cam(self):
-        return self.dims[0] * self.dims[1]
+        return math.prod(self.cam_shape)
 
     @property
     def n_proj(self):
-        return self.dims[2] * self.dims[3]
+        return math.prod(self.proj_shape)
 
     @property
-    def n_bins(self):
-        return self.dims[6]
+    def dims(self):
+        """The seven u32 header slots; a measurement's dim_p is its schedule's row count."""
+        (cam_h, cam_w), (proj_h, proj_w) = self.cam_shape, self.proj_shape
+        dim_p, dim_q = (4, 4) if self.kind == "transport" else (self.schedule.n_rows, 1)
+        return cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, self.n_bins
 
     @property
     def record(self):
         """The payload shape of one camera pixel."""
-        s_proj = 1 if self.coaxial else self.dims[2] * self.dims[3]
-        dim_p, dim_q, n_bins = self.dims[4:]
+        s_proj = 1 if self.coaxial else self.n_proj
         if self.kind == "transport":
-            return s_proj, dim_p, dim_q, n_bins
-        return s_proj, dim_p, n_bins
+            return s_proj, 4, 4, self.n_bins
+        return s_proj, self.schedule.n_rows, self.n_bins
 
     @property
-    def time_bin_width(self):
-        return self.meta["time_bin_width"]
-
-    @property
-    def channel_id(self):
-        return self.meta.get("channel_id", "mono")
-
-    @property
-    def noise_std(self):
-        return self.meta.get("noise_std")
-
-    @property
-    def noise_sigma(self):
-        return self.meta["noise_sigma"]
-
-    @property
-    def seed(self):
-        return self.meta["seed"]
-
-    @property
-    def split(self):
-        return self.meta["split"]
-
-
-def _dims(layout, dim_p, dim_q):
-    (cam_h, cam_w), (proj_h, proj_w) = layout.cam_shape, layout.proj_shape
-    return cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, layout.n_bins
+    def meta(self):
+        """The JSON block."""
+        meta = {"kind": self.kind, "time_bin_width": self.time_bin_width,
+                "channel_id": self.channel_id, "provenance": self.provenance}
+        if self.noise_std is not None:
+            meta["noise_std"] = self.noise_std.ravel().tolist()
+        if self.kind == "measurement":
+            meta.update(schedule=schedule_to_dict(self.schedule),
+                        geometry_mode=_GEOMETRY[self.coaxial], noise_sigma=self.noise_sigma,
+                        seed=self.seed, split=self.split)
+        return meta
 
 
 def transport_header(layout, noise_std=None, channel_id="mono", provenance=""):
@@ -141,21 +134,15 @@ def transport_header(layout, noise_std=None, channel_id="mono", provenance=""):
     The header of a transport tensor with the grids, geometry, bin count
     and bin width of ``layout`` (a tensor, a measurement set or a Header).
     """
-    meta = {"kind": "transport", "time_bin_width": layout.time_bin_width,
-            "channel_id": channel_id, "provenance": provenance}
-    if noise_std is not None:
-        meta["noise_std"] = noise_std.ravel().tolist()
-    return Header("transport", _dims(layout, 4, 4), layout.coaxial, meta)
+    return Header("transport", layout.cam_shape, layout.proj_shape, layout.coaxial,
+                  layout.n_bins, layout.time_bin_width, channel_id, provenance, noise_std)
 
 
 def measurement_header(layout, schedule, noise_sigma, seed, split, provenance=""):
     """The header of a measurement set of ``layout`` captured with a schedule."""
-    meta = {"kind": "measurement", "time_bin_width": layout.time_bin_width,
-            "channel_id": "mono", "provenance": provenance,
-            "schedule": schedule_to_dict(schedule), "geometry_mode": _GEOMETRY[layout.coaxial],
-            "noise_sigma": noise_sigma, "seed": seed, "split": split}
-    return Header("measurement", _dims(layout, schedule.n_rows, 1), layout.coaxial, meta,
-                  schedule)
+    return Header("measurement", layout.cam_shape, layout.proj_shape, layout.coaxial,
+                  layout.n_bins, layout.time_bin_width, provenance=provenance,
+                  schedule=schedule, noise_sigma=noise_sigma, seed=seed, split=split)
 
 
 class PlttWriter:
@@ -220,13 +207,6 @@ _REQUIRED_KEYS = {
     "measurement": ("time_bin_width", "schedule", "geometry_mode", "noise_sigma", "seed"),
 }
 
-# header slots each payload kind fixes; a measurement's dim_p is its
-# schedule's row count
-_FIXED_SLOTS = {
-    "transport": {"dim_p": 4, "dim_q": 4},
-    "measurement": {"dim_q": 1},
-}
-
 
 def _read_header(fh):
     """A PLTT file's checked Header; reads the metadata and leaves ``fh`` at the payload."""
@@ -237,7 +217,9 @@ def _read_header(fh):
     if len(head) < _PREFIX:
         raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(head), _PREFIX))
     dims = _HEADER.unpack_from(head, len(MAGIC))
-    coaxial = bool(head[-1])
+    if head[-1] > 1:
+        raise ValueError("PLTT coaxial flag must be 0 or 1, got %d" % head[-1])
+    coaxial = head[-1] == 1
     cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
     s_proj = 1 if coaxial else proj_w * proj_h
     count = cam_w * cam_h * s_proj * dim_p * dim_q * n_bins
@@ -259,19 +241,30 @@ def _read_header(fh):
     for key in _REQUIRED_KEYS[kind]:
         if key not in meta:
             raise ValueError("PLTT %s metadata lacks the required key %r" % (kind, key))
+    # the values the in-memory objects check, checked before the payload is read
     std = meta.get("noise_std")
     if std is not None:
-        std = check_number(std, "PLTT metadata key 'noise_std'", low=0.0, shape=(16,))
-    fixed = dict(_FIXED_SLOTS[kind])
-    schedule = None
+        std = check_number(std, "PLTT metadata key 'noise_std'", low=0.0,
+                           shape=(16,)).reshape(4, 4)
+    measured = {}
     if kind == "measurement":
         schedule = schedule_from_dict(meta["schedule"])
-        fixed["dim_p"] = schedule.n_rows
         if meta["geometry_mode"] != _GEOMETRY[coaxial]:
             raise ValueError("PLTT measurement metadata geometry_mode %r disagrees with the "
                              "header's coaxial flag %d" % (meta["geometry_mode"], coaxial))
-    for slot, want in fixed.items():
-        value = dims[_SLOTS.index(slot)]
+        seed = meta["seed"]
+        measured = dict(
+            schedule=schedule,
+            noise_sigma=check_number(meta["noise_sigma"], "noise_sigma", low=0.0),
+            # files written before the split was stored were reconstructed at 0.5
+            split=check_number(meta.get("split", 0.5), "split", low=0.0, high=1.0),
+            seed=None if seed is None else check_number(seed, "seed", low=0, integer=True))
+    header = Header(kind, (cam_h, cam_w), (proj_h, proj_w), coaxial, n_bins,
+                    check_number(meta["time_bin_width"], "time_bin_width", above=0.0),
+                    meta.get("channel_id", "mono"), meta.get("provenance", ""), std, **measured)
+    # the Header's dims restate the file's but for the slots its kind fixes:
+    # a transport's 4x4 block, a measurement's dim_q and its schedule's row count
+    for slot, value, want in zip(_SLOTS, dims, header.dims):
         if value != want:
             raise ValueError("PLTT %s header slot %s is %d, must be %d"
                              % (kind, slot, value, want))
@@ -279,18 +272,7 @@ def _read_header(fh):
         raise ValueError("PLTT header dims %r hold no payload" % (dims,))
     if coaxial and (proj_w, proj_h) != (cam_w, cam_h):
         raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
-    # the values the in-memory objects check, checked before the payload is read
-    checked = {"time_bin_width": check_number(meta["time_bin_width"], "time_bin_width",
-                                              above=0.0),
-               "noise_std": None if std is None else std.reshape(4, 4)}
-    if kind == "measurement":
-        seed = meta["seed"]
-        checked.update(
-            noise_sigma=check_number(meta["noise_sigma"], "noise_sigma", low=0.0),
-            # files written before the split was stored were reconstructed at 0.5
-            split=check_number(meta.get("split", 0.5), "split", low=0.0, high=1.0),
-            seed=None if seed is None else check_number(seed, "seed", low=0, integer=True))
-    return Header(kind, dims, coaxial, dict(meta, **checked), schedule)
+    return header
 
 
 class PlttReader:
@@ -356,8 +338,8 @@ def read_pltt(path):
         return TransportTensor(payload, head.cam_shape, head.proj_shape, head.time_bin_width,
                                head.channel_id, head.coaxial, head.noise_std)
     return MeasurementSet(payload, head.schedule, head.coaxial, head.cam_shape, head.proj_shape,
-                          head.time_bin_width, head.noise_sigma, head.seed,
-                          head.meta.get("provenance", ""), head.split)
+                          head.time_bin_width, head.noise_sigma, head.seed, head.provenance,
+                          head.split)
 
 
 # ---------------------------------------------------------------------------

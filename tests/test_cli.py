@@ -356,10 +356,19 @@ def test_geometry_mode_disagreeing_with_the_header_exits_two(tmp_path, capsys, s
 
 def test_measurements_without_a_stored_split_read_as_one_half(tmp_path):
     tensor_path = simulate(tmp_path, mirror_scene(0.015), bins=4)
-    meas_path = str(tmp_path / "meas.pltt")
-    assert main(["capture", "--tensor", tensor_path, "--k", "16", "--out", meas_path]) == 0
-    rewrite_metadata(meas_path, lambda meta: {k: v for k, v in meta.items() if k != "split"})
-    assert read_pltt(meas_path).split == 0.5
+    # reconstruct names its input in the provenance, so both inputs are meas.pltt
+    old, new = tmp_path / "old", tmp_path / "new"
+    for out in (old, new):
+        out.mkdir()
+        assert main(["capture", "--tensor", tensor_path, "--k", "16",
+                     "--out", str(out / "meas.pltt")]) == 0
+    rewrite_metadata(str(old / "meas.pltt"),
+                     lambda meta: {k: v for k, v in meta.items() if k != "split"})
+    assert read_pltt(old / "meas.pltt").split == 0.5
+    for out in (old, new):
+        assert main(["reconstruct", "--measurements", str(out / "meas.pltt"),
+                     "--out", str(out / "recon.pltt")]) == 0
+    assert (old / "recon.pltt").read_bytes() == (new / "recon.pltt").read_bytes()
 
 
 @functools.lru_cache(maxsize=None)

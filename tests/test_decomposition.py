@@ -2,12 +2,14 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import binom, norm
 
 from pltt.decomposition import (
     NOISE_Z,
+    _COHERENCY,
     _retardance_of,
     decompose_tensor,
     diattenuation,
@@ -153,6 +155,27 @@ def test_ensemble_recomposition_below_tolerance():
         checked += 1
         assert np.abs(result.recompose() - m).max() < 1e-8
     assert checked > 250
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rank=st.integers(1, 4))
+def test_physical_blocks_recompose_property(data, rank):
+    # a mixture of `rank` Jones systems: coherency H = G G^H is positive semidefinite,
+    # and the inverse of the coherency map takes it to a realisable Mueller block
+    part = arrays(np.float64, (4, rank), elements=st.floats(-1.0, 1.0))
+    g = data.draw(part, label="real") + 1j * data.draw(part, label="imag")
+    coherency = g @ g.conj().T
+    m = (coherency.reshape(16) @ np.linalg.inv(_COHERENCY)).real.reshape(4, 4)
+    assume(m[0, 0] > 1e-6)
+    result = polar_decompose(m)
+    # a singular diattenuator or a retarder snapped to a rotation is a flagged
+    # fallback; with a singular depolarizer the snapped retarder need not recompose
+    assume(not result.singular_diattenuator and not result.reorthogonalized)
+    # inverting the diattenuator amplifies rounding by its condition number
+    # (1 + D) / (1 - D), which reaches about 2e9 at the singular cut 1 - D = 1e-9
+    d = result.diattenuation
+    tol = max(1e-8, 1e-14 * (1.0 + d) / (1.0 - d))
+    assert np.abs(result.recompose() - m).max() <= tol * m[0, 0]
 
 
 def test_decompose_rejects_nonpositive_throughput():

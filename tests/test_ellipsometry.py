@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pltt.ellipsometry import (
     CHUNK_BYTES,
@@ -312,6 +313,26 @@ def test_noiseless_round_trip(coaxial):
     assert result.rank == 16
     np.testing.assert_allclose(result.tensor.data, tensor.data, atol=1e-9)
     assert result.residual_norms.max() < 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["intensity", "polarizer_array"]),
+       coaxial=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_noiseless_recovery_property(data, mode, coaxial, seed):
+    # ROADMAP correctness aim: reconstruct(capture(T)) = T for every rank-16 design,
+    # to rounding that grows with the design's condition number
+    k = data.draw(st.integers(16, 36) if mode == "intensity" else st.integers(4, 12), label="k")
+    angle = st.floats(-np.pi, np.pi, exclude_min=True, exclude_max=True)
+    schedule = AngleSchedule(*(data.draw(arrays(np.float64, k, elements=angle), label=name)
+                               for name in ("theta1", "theta2", "theta3", "theta4")),
+                             sensor_mode=mode)
+    split = data.draw(st.floats(0.05, 0.95), label="split") if coaxial else 0.5
+    decoder = design_matrix(schedule, coaxial=coaxial, split=split)
+    assume(decoder.rank == 16 and decoder.cond <= 1e6)
+    tensor = random_tensor(np.random.default_rng(seed), coaxial, cam=(1, 2))
+    result = reconstruct(capture(tensor, schedule, split=split))
+    error = np.abs(result.tensor.data - tensor.data).max()
+    assert error <= 1e-12 * decoder.cond * np.abs(tensor.data).max()
 
 
 def test_reconstruction_is_linear_in_the_tensor():

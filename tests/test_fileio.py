@@ -250,6 +250,88 @@ def test_unknown_payload_kind_exits_two(tmp_path, capsys, kind):
     assert err == "error: unknown PLTT payload kind '%s'\n" % kind
 
 
+# magic, the seven u32 header slots, the coaxial flag
+PREFIX = len(MAGIC) + 7 * 4 + 1
+
+
+def _split_trailer(path):
+    """(the bytes before a PLTT file's JSON block, the block)."""
+    blob = path.read_bytes()
+    obj = read_pltt(path)
+    payload = obj.intensities if isinstance(obj, MeasurementSet) else obj.data
+    end = PREFIX + 8 * payload.size
+    return blob[:end], blob[end:]
+
+
+def _drop_keys(path, *keys):
+    """Rewrite a PLTT file as a writer that did not store ``keys`` left it."""
+    head, block = _split_trailer(path)
+    meta = {k: v for k, v in json.loads(block).items() if k not in keys}
+    path.write_bytes(head + json.dumps(meta, sort_keys=True).encode("utf-8"))
+
+
+@pytest.mark.parametrize("flag", [2, 255])
+def test_a_coaxial_flag_other_than_zero_or_one_exits_two(tmp_path, capsys, flag):
+    path = tmp_path / "t.pltt"
+    write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN,
+                                     coaxial=True))
+    blob = bytearray(path.read_bytes())
+    assert blob[PREFIX - 1] == 1
+    blob[PREFIX - 1] = flag
+    path.write_bytes(bytes(blob))
+    message = "PLTT coaxial flag must be 0 or 1, got %d" % flag
+    with pytest.raises(ValueError, match=message):
+        read_pltt(path)
+    assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_a_trailer_without_kind_or_channel_id_reads_as_a_mono_transport(tmp_path):
+    path = tmp_path / "t.pltt"
+    write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN,
+                                     channel_id="red"))
+    _drop_keys(path, "kind", "channel_id")
+    back = read_pltt(path)
+    assert isinstance(back, TransportTensor)
+    assert back.channel_id == "mono"
+
+
+def test_a_measurement_trailer_without_provenance_reads_as_empty(tmp_path):
+    path = tmp_path / "m.pltt"
+    write_pltt(path, MeasurementSet(np.zeros((1, 1, 16, 1)), drr_schedule(16), False, (1, 1),
+                                    (1, 1), BIN), provenance="capture(truth.pltt)")
+    assert read_pltt(path).provenance == "capture(truth.pltt)"
+    _drop_keys(path, "provenance")
+    assert read_pltt(path).provenance == ""
+
+
+_SCHEDULE = AngleSchedule(np.deg2rad([0.0, 90.0]), np.deg2rad([45.0, 0.0]),
+                          np.deg2rad([0.0, 90.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("obj, block", [
+    (TransportTensor(np.ones((1, 1, 4, 4, 1)), (1, 1), (1, 1), BIN, channel_id="red"),
+     b'{"channel_id": "red", "kind": "transport", "provenance": "pinned", '
+     b'"time_bin_width": 2e-11}'),
+    (TransportTensor(np.ones((1, 1, 4, 4, 1)), (1, 1), (1, 1), BIN,
+                     noise_std=np.arange(16.0).reshape(4, 4) / 4),
+     b'{"channel_id": "mono", "kind": "transport", "noise_std": [0.0, 0.25, 0.5, 0.75, 1.0, '
+     b'1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75], "provenance": "pinned", '
+     b'"time_bin_width": 2e-11}'),
+    (MeasurementSet(np.zeros((1, 1, 2, 1)), _SCHEDULE, True, (1, 1), (1, 1), BIN,
+                    noise_sigma=0.001, seed=None, split=0.25),
+     b'{"channel_id": "mono", "geometry_mode": "coaxial", "kind": "measurement", '
+     b'"noise_sigma": 0.001, "provenance": "pinned", "schedule": {"fixed": [true, false, '
+     b'false, true], "sensor_mode": "intensity", "theta1_deg": [0.0, 90.0], "theta2_deg": '
+     b'[45.0, 0.0], "theta3_deg": [0.0, 90.0], "theta4_deg": [0.0, 0.0]}, "seed": null, '
+     b'"split": 0.25, "time_bin_width": 2e-11}'),
+], ids=["transport", "transport-noise-model", "measurement-no-seed"])
+def test_the_json_block_is_pinned_byte_for_byte(tmp_path, obj, block):
+    path = tmp_path / "pinned.pltt"
+    write_pltt(path, obj, provenance="pinned")
+    assert _split_trailer(path)[1] == block
+
+
 def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
     class ShortReads:
         """A file whose reads stop halfway through the payload, as if it shrank."""

@@ -21,19 +21,26 @@ projector index (on the coaxial scene the masks and the projector index
 fail alike on both sides), and two expressions that must fail, one
 malformed and one out of range; ``learn-angles`` on a small K=6
 ``polarizer_array`` config, then a capture with the learned schedule and
-its reconstruction. Each command runs in its own Python process, and each
+its reconstruction. After capture and reconstruct the tool writes edited
+copies of their containers, as an older writer or damage leaves them, and
+runs them: ``meas.pltt`` without ``split`` (reconstruct) and
+``recon.pltt`` without ``channel_id`` and ``provenance`` (decompose),
+which must read, and ``meas.pltt`` with its ``geometry_mode`` flipped or
+its ``dim_q`` slot set to 2 and ``recon.pltt`` with ``time_bin_width`` 0,
+which must fail. Each command runs in its own Python process, and each
 checkout in its own temporary directory, with relative paths, so both
 sides see the same arguments.
 
 Every output file is compared byte for byte, except the manifests, which
 are compared as JSON without their ``duration_s`` and ``peak_rss_mb``.
 Exit codes and the commands' stdout and stderr are compared too, and the
-two failing slices must exit 2. Prints each difference and exits 1 if
-there is any, 0 otherwise.
+two failing slices and the three damaged containers must exit 2. Prints
+each difference and exits 1 if there is any, 0 otherwise.
 """
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -49,13 +56,47 @@ LEARN_CONFIG = {"k": 6, "sensor_mode": "polarizer_array", "iterations": 20, "bat
 # fields of a manifest that measure the run rather than describe its result
 UNSTABLE = ("duration_s", "peak_rss_mb")
 # commands that must fail with a usage error on both sides
-MUST_FAIL = ("slice_malformed", "slice_out_of_range")
+MUST_FAIL = ("slice_malformed", "slice_out_of_range", "reconstruct_geometry_flipped",
+             "reconstruct_dim_q", "decompose_zero_width")
+# PLTT v1: 16-byte magic, seven u32 header slots, the coaxial flag byte
+MAGIC_BYTES, PREFIX = 16, 16 + 7 * 4 + 1
+OTHER_GEOMETRY = {"coaxial": "projector_camera", "projector_camera": "coaxial"}
+# (original, edited copy, JSON block edit, header slots set by index)
+EDITED = (
+    ("meas.pltt", "meas_no_split.pltt",
+     lambda meta: {k: v for k, v in meta.items() if k != "split"}, {}),
+    ("recon.pltt", "recon_old.pltt",
+     lambda meta: {k: v for k, v in meta.items() if k not in ("channel_id", "provenance")}, {}),
+    ("meas.pltt", "meas_geometry.pltt",
+     lambda meta: dict(meta, geometry_mode=OTHER_GEOMETRY[meta["geometry_mode"]]), {}),
+    ("meas.pltt", "meas_dim_q.pltt", None, {5: 2}),
+    ("recon.pltt", "recon_zero_width.pltt", lambda meta: dict(meta, time_bin_width=0), {}),
+)
+
+
+def write_edited_copies(scene_dir):
+    """Write each ``EDITED`` copy beside its original in ``scene_dir``."""
+    for original, copy, edit_meta, slots in EDITED:
+        with open(os.path.join(scene_dir, original), "rb") as fh:
+            blob = bytearray(fh.read())
+        dims = list(struct.unpack_from("<7I", blob, MAGIC_BYTES))
+        s_proj = 1 if blob[PREFIX - 1] else dims[2] * dims[3]
+        end = PREFIX + 8 * dims[0] * dims[1] * s_proj * dims[4] * dims[5] * dims[6]
+        if edit_meta is not None:
+            meta = edit_meta(json.loads(blob[end:].decode("utf-8")))
+            blob[end:] = json.dumps(meta, sort_keys=True).encode("utf-8")
+        for index, value in slots.items():
+            dims[index] = value
+        struct.pack_into("<7I", blob, MAGIC_BYTES, *dims)
+        with open(os.path.join(scene_dir, copy), "wb") as fh:
+            fh.write(blob)
 
 
 def commands(resolution, seed):
     """
     (label, argv) pairs; each scene runs in a fresh directory holding
-    scene.json and learn.json.
+    scene.json and learn.json. An argv that is a function is a step of this
+    tool, run on that directory.
     """
     h, w = (int(v) for v in resolution.split("x"))
     return [
@@ -70,6 +111,16 @@ def commands(resolution, seed):
         ("capture_noiseless", ["capture", "--tensor", "truth.pltt", "--noise", "0",
                                "--out", "meas_clean.pltt"]),
         ("reconstruct", ["reconstruct", "--measurements", "meas.pltt", "--out", "recon.pltt"]),
+        ("edited_copies", write_edited_copies),
+        ("reconstruct_no_split", ["reconstruct", "--measurements", "meas_no_split.pltt",
+                                  "--out", "recon_no_split.pltt"]),
+        ("decompose_old", ["decompose", "--tensor", "recon_old.pltt", "--out", "dec_old"]),
+        ("reconstruct_geometry_flipped", ["reconstruct", "--measurements", "meas_geometry.pltt",
+                                          "--out", "recon_geometry.pltt"]),
+        ("reconstruct_dim_q", ["reconstruct", "--measurements", "meas_dim_q.pltt",
+                               "--out", "recon_dim_q.pltt"]),
+        ("decompose_zero_width", ["decompose", "--tensor", "recon_zero_width.pltt",
+                                  "--out", "dec_zero_width"]),
         ("reconstruct_noiseless", ["reconstruct", "--measurements", "meas_clean.pltt",
                                    "--out", "recon_clean.pltt"]),
         ("reconstruct_split", ["reconstruct", "--measurements", "meas_split.pltt",
@@ -154,6 +205,9 @@ def run_checkout(checkout, data_dir, workdir):
         with open(os.path.join(scene_dir, "learn.json"), "w") as fh:
             json.dump(LEARN_CONFIG, fh)
         for label, argv in commands(resolution, seed):
+            if callable(argv):
+                argv(scene_dir)
+                continue
             proc = subprocess.run([sys.executable, "-m", "pltt.cli"] + argv, cwd=scene_dir,
                                   env=env, capture_output=True, text=True)
             results[(os.path.basename(scene_dir), label)] = (
