@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polarization import beamsplitter, galvo_mirror
-from .tensor import TransportTensor, check_number, check_pixel_axes, probe_weights
+from .tensor import TransportTensor, check_layout, check_number, probe_weights
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
@@ -379,7 +379,7 @@ class MeasurementSet:
     projector pixel. A ``coaxial`` set stores S_proj = 1 (the diagonal).
     Rows are capture-major (analyzer index fastest in polarizer_array
     mode). ``split`` is the beamsplitter fraction of a coaxial capture;
-    reconstruction reads it.
+    reconstruction reads it. ``tensor.check_layout`` states the layout's rule.
     """
 
     intensities: np.ndarray = field(repr=False)
@@ -396,18 +396,13 @@ class MeasurementSet:
     def __post_init__(self):
         arr = np.asarray(self.intensities, dtype=float)
         object.__setattr__(self, "intensities", arr)
-        object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
-        object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
         if arr.ndim != 4:
             raise ValueError("intensities must be 4D (S_cam, S_proj, rows, bins)")
         if arr.shape[2] != self.schedule.n_rows:
             raise ValueError("row count %d does not match the schedule's %d"
                              % (arr.shape[2], self.schedule.n_rows))
-        if not isinstance(self.coaxial, (bool, np.bool_)):
-            raise ValueError("coaxial must be a bool, got %r" % (self.coaxial,))
-        check_pixel_axes(arr.shape, self.cam_shape, self.proj_shape, self.coaxial)
-        for name, bounds in (("time_bin_width", {"above": 0.0}), ("noise_sigma", {"low": 0.0}),
-                             ("split", {"low": 0.0, "high": 1.0})):
+        check_layout(self, arr.shape)
+        for name, bounds in (("noise_sigma", {"low": 0.0}), ("split", {"low": 0.0, "high": 1.0})):
             object.__setattr__(self, name, check_number(getattr(self, name), name, **bounds))
         if self.seed is not None:
             object.__setattr__(self, "seed", check_number(self.seed, "seed", low=0, integer=True))

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsometry import AngleSchedule, MeasurementSet, schedule_from_dict, schedule_to_dict
-from .tensor import TRANSPORT_SHAPE, TransportTensor, check_number
+from .tensor import TRANSPORT_SHAPE, TransportTensor, check_layout, check_number
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -260,8 +260,8 @@ def _read_header(fh):
             split=check_number(meta.get("split", 0.5), "split", low=0.0, high=1.0),
             seed=None if seed is None else check_number(seed, "seed", low=0, integer=True))
     header = Header(kind, (cam_h, cam_w), (proj_h, proj_w), coaxial, n_bins,
-                    check_number(meta["time_bin_width"], "time_bin_width", above=0.0),
-                    meta.get("channel_id", "mono"), meta.get("provenance", ""), std, **measured)
+                    meta["time_bin_width"], meta.get("channel_id", "mono"),
+                    meta.get("provenance", ""), std, **measured)
     # the Header's dims restate the file's but for the slots its kind fixes:
     # a transport's 4x4 block, a measurement's dim_q and its schedule's row count
     for slot, value, want in zip(_SLOTS, dims, header.dims):
@@ -270,8 +270,7 @@ def _read_header(fh):
                              % (kind, slot, value, want))
     if count == 0:
         raise ValueError("PLTT header dims %r hold no payload" % (dims,))
-    if coaxial and (proj_w, proj_h) != (cam_w, cam_h):
-        raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
+    check_layout(header, (cam_w * cam_h, s_proj))
     return header
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polarization import compose, ideal_mirror, is_passive, retarder, rotator
-from .tensor import TransportTensor, check_number
+from .tensor import TransportTensor, check_grid, check_number
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -263,7 +263,7 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
 
     Deterministic; bit-identical across runs.
     """
-    h, w = (int(resolution[0]), int(resolution[1]))
+    h, w = check_grid(resolution, "resolution")
     n_bins = check_number(n_bins, "n_bins", low=1, integer=True)
     time_bin_width = check_number(time_bin_width, "time_bin_width", above=0.0)
     n_pix = h * w

@@ -15,6 +15,7 @@ A probe mask is an (S_cam, S_proj) array of weights in [0, 1] on the
 (s, s') couplings (O'Toole et al., "Primal-dual coding", SIGGRAPH 2012).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +23,6 @@ import numpy as np
 
 # the shape a TransportTensor's data must have
 TRANSPORT_SHAPE = (None, None, 4, 4, None)
-
-
-def _flat(shape):
-    return int(shape[0]) * int(shape[1])
 
 
 def _holds_bool(value):
@@ -88,22 +85,33 @@ def check_number(value, name, low=-np.inf, high=np.inf, above=-np.inf, below=np.
     return int(arr) if integer else float(arr)
 
 
-def check_pixel_axes(shape, cam_shape, proj_shape, coaxial):
+def check_grid(grid, name):
+    """A pixel grid as a (height, width) tuple, if it is two integers >= 1."""
+    return tuple(check_number(grid, name, low=1, shape=(2,), integer=True).tolist())
+
+
+def check_layout(obj, shape):
     """
-    Check that each grid is two positive integers, and the first two axes
-    of a tensor's or a measurement set's ``shape`` against the grids.
+    Check and store the layout of a tensor, a measurement set or a container
+    Header ``obj``: each grid is two integers >= 1 (never a bool, float or
+    string), ``coaxial`` is a bool (a numpy bool is stored as one),
+    ``time_bin_width`` is above 0 and the first two axes of ``shape`` match the grids.
     """
-    for name, grid in (("cam_shape", cam_shape), ("proj_shape", proj_shape)):
-        check_number(grid, name, low=1, shape=(2,), integer=True)
+    for name in ("cam_shape", "proj_shape"):
+        object.__setattr__(obj, name, check_grid(getattr(obj, name), name))
+    if not isinstance(obj.coaxial, (bool, np.bool_)):
+        raise ValueError("coaxial must be a bool, got %r" % (obj.coaxial,))
+    object.__setattr__(obj, "coaxial", bool(obj.coaxial))
     s_cam, s_proj = shape[:2]
-    if s_cam != _flat(cam_shape):
-        raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, cam_shape))
-    expected = 1 if coaxial else _flat(proj_shape)
-    if s_proj != expected:
+    if s_cam != math.prod(obj.cam_shape):
+        raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, obj.cam_shape))
+    if s_proj != (1 if obj.coaxial else math.prod(obj.proj_shape)):
         raise ValueError("projector axis %d does not match proj_shape %r (coaxial=%r)"
-                         % (s_proj, proj_shape, coaxial))
-    if coaxial and proj_shape != cam_shape:
+                         % (s_proj, obj.proj_shape, obj.coaxial))
+    if obj.coaxial and obj.proj_shape != obj.cam_shape:
         raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
+    object.__setattr__(obj, "time_bin_width",
+                       check_number(obj.time_bin_width, "time_bin_width", above=0.0))
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ class TransportTensor:
         For coaxial tensors the projector axis has length 1 and holds
         the diagonal blocks T(s, s, ...).
     cam_shape, proj_shape : (height, width)
-        Logical 2D pixel grids; flattening is row-major.
+        Logical 2D pixel grids, flattened row-major; ``check_layout`` states their rule.
     time_bin_width : float
         Seconds per bin.
     noise_std : ndarray, shape (4, 4), or None
@@ -140,11 +148,7 @@ class TransportTensor:
         data = check_number(self.data, "transport data", shape=TRANSPORT_SHAPE).view()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
-        object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
-        check_pixel_axes(data.shape, self.cam_shape, self.proj_shape, self.coaxial)
-        object.__setattr__(self, "time_bin_width",
-                           check_number(self.time_bin_width, "time_bin_width", above=0.0))
+        check_layout(self, data.shape)
         if self.noise_std is not None:
             object.__setattr__(self, "noise_std",
                                check_number(self.noise_std, "noise_std", low=0.0, shape=(4, 4)))
@@ -155,7 +159,7 @@ class TransportTensor:
 
     @property
     def n_proj(self):
-        return _flat(self.proj_shape)
+        return math.prod(self.proj_shape)
 
     @property
     def n_bins(self):
@@ -175,8 +179,8 @@ class IlluminationTensor:
     time_bin_width: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "proj_shape", tuple(int(v) for v in self.proj_shape))
-        shape = (_flat(self.proj_shape), 4) + (None,) * (np.ndim(self.data) == 3)
+        object.__setattr__(self, "proj_shape", check_grid(self.proj_shape, "proj_shape"))
+        shape = (math.prod(self.proj_shape), 4) + (None,) * (np.ndim(self.data) == 3)
         data = check_number(self.data, "illumination data", shape=shape)
         object.__setattr__(self, "data", data)
         if data.ndim == 3 and self.time_bin_width is None:
@@ -199,9 +203,9 @@ class DetectedTensor:
     time_bin_width: float
 
     def __post_init__(self):
-        object.__setattr__(self, "cam_shape", tuple(int(v) for v in self.cam_shape))
+        object.__setattr__(self, "cam_shape", check_grid(self.cam_shape, "cam_shape"))
         object.__setattr__(self, "data", check_number(
-            self.data, "detected data", shape=(_flat(self.cam_shape), 4, None)))
+            self.data, "detected data", shape=(math.prod(self.cam_shape), 4, None)))
         object.__setattr__(self, "time_bin_width",
                            check_number(self.time_bin_width, "time_bin_width", above=0.0))
 
@@ -282,16 +286,15 @@ def slice_temporal(tensor, s=None, s_prime=None):
         return tensor.data[:, :, 0, 0, :].sum(axis=(0, 1))
     if s is None:
         raise ValueError("s must be given when s_prime is")
-    if not 0 <= s < tensor.n_cam:
-        raise ValueError("camera index %r out of range" % (s,))
+    s = check_number(s, "s", low=0, high=tensor.n_cam - 1, integer=True)
+    if s_prime is not None:
+        s_prime = check_number(s_prime, "s_prime", low=0, high=tensor.n_proj - 1, integer=True)
     if tensor.coaxial:
         if s_prime not in (None, s):
             raise ValueError("coaxial tensors only hold the s' = s diagonal")
         return tensor.data[s, 0, 0, 0, :]
     if s_prime is None:
         return tensor.data[s, :, 0, 0, :].sum(axis=0)
-    if not 0 <= s_prime < tensor.data.shape[1]:
-        raise ValueError("projector index %r out of range" % (s_prime,))
     return tensor.data[s, s_prime, 0, 0, :]
 
 
@@ -310,7 +313,7 @@ def probe_weights(tensor, mask):
     weight = np.asarray(mask)
     return check_number(weight.astype(float) if weight.dtype == bool else weight,
                         "probe mask (weights in [0, 1])", low=0.0, high=1.0,
-                        shape=(_flat(tensor.cam_shape), _flat(tensor.proj_shape)))
+                        shape=(math.prod(tensor.cam_shape), math.prod(tensor.proj_shape)))
 
 
 def probe(tensor, mask):
@@ -400,8 +403,8 @@ def epipolar_masks(cam_shape, proj_shape):
     the non-epipolar mask holds exactly the complementary couplings, so
     the two probes partition any tensor.
     """
-    cam_h, cam_w = cam_shape
-    proj_h, proj_w = proj_shape
+    cam_h, cam_w = check_grid(cam_shape, "cam_shape")
+    proj_h, proj_w = check_grid(proj_shape, "proj_shape")
     if cam_h != proj_h:
         raise ValueError("rectified geometry needs equal row counts, got %d vs %d"
                          % (cam_h, proj_h))

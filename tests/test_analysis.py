@@ -228,3 +228,13 @@ def test_fit_descatter_validation():
         fit_descatter(image, target, mode="both")
     with pytest.raises(ValueError, match="method"):
         fit_descatter(image, target, method="newton")
+
+
+@pytest.mark.parametrize("level", [1.0, -0.5])
+def test_a_descatter_fit_collapsed_to_a_constant_is_a_value_error(level):
+    # intensity_only keeps only the (0, 0) channel, which is dark here, so
+    # the fit is a nonzero offset with no weight
+    image = np.zeros((3, 4, 4))
+    image[:, 1, 1] = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="descatter fit collapsed to a constant"):
+        fit_descatter(image, np.full(3, level), mode="intensity_only")

@@ -1247,3 +1247,19 @@ def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
                "--out", str(tmp_path / "m.pltt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("zero resolution", "resolution must be at least 1x1"),
+    ("config not an object", "training config must be a JSON object"),
+])
+def test_usage_errors_exit_two(tmp_path, capsys, case, message):
+    if case == "zero resolution":
+        argv = ["simulate", "--scene", write_scene(tmp_path, MIRROR_SCENE), "--resolution", "0x8",
+                "--bins", "16", "--bin-width", "1e-10", "--out", str(tmp_path / "t.pltt")]
+    else:
+        config = tmp_path / "train.json"
+        config.write_text("[1]")
+        argv = ["learn-angles", "--config", str(config), "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message

@@ -178,6 +178,16 @@ def test_physical_blocks_recompose_property(data, rank):
     assert np.abs(result.recompose() - m).max() <= tol * m[0, 0]
 
 
+def test_a_block_with_subnormal_entries_decomposes_without_a_warning():
+    # found by test_physical_blocks_recompose_property: the depolarizer block's
+    # determinant once raised "divide by zero encountered in det"
+    g = np.full((4, 2), 2.22507386e-309) + 1j * np.array([[0.75, 0], [0, 1], [0, 0], [0, 0]])
+    m = ((g @ g.conj().T).reshape(16) @ np.linalg.inv(_COHERENCY)).real.reshape(4, 4)
+    result = polar_decompose(m)
+    assert not result.negative_det_branch and result.reorthogonalized
+    assert np.abs(result.recompose() - m).max() <= 1e-8 * m[0, 0]
+
+
 def test_decompose_rejects_nonpositive_throughput():
     with pytest.raises(ValueError, match="m00"):
         polar_decompose(np.zeros((4, 4)))
@@ -429,3 +439,12 @@ def test_noise_floor_keeps_lit_blocks_and_drops_noise_at_the_gaussian_rate(sigma
     assert np.all(kept[lit])
     n_dark_kept = int(np.sum(kept & ~lit))
     assert binom.sf(n_dark_kept - 1, n_blocks - n_lit, norm.sf(NOISE_Z)) > 1e-6
+
+
+@pytest.mark.parametrize("name", ["m_depol", "m_ret", "m_diat"])
+def test_full_grid_factors_scatter_the_kept_blocks(name):
+    result = decompose_tensor(make_mixed_tensor())
+    grid = getattr(result, name)
+    assert grid.shape == result.null_mask.shape + (4, 4)
+    assert np.isnan(grid[result.null_mask]).all()
+    np.testing.assert_array_equal(grid[~result.null_mask], getattr(result.factors, name))

@@ -21,6 +21,7 @@ from pltt.ellipsometry import (
     pinv_truncated,
     reconstruct,
     save_schedule,
+    schedule_from_dict,
 )
 from pltt.fileio import read_pltt, write_pltt
 from pltt.learning import evaluate
@@ -594,3 +595,30 @@ def test_schedule_validation():
     # finite in radians, but inf in the degrees a file would store
     with pytest.raises(ValueError, match="theta3"):
         AngleSchedule(np.zeros(2), np.zeros(2), np.array([0.0, 1e307]), np.zeros(2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: schedule_from_dict([0.0]), "a schedule must be a JSON object"),
+    (lambda: schedule_from_dict({"theta1_deg": [0.0]}), "schedule is missing field 'theta2_deg'"),
+    (lambda: MeasurementSet(np.zeros((4, 1, 16)), drr_schedule(16), True, (2, 2), (2, 2), BIN),
+     "intensities must be 4D"),
+    (lambda: MeasurementSet(np.zeros((4, 1, 15, 2)), drr_schedule(16), True, (2, 2), (2, 2),
+                            BIN),
+     "row count 15 does not match the schedule's 16"),
+    (lambda: MeasurementSet(np.zeros((4, 1, 16, 2)), drr_schedule(16), "yes", (2, 2), (2, 2),
+                            BIN),
+     "coaxial must be a bool, got 'yes'"),
+], ids=["schedule not an object", "schedule field missing", "3-D intensities", "row count",
+        "coaxial string"])
+def test_schedule_and_measurement_set_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_measurement_grid_is_never_truncated_and_a_numpy_bool_is_stored_as_a_bool():
+    schedule = drr_schedule(16)
+    with pytest.raises(ValueError,
+                       match=r"^cam_shape must be a list of 2 integers >= 1, got \(2.9, 2\)$"):
+        MeasurementSet(np.zeros((4, 1, 16, 2)), schedule, True, (2.9, 2), (2, 2), BIN)
+    meas = MeasurementSet(np.zeros((4, 1, 16, 2)), schedule, np.True_, (2, 2), (2, 2), BIN)
+    assert type(meas.coaxial) is bool and meas.coaxial

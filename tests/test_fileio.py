@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -428,3 +429,29 @@ def test_csv_grid_is_byte_identical_to_savetxt(tmp_path, grid):
     write_csv_grid(ours, grid)
     np.savetxt(theirs, np.asarray(grid, dtype=float), fmt="%.17g", delimiter=",")
     assert ours.read_bytes() == theirs.read_bytes()
+
+
+def _rewrite(path, dims=None, block=None):
+    """A written transport rewritten with header ``dims`` and no payload, or another ``block``."""
+    write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN))
+    head, old = _split_trailer(path)
+    if dims is not None:
+        head = MAGIC + struct.pack("<7I", *dims) + head[PREFIX - 1:PREFIX]
+    path.write_bytes(head + (old if block is None else block))
+    return read_pltt(path)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda path: write_pltt(path, np.zeros((2, 2))), TypeError, "cannot serialize"),
+    (lambda path: _rewrite(path, block=b"[1]"), ValueError,
+     "PLTT metadata must be a JSON object"),
+    (lambda path: _rewrite(path, dims=(1, 1, 1, 1, 4, 4, 0)), ValueError,
+     re.escape("PLTT header dims (1, 1, 1, 1, 4, 4, 0) hold no payload")),
+    (lambda path: write_pgm(path, np.zeros((2, 2, 2))), ValueError,
+     re.escape("PGM export needs a 2D array, got (2, 2, 2)")),
+    (lambda path: write_csv_grid(path, np.zeros((2, 2, 2))), ValueError,
+     "Expected 1D or 2D array, got 3D array instead"),
+], ids=["write another type", "metadata not an object", "no payload", "3-D pgm", "3-D csv"])
+def test_writer_and_reader_errors(tmp_path, build, error, message):
+    with pytest.raises(error, match=message):
+        build(tmp_path / "out")

@@ -503,3 +503,12 @@ def test_learn_reproduces_the_pinned_trajectory(mode):
         np.testing.assert_allclose(getattr(result.schedule, name), angles[slot],
                                    rtol=0, atol=1e-9)
     assert abs(result.best_heldout_loss - best) <= 1e-9 * best
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_lbfgs_given_an_ascent_direction_reports_no_decrease(n):
+    # the gradient of sum(x) with its sign flipped: every step raises the value
+    x, value, values, converged, message = lbfgs(
+        lambda x: (float(x.sum()), -np.ones_like(x)), np.zeros(n), 10, 0.1)
+    assert (converged, message, value, values) == (False, "line search found no decrease", 0.0, [])
+    np.testing.assert_array_equal(x, np.zeros(n))

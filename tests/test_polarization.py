@@ -228,3 +228,21 @@ def test_apply_mueller_batches():
     batched = apply_mueller(m, stokes)
     for i in range(12):
         np.testing.assert_allclose(batched[i], m @ stokes[i], atol=1e-14)
+
+
+def _negative_throughput():
+    m = np.eye(4)
+    m[0, 0] = -1.0
+    return m
+
+
+def _entry_above_throughput():
+    m = 0.5 * np.eye(4)
+    m[1, 2] = 0.9
+    return m
+
+
+@pytest.mark.parametrize("m", [_negative_throughput(), _entry_above_throughput()],
+                         ids=["negative m00", "entry above m00"])
+def test_is_passive_rejects_negative_throughput_and_entries_above_it(m):
+    assert not is_passive(m)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from pltt.scene import (
     diffuse_depolarizer,
     fresnel_mueller,
     generate_ensemble,
+    load_scene,
     material_mueller,
     parse_scene,
 )
@@ -398,3 +400,41 @@ def test_family_weights_need_a_positive_finite_sum(weights):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="family weights must have a positive finite sum"):
             generate_ensemble(7, 10, weights)
+
+
+@pytest.mark.parametrize("resolution", [(2.5, 2), (True, 2)], ids=["float", "bool"])
+def test_build_transport_takes_only_an_integer_resolution(resolution):
+    # (2.5, 2) once built a 2x2 tensor and (True, 2) a 1x2 one
+    with pytest.raises(ValueError, match=r"^resolution must be a list of 2 integers >= 1, got "):
+        build_transport(coaxial_mirror_scene(patch=(0, 1, 0, 1)), resolution, 16, 1e-10)
+
+
+def _scene_errors():
+    def not_json(tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text("{")
+        return load_scene(path)
+
+    def patch_out_of_order(tmp_path):
+        return coaxial_mirror_scene(patch=(1, 0, 0, 1))
+
+    def strength_map_of_the_wrong_shape(tmp_path):
+        scene = parse_scene({"geometry_mode": "coaxial", "scatter_volume": {
+            "backscatter": {"kind": "ideal_mirror"}, "strength": [[0.1, 0.2, 0.3]],
+            "depth_m": 0.15}})
+        return build_transport(scene, (2, 2), 16, 1e-10)
+
+    return [
+        pytest.param(not_json, "scene file is not valid JSON", id="not json"),
+        pytest.param(patch_out_of_order, re.escape(
+            "field 'surfaces[0].patch' must satisfy 0 <= row0 < row1, 0 <= col0 < col1"),
+            id="patch out of order"),
+        pytest.param(strength_map_of_the_wrong_shape, re.escape(
+            "scatter strength must be a scalar or a 2x2 map, got (1, 3)"), id="strength map"),
+    ]
+
+
+@pytest.mark.parametrize("build, message", _scene_errors())
+def test_scene_errors_name_their_cause(tmp_path, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(tmp_path)

@@ -221,6 +221,17 @@ def test_slice_temporal_per_pixel_and_errors():
         slice_temporal(coax, 2, 3)
 
 
+@pytest.mark.parametrize("s, s_prime, name", [
+    (True, None, "s"), (1.5, None, "s"), (np.float64(1.0), None, "s"), (4, None, "s"),
+    (1, True, "s_prime"), (1, 4, "s_prime"),
+], ids=["bool", "float", "numpy float", "out of range", "bool s_prime", "s_prime out of range"])
+def test_slice_temporal_indices_are_integers_in_range(s, s_prime, name):
+    # numpy once read True as a mask and raised IndexError for a float
+    tensor = make_dense(np.random.default_rng(12), cam=(2, 2), proj=(2, 2), bins=2)
+    with pytest.raises(ValueError, match="^%s must be an integer >= 0 and <= 3, got " % name):
+        slice_temporal(tensor, s, s_prime)
+
+
 def test_probe_partition_is_exact():
     rng = np.random.default_rng(11)
     tensor = make_dense(rng, cam=(2, 2), proj=(2, 3))
@@ -375,6 +386,49 @@ def test_each_grid_is_two_positive_integers(cam, proj):
     name = "cam_shape" if len(cam) != 2 or min(cam) < 1 else "proj_shape"
     with pytest.raises(ValueError, match="%s must be a list of 2 integers >= 1" % name):
         TransportTensor(np.zeros((4, 1, 4, 4, 1)), cam, proj, BIN, coaxial=True)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: TransportTensor(np.zeros((4, 4, 4, 4, 1)), (2.7, 2), (2, 2), BIN), "cam_shape"),
+    (lambda: TransportTensor(np.zeros((4, 4, 4, 4, 1)), (2, 2), (True, 4), BIN), "proj_shape"),
+    (lambda: TransportTensor(np.zeros((4, 4, 4, 4, 1)), "22", (2, 2), BIN), "cam_shape"),
+    (lambda: TransportTensor(np.zeros((4, 1, 4, 4, 1)), (2, 2), (2, 2), BIN, coaxial="no"),
+     "coaxial"),
+    (lambda: TransportTensor(np.zeros((4, 1, 4, 4, 1)), (2, 2), (2, 2), BIN, coaxial=1),
+     "coaxial"),
+    (lambda: IlluminationTensor(np.zeros((4, 4)), (2.5, 2)), "proj_shape"),
+    (lambda: DetectedTensor(np.zeros((4, 4, 1)), (2.2, 2), BIN), "cam_shape"),
+    (lambda: epipolar_masks((2.5, 2), (2.5, 2)), "cam_shape"),
+], ids=["float", "bool", "string", "coaxial string", "coaxial int", "illumination",
+        "detected", "epipolar"])
+def test_grids_and_the_coaxial_flag_are_never_converted(build, name):
+    # a float, bool or string grid was once truncated into a grid, and any
+    # truthy coaxial flag taken as True
+    with pytest.raises(ValueError, match="^%s must be " % name) as err:
+        build()
+    assert "\n" not in str(err.value)
+
+
+def test_a_numpy_bool_coaxial_flag_is_stored_as_a_bool():
+    tensor = TransportTensor(np.zeros((4, 1, 4, 4, 1)), (2, 2), (2, 2), BIN, coaxial=np.True_)
+    assert type(tensor.coaxial) is bool and tensor.coaxial
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TransportTensor(np.zeros((4, 1, 4, 4, 1)), (2, 2), (1, 4), BIN, coaxial=True),
+     "coaxial tensors must have proj_shape equal to cam_shape"),
+    (lambda: IlluminationTensor(np.zeros((4, 4, 2)), (2, 2)),
+     "time-resolved illumination needs a time_bin_width"),
+    (lambda: contract(make_coaxial(np.random.default_rng(0)),
+                      IlluminationTensor(np.zeros((2, 4)), (1, 2))),
+     r"illumination grid \(1, 2\) does not match tensor projector grid \(2, 2\)"),
+    (lambda: convolve_time(make_coaxial(np.random.default_rng(0)),
+                           IlluminationTensor(np.zeros((2, 4, 1)), (1, 2), BIN)),
+     r"illumination grid \(1, 2\) does not match tensor projector grid \(2, 2\)"),
+], ids=["coaxial grids differ", "pulse without bin width", "contract", "convolve_time"])
+def test_layout_and_illumination_mismatches_are_value_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_detected_tensor_shape_checks():
