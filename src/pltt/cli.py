@@ -15,6 +15,9 @@ array too large to allocate. Errors go to stderr as single lines
 prefixed ``error:``. Every command writes the JSON manifest
 ``<--out>.manifest.json``: its file arguments as ``inputs``, the files
 it wrote, its seed, its wall time and the process's peak RSS.
+Image exports write one exact CSV per image and one 16-bit PGM with a
+JSON sidecar per stack: ``decompose`` stacks a map over its bins,
+``slice`` every image it enumerates, ``descatter`` its one prediction.
 Every command that reads a container streams it over runs of camera
 pixels of about ``ellipsometry.CHUNK_BYTES``, so none holds a whole
 transport tensor or measurement stack: ``capture`` and ``reconstruct``
@@ -83,10 +86,7 @@ def _parse_resolution(text):
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
         raise ValueError("resolution must look like HxW (e.g. 8x8), got %r" % (text,))
-    h, w = int(m.group(1)), int(m.group(2))
-    if h < 1 or w < 1:
-        raise ValueError("resolution must be at least 1x1")
-    return h, w
+    return int(m.group(1)), int(m.group(2))
 
 
 def _stem(path):
@@ -132,15 +132,20 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _save_image(prefix, image, sidecar_extra):
-    """16-bit PGM for looking at, CSV for exact values, JSON sidecar."""
-    pgm = prefix + ".pgm"
-    csv_path = prefix + ".csv"
-    meta = write_pgm(pgm, image)
-    write_csv_grid(csv_path, image)
-    meta.update(sidecar_extra)
-    _write_json(prefix + ".json", meta)
-    return [pgm, csv_path, prefix + ".json"]
+def _save_image(prefix, images, extra):
+    """
+    Exact CSV ``<prefix><suffix>.csv`` per (suffix, image), and one stack of
+    them: the 16-bit PGM ``<prefix>.pgm`` and its JSON sidecar ``<prefix>.json``.
+    """
+    csvs = [prefix + suffix + ".csv" for suffix, _ in images]
+    for path, (_, image) in zip(csvs, images):
+        write_csv_grid(path, image)
+    tiles = write_pgm(prefix + ".pgm", [image for _, image in images])
+    for path, tile in zip(csvs, tiles):
+        tile["csv"] = os.path.basename(path)
+    _write_json(prefix + ".json", {"bit_depth": 16, "tile_shape": list(images[0][1].shape),
+                                   **extra, "tiles": tiles})
+    return csvs + [prefix + ".pgm", prefix + ".json"]
 
 
 # ---------------------------------------------------------------- simulate
@@ -309,7 +314,7 @@ def cmd_learn_angles(args):
         "best_heldout_loss": learned.best_heldout_loss,
         "heldout_iterations": learned.heldout_iters.tolist(),
         "heldout_curve": learned.heldout_curve.tolist(),
-        "batch_loss_curve": learned.loss_curve.tolist(),
+        "training_loss_curve": learned.loss_curve.tolist(),
         "config_hash": learned.config_hash,
         "ensemble": {"seed": seed, "n_samples": n_samples, "family_weights": list(weights)},
     }
@@ -331,11 +336,11 @@ def cmd_decompose(args):
     bins = range(tensor.n_bins) if args.bin is None else [args.bin]
     h, w = tensor.cam_shape
     outputs = []
-    for t in bins:
-        for name in ("polarizance", "retardance", "diattenuation"):
-            outputs += _save_image("%s_%s_t%d" % (args.out, name, t),
-                                   getattr(decomp, name)[:, 0, t].reshape(h, w),
-                                   {"map": name, "bin": t})
+    for name in ("polarizance", "retardance", "diattenuation"):
+        maps = getattr(decomp, name)[:, 0]
+        outputs += _save_image("%s_%s" % (args.out, name),
+                               [("_t%d" % t, maps[:, t].reshape(h, w)) for t in bins],
+                               {"map": name, "bins": list(bins)})
     summary_path = args.out + "_summary.json"
     _write_json(summary_path, {
         "n_blocks": int(decomp.null_mask.size),
@@ -419,10 +424,8 @@ def cmd_descatter(args):
         "converged": model.converged,
     })
     outputs = [model_path]
-    outputs += _save_image(
-        args.out + "_prediction", predicted,
-        {"mode": args.mode, "method": args.method},
-    )
+    outputs += _save_image(args.out + "_prediction", [("", predicted)],
+                           {"mode": args.mode, "method": args.method})
     if not model.converged:
         print("warning: L-BFGS stopped before converging (%s)" % model.message)
     print("wrote %s_*: objective %.6g (%s, %s)" % (
@@ -535,11 +538,7 @@ def slice_images(tensor, expr, chunks=None):
 def cmd_slice(args):
     with _open(args.tensor, "transport") as src:
         images = slice_images(src.header, args.expr, _chunks(src))
-    outputs = []
-    for suffix, image in images:
-        outputs += _save_image(
-            args.out + suffix, image, {"expression": args.expr, "suffix": suffix}
-        )
+    outputs = _save_image(args.out, images, {"expression": args.expr})
     print("wrote %d image(s) for %r" % (len(images), args.expr))
     return {"outputs": outputs}
 

@@ -345,31 +345,34 @@ def read_pltt(path):
 # simple exports
 
 
-def write_pgm(path, image):
+def write_pgm(path, tiles):
     """
-    Write a grayscale image as 16-bit binary PGM (P5).
+    Write an (n, h, w) stack of grayscale images as one 16-bit binary PGM
+    (P5) of height n*h, the tiles top to bottom in stack order.
 
-    The image is min/max normalized to the full range; pass the raw
-    array and record the range in a sidecar for exact reproduction.
-    NaNs map to 0.
+    Each tile is min/max normalized to the full range on its own; pass the
+    raw arrays and record the ranges in a sidecar for exact reproduction.
+    NaNs map to 0. Returns each tile's ``min``, ``max`` and ``nan_count``.
     """
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError("PGM export needs a 2D array, got %r" % (image.shape,))
+    tiles = np.asarray(tiles, dtype=float)
+    if tiles.ndim != 3:
+        raise ValueError("PGM export needs an (n, h, w) stack, got %r" % (tiles.shape,))
     maxval = 65535
-    finite = np.isfinite(image)
-    lo = image[finite].min() if finite.any() else 0.0
-    hi = image[finite].max() if finite.any() else 0.0
-    span = hi - lo if hi > lo else 1.0
-    scaled = np.zeros_like(image)
-    scaled[finite] = (image[finite] - lo) / span * maxval
+    finite = np.isfinite(tiles)
+    scaled = np.zeros_like(tiles)
+    ranges = []
+    for tile, ok, out in zip(tiles, finite, scaled):
+        lo = tile[ok].min() if ok.any() else 0.0
+        hi = tile[ok].max() if ok.any() else 0.0
+        span = hi - lo if hi > lo else 1.0
+        out[ok] = (tile[ok] - lo) / span * maxval
+        ranges.append({"min": float(lo), "max": float(hi), "nan_count": int((~ok).sum())})
     pix = np.round(scaled).astype(">u2")
-    header = ("P5\n%d %d\n%d\n" % (image.shape[1], image.shape[0], maxval)).encode("ascii")
+    n, h, w = tiles.shape
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(("P5\n%d %d\n%d\n" % (w, n * h, maxval)).encode("ascii"))
         fh.write(pix.tobytes())
-    return {"min": float(lo), "max": float(hi), "bit_depth": 16,
-            "nan_count": int((~finite).sum())}
+    return ranges
 
 
 def write_csv_grid(path, grid):

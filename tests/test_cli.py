@@ -501,7 +501,7 @@ def test_slice_enumerates_free_polarimetric_indices(tmp_path):
                               delimiter=",", ndmin=2)
             np.testing.assert_allclose(grid, diag[:, p, q, 10].reshape(2, 2), atol=0)
     manifest = json.loads((tmp_path / "view.manifest.json").read_text())
-    assert len(manifest["outputs"]) == 16 * 3
+    assert len(manifest["outputs"]) == 16 + 2
 
 
 def test_slice_sum_and_negation(tmp_path):
@@ -779,7 +779,7 @@ def test_learn_angles_writes_schedule_report_and_comparison(tmp_path):
     assert len(schedule["theta2_deg"]) == 6
     report = json.loads((tmp_path / "learned_report.json").read_text())
     assert report["best_heldout_loss"] <= report["init_heldout_loss"]
-    assert len(report["batch_loss_curve"]) == 12
+    assert len(report["training_loss_curve"]) == 12
     rows = (tmp_path / "learned_comparison.csv").read_text().strip().splitlines()
     assert rows[0].startswith("schedule,captures,rows,design_rank,")
     names = [line.split(",")[0] for line in rows[1:]]
@@ -883,8 +883,9 @@ def test_every_manifest_names_its_file_inputs_outputs_and_seed(tmp_path):
     np.savetxt(target, np.arange(1.0, 5.0).reshape(2, 2), delimiter=",")
     truth = path("truth.pltt")
 
-    def images(prefix):
-        return [prefix + ext for ext in (".pgm", ".csv", ".json")]
+    def images(prefix, suffixes=("",)):
+        return [prefix + suffix + ".csv" for suffix in suffixes] + [prefix + ".pgm",
+                                                                    prefix + ".json"]
 
     # command, argv, manifest path, inputs, outputs, seed
     runs = [
@@ -906,7 +907,7 @@ def test_every_manifest_names_its_file_inputs_outputs_and_seed(tmp_path):
          path("d"), {"tensor": truth},
          [path("d_summary.json")] + [f for name in ("polarizance", "retardance",
                                                     "diattenuation")
-                                     for f in images(path("d_%s_t10" % name))], None),
+                                     for f in images(path("d_" + name), ["_t10"])], None),
         ("pca", ["--tensor", truth, "--out", path("p")],
          path("p"), {"tensor": truth},
          [path("p_summary.json"), path("p_singular_values.csv"),
@@ -916,7 +917,7 @@ def test_every_manifest_names_its_file_inputs_outputs_and_seed(tmp_path):
          [path("f_model.json")] + images(path("f_prediction")), None),
         ("slice", ["--tensor", truth, "--expr", "T(s,s,0,:,t=10)", "--out", path("v")],
          path("v"), {"tensor": truth},
-         [f for q in range(4) for f in images(path("v_q%d" % q))], None),
+         images(path("v"), ["_q%d" % q for q in range(4)]), None),
     ]
     for command, argv, base, inputs, outputs, seed in runs:
         assert main([command] + argv) == 0, command
@@ -945,7 +946,40 @@ def test_decompose_writes_retardance_map(tmp_path, capsys):
     assert summary["bins"] == [10]
     assert "60/64 blocks below floor" in capsys.readouterr().out
     for name in ("polarizance", "diattenuation"):
-        assert (tmp_path / ("maps_%s_t10.pgm" % name)).exists()
+        assert (tmp_path / ("maps_%s.pgm" % name)).read_bytes().startswith(b"P5\n2 2\n")
+
+
+def test_image_exports_write_one_pgm_and_sidecar_per_stack(tmp_path):
+    tensor_path = simulate(tmp_path, dense_scene(depth=0.03), bins=5)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["decompose", "--tensor", tensor_path, "--out", str(out / "d")]) == 0
+    assert main(["slice", "--tensor", tensor_path, "--expr", "T(s,s,:,:,t=2)",
+                 "--out", str(out / "v")]) == 0
+    names = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    maps = ("diattenuation", "polarizance", "retardance")
+    assert names == sorted(
+        ["d_summary.json"] + ["d_%s_t%d.csv" % (m, t) for m in maps for t in range(5)]
+        + ["d_%s%s" % (m, ext) for m in maps for ext in (".pgm", ".json")]
+        + ["v_p%d_q%d.csv" % (p, q) for p in range(4) for q in range(4)]
+        + ["v.pgm", "v.json"])
+    for name in maps:
+        sidecar = json.loads((out / ("d_%s.json" % name)).read_text())
+        assert (out / ("d_%s.pgm" % name)).read_bytes().startswith(b"P5\n2 10\n65535\n")
+        assert {k: v for k, v in sidecar.items() if k != "tiles"} == {
+            "bit_depth": 16, "tile_shape": [2, 2], "map": name, "bins": list(range(5))}
+        for t, tile in enumerate(sidecar["tiles"]):
+            grid = np.loadtxt(out / tile["csv"], delimiter=",", ndmin=2)
+            finite = np.isfinite(grid)
+            assert tile["csv"] == "d_%s_t%d.csv" % (name, t)
+            assert tile["nan_count"] == int((~finite).sum())
+            if finite.any():
+                assert [tile["min"], tile["max"]] == [grid[finite].min(), grid[finite].max()]
+    sidecar = json.loads((out / "v.json").read_text())
+    assert sidecar["expression"] == "T(s,s,:,:,t=2)"
+    assert [tile["csv"] for tile in sidecar["tiles"]] == [
+        "v_p%d_q%d.csv" % (p, q) for p in range(4) for q in range(4)]
+    assert (out / "v.pgm").read_bytes().startswith(b"P5\n2 32\n65535\n")
 
 
 def write_branch_tensor(tmp_path):
@@ -1250,7 +1284,7 @@ def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("zero resolution", "resolution must be at least 1x1"),
+    ("zero resolution", "resolution must be a list of 2 integers >= 1, got (0, 8)"),
     ("config not an object", "training config must be a JSON object"),
 ])
 def test_usage_errors_exit_two(tmp_path, capsys, case, message):

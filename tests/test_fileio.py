@@ -376,14 +376,10 @@ def test_write_rejects_a_payload_its_header_does_not_describe(tmp_path):
 def test_write_pgm_format_and_sidecar(tmp_path):
     image = np.array([[0.0, 1.0], [2.0, np.nan]])
     path = tmp_path / "img.pgm"
-    info = write_pgm(path, image)
+    [info] = write_pgm(path, image[None])
     blob = path.read_bytes()
-    assert blob.startswith(b"P5")
-    assert b"65535" in blob.split(b"\n")[0:3][-1] or b"65535" in blob
-    assert info["min"] == 0.0
-    assert info["max"] == 2.0
-    assert info["nan_count"] == 1
-    assert info["bit_depth"] == 16
+    assert blob.startswith(b"P5\n2 2\n65535\n")
+    assert info == {"min": 0.0, "max": 2.0, "nan_count": 1}
     # 2x2 16-bit payload = 8 bytes after the header
     header_end = blob.index(b"65535\n") + len(b"65535\n")
     pixels = np.frombuffer(blob[header_end:], dtype=">u2").reshape(2, 2)
@@ -393,12 +389,46 @@ def test_write_pgm_format_and_sidecar(tmp_path):
     assert pixels[1, 1] == 0   # NaN renders as black
 
 
+def _one_tile_raster(image):
+    """One image's 16-bit raster as a single-image PGM export normalises it."""
+    finite = np.isfinite(image)
+    lo = image[finite].min() if finite.any() else 0.0
+    hi = image[finite].max() if finite.any() else 0.0
+    span = hi - lo if hi > lo else 1.0
+    scaled = np.zeros_like(image)
+    scaled[finite] = (image[finite] - lo) / span * 65535
+    return np.round(scaled).astype(">u2").tobytes()
+
+
+def test_write_pgm_stack_is_its_tiles_rasters_top_to_bottom(tmp_path):
+    rng = np.random.default_rng(12)
+    dense = rng.normal(size=(3, 5)) * 1e-3
+    holed = rng.normal(size=(3, 5)) + 40.0
+    holed[1, 2] = holed[0, 4] = np.nan
+    holed[2, 0] = np.inf
+    tiles = [dense, holed, np.full((3, 5), np.nan), np.full((3, 5), -2.5)]
+    path = tmp_path / "stack.pgm"
+    ranges = write_pgm(path, tiles)
+    header = b"P5\n5 12\n65535\n"
+    blob = path.read_bytes()
+    assert blob == header + b"".join(_one_tile_raster(tile) for tile in tiles)
+    finite = np.isfinite(holed)
+    assert ranges == [
+        {"min": float(dense.min()), "max": float(dense.max()), "nan_count": 0},
+        {"min": float(holed[finite].min()), "max": float(holed[finite].max()), "nan_count": 3},
+        {"min": 0.0, "max": 0.0, "nan_count": 15},
+        {"min": -2.5, "max": -2.5, "nan_count": 0},
+    ]
+    # the all-NaN and the constant tile both render black
+    assert not np.frombuffer(blob[len(header):], dtype=">u2")[-30:].any()
+
+
 def test_write_pgm_deterministic(tmp_path):
     rng = np.random.default_rng(6)
-    image = rng.normal(size=(3, 5))
+    stack = rng.normal(size=(2, 3, 5))
     p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    write_pgm(p1, image)
-    write_pgm(p2, image)
+    write_pgm(p1, stack)
+    write_pgm(p2, stack)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -447,11 +477,14 @@ def _rewrite(path, dims=None, block=None):
      "PLTT metadata must be a JSON object"),
     (lambda path: _rewrite(path, dims=(1, 1, 1, 1, 4, 4, 0)), ValueError,
      re.escape("PLTT header dims (1, 1, 1, 1, 4, 4, 0) hold no payload")),
-    (lambda path: write_pgm(path, np.zeros((2, 2, 2))), ValueError,
-     re.escape("PGM export needs a 2D array, got (2, 2, 2)")),
+    (lambda path: write_pgm(path, np.zeros((2, 2))), ValueError,
+     re.escape("PGM export needs an (n, h, w) stack, got (2, 2)")),
+    (lambda path: write_pgm(path, np.zeros((1, 2, 2, 2))), ValueError,
+     re.escape("PGM export needs an (n, h, w) stack, got (1, 2, 2, 2)")),
     (lambda path: write_csv_grid(path, np.zeros((2, 2, 2))), ValueError,
      "Expected 1D or 2D array, got 3D array instead"),
-], ids=["write another type", "metadata not an object", "no payload", "3-D pgm", "3-D csv"])
+], ids=["write another type", "metadata not an object", "no payload", "2-D pgm", "4-D pgm",
+        "3-D csv"])
 def test_writer_and_reader_errors(tmp_path, build, error, message):
     with pytest.raises(error, match=message):
         build(tmp_path / "out")

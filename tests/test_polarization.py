@@ -202,6 +202,29 @@ def test_degree_of_polarization_contract():
         degree_of_polarization([-1.0, 0.0, 0.0, 0.0])
 
 
+def test_degree_of_polarization_of_an_array_is_an_array():
+    rng = np.random.default_rng(29)
+    stack = random_physical_stokes(rng, 6).reshape(2, 3, 4)
+    dop = degree_of_polarization(stack)
+    assert isinstance(dop, np.ndarray) and dop.shape == (2, 3)
+    expected = [degree_of_polarization(s) for s in stack.reshape(6, 4)]
+    np.testing.assert_array_equal(dop.ravel(), expected)
+    np.testing.assert_array_equal(degree_of_polarization([HORIZ, UNPOL]), [1.0, 0.0])
+
+
+def test_apply_mueller_to_one_vector_and_to_rows():
+    rng = np.random.default_rng(31)
+    m = retarder(0.3, 1.2) @ linear_polarizer(0.9)
+    rows = random_physical_stokes(rng, 5)
+    one = apply_mueller(m, rows[0])
+    assert one.shape == (4,)
+    np.testing.assert_allclose(one, m @ rows[0], rtol=0, atol=1e-15)
+    batch = apply_mueller(m, rows)
+    assert batch.shape == (5, 4)
+    np.testing.assert_allclose(batch, [m @ s for s in rows], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(apply_mueller(m.tolist(), HORIZ.tolist()), m @ HORIZ)
+
+
 def test_random_stokes_are_physical():
     rng = np.random.default_rng(23)
     samples = random_physical_stokes(rng, 200)
