@@ -38,7 +38,7 @@ import struct
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -60,18 +60,10 @@ from .ellipsometry import (
     save_schedule,
     schedule_to_dict,
 )
-from .fileio import (
-    PlttReader,
-    PlttWriter,
-    measurement_header,
-    transport_header,
-    write_csv_grid,
-    write_pgm,
-    write_pltt,
-)
+from .fileio import PlttReader, PlttWriter, write_csv_grid, write_pgm
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
-from .tensor import Fold, check_number, epipolar_masks, fold
+from .tensor import Fold, Header, check_number, epipolar_masks, fold
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +146,9 @@ def cmd_simulate(args):
     scene = load_scene(args.scene)
     resolution = _parse_resolution(args.resolution)
     tensor = build_transport(scene, resolution, args.bins, args.bin_width)
-    write_pltt(args.out, tensor, provenance="simulate(%s)" % os.path.basename(args.scene))
+    with PlttWriter(args.out) as out:
+        out.write(tensor.data)
+        out.finish(replace(tensor.header, provenance="simulate(%s)" % os.path.basename(args.scene)))
     print("wrote %s: %s %s, %d bins" % (
         args.out, scene.geometry_mode, "x".join(str(v) for v in resolution), args.bins))
     return {"outputs": [args.out]}
@@ -181,8 +175,7 @@ def cmd_capture(args):
         schedule = _load_cli_schedule(args)
         kernel = CaptureKernel(truth, schedule, args.noise, args.seed,
                                _pick_mask(truth, args.mask), args.split)
-        header = measurement_header(truth, schedule, kernel.noise_sigma, kernel.seed,
-                                    kernel.split, "capture(%s)" % os.path.basename(args.tensor))
+        header = replace(kernel.header, provenance="capture(%s)" % os.path.basename(args.tensor))
         step = chunk_pixels(truth.n_cam, truth.record, header.record)
         records = np.empty((step,) + header.record)
         with PlttWriter(args.out) as out:
@@ -238,8 +231,9 @@ def cmd_reconstruct(args):
                 decoder.solve(records, blocks[:n], squares[start * s_proj:(start + n) * s_proj])
                 out.write(blocks[:n])
             sigma_hat, noise_std = decoder.noise_model(squares, meas.noise_sigma)
-            provenance = "reconstruct(%s)" % os.path.basename(args.measurements)
-            out.finish(transport_header(meas, noise_std, provenance=provenance))
+            out.finish(Header("transport", meas.cam_shape, meas.proj_shape, meas.coaxial,
+                              meas.n_bins, meas.time_bin_width, noise_std=noise_std,
+                              provenance="reconstruct(%s)" % os.path.basename(args.measurements)))
     if decoder.rank < 16:
         print(
             "warning: UNDERDETERMINED reconstruction (design rank %d < 16); "
@@ -460,7 +454,7 @@ def slice_images(tensor, expr, chunks=None):
     (first camera pixel, blocks) ``chunks`` of the tensor's payload, or its
     data as one chunk, to an (S_cam, 4, 4, T) block: the masked fold for
     ``s_e``/``s_n``, the diagonal for ``s`` and one projector pixel for an
-    index. ``chunks`` let ``tensor`` be a container Header.
+    index. ``chunks`` let ``tensor`` be a file's Header.
     """
     text = expr.strip()
     negate = text.startswith("-")

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polarization import beamsplitter, galvo_mirror
-from .tensor import TransportTensor, check_layout, check_number, probe_weights
+from .tensor import Header, HeaderArray, TransportTensor, check_number, probe_weights
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
@@ -299,7 +299,7 @@ class Decoder:
     @classmethod
     def of_measurements(cls, meas, split=None):
         """
-        The decoder of a MeasurementSet's or a Header's schedule and split. A
+        The decoder of a MeasurementSet's or its Header's schedule and split. A
         ``split`` other than the recorded one fails before any record is read.
         """
         if split is not None and split != meas.split:
@@ -370,17 +370,21 @@ def design_matrix(schedule, coaxial=False, split=0.5):
 
 
 @dataclass(frozen=True)
-class MeasurementSet:
+class MeasurementSet(HeaderArray):
     """
-    Stack of modulated intensities with capture provenance.
+    Stack of modulated intensities: its ``header`` (``tensor.Header`` states
+    and checks the layout and the capture's stored values) plus its
+    intensities.
 
     intensities has shape (S_cam, S_proj, n_rows, n_bins), the
     container's order: one (n_rows, n_bins) record per camera and
     projector pixel. A ``coaxial`` set stores S_proj = 1 (the diagonal).
     Rows are capture-major (analyzer index fastest in polarizer_array
     mode). ``split`` is the beamsplitter fraction of a coaxial capture;
-    reconstruction reads it. ``tensor.check_layout`` states the layout's rule.
+    reconstruction reads it. ``provenance`` says what made the set.
     """
+
+    kind = "measurement"
 
     intensities: np.ndarray = field(repr=False)
     schedule: AngleSchedule
@@ -392,24 +396,14 @@ class MeasurementSet:
     seed: int = None
     provenance: str = ""
     split: float = 0.5
+    header: Header = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.intensities, dtype=float)
         object.__setattr__(self, "intensities", arr)
         if arr.ndim != 4:
             raise ValueError("intensities must be 4D (S_cam, S_proj, rows, bins)")
-        if arr.shape[2] != self.schedule.n_rows:
-            raise ValueError("row count %d does not match the schedule's %d"
-                             % (arr.shape[2], self.schedule.n_rows))
-        check_layout(self, arr.shape)
-        for name, bounds in (("noise_sigma", {"low": 0.0}), ("split", {"low": 0.0, "high": 1.0})):
-            object.__setattr__(self, name, check_number(getattr(self, name), name, **bounds))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", check_number(self.seed, "seed", low=0, integer=True))
-
-    @property
-    def n_bins(self):
-        return self.intensities.shape[3]
+        self._check_header(arr.shape)
 
 
 def chunk_pixels(n_cam, *records):
@@ -423,10 +417,10 @@ def chunk_pixels(n_cam, *records):
 
 class CaptureKernel:
     """
-    The checked arguments of a capture of a tensor's layout (a
-    TransportTensor or a container Header) and its per-chunk step. A
-    design of rank 0, as a coaxial split of 0 or 1 gives, fails as
-    reconstruct fails on it.
+    A capture of a tensor's layout (a TransportTensor or a Header): the
+    ``header`` of the measurement set it makes, which checks the capture's
+    arguments once, and its per-chunk step. A design of rank 0, as a
+    coaxial split of 0 or 1 gives, fails as reconstruct fails on it.
 
     The noise is one ``SFC64(seed)`` stream of sigma * N(0, 1) draws, in
     the measurement's own (s, s', row, t) order: the draws of successive
@@ -434,14 +428,14 @@ class CaptureKernel:
     """
 
     def __init__(self, tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
-        self.noise_sigma = check_number(noise_sigma, "noise_sigma", low=0.0)
-        self.split = check_number(split, "split", low=0.0, high=1.0)
-        self.seed = None if seed is None else check_number(seed, "seed", low=0, integer=True)
+        self.header = Header("measurement", tensor.cam_shape, tensor.proj_shape, tensor.coaxial,
+                             tensor.n_bins, tensor.time_bin_width, schedule=schedule,
+                             noise_sigma=noise_sigma, seed=seed, split=split)
         self.weights = None if masks is None else probe_weights(tensor, masks)
-        self.a = forward_model(schedule, tensor.coaxial, self.split).design()
+        self.a = forward_model(schedule, tensor.coaxial, self.header.split).design()
         Decoder(self.a).pinv     # a record of an all-zero design would be noise alone
-        self.rng = (np.random.Generator(np.random.SFC64(self.seed))
-                    if self.noise_sigma > 0 else None)
+        self.rng = (np.random.Generator(np.random.SFC64(self.header.seed))
+                    if self.header.noise_sigma > 0 else None)
         self.noise = np.empty(0)
 
     def records(self, start, blocks, out):
@@ -461,7 +455,7 @@ class CaptureKernel:
                 self.noise = np.empty(out.size)
             noise = self.noise[:out.size].reshape(out.shape)
             self.rng.standard_normal(out=noise)
-            noise *= self.noise_sigma
+            noise *= self.header.noise_sigma
             out += noise
 
 
@@ -486,22 +480,12 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     a mask, one chunk of weighted blocks.
     """
     kernel = CaptureKernel(tensor, schedule, noise_sigma, seed, masks, split)
-    s_cam, s_proj, _, _, n_bins = tensor.data.shape
-    vals = np.empty((s_cam, s_proj, schedule.n_rows, n_bins))
-    step = chunk_pixels(s_cam, tensor.data.shape[1:], vals.shape[1:])
-    for start in range(0, s_cam, step):
+    head = kernel.header
+    vals = np.empty((head.n_cam,) + head.record)
+    step = chunk_pixels(head.n_cam, tensor.data.shape[1:], head.record)
+    for start in range(0, head.n_cam, step):
         kernel.records(start, tensor.data[start:start + step], vals[start:start + step])
-    return MeasurementSet(
-        intensities=vals,
-        schedule=schedule,
-        coaxial=tensor.coaxial,
-        cam_shape=tensor.cam_shape,
-        proj_shape=tensor.proj_shape,
-        time_bin_width=tensor.time_bin_width,
-        noise_sigma=kernel.noise_sigma,
-        seed=kernel.seed,
-        split=kernel.split,
-    )
+    return MeasurementSet.of(head, vals)
 
 
 # ---------------------------------------------------------------------------

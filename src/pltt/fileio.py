@@ -22,21 +22,23 @@ One container serves two kinds, each stored as its in-memory array
   metadata ride in the JSON block (a file without ``split`` is read as
   0.5), with a ``geometry_mode`` that repeats the coaxial flag.
 
-A ``Header`` holds a file's checked, typed values: its kind, grids,
-geometry and bin count, the fields of its JSON block and a measurement's
-schedule. The seven header slots (``dims``), one camera pixel's payload
-shape (``record``) and the JSON block (``meta``) are derived from them,
-so the writer writes what the reader checks.
+A file holds one ``tensor.Header``, the record that a TransportTensor or
+a MeasurementSet keeps beside its array and that alone checks its
+values: ``write_pltt`` writes an object's array and header, and
+``read_pltt`` builds the object from both, so every value either object
+keeps, its provenance too, reads back and writes again byte for byte. This module holds only the record's byte form, the seven header
+slots and the JSON block, so the writer writes what the reader checks.
 
 The payload is a run of camera pixels, each one record of the kind's
 shape less its first axis, and both directions stream it in those
 records. ``PlttReader`` checks everything but the payload before it uses
 a payload byte: the coaxial flag, the file length against the header
-dims, the JSON block, each kind's required metadata keys and their
-values, a measurement's geometry_mode against the coaxial flag, and each
-kind's fixed header slots against the dims of the Header it builds (a
-transport's 4x4 block, a measurement's dim_q and its K' against its
-schedule's row count); it raises ValueError naming what is wrong.
+dims, the JSON block, each kind's required metadata keys, a
+measurement's geometry_mode against the coaxial flag, the values of the
+Header it builds, and each kind's fixed header slots against that
+Header's (a transport's 4x4 block, a measurement's dim_q and its K'
+against its schedule's row count); it raises ValueError naming what is
+wrong.
 It then ``readinto``s runs of camera pixels into one reused buffer (not
 ``np.memmap``, whose touched pages count in resident memory), and checks
 that a transport's are finite. ``PlttWriter`` writes the payload
@@ -51,12 +53,11 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsometry import AngleSchedule, MeasurementSet, schedule_from_dict, schedule_to_dict
-from .tensor import TRANSPORT_SHAPE, TransportTensor, check_layout, check_number
+from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
+from .tensor import TRANSPORT_SHAPE, Header, HeaderArray, TransportTensor, check_number
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -65,84 +66,28 @@ _PREFIX = len(MAGIC) + _HEADER.size + 1
 _SLOTS = ("cam_w", "cam_h", "proj_w", "proj_h", "dim_p", "dim_q", "n_bins")
 # a measurement's geometry_mode metadata, by the header's coaxial flag
 _GEOMETRY = {False: "projector_camera", True: "coaxial"}
+# the in-memory class of each payload kind
+_KINDS = {"transport": TransportTensor, "measurement": MeasurementSet}
 
 
-@dataclass(frozen=True, eq=False)
-class Header:
-    """
-    A PLTT file's checked, typed values, named as a TransportTensor's or a
-    MeasurementSet's, so the per-chunk kernels (capture, reconstruction,
-    the fold, the lit blocks and the slice evaluator) take either; the
-    header slots ``dims``, the per-pixel ``record`` and the JSON block
-    ``meta`` are derived from them. Headers compare by identity, as
-    ``noise_std`` and ``schedule`` hold arrays.
-    """
-
-    kind: str
-    cam_shape: tuple
-    proj_shape: tuple
-    coaxial: bool
-    n_bins: int
-    time_bin_width: float
-    channel_id: str = "mono"
-    provenance: str = ""
-    noise_std: np.ndarray = None
-    schedule: AngleSchedule = None
-    noise_sigma: float = 0.0
-    seed: int = None
-    split: float = 0.5
-
-    @property
-    def n_cam(self):
-        return math.prod(self.cam_shape)
-
-    @property
-    def n_proj(self):
-        return math.prod(self.proj_shape)
-
-    @property
-    def dims(self):
-        """The seven u32 header slots; a measurement's dim_p is its schedule's row count."""
-        (cam_h, cam_w), (proj_h, proj_w) = self.cam_shape, self.proj_shape
-        dim_p, dim_q = (4, 4) if self.kind == "transport" else (self.schedule.n_rows, 1)
-        return cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, self.n_bins
-
-    @property
-    def record(self):
-        """The payload shape of one camera pixel."""
-        s_proj = 1 if self.coaxial else self.n_proj
-        if self.kind == "transport":
-            return s_proj, 4, 4, self.n_bins
-        return s_proj, self.schedule.n_rows, self.n_bins
-
-    @property
-    def meta(self):
-        """The JSON block."""
-        meta = {"kind": self.kind, "time_bin_width": self.time_bin_width,
-                "channel_id": self.channel_id, "provenance": self.provenance}
-        if self.noise_std is not None:
-            meta["noise_std"] = self.noise_std.ravel().tolist()
-        if self.kind == "measurement":
-            meta.update(schedule=schedule_to_dict(self.schedule),
-                        geometry_mode=_GEOMETRY[self.coaxial], noise_sigma=self.noise_sigma,
-                        seed=self.seed, split=self.split)
-        return meta
+def _dims(header):
+    """A Header's seven u32 header slots; a measurement's dim_p is its schedule's row count."""
+    (cam_h, cam_w), (proj_h, proj_w) = header.cam_shape, header.proj_shape
+    dim_p, dim_q = (4, 4) if header.kind == "transport" else (header.schedule.n_rows, 1)
+    return cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, header.n_bins
 
 
-def transport_header(layout, noise_std=None, channel_id="mono", provenance=""):
-    """
-    The header of a transport tensor with the grids, geometry, bin count
-    and bin width of ``layout`` (a tensor, a measurement set or a Header).
-    """
-    return Header("transport", layout.cam_shape, layout.proj_shape, layout.coaxial,
-                  layout.n_bins, layout.time_bin_width, channel_id, provenance, noise_std)
-
-
-def measurement_header(layout, schedule, noise_sigma, seed, split, provenance=""):
-    """The header of a measurement set of ``layout`` captured with a schedule."""
-    return Header("measurement", layout.cam_shape, layout.proj_shape, layout.coaxial,
-                  layout.n_bins, layout.time_bin_width, provenance=provenance,
-                  schedule=schedule, noise_sigma=noise_sigma, seed=seed, split=split)
+def _meta(header):
+    """A Header's JSON block."""
+    meta = {"kind": header.kind, "time_bin_width": header.time_bin_width,
+            "channel_id": header.channel_id, "provenance": header.provenance}
+    if header.noise_std is not None:
+        meta["noise_std"] = header.noise_std.ravel().tolist()
+    if header.kind == "measurement":
+        meta.update(schedule=schedule_to_dict(header.schedule),
+                    geometry_mode=_GEOMETRY[header.coaxial], noise_sigma=header.noise_sigma,
+                    seed=header.seed, split=header.split)
+    return meta
 
 
 class PlttWriter:
@@ -169,10 +114,10 @@ class PlttWriter:
         count = header.n_cam * math.prod(header.record)
         if self._count != count:
             raise ValueError("PLTT payload has %d values, its header dims %r need %d"
-                             % (self._count, header.dims, count))
-        self._fh.write(json.dumps(header.meta, sort_keys=True).encode("utf-8"))
+                             % (self._count, _dims(header), count))
+        self._fh.write(json.dumps(_meta(header), sort_keys=True).encode("utf-8"))
         self._fh.seek(0)
-        self._fh.write(MAGIC + _HEADER.pack(*header.dims)
+        self._fh.write(MAGIC + _HEADER.pack(*_dims(header))
                        + struct.pack("<B", 1 if header.coaxial else 0))
         self._fh.close()
         os.replace(self._temp, self._path)
@@ -186,19 +131,13 @@ class PlttWriter:
             os.remove(self._temp)
 
 
-def write_pltt(path, obj, provenance=""):
-    """Serialize a transport tensor or a measurement set."""
-    if isinstance(obj, TransportTensor):
-        header, data = transport_header(obj, obj.noise_std, obj.channel_id, provenance), obj.data
-    elif isinstance(obj, MeasurementSet):
-        header = measurement_header(obj, obj.schedule, obj.noise_sigma, obj.seed, obj.split,
-                                    provenance)
-        data = obj.intensities
-    else:
+def write_pltt(path, obj):
+    """Serialize a transport tensor or a measurement set: its array and its header."""
+    if not isinstance(obj, HeaderArray):
         raise TypeError("cannot serialize %r" % type(obj))
     with PlttWriter(path) as out:
-        out.write(data)
-        out.finish(header)
+        out.write(obj.array)
+        out.finish(obj.header)
 
 
 # metadata keys each payload kind cannot be read without
@@ -236,41 +175,34 @@ def _read_header(fh):
     if not isinstance(meta, dict):
         raise ValueError("PLTT metadata must be a JSON object")
     kind = meta.get("kind", "transport")
-    if kind not in _REQUIRED_KEYS:
+    if not isinstance(kind, str) or kind not in _REQUIRED_KEYS:
         raise ValueError("unknown PLTT payload kind %r" % (kind,))
     for key in _REQUIRED_KEYS[kind]:
         if key not in meta:
             raise ValueError("PLTT %s metadata lacks the required key %r" % (kind, key))
-    # the values the in-memory objects check, checked before the payload is read
+    if count == 0:
+        raise ValueError("PLTT header dims %r hold no payload" % (dims,))
     std = meta.get("noise_std")
-    if std is not None:
-        std = check_number(std, "PLTT metadata key 'noise_std'", low=0.0,
-                           shape=(16,)).reshape(4, 4)
+    if isinstance(std, list):     # the file's 16 values are the record's four rows
+        std = [std[i:i + 4] for i in range(0, len(std), 4)]
     measured = {}
     if kind == "measurement":
         schedule = schedule_from_dict(meta["schedule"])
         if meta["geometry_mode"] != _GEOMETRY[coaxial]:
             raise ValueError("PLTT measurement metadata geometry_mode %r disagrees with the "
                              "header's coaxial flag %d" % (meta["geometry_mode"], coaxial))
-        seed = meta["seed"]
-        measured = dict(
-            schedule=schedule,
-            noise_sigma=check_number(meta["noise_sigma"], "noise_sigma", low=0.0),
-            # files written before the split was stored were reconstructed at 0.5
-            split=check_number(meta.get("split", 0.5), "split", low=0.0, high=1.0),
-            seed=None if seed is None else check_number(seed, "seed", low=0, integer=True))
+        # files written before the split was stored were reconstructed at 0.5
+        measured = dict(schedule=schedule, noise_sigma=meta["noise_sigma"], seed=meta["seed"],
+                        split=meta.get("split", 0.5))
     header = Header(kind, (cam_h, cam_w), (proj_h, proj_w), coaxial, n_bins,
                     meta["time_bin_width"], meta.get("channel_id", "mono"),
                     meta.get("provenance", ""), std, **measured)
     # the Header's dims restate the file's but for the slots its kind fixes:
     # a transport's 4x4 block, a measurement's dim_q and its schedule's row count
-    for slot, value, want in zip(_SLOTS, dims, header.dims):
+    for slot, value, want in zip(_SLOTS, dims, _dims(header)):
         if value != want:
             raise ValueError("PLTT %s header slot %s is %d, must be %d"
                              % (kind, slot, value, want))
-    if count == 0:
-        raise ValueError("PLTT header dims %r hold no payload" % (dims,))
-    check_layout(header, (cam_w * cam_h, s_proj))
     return header
 
 
@@ -333,12 +265,7 @@ def read_pltt(path):
     with PlttReader(path) as src:
         head = src.header
         payload = src.read(head.n_cam)
-    if head.kind == "transport":
-        return TransportTensor(payload, head.cam_shape, head.proj_shape, head.time_bin_width,
-                               head.channel_id, head.coaxial, head.noise_std)
-    return MeasurementSet(payload, head.schedule, head.coaxial, head.cam_shape, head.proj_shape,
-                          head.time_bin_width, head.noise_sigma, head.seed, head.provenance,
-                          head.split)
+    return _KINDS[head.kind].of(head, payload)
 
 
 # ---------------------------------------------------------------------------

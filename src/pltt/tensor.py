@@ -13,10 +13,14 @@ axis of length 1 with ``coaxial=True`` and the logical projector shape
 equal to the camera shape.
 A probe mask is an (S_cam, S_proj) array of weights in [0, 1] on the
 (s, s') couplings (O'Toole et al., "Primal-dual coding", SIGGRAPH 2012).
+
+A ``Header`` is the one record of a layout and its stored values: a
+TransportTensor, or an ``ellipsometry.MeasurementSet``, is its Header
+plus its array, and a PLTT container stores the pair.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,40 +94,132 @@ def check_grid(grid, name):
     return tuple(check_number(grid, name, low=1, shape=(2,), integer=True).tolist())
 
 
-def check_layout(obj, shape):
+@dataclass(frozen=True, eq=False)
+class Header:
     """
-    Check and store the layout of a tensor, a measurement set or a container
-    Header ``obj``: each grid is two integers >= 1 (never a bool, float or
-    string), ``coaxial`` is a bool (a numpy bool is stored as one),
-    ``time_bin_width`` is above 0 and the first two axes of ``shape`` match the grids.
+    The one record of a layout and its stored parameters: a transport
+    tensor's or a measurement set's kind, pixel grids, geometry, bin count
+    and width, channel, provenance and noise model, and a measurement's
+    schedule, noise sigma, seed and beamsplitter split. A TransportTensor or
+    a MeasurementSet is its Header plus its array, and a PLTT container
+    stores the same record (``fileio`` holds its byte form), so the per-chunk
+    kernels (capture, reconstruction, the fold, the lit blocks and the slice
+    evaluator) take a file's Header as they take a tensor or a set.
+
+    Construction checks every value, and no other code does: each grid is
+    two integers >= 1 (never a bool, float or string), ``coaxial`` is a bool
+    (a numpy bool is stored as one) and a coaxial ``proj_shape`` equals
+    ``cam_shape``, ``channel_id`` and ``provenance`` are strings,
+    ``time_bin_width`` is above 0, ``noise_std`` is None or (4, 4) values
+    >= 0, ``noise_sigma`` is >= 0, ``split`` lies in [0, 1] and ``seed`` is
+    None or an integer >= 0. Headers compare by identity, as ``noise_std``
+    and ``schedule`` hold arrays.
     """
-    for name in ("cam_shape", "proj_shape"):
-        object.__setattr__(obj, name, check_grid(getattr(obj, name), name))
-    if not isinstance(obj.coaxial, (bool, np.bool_)):
-        raise ValueError("coaxial must be a bool, got %r" % (obj.coaxial,))
-    object.__setattr__(obj, "coaxial", bool(obj.coaxial))
-    s_cam, s_proj = shape[:2]
-    if s_cam != math.prod(obj.cam_shape):
-        raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, obj.cam_shape))
-    if s_proj != (1 if obj.coaxial else math.prod(obj.proj_shape)):
-        raise ValueError("projector axis %d does not match proj_shape %r (coaxial=%r)"
-                         % (s_proj, obj.proj_shape, obj.coaxial))
-    if obj.coaxial and obj.proj_shape != obj.cam_shape:
-        raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
-    object.__setattr__(obj, "time_bin_width",
-                       check_number(obj.time_bin_width, "time_bin_width", above=0.0))
+
+    kind: str
+    cam_shape: tuple
+    proj_shape: tuple
+    coaxial: bool
+    n_bins: int
+    time_bin_width: float
+    channel_id: str = "mono"
+    provenance: str = ""
+    noise_std: np.ndarray = None
+    schedule: object = None
+    noise_sigma: float = 0.0
+    seed: int = None
+    split: float = 0.5
+
+    def __post_init__(self):
+        for name in ("cam_shape", "proj_shape"):
+            object.__setattr__(self, name, check_grid(getattr(self, name), name))
+        if not isinstance(self.coaxial, (bool, np.bool_)):
+            raise ValueError("coaxial must be a bool, got %r" % (self.coaxial,))
+        object.__setattr__(self, "coaxial", bool(self.coaxial))
+        if self.coaxial and self.proj_shape != self.cam_shape:
+            raise ValueError("coaxial tensors must have proj_shape equal to cam_shape")
+        for name in ("channel_id", "provenance"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError("%s must be a string, got %r" % (name, getattr(self, name)))
+        checks = [("time_bin_width", {"above": 0.0}), ("noise_sigma", {"low": 0.0}),
+                  ("split", {"low": 0.0, "high": 1.0})]
+        if self.noise_std is not None:
+            checks.append(("noise_std", {"low": 0.0, "shape": (4, 4)}))
+        if self.seed is not None:
+            checks.append(("seed", {"low": 0, "integer": True}))
+        for name, rule in checks:
+            object.__setattr__(self, name, check_number(getattr(self, name), name, **rule))
+
+    @property
+    def n_cam(self):
+        return math.prod(self.cam_shape)
+
+    @property
+    def n_proj(self):
+        return math.prod(self.proj_shape)
+
+    @property
+    def record(self):
+        """One camera pixel's array shape: (S_proj|1, 4, 4, n_bins) or (S_proj|1, K', n_bins)."""
+        s_proj = 1 if self.coaxial else self.n_proj
+        if self.kind == "transport":
+            return s_proj, 4, 4, self.n_bins
+        return s_proj, self.schedule.n_rows, self.n_bins
+
+    def check_shape(self, shape):
+        """Raise a ValueError naming the first axis of an array ``shape`` not the record's."""
+        s_cam, s_proj, rows = shape[:3]
+        if s_cam != self.n_cam:
+            raise ValueError("camera axis %d does not match cam_shape %r" % (s_cam, self.cam_shape))
+        if s_proj != self.record[0]:
+            raise ValueError("projector axis %d does not match proj_shape %r (coaxial=%r)"
+                             % (s_proj, self.proj_shape, self.coaxial))
+        if rows != self.record[1]:     # a transport's data has 4 rows by its own check
+            raise ValueError("row count %d does not match the schedule's %d"
+                             % (rows, self.record[1]))
+
+
+class HeaderArray:
+    """
+    A checked ``Header`` plus the array it describes: the base of
+    TransportTensor and MeasurementSet, frozen dataclasses whose first field
+    is the array, whose other arguments are the Header fields of the same
+    names and whose ``kind`` names their Header's. Each keeps its ``header``
+    and, in those fields, its checked values; ``dataclasses.replace`` builds
+    both again.
+    """
+
+    array = property(lambda self: getattr(self, fields(self)[0].name))
+    n_cam = property(lambda self: self.header.n_cam)
+    n_proj = property(lambda self: self.header.n_proj)
+    n_bins = property(lambda self: self.header.n_bins)
+
+    @classmethod
+    def of(cls, header, array):
+        """The object holding ``array`` with the values of ``header`` that it has fields for."""
+        return cls(array, **{f.name: getattr(header, f.name) for f in fields(cls)[1:] if f.init})
+
+    def _check_header(self, shape):
+        """Check this object's values as the Header of an array of ``shape``; keep them checked."""
+        names = [f.name for f in fields(self)[1:] if f.init]
+        header = Header(self.kind, n_bins=shape[-1], **{n: getattr(self, n) for n in names})
+        header.check_shape(shape)
+        object.__setattr__(self, "header", header)
+        for name in names:
+            object.__setattr__(self, name, getattr(header, name))
 
 
 @dataclass(frozen=True)
-class TransportTensor:
+class TransportTensor(HeaderArray):
     """
-    Dense transport tensor with metadata.
+    Dense transport tensor: its ``header`` (``Header`` states and checks the
+    layout and values) plus its data.
 
     data : ndarray, shape (S_cam, S_proj, 4, 4, n_bins)
         For coaxial tensors the projector axis has length 1 and holds
         the diagonal blocks T(s, s, ...).
     cam_shape, proj_shape : (height, width)
-        Logical 2D pixel grids, flattened row-major; ``check_layout`` states their rule.
+        Logical 2D pixel grids, flattened row-major.
     time_bin_width : float
         Seconds per bin.
     noise_std : ndarray, shape (4, 4), or None
@@ -131,10 +227,14 @@ class TransportTensor:
         (p, p'), the same for every block, as estimated by the
         reconstruction that produced the tensor; None when the tensor
         has no noise model (simulated truth, probed tensors).
+    provenance : str
+        What made the tensor, stored with it in a container.
 
     ``data`` is kept as a read-only view of the checked array, so it stays
     finite; the caller's own array stays writeable.
     """
+
+    kind = "transport"
 
     data: np.ndarray = field(repr=False)
     cam_shape: tuple
@@ -143,27 +243,14 @@ class TransportTensor:
     channel_id: str = "mono"
     coaxial: bool = False
     noise_std: np.ndarray = field(default=None, repr=False)
+    provenance: str = ""
+    header: Header = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = check_number(self.data, "transport data", shape=TRANSPORT_SHAPE).view()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        check_layout(self, data.shape)
-        if self.noise_std is not None:
-            object.__setattr__(self, "noise_std",
-                               check_number(self.noise_std, "noise_std", low=0.0, shape=(4, 4)))
-
-    @property
-    def n_cam(self):
-        return self.data.shape[0]
-
-    @property
-    def n_proj(self):
-        return math.prod(self.proj_shape)
-
-    @property
-    def n_bins(self):
-        return self.data.shape[4]
+        self._check_header(data.shape)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import re
 import struct
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -379,7 +379,7 @@ def small_measurement_blob():
                                  (1, 2), (1, 2), 1e-10, coaxial=True)
         meas = capture(tensor, drr_schedule(16), noise_sigma=1e-3, seed=3, split=0.4)
         path = os.path.join(tmp, "meas.pltt")
-        write_pltt(path, meas, provenance="fuzz")
+        write_pltt(path, replace(meas, provenance="fuzz"))
         with open(path, "rb") as fh:
             return fh.read()
 

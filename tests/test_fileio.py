@@ -11,15 +11,7 @@ from hypothesis.extra.numpy import arrays
 import pltt.fileio
 from pltt.cli import main
 from pltt.ellipsometry import AngleSchedule, MeasurementSet, drr_schedule, schedule_to_dict
-from pltt.fileio import (
-    MAGIC,
-    PlttWriter,
-    measurement_header,
-    read_pltt,
-    write_csv_grid,
-    write_pgm,
-    write_pltt,
-)
+from pltt.fileio import MAGIC, PlttWriter, read_pltt, write_csv_grid, write_pgm, write_pltt
 from pltt.tensor import TransportTensor
 
 BIN = 2e-11
@@ -28,9 +20,9 @@ BIN = 2e-11
 def test_transport_round_trip_dense(tmp_path):
     rng = np.random.default_rng(0)
     tensor = TransportTensor(rng.normal(size=(6, 2, 4, 4, 3)), (2, 3), (1, 2), BIN,
-                             channel_id="red")
+                             channel_id="red", provenance="unit test")
     path = tmp_path / "t.pltt"
-    write_pltt(path, tensor, provenance="unit test")
+    write_pltt(path, tensor)
     back = read_pltt(path)
     assert isinstance(back, TransportTensor)
     np.testing.assert_array_equal(back.data, tensor.data)
@@ -38,6 +30,7 @@ def test_transport_round_trip_dense(tmp_path):
     assert back.proj_shape == (1, 2)
     assert back.time_bin_width == BIN
     assert back.channel_id == "red"
+    assert back.provenance == "unit test"
     assert not back.coaxial
 
 
@@ -67,7 +60,7 @@ def test_measurement_round_trip(tmp_path):
         provenance="capture test",
     )
     path = tmp_path / "m.pltt"
-    write_pltt(path, meas, provenance="capture test")
+    write_pltt(path, meas)
     back = read_pltt(path)
     assert isinstance(back, MeasurementSet)
     np.testing.assert_array_equal(back.intensities, meas.intensities)
@@ -76,14 +69,16 @@ def test_measurement_round_trip(tmp_path):
     assert back.coaxial is True
     assert back.noise_sigma == 1e-4
     assert back.seed == 99
+    assert back.provenance == "capture test"
 
 
 def test_writes_are_byte_deterministic(tmp_path):
     rng = np.random.default_rng(5)
-    tensor = TransportTensor(rng.normal(size=(2, 2, 4, 4, 2)), (1, 2), (1, 2), BIN)
+    tensor = TransportTensor(rng.normal(size=(2, 2, 4, 4, 2)), (1, 2), (1, 2), BIN,
+                             provenance="same")
     p1, p2 = tmp_path / "a.pltt", tmp_path / "b.pltt"
-    write_pltt(p1, tensor, provenance="same")
-    write_pltt(p2, tensor, provenance="same")
+    write_pltt(p1, tensor)
+    write_pltt(p2, tensor)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -156,11 +151,12 @@ def containers(draw):
     s_cam, s_proj = cam[0] * cam[1], 1 if coaxial else proj[0] * proj[1]
     n_bins = draw(st.integers(1, 3))
     width = draw(st.floats(1e-15, 1.0))
+    provenance = draw(st.text(max_size=12))
     if kind == "transport":
         noise_std = draw(st.none() | arrays(np.float64, (4, 4), elements=st.floats(0.0, 1e300)))
         return TransportTensor(draw(_values((s_cam, s_proj, 4, 4, n_bins))), cam, proj, width,
                                channel_id=draw(st.text(max_size=8)), coaxial=coaxial,
-                               noise_std=noise_std)
+                               noise_std=noise_std, provenance=provenance)
     k = draw(st.integers(1, 4))
     # AngleSchedule takes angles up to about 3e306 radians, where degrees overflow
     angles = [draw(arrays(np.float64, k, elements=st.floats(-1e300, 1e300)))
@@ -172,24 +168,23 @@ def containers(draw):
         draw(_values((s_cam, s_proj, schedule.n_rows, n_bins), finite=False)), schedule,
         coaxial, cam, proj, width,
         noise_sigma=draw(st.floats(0.0, 1.0)), seed=draw(st.none() | st.integers(0, 2**63)),
-        split=draw(st.floats(0.0, 1.0)))
+        provenance=provenance, split=draw(st.floats(0.0, 1.0)))
 
 
 _FIELDS = {
-    TransportTensor: ("cam_shape", "proj_shape", "time_bin_width", "channel_id", "coaxial"),
+    TransportTensor: ("cam_shape", "proj_shape", "time_bin_width", "channel_id", "coaxial",
+                      "provenance"),
     MeasurementSet: ("coaxial", "cam_shape", "proj_shape", "time_bin_width",
                      "noise_sigma", "seed", "split", "provenance"),
 }
 
 
 @settings(max_examples=150, deadline=None)
-@given(obj=containers(), provenance=st.text(max_size=12))
-def test_container_round_trip_property(tmp_path_factory, obj, provenance):
+@given(obj=containers())
+def test_container_round_trip_property(tmp_path_factory, obj):
     tmp = tmp_path_factory.mktemp("round_trip")
     first, second = tmp / "first.pltt", tmp / "second.pltt"
-    if isinstance(obj, MeasurementSet):
-        obj = dataclasses.replace(obj, provenance=provenance)
-    write_pltt(first, obj, provenance=provenance)
+    write_pltt(first, obj)
     back = read_pltt(first)
     assert type(back) is type(obj)
     data = "intensities" if isinstance(obj, MeasurementSet) else "data"
@@ -206,8 +201,8 @@ def test_container_round_trip_property(tmp_path_factory, obj, provenance):
         assert schedule_to_dict(back.schedule) == schedule_to_dict(obj.schedule)
     # the JSON block follows the 45-byte prefix and the payload
     tail = first.read_bytes()[len(MAGIC) + 7 * 4 + 1 + 8 * getattr(back, data).size:]
-    assert json.loads(tail)["provenance"] == provenance
-    write_pltt(second, back, provenance=provenance)
+    assert json.loads(tail)["provenance"] == obj.provenance
+    write_pltt(second, back)
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -226,7 +221,8 @@ def test_malformed_noise_model_exits_two(tmp_path, capsys, value):
     assert meta["noise_std"] == [0.1] * 16
     meta["noise_std"] = value
     path.write_bytes(blob[:end] + json.dumps(meta).encode("utf-8"))
-    with pytest.raises(ValueError, match="'noise_std' must be a list of 16 finite numbers"):
+    with pytest.raises(ValueError,
+                       match=r"^noise_std must be finite numbers of shape \(4, 4\) >= 0, got "):
         read_pltt(path)
     assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
@@ -234,7 +230,7 @@ def test_malformed_noise_model_exits_two(tmp_path, capsys, value):
     assert "noise_std" in err
 
 
-@pytest.mark.parametrize("kind", ["illumination", "detected", "bogus"])
+@pytest.mark.parametrize("kind", ["illumination", "detected", "bogus", [], {}, 1])
 def test_unknown_payload_kind_exits_two(tmp_path, capsys, kind):
     path = tmp_path / "t.pltt"
     write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN))
@@ -244,11 +240,34 @@ def test_unknown_payload_kind_exits_two(tmp_path, capsys, kind):
     assert meta["kind"] == "transport"
     meta["kind"] = kind
     path.write_bytes(blob[:end] + json.dumps(meta).encode("utf-8"))
-    with pytest.raises(ValueError, match="unknown PLTT payload kind '%s'" % kind):
+    message = "unknown PLTT payload kind %r" % (kind,)
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_pltt(path)
     assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: unknown PLTT payload kind '%s'\n" % kind
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("name", ["channel_id", "provenance"])
+@pytest.mark.parametrize("value", [[1], 5, None, {"a": "b"}])
+def test_a_channel_or_provenance_that_is_not_a_string_is_rejected(tmp_path, capsys, name,
+                                                                   value):
+    message = "%s must be a string, got %r" % (name, value)
+    tensor = TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        dataclasses.replace(tensor, **{name: value})
+    if name == "provenance":
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            MeasurementSet(np.zeros((1, 1, 16, 1)), drr_schedule(16), False, (1, 1), (1, 1),
+                           BIN, provenance=value)
+    path = tmp_path / "t.pltt"
+    write_pltt(path, tensor)
+    head, block = _split_trailer(path)
+    path.write_bytes(head + json.dumps(dict(json.loads(block), **{name: value})).encode("utf-8"))
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        read_pltt(path)
+    assert main(["decompose", "--tensor", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 # magic, the seven u32 header slots, the coaxial flag
@@ -300,7 +319,7 @@ def test_a_trailer_without_kind_or_channel_id_reads_as_a_mono_transport(tmp_path
 def test_a_measurement_trailer_without_provenance_reads_as_empty(tmp_path):
     path = tmp_path / "m.pltt"
     write_pltt(path, MeasurementSet(np.zeros((1, 1, 16, 1)), drr_schedule(16), False, (1, 1),
-                                    (1, 1), BIN), provenance="capture(truth.pltt)")
+                                    (1, 1), BIN, provenance="capture(truth.pltt)"))
     assert read_pltt(path).provenance == "capture(truth.pltt)"
     _drop_keys(path, "provenance")
     assert read_pltt(path).provenance == ""
@@ -329,7 +348,7 @@ _SCHEDULE = AngleSchedule(np.deg2rad([0.0, 90.0]), np.deg2rad([45.0, 0.0]),
 ], ids=["transport", "transport-noise-model", "measurement-no-seed"])
 def test_the_json_block_is_pinned_byte_for_byte(tmp_path, obj, block):
     path = tmp_path / "pinned.pltt"
-    write_pltt(path, obj, provenance="pinned")
+    write_pltt(path, dataclasses.replace(obj, provenance="pinned"))
     assert _split_trailer(path)[1] == block
 
 
@@ -364,12 +383,11 @@ def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
 def test_write_rejects_a_payload_its_header_does_not_describe(tmp_path):
     # a writer handed three of a 2x2 measurement's four camera pixels
     meas = MeasurementSet(np.zeros((4, 1, 16, 2)), drr_schedule(16), True, (2, 2), (2, 2), BIN)
-    header = measurement_header(meas, meas.schedule, meas.noise_sigma, meas.seed, meas.split)
     with pytest.raises(ValueError, match=r"PLTT payload has 96 values, its header dims "
                                          r"\(2, 2, 2, 2, 16, 1, 2\) need 128"):
         with PlttWriter(tmp_path / "m.pltt") as out:
             out.write(meas.intensities[:3])
-            out.finish(header)
+            out.finish(meas.header)
     assert not list(tmp_path.iterdir())
 
 

@@ -9,6 +9,7 @@ import contextlib
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,9 +63,10 @@ def test_cli_files_equal_the_library_at_every_chunk_size(tmp_path, monkeypatch, 
     split = 0.3 if "--split" in flags else 0.5
     # the library at its own chunk size is the reference
     meas = capture(tensor, schedule, noise_sigma=1e-3, seed=5, masks=masks, split=split)
-    write_pltt(tmp_path / "lib_meas.pltt", meas, provenance="capture(truth.pltt)")
+    write_pltt(tmp_path / "lib_meas.pltt", replace(meas, provenance="capture(truth.pltt)"))
     result = reconstruct(meas)
-    write_pltt(tmp_path / "lib_recon.pltt", result.tensor, provenance="reconstruct(meas.pltt)")
+    write_pltt(tmp_path / "lib_recon.pltt",
+               replace(result.tensor, provenance="reconstruct(meas.pltt)"))
     _write_diagnostics(tmp_path / "lib_diagnostics.csv", result.residual_norms)
 
     monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES",
