@@ -3,7 +3,8 @@ Batch command line for the transport-tensor pipeline:
 
     pltt simulate      scene JSON -> transport tensor (PLTT)
     pltt capture       tensor + angle schedule -> measurement stack
-    pltt reconstruct   measurements -> Mueller tensor + diagnostics CSV
+    pltt reconstruct   measurements -> Mueller tensor + residual norms (.npy)
+                       + per-bin residual summary CSV
     pltt learn-angles  training config -> optimized schedule + report
     pltt decompose     tensor -> polarizance/retardance/diattenuation maps
     pltt pca           tensor -> principal basis of its Mueller blocks
@@ -14,7 +15,9 @@ Exit codes: 0 success, 2 usage/validation, 3 numerical failure or an
 array too large to allocate. Errors go to stderr as single lines
 prefixed ``error:``. Every command writes the JSON manifest
 ``<--out>.manifest.json``: its file arguments as ``inputs``, the files
-it wrote, its seed, its wall time and the process's peak RSS.
+it wrote, its seed, its wall time and the process's peak RSS;
+``reconstruct``'s adds ``health``: the design's rank and cond, sigma_hat,
+and the p50, p99 and max of the residual norms.
 Image exports write one exact CSV per image and one 16-bit PGM with a
 JSON sidecar per stack: ``decompose`` stacks a map over its bins,
 ``slice`` every image it enumerates, ``descatter`` its one prediction.
@@ -196,21 +199,27 @@ def cmd_capture(args):
 ILL_CONDITIONED = 1e3
 
 
-def _write_diagnostics(path, res):
+def _write_diagnostics(stem, res):
     """
-    Residual norms as CSV rows ``cam_index,proj_index,bin,residual_norm``
-    in (s, x, t) order, with the csv module's CRLF line ends, one camera
-    pixel at a time: its rows' indices go into one format string, and one
-    ``%`` fills in the values.
+    The (S_cam, S_proj, T) residual norms ``res`` exactly, as the ``np.save``
+    file ``<stem>_residual_norms.npy``, and their summary
+    ``<stem>_diagnostics.csv``: the row ``bin,records,p50,p99,max`` of each
+    time bin over its S_cam * S_proj norms, numpy's linear quantiles written
+    ``%.17g``. Returns the two paths, and the p50, p99 and max of every norm.
     """
-    n_cam, n_proj, n_bins = res.shape
-    rows = ["%d,%d,%%.17g" % (x, t) for x in range(n_proj) for t in range(n_bins)]
-    with open(path, "w", newline="") as fh:
-        fh.write("cam_index,proj_index,bin,residual_norm\r\n")
-        for s in range(n_cam):
-            cell = "%d," % s
-            text = cell + ("\r\n" + cell).join(rows) + "\r\n"
-            fh.write(text % tuple(res[s].ravel().tolist()))
+    norms_path, csv_path = stem + "_residual_norms.npy", stem + "_diagnostics.csv"
+    np.save(norms_path, res)
+    per_bin = res.reshape(-1, res.shape[-1])
+    p50, p99 = np.percentile(per_bin, [50, 99], axis=0)
+    top = per_bin.max(axis=0)
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin", "records", "p50", "p99", "max"])
+        for t in range(res.shape[-1]):
+            writer.writerow([t, len(per_bin)] + ["%.17g" % v[t] for v in (p50, p99, top)])
+    overall = np.percentile(per_bin, [50, 99])
+    return [norms_path, csv_path], {"p50": float(overall[0]), "p99": float(overall[1]),
+                                    "max": float(top.max())}
 
 
 def cmd_reconstruct(args):
@@ -232,7 +241,8 @@ def cmd_reconstruct(args):
                 out.write(blocks[:n])
             sigma_hat, noise_std = decoder.noise_model(squares, meas.noise_sigma)
             out.finish(Header("transport", meas.cam_shape, meas.proj_shape, meas.coaxial,
-                              meas.n_bins, meas.time_bin_width, noise_std=noise_std,
+                              meas.n_bins, meas.time_bin_width, meas.channel_id,
+                              noise_std=noise_std,
                               provenance="reconstruct(%s)" % os.path.basename(args.measurements)))
     if decoder.rank < 16:
         print(
@@ -244,12 +254,12 @@ def cmd_reconstruct(args):
             "warning: ILL-CONDITIONED design (cond %.3g > %g); the reconstruction "
             "amplifies the measurement noise" % (decoder.cond, ILL_CONDITIONED)
         )
-    diag_path = _stem(args.out) + "_diagnostics.csv"
     res = np.sqrt(squares, out=squares).reshape(meas.n_cam, s_proj, n_bins)
-    _write_diagnostics(diag_path, res)
+    paths, residuals = _write_diagnostics(_stem(args.out), res)
     print("wrote %s: rank=%d cond=%.6g max_residual=%.3e sigma_hat=%.4g" % (
-        args.out, decoder.rank, decoder.cond, float(res.max()), sigma_hat))
-    return {"outputs": [args.out, diag_path], "seed": meas.seed}
+        args.out, decoder.rank, decoder.cond, residuals["max"], sigma_hat))
+    health = {"rank": decoder.rank, "cond": decoder.cond, "sigma_hat": sigma_hat, **residuals}
+    return {"outputs": [args.out] + paths, "seed": meas.seed, "health": health}
 
 
 # ------------------------------------------------------------ learn-angles
@@ -638,6 +648,8 @@ def _write_manifest(args, info, duration):
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                              / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 6),
     }
+    if "health" in info:
+        manifest["health"] = info["health"]
     _write_json(args.out + ".manifest.json", manifest)
 
 

@@ -381,7 +381,8 @@ class MeasurementSet(HeaderArray):
     projector pixel. A ``coaxial`` set stores S_proj = 1 (the diagonal).
     Rows are capture-major (analyzer index fastest in polarizer_array
     mode). ``split`` is the beamsplitter fraction of a coaxial capture;
-    reconstruction reads it. ``provenance`` says what made the set.
+    reconstruction reads it. ``provenance`` says what made the set, and
+    ``channel_id`` which channel of the captured tensor it measured.
     """
 
     kind = "measurement"
@@ -396,6 +397,7 @@ class MeasurementSet(HeaderArray):
     seed: int = None
     provenance: str = ""
     split: float = 0.5
+    channel_id: str = "mono"
     header: Header = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -429,8 +431,8 @@ class CaptureKernel:
 
     def __init__(self, tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
         self.header = Header("measurement", tensor.cam_shape, tensor.proj_shape, tensor.coaxial,
-                             tensor.n_bins, tensor.time_bin_width, schedule=schedule,
-                             noise_sigma=noise_sigma, seed=seed, split=split)
+                             tensor.n_bins, tensor.time_bin_width, tensor.channel_id,
+                             schedule=schedule, noise_sigma=noise_sigma, seed=seed, split=split)
         self.weights = None if masks is None else probe_weights(tensor, masks)
         self.a = forward_model(schedule, tensor.coaxial, self.header.split).design()
         Decoder(self.a).pinv     # a record of an all-zero design would be noise alone
@@ -498,7 +500,10 @@ class ReconstructionResult:
     Per-pixel(-bin) recovered Mueller blocks plus solver diagnostics.
 
     ``tensor`` mirrors the captured tensor's layout and carries the
-    noise model. ``residual_norms`` has shape (S_cam, S_proj, n_bins).
+    noise model and the measurement's channel. ``residual_norms`` has
+    shape (S_cam, S_proj, n_bins); ``pltt reconstruct`` writes it bit for
+    bit as ``<stem>_residual_norms.npy`` (``np.load`` reads it), and its
+    p50, p99 and max per bin as the summary ``<stem>_diagnostics.csv``.
     ``sigma_hat`` is the per-row measurement noise the model was built
     from.
     """
@@ -550,7 +555,7 @@ def reconstruct(meas, split=None):
                       squares[start * s_proj:stop * s_proj])
     sigma_hat, noise_std = decoder.noise_model(squares, meas.noise_sigma)
     residual_norms = np.sqrt(squares, out=squares).reshape(s_cam, s_proj, n_bins)
-    tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape,
-                             meas.time_bin_width, coaxial=meas.coaxial, noise_std=noise_std)
+    tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape, meas.time_bin_width,
+                             meas.channel_id, meas.coaxial, noise_std)
     return ReconstructionResult(tensor, decoder.rank, decoder.cond, decoder.rank < 16,
                                 residual_norms, sigma_hat)

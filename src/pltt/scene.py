@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import compose, ideal_mirror, is_passive, retarder, rotator
+from .polarization import compose, ideal_mirror, retarder, rotator
 from .tensor import TransportTensor, check_grid, check_number
 
 SPEED_OF_LIGHT = 299792458.0
@@ -361,7 +361,4 @@ def generate_ensemble(seed, n, weights=(0.3, 0.35, 0.35)):
     angle = _uniform(u[:, 3:], 0.0, np.pi)
     composed = compose([retarder(angle[:, 1], angle[:, 2]), m, rotator(angle[:, 0])])
     samples = np.choose(family[:, None, None], [m, lam * m + (1.0 - lam) * depol, composed])
-    if not is_passive(samples, tol=1e-9):
-        bad = [i for i in range(n) if not is_passive(samples[i], tol=1e-9)]
-        raise RuntimeError("ensemble produced non-passive samples at indices %r" % bad[:5])
     return SyntheticMuellerEnsemble(samples, int(seed), tuple(float(p) for p in probs))

@@ -230,6 +230,16 @@ def test_fit_descatter_validation():
         fit_descatter(image, target, method="newton")
 
 
+@pytest.mark.parametrize("mode", ["full", "intensity_only"])
+def test_a_descatter_fit_to_a_dark_target_is_the_zero_model(mode):
+    # a zero target fits no weight and no offset, which the zero model realizes
+    image = np.zeros((3, 4, 4))
+    image[:, 1, 1] = [1.0, 2.0, 3.0]
+    model = fit_descatter(image, np.zeros(3), mode=mode)
+    assert not model.weights.any() and not model.offsets.any()
+    assert model.objective == 0.0
+
+
 @pytest.mark.parametrize("level", [1.0, -0.5])
 def test_a_descatter_fit_collapsed_to_a_constant_is_a_value_error(level):
     # intensity_only keeps only the (0, 0) channel, which is dark here, so

@@ -234,9 +234,11 @@ def test_capture_reconstruct_round_trip(tmp_path, capsys):
     original = read_pltt(tensor_path)
     recovered = read_pltt(recon_path)
     assert np.abs(recovered.data - original.data).max() < 1e-9
-    diag = (tmp_path / "recon_diagnostics.csv").read_text().strip().splitlines()
-    assert diag[0] == "cam_index,proj_index,bin,residual_norm"
-    assert len(diag) == 1 + 4 * 1 * 16
+    with open(tmp_path / "recon_diagnostics.csv", newline="") as fh:
+        diag = list(csv.reader(fh))
+    assert diag[0] == ["bin", "records", "p50", "p99", "max"]
+    assert [row[:2] for row in diag[1:]] == [[str(t), "4"] for t in range(16)]
+    assert np.load(tmp_path / "recon_residual_norms.npy").shape == (4, 1, 16)
 
 
 def test_diagnostics_csv_matches_the_csv_writer_rows(tmp_path):
@@ -248,16 +250,49 @@ def test_diagnostics_csv_matches_the_csv_writer_rows(tmp_path):
                  "--out", str(tmp_path / "recon.pltt")]) == 0
     res = reconstruct(read_pltt(meas_path)).residual_norms
     assert res.shape == (4, 4, 3) and np.all(res > 0)
-    # the row-at-a-time csv.writer loop the command used to run
+    stored = np.load(tmp_path / "recon_residual_norms.npy")
+    assert stored.dtype == np.float64 and stored.shape == res.shape
+    assert stored.tobytes() == res.tobytes()
+    # each bin's row, as the csv.writer loop writes it from the bin's 16 norms
     oracle = tmp_path / "oracle.csv"
     with open(oracle, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cam_index", "proj_index", "bin", "residual_norm"])
-        for s in range(res.shape[0]):
-            for x in range(res.shape[1]):
-                for t in range(res.shape[2]):
-                    writer.writerow([s, x, t, "%.17g" % res[s, x, t]])
+        writer.writerow(["bin", "records", "p50", "p99", "max"])
+        for t in range(res.shape[2]):
+            norms = res[:, :, t].ravel()
+            writer.writerow([t, norms.size] + ["%.17g" % v for v in (
+                np.percentile(norms, 50), np.percentile(norms, 99), norms.max())])
     assert (tmp_path / "recon_diagnostics.csv").read_bytes() == oracle.read_bytes()
+
+
+def test_reconstruct_manifest_reports_the_design_and_residual_health(tmp_path, capsys):
+    tensor_path = simulate(tmp_path, dense_scene(0.02), bins=3)
+    meas_path = str(tmp_path / "meas.pltt")
+    assert main(["capture", "--tensor", tensor_path, "--k", "20", "--noise", "1e-3",
+                 "--seed", "4", "--out", meas_path]) == 0
+    recon_path = str(tmp_path / "recon.pltt")
+    assert main(["reconstruct", "--measurements", meas_path, "--out", recon_path]) == 0
+    result = reconstruct(read_pltt(meas_path))
+    norms = result.residual_norms
+    health = json.loads((tmp_path / "recon.pltt.manifest.json").read_text())["health"]
+    assert health == {"rank": result.rank, "cond": result.cond, "sigma_hat": result.sigma_hat,
+                      "p50": np.percentile(norms, 50), "p99": np.percentile(norms, 99),
+                      "max": norms.max()}
+    assert health["rank"] == 16 and 0 < health["p50"] <= health["p99"] <= health["max"]
+    assert "max_residual=%.3e" % norms.max() in capsys.readouterr().out
+    # capture's manifest, like every other command's, has no health record
+    assert "health" not in json.loads((tmp_path / "meas.pltt.manifest.json").read_text())
+
+
+def test_a_channel_survives_capture_and_reconstruct(tmp_path):
+    data = np.random.default_rng(3).uniform(0.0, 1.0, (4, 1, 4, 4, 2))
+    write_pltt(tmp_path / "truth.pltt",
+               TransportTensor(data, (2, 2), (2, 2), 1e-10, channel_id="red", coaxial=True))
+    meas_path, recon_path = str(tmp_path / "meas.pltt"), str(tmp_path / "recon.pltt")
+    assert main(["capture", "--tensor", str(tmp_path / "truth.pltt"), "--out", meas_path]) == 0
+    assert main(["reconstruct", "--measurements", meas_path, "--out", recon_path]) == 0
+    assert read_pltt(meas_path).channel_id == "red"
+    assert read_pltt(recon_path).channel_id == "red"
 
 
 def test_reconstruct_uses_the_split_stored_with_the_measurements(tmp_path, capsys):
@@ -899,7 +934,7 @@ def test_every_manifest_names_its_file_inputs_outputs_and_seed(tmp_path):
          path("m2.pltt"), {"tensor": truth, "schedule": schedule}, [path("m2.pltt")], None),
         ("reconstruct", ["--measurements", path("m.pltt"), "--out", path("r.pltt")],
          path("r.pltt"), {"measurements": path("m.pltt")},
-         [path("r.pltt"), path("r_diagnostics.csv")], 7),
+         [path("r.pltt"), path("r_residual_norms.npy"), path("r_diagnostics.csv")], 7),
         ("learn-angles", ["--config", config, "--out", path("s.json")],
          path("s.json"), {"config": config},
          [path("s.json"), path("s_report.json"), path("s_comparison.csv")], 3),

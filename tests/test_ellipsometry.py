@@ -415,6 +415,14 @@ def test_capture_noise_is_the_normal_stream_of_the_seed(schedule, coaxial, cam, 
     assert noisy.tobytes() == (clean + noise).tobytes()
 
 
+def test_a_channel_survives_capture_and_reconstruct():
+    tensor = TransportTensor(np.ones((4, 1, 4, 4, 2)), (2, 2), (2, 2), BIN, channel_id="red",
+                             coaxial=True)
+    meas = capture(tensor, drr_schedule(36))
+    assert meas.channel_id == meas.header.channel_id == "red"
+    assert reconstruct(meas).tensor.channel_id == "red"
+
+
 def test_measurement_layout_does_not_change_reconstruct_or_the_container(tmp_path):
     tensor = random_tensor(np.random.default_rng(15), False, cam=(3, 3), bins=5)
     meas = capture(tensor, drr_schedule(20), noise_sigma=1e-3, seed=2)

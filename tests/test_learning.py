@@ -352,6 +352,23 @@ def test_lbfgs_stopped_by_its_cap_is_not_converged():
     assert len(values) == 2 and value < fun(np.zeros(8))[0]
 
 
+def test_lbfgs_restarts_from_the_gradient_when_the_descent_test_underflows():
+    # a stiff axis, of the largest curvature a kept pair allows (s.y > eps y.y),
+    # beside a slope of 5e-155: after the first step the quasi-Newton step along
+    # the slope is 1.25e-170 long, so g @ d underflows to 0 and the descent test
+    # fails. Restarting from the gradient moves the slope coordinate by
+    # first_step again; the quasi-Newton step would stop on a zero decrease.
+    stiff, slope, first = 4e15, 5e-155, 2.5e-161
+
+    def fun(x):
+        return 0.5 * (stiff * x[0]) * x[0] + slope * x[1], np.array([stiff * x[0], slope])
+
+    x, value, values, converged, message = lbfgs(fun, np.array([first, 0.0]), 3, first)
+    assert not converged and "cap" in message
+    assert x[0] == 0.0 and x[1] == pytest.approx(-2 * first, rel=1e-6)
+    assert values[0] == 0.0 > values[1] > values[2] == value
+
+
 def test_lbfgs_first_step_sets_the_largest_move():
     fun, _ = quadratic(5)
     x0 = np.ones(8)

@@ -342,6 +342,16 @@ def test_ensemble_is_passive_and_deterministic():
     assert not np.array_equal(first.samples, other.samples)
 
 
+@pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+                         ids=["reflection", "mixed", "sandwiched"])
+def test_every_family_draws_passive_samples(weights):
+    # each family is passive by construction: a reflection has reflectances
+    # in [0, 1], a mix is a convex sum of two passive blocks of one m00, and
+    # the retarder and rotator only turn the Stokes components 1..3
+    samples = generate_ensemble(11, 2000, weights=weights).samples
+    assert is_passive(samples, tol=1e-12)
+
+
 def test_ensemble_weights_shift_family_mix():
     only_fresnel = generate_ensemble(7, 40, weights=(1.0, 0.0, 0.0))
     # raw reflections have an empty lower-left 3x1 polarizance column

@@ -67,7 +67,7 @@ def test_cli_files_equal_the_library_at_every_chunk_size(tmp_path, monkeypatch, 
     result = reconstruct(meas)
     write_pltt(tmp_path / "lib_recon.pltt",
                replace(result.tensor, provenance="reconstruct(meas.pltt)"))
-    _write_diagnostics(tmp_path / "lib_diagnostics.csv", result.residual_norms)
+    _write_diagnostics(str(tmp_path / "lib"), result.residual_norms)
 
     monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES",
                         chunk_bytes(setting, cam, coaxial, schedule.n_rows))
@@ -76,6 +76,7 @@ def test_cli_files_equal_the_library_at_every_chunk_size(tmp_path, monkeypatch, 
                  "--seed", "5", "--out", "meas.pltt"] + flags) == 0
     assert main(["reconstruct", "--measurements", "meas.pltt", "--out", "recon.pltt"]) == 0
     for ours, lib in (("meas.pltt", "lib_meas.pltt"), ("recon.pltt", "lib_recon.pltt"),
+                      ("recon_residual_norms.npy", "lib_residual_norms.npy"),
                       ("recon_diagnostics.csv", "lib_diagnostics.csv")):
         assert (tmp_path / ours).read_bytes() == (tmp_path / lib).read_bytes(), ours
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
