@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .learning import lbfgs
-from .tensor import Fold, check_number
+from .tensor import Fold, check_number, reduce_chunks
 
 
 def arctan_map(m, c=8.0):
@@ -103,17 +103,17 @@ def pca_reconstruct(basis, coeffs):
     return coeffs @ basis.components[: coeffs.shape[1]] + basis.mean
 
 
-def summed_polarimetric_image(tensor, mask=None, chunks=None):
+def summed_polarimetric_image(tensor, mask=None):
     """
-    Per-camera-pixel 4x4 Mueller image: the transport tensor summed
-    over time bins and then folded over projector pixels, optionally
-    through a probe mask (dense tensors only). Given (first camera pixel,
-    blocks) ``chunks`` of its payload, ``tensor`` may be a container Header,
-    as in ``fold``.
+    Per-camera-pixel 4x4 Mueller image of a transport source (a tensor or
+    an open container of one): each chunk summed over time bins and then
+    folded over projector pixels, optionally through a probe mask (dense
+    tensors only), as ``fold`` folds it.
     """
-    chunks = [(0, tensor.data)] if chunks is None else chunks
-    summed = ((start, blocks.sum(axis=4, keepdims=True)) for start, blocks in chunks)
-    return Fold(tensor, mask).run(summed, np.empty((tensor.n_cam, 4, 4, 1)))[..., 0]
+    head = tensor.header
+    kernel = Fold(head, mask)
+    return reduce_chunks(tensor, lambda start, blocks, out: kernel(
+        start, blocks.sum(axis=4, keepdims=True), out), np.empty((head.n_cam, 4, 4, 1)))[..., 0]
 
 
 @dataclass(frozen=True)

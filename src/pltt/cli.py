@@ -21,13 +21,15 @@ and the p50, p99 and max of the residual norms.
 Image exports write one exact CSV per image and one 16-bit PGM with a
 JSON sidecar per stack: ``decompose`` stacks a map over its bins,
 ``slice`` every image it enumerates, ``descatter`` its one prediction.
-Every command that reads a container streams it over runs of camera
-pixels of about ``ellipsometry.CHUNK_BYTES``, so none holds a whole
-transport tensor or measurement stack: ``capture`` and ``reconstruct``
-write their output a run at a time, ``decompose``, ``descatter`` and
-``slice`` keep only the projector fold or slice they read, and ``pca``
-only the blocks above the noise floor. ``simulate`` builds its tensor
-whole.
+Every command that reads a container runs the library's operation on
+its open ``PlttReader``, a source as an in-memory tensor or measurement
+set is, read over runs of camera pixels of about ``tensor.CHUNK_BYTES``:
+``capture`` and ``reconstruct`` write their output a run at a time
+through a ``PlttWriter``, ``decompose``, ``descatter`` and ``slice`` keep
+only the projector fold or slice they read, and ``pca`` only the blocks
+above the noise floor. So none holds a whole transport tensor or
+measurement stack, but ``simulate``, which builds its tensor whole, and a
+coaxial ``decompose``, whose fold is the tensor itself.
 """
 
 import argparse
@@ -57,7 +59,6 @@ from .decomposition import NOISE_Z, decompose_tensor, lit_blocks, noise_floor
 from .ellipsometry import (
     CaptureKernel,
     Decoder,
-    chunk_pixels,
     drr_schedule,
     load_schedule,
     save_schedule,
@@ -66,7 +67,7 @@ from .ellipsometry import (
 from .fileio import PlttReader, PlttWriter, write_csv_grid, write_pgm
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
-from .tensor import Fold, Header, check_number, epipolar_masks, fold
+from .tensor import Fold, check_number, epipolar_masks, fold, reduce_chunks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,12 +100,6 @@ def _open(path, kind):
         src.close()
         raise ValueError("%s does not hold a %s" % (path, _KIND_NAMES[kind]))
     return src
-
-
-def _chunks(src):
-    """(first camera pixel, blocks) of an open transport file, ``CHUNK_BYTES`` at a time."""
-    head = src.header
-    return src.chunks(chunk_pixels(head.n_cam, head.record))
 
 
 def _index(value, what, size):
@@ -172,21 +167,15 @@ def _load_cli_schedule(args):
 
 
 def cmd_capture(args):
-    """Capture the tensor file chunk by chunk, as ``capture`` captures an in-memory tensor."""
+    """Capture the tensor file as ``capture`` captures a source, into a PlttWriter."""
     with _open(args.tensor, "transport") as src:
-        truth = src.header
         schedule = _load_cli_schedule(args)
-        kernel = CaptureKernel(truth, schedule, args.noise, args.seed,
-                               _pick_mask(truth, args.mask), args.split)
-        header = replace(kernel.header, provenance="capture(%s)" % os.path.basename(args.tensor))
-        step = chunk_pixels(truth.n_cam, truth.record, header.record)
-        records = np.empty((step,) + header.record)
+        kernel = CaptureKernel(src.header, schedule, args.noise, args.seed,
+                               _pick_mask(src.header, args.mask), args.split)
         with PlttWriter(args.out) as out:
-            for start, blocks in src.chunks(step):
-                n = len(blocks)
-                kernel.records(start, blocks, records[:n])
-                out.write(records[:n])
-            out.finish(header)
+            kernel.run(src, out)
+            out.finish(replace(kernel.header,
+                               provenance="capture(%s)" % os.path.basename(args.tensor)))
     print("wrote %s: %d rows (%s, K=%d)" % (
         args.out, schedule.n_rows, schedule.sensor_mode, schedule.n_captures))
     return {"outputs": [args.out], "seed": args.seed}
@@ -224,26 +213,15 @@ def _write_diagnostics(stem, res):
 
 def cmd_reconstruct(args):
     """
-    Reconstruct the measurement file chunk by chunk, as ``reconstruct``
-    reconstructs an in-memory set, keeping only the squared residuals whole.
+    Reconstruct the measurement file as ``reconstruct`` reconstructs a
+    source, into a PlttWriter, keeping only the residual norms whole.
     """
     with _open(args.measurements, "measurement") as src:
-        meas = src.header
-        decoder = Decoder.of_measurements(meas, split=args.split)
-        s_proj, _, n_bins = meas.record
-        step = chunk_pixels(meas.n_cam, meas.record, (s_proj, 4, 4, n_bins))
-        blocks = np.empty((step, s_proj, 4, 4, n_bins))
-        squares = np.empty((meas.n_cam * s_proj, n_bins))
+        decoder = Decoder.of_measurements(src.header, split=args.split)
         with PlttWriter(args.out) as out:
-            for start, records in src.chunks(step):
-                n = len(records)
-                decoder.solve(records, blocks[:n], squares[start * s_proj:(start + n) * s_proj])
-                out.write(blocks[:n])
-            sigma_hat, noise_std = decoder.noise_model(squares, meas.noise_sigma)
-            out.finish(Header("transport", meas.cam_shape, meas.proj_shape, meas.coaxial,
-                              meas.n_bins, meas.time_bin_width, meas.channel_id,
-                              noise_std=noise_std,
-                              provenance="reconstruct(%s)" % os.path.basename(args.measurements)))
+            header, sigma_hat, res = decoder.run(src, out)
+            out.finish(replace(header, provenance="reconstruct(%s)"
+                               % os.path.basename(args.measurements)))
     if decoder.rank < 16:
         print(
             "warning: UNDERDETERMINED reconstruction (design rank %d < 16); "
@@ -254,12 +232,11 @@ def cmd_reconstruct(args):
             "warning: ILL-CONDITIONED design (cond %.3g > %g); the reconstruction "
             "amplifies the measurement noise" % (decoder.cond, ILL_CONDITIONED)
         )
-    res = np.sqrt(squares, out=squares).reshape(meas.n_cam, s_proj, n_bins)
     paths, residuals = _write_diagnostics(_stem(args.out), res)
     print("wrote %s: rank=%d cond=%.6g max_residual=%.3e sigma_hat=%.4g" % (
         args.out, decoder.rank, decoder.cond, residuals["max"], sigma_hat))
     health = {"rank": decoder.rank, "cond": decoder.cond, "sigma_hat": sigma_hat, **residuals}
-    return {"outputs": [args.out] + paths, "seed": meas.seed, "health": health}
+    return {"outputs": [args.out] + paths, "seed": src.header.seed, "health": health}
 
 
 # ------------------------------------------------------------ learn-angles
@@ -333,7 +310,7 @@ def cmd_learn_angles(args):
 def cmd_decompose(args):
     # the total-illumination Mueller image per bin
     with _open(args.tensor, "transport") as src:
-        tensor = fold(src.header, chunks=_chunks(src))
+        tensor = fold(src)
     if args.bin is not None:
         _index(args.bin, "bin", tensor.n_bins)
     decomp = decompose_tensor(tensor, floor_frac=args.floor)
@@ -367,8 +344,7 @@ def cmd_decompose(args):
 
 def cmd_pca(args):
     with _open(args.tensor, "transport") as src:
-        tensor = src.header
-        blocks, _ = lit_blocks(tensor, args.floor, _chunks(src))
+        blocks, _ = lit_blocks(src, args.floor)
     if blocks.shape[0] < 2:
         raise ValueError("fewer than 2 usable Mueller blocks above the floor")
     obs = build_observation(blocks, c=args.c)
@@ -391,7 +367,7 @@ def cmd_pca(args):
         "n_samples": int(obs.rows.shape[0]),
         "n_skipped": obs.n_skipped,
         "compression": args.c,
-        "noise_floor": noise_floor(tensor),
+        "noise_floor": noise_floor(src.header),
         "components_for_95pct": basis.n_components_for(0.95),
         "energy": basis.energy.tolist(),
     })
@@ -404,8 +380,7 @@ def cmd_pca(args):
 
 def cmd_descatter(args):
     with _open(args.tensor, "transport") as src:
-        tensor = src.header
-        image = summed_polarimetric_image(tensor, _pick_mask(tensor, args.mask), _chunks(src))
+        image = summed_polarimetric_image(src, _pick_mask(src.header, args.mask))
     with warnings.catch_warnings():     # an empty file is the size error below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         target = np.loadtxt(args.target, delimiter=",", ndmin=2)
@@ -415,7 +390,7 @@ def cmd_descatter(args):
             % (target.size, image.shape[0])
         )
     model = fit_descatter(image, target.ravel(), mode=args.mode, method=args.method)
-    predicted = apply_descatter(model, image).reshape(tensor.cam_shape)
+    predicted = apply_descatter(model, image).reshape(src.header.cam_shape)
 
     model_path = args.out + "_model.json"
     _write_json(model_path, {
@@ -453,18 +428,18 @@ def _int_slot(token, name, prefix=""):
     return int(m.group(1))
 
 
-def slice_images(tensor, expr, chunks=None):
+def slice_images(tensor, expr):
     """
-    Evaluate a slice expression against a tensor; returns (suffix, image)
-    pairs. Raises ValueError with a grammar hint. Every slot is read
-    before the tensor is indexed, so a malformed expression fails the
-    same way on any tensor.
+    Evaluate a slice expression against a transport source (a tensor or an
+    open container of one); returns (suffix, image) pairs. Raises
+    ValueError with a grammar hint. Every slot is read before the tensor
+    is indexed, so a malformed expression fails the same way on any
+    tensor, and every index is checked against the header before a block
+    is read: the projector slot, then the camera index and the time bin.
 
-    The projector slot is resolved and checked first, then reduces
-    (first camera pixel, blocks) ``chunks`` of the tensor's payload, or its
-    data as one chunk, to an (S_cam, 4, 4, T) block: the masked fold for
-    ``s_e``/``s_n``, the diagonal for ``s`` and one projector pixel for an
-    index. ``chunks`` let ``tensor`` be a file's Header.
+    The projector slot then reduces each chunk of the source to an
+    (S_cam, 4, 4, T) block: the masked fold for ``s_e``/``s_n``, the
+    diagonal for ``s`` and one projector pixel for an index.
     """
     text = expr.strip()
     negate = text.startswith("-")
@@ -494,33 +469,26 @@ def slice_images(tensor, expr, chunks=None):
         if name in sums and index is not None:
             raise ValueError("sum_%s conflicts with %s" % (name, what))
 
-    n_cam = tensor.n_cam
+    head = tensor.header
     if proj in ("s_e", "s_n"):
-        reduce = Fold(tensor, _pick_mask(tensor, "epipolar" if proj == "s_e" else "non_epipolar"))
-    elif proj == "s" and tensor.coaxial:
-        reduce = Fold(tensor)     # a coaxial tensor's only s' is s
-    elif proj == "s":
-        if tensor.n_proj != n_cam:
-            raise ValueError("diagonal slice needs matching camera and projector sizes")
-
-        def reduce(start, blocks, out):
-            out[...] = blocks[np.arange(len(blocks)), np.arange(start, start + len(blocks))]
-    elif tensor.coaxial:
+        reduce = Fold(head, _pick_mask(head, "epipolar" if proj == "s_e" else "non_epipolar"))
+    elif proj == "s" and head.coaxial:
+        reduce = Fold(head)     # a coaxial tensor's only s' is s
+    elif proj == "s" and head.n_proj != head.n_cam:
+        raise ValueError("diagonal slice needs matching camera and projector sizes")
+    elif proj != "s" and head.coaxial:
         raise ValueError("a coaxial tensor has no projector axis to index; use 's'")
     else:
-        index = _index(proj, "projector index", tensor.n_proj)
+        index = None if proj == "s" else _index(proj, "projector index", head.n_proj)
 
         def reduce(start, blocks, out):
-            out[...] = blocks[:, index]
-    block = np.empty((n_cam, 4, 4, tensor.n_bins))
-    for start, blocks in [(0, tensor.data)] if chunks is None else chunks:
-        reduce(start, blocks, block[start:start + len(blocks)])
-
-    if cam != "s":
-        cam = _index(cam, "camera index", n_cam)
-        block = block[cam : cam + 1]
+            """The diagonal s' = s, or the one projector pixel ``index``."""
+            n = len(blocks)
+            out[...] = blocks[np.arange(n), np.arange(start, start + n) if index is None else index]
+    rows = slice(None) if cam == "s" else slice(_index(cam, "camera index", head.n_cam), cam + 1)
     if t is not None:
-        _index(t, "time bin", tensor.n_bins)
+        _index(t, "time bin", head.n_bins)
+    block = reduce_chunks(tensor, reduce, np.empty((head.n_cam, 4, 4, head.n_bins)))[rows]
 
     # block axes 1..3 are p, p', t; each is fixed, summed, or enumerated
     labels = []
@@ -532,7 +500,7 @@ def slice_images(tensor, expr, chunks=None):
             block = block.sum(axis=axis, keepdims=True)
         labels.append(label if index is None and name not in sums else "")
 
-    shape = tensor.cam_shape if cam == "s" else (1, 1)
+    shape = head.cam_shape if cam == "s" else (1, 1)
     sign = -1.0 if negate else 1.0
     return [("".join(label % i for label, i in zip(labels, idx) if label),
              sign * block[(slice(None),) + idx].reshape(shape))
@@ -541,7 +509,7 @@ def slice_images(tensor, expr, chunks=None):
 
 def cmd_slice(args):
     with _open(args.tensor, "transport") as src:
-        images = slice_images(src.header, args.expr, _chunks(src))
+        images = slice_images(src, args.expr)
     outputs = _save_image(args.out, images, {"expression": args.expr})
     print("wrote %d image(s) for %r" % (len(images), args.expr))
     return {"outputs": outputs}

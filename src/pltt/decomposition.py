@@ -239,10 +239,11 @@ def noise_floor(tensor):
     return None if tensor.noise_std is None else NOISE_Z * float(tensor.noise_std[0, 0])
 
 
-def lit_blocks(tensor, floor_frac, chunks=None):
+def lit_blocks(tensor, floor_frac):
     """
-    A tensor's lit Mueller blocks, (n, 4, 4) in (s, s', t) order, and the
-    (S, P, T) mask of them.
+    A transport source's lit Mueller blocks, (n, 4, 4) in (s, s', t) order,
+    and the (S, P, T) mask of them; the source is a tensor or an open
+    container of one.
 
     A block is lit when its m00 is positive, above floor_frac times the
     tensor's largest m00 and, for a tensor with a noise model, above
@@ -250,21 +251,18 @@ def lit_blocks(tensor, floor_frac, chunks=None):
     on blocks that noise alone could produce. Without a noise model only
     the relative floor applies. floor_frac must be finite and in [0, 1).
 
-    The blocks are read from (first camera pixel, blocks) ``chunks`` of the
-    tensor's payload, which let ``tensor`` be a container Header, or from
-    its data as one chunk. Each chunk's blocks above the absolute floors
-    and the relative floor of the largest m00 so far are kept; the relative
-    floor of the largest m00 of all then drops the rest, so the blocks and
-    their order do not depend on the chunks. A tensor's data, and a chunk its reader
-    yields, are finite, so the blocks need no check.
+    Each chunk's blocks above the absolute floors and the relative floor of
+    the largest m00 so far are kept; the relative floor of the largest m00
+    of all then drops the rest, so the blocks and their order do not depend
+    on the chunks. A tensor's data, and a chunk its reader yields, are
+    finite, so the blocks need no check.
     """
     floor_frac = check_number(floor_frac, "floor fraction", low=0.0, below=1.0)
-    chunks = [(0, tensor.data)] if chunks is None else chunks
-    noise = noise_floor(tensor)
-    s_proj = 1 if tensor.coaxial else tensor.n_proj
-    lit = np.empty((tensor.n_cam, s_proj, tensor.n_bins), dtype=bool)
+    head = tensor.header
+    noise = noise_floor(head)
+    lit = np.empty((head.n_cam, head.record[0], head.n_bins), dtype=bool)
     kept, peak = [], 0.0
-    for start, chunk in chunks:
+    for start, chunk in tensor.chunks():
         m00 = chunk[:, :, 0, 0, :]
         peak = max(peak, m00.max())
         # the largest m00 only grows, so a block below the floor it sets now stays below

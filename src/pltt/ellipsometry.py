@@ -42,7 +42,6 @@ learning differentiates it.
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,8 +55,6 @@ _ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
 RANK_TOL = 1e-10
 # files store degrees: the largest angle in radians whose degrees are finite
 _MAX_RADIANS = np.deg2rad(np.finfo(float).max)
-# bytes of one buffer of camera pixels that capture and reconstruct fill at once
-CHUNK_BYTES = 1 << 21
 
 
 def check_flags(flags, name):
@@ -294,13 +291,12 @@ class Decoder:
         self.cond = float(self.s[0] / self.s[self.rank - 1]) if self.rank else np.inf
         # grad_loss's rank_marginal: a kept value within a factor 100 of the cut
         self.marginal = bool(((self.s > cutoff * 1e-2) & (self.s < cutoff * 1e2) & keep).any())
-        self.residual = np.empty(0)
 
     @classmethod
     def of_measurements(cls, meas, split=None):
         """
-        The decoder of a MeasurementSet's or its Header's schedule and split. A
-        ``split`` other than the recorded one fails before any record is read.
+        The decoder of a measurement Header's schedule and split. A ``split``
+        other than the recorded one fails before any record is read.
         """
         if split is not None and split != meas.split:
             raise ValueError("split %g conflicts with the split %g recorded with the "
@@ -316,44 +312,46 @@ class Decoder:
             raise ValueError("design matrix is identically zero")
         return (self.vt.T * self.inv) @ self.u.T
 
-    def solve(self, records, blocks, squares):
+    def run(self, meas, out):
         """
-        Fill ``blocks`` (n, S_proj, 4, 4, T) with A+ applied to each (K', T)
-        record of ``records`` (n, S_proj, K', T), and ``squares``
-        (n * S_proj, T) with the sums over rows of their squared residuals.
+        Write A+ times each (K', T) record of the measurement source ``meas``
+        through ``out``: each chunk's blocks fill an ``out.slot`` that
+        ``out.write`` takes. Returns the solution's transport Header with its
+        noise model (``reconstruct``), sigma_hat and the (S_cam, S_proj, T)
+        residual norms; non-finite residual sums are a ValueError.
         """
-        n, s_proj, k_rows, n_bins = records.shape
-        stacked = records.reshape(n * s_proj, k_rows, n_bins)
-        solution = blocks.reshape(n * s_proj, 16, n_bins)
-        if self.residual.size < stacked.size:
-            self.residual = np.empty(stacked.size)
-        # a flipped exponent byte in a container can hold an intensity near 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(self.pinv, stacked, out=solution)
-            residual = np.matmul(self.a, solution,
-                                 out=self.residual[:stacked.size].reshape(stacked.shape))
-            residual -= stacked
-            # the sum of squares np.linalg.norm takes, without its temporaries
-            residual *= residual
-            np.add.reduce(residual, axis=1, out=squares)
-
-    def noise_model(self, squares, noise_sigma):
-        """
-        sigma_hat and the (4, 4) per-entry noise std from the squared
-        residuals of every record; ``noise_sigma`` when no residual is
-        left. Non-finite sums are a ValueError.
-        """
+        head = meas.header
+        s_proj, k_rows, n_bins = head.record
+        block = (s_proj, 4, 4, n_bins)
+        squares = np.empty((head.n_cam * s_proj, n_bins))
+        residual = None     # the first chunk's shape: the first chunk is the largest
+        for start, records in meas.chunks(block):
+            n = len(records)
+            blocks = out.slot((n,) + block)
+            stacked = records.reshape(n * s_proj, k_rows, n_bins)
+            residual = np.empty(stacked.shape) if residual is None else residual
+            # a flipped exponent byte in a container can hold an intensity near 1e308
+            with np.errstate(over="ignore", invalid="ignore"):
+                solution = np.matmul(self.pinv, stacked, out=blocks.reshape(n * s_proj, 16, n_bins))
+                r = np.matmul(self.a, solution, out=residual[:n * s_proj])
+                r -= stacked
+                # the sum of squares np.linalg.norm takes, without its temporaries
+                r *= r
+                np.add.reduce(r, axis=1, out=squares[start * s_proj:(start + n) * s_proj])
+            out.write(blocks)
         with np.errstate(over="ignore", invalid="ignore"):
             total = squares.sum()
         dof = squares.size * (self.a.shape[0] - self.rank)
-        sigma_hat = float(np.sqrt(total / dof)) if dof else noise_sigma
+        sigma_hat = float(np.sqrt(total / dof)) if dof else head.noise_sigma
         # a finite total has finite residuals, and so a finite solution: a solution
         # entry that A+ can make non-zero meets a non-zero column of A
         if not (np.isfinite(total) and np.isfinite(sigma_hat)):
             raise ValueError("the measurements are not finite or overflow the reconstruction's "
                              "solution, residuals or noise estimate")
         noise_std = sigma_hat * np.sqrt((self.pinv * self.pinv).sum(axis=1)).reshape(4, 4)
-        return sigma_hat, noise_std
+        header = Header("transport", head.cam_shape, head.proj_shape, head.coaxial, n_bins,
+                        head.time_bin_width, head.channel_id, noise_std=noise_std)
+        return header, sigma_hat, np.sqrt(squares, out=squares).reshape(head.n_cam, s_proj, n_bins)
 
 
 def design_matrix(schedule, coaxial=False, split=0.5):
@@ -408,62 +406,75 @@ class MeasurementSet(HeaderArray):
         self._check_header(arr.shape)
 
 
-def chunk_pixels(n_cam, *records):
+class _ArrayWriter:
     """
-    Camera pixels per chunk: as many as keep a buffer of each per-pixel
-    record shape in ``records`` within ``CHUNK_BYTES``, at least 1 and at
-    most ``n_cam``.
+    The writer of ``capture`` and ``reconstruct``: each ``slot`` views the next
+    camera pixels of the one (S_cam, ...) ``array``, so ``write`` only moves on.
     """
-    return min(n_cam, max(1, CHUNK_BYTES // (8 * max(math.prod(r) for r in records))))
+
+    def __init__(self, n_cam):
+        self.n_cam, self.array, self.end = n_cam, None, 0
+
+    def slot(self, shape):
+        if self.array is None:
+            self.array = np.empty((self.n_cam,) + shape[1:])
+        return self.array[self.end:self.end + shape[0]]
+
+    def write(self, chunk):
+        self.end += len(chunk)
 
 
 class CaptureKernel:
     """
-    A capture of a tensor's layout (a TransportTensor or a Header): the
-    ``header`` of the measurement set it makes, which checks the capture's
-    arguments once, and its per-chunk step. A design of rank 0, as a
-    coaxial split of 0 or 1 gives, fails as reconstruct fails on it.
+    A capture of a transport layout (a Header): the ``header`` of the
+    measurement set it makes, which checks the capture's arguments once,
+    and its chunk loop. The design is the one ``Decoder.of_measurements``
+    reconstructs with, so a design of rank 0, as a coaxial split of 0 or 1
+    gives, fails as reconstruct fails on it.
 
     The noise is one ``SFC64(seed)`` stream of sigma * N(0, 1) draws, in
     the measurement's own (s, s', row, t) order: the draws of successive
     chunks concatenate, so the chunk size cannot change the values.
     """
 
-    def __init__(self, tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
-        self.header = Header("measurement", tensor.cam_shape, tensor.proj_shape, tensor.coaxial,
-                             tensor.n_bins, tensor.time_bin_width, tensor.channel_id,
+    def __init__(self, layout, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
+        self.header = Header("measurement", layout.cam_shape, layout.proj_shape, layout.coaxial,
+                             layout.n_bins, layout.time_bin_width, layout.channel_id,
                              schedule=schedule, noise_sigma=noise_sigma, seed=seed, split=split)
-        self.weights = None if masks is None else probe_weights(tensor, masks)
-        self.a = forward_model(schedule, tensor.coaxial, self.header.split).design()
-        Decoder(self.a).pinv     # a record of an all-zero design would be noise alone
+        self.weights = None if masks is None else probe_weights(layout, masks)
+        self.a = Decoder.of_measurements(self.header).a
         self.rng = (np.random.Generator(np.random.SFC64(self.header.seed))
                     if self.header.noise_sigma > 0 else None)
-        self.noise = np.empty(0)
+        self.noise = None     # the first chunk's shape: the first chunk is the largest
 
-    def records(self, start, blocks, out):
+    def run(self, source, out):
         """
-        Fill ``out`` (n, S_proj, K', T) with the records of camera pixels
-        ``start`` to ``start + n`` from their (n, S_proj, 4, 4, T) ``blocks``:
-        the design times each block, weighted by its probe-mask entry when
-        there is a mask, plus the next n * S_proj * K' * T noise values.
+        Write the records of a transport source of this layout through
+        ``out``: each chunk's records fill an ``out.slot`` that ``out.write``
+        takes. A record is the design times its block, weighted by its
+        probe-mask entry when there is a mask, plus the next K' * T noise values.
         """
-        if self.weights is not None:
-            blocks = blocks * self.weights[start:start + len(blocks), :, None, None, None]
-        n, s_proj, _, _, n_bins = blocks.shape
-        np.matmul(self.a, blocks.reshape(n * s_proj, 16, n_bins),
-                  out=out.reshape(n * s_proj, -1, n_bins))
-        if self.rng is not None:
-            if self.noise.size < out.size:
-                self.noise = np.empty(out.size)
-            noise = self.noise[:out.size].reshape(out.shape)
-            self.rng.standard_normal(out=noise)
-            noise *= self.header.noise_sigma
-            out += noise
+        record = self.header.record
+        for start, blocks in source.chunks(record):
+            n, s_proj, _, _, n_bins = blocks.shape
+            if self.weights is not None:
+                blocks = blocks * self.weights[start:start + n, :, None, None, None]
+            records = out.slot((n,) + record)
+            np.matmul(self.a, blocks.reshape(n * s_proj, 16, n_bins),
+                      out=records.reshape(n * s_proj, -1, n_bins))
+            if self.rng is not None:
+                self.noise = np.empty(records.shape) if self.noise is None else self.noise
+                noise = self.noise[:n]
+                self.rng.standard_normal(out=noise)
+                noise *= self.header.noise_sigma
+                records += noise
+            out.write(records)
 
 
 def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
     """
-    Simulate a full rotating-ellipsometry capture of a transport tensor.
+    Simulate a full rotating-ellipsometry capture of a transport source: a
+    TransportTensor or an open container of one.
 
     Projector-camera tensors are captured as an impulse scan: each
     projector pixel is lit alone, so the record holds one intensity per
@@ -476,18 +487,15 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     masks, if given, is an (S_cam, S_proj) probe mask applied to the
     tensor before the scan (projector-camera geometry only).
 
-    The scan runs ``CaptureKernel`` over runs of camera pixels of about
-    ``CHUNK_BYTES`` each, as ``pltt capture`` does over a file; beyond
-    the tensor and the measurement it holds one chunk of noise and, with
-    a mask, one chunk of weighted blocks.
+    The scan is ``CaptureKernel.run`` over the source's chunks, as in
+    ``pltt capture``, writing into the measurement's own array: beyond the
+    source and the measurement it holds one chunk of noise and, with a
+    mask, one chunk of weighted blocks.
     """
-    kernel = CaptureKernel(tensor, schedule, noise_sigma, seed, masks, split)
-    head = kernel.header
-    vals = np.empty((head.n_cam,) + head.record)
-    step = chunk_pixels(head.n_cam, tensor.data.shape[1:], head.record)
-    for start in range(0, head.n_cam, step):
-        kernel.records(start, tensor.data[start:start + step], vals[start:start + step])
-    return MeasurementSet.of(head, vals)
+    kernel = CaptureKernel(tensor.header, schedule, noise_sigma, seed, masks, split)
+    out = _ArrayWriter(kernel.header.n_cam)
+    kernel.run(tensor, out)
+    return MeasurementSet.of(kernel.header, out.array)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +532,8 @@ def pinv_truncated(a):
 
 def reconstruct(meas, split=None):
     """
-    Per-pixel least-squares Mueller recovery from a measurement set.
+    Per-pixel least-squares Mueller recovery from a measurement source: a
+    MeasurementSet or an open container of one.
 
     Solves min ||I - A vec(M)|| for every (camera pixel, projector
     pixel, bin) with the shared design matrix of the recorded schedule
@@ -538,24 +547,12 @@ def reconstruct(meas, split=None):
     residual), propagated through A+ to per-entry standard deviations
     sigma_hat * ||row of A+||.
 
-    The solve runs the ``Decoder``'s ``solve`` over runs of camera pixels of
-    about ``CHUNK_BYTES`` each, as ``pltt reconstruct`` does over a file,
-    and sums the squared residuals once at the end, so the chunk size
-    changes no output; non-finite measurements, or ones that overflow it,
-    are a ValueError.
+    The solve is ``Decoder.run`` over the source's chunks, as in ``pltt
+    reconstruct``, writing into the tensor's own array; non-finite
+    measurements, or ones that overflow it, are a ValueError.
     """
-    decoder = Decoder.of_measurements(meas, split)
-    s_cam, s_proj, k_rows, n_bins = meas.intensities.shape
-    blocks = np.empty((s_cam, s_proj, 4, 4, n_bins))
-    squares = np.empty((s_cam * s_proj, n_bins))
-    step = chunk_pixels(s_cam, meas.intensities.shape[1:], blocks.shape[1:])
-    for start in range(0, s_cam, step):
-        stop = min(start + step, s_cam)
-        decoder.solve(meas.intensities[start:stop], blocks[start:stop],
-                      squares[start * s_proj:stop * s_proj])
-    sigma_hat, noise_std = decoder.noise_model(squares, meas.noise_sigma)
-    residual_norms = np.sqrt(squares, out=squares).reshape(s_cam, s_proj, n_bins)
-    tensor = TransportTensor(blocks, meas.cam_shape, meas.proj_shape, meas.time_bin_width,
-                             meas.channel_id, meas.coaxial, noise_std)
-    return ReconstructionResult(tensor, decoder.rank, decoder.cond, decoder.rank < 16,
-                                residual_norms, sigma_hat)
+    decoder = Decoder.of_measurements(meas.header, split)
+    out = _ArrayWriter(meas.header.n_cam)
+    header, sigma_hat, residual_norms = decoder.run(meas, out)
+    return ReconstructionResult(TransportTensor.of(header, out.array), decoder.rank,
+                                decoder.cond, decoder.rank < 16, residual_norms, sigma_hat)

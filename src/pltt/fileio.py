@@ -42,11 +42,12 @@ wrong.
 It then ``readinto``s runs of camera pixels into one reused buffer (not
 ``np.memmap``, whose touched pages count in resident memory), and checks
 that a transport's are finite. ``PlttWriter`` writes the payload
-chunks into a temporary file beside its output, then the metadata and
-the header, and renames the file over the output only when all of it is
-written, so a command that fails leaves no partial output. ``read_pltt``
-and ``write_pltt`` are the one-chunk case: the whole payload read into a
-new array, or an array's own bytes written, with no bytes copy of it.
+chunks (arrays, or the one reused buffer its ``slot`` gives) into a
+temporary file beside its output, then the metadata and the header, and
+renames the file over the output only when all of it is written, so a
+command that fails leaves no partial output. ``PlttReader.load`` (so
+``read_pltt``) and ``write_pltt`` are the one-chunk case: the whole payload
+read into a new array, or an array's own bytes written, with no bytes copy.
 """
 
 import json
@@ -57,7 +58,8 @@ import struct
 import numpy as np
 
 from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
-from .tensor import TRANSPORT_SHAPE, Header, HeaderArray, TransportTensor, check_number
+from .tensor import (TRANSPORT_SHAPE, Header, HeaderArray, TransportTensor, check_number,
+                     chunk_pixels)
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -93,9 +95,10 @@ def _meta(header):
 class PlttWriter:
     """
     Writes a PLTT file in camera-pixel order: ``write`` appends payload
-    chunks, and ``finish(header)`` adds the metadata and the header and
-    renames the temporary file beside ``path`` over it. Leaving the
-    ``with`` block without finishing removes the temporary file.
+    chunks, each an array or the ``slot`` filled for it, and
+    ``finish(header)`` adds the metadata and the header and renames the
+    temporary file beside ``path`` over it. Leaving the ``with`` block
+    without finishing removes the temporary file.
     """
 
     def __init__(self, path):
@@ -104,6 +107,14 @@ class PlttWriter:
         self._fh = open(self._temp, "wb")
         self._fh.seek(_PREFIX)     # finish writes the header once it is known
         self._count = 0
+        self._buf = np.empty(0)
+
+    def slot(self, shape):
+        """An array of ``shape`` in one reused buffer, to fill and ``write``."""
+        size = math.prod(shape)
+        if self._buf.size < size:
+            self._buf = np.empty(size)
+        return self._buf[:size].reshape(shape)
 
     def write(self, chunk):
         chunk = np.ascontiguousarray(chunk, dtype="<f8")
@@ -148,7 +159,7 @@ _REQUIRED_KEYS = {
 
 
 def _read_header(fh):
-    """A PLTT file's checked Header; reads the metadata and leaves ``fh`` at the payload."""
+    """A PLTT file's checked Header, read with its metadata."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(_PREFIX)
     if head[:len(MAGIC)] != MAGIC:
@@ -171,7 +182,6 @@ def _read_header(fh):
         meta = json.loads(fh.read().decode("utf-8"))
     except ValueError as exc:
         raise ValueError("PLTT metadata is not valid UTF-8 JSON: %s" % exc) from None
-    fh.seek(_PREFIX)
     if not isinstance(meta, dict):
         raise ValueError("PLTT metadata must be a JSON object")
     kind = meta.get("kind", "transport")
@@ -208,8 +218,9 @@ def _read_header(fh):
 
 class PlttReader:
     """
-    An open PLTT file whose ``header`` is checked; ``read`` and ``chunks``
-    then read its payload in camera-pixel order.
+    An open PLTT file whose ``header`` is checked: a source, as the object
+    it holds is, whose ``chunks`` read its payload in camera-pixel order and
+    whose ``load`` reads it whole, each from the payload's start.
     """
 
     def __init__(self, path):
@@ -239,22 +250,32 @@ class PlttReader:
             raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, flat.nbytes))
         return flat.reshape(shape)
 
-    def chunks(self, step):
+    def chunks(self, *records):
         """
-        (first camera pixel, records) of ``step`` camera pixels at a time,
-        read into one reused buffer. A transport's records that hold NaN or
-        inf fail as TransportTensor fails on the whole payload.
+        (first camera pixel, records) of the payload, as many camera pixels at
+        a time as ``chunk_pixels`` gives for its record and the per-pixel output
+        ``records`` a caller fills from them, read into one reused buffer. A
+        transport's records that hold NaN or inf fail as TransportTensor fails
+        on the whole payload.
         """
         head = self.header
         whole = (head.n_cam,) + head.record
-        buf = np.empty(min(step, head.n_cam) * math.prod(head.record), dtype="<f8")
+        step = chunk_pixels(head.n_cam, head.record, *records)
+        self._fh.seek(_PREFIX)
+        buf = np.empty(step * math.prod(head.record), dtype="<f8")
         for start in range(0, head.n_cam, step):
-            records = self.read(min(step, head.n_cam - start), buf)
-            if head.kind == "transport" and not np.isfinite(records).all():
+            chunk = self.read(min(step, head.n_cam - start), buf)
+            if head.kind == "transport" and not np.isfinite(chunk).all():
                 # a payload of more than 16 values shows only its shape in the message
-                bad = records if records.shape == whole else np.broadcast_to(np.nan, whole)
+                bad = chunk if chunk.shape == whole else np.broadcast_to(np.nan, whole)
                 check_number(bad, "transport data", shape=TRANSPORT_SHAPE)
-            yield start, records
+            yield start, chunk
+
+    def load(self):
+        """The object the file holds, its whole payload read into a new array."""
+        head = self.header
+        self._fh.seek(_PREFIX)
+        return _KINDS[head.kind].of(head, self.read(head.n_cam))
 
 
 def read_pltt(path):
@@ -263,9 +284,7 @@ def read_pltt(path):
     ValueError saying what is malformed.
     """
     with PlttReader(path) as src:
-        head = src.header
-        payload = src.read(head.n_cam)
-    return _KINDS[head.kind].of(head, payload)
+        return src.load()
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ A probe mask is an (S_cam, S_proj) array of weights in [0, 1] on the
 A ``Header`` is the one record of a layout and its stored values: a
 TransportTensor, or an ``ellipsometry.MeasurementSet``, is its Header
 plus its array, and a PLTT container stores the pair.
+
+A source, what the streamed operations read, is such an object or a
+``fileio.PlttReader`` open on its container: each has its ``header``,
+``chunks`` of its array over runs of camera pixels, and ``load``.
 """
 
 import math
@@ -27,6 +31,8 @@ import numpy as np
 
 # the shape a TransportTensor's data must have
 TRANSPORT_SHAPE = (None, None, 4, 4, None)
+# bytes of one buffer of camera pixels that a streamed operation fills at once
+CHUNK_BYTES = 1 << 21
 
 
 def _holds_bool(value):
@@ -103,8 +109,7 @@ class Header:
     schedule, noise sigma, seed and beamsplitter split. A TransportTensor or
     a MeasurementSet is its Header plus its array, and a PLTT container
     stores the same record (``fileio`` holds its byte form), so the per-chunk
-    kernels (capture, reconstruction, the fold, the lit blocks and the slice
-    evaluator) take a file's Header as they take a tensor or a set.
+    operations read a file's Header as they read a tensor's or a set's.
 
     Construction checks every value, and no other code does: each grid is
     two integers >= 1 (never a bool, float or string), ``coaxial`` is a bool
@@ -179,6 +184,15 @@ class Header:
                              % (rows, self.record[1]))
 
 
+def chunk_pixels(n_cam, *records):
+    """
+    Camera pixels per chunk: as many as keep a buffer of each per-pixel
+    record shape in ``records`` within ``CHUNK_BYTES``, at least 1 and at
+    most ``n_cam``.
+    """
+    return min(n_cam, max(1, CHUNK_BYTES // (8 * max(math.prod(r) for r in records))))
+
+
 class HeaderArray:
     """
     A checked ``Header`` plus the array it describes: the base of
@@ -186,7 +200,7 @@ class HeaderArray:
     is the array, whose other arguments are the Header fields of the same
     names and whose ``kind`` names their Header's. Each keeps its ``header``
     and, in those fields, its checked values; ``dataclasses.replace`` builds
-    both again.
+    both again. As a source it streams as an open container of it does.
     """
 
     array = property(lambda self: getattr(self, fields(self)[0].name))
@@ -198,6 +212,15 @@ class HeaderArray:
     def of(cls, header, array):
         """The object holding ``array`` with the values of ``header`` that it has fields for."""
         return cls(array, **{f.name: getattr(header, f.name) for f in fields(cls)[1:] if f.init})
+
+    def chunks(self, *records):
+        """(first camera pixel, view) chunks of the array, as ``PlttReader.chunks``."""
+        step = chunk_pixels(self.n_cam, self.header.record, *records)
+        return ((start, self.array[start:start + step]) for start in range(0, self.n_cam, step))
+
+    def load(self):
+        """The object itself, as a container's ``load`` is the object it holds."""
+        return self
 
     def _check_header(self, shape):
         """Check this object's values as the Header of an array of ``shape``; keep them checked."""
@@ -417,10 +440,9 @@ def probe(tensor, mask):
 class Fold:
     """
     The per-chunk kernel of a fold through an optional probe mask, for a
-    layout (a TransportTensor or a container Header) the mask is checked
-    against before any block is read: ``fold``, ``summed_polarimetric_image``
-    and the slice evaluator's ``s_e``/``s_n`` run it over runs of camera
-    pixels of a tensor's data or of its file.
+    layout (a Header) the mask is checked against before any block is
+    read: ``fold``, ``summed_polarimetric_image`` and the slice evaluator's
+    ``s_e``/``s_n`` run it over the chunks of a source.
     """
 
     def __init__(self, layout, mask=None):
@@ -444,41 +466,36 @@ class Fold:
         # each camera pixel's sum runs over s' in order, so chunks change no bit
         return np.einsum("sx,sxpqt->spqt", weight, blocks, out=out)
 
-    def run(self, chunks, out):
-        """Fill ``out`` (S_cam, 4, 4, T) from (first camera pixel, blocks) ``chunks``."""
-        for start, blocks in chunks:
-            self(start, blocks, out[start:start + len(blocks)])
-        return out
+
+def reduce_chunks(source, reduce, out):
+    """``out`` (S_cam, ...) filled by ``reduce(start, blocks, rows of out)`` per source chunk."""
+    for start, blocks in source.chunks():
+        reduce(start, blocks, out[start:start + len(blocks)])
+    return out
 
 
-def fold(tensor, mask=None, chunks=None):
+def fold(source, mask=None):
     """
-    F(s, 0, p, p', t) = sum_{s'} mask[s, s'] T(s, s', p, p', t), with proj_shape (1, 1).
+    F(s, 0, p, p', t) = sum_{s'} mask[s, s'] T(s, s', p, p', t), with proj_shape (1, 1),
+    of a transport source: a TransportTensor or an open container of one.
 
-    A coaxial tensor, whose only s' is s, is its own fold (a copy, when read
-    from chunks) and takes no mask.
-    Without a mask the sum of S_proj independent noises has sqrt(S_proj)
-    times their std; a masked fold carries no noise model.
-
-    ``chunks``, (first camera pixel, blocks) pairs of ``tensor``'s payload,
-    let ``tensor`` be a container Header: the fold then holds one chunk of
-    blocks at a time besides its (S_cam, 1, 4, 4, T) output. Without them
-    the tensor's data is the one chunk.
+    A coaxial tensor, whose only s' is s, is its own fold, ``source.load()``
+    (an in-memory tensor itself, a file's payload read once), and takes no
+    mask. Without a mask the sum of S_proj independent noises has
+    sqrt(S_proj) times their std; a masked fold carries no noise model.
+    Besides its (S_cam, 1, 4, 4, T) output the fold holds one chunk of
+    blocks at a time.
     """
-    itself = mask is None and tensor.coaxial
-    if chunks is None:
-        if itself:
-            return tensor
-        chunks = [(0, tensor.data)]
-    data = np.empty((tensor.n_cam, 1, 4, 4, tensor.n_bins))
-    Fold(tensor, mask).run(chunks, data[:, 0])
-    proj_shape, std = (1, 1), None
-    if itself:
-        proj_shape, std = tensor.proj_shape, tensor.noise_std
-    elif mask is None and tensor.noise_std is not None:
-        std = tensor.noise_std * np.sqrt(tensor.n_proj)
-    return TransportTensor(data, tensor.cam_shape, proj_shape, tensor.time_bin_width,
-                           tensor.channel_id, itself, std)
+    head = source.header
+    if mask is None and head.coaxial:
+        return source.load()
+    data = np.empty((head.n_cam, 1, 4, 4, head.n_bins))
+    reduce_chunks(source, Fold(head, mask), data[:, 0])
+    std = None
+    if mask is None and head.noise_std is not None:
+        std = head.noise_std * np.sqrt(head.n_proj)
+    return TransportTensor(data, head.cam_shape, (1, 1), head.time_bin_width, head.channel_id,
+                           False, std)
 
 
 def epipolar_masks(cam_shape, proj_shape):

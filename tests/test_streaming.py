@@ -2,26 +2,32 @@
 Every `pltt` command that reads a container streams it over runs of camera
 pixels: its outputs equal the library's in-memory ones at every chunk size,
 its memory does not grow with the scan or the projector, no command reads a
-whole transport tensor, and a failure leaves no file.
+whole transport tensor, and a failure leaves no file. Every streamed
+operation reads an open container as it reads the object it holds.
 """
 
 import contextlib
 import os
+import re
 import struct
+import tempfile
 import tracemalloc
-from dataclasses import replace
-from types import SimpleNamespace
+from dataclasses import fields, is_dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pltt.cli
-import pltt.ellipsometry
 import pltt.fileio
-from pltt.cli import _write_diagnostics, main
+import pltt.tensor
+from pltt.analysis import summed_polarimetric_image
+from pltt.cli import _write_diagnostics, main, slice_images
+from pltt.decomposition import lit_blocks
 from pltt.ellipsometry import capture, drr_schedule, reconstruct
 from pltt.fileio import MAGIC, PlttReader, read_pltt, write_pltt
-from pltt.tensor import TransportTensor, epipolar_masks
+from pltt.tensor import HeaderArray, TransportTensor, epipolar_masks, fold
 
 BIN = 1e-10
 # (camera grid, coaxial, K, sensor mode, extra capture flags)
@@ -69,7 +75,7 @@ def test_cli_files_equal_the_library_at_every_chunk_size(tmp_path, monkeypatch, 
                replace(result.tensor, provenance="reconstruct(meas.pltt)"))
     _write_diagnostics(str(tmp_path / "lib"), result.residual_norms)
 
-    monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES",
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES",
                         chunk_bytes(setting, cam, coaxial, schedule.n_rows))
     monkeypatch.chdir(tmp_path)
     assert main(["capture", "--tensor", "truth.pltt", "--k", str(k), "--noise", "1e-3",
@@ -89,7 +95,7 @@ def test_capture_noise_is_the_same_at_every_chunk_size(monkeypatch):
     clean = capture(tensor, schedule).intensities
     noises = []
     for setting in ("one", "uneven", "whole"):
-        monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES",
+        monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES",
                             chunk_bytes(setting, cam, coaxial, schedule.n_rows))
         noisy = capture(tensor, schedule, noise_sigma=1e-3, seed=12).intensities
         noises.append(noisy - clean)
@@ -118,7 +124,7 @@ def _peaks(tmp_path, proj):
 
 def test_command_memory_does_not_grow_with_the_projector(tmp_path, monkeypatch):
     chunk, slack = 1 << 19, 1 << 18
-    monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES", chunk)
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", chunk)
     monkeypatch.chdir(tmp_path)
     (cap_small, rec_small), _, squares_small = _peaks(tmp_path, (4, 4))
     (cap_large, rec_large), meas_bytes, squares_large = _peaks(tmp_path, (8, 8))
@@ -144,7 +150,7 @@ def _poison_last_value(path):
 
 def test_reconstruct_of_a_nan_in_the_last_camera_pixel_exits_two_writing_nothing(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES", 8)
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", 8)
     meas = capture(truth_tensor((3, 3), False), drr_schedule(20), noise_sigma=1e-3, seed=4)
     path = tmp_path / "meas.pltt"
     write_pltt(path, meas)
@@ -160,7 +166,7 @@ def test_reconstruct_of_a_nan_in_the_last_camera_pixel_exits_two_writing_nothing
 
 def test_capture_of_a_nan_in_the_last_camera_pixel_exits_two_writing_nothing(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES", 8)
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", 8)
     path = tmp_path / "truth.pltt"
     write_pltt(path, truth_tensor((3, 3), False))
     _poison_last_value(path)
@@ -210,8 +216,8 @@ def run(argv, capsys):
 
 @contextlib.contextmanager
 def whole_tensor(path, kind):
-    """``cli._open`` as the in-memory library: the tensor read whole is the layout."""
-    yield SimpleNamespace(header=read_pltt(path))
+    """``cli._open`` as the in-memory library: the tensor read whole is the source."""
+    yield read_pltt(path)
 
 
 def outputs(directory):
@@ -236,13 +242,12 @@ def test_reading_commands_equal_the_library_at_every_chunk_size(tmp_path, monkey
         monkeypatch.chdir(work)
         with monkeypatch.context() as patch:
             if side == "lib":
-                # no chunks: every command runs the library's in-memory path
+                # every command runs on the in-memory tensor at the default chunk size
                 patch.setattr(pltt.cli, "_open", whole_tensor)
-                patch.setattr(pltt.cli, "_chunks", lambda src: None)
             else:
                 s_proj = 1 if coaxial else 9
                 record = 8 * s_proj * 16 * N_BINS
-                patch.setattr(pltt.ellipsometry, "CHUNK_BYTES",
+                patch.setattr(pltt.tensor, "CHUNK_BYTES",
                               {"one": 8, "uneven": 2 * record + 8, "whole": 1 << 40}[setting])
             results[side] = run(argv, capsys), outputs(work)
     assert results["cli"] == results["lib"]
@@ -278,7 +283,7 @@ def _reader_peaks(tmp_path, proj):
 
 def test_reading_command_memory_does_not_grow_with_the_projector(tmp_path, monkeypatch):
     chunk, slack = 1 << 19, 1 << 18
-    monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES", chunk)
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", chunk)
     monkeypatch.chdir(tmp_path)
     small, _ = _reader_peaks(tmp_path, (4, 4))
     large, tensor_bytes = _reader_peaks(tmp_path, (8, 8))
@@ -296,7 +301,7 @@ def test_no_reading_command_reads_a_whole_tensor(tmp_path, monkeypatch, capsys):
     noisy_reconstruction(tensor, False)
     np.savetxt(tmp_path / "target.csv", np.arange(9.0).reshape(3, 3), delimiter=",")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES", 8)   # one camera pixel at a time
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", 8)   # one camera pixel at a time
     plain_read = PlttReader.read
 
     def read_one_pixel(self, n, out=None):
@@ -350,7 +355,7 @@ FAILURES = [
 def test_reading_commands_fail_as_reading_the_tensor_whole_did(tmp_path, monkeypatch, capsys,
                                                                argv, message):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(pltt.ellipsometry, "CHUNK_BYTES", 8)
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", 8)
     noisy_reconstruction(tmp_path / "recon.pltt", False)
     write_pltt(tmp_path / "nan.pltt", truth_tensor((3, 3), False))
     _poison_last_value(tmp_path / "nan.pltt")
@@ -359,3 +364,116 @@ def test_reading_commands_fail_as_reading_the_tensor_whole_did(tmp_path, monkeyp
     before = sorted(os.listdir(tmp_path))
     assert run(argv, capsys) == (2, "", "error: %s\n" % message)
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_coaxial_fold_reads_its_payload_once(tmp_path):
+    # a coaxial tensor is its own fold: the payload read once, as pltt decompose holds it
+    data = np.random.default_rng(5).uniform(size=(32 * 32, 1, 4, 4, 16))
+    write_pltt(tmp_path / "coax.pltt", TransportTensor(data, (32, 32), (32, 32), BIN,
+                                                       coaxial=True,
+                                                       noise_std=np.full((4, 4), 1e-3)))
+    tracemalloc.start()
+    try:
+        with PlttReader(tmp_path / "coax.pltt") as src:
+            folded = fold(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert folded.data.tobytes() == data.tobytes()
+    assert folded.noise_std.tobytes() == np.full((4, 4), 1e-3).tobytes()
+    # 2.10 MB of payload; reading it into a chunk buffer and copying that peaked at 4.46 MB
+    assert peak < data.nbytes + (1 << 17)
+
+
+def _unreadable(*records):
+    raise AssertionError("the payload was read")
+
+
+# (expression, error) on a 3x3 tensor of 4 bins: the projector slot is
+# checked first, then the camera index, then the time bin
+UNREAD_FAILURES = [
+    ("T(99, s, :, :, t)", "camera index 99 outside 0..8"),
+    ("T(s, s, 0, 0, t=4)", "time bin 4 outside 0..3"),
+    ("T(s, 9, 0, 0, t)", "projector index 9 outside 0..8"),
+    ("T(9, 9, 0, 0, t=4)", "projector index 9 outside 0..8"),
+    ("T(9, s, 0, 0, t=4)", "camera index 9 outside 0..8"),
+]
+
+
+@pytest.mark.parametrize("expr, message", UNREAD_FAILURES)
+def test_slice_checks_every_index_before_reading(expr, message):
+    source = mock.Mock(header=truth_tensor((3, 3), False).header, chunks=_unreadable)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        slice_images(source, expr)
+
+
+def test_slice_out_of_range_exits_two_without_reading(tmp_path, monkeypatch, capsys):
+    write_pltt(tmp_path / "truth.pltt", truth_tensor((3, 3), False))
+    monkeypatch.setattr(PlttReader, "chunks", lambda self, *records: _unreadable())
+    assert run(["slice", "--tensor", str(tmp_path / "truth.pltt"), "--expr",
+                "T(99, s, :, :, t)", "--out", str(tmp_path / "s")], capsys) == (
+        2, "", "error: camera index 99 outside 0..8\n")
+    assert os.listdir(tmp_path) == ["truth.pltt"]
+
+
+def _items(value, work):
+    """A result as a list of comparable items; a tensor or a set is its container's bytes."""
+    if isinstance(value, HeaderArray):
+        write_pltt(os.path.join(work, "result.pltt"), value)
+        with open(os.path.join(work, "result.pltt"), "rb") as fh:
+            return [fh.read()]
+    if isinstance(value, np.ndarray):
+        return [value.shape, value.tobytes()]
+    if is_dataclass(value):
+        value = [getattr(value, f.name) for f in fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [item for v in value for item in _items(v, work)]
+    return [value]
+
+
+# slices that every tensor of each geometry takes: the masked folds, the
+# diagonal and a projector index, and a fixed camera pixel and time bin
+SOURCE_SLICES = {
+    False: ["T(s, s, :, :, t)", "sum_t T(s, s_e, 0, :, t)", "-T(s, s_n, :, 1, t)",
+            "sum_pp T(0, 0, :, :, t=0)"],
+    True: ["T(s, s, :, :, t)", "sum_p T(0, s, :, 0, t)"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(coaxial=st.booleans(), modelled=st.booleans(), masked=st.booleans(),
+       cam=st.tuples(st.integers(1, 3), st.integers(1, 3)), n_bins=st.integers(1, 3),
+       chunk=st.integers(8, 1 << 14), seed=st.integers(0, 2**32 - 1),
+       schedule=st.sampled_from([drr_schedule(20), drr_schedule(5, "polarizer_array")]),
+       noise=st.sampled_from([0.0, 1e-3]), split=st.sampled_from([0.5, 0.3]),
+       floor=st.sampled_from([0.0, 0.4]))
+def test_every_operation_reads_a_file_as_the_object_it_holds(
+        coaxial, modelled, masked, cam, n_bins, chunk, seed, schedule, noise, split, floor):
+    rng = np.random.default_rng(seed)
+    s_cam = cam[0] * cam[1]
+    # some m00 at or below 0, so the floors drop blocks
+    tensor = TransportTensor(rng.uniform(-0.2, 1.0, (s_cam, 1 if coaxial else s_cam, 4, 4,
+                                                     n_bins)),
+                             cam, cam, BIN, coaxial=coaxial,
+                             noise_std=np.full((4, 4), 0.05) if modelled else None)
+    mask = rng.uniform(size=(s_cam, s_cam)) if masked and not coaxial else None
+    operations = {
+        "capture": lambda src: capture(src, schedule, noise, 7, mask, split),
+        "fold": lambda src: fold(src, mask),
+        "lit_blocks": lambda src: lit_blocks(src, floor),
+        "summed_polarimetric_image": lambda src: summed_polarimetric_image(src, mask),
+        **{expr: lambda src, expr=expr: slice_images(src, expr)
+           for expr in SOURCE_SLICES[coaxial]},
+    }
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(pltt.tensor, "CHUNK_BYTES", chunk):
+        truth, meas = os.path.join(work, "truth.pltt"), os.path.join(work, "meas.pltt")
+        write_pltt(truth, tensor)
+        # one reader serves every operation: each reads the payload from its start
+        with PlttReader(truth) as src:
+            for name, operation in operations.items():
+                assert _items(operation(src), work) == _items(operation(tensor), work), name
+        measured = capture(tensor, schedule, noise, 7, mask, split)
+        write_pltt(meas, measured)
+        with PlttReader(meas) as src:
+            assert _items(reconstruct(src), work) == _items(reconstruct(measured), work)
