@@ -104,7 +104,6 @@ from .decomposition import (
     noise_floor,
     polar_decompose,
     polarizance,
-    retardance,
 )
 from .analysis import (
     DescatterModel,

@@ -328,8 +328,6 @@ def cmd_decompose(args):
         "n_null": decomp.n_null,
         "n_singular": decomp.n_singular,
         "n_negative_det": decomp.n_negative_det,
-        "n_reorthogonalized": decomp.n_reorthogonalized,
-        "n_clamped": decomp.n_clamped,
         "n_unrealisable": decomp.n_unrealisable,
         "floor_frac": args.floor,
         "noise_floor": noise_floor(tensor),

@@ -6,20 +6,17 @@ diattenuation summaries.
 
 ``polar_decompose`` factors one 4x4 matrix or a (..., 4, 4) stack with
 broadcast LAPACK calls. The diattenuator is built from the first row of
-M; the depolarizer block is the symmetric factor recovered from the
-eigenvalues of m' m'^T with a sign branch on det(m'); the retarder is
-what remains. Each fallback is a per-block mask: singular diattenuators
-(|D| ~ 1, e.g. an ideal polarizer) switch every inversion to a
-pseudoinverse and recompose only approximately, solves with cond > 1e12
-use a pseudoinverse, and a non-orthogonal retarder block is snapped to
-the nearest rotation.
+M; the depolarizer and retarder blocks are the polar factors of one SVD
+of what remains (Higham, SIAM J. Sci. Stat. Comput. 7(4), 1986), with a
+sign branch that keeps the retarder a proper rotation. A singular
+diattenuator (|D| ~ 1, e.g. an ideal polarizer) is inverted by a
+pseudoinverse, recomposes only approximately, and is flagged per block.
 
 ``decompose_tensor`` factors only the blocks ``lit_blocks`` keeps: those
 whose m00 stands above the tensor's noise (NOISE_Z standard deviations
 of m00 under the noise model a reconstruction stores with its tensor)
-as well as above a fraction of the largest m00. It counts the fallbacks,
-clamped retardance arguments and blocks that no physical system can
-produce (a negative eigenvalue of the coherency matrix; Cloude, Proc.
+as well as above a fraction of the largest m00. It counts the flagged
+blocks and the blocks that no physical system can produce (a negative eigenvalue of the coherency matrix; Cloude, Proc.
 SPIE 1166, 1989), and logs the counts once per call.
 """
 
@@ -33,10 +30,7 @@ from .tensor import check_number
 
 logger = logging.getLogger(__name__)
 
-SINGULAR_EPS = 1e-9
-ORTHOGONALITY_EPS = 1e-9
-COND_LIMIT = 1e12
-CLAMP_EPS = 1e-9
+SINGULAR_EPS = 1e-7
 # coherency eigenvalues above -REALISABLE_EPS * m00 count as non-negative
 REALISABLE_EPS = 1e-9
 # a block is lit when its m00 exceeds NOISE_Z standard deviations of m00 noise
@@ -55,8 +49,6 @@ class DecompositionResult:
     diattenuation: float = 0.0
     singular_diattenuator: bool = False
     negative_det_branch: bool = False
-    reorthogonalized: bool = False
-    retardance_clamped: bool = False
 
     def recompose(self):
         return self.m_depol @ self.m_ret @ self.m_diat
@@ -95,41 +87,28 @@ def polarizance(m):
     return _scalar(_tilt(_checked(m, "polarizance").swapaxes(-1, -2)))
 
 
-def _retardance_of(m_ret):
-    arg = np.trace(m_ret, axis1=-2, axis2=-1) / 2.0 - 1.0
-    return np.arccos(np.clip(arg, -1.0, 1.0)), np.abs(arg) > 1.0 + CLAMP_EPS
-
-
-def retardance(decomp):
-    """Retarder rotation angle in [0, pi]: arccos(tr(M_ret)/2 - 1), clamped to [-1, 1]."""
-    return _scalar(_retardance_of(decomp.m_ret)[0])
-
-
-def _solve(a, b, fallback, cond_limit=None):
-    """a^-1 b per block; pinv(a) @ b on fallback blocks and where cond(a) > cond_limit."""
-    if cond_limit is not None:  # cond only where still needed; "not <=" also catches NaN
-        fallback = fallback.copy()
-        fallback[~fallback] = ~(np.linalg.cond(a[~fallback]) <= cond_limit)
-    out = np.empty(b.shape)
-    out[~fallback] = np.linalg.solve(a[~fallback], b[~fallback])
-    out[fallback] = np.linalg.pinv(a[fallback]) @ b[fallback]
-    return out
-
-
 def polar_decompose(m):
     """
     Factor one Mueller matrix, or a (..., 4, 4) stack, into depolarizer,
     retarder, diattenuator.
 
+    Each block is divided by its m00, M_D is built from its first row, and
+    m' = M M_D^-1 (a pseudoinverse for a singular diattenuator, |D| within
+    SINGULAR_EPS of 1). The SVD m'_3 = U S V^T of m''s lower 3x3 block gives
+    the depolarizer block +-U S U^T and the retarder block +-U V^T, a proper
+    rotation, with the minus sign where det(U V^T) < 0. This is Lu and
+    Chipman's factorisation for a non-singular m'_3, and it recomposes m'_3
+    exactly when m'_3 is singular, where the retarder is not determined.
+
     Returns a DecompositionResult whose factors recompose a passive input to
-    ~1e-8 of m00 elementwise; near the singular cut the error grows with
-    (1 + D)/(1 - D), to 2.6e-8 of m00 at 1 - D = 1.86e-9, and a block with a
-    singular depolarizer, flagged only as ``reorthogonalized``, need not
-    recompose. Its scalars and flags are floats and bools for one matrix,
-    arrays of the leading shape for a stack. Flags record the
-    singular-diattenuator fallback, the negative-determinant branch of the
-    depolarizer block, any re-orthogonalization of the retarder block, and
-    a retardance argument clamped by more than 1e-9.
+    1e-8 of m00 elementwise (inverting M_D amplifies rounding by at most
+    (1 + D)/(1 - D), 2e7 below the singular cut), for any m00 whose entries
+    square without overflow; a singular diattenuator recomposes only
+    approximately. m_diat carries the block's m00; polarizance and
+    diattenuation are read from the blocks as given. Its scalars and flags are
+    floats and bools for one matrix, arrays of the leading shape for a stack.
+    The flags record the singular-diattenuator fallback and the
+    negative-determinant branch.
 
     Raises
     ------
@@ -141,10 +120,10 @@ def polar_decompose(m):
         raise ValueError("expected a 4x4 matrix or a (..., 4, 4) stack, got %r" % (m.shape,))
     m = _checked(m, "polar decomposition")
     lead, m = m.shape[:-2], m.reshape(-1, 4, 4)
-    m00 = m[:, 0, 0, None]
-    eye3, eye4 = np.eye(3), np.broadcast_to(np.eye(4), m.shape)
+    m00 = m[:, :1, :1]
+    unit = m / m00
 
-    d_vec = m[:, 0, 1:] / m00
+    d_vec = unit[:, 0, 1:]
     d_mag = np.sqrt(d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0]
     singular = d_mag >= 1.0 - SINGULAR_EPS
     tiny = d_mag <= 1e-14                      # no diattenuation axis: M_D block = I
@@ -154,40 +133,33 @@ def polar_decompose(m):
     m_diat[:, 0, 0] = 1.0
     m_diat[:, 0, 1:] = d_vec
     m_diat[:, 1:, 0] = d_vec
-    m_diat[:, 1:, 1:] = (root[:, None, None] * eye3
+    m_diat[:, 1:, 1:] = (root[:, None, None] * np.eye(3)
                          + (1.0 - root)[:, None, None] * (d_hat[:, :, None] * d_hat[:, None, :]))
-    m_diat *= m00[:, :, None]
+    diat_inv = np.empty_like(m)
+    diat_inv[~singular] = np.linalg.inv(m_diat[~singular])
+    diat_inv[singular] = np.linalg.pinv(m_diat[singular])
+    m_prime = unit @ diat_inv
+    m_diat *= m00
 
-    m_prime = m @ _solve(m_diat, eye4, singular)
-    sub = m_prime[:, 1:, 1:]
-    gram = sub @ sub.transpose(0, 2, 1)
-    s1, s2, s3 = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[:, ::-1].T
-    with np.errstate(divide="ignore"):     # LAPACK's LU flags subnormal pivots; det stays finite
-        negative_branch = np.linalg.det(sub) < 0
+    u, s, vt = np.linalg.svd(m_prime[:, 1:, 1:])
+    rotation = u @ vt
+    negative_branch = np.linalg.det(rotation) < 0
     sign = np.where(negative_branch, -1.0, 1.0)[:, None, None]
-    bracket = gram + (s1 * s2 + s2 * s3 + s3 * s1)[:, None, None] * eye3
-    target = (s1 + s2 + s3)[:, None, None] * gram + (s1 * s2 * s3)[:, None, None] * eye3
-    depol_block = sign * _solve(bracket, target, singular, COND_LIMIT)
-
-    m_depol = eye4.copy()
+    m_depol = np.zeros_like(m)
+    m_depol[:, 0, 0] = 1.0
     m_depol[:, 1:, 0] = m_prime[:, 1:, 0]
-    m_depol[:, 1:, 1:] = depol_block
-    m_ret = _solve(m_depol, m_prime, singular, COND_LIMIT)
-
-    block = m_ret[:, 1:, 1:]
-    defect = np.abs(block @ block.transpose(0, 2, 1) - eye3).max(axis=(-2, -1))
-    reorthogonalized = defect > ORTHOGONALITY_EPS
-    u, _, vt = np.linalg.svd(block[reorthogonalized])
-    u[np.linalg.det(u @ vt) < 0, :, 2] *= -1.0  # nearest proper rotation
-    m_ret[reorthogonalized] = np.eye(4)
-    m_ret[reorthogonalized, 1:, 1:] = u @ vt
-    ret, clamped = _retardance_of(m_ret)
+    m_depol[:, 1:, 1:] = sign * (u * s[:, None, :]) @ u.transpose(0, 2, 1)
+    m_ret = np.zeros_like(m)
+    m_ret[:, 0, 0] = 1.0
+    m_ret[:, 1:, 1:] = sign * rotation
+    # a rotation keeps (tr - 1)/2 within rounding of [-1, 1]
+    cos = (np.trace(m_ret[:, 1:, 1:], axis1=1, axis2=2) - 1.0) / 2.0
 
     out = {
         "m_depol": m_depol, "m_ret": m_ret, "m_diat": m_diat,
-        "polarizance": _tilt(m.swapaxes(1, 2)), "retardance": ret, "diattenuation": _tilt(m),
+        "polarizance": _tilt(m.swapaxes(1, 2)), "retardance": np.arccos(np.clip(cos, -1.0, 1.0)),
+        "diattenuation": _tilt(m),
         "singular_diattenuator": singular, "negative_det_branch": negative_branch,
-        "reorthogonalized": reorthogonalized, "retardance_clamped": clamped,
     }
     return DecompositionResult(
         **{k: _scalar(v.reshape(lead + v.shape[1:])) for k, v in out.items()})
@@ -196,7 +168,7 @@ def polar_decompose(m):
 @dataclass(frozen=True)
 class TensorDecomposition:
     """
-    Per-(pixel, bin) maps, NaN below the floor, fallback and realisability
+    Per-(pixel, bin) maps, NaN below the floor, flag and realisability
     counts, and ``factors``, the ``polar_decompose`` of the kept blocks only.
     The full-grid factors ``m_depol``, ``m_ret`` and ``m_diat``, NaN below
     the floor, are scattered from them when first read.
@@ -210,8 +182,6 @@ class TensorDecomposition:
     n_null: int = 0
     n_singular: int = 0
     n_negative_det: int = 0
-    n_reorthogonalized: int = 0
-    n_clamped: int = 0
     n_unrealisable: int = 0
 
     @functools.cached_property
@@ -316,13 +286,11 @@ def decompose_tensor(tensor, floor_frac=1e-6):
     """
     kept, lit = lit_blocks(tensor, floor_frac)
     res = polar_decompose(kept)
-    counts = {key: int(getattr(res, flag).sum()) for key, flag in (
-        ("n_singular", "singular_diattenuator"), ("n_negative_det", "negative_det_branch"),
-        ("n_reorthogonalized", "reorthogonalized"), ("n_clamped", "retardance_clamped"))}
-    counts["n_unrealisable"] = int(_unrealisable(kept, tensor.noise_std).sum())
-    logger.log(logging.WARNING if counts["n_clamped"] else logging.INFO,
-               "decomposed %d of %d blocks: %s", lit.sum(), lit.size,
-               ", ".join("%s=%d" % kv for kv in counts.items()))
+    counts = {"n_singular": int(res.singular_diattenuator.sum()),
+              "n_negative_det": int(res.negative_det_branch.sum()),
+              "n_unrealisable": int(_unrealisable(kept, tensor.noise_std).sum())}
+    logger.info("decomposed %d of %d blocks: %s", lit.sum(), lit.size,
+                ", ".join("%s=%d" % kv for kv in counts.items()))
     maps = {name: _scatter(getattr(res, name), lit)
             for name in ("polarizance", "retardance", "diattenuation")}
     return TensorDecomposition(null_mask=~lit, factors=res, n_null=int((~lit).sum()),

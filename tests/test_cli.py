@@ -1033,8 +1033,7 @@ def test_decompose_summary_counts_the_fallbacks(tmp_path):
     assert summary["n_null"] == 0
     assert summary["n_singular"] == 1
     assert summary["n_negative_det"] == 1
-    assert summary["n_reorthogonalized"] == 1
-    assert summary["n_clamped"] == 0
+    assert "n_reorthogonalized" not in summary and "n_clamped" not in summary
 
 
 def test_decompose_rejects_non_finite_blocks(tmp_path, capsys):

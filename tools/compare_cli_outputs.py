@@ -32,7 +32,10 @@ checkout in its own temporary directory, with relative paths, so both
 sides see the same arguments.
 
 Every output file is compared byte for byte, except the manifests, which
-are compared as JSON without their ``duration_s`` and ``peak_rss_mb``.
+are compared as JSON without their ``duration_s`` and ``peak_rss_mb``. A
+differing CSV that parses on both sides to a float grid of one shape and
+one NaN pattern is reported with the largest absolute difference of its
+entries.
 Exit codes and the commands' stdout and stderr are compared too, and the
 two failing slices and the three damaged containers must exit 2. Prints
 each difference and exits 1 if there is any, 0 otherwise.
@@ -44,6 +47,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 # (scene file in tests/data, camera resolution, capture seed)
 SCENES = (
@@ -232,6 +237,23 @@ def same_file(path_a, path_b):
         return fa.read() == fb.read()
 
 
+def grid_difference(a, b):
+    """Largest |a - b| of two float grids of one shape and NaN pattern, else None."""
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return None
+    finite = ~np.isnan(a)
+    return float(np.abs(a[finite] - b[finite]).max(initial=0.0))
+
+
+def csv_difference(path_a, path_b):
+    """``grid_difference`` of two CSV files, or None if either is not a float grid."""
+    try:
+        grids = [np.loadtxt(path, delimiter=",", ndmin=2) for path in (path_a, path_b)]
+    except ValueError:
+        return None
+    return grid_difference(*grids)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -259,8 +281,11 @@ def main(argv=None):
                                % (name, "parent" if name in files_a else "change"))
         common = sorted(set(files_a) & set(files_b))
         for name in common:
-            if not same_file(os.path.join(dir_a, name), os.path.join(dir_b, name)):
-                differences.append("%s: differs" % name)
+            path_a, path_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
+            if not same_file(path_a, path_b):
+                size = csv_difference(path_a, path_b) if name.endswith(".csv") else None
+                differences.append("%s: differs%s" % (
+                    name, "" if size is None else " (max |difference| %.3g)" % size))
     for line in differences:
         print(line)
     codes = {}
