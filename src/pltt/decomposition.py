@@ -73,8 +73,8 @@ def _scalar(x):
 
 
 def _tilt(m):
-    """||(m01, m02, m03)|| / m00 of checked blocks: diattenuation, or polarizance of M^T."""
-    return np.sqrt((m[..., 0, 1:] ** 2).sum(-1)) / m[..., 0, 0]
+    """||(m01, m02, m03) / m00|| of checked blocks: diattenuation, or polarizance of M^T."""
+    return np.sqrt(((m[..., 0, 1:] / m[..., 0, :1]) ** 2).sum(-1))
 
 
 def diattenuation(m):
@@ -102,10 +102,10 @@ def polar_decompose(m):
 
     Returns a DecompositionResult whose factors recompose a passive input to
     1e-8 of m00 elementwise (inverting M_D amplifies rounding by at most
-    (1 + D)/(1 - D), 2e7 below the singular cut), for any m00 whose entries
-    square without overflow; a singular diattenuator recomposes only
-    approximately. m_diat carries the block's m00; polarizance and
-    diattenuation are read from the blocks as given. Its scalars and flags are
+    (1 + D)/(1 - D), 2e7 below the singular cut), at any m00; a singular
+    diattenuator recomposes only approximately. m_diat carries the block's
+    m00; polarizance and diattenuation are read from the m00-normalised
+    block, and D also builds M_D. Its scalars and flags are
     floats and bools for one matrix, arrays of the leading shape for a stack.
     The flags record the singular-diattenuator fallback and the
     negative-determinant branch.
@@ -124,7 +124,7 @@ def polar_decompose(m):
     unit = m / m00
 
     d_vec = unit[:, 0, 1:]
-    d_mag = np.sqrt(d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0]
+    d_mag = _tilt(unit)
     singular = d_mag >= 1.0 - SINGULAR_EPS
     tiny = d_mag <= 1e-14                      # no diattenuation axis: M_D block = I
     d_hat = d_vec / np.where(tiny, 1.0, d_mag)[:, None]
@@ -157,8 +157,8 @@ def polar_decompose(m):
 
     out = {
         "m_depol": m_depol, "m_ret": m_ret, "m_diat": m_diat,
-        "polarizance": _tilt(m.swapaxes(1, 2)), "retardance": np.arccos(np.clip(cos, -1.0, 1.0)),
-        "diattenuation": _tilt(m),
+        "polarizance": _tilt(unit.swapaxes(1, 2)),
+        "retardance": np.arccos(np.clip(cos, -1.0, 1.0)), "diattenuation": d_mag,
         "singular_diattenuator": singular, "negative_det_branch": negative_branch,
     }
     return DecompositionResult(

@@ -317,9 +317,6 @@ class SyntheticMuellerEnsemble:
     seed: int = 0
     weights: tuple = ()
 
-    def __len__(self):
-        return self.samples.shape[0]
-
 
 def _uniform(u, low, high):
     """Draws ``u`` in [0, 1) mapped to [low, high) as ``Generator.uniform`` maps them."""

@@ -174,18 +174,22 @@ def test_physical_blocks_recompose_property(data, rank):
 @given(data=st.data(), rank=st.integers(1, 4))
 def test_physical_blocks_recompose_at_every_scale(data, rank):
     # the blocks of the property above, scaled to m00 from subnormal up to
-    # 1e150, since above about 1e154 the squares of the first row (the
-    # diattenuation) overflow. D < 0.999 keeps the rounding that inverting
-    # M_D amplifies by (1 + D) / (1 - D) below 1e-12; the property above
-    # covers the blocks nearer the singular cut
+    # 1e300: polarizance and diattenuation are read from the m00-normalised
+    # block, so they do not move with the scale. D < 0.999 keeps the rounding
+    # that inverting M_D amplifies by (1 + D) / (1 - D) below 1e-12; the
+    # property above covers the blocks nearer the singular cut
     part = arrays(np.float64, (4, rank), elements=st.floats(-1.0, 1.0))
     g = data.draw(part, label="real") + 1j * data.draw(part, label="imag")
     m = ((g @ g.conj().T).reshape(16) @ np.linalg.inv(_COHERENCY)).real.reshape(4, 4)
     assume(m[0, 0] > 1e-6 and diattenuation(m) < 0.999)
-    m00 = np.array([1e-310, 1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e150])
+    m00 = np.array([1e-310, 1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e150, 1e200, 1e300])
     stack = m * (m00 / m[0, 0])[:, None, None]
-    error = np.abs(polar_decompose(stack).recompose() - stack).max(axis=(1, 2))
+    result = polar_decompose(stack)
+    error = np.abs(result.recompose() - stack).max(axis=(1, 2))
     assert np.all(error <= 1e-12 * stack[:, 0, 0])
+    for name in ("polarizance", "diattenuation"):
+        values = getattr(result, name)
+        assert np.abs(values - values[m00 == 1.0]).max() <= 1e-12, name
 
 
 def test_a_block_with_subnormal_entries_decomposes_without_a_warning():

@@ -335,7 +335,7 @@ def test_ensemble_is_passive_and_deterministic():
     first = generate_ensemble(42, 60)
     second = generate_ensemble(42, 60)
     np.testing.assert_array_equal(first.samples, second.samples)
-    assert len(first) == 60
+    assert first.samples.shape[0] == 60
     for sample in first.samples:
         assert is_passive(sample, tol=1e-9)
     other = generate_ensemble(43, 60)

@@ -1,10 +1,13 @@
-"""`import pltt` and every command, L-BFGS descattering included, run without SciPy."""
+"""`import pltt` loads nothing but applies PLTT_NUM_THREADS; no command loads SciPy."""
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import pltt
 
@@ -69,3 +72,32 @@ def test_no_command_loads_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.endswith("ok\n")
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+IMPORT_ONLY = textwrap.dedent("""
+    import json
+    import os
+    import sys
+
+    import pltt
+
+    loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("pltt."))
+    assert not loaded, "import pltt loaded %%s" %% loaded
+    print(json.dumps({var: os.environ.get(var) for var in %r}))
+""" % (THREAD_VARS,))
+
+
+@pytest.mark.parametrize("threads, capped", [("3", "3"), ("0", None), ("x", None)])
+def test_import_pltt_loads_nothing_and_caps_only_unset_thread_pools(tmp_path, threads, capped):
+    # a positive PLTT_NUM_THREADS fills the unset thread variables and keeps
+    # a set one; any other value sets none
+    src = str(Path(pltt.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(PYTHONPATH=src, PLTT_NUM_THREADS=threads, OMP_NUM_THREADS="5")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_ONLY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"OMP_NUM_THREADS": "5", "OPENBLAS_NUM_THREADS": capped,
+                                       "MKL_NUM_THREADS": capped, "NUMEXPR_NUM_THREADS": capped}
