@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .learning import lbfgs
-from .tensor import Fold, check_number, reduce_chunks
+from .tensor import check_number, probe_weights
 
 
 def arctan_map(m, c=8.0):
@@ -57,6 +57,7 @@ class PrincipalBasis:
     components: np.ndarray = field(repr=False)      # (16, 16), rows orthonormal
     singular_values: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)          # cumulative variance fraction
+    n_determined: int       # leading components the rows fix; the rest span a null space
 
     def n_components_for(self, fraction):
         """Smallest component count whose cumulative energy reaches fraction."""
@@ -70,9 +71,11 @@ def pca(obs):
     the SVD of the centred rows' QR factor R, so no (n, n) U is built.
 
     Always returns a full 16-vector basis, each component signed so its
-    largest-magnitude entry is positive; with fewer samples than
-    dimensions the trailing singular values are zero. Identical rows
-    yield all-zero singular values and a flat energy curve of ones.
+    largest-magnitude entry is positive. The rows fix only the first
+    ``n_determined``, whose singular values pass numpy's ``matrix_rank``
+    tolerance for the rows; the rest, of zero or rounding-level singular
+    values, are any basis of a null space. Identical rows fix none and give
+    a flat energy curve of ones.
     """
     rows = check_number(obs.rows if isinstance(obs, ObservationMatrix) else obs,
                         "observation rows", shape=(None, 16))
@@ -88,7 +91,10 @@ def pca(obs):
     power = full**2
     total = power.sum()
     energy = np.cumsum(power) / total if total > 0 else np.ones(16)
-    return PrincipalBasis(mean=mean, components=vt, singular_values=full, energy=energy)
+    # scaled by ||rows||_F, not by svals[0]: centring leaves coinciding rows at rounding level
+    tol = np.sqrt(total + len(rows) * mean @ mean) * max(len(rows), 16) * np.finfo(float).eps
+    return PrincipalBasis(mean=mean, components=vt, singular_values=full, energy=energy,
+                          n_determined=int((svals > tol).sum()))
 
 
 def pca_project(basis, rows, n_components=16):
@@ -107,13 +113,18 @@ def summed_polarimetric_image(tensor, mask=None):
     """
     Per-camera-pixel 4x4 Mueller image of a transport source (a tensor or
     an open container of one): each chunk summed over time bins and then
-    folded over projector pixels, optionally through a probe mask (dense
-    tensors only), as ``fold`` folds it.
+    over projector pixels through the weights ``fold`` uses, a probe mask
+    (dense tensors only) or ones. The time bins go first, so this keeps its
+    own loop rather than summing a fold's bins.
     """
     head = tensor.header
-    kernel = Fold(head, mask)
-    return reduce_chunks(tensor, lambda start, blocks, out: kernel(
-        start, blocks.sum(axis=4, keepdims=True), out), np.empty((head.n_cam, 4, 4, 1)))[..., 0]
+    weight = None if mask is None else probe_weights(head, mask)
+    out = np.empty((head.n_cam, 4, 4))
+    for start, blocks in tensor.chunks():
+        n = len(blocks)
+        w = np.ones(blocks.shape[:2]) if weight is None else weight[start:start + n]
+        np.einsum("sx,sxpq->spq", w, blocks.sum(axis=4), out=out[start:start + n])
+    return out
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from .ellipsometry import (
 from .fileio import PlttReader, PlttWriter, write_csv_grid, write_pgm
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
-from .tensor import Fold, check_number, epipolar_masks, fold, reduce_chunks
+from .tensor import check_number, epipolar_masks, fold, probe_weights
 
 
 class _Parser(argparse.ArgumentParser):
@@ -367,6 +367,7 @@ def cmd_pca(args):
         "compression": args.c,
         "noise_floor": noise_floor(src.header),
         "components_for_95pct": basis.n_components_for(0.95),
+        "n_determined": basis.n_determined,
         "energy": basis.energy.tolist(),
     })
     print("wrote %s_*: %d samples, %d components reach 95%% energy" % (
@@ -435,9 +436,9 @@ def slice_images(tensor, expr):
     tensor, and every index is checked against the header before a block
     is read: the projector slot, then the camera index and the time bin.
 
-    The projector slot then reduces each chunk of the source to an
-    (S_cam, 4, 4, T) block: the masked fold for ``s_e``/``s_n``, the
-    diagonal for ``s`` and one projector pixel for an index.
+    The projector slot is a probe mask that ``fold`` applies: the epipolar
+    pair for ``s_e``/``s_n``, the identity for ``s`` and a one-hot column
+    for an index; a coaxial tensor's ``s`` is the tensor itself.
     """
     text = expr.strip()
     negate = text.startswith("-")
@@ -469,24 +470,23 @@ def slice_images(tensor, expr):
 
     head = tensor.header
     if proj in ("s_e", "s_n"):
-        reduce = Fold(head, _pick_mask(head, "epipolar" if proj == "s_e" else "non_epipolar"))
+        which = "epipolar" if proj == "s_e" else "non_epipolar"
+        mask = probe_weights(head, _pick_mask(head, which))
     elif proj == "s" and head.coaxial:
-        reduce = Fold(head)     # a coaxial tensor's only s' is s
+        mask = None     # a coaxial tensor's only s' is s: it is its own fold
     elif proj == "s" and head.n_proj != head.n_cam:
         raise ValueError("diagonal slice needs matching camera and projector sizes")
     elif proj != "s" and head.coaxial:
         raise ValueError("a coaxial tensor has no projector axis to index; use 's'")
+    elif proj == "s":
+        mask = np.eye(head.n_cam)
     else:
-        index = None if proj == "s" else _index(proj, "projector index", head.n_proj)
-
-        def reduce(start, blocks, out):
-            """The diagonal s' = s, or the one projector pixel ``index``."""
-            n = len(blocks)
-            out[...] = blocks[np.arange(n), np.arange(start, start + n) if index is None else index]
+        mask = np.zeros((head.n_cam, head.n_proj))
+        mask[:, _index(proj, "projector index", head.n_proj)] = 1.0
     rows = slice(None) if cam == "s" else slice(_index(cam, "camera index", head.n_cam), cam + 1)
     if t is not None:
         _index(t, "time bin", head.n_bins)
-    block = reduce_chunks(tensor, reduce, np.empty((head.n_cam, 4, 4, head.n_bins)))[rows]
+    block = fold(tensor, mask).data[rows, 0]
 
     # block axes 1..3 are p, p', t; each is fixed, summed, or enumerated
     labels = []

@@ -437,43 +437,6 @@ def probe(tensor, mask):
                            tensor.time_bin_width, tensor.channel_id, False)
 
 
-class Fold:
-    """
-    The per-chunk kernel of a fold through an optional probe mask, for a
-    layout (a Header) the mask is checked against before any block is
-    read: ``fold``, ``summed_polarimetric_image`` and the slice evaluator's
-    ``s_e``/``s_n`` run it over the chunks of a source.
-    """
-
-    def __init__(self, layout, mask=None):
-        self.coaxial = layout.coaxial
-        self.weight = None if mask is None else probe_weights(layout, mask)
-
-    def __call__(self, start, blocks, out):
-        """
-        Fill ``out`` (n, 4, 4, T) with sum_{s'} w[s, s'] blocks[s, s'] of the
-        (n, S_proj, 4, 4, T) ``blocks`` of camera pixels ``start`` to
-        ``start + n``: w is the mask's rows, or ones without a mask, and a
-        coaxial tensor's only s' is s.
-        """
-        if self.weight is not None:
-            weight = self.weight[start:start + len(blocks)]
-        elif self.coaxial:
-            out[...] = blocks[:, 0]
-            return out
-        else:
-            weight = np.ones(blocks.shape[:2])
-        # each camera pixel's sum runs over s' in order, so chunks change no bit
-        return np.einsum("sx,sxpqt->spqt", weight, blocks, out=out)
-
-
-def reduce_chunks(source, reduce, out):
-    """``out`` (S_cam, ...) filled by ``reduce(start, blocks, rows of out)`` per source chunk."""
-    for start, blocks in source.chunks():
-        reduce(start, blocks, out[start:start + len(blocks)])
-    return out
-
-
 def fold(source, mask=None):
     """
     F(s, 0, p, p', t) = sum_{s'} mask[s, s'] T(s, s', p, p', t), with proj_shape (1, 1),
@@ -483,14 +446,19 @@ def fold(source, mask=None):
     (an in-memory tensor itself, a file's payload read once), and takes no
     mask. Without a mask the sum of S_proj independent noises has
     sqrt(S_proj) times their std; a masked fold carries no noise model.
-    Besides its (S_cam, 1, 4, 4, T) output the fold holds one chunk of
-    blocks at a time.
+    The mask is checked before any block is read. Besides its
+    (S_cam, 1, 4, 4, T) output the fold holds one chunk of blocks at a time.
     """
     head = source.header
     if mask is None and head.coaxial:
         return source.load()
+    weight = None if mask is None else probe_weights(head, mask)
     data = np.empty((head.n_cam, 1, 4, 4, head.n_bins))
-    reduce_chunks(source, Fold(head, mask), data[:, 0])
+    for start, blocks in source.chunks():
+        n = len(blocks)
+        w = np.ones(blocks.shape[:2]) if weight is None else weight[start:start + n]
+        # each camera pixel's sum runs over s' in order, so chunks change no bit
+        np.einsum("sx,sxpqt->spqt", w, blocks, out=data[start:start + n, 0])
     std = None
     if mask is None and head.noise_std is not None:
         std = head.noise_std * np.sqrt(head.n_proj)

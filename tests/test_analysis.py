@@ -65,6 +65,7 @@ def test_pca_counts_an_exactly_rank_3_cloud():
     basis = pca(rows)
     assert (basis.singular_values > 1e-10).sum() == 3
     assert basis.n_components_for(1.0) == 3
+    assert basis.n_determined == 3
 
 
 def test_truncation_error_equals_discarded_spectrum():
@@ -94,6 +95,7 @@ def test_identical_rows_degenerate_cleanly():
     assert basis.singular_values.max() < 1e-12
     np.testing.assert_array_equal(basis.energy, np.ones(16))
     assert basis.n_components_for(0.95) == 1
+    assert basis.n_determined == 0
 
 
 def test_pca_validation():
@@ -129,6 +131,20 @@ def test_pca_component_signs_do_not_depend_on_the_row_order():
                                atol=1e-12)
     comps = basis.components
     assert np.all(comps[np.arange(16), np.abs(comps).argmax(axis=1)] > 0)
+
+
+def test_pca_counts_the_components_its_rows_determine():
+    rng = np.random.default_rng(13)
+    # 5 centred rows span 4 directions; the other 12 are any basis of the rest
+    rows = rng.normal(size=(5, 16))
+    basis = pca(rows)
+    assert basis.n_determined == 4
+    np.testing.assert_allclose(pca(rows[::-1]).components[:4], basis.components[:4], rtol=0,
+                               atol=1e-12)
+    # two equal columns leave one direction with no variance
+    rows = rng.normal(size=(40, 16))
+    rows[:, 7] = rows[:, 3]
+    assert pca(rows).n_determined == 15
 
 
 def test_summed_image_collapses_projector_and_time():

@@ -435,7 +435,7 @@ def _items(value, work):
 # diagonal and a projector index, and a fixed camera pixel and time bin
 SOURCE_SLICES = {
     False: ["T(s, s, :, :, t)", "sum_t T(s, s_e, 0, :, t)", "-T(s, s_n, :, 1, t)",
-            "sum_pp T(0, 0, :, :, t=0)"],
+            "sum_pp T(0, 0, :, :, t=0)", "T(s, 0, :, :, t)"],
     True: ["T(s, s, :, :, t)", "sum_p T(0, s, :, 0, t)"],
 }
 

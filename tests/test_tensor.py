@@ -350,6 +350,7 @@ def test_a_coaxial_tensor_is_its_own_fold_and_takes_no_mask(seed, h, w):
     assert fold(coax) is coax
     with pytest.raises(ValueError, match="cannot probe a coaxial tensor"):
         fold(coax, np.ones((h * w, h * w)))
+    assert summed_polarimetric_image(coax).tobytes() == coax.data.sum(axis=(1, 4)).tobytes()
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, "1e-10", None])
