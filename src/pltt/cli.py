@@ -437,8 +437,9 @@ def slice_images(tensor, expr):
     is read: the projector slot, then the camera index and the time bin.
 
     The projector slot is a probe mask that ``fold`` applies: the epipolar
-    pair for ``s_e``/``s_n``, the identity for ``s`` and a one-hot column
-    for an index; a coaxial tensor's ``s`` is the tensor itself.
+    pair for ``s_e``/``s_n``, and for ``s`` and an index the rows of the
+    identity and of a one-hot column, built one chunk at a time; a coaxial
+    tensor's ``s`` is the tensor itself.
     """
     text = expr.strip()
     negate = text.startswith("-")
@@ -479,10 +480,10 @@ def slice_images(tensor, expr):
     elif proj != "s" and head.coaxial:
         raise ValueError("a coaxial tensor has no projector axis to index; use 's'")
     elif proj == "s":
-        mask = np.eye(head.n_cam)
+        mask = lambda start, n: np.eye(n, head.n_proj, start)
     else:
-        mask = np.zeros((head.n_cam, head.n_proj))
-        mask[:, _index(proj, "projector index", head.n_proj)] = 1.0
+        index = _index(proj, "projector index", head.n_proj)
+        mask = lambda start, n: np.eye(1, head.n_proj, index).repeat(n, axis=0)
     rows = slice(None) if cam == "s" else slice(_index(cam, "camera index", head.n_cam), cam + 1)
     if t is not None:
         _index(t, "time bin", head.n_bins)

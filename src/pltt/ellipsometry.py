@@ -318,7 +318,11 @@ class Decoder:
         through ``out``: each chunk's blocks fill an ``out.slot`` that
         ``out.write`` takes. Returns the solution's transport Header with its
         noise model (``reconstruct``), sigma_hat and the (S_cam, S_proj, T)
-        residual norms; non-finite residual sums are a ValueError.
+        residual norms; non-finite residual sums are a ValueError. Each
+        residual's sum of squares is one fused pass over the chunk of
+        residuals: the bits of squaring and then summing the K' rows in order
+        for T >= 2; with T = 1 the contiguous sum runs in another order
+        (within a few ulp).
         """
         head = meas.header
         s_proj, k_rows, n_bins = head.record
@@ -335,9 +339,8 @@ class Decoder:
                 solution = np.matmul(self.pinv, stacked, out=blocks.reshape(n * s_proj, 16, n_bins))
                 r = np.matmul(self.a, solution, out=residual[:n * s_proj])
                 r -= stacked
-                # the sum of squares np.linalg.norm takes, without its temporaries
-                r *= r
-                np.add.reduce(r, axis=1, out=squares[start * s_proj:(start + n) * s_proj])
+                # the sum of squares np.linalg.norm takes, fused and without its temporaries
+                np.einsum("nkt,nkt->nt", r, r, out=squares[start * s_proj:(start + n) * s_proj])
             out.write(blocks)
         with np.errstate(over="ignore", invalid="ignore"):
             total = squares.sum()
@@ -434,7 +437,13 @@ class CaptureKernel:
 
     The noise is one ``SFC64(seed)`` stream of sigma * N(0, 1) draws, in
     the measurement's own (s, s', row, t) order: the draws of successive
-    chunks concatenate, so the chunk size cannot change the values.
+    chunks concatenate, so the chunk size cannot change the values. A noisy
+    chunk's draws go straight into its records, and the design products of
+    its lit (s, s') pairs, formed a run of adjacent ones at a time in one
+    chunk of ``scratch``, are added to them. A dark pair's product is +0.0,
+    so its record is its noise: the bits of product + noise but where a
+    noise value is -0.0 (a draw of exactly -0.0, or one that underflows at
+    a sigma near the smallest double).
     """
 
     def __init__(self, layout, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
@@ -445,7 +454,7 @@ class CaptureKernel:
         self.a = Decoder.of_measurements(self.header).a
         self.rng = (np.random.Generator(np.random.SFC64(self.header.seed))
                     if self.header.noise_sigma > 0 else None)
-        self.noise = None     # the first chunk's shape: the first chunk is the largest
+        self.scratch = None     # the first chunk's shape: the first chunk is the largest
 
     def run(self, source, out):
         """
@@ -460,14 +469,23 @@ class CaptureKernel:
             if self.weights is not None:
                 blocks = blocks * self.weights[start:start + n, :, None, None, None]
             records = out.slot((n,) + record)
-            np.matmul(self.a, blocks.reshape(n * s_proj, 16, n_bins),
-                      out=records.reshape(n * s_proj, -1, n_bins))
-            if self.rng is not None:
-                self.noise = np.empty(records.shape) if self.noise is None else self.noise
-                noise = self.noise[:n]
-                self.rng.standard_normal(out=noise)
-                noise *= self.header.noise_sigma
-                records += noise
+            flat = blocks.reshape(n * s_proj, 16, n_bins)
+            pairs = records.reshape(n * s_proj, -1, n_bins)
+            if self.rng is None:
+                np.matmul(self.a, flat, out=pairs)
+            else:
+                lit = (flat != 0).reshape(len(flat), -1).any(axis=1)
+                edges = np.diff(np.concatenate(([False], lit, [False])))
+                runs = np.flatnonzero(edges).reshape(-1, 2)     # (first, end) of each lit run
+                self.scratch = np.empty(pairs.shape) if self.scratch is None else self.scratch
+                # the products first, while the chunk's blocks are still in cache
+                for i, j in runs:
+                    np.matmul(self.a, flat[i:j], out=self.scratch[i:j])
+                self.rng.standard_normal(out=records)
+                records *= self.header.noise_sigma
+                for i, j in runs:
+                    run = pairs[i:j]
+                    run += self.scratch[i:j]
             out.write(records)
 
 
@@ -488,9 +506,11 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     tensor before the scan (projector-camera geometry only).
 
     The scan is ``CaptureKernel.run`` over the source's chunks, as in
-    ``pltt capture``, writing into the measurement's own array: beyond the
-    source and the measurement it holds one chunk of noise and, with a
-    mask, one chunk of weighted blocks.
+    ``pltt capture``, writing into the measurement's own array: the noise
+    is drawn into the records, and only the lit (s, s') pairs' design
+    products are added to it. Beyond the source and the measurement it
+    holds one chunk of scratch for those products and, with a mask, one
+    chunk of weighted blocks.
     """
     kernel = CaptureKernel(tensor.header, schedule, noise_sigma, seed, masks, split)
     out = _ArrayWriter(kernel.header.n_cam)

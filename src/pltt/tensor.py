@@ -442,23 +442,31 @@ def fold(source, mask=None):
     F(s, 0, p, p', t) = sum_{s'} mask[s, s'] T(s, s', p, p', t), with proj_shape (1, 1),
     of a transport source: a TransportTensor or an open container of one.
 
+    ``mask`` is an (S_cam, S_proj) probe mask, checked before any block is
+    read, or a rule ``rows(start, n)`` that builds its (n, S_proj) rows
+    start..start + n, such as the identity's, for a projector-camera source.
     A coaxial tensor, whose only s' is s, is its own fold, ``source.load()``
     (an in-memory tensor itself, a file's payload read once), and takes no
     mask. Without a mask the sum of S_proj independent noises has
     sqrt(S_proj) times their std; a masked fold carries no noise model.
-    The mask is checked before any block is read. Besides its
-    (S_cam, 1, 4, 4, T) output the fold holds one chunk of blocks at a time.
+    Besides its (S_cam, 1, 4, 4, T) output the fold holds one chunk of
+    blocks, and of mask rows, at a time.
     """
     head = source.header
     if mask is None and head.coaxial:
         return source.load()
-    weight = None if mask is None else probe_weights(head, mask)
+    if mask is None:
+        rows = lambda start, n: np.ones((n, head.n_proj))
+    elif callable(mask):
+        rows = mask
+    else:
+        weight = probe_weights(head, mask)
+        rows = lambda start, n: weight[start:start + n]
     data = np.empty((head.n_cam, 1, 4, 4, head.n_bins))
     for start, blocks in source.chunks():
         n = len(blocks)
-        w = np.ones(blocks.shape[:2]) if weight is None else weight[start:start + n]
         # each camera pixel's sum runs over s' in order, so chunks change no bit
-        np.einsum("sx,sxpqt->spqt", w, blocks, out=data[start:start + n, 0])
+        np.einsum("sx,sxpqt->spqt", rows(start, n), blocks, out=data[start:start + n, 0])
     std = None
     if mask is None and head.noise_std is not None:
         std = head.noise_std * np.sqrt(head.n_proj)

@@ -3,6 +3,7 @@ import json
 import os
 import textwrap
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -38,6 +39,34 @@ def test_summary_counts_wins_in_the_metric_direction_and_resolves_a_tight_parent
     assert lower["beyond_parent_iqr"]                # medians 100 and 95, quartiles 0.5 apart
     higher = bench_pairs.summarize(parent, change, bound=0.15, better="higher")
     assert higher["change_wins"] == 1
+
+
+def test_paired_ratio_recovers_a_known_ratio_under_drift():
+    # the host drifts by 60% across the pairs; the change is 10% faster in every pair,
+    # give or take 1%
+    rng = np.random.default_rng(3)
+    parent = 0.4 * rng.permutation(np.linspace(1.0, 1.6, 10))
+    change = 0.9 * parent * rng.uniform(0.99, 1.01, 10)
+    summary = bench_pairs.summarize(parent, change, bound=0.25)
+    low, high = summary["ratio_ci95"]
+    assert low <= summary["ratio_median"] <= high
+    assert 0.89 <= low and high <= 0.91            # excludes 1: a resolved gain
+    assert not summary["resolved"]                 # the parent's spread hides it
+    # an exact ratio has a CI of that one value, and one file's pairs one CI
+    exact = bench_pairs.paired_ratio(parent, 0.9 * parent)
+    assert exact[0] == pytest.approx(0.9) and exact[1] == pytest.approx([0.9, 0.9])
+    assert bench_pairs.paired_ratio(parent, change) == bench_pairs.paired_ratio(parent, change)
+
+
+def test_paired_ratio_of_two_runs_of_one_tree_contains_one():
+    # each run its own noise of 3% on a common drift: the CI straddles 1
+    rng = np.random.default_rng(4)
+    drift = np.linspace(1.0, 1.5, 10)
+    parent = drift * rng.normal(1.0, 0.03, 10)
+    change = drift * rng.normal(1.0, 0.03, 10)
+    ratio, (low, high) = bench_pairs.paired_ratio(parent, change)
+    assert low < 1.0 < high
+    assert high - low < 0.1
 
 
 def test_workload_summary_skips_pairs_with_a_failed_run_and_counts_failures():

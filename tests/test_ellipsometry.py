@@ -1,16 +1,19 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pltt.tensor
 from pltt.ellipsometry import (
     RANK_TOL,
     AngleSchedule,
     Decoder,
     MeasurementSet,
+    _ArrayWriter,
     _arm,
     capture,
     design_matrix,
@@ -462,6 +465,80 @@ def test_capture_and_reconstruct_hold_one_chunk_beyond_their_arrays(tmp_path):
     # chunk of their residuals
     assert reconstruct_peak < (result.tensor.data.nbytes + result.residual_norms.nbytes
                                + CHUNK_BYTES + slack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coaxial=st.booleans(), masked=st.booleans(), lit=st.floats(0.0, 1.0),
+       fill=st.floats(0.05, 1.0), cam=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       bins=st.integers(1, 4), noise=st.sampled_from([0.0, 1e-3]),
+       chunk=st.integers(8, 1 << 14), seed=st.integers(0, 2**32 - 1))
+def test_capture_is_the_design_product_plus_the_seeds_noise(coaxial, masked, lit, fill, cam,
+                                                            bins, noise, chunk, seed):
+    rng = np.random.default_rng(seed)
+    n = cam[0] * cam[1]
+    s_proj = 1 if coaxial else n
+    # dark (s, s') pairs at random, lit blocks with some zero entries, and blocks of -0.0
+    data = rng.normal(size=(n, s_proj, 4, 4, bins)) * (rng.uniform(size=(n, s_proj, 4, 4, bins))
+                                                       < fill)
+    data *= (rng.uniform(size=(n, s_proj)) < lit)[:, :, None, None, None]
+    data[rng.uniform(size=(n, s_proj)) < 0.1] = -0.0
+    tensor = TransportTensor(data, cam, cam, BIN, coaxial=coaxial)
+    mask = None
+    if masked and not coaxial:
+        mask = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        data = data * mask[:, :, None, None, None]
+    schedule = drr_schedule(20)
+    with mock.patch.object(pltt.tensor, "CHUNK_BYTES", chunk):
+        got = capture(tensor, schedule, noise, 9, mask).intensities
+    a = forward_model(schedule, coaxial=coaxial).design()
+    want = np.matmul(a, data.reshape(-1, 16, bins)).reshape(got.shape)
+    if noise:
+        # sigma * N(0, 1) of one SFC64 stream, drawn in the intensities' own order
+        want = want + noise * np.random.Generator(np.random.SFC64(9)).standard_normal(got.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(4, 48), rank=st.integers(1, 16), bins=st.sampled_from([1, 1, 2, 3, 16, 64]),
+       cam=st.tuples(st.integers(1, 6), st.integers(1, 6)), coaxial=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_residual_norms_are_the_square_then_sum_of_the_residuals(k, rank, bins, cam, coaxial,
+                                                                seed):
+    rng = np.random.default_rng(seed)
+    n = cam[0] * cam[1]
+    rank = min(rank, k)
+    # a design of the drawn rank: rank-deficient whenever it is below 16
+    a = rng.normal(size=(k, rank)) @ rng.normal(size=(rank, 16))
+    meas = MeasurementSet(rng.normal(size=(n, 1 if coaxial else n, k, bins)),
+                          random_schedule(rng, k), coaxial, cam, cam, BIN)
+    decoder = Decoder(a)
+    norms = decoder.run(meas, _ArrayWriter(n))[2]
+    stacked = meas.intensities.reshape(-1, k, bins)
+    r = np.matmul(a, np.matmul(decoder.pinv, stacked)) - stacked
+    r *= r
+    want = np.sqrt(np.add.reduce(r, axis=1)).reshape(norms.shape)
+    if bins > 1:
+        assert norms.tobytes() == want.tobytes()
+    else:
+        # a sum over a contiguous axis of K' terms runs in another order: K' ulp
+        np.testing.assert_allclose(norms, want, rtol=k * np.finfo(float).eps, atol=0.0)
+
+
+def test_a_sparse_lit_capture_holds_one_chunk_beyond_its_arrays():
+    # as in a projector-camera scan: the diagonal and a few pairs lit, the rest dark
+    rng = np.random.default_rng(19)
+    lit = rng.uniform(size=(64, 64)) < 0.05
+    lit[np.arange(64), np.arange(64)] = True
+    data = rng.normal(size=(64, 64, 4, 4, 16)) * lit[:, :, None, None, None]
+    tensor = TransportTensor(data, (8, 8), (8, 8), BIN)
+    tracemalloc.start()
+    try:
+        meas = capture(tensor, drr_schedule(36), noise_sigma=5e-4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the measurement and one chunk of scratch for the lit pairs' products
+    assert peak < meas.intensities.nbytes + CHUNK_BYTES + (1 << 20)
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf, 1.7e308])

@@ -385,6 +385,27 @@ def test_a_coaxial_fold_reads_its_payload_once(tmp_path):
     assert peak < data.nbytes + (1 << 17)
 
 
+@pytest.mark.parametrize("expr, mask", [
+    ("T(s, s, 0, 0, t)", lambda n: np.eye(n)),
+    ("T(s, 7, 0, 0, t)", lambda n: np.eye(n)[[7] * n]),
+], ids=["diagonal", "projector-index"])
+def test_a_diagonal_or_index_slice_builds_its_mask_a_chunk_at_a_time(tmp_path, expr, mask):
+    data = np.random.default_rng(6).uniform(size=(576, 576, 4, 4, 1))
+    tensor = TransportTensor(data, (24, 24), (24, 24), BIN)
+    write_pltt(tmp_path / "t.pltt", tensor)
+    tracemalloc.start()
+    try:
+        with PlttReader(tmp_path / "t.pltt") as src:
+            (_, image), = slice_images(src, expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2 MiB chunk of blocks; a dense (576, 576) mask alone is 2.65 MB, and
+    # building one peaked at 4.8 MB
+    assert peak <= 2.5e6
+    assert image.tobytes() == fold(tensor, mask(576)).data[:, 0, 0, 0, 0].tobytes()
+
+
 def _unreadable(*records):
     raise AssertionError("the payload was read")
 

@@ -8,7 +8,7 @@ Paired benchmark of two checkouts: the generator of the ``BENCH_<pr>.json`` file
 Runs each checkout's own, unchanged ``perfbench/run.py --workload <w> --seed
 <seed> --seconds <run_seconds> --trace 0`` in that checkout, one process at
 a time, with ``run_seconds`` from the parent's BENCHMARK.json. There are
-ten pairs per workload: pair i (1..10) runs seed i on both sides, the
+twenty pairs per workload: pair i (1..20) runs seed i on both sides, the
 parent first in odd-numbered pairs and the change first in the others, so
 neither side always runs on a machine the other has just warmed. A run's
 values are the end-to-end metrics of its last JSON line plus ``correct``,
@@ -25,6 +25,13 @@ parent median - 1), the bound and direction from the parent's
 BENCHMARK.json, ``change_wins`` (pairs where the change is strictly
 better), ``resolved`` (the parent's spread is within the bound) and
 ``beyond_parent_iqr`` (the medians differ by more than the parent's q3 - q1).
+Beside them, ``ratio_median`` is the median over the pairs of change / parent
+and ``ratio_ci95`` its percentile bootstrap 95% confidence interval: the
+2.5th and 97.5th percentiles of the medians of ``BOOTSTRAP`` resamples of the
+pairs, drawn with replacement from a generator of fixed seed, so one file's
+pairs always give one interval. A pair divides out the host's drift, which
+the parent's spread carries; a gain shows as an interval that excludes 1 on
+the better side.
 """
 
 import argparse
@@ -35,7 +42,9 @@ import sys
 
 import numpy as np
 
-PAIRS = 10
+PAIRS = 20
+BOOTSTRAP = 20000
+BOOTSTRAP_SEED = 0
 RUN_FIELDS = ("correct", "attempted", "failed")
 # the fields of perfbench's environment line that name the run, not the machine
 RUN_NAMES = ("workload", "seed")
@@ -45,8 +54,11 @@ METHOD = ("unchanged perfbench run from each checkout; pair i runs seed i on bot
           "over the parent's runs; spread is (max - min) / median; a win is a change value "
           "strictly better than the parent's in the same pair; rel is change median / parent "
           "median - 1; a metric is resolved when the parent's spread is within its bound; "
-          "beyond_parent_iqr when the medians differ by more than the parent's q3 - q1; failed "
-          "sums the failed operations, failed_runs counts runs that gave no result")
+          "beyond_parent_iqr when the medians differ by more than the parent's q3 - q1; "
+          "ratio_median is the median over the pairs of change / parent, and ratio_ci95 the "
+          "2.5th and 97.5th numpy linear percentiles of the medians of %d resamples of the "
+          "pairs with replacement (numpy default_rng(%d)); failed sums the failed operations, "
+          "failed_runs counts runs that gave no result" % (BOOTSTRAP, BOOTSTRAP_SEED))
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -74,6 +86,15 @@ def run_once(checkout, workload, seed, seconds):
     return run, env
 
 
+def paired_ratio(parent, change):
+    """The median of the per-pair ratios change / parent and its bootstrap 95% CI."""
+    ratio = np.asarray(change, dtype=float) / np.asarray(parent, dtype=float)
+    resamples = np.random.default_rng(BOOTSTRAP_SEED).integers(0, len(ratio),
+                                                               (BOOTSTRAP, len(ratio)))
+    low, high = np.percentile(np.median(ratio[resamples], axis=1), [2.5, 97.5])
+    return float(np.median(ratio)), [float(low), float(high)]
+
+
 def summarize(parent, change, bound, better="lower"):
     """Summary of one metric over paired runs: ``parent[i]`` and ``change[i]`` are pair i."""
     parent, change = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
@@ -81,6 +102,7 @@ def summarize(parent, change, bound, better="lower"):
     q1, q3 = (float(q) for q in np.percentile(parent, [25, 75]))
     spread = float((parent.max() - parent.min()) / p_med)
     wins = change < parent if better == "lower" else change > parent
+    ratio, ci = paired_ratio(parent, change)
     return {
         "parent_median": p_med,
         "change_median": c_med,
@@ -93,6 +115,8 @@ def summarize(parent, change, bound, better="lower"):
         "change_wins": int(wins.sum()),
         "resolved": bool(spread <= bound),
         "beyond_parent_iqr": bool(abs(c_med - p_med) > q3 - q1),
+        "ratio_median": ratio,
+        "ratio_ci95": ci,
     }
 
 
