@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .learning import lbfgs
-from .tensor import check_number, probe_weights
+from .tensor import check_number, fold
 
 
 def arctan_map(m, c=8.0):
@@ -112,19 +112,11 @@ def pca_reconstruct(basis, coeffs):
 def summed_polarimetric_image(tensor, mask=None):
     """
     Per-camera-pixel 4x4 Mueller image of a transport source (a tensor or
-    an open container of one): each chunk summed over time bins and then
-    over projector pixels through the weights ``fold`` uses, a probe mask
-    (dense tensors only) or ones. The time bins go first, so this keeps its
-    own loop rather than summing a fold's bins.
+    an open container of one): its ``fold``, through a probe mask (a dense
+    array or a rule, projector-camera sources only) or none, summed over
+    time bins.
     """
-    head = tensor.header
-    weight = None if mask is None else probe_weights(head, mask)
-    out = np.empty((head.n_cam, 4, 4))
-    for start, blocks in tensor.chunks():
-        n = len(blocks)
-        w = np.ones(blocks.shape[:2]) if weight is None else weight[start:start + n]
-        np.einsum("sx,sxpq->spq", w, blocks.sum(axis=4), out=out[start:start + n])
-    return out
+    return fold(tensor, mask).data[:, 0].sum(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ through a ``PlttWriter``, ``decompose``, ``descatter`` and ``slice`` keep
 only the projector fold or slice they read, and ``pca`` only the blocks
 above the noise floor. So none holds a whole transport tensor or
 measurement stack, but ``simulate``, which builds its tensor whole, and a
-coaxial ``decompose``, whose fold is the tensor itself.
+coaxial ``decompose`` or ``descatter``, whose fold is the tensor itself.
 """
 
 import argparse
@@ -67,7 +67,7 @@ from .ellipsometry import (
 from .fileio import PlttReader, PlttWriter, write_csv_grid, write_pgm
 from .learning import TrainingConfig, evaluate, learn
 from .scene import build_transport, generate_ensemble, load_scene
-from .tensor import check_number, epipolar_masks, fold, probe_weights
+from .tensor import check_number, epipolar_rows, fold, probe_weights
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,10 +109,11 @@ def _index(value, what, size):
     return value
 
 
-def _pick_mask(tensor, which):
+def _pick_mask(layout, which):
+    """The ``--mask`` named ``which`` of a layout as its rule ``rows(start, n)``, or None."""
     if which is None:
         return None
-    epi, non_epi = epipolar_masks(tensor.cam_shape, tensor.proj_shape)
+    epi, non_epi = epipolar_rows(layout.cam_shape, layout.proj_shape)
     return epi if which == "epipolar" else non_epi
 
 
@@ -310,9 +311,9 @@ def cmd_learn_angles(args):
 def cmd_decompose(args):
     # the total-illumination Mueller image per bin
     with _open(args.tensor, "transport") as src:
+        if args.bin is not None:
+            _index(args.bin, "bin", src.header.n_bins)
         tensor = fold(src)
-    if args.bin is not None:
-        _index(args.bin, "bin", tensor.n_bins)
     decomp = decompose_tensor(tensor, floor_frac=args.floor)
     bins = range(tensor.n_bins) if args.bin is None else [args.bin]
     h, w = tensor.cam_shape
@@ -379,15 +380,14 @@ def cmd_pca(args):
 
 def cmd_descatter(args):
     with _open(args.tensor, "transport") as src:
-        image = summed_polarimetric_image(src, _pick_mask(src.header, args.mask))
-    with warnings.catch_warnings():     # an empty file is the size error below
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        target = np.loadtxt(args.target, delimiter=",", ndmin=2)
-    if target.size != image.shape[0]:
-        raise ValueError(
-            "target has %d values but the tensor has %d camera pixels"
-            % (target.size, image.shape[0])
-        )
+        mask = _pick_mask(src.header, args.mask)
+        with warnings.catch_warnings():     # an empty file is the size error below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            target = np.loadtxt(args.target, delimiter=",", ndmin=2)
+        if target.size != src.header.n_cam:
+            raise ValueError("target has %d values but the tensor has %d camera pixels"
+                             % (target.size, src.header.n_cam))
+        image = summed_polarimetric_image(src, mask)
     model = fit_descatter(image, target.ravel(), mode=args.mode, method=args.method)
     predicted = apply_descatter(model, image).reshape(src.header.cam_shape)
 
@@ -436,9 +436,9 @@ def slice_images(tensor, expr):
     tensor, and every index is checked against the header before a block
     is read: the projector slot, then the camera index and the time bin.
 
-    The projector slot is a probe mask that ``fold`` applies: the epipolar
-    pair for ``s_e``/``s_n``, and for ``s`` and an index the rows of the
-    identity and of a one-hot column, built one chunk at a time; a coaxial
+    The projector slot is a probe mask that ``fold`` applies, a rule that
+    builds one chunk's rows at a time: the epipolar pair for ``s_e``/``s_n``,
+    and for ``s`` and an index the identity and a one-hot column; a coaxial
     tensor's ``s`` is the tensor itself.
     """
     text = expr.strip()

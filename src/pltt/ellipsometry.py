@@ -433,7 +433,8 @@ class CaptureKernel:
     measurement set it makes, which checks the capture's arguments once,
     and its chunk loop. The design is the one ``Decoder.of_measurements``
     reconstructs with, so a design of rank 0, as a coaxial split of 0 or 1
-    gives, fails as reconstruct fails on it.
+    gives, fails as reconstruct fails on it. A probe mask is kept as its
+    ``probe_weights`` rule ``mask``: a chunk builds only its own rows.
 
     The noise is one ``SFC64(seed)`` stream of sigma * N(0, 1) draws, in
     the measurement's own (s, s', row, t) order: the draws of successive
@@ -450,7 +451,7 @@ class CaptureKernel:
         self.header = Header("measurement", layout.cam_shape, layout.proj_shape, layout.coaxial,
                              layout.n_bins, layout.time_bin_width, layout.channel_id,
                              schedule=schedule, noise_sigma=noise_sigma, seed=seed, split=split)
-        self.weights = None if masks is None else probe_weights(layout, masks)
+        self.mask = None if masks is None else probe_weights(layout, masks)
         self.a = Decoder.of_measurements(self.header).a
         self.rng = (np.random.Generator(np.random.SFC64(self.header.seed))
                     if self.header.noise_sigma > 0 else None)
@@ -466,8 +467,8 @@ class CaptureKernel:
         record = self.header.record
         for start, blocks in source.chunks(record):
             n, s_proj, _, _, n_bins = blocks.shape
-            if self.weights is not None:
-                blocks = blocks * self.weights[start:start + n, :, None, None, None]
+            if self.mask is not None:
+                blocks = blocks * self.mask(start, n)[:, :, None, None, None]
             records = out.slot((n,) + record)
             flat = blocks.reshape(n * s_proj, 16, n_bins)
             pairs = records.reshape(n * s_proj, -1, n_bins)
@@ -487,6 +488,7 @@ class CaptureKernel:
                     run = pairs[i:j]
                     run += self.scratch[i:j]
             out.write(records)
+            del flat    # a chunk's weighted blocks go before the next chunk's form
 
 
 def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
@@ -502,15 +504,15 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     intensity: the ``SFC64(seed)`` stream of sigma * N(0, 1) draws in
     the intensities' own order, the same for every chunk size.
 
-    masks, if given, is an (S_cam, S_proj) probe mask applied to the
-    tensor before the scan (projector-camera geometry only).
+    masks, if given, is a probe mask, an array or a rule (``tensor.probe_weights``),
+    applied to the tensor before the scan (projector-camera geometry only).
 
     The scan is ``CaptureKernel.run`` over the source's chunks, as in
     ``pltt capture``, writing into the measurement's own array: the noise
     is drawn into the records, and only the lit (s, s') pairs' design
     products are added to it. Beyond the source and the measurement it
     holds one chunk of scratch for those products and, with a mask, one
-    chunk of weighted blocks.
+    chunk of mask rows and of weighted blocks.
     """
     kernel = CaptureKernel(tensor.header, schedule, noise_sigma, seed, masks, split)
     out = _ArrayWriter(kernel.header.n_cam)

@@ -11,8 +11,8 @@ metadata.
 Coaxial tensors sample only the s' = s diagonal; they store a projector
 axis of length 1 with ``coaxial=True`` and the logical projector shape
 equal to the camera shape.
-A probe mask is an (S_cam, S_proj) array of weights in [0, 1] on the
-(s, s') couplings (O'Toole et al., "Primal-dual coding", SIGGRAPH 2012).
+A probe mask weights the (s, s') couplings in [0, 1] (O'Toole et al.,
+"Primal-dual coding", SIGGRAPH 2012): a dense array or a ``probe_weights`` rule.
 
 A ``Header`` is the one record of a layout and its stored values: a
 TransportTensor, or an ``ellipsometry.MeasurementSet``, is its Header
@@ -415,24 +415,29 @@ def slice_polarimetric(tensor):
 
 def probe_weights(tensor, mask):
     """
-    A probe mask as an (S_cam, S_proj) weight array, checked against the
-    grids and geometry of ``tensor`` (a tensor or a container Header).
+    A probe mask of ``tensor`` (a tensor or a container Header), which takes
+    none if coaxial, as its rule ``rows(start, n)``: the (n, S_proj) weights of
+    camera pixels start..start + n. A rule passes through; a dense (S_cam,
+    S_proj) array of weights in [0, 1] is checked against the grids, then sliced.
     """
     if tensor.coaxial:
         raise ValueError("cannot probe a coaxial tensor: masks require projector_camera geometry")
+    if callable(mask):
+        return mask
     weight = np.asarray(mask)
-    return check_number(weight.astype(float) if weight.dtype == bool else weight,
-                        "probe mask (weights in [0, 1])", low=0.0, high=1.0,
-                        shape=(math.prod(tensor.cam_shape), math.prod(tensor.proj_shape)))
+    weight = check_number(weight.astype(float) if weight.dtype == bool else weight,
+                          "probe mask (weights in [0, 1])", low=0.0, high=1.0,
+                          shape=(math.prod(tensor.cam_shape), math.prod(tensor.proj_shape)))
+    return lambda start, n: weight[start:start + n]
 
 
 def probe(tensor, mask):
     """
-    Keep only the pixel couplings selected by a probe mask.
+    Keep only the pixel couplings selected by a probe mask (``probe_weights``).
 
     T'(s, s', ...) = mask[s, s'] T(s, s', ...)
     """
-    data = tensor.data * probe_weights(tensor, mask)[:, :, None, None, None]
+    data = tensor.data * probe_weights(tensor, mask)(0, tensor.n_cam)[:, :, None, None, None]
     return TransportTensor(data, tensor.cam_shape, tensor.proj_shape,
                            tensor.time_bin_width, tensor.channel_id, False)
 
@@ -442,9 +447,9 @@ def fold(source, mask=None):
     F(s, 0, p, p', t) = sum_{s'} mask[s, s'] T(s, s', p, p', t), with proj_shape (1, 1),
     of a transport source: a TransportTensor or an open container of one.
 
-    ``mask`` is an (S_cam, S_proj) probe mask, checked before any block is
-    read, or a rule ``rows(start, n)`` that builds its (n, S_proj) rows
-    start..start + n, such as the identity's, for a projector-camera source.
+    ``mask`` is a probe mask of a projector-camera source, checked by
+    ``probe_weights`` before any block is read: a dense (S_cam, S_proj) array
+    or a rule ``rows(start, n)``, such as the identity's or ``epipolar_rows``'.
     A coaxial tensor, whose only s' is s, is its own fold, ``source.load()``
     (an in-memory tensor itself, a file's payload read once), and takes no
     mask. Without a mask the sum of S_proj independent noises has
@@ -455,13 +460,8 @@ def fold(source, mask=None):
     head = source.header
     if mask is None and head.coaxial:
         return source.load()
-    if mask is None:
-        rows = lambda start, n: np.ones((n, head.n_proj))
-    elif callable(mask):
-        rows = mask
-    else:
-        weight = probe_weights(head, mask)
-        rows = lambda start, n: weight[start:start + n]
+    ones = lambda start, n: np.ones((n, head.n_proj))
+    rows = ones if mask is None else probe_weights(head, mask)
     data = np.empty((head.n_cam, 1, 4, 4, head.n_bins))
     for start, blocks in source.chunks():
         n = len(blocks)
@@ -474,9 +474,9 @@ def fold(source, mask=None):
                            False, std)
 
 
-def epipolar_masks(cam_shape, proj_shape):
+def epipolar_rows(cam_shape, proj_shape):
     """
-    Complementary (epipolar, non-epipolar) (S_cam, S_proj) probe masks
+    Complementary (epipolar, non-epipolar) probe-mask rules ``rows(start, n)``
     for rectified row-aligned camera and projector grids.
 
     Camera row i couples only to projector row i in the epipolar mask;
@@ -488,6 +488,11 @@ def epipolar_masks(cam_shape, proj_shape):
     if cam_h != proj_h:
         raise ValueError("rectified geometry needs equal row counts, got %d vs %d"
                          % (cam_h, proj_h))
-    epi = (np.arange(cam_h * cam_w)[:, None] // cam_w
-           == np.arange(proj_h * proj_w)[None, :] // proj_w).astype(float)
-    return epi, 1.0 - epi
+    proj_row = np.arange(proj_h * proj_w) // proj_w
+    epi = lambda start, n: (np.arange(start, start + n)[:, None] // cam_w == proj_row) * 1.0
+    return epi, lambda start, n: 1.0 - epi(start, n)
+
+
+def epipolar_masks(cam_shape, proj_shape):
+    """The dense (S_cam, S_proj) arrays of the ``epipolar_rows`` pair."""
+    return tuple(rows(0, math.prod(cam_shape)) for rows in epipolar_rows(cam_shape, proj_shape))

@@ -25,8 +25,8 @@ import pltt.tensor
 from pltt.analysis import summed_polarimetric_image
 from pltt.cli import _write_diagnostics, main, slice_images
 from pltt.decomposition import lit_blocks
-from pltt.ellipsometry import capture, drr_schedule, reconstruct
-from pltt.fileio import MAGIC, PlttReader, read_pltt, write_pltt
+from pltt.ellipsometry import CaptureKernel, capture, drr_schedule, reconstruct
+from pltt.fileio import MAGIC, PlttReader, PlttWriter, read_pltt, write_pltt
 from pltt.tensor import HeaderArray, TransportTensor, epipolar_masks, fold
 
 BIN = 1e-10
@@ -385,25 +385,71 @@ def test_a_coaxial_fold_reads_its_payload_once(tmp_path):
     assert peak < data.nbytes + (1 << 17)
 
 
+@pytest.fixture(scope="module")
+def wide_tensor(tmp_path_factory):
+    """A 24x24 projector-camera tensor of one bin, and the container holding it."""
+    data = np.random.default_rng(6).uniform(size=(576, 576, 4, 4, 1))
+    tensor = TransportTensor(data, (24, 24), (24, 24), BIN)
+    path = tmp_path_factory.mktemp("wide") / "t.pltt"
+    write_pltt(path, tensor)
+    return tensor, path
+
+
+def _traced_peak(path, operation):
+    """``operation`` of a PlttReader open on ``path``, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        with PlttReader(path) as src:
+            result = operation(src)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("expr, mask", [
     ("T(s, s, 0, 0, t)", lambda n: np.eye(n)),
     ("T(s, 7, 0, 0, t)", lambda n: np.eye(n)[[7] * n]),
-], ids=["diagonal", "projector-index"])
-def test_a_diagonal_or_index_slice_builds_its_mask_a_chunk_at_a_time(tmp_path, expr, mask):
-    data = np.random.default_rng(6).uniform(size=(576, 576, 4, 4, 1))
-    tensor = TransportTensor(data, (24, 24), (24, 24), BIN)
-    write_pltt(tmp_path / "t.pltt", tensor)
-    tracemalloc.start()
-    try:
-        with PlttReader(tmp_path / "t.pltt") as src:
-            (_, image), = slice_images(src, expr)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ("T(s, s_e, 0, 0, t)", lambda n: epipolar_masks((24, 24), (24, 24))[0]),
+    ("T(s, s_n, 0, 0, t)", lambda n: epipolar_masks((24, 24), (24, 24))[1]),
+], ids=["diagonal", "projector-index", "epipolar", "non-epipolar"])
+def test_a_slice_builds_its_mask_a_chunk_at_a_time(wide_tensor, expr, mask):
+    tensor, path = wide_tensor
+    ((_, image),), peak = _traced_peak(path, lambda src: slice_images(src, expr))
     # one 2 MiB chunk of blocks; a dense (576, 576) mask alone is 2.65 MB, and
-    # building one peaked at 4.8 MB
+    # building one peaked at 4.8 MB (5.3 MB for the epipolar pair)
     assert peak <= 2.5e6
     assert image.tobytes() == fold(tensor, mask(576)).data[:, 0, 0, 0, 0].tobytes()
+
+
+def test_a_masked_summed_image_builds_its_mask_a_chunk_at_a_time(wide_tensor):
+    tensor, path = wide_tensor
+    image, peak = _traced_peak(path, lambda src: summed_polarimetric_image(
+        src, pltt.cli._pick_mask(src.header, "non_epipolar")))
+    # the dense epipolar pair and its chunk of rows peaked at 6.9 MB
+    assert peak <= 2.5e6
+    non_epi = epipolar_masks((24, 24), (24, 24))[1]
+    assert image.tobytes() == summed_polarimetric_image(tensor, non_epi).tobytes()
+
+
+@pytest.mark.parametrize("noise", [0.0, 5e-4], ids=["noiseless", "noisy"])
+def test_a_masked_capture_builds_its_mask_a_chunk_at_a_time(wide_tensor, tmp_path, noise):
+    tensor, path = wide_tensor
+    peaks, files = [], []
+    for which in (None, "non_epipolar"):
+        def scan(src):
+            kernel = CaptureKernel(src.header, drr_schedule(16), noise, 3,
+                                   pltt.cli._pick_mask(src.header, which))
+            with PlttWriter(tmp_path / "meas.pltt") as out:
+                kernel.run(src, out)
+                out.finish(kernel.header)
+        peaks.append(_traced_peak(path, scan)[1])
+        files.append((tmp_path / "meas.pltt").read_bytes())
+    # one chunk of weighted blocks; the dense epipolar pair added 2.65 MB, and
+    # the previous chunk's weighted blocks, kept while the next formed, 2 MB
+    assert peaks[1] < peaks[0] + pltt.tensor.CHUNK_BYTES + (1 << 18)
+    non_epi = epipolar_masks((24, 24), (24, 24))[1]
+    write_pltt(tmp_path / "lib.pltt", capture(tensor, drr_schedule(16), noise, 3, non_epi))
+    assert files[1] == (tmp_path / "lib.pltt").read_bytes()
 
 
 def _unreadable(*records):
@@ -435,6 +481,24 @@ def test_slice_out_of_range_exits_two_without_reading(tmp_path, monkeypatch, cap
                 "T(99, s, :, :, t)", "--out", str(tmp_path / "s")], capsys) == (
         2, "", "error: camera index 99 outside 0..8\n")
     assert os.listdir(tmp_path) == ["truth.pltt"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--bin", "4", "--out", "dec"], "bin 4 outside 0..3"),
+    (["descatter", "--target", "target.csv", "--out", "desc"],
+     "target has 4 values but the tensor has 9 camera pixels"),
+    (["descatter", "--target", "target.csv", "--mask", "non_epipolar", "--out", "desc"],
+     "target has 4 values but the tensor has 9 camera pixels"),
+], ids=["decompose-bin", "descatter-target", "descatter-masked-target"])
+def test_decompose_and_descatter_check_their_arguments_before_reading(
+        tmp_path, monkeypatch, capsys, argv, message):
+    write_pltt(tmp_path / "truth.pltt", truth_tensor((3, 3), False))
+    np.savetxt(tmp_path / "target.csv", np.zeros((2, 2)), delimiter=",")
+    monkeypatch.setattr(PlttReader, "chunks", lambda self, *records: _unreadable())
+    monkeypatch.setattr(PlttReader, "load", lambda self: _unreadable())
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--tensor", "truth.pltt"], capsys) == (2, "", "error: %s\n" % message)
+    assert sorted(os.listdir(tmp_path)) == ["target.csv", "truth.pltt"]
 
 
 def _items(value, work):

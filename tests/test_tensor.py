@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt.analysis import summed_polarimetric_image
+from pltt.ellipsometry import CaptureKernel, drr_schedule
 from pltt.tensor import (
     DetectedTensor,
     IlluminationTensor,
@@ -10,6 +11,7 @@ from pltt.tensor import (
     contract,
     convolve_time,
     epipolar_masks,
+    epipolar_rows,
     fold,
     probe,
     slice_polarimetric,
@@ -325,10 +327,11 @@ def test_fold_is_the_projector_sum_of_the_probe(case):
     tensor, mask = case
     probed = probe(tensor, mask)
     np.testing.assert_array_equal(fold(tensor, mask).data[:, 0], probed.data.sum(axis=1))
+    # the summed image is the fold summed over its bins: s' first, then t
     np.testing.assert_array_equal(summed_polarimetric_image(tensor, mask),
-                                  probed.data.sum(axis=(1, 4)))
+                                  probed.data.sum(axis=1).sum(axis=-1))
     np.testing.assert_array_equal(summed_polarimetric_image(tensor),
-                                  tensor.data.sum(axis=(1, 4)))
+                                  tensor.data.sum(axis=1).sum(axis=-1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -348,9 +351,34 @@ def test_fold_scales_the_noise_model_and_a_masked_fold_drops_it(case):
 def test_a_coaxial_tensor_is_its_own_fold_and_takes_no_mask(seed, h, w):
     coax = make_coaxial(np.random.default_rng(seed), cam=(h, w))
     assert fold(coax) is coax
-    with pytest.raises(ValueError, match="cannot probe a coaxial tensor"):
-        fold(coax, np.ones((h * w, h * w)))
+    capture_kernel = lambda coax, mask: CaptureKernel(coax.header, drr_schedule(20), masks=mask)
+    # a rule once went past fold's coaxial check, and the length-1 s' axis
+    # broadcast against its rows: each block times its row's sum, with no error
+    for mask in (np.ones((h * w, h * w)), lambda start, n: np.full((n, h * w), 0.5)):
+        for operation in (fold, summed_polarimetric_image, capture_kernel):
+            with pytest.raises(ValueError, match="^cannot probe a coaxial tensor"):
+                operation(coax, mask)
     assert summed_polarimetric_image(coax).tobytes() == coax.data.sum(axis=(1, 4)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_epipolar_rows_are_the_rows_of_the_dense_masks(rows, cam_w, proj_w, other_rows):
+    cam, proj = (rows, cam_w), (rows, proj_w)
+    masks = epipolar_masks(cam, proj)
+    # camera pixel s and projector pixel s' are epipolar when they share a row
+    epi = np.arange(rows * cam_w)[:, None] // cam_w == np.arange(rows * proj_w) // proj_w
+    assert masks[0].tobytes() == epi.astype(float).tobytes()
+    assert masks[1].tobytes() == (~epi).astype(float).tobytes()
+    for rule, mask in zip(epipolar_rows(cam, proj), masks):
+        for start in range(rows * cam_w):
+            for n in range(1, rows * cam_w - start + 1):
+                assert rule(start, n).tobytes() == mask[start:start + n].tobytes()
+    if other_rows != rows:
+        # a row-count mismatch fails when the rules are made, before any row is built
+        with pytest.raises(ValueError, match="^rectified geometry needs equal row counts, "
+                                             "got %d vs %d$" % (rows, other_rows)):
+            epipolar_rows(cam, (other_rows, proj_w))
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, "1e-10", None])

@@ -6,9 +6,11 @@ Compare the pltt CLI's outputs of two checkouts, file by file.
 
 Runs one fixed list of ``pltt`` commands against each checkout's ``src/``,
 on both scenes in the change checkout's ``tests/data``: simulate; capture,
-plain, with ``--mask epipolar``, with ``--split 0.3`` (the coaxial
-scene's beamsplitter) and noiseless (``--noise 0``), and each plain, split
-and noiseless capture's reconstruct; capture with ``--k 12`` (rank
+plain, with ``--mask epipolar``, with ``--mask non_epipolar``, with
+``--split 0.3`` (the coaxial scene's beamsplitter) and noiseless (``--noise
+0``), and each plain, non-epipolar, split and noiseless capture's
+reconstruct (on the coaxial scene both masks fail alike on both sides, and
+so does the reconstruct of the missing capture); capture with ``--k 12`` (rank
 deficient), ``--k 16`` (ill-conditioned) and ``--mode polarizer_array --k
 5``, each followed by its reconstruct, so the minimum-norm solve and both
 reconstruct warnings run; decompose, also of one ``--bin``; pca, also
@@ -111,6 +113,9 @@ def commands(resolution, seed):
                      "--seed", seed, "--out", "meas.pltt"]),
         ("capture_epipolar", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
                               "--seed", seed, "--mask", "epipolar", "--out", "meas_epi.pltt"]),
+        ("capture_non_epipolar", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
+                                  "--seed", seed, "--mask", "non_epipolar",
+                                  "--out", "meas_non.pltt"]),
         ("capture_split", ["capture", "--tensor", "truth.pltt", "--noise", "5e-4",
                            "--seed", seed, "--split", "0.3", "--out", "meas_split.pltt"]),
         ("capture_noiseless", ["capture", "--tensor", "truth.pltt", "--noise", "0",
@@ -128,6 +133,8 @@ def commands(resolution, seed):
                                   "--out", "dec_zero_width"]),
         ("reconstruct_noiseless", ["reconstruct", "--measurements", "meas_clean.pltt",
                                    "--out", "recon_clean.pltt"]),
+        ("reconstruct_non_epipolar", ["reconstruct", "--measurements", "meas_non.pltt",
+                                      "--out", "recon_non.pltt"]),
         ("reconstruct_split", ["reconstruct", "--measurements", "meas_split.pltt",
                                "--out", "recon_split.pltt"]),
         # the decoder's other branches: rank 12 of 16 (UNDERDETERMINED, the
