@@ -14,17 +14,16 @@ from .tensor import check_number, fold
 
 
 def arctan_map(m, c=8.0):
-    """Elementwise y = arctan(c * x): squashes each entry into (-pi/2, pi/2)."""
+    """Elementwise y = arctan(c * x) of finite x: squashes each entry into (-pi/2, pi/2)."""
     c = check_number(c, "compression factor", above=0.0)
-    return np.arctan(c * np.asarray(m, dtype=float))
+    return np.arctan(c * check_number(m, "arctan_map values", shape=None))
 
 
 def arctan_unmap(y, c=8.0):
-    """Inverse of arctan_map; |y| >= pi/2 has no preimage and raises."""
+    """Inverse of arctan_map; |y| >= pi/2 has no preimage and raises, as NaN does."""
     c = check_number(c, "compression factor", above=0.0)
-    y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) >= np.pi / 2):
-        raise ValueError("arctan_unmap needs |y| < pi/2 everywhere")
+    y = check_number(y, "arctan_unmap values (|y| < pi/2)", above=-np.pi / 2, below=np.pi / 2,
+                     shape=None)
     return np.tan(y) / c
 
 
@@ -65,10 +64,11 @@ class PrincipalBasis:
         return int(np.searchsorted(self.energy, fraction - 1e-12) + 1)
 
 
-def pca(obs):
+def pca(rows):
     """
-    Principal components of an observation matrix (mean removed), from
-    the SVD of the centred rows' QR factor R, so no (n, n) U is built.
+    Principal components of the (n, 16) rows of an observation matrix
+    (``ObservationMatrix.rows``), mean removed, from the SVD of the centred
+    rows' QR factor R, so no (n, n) U is built.
 
     Always returns a full 16-vector basis, each component signed so its
     largest-magnitude entry is positive. The rows fix only the first
@@ -77,8 +77,7 @@ def pca(obs):
     values, are any basis of a null space. Identical rows fix none and give
     a flat energy curve of ones.
     """
-    rows = check_number(obs.rows if isinstance(obs, ObservationMatrix) else obs,
-                        "observation rows", shape=(None, 16))
+    rows = check_number(rows, "observation rows", shape=(None, 16))
     if rows.shape[0] < 2:
         raise ValueError("PCA needs at least 2 samples")
     mean = rows.mean(axis=0)
@@ -98,14 +97,14 @@ def pca(obs):
 
 
 def pca_project(basis, rows, n_components=16):
-    """Coefficients of (rows - mean) on the leading principal directions."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    """Coefficients of (rows - mean) on the leading principal directions, of finite rows."""
+    rows = np.atleast_2d(check_number(rows, "observation rows", shape=None))
     return (rows - basis.mean) @ basis.components[:n_components].T
 
 
 def pca_reconstruct(basis, coeffs):
-    """Back from principal coefficients to observation rows."""
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    """Back from finite principal coefficients to observation rows."""
+    coeffs = np.atleast_2d(check_number(coeffs, "principal coefficients", shape=None))
     return coeffs @ basis.components[: coeffs.shape[1]] + basis.mean
 
 

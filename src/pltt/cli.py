@@ -123,6 +123,14 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_table(path, header, rows):
+    """The CSV file ``path``: the ``header`` row, then ``rows``, each float written ``%.17g``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [["%.17g" % v if isinstance(v, float) else v
+                                              for v in row] for row in rows])
+    return path
+
+
 def _save_image(prefix, images, extra):
     """
     Exact CSV ``<prefix><suffix>.csv`` per (suffix, image), and one stack of
@@ -202,11 +210,8 @@ def _write_diagnostics(stem, res):
     per_bin = res.reshape(-1, res.shape[-1])
     p50, p99 = np.percentile(per_bin, [50, 99], axis=0)
     top = per_bin.max(axis=0)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "records", "p50", "p99", "max"])
-        for t in range(res.shape[-1]):
-            writer.writerow([t, len(per_bin)] + ["%.17g" % v[t] for v in (p50, p99, top)])
+    _write_table(csv_path, ["bin", "records", "p50", "p99", "max"],
+                 ([t, len(per_bin), p50[t], p99[t], top[t]] for t in range(res.shape[-1])))
     overall = np.percentile(per_bin, [50, 99])
     return [norms_path, csv_path], {"p50": float(overall[0]), "p99": float(overall[1]),
                                     "max": float(top.max())}
@@ -277,16 +282,12 @@ def cmd_learn_angles(args):
          drr_schedule(config.k, sensor_mode=config.sensor_mode)),
         ("drr_36_intensity", drr_schedule(36)),
     ]
-    table_path = _stem(args.out) + "_comparison.csv"
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schedule", "captures", "rows", "design_rank", "mean_squared_error"])
-        for name, sched in contenders:
-            stats = evaluate(sched, eval_samples, config.noise_sigma)
-            writer.writerow([
-                name, sched.n_captures, sched.n_rows, stats["design_rank"],
-                "%.17g" % stats["mean_squared"],
-            ])
+    stats = [evaluate(sched, eval_samples, config.noise_sigma) for _, sched in contenders]
+    table_path = _write_table(
+        _stem(args.out) + "_comparison.csv",
+        ["schedule", "captures", "rows", "design_rank", "mean_squared_error"],
+        ([name, sched.n_captures, sched.n_rows, stat["design_rank"], stat["mean_squared"]]
+         for (name, sched), stat in zip(contenders, stats)))
 
     report_path = _stem(args.out) + "_report.json"
     report = {
@@ -347,16 +348,11 @@ def cmd_pca(args):
     if blocks.shape[0] < 2:
         raise ValueError("fewer than 2 usable Mueller blocks above the floor")
     obs = build_observation(blocks, c=args.c)
-    basis = pca(obs)
+    basis = pca(obs.rows)
 
-    sv_path = args.out + "_singular_values.csv"
-    with open(sv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "singular_value", "cumulative_energy"])
-        for i in range(16):
-            writer.writerow([
-                i, "%.17g" % basis.singular_values[i], "%.17g" % basis.energy[i],
-            ])
+    sv_path = _write_table(args.out + "_singular_values.csv",
+                           ["component", "singular_value", "cumulative_energy"],
+                           zip(range(16), basis.singular_values, basis.energy))
     comp_path = args.out + "_components.csv"
     write_csv_grid(comp_path, basis.components)
     mean_path = args.out + "_mean.csv"
@@ -471,8 +467,8 @@ def slice_images(tensor, expr):
 
     head = tensor.header
     if proj in ("s_e", "s_n"):
-        which = "epipolar" if proj == "s_e" else "non_epipolar"
-        mask = probe_weights(head, _pick_mask(head, which))
+        mask = _pick_mask(head, "epipolar" if proj == "s_e" else "non_epipolar")
+        probe_weights(head, mask)   # a coaxial tensor fails here, before an index is checked
     elif proj == "s" and head.coaxial:
         mask = None     # a coaxial tensor's only s' is s: it is its own fold
     elif proj == "s" and head.n_proj != head.n_cam:

@@ -53,16 +53,11 @@ def linear_polarizer(theta=0.0):
     """
     Ideal linear polarizer with transmission axis at ``theta`` radians.
 
-    Transmits half of unpolarized light and fully polarizes the output.
+    Transmits half of unpolarized light and fully polarizes the output;
+    ``rotate_element`` orients it at every angle, 0 included.
     """
-    m0 = 0.5 * np.array([
-        [1.0, 1.0, 0.0, 0.0],
-        [1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-    if theta == 0.0:
-        return m0
+    m0 = np.zeros((4, 4))
+    m0[:2, :2] = 0.5
     return rotate_element(m0, theta)
 
 
@@ -80,7 +75,8 @@ def retarder(theta, delta):
     Returns
     -------
     ndarray
-        4x4 Mueller matrix, stacked over the broadcast shape of the angles.
+        4x4 Mueller matrix, stacked over the broadcast shape of the angles,
+        oriented by ``rotate_element`` at every ``theta``, 0 included.
     """
     cd = np.cos(delta)
     sd = np.sin(delta)
@@ -88,8 +84,6 @@ def retarder(theta, delta):
     m0[..., 0, 0] = m0[..., 1, 1] = 1.0
     m0[..., 2, 2] = m0[..., 3, 3] = cd
     m0[..., 2, 3], m0[..., 3, 2] = sd, -sd
-    if np.ndim(theta) == 0 and theta == 0.0:
-        return m0
     return rotate_element(m0, theta)
 
 

@@ -127,30 +127,32 @@ def _need(spec, key, shape=()):
 # scene description
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Surface:
     patch: tuple            # (row0, row1, col0, col1), half-open pixel rows/cols
     depth_m: float
-    material: dict
+    block: np.ndarray = field(repr=False)     # the material's 4x4 Mueller matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BounceChain:
-    materials: tuple        # ordered as the light meets them
+    block: np.ndarray = field(repr=False)     # the materials composed in light order
     path_length_m: float    # total optical path for the time bin
     camera_patch: tuple
     projector_patch: tuple = None   # defaults to camera_patch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterVolume:
-    backscatter: dict       # material dict for the backscatter block
-    strength: object        # fraction in [0,1], scalar or (H, W) map
+    block: np.ndarray = field(repr=False)     # the backscatter material's Mueller matrix
+    strength: np.ndarray    # fraction in [0,1], scalar or (H, W) map, as floats
     depth_m: float
 
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """A compiled scene: the part of it that does not depend on the pixel grid."""
+
     geometry_mode: str
     surfaces: tuple = ()
     chains: tuple = ()
@@ -158,7 +160,7 @@ class SceneSpec:
 
 
 def parse_scene(obj):
-    """Validate a scene dict (parsed JSON) into a SceneSpec."""
+    """Validate a scene dict (parsed JSON) into a SceneSpec, building each material once."""
     if not isinstance(obj, dict):
         raise ValueError("scene must be a JSON object")
     mode = obj.get("geometry_mode")
@@ -171,38 +173,32 @@ def parse_scene(obj):
             raise ValueError("field '%s' must be a list of objects, got %r" % (key, items))
     surfaces = []
     for i, raw in enumerate(obj.get("surfaces", [])):
-        patch = _parse_patch(raw, "surfaces[%d].patch" % i)
+        patch = _parse_patch(raw.get("patch"), "surfaces[%d].patch" % i)
         depth = check_number(raw.get("depth_m"), "field 'surfaces[%d].depth_m'" % i, low=0.0)
-        material = raw.get("material")
-        material_mueller(material)   # validates, result rebuilt later
-        surfaces.append(Surface(patch, depth, material))
+        surfaces.append(Surface(patch, depth, material_mueller(raw.get("material"))))
     chains = []
     for i, raw in enumerate(obj.get("chains", [])):
         mats = raw.get("materials")
         if not isinstance(mats, list) or not mats:
             raise ValueError("field 'chains[%d].materials' must be a nonempty list" % i)
-        for mat in mats:
-            material_mueller(mat)
+        # built in list order, so an error names the first bad material
+        blocks = [material_mueller(mat) for mat in mats]
         length = check_number(raw.get("path_length_m"), "field 'chains[%d].path_length_m'" % i,
                          low=0.0)
-        cam_patch = _parse_patch({"patch": raw.get("camera_patch")},
-                                 "chains[%d].camera_patch" % i)
-        proj_patch = None
-        if raw.get("projector_patch") is not None:
-            proj_patch = _parse_patch({"patch": raw.get("projector_patch")},
-                                      "chains[%d].projector_patch" % i)
-        chains.append(BounceChain(tuple(mats), length, cam_patch, proj_patch))
+        cam_patch = _parse_patch(raw.get("camera_patch"), "chains[%d].camera_patch" % i)
+        proj_patch = raw.get("projector_patch")
+        if proj_patch is not None:
+            proj_patch = _parse_patch(proj_patch, "chains[%d].projector_patch" % i)
+        chains.append(BounceChain(compose(blocks[::-1]), length, cam_patch, proj_patch))
     volume = None
     if obj.get("scatter_volume") is not None:
         raw = obj["scatter_volume"]
         if not isinstance(raw, dict):
             raise ValueError("field 'scatter_volume' must be an object, got %r" % (raw,))
         depth = check_number(raw.get("depth_m"), "field 'scatter_volume.depth_m'", low=0.0)
-        strength = raw.get("strength")
-        check_number(strength, "field 'scatter_volume.strength'", 0.0, 1.0, shape=None)
-        backscatter = raw.get("backscatter")
-        material_mueller(backscatter)
-        volume = ScatterVolume(backscatter, strength, depth)
+        strength = check_number(raw.get("strength"), "field 'scatter_volume.strength'",
+                                0.0, 1.0, shape=None)
+        volume = ScatterVolume(material_mueller(raw.get("backscatter")), strength, depth)
     return SceneSpec(mode, tuple(surfaces), tuple(chains), volume)
 
 
@@ -216,8 +212,8 @@ def load_scene(path):
     return parse_scene(obj)
 
 
-def _parse_patch(raw, name):
-    patch = check_number(raw.get("patch"), "field '%s' [row0, row1, col0, col1]" % name,
+def _parse_patch(patch, name):
+    patch = check_number(patch, "field '%s' [row0, row1, col0, col1]" % name,
                          low=0, shape=(4,), integer=True)
     r0, r1, c0, c1 = patch.tolist()
     if r1 <= r0 or c1 <= c0:
@@ -254,6 +250,7 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
     Parameters
     ----------
     scene : SceneSpec
+        Its blocks are built: each lands on its patch's pixels at its time bin.
     resolution : (height, width)
         Camera grid; the projector grid matches it.
     n_bins : int
@@ -275,14 +272,12 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
         data[cam, 0 if coaxial else proj, :, :, t_bin] += block
 
     for i, surf in enumerate(scene.surfaces):
-        block = material_mueller(surf.material)
         t_bin = _time_bin(2.0 * surf.depth_m, time_bin_width, n_bins,
                           "surface %d at depth %g m" % (i, surf.depth_m))
         pix = _patch_pixels(surf.patch, (h, w))
-        add(pix, pix, t_bin, block)
+        add(pix, pix, t_bin, surf.block)
 
     for i, chain in enumerate(scene.chains):
-        block = compose([material_mueller(m) for m in reversed(chain.materials)])
         t_bin = _time_bin(chain.path_length_m, time_bin_width, n_bins,
                           "chain %d of path length %g m" % (i, chain.path_length_m))
         cam_pix = _patch_pixels(chain.camera_patch, (h, w))
@@ -290,19 +285,17 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
             raise ValueError("chain %d: coaxial scenes cannot give a projector_patch" % i)
         proj_pix = _patch_pixels(chain.projector_patch or chain.camera_patch, (h, w))
         # every camera pixel of the patch couples to every projector pixel
-        add(cam_pix[:, None], proj_pix[None, :], t_bin, block)
+        add(cam_pix[:, None], proj_pix[None, :], t_bin, chain.block)
 
     if scene.scatter_volume is not None:
         vol = scene.scatter_volume
-        block = material_mueller(vol.backscatter)
         t_bin = _time_bin(2.0 * vol.depth_m, time_bin_width, n_bins,
                           "scatter volume at depth %g m" % vol.depth_m)
-        strength = np.asarray(vol.strength, dtype=float)
-        if strength.shape not in ((), (h, w)):
+        if vol.strength.shape not in ((), (h, w)):
             raise ValueError("scatter strength must be a scalar or a %dx%d map, got %r"
-                             % (h, w, strength.shape))
+                             % (h, w, vol.strength.shape))
         idx = np.arange(n_pix)
-        add(idx, idx, t_bin, strength.reshape(-1, 1, 1) * block)
+        add(idx, idx, t_bin, vol.strength.reshape(-1, 1, 1) * vol.block)
 
     return TransportTensor(data, (h, w), (h, w), time_bin_width, coaxial=coaxial)
 

@@ -417,17 +417,21 @@ def probe_weights(tensor, mask):
     """
     A probe mask of ``tensor`` (a tensor or a container Header), which takes
     none if coaxial, as its rule ``rows(start, n)``: the (n, S_proj) weights of
-    camera pixels start..start + n. A rule passes through; a dense (S_cam,
-    S_proj) array of weights in [0, 1] is checked against the grids, then sliced.
+    camera pixels start..start + n, finite and in [0, 1] (bools weigh 0 and 1):
+    a dense (S_cam, S_proj) array is checked once and sliced, a rule each call.
     """
     if tensor.coaxial:
         raise ValueError("cannot probe a coaxial tensor: masks require projector_camera geometry")
+
+    def checked(weight, n):
+        weight = np.asarray(weight)
+        return check_number(weight.astype(float) if weight.dtype == bool else weight,
+                            "probe mask (weights in [0, 1])", low=0.0, high=1.0,
+                            shape=(n, tensor.n_proj))
+
     if callable(mask):
-        return mask
-    weight = np.asarray(mask)
-    weight = check_number(weight.astype(float) if weight.dtype == bool else weight,
-                          "probe mask (weights in [0, 1])", low=0.0, high=1.0,
-                          shape=(math.prod(tensor.cam_shape), math.prod(tensor.proj_shape)))
+        return lambda start, n: checked(mask(start, n), n)
+    weight = checked(mask, tensor.n_cam)
     return lambda start, n: weight[start:start + n]
 
 
@@ -455,18 +459,29 @@ def fold(source, mask=None):
     mask. Without a mask the sum of S_proj independent noises has
     sqrt(S_proj) times their std; a masked fold carries no noise model.
     Besides its (S_cam, 1, 4, 4, T) output the fold holds one chunk of
-    blocks, and of mask rows, at a time.
+    blocks, and of mask rows, at a time. A masked chunk multiplies only the
+    columns from the first to the last its rows weight: a diagonal or one-hot
+    fold's cost is a chunk's width per camera pixel, not S_proj.
     """
     head = source.header
     if mask is None and head.coaxial:
         return source.load()
-    ones = lambda start, n: np.ones((n, head.n_proj))
-    rows = ones if mask is None else probe_weights(head, mask)
+    rows = None if mask is None else probe_weights(head, mask)
+
+    def operands(start, blocks):
+        if rows is None:
+            return np.ones((len(blocks), head.n_proj)), blocks
+        weight = rows(start, len(blocks))
+        cols = np.flatnonzero(weight.any(axis=0))
+        span = slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)
+        return weight[:, span], blocks[:, span]
+
     data = np.empty((head.n_cam, 1, 4, 4, head.n_bins))
     for start, blocks in source.chunks():
-        n = len(blocks)
-        # each camera pixel's sum runs over s' in order, so chunks change no bit
-        np.einsum("sx,sxpqt->spqt", rows(start, n), blocks, out=data[start:start + n, 0])
+        # each pixel's sum runs over s' in order, dropping only zero weights, so
+        # chunks and spans change no bit; a chunk's rows go before the next's
+        np.einsum("sx,sxpqt->spqt", *operands(start, blocks),
+                  out=data[start:start + len(blocks), 0])
     std = None
     if mask is None and head.noise_std is not None:
         std = head.noise_std * np.sqrt(head.n_proj)

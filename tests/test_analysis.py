@@ -70,7 +70,7 @@ def test_pca_counts_an_exactly_rank_3_cloud():
 
 def test_truncation_error_equals_discarded_spectrum():
     obs = ensemble_observation()
-    basis = pca(obs)
+    basis = pca(obs.rows)
     for k in (1, 3, 8):
         recon = pca_reconstruct(basis, pca_project(basis, obs.rows, k))
         err_sq = np.sum((recon - obs.rows) ** 2)
@@ -80,7 +80,7 @@ def test_truncation_error_equals_discarded_spectrum():
 
 def test_full_projection_round_trips():
     obs = ensemble_observation()
-    basis = pca(obs)
+    basis = pca(obs.rows)
     recon = pca_reconstruct(basis, pca_project(basis, obs.rows, 16))
     assert np.abs(recon - obs.rows).max() < 1e-10
     assert basis.components.shape == (16, 16)
@@ -103,7 +103,7 @@ def test_pca_validation():
         pca(np.zeros((1, 16)))
     with pytest.raises(ValueError, match="16"):
         pca(np.zeros((4, 7)))
-    basis = pca(ensemble_observation(n=5))
+    basis = pca(ensemble_observation(n=5).rows)
     with pytest.raises(ValueError, match="fraction"):
         basis.n_components_for(0.0)
 

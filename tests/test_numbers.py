@@ -26,6 +26,8 @@ from pltt.analysis import (
     build_observation,
     fit_descatter,
     pca,
+    pca_project,
+    pca_reconstruct,
 )
 from pltt.cli import main
 from pltt.decomposition import decompose_tensor
@@ -133,6 +135,10 @@ def schedule_with_column(key, column):
     (lambda: generate_ensemble(-1, 4), "seed"),
     (lambda: read_with_noise_std([0.1] * 15 + [True]), "noise_std"),
     (lambda: schedule_with_column("theta2_deg", [True] + [0.0] * 15), "theta2_deg"),
+    (lambda: pca_project(BASIS, np.ones((2, 16), dtype=bool)), "observation rows"),
+    (lambda: pca_reconstruct(BASIS, [[1.0, True]]), "principal coefficients"),
+    (lambda: arctan_map(np.eye(4, dtype=bool)), "arctan_map values"),
+    (lambda: arctan_unmap([0.5, False]), "arctan_unmap values"),
 ], ids=["tensor-width-bool", "illumination-width-negative", "illumination-width-inf",
         "detected-width-negative", "capture-sigma-bool", "capture-split-string",
         "coaxial-split-string", "capture-split-before-noise", "split-none",
@@ -140,7 +146,8 @@ def schedule_with_column(key, column):
         "albedo-bool", "trainable-three-flags", "fixed-one-flag", "fixed-string-flag",
         "capture-seed-negative", "seed-string",
         "seed-fraction", "seed-negative", "seed-bool", "drr-k-fraction", "ensemble-seed-negative",
-        "container-noise-std-bool", "schedule-column-bool"])
+        "container-noise-std-bool", "schedule-column-bool", "pca-project-bool",
+        "pca-reconstruct-bool", "arctan-map-bool", "arctan-unmap-bool"])
 def test_a_malformed_number_is_a_value_error_naming_its_field(call, field):
     with pytest.raises(ValueError, match=field) as info:
         call()
@@ -363,7 +370,13 @@ ARRAY_ENTRY_POINTS = [
     ("image", lambda v: apply_descatter(fit_descatter(IMAGE, TARGET), poisoned(IMAGE, v))),
     ("image", lambda v: fit_descatter(poisoned(IMAGE, v), TARGET)),
     ("target", lambda v: fit_descatter(IMAGE, poisoned(TARGET, v))),
+    ("probe mask", lambda v: fold(dense_tensor(), lambda start, n: poisoned(np.ones((n, 4)), v))),
+    ("observation rows", lambda v: pca_project(BASIS, poisoned(np.ones((5, 16)), v))),
+    ("principal coefficients", lambda v: pca_reconstruct(BASIS, poisoned(np.ones((5, 4)), v))),
+    ("arctan_map values", lambda v: arctan_map(poisoned(np.eye(4), v))),
+    ("arctan_unmap values", lambda v: arctan_unmap(poisoned(np.zeros((4, 4)), v))),
 ]
+BASIS = pca(build_observation(BLOCKS).rows)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -371,7 +384,8 @@ ARRAY_ENTRY_POINTS = [
     "transport-tensor", "illumination-tensor", "detected-tensor", "probe", "fold",
     "schedule", "training-config", "loss", "grad-loss", "evaluate", "loss-noise-draws",
     "build-observation", "pca", "apply-descatter", "fit-descatter-image",
-    "fit-descatter-target"])
+    "fit-descatter-target", "fold-rule", "pca-project", "pca-reconstruct", "arctan-map",
+    "arctan-unmap"])
 def test_a_non_finite_array_is_a_value_error_naming_it(name, call, value):
     with pytest.raises(ValueError, match="^" + re.escape(name)) as info:
         call(value)
@@ -389,3 +403,6 @@ def test_a_bool_probe_mask_weighs_like_its_zeros_and_ones():
     mask = np.eye(4, dtype=bool)
     np.testing.assert_array_equal(probe(tensor, mask).data, probe(tensor, mask * 1.0).data)
     np.testing.assert_array_equal(fold(tensor, mask).data, fold(tensor, mask * 1.0).data)
+    rule = lambda start, n: mask[start:start + n]
+    np.testing.assert_array_equal(fold(tensor, rule).data, fold(tensor, mask * 1.0).data)
+

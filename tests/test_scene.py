@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pltt import scene as scene_module
 from pltt.polarization import (
     compose,
     ideal_mirror,
@@ -257,12 +258,40 @@ def test_chain_couples_every_patch_pixel_pair_like_a_loop():
     # reference: one += per (camera, projector) pair, in patch order
     expected = np.zeros((6, 6, 4, 4, 1))
     for s in (1, 2, 4, 5):
-        expected[s, s, :, :, 0] += material_mueller(scene.surfaces[0].material)
-    chain = compose([material_mueller(m) for m in reversed(scene.chains[0].materials)])
+        expected[s, s, :, :, 0] += scene.surfaces[0].block
+    chain = scene.chains[0].block
     for s in (0, 1, 3, 4):
         for x in (4, 5):
             expected[s, x, :, :, 0] += chain
     np.testing.assert_array_equal(tensor.data, expected)
+
+
+def test_a_scene_builds_each_material_once_in_list_order(monkeypatch):
+    built = []
+    build = scene_module.material_mueller
+    monkeypatch.setattr(scene_module, "material_mueller",
+                        lambda spec: built.append(spec["kind"]) or build(spec))
+    kinds = ["ideal_mirror", "retarder_plate", "diffuse_depolarizer", "fresnel_dielectric"]
+    scene = parse_scene({
+        "geometry_mode": "projector_camera",
+        "surfaces": [{"patch": [0, 1, 0, 1], "depth_m": 0.0, "material": {"kind": kinds[0]}}],
+        "chains": [{"materials": [{"kind": kinds[1], "retardance_deg": 40.0, "axis_deg": 10.0},
+                                  {"kind": kinds[2], "albedo": 0.5, "residual_dop": 0.5}],
+                    "path_length_m": 0.0, "camera_patch": [0, 1, 0, 2]}],
+        "scatter_volume": {"backscatter": {"kind": kinds[3], "eta": 1.5, "incidence_deg": 30.0},
+                           "strength": 0.5, "depth_m": 0.0},
+    })
+    build_transport(scene, (2, 2), 1, 1e-9)
+    assert built == kinds
+    # the light meets a chain's materials in list order; an error names its first bad one
+    np.testing.assert_array_equal(
+        scene.chains[0].block, diffuse_depolarizer(0.5, 0.5) @ retarder(np.deg2rad(10.0),
+                                                                          np.deg2rad(40.0)))
+    with pytest.raises(ValueError, match="'albedo'"):
+        parse_scene({"geometry_mode": "coaxial",
+                     "chains": [{"materials": [{"kind": "diffuse_depolarizer"},
+                                               {"kind": "unobtainium"}],
+                                 "path_length_m": 0.0, "camera_patch": [0, 1, 0, 1]}]})
 
 
 def test_coaxial_chain_rejects_projector_patch():

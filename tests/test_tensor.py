@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt.analysis import summed_polarimetric_image
-from pltt.ellipsometry import CaptureKernel, drr_schedule
+from pltt import tensor as tensor_module
+from pltt.ellipsometry import CaptureKernel, capture, drr_schedule
 from pltt.tensor import (
     DetectedTensor,
     IlluminationTensor,
@@ -292,6 +293,7 @@ def test_probe_rejects_coaxial_tensor():
 
 def test_probe_mask_validation():
     tensor = make_dense(np.random.default_rng(14))
+    captured = lambda tensor, mask: capture(tensor, drr_schedule(16), masks=mask)
     for mask, message in (
         ([[0.5, 1.5], [1.0, 0.0]], r"\[0, 1\]"),
         ([[0.5, -0.1], [1.0, 0.0]], r"\[0, 1\]"),
@@ -299,9 +301,35 @@ def test_probe_mask_validation():
         ([[0.5, 0.5]], "shape"),
         ([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "shape"),
     ):
-        for op in (probe, fold):
-            with pytest.raises(ValueError, match=message):
-                op(tensor, np.array(mask))
+        # a rule's rows are checked at each call as the dense array is once
+        rule = lambda start, n, mask=np.array(mask): mask[start:start + n]
+        for op in (probe, fold, summed_polarimetric_image, captured):
+            for form in (np.array(mask), rule):
+                with pytest.raises(ValueError, match=message):
+                    op(tensor, form)
+
+
+def test_a_masked_fold_multiplies_only_the_columns_its_rows_weight(monkeypatch):
+    tensor = make_dense(np.random.default_rng(15), cam=(3, 4), proj=(3, 4))
+    # two camera pixels per chunk
+    monkeypatch.setattr(tensor_module, "CHUNK_BYTES", 2 * 8 * 12 * 16 * 3)
+    widths = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        widths.append(tuple(op.shape[1] for op in operands))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    one_hot = np.zeros((12, 12))
+    one_hot[:, 5] = 1.0
+    for mask, width in ((np.eye(12), 2), (lambda start, n: np.eye(n, 12, start), 2),
+                        (one_hot, 1), (np.zeros((12, 12)), 0), (None, 12)):
+        widths.clear()
+        folded = fold(tensor, mask).data[:, 0]
+        assert widths == [(width, width)] * 6
+        expected = tensor.data if mask is None else probe(tensor, mask).data
+        np.testing.assert_array_equal(folded, expected.sum(axis=1))
 
 
 @st.composite
