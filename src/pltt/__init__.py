@@ -16,7 +16,8 @@ holds only ``__version__``:
 
 import os
 
-# Documented override: PLTT_NUM_THREADS caps BLAS thread pools. Must be
+# Documented override: PLTT_NUM_THREADS caps BLAS thread pools, not the
+# capture and reconstruct workers (one per CPU, ``tensor.WORKERS``). Must be
 # applied before numpy loads, hence here at package import.
 _threads = os.environ.get("PLTT_NUM_THREADS", "")
 if _threads.isdigit() and int(_threads) > 0:

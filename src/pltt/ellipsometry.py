@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polarization import beamsplitter, galvo_mirror
-from .tensor import Header, HeaderArray, TransportTensor, check_number, probe_weights
+from .tensor import Header, HeaderArray, TransportTensor, check_number, probe_weights, run_spans
 
 ANALYZER_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _ANALYZER_ANGLES = np.deg2rad(ANALYZER_ANGLES_DEG)
@@ -316,32 +316,43 @@ class Decoder:
         """
         Write A+ times each (K', T) record of the measurement source ``meas``
         through ``out``: each chunk's blocks fill an ``out.slot`` that
-        ``out.write`` takes. Returns the solution's transport Header with its
-        noise model (``reconstruct``), sigma_hat and the (S_cam, S_proj, T)
-        residual norms; non-finite residual sums are a ValueError. Each
-        residual's sum of squares is one fused pass over the chunk of
-        residuals: the bits of squaring and then summing the K' rows in order
-        for T >= 2; with T = 1 the contiguous sum runs in another order
-        (within a few ulp).
+        ``out.write`` takes, the chunks of ``tensor.run_spans``' spans on its
+        workers. Returns the solution's transport Header with its noise model
+        (``reconstruct``), sigma_hat and the (S_cam, S_proj, T) residual
+        norms; non-finite residual sums are a ValueError. Each residual's sum
+        of squares is one fused pass over the chunk of residuals: the bits of
+        squaring and then summing the K' rows in order for T >= 2; with T = 1
+        the contiguous sum runs in another order (within a few ulp). No
+        output bit depends on the spans, the workers or the chunks.
         """
         head = meas.header
         s_proj, k_rows, n_bins = head.record
         block = (s_proj, 4, 4, n_bins)
+        pinv = self.pinv
         squares = np.empty((head.n_cam * s_proj, n_bins))
-        residual = None     # the first chunk's shape: the first chunk is the largest
-        for start, records in meas.chunks(block):
-            n = len(records)
-            blocks = out.slot((n,) + block)
-            stacked = records.reshape(n * s_proj, k_rows, n_bins)
-            residual = np.empty(stacked.shape) if residual is None else residual
-            # a flipped exponent byte in a container can hold an intensity near 1e308
-            with np.errstate(over="ignore", invalid="ignore"):
-                solution = np.matmul(self.pinv, stacked, out=blocks.reshape(n * s_proj, 16, n_bins))
-                r = np.matmul(self.a, solution, out=residual[:n * s_proj])
-                r -= stacked
-                # the sum of squares np.linalg.norm takes, fused and without its temporaries
-                np.einsum("nkt,nkt->nt", r, r, out=squares[start * s_proj:(start + n) * s_proj])
-            out.write(blocks)
+
+        def space(step):
+            return (meas.buffer((step,) + head.record), out.buffer((step,) + block),
+                    np.empty((step * s_proj, k_rows, n_bins)))
+
+        def work(j, span, ws):
+            read, slot, residual = ws
+            for start, records in meas.chunks(span, read):
+                n = len(records)
+                blocks = out.slot(start, n, slot)
+                stacked = records.reshape(n * s_proj, k_rows, n_bins)
+                # a flipped exponent byte in a container can hold an intensity near 1e308
+                with np.errstate(over="ignore", invalid="ignore"):
+                    solution = np.matmul(pinv, stacked,
+                                         out=blocks.reshape(n * s_proj, 16, n_bins))
+                    r = np.matmul(self.a, solution, out=residual[:n * s_proj])
+                    r -= stacked
+                    # the sum of squares np.linalg.norm takes, fused and without its temporaries
+                    np.einsum("nkt,nkt->nt", r, r,
+                              out=squares[start * s_proj:(start + n) * s_proj])
+                out.write(blocks, start)
+
+        run_spans(head.n_cam, (head.record, block), work, space)
         with np.errstate(over="ignore", invalid="ignore"):
             total = squares.sum()
         dof = squares.size * (self.a.shape[0] - self.rank)
@@ -351,7 +362,7 @@ class Decoder:
         if not (np.isfinite(total) and np.isfinite(sigma_hat)):
             raise ValueError("the measurements are not finite or overflow the reconstruction's "
                              "solution, residuals or noise estimate")
-        noise_std = sigma_hat * np.sqrt((self.pinv * self.pinv).sum(axis=1)).reshape(4, 4)
+        noise_std = sigma_hat * np.sqrt((pinv * pinv).sum(axis=1)).reshape(4, 4)
         header = Header("transport", head.cam_shape, head.proj_shape, head.coaxial, n_bins,
                         head.time_bin_width, head.channel_id, noise_std=noise_std)
         return header, sigma_hat, np.sqrt(squares, out=squares).reshape(head.n_cam, s_proj, n_bins)
@@ -411,20 +422,23 @@ class MeasurementSet(HeaderArray):
 
 class _ArrayWriter:
     """
-    The writer of ``capture`` and ``reconstruct``: each ``slot`` views the next
-    camera pixels of the one (S_cam, ...) ``array``, so ``write`` only moves on.
+    The writer of ``capture`` and ``reconstruct``: the first ``buffer`` call,
+    on the calling thread, makes the one (S_cam, ...) ``array``, whose rows
+    each ``slot`` views in place of a buffer, so ``write`` has nothing to do.
     """
 
     def __init__(self, n_cam):
-        self.n_cam, self.array, self.end = n_cam, None, 0
+        self.n_cam, self.array = n_cam, None
 
-    def slot(self, shape):
+    def buffer(self, shape):
         if self.array is None:
             self.array = np.empty((self.n_cam,) + shape[1:])
-        return self.array[self.end:self.end + shape[0]]
 
-    def write(self, chunk):
-        self.end += len(chunk)
+    def slot(self, start, n, buf):
+        return self.array[start:start + n]
+
+    def write(self, chunk, start=0):
+        pass
 
 
 class CaptureKernel:
@@ -436,14 +450,19 @@ class CaptureKernel:
     gives, fails as reconstruct fails on it. A probe mask is kept as its
     ``probe_weights`` rule ``mask``: a chunk builds only its own rows.
 
-    The noise is one ``SFC64(seed)`` stream of sigma * N(0, 1) draws, in
-    the measurement's own (s, s', row, t) order: the draws of successive
-    chunks concatenate, so the chunk size cannot change the values. A noisy
+    The noise is sigma * N(0, 1) draws of one SFC64 stream per span of
+    ``tensor.run_spans`` (about ``SPAN_VALUES`` intensities), in the
+    measurement's own (s, s', row, t) order: span 0 draws from
+    ``SFC64(seed)``, span j > 0 from ``SFC64(SeedSequence(seed,
+    spawn_key=(j,)))``. The spans depend on the layout alone, and the draws
+    of a span's successive chunks concatenate, so neither the workers nor
+    the chunk size can change a value, and a capture of at most
+    ``SPAN_VALUES`` intensities is the one ``SFC64(seed)`` stream. A noisy
     chunk's draws go straight into its records, and the design products of
-    its lit (s, s') pairs, formed a run of adjacent ones at a time in one
-    chunk of ``scratch``, are added to them. A dark pair's product is +0.0,
-    so its record is its noise: the bits of product + noise but where a
-    noise value is -0.0 (a draw of exactly -0.0, or one that underflows at
+    its lit (s, s') pairs, formed a run of adjacent ones at a time in the
+    worker's chunk of scratch, are added to them. A dark pair's product is
+    +0.0, so its record is its noise: the bits of product + noise but where
+    a noise value is -0.0 (a draw of exactly -0.0, or one that underflows at
     a sigma near the smallest double).
     """
 
@@ -453,42 +472,55 @@ class CaptureKernel:
                              schedule=schedule, noise_sigma=noise_sigma, seed=seed, split=split)
         self.mask = None if masks is None else probe_weights(layout, masks)
         self.a = Decoder.of_measurements(self.header).a
-        self.rng = (np.random.Generator(np.random.SFC64(self.header.seed))
-                    if self.header.noise_sigma > 0 else None)
-        self.scratch = None     # the first chunk's shape: the first chunk is the largest
+        # the seed's entropy, drawn once when there is no seed, keys every span's stream
+        self.entropy = (np.random.SeedSequence(self.header.seed).entropy
+                        if self.header.noise_sigma > 0 else None)
 
     def run(self, source, out):
         """
         Write the records of a transport source of this layout through
         ``out``: each chunk's records fill an ``out.slot`` that ``out.write``
-        takes. A record is the design times its block, weighted by its
-        probe-mask entry when there is a mask, plus the next K' * T noise values.
+        takes, the chunks of ``tensor.run_spans``' spans on its workers. A
+        record is the design times its block, weighted by its probe-mask
+        entry when there is a mask, plus the next K' * T noise values of its
+        span's stream.
         """
-        record = self.header.record
-        for start, blocks in source.chunks(record):
-            n, s_proj, _, _, n_bins = blocks.shape
-            if self.mask is not None:
-                blocks = blocks * self.mask(start, n)[:, :, None, None, None]
-            records = out.slot((n,) + record)
-            flat = blocks.reshape(n * s_proj, 16, n_bins)
-            pairs = records.reshape(n * s_proj, -1, n_bins)
-            if self.rng is None:
-                np.matmul(self.a, flat, out=pairs)
-            else:
-                lit = (flat != 0).reshape(len(flat), -1).any(axis=1)
-                edges = np.diff(np.concatenate(([False], lit, [False])))
-                runs = np.flatnonzero(edges).reshape(-1, 2)     # (first, end) of each lit run
-                self.scratch = np.empty(pairs.shape) if self.scratch is None else self.scratch
-                # the products first, while the chunk's blocks are still in cache
-                for i, j in runs:
-                    np.matmul(self.a, flat[i:j], out=self.scratch[i:j])
-                self.rng.standard_normal(out=records)
-                records *= self.header.noise_sigma
-                for i, j in runs:
-                    run = pairs[i:j]
-                    run += self.scratch[i:j]
-            out.write(records)
-            del flat    # a chunk's weighted blocks go before the next chunk's form
+        record, sigma = self.header.record, self.header.noise_sigma
+
+        def space(step):
+            return (source.buffer((step,) + source.header.record), out.buffer((step,) + record),
+                    np.empty((step * record[0],) + record[1:]) if sigma else None)
+
+        def work(j, span, ws):
+            read, slot, scratch = ws
+            if sigma:
+                seeds = np.random.SeedSequence(self.entropy, spawn_key=(j,) if j else ())
+                rng = np.random.Generator(np.random.SFC64(seeds))
+            for start, blocks in source.chunks(span, read):
+                n, s_proj, _, _, n_bins = blocks.shape
+                if self.mask is not None:
+                    blocks = blocks * self.mask(start, n)[:, :, None, None, None]
+                records = out.slot(start, n, slot)
+                flat = blocks.reshape(n * s_proj, 16, n_bins)
+                pairs = records.reshape(n * s_proj, -1, n_bins)
+                if not sigma:
+                    np.matmul(self.a, flat, out=pairs)
+                else:
+                    lit = (flat != 0).reshape(len(flat), -1).any(axis=1)
+                    edges = np.diff(np.concatenate(([False], lit, [False])))
+                    runs = np.flatnonzero(edges).reshape(-1, 2)     # (first, end) of each lit run
+                    # the products first, while the chunk's blocks are still in cache
+                    for i, k in runs:
+                        np.matmul(self.a, flat[i:k], out=scratch[i:k])
+                    rng.standard_normal(out=records)
+                    records *= sigma
+                    for i, k in runs:
+                        run = pairs[i:k]
+                        run += scratch[i:k]
+                out.write(records, start)
+                del flat    # a chunk's weighted blocks go before the next chunk's form
+
+        run_spans(self.header.n_cam, (record, source.header.record), work, space)
 
 
 def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
@@ -501,18 +533,21 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     (camera pixel, projector pixel, row, bin). Coaxial tensors fold the
     beamsplitter and galvo into the optical chain and record the
     diagonal. Gaussian noise of the given sigma is added to every
-    intensity: the ``SFC64(seed)`` stream of sigma * N(0, 1) draws in
-    the intensities' own order, the same for every chunk size.
+    intensity: sigma * N(0, 1) draws in the intensities' own order, one
+    SFC64 stream per span of about 2^20 intensities (``CaptureKernel``),
+    so ``SFC64(seed)`` alone for a capture of at most 2^20 intensities,
+    and the same for every chunk size and worker count.
 
     masks, if given, is a probe mask, an array or a rule (``tensor.probe_weights``),
     applied to the tensor before the scan (projector-camera geometry only).
 
     The scan is ``CaptureKernel.run`` over the source's chunks, as in
-    ``pltt capture``, writing into the measurement's own array: the noise
-    is drawn into the records, and only the lit (s, s') pairs' design
-    products are added to it. Beyond the source and the measurement it
-    holds one chunk of scratch for those products and, with a mask, one
-    chunk of mask rows and of weighted blocks.
+    ``pltt capture``, writing into the measurement's own array, its spans
+    on one thread per CPU: the noise is drawn into the records, and only
+    the lit (s, s') pairs' design products are added to it. Beyond the
+    source and the measurement it holds one chunk of scratch for those
+    products and, with a mask, one chunk of mask rows and of weighted
+    blocks, the workers sharing the chunk.
     """
     kernel = CaptureKernel(tensor.header, schedule, noise_sigma, seed, masks, split)
     out = _ArrayWriter(kernel.header.n_cam)

@@ -39,13 +39,15 @@ Header it builds, and each kind's fixed header slots against that
 Header's (a transport's 4x4 block, a measurement's dim_q and its K'
 against its schedule's row count); it raises ValueError naming what is
 wrong.
-It then ``readinto``s runs of camera pixels into one reused buffer (not
-``np.memmap``, whose touched pages count in resident memory), and checks
-that a transport's are finite. ``PlttWriter`` writes the payload
-chunks (arrays, or the one reused buffer its ``slot`` gives) into a
-temporary file beside its output, then the metadata and the header, and
-renames the file over the output only when all of it is written, so a
-command that fails leaves no partial output. ``PlttReader.load`` (so
+It then reads runs of camera pixels at their offsets (``os.preadv``) into
+a reused buffer (not ``np.memmap``, whose touched pages count in resident
+memory), and checks that a transport's are finite. ``PlttWriter`` writes
+the payload chunks (arrays, or the reused buffer its ``slot`` lends) at
+their offsets (``os.pwrite``) in a temporary file beside its output, then
+the metadata and the header, and renames the file over the output only
+when all of it is written, so a command that fails leaves no partial
+output. Positional I/O lets the workers of ``tensor.run_spans`` read and
+write their spans of one file at once. ``PlttReader.load`` (so
 ``read_pltt``) and ``write_pltt`` are the one-chunk case: the whole payload
 read into a new array, or an array's own bytes written, with no bytes copy.
 """
@@ -54,12 +56,13 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
 from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
 from .tensor import (TRANSPORT_SHAPE, Header, HeaderArray, TransportTensor, check_number,
-                     chunk_pixels)
+                     chunk_starts)
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -94,42 +97,46 @@ def _meta(header):
 
 class PlttWriter:
     """
-    Writes a PLTT file in camera-pixel order: ``write`` appends payload
-    chunks, each an array or the ``slot`` filled for it, and
-    ``finish(header)`` adds the metadata and the header and renames the
-    temporary file beside ``path`` over it. Leaving the ``with`` block
-    without finishing removes the temporary file.
+    Writes a PLTT file: ``write(chunk, start)`` writes the records of camera
+    pixels ``start`` on at their offset in the payload (``os.pwrite``, so
+    workers write their chunks at once, in any order), each chunk an array
+    or the ``slot`` filled for it, and ``finish(header)`` checks the value
+    count, adds the metadata and the header and renames the temporary file
+    beside ``path`` over it. Leaving the ``with`` block without finishing
+    removes the temporary file.
     """
 
     def __init__(self, path):
         self._path = os.fspath(path)
         self._temp = self._path + ".tmp"
-        self._fh = open(self._temp, "wb")
-        self._fh.seek(_PREFIX)     # finish writes the header once it is known
+        self._fh = open(self._temp, "wb", buffering=0)
         self._count = 0
-        self._buf = np.empty(0)
+        self._lock = threading.Lock()
 
-    def slot(self, shape):
-        """An array of ``shape`` in one reused buffer, to fill and ``write``."""
-        size = math.prod(shape)
-        if self._buf.size < size:
-            self._buf = np.empty(size)
-        return self._buf[:size].reshape(shape)
+    def buffer(self, shape):
+        """A new array of ``shape``, whose leading rows a worker's ``slot`` lends."""
+        return np.empty(shape)
 
-    def write(self, chunk):
+    def slot(self, start, n, buf):
+        """The first ``n`` camera pixels of a ``buffer`` ``buf``, to fill and ``write``."""
+        return buf[:n]
+
+    def write(self, chunk, start=0):
         chunk = np.ascontiguousarray(chunk, dtype="<f8")
-        self._fh.write(memoryview(chunk))
-        self._count += chunk.size
+        _pwrite(self._fh.fileno(), chunk, _PREFIX + 8 * start * (chunk.size // len(chunk)))
+        with self._lock:
+            self._count += chunk.size
 
     def finish(self, header):
         count = header.n_cam * math.prod(header.record)
         if self._count != count:
             raise ValueError("PLTT payload has %d values, its header dims %r need %d"
                              % (self._count, _dims(header), count))
-        self._fh.write(json.dumps(_meta(header), sort_keys=True).encode("utf-8"))
-        self._fh.seek(0)
-        self._fh.write(MAGIC + _HEADER.pack(*_dims(header))
-                       + struct.pack("<B", 1 if header.coaxial else 0))
+        fd = self._fh.fileno()
+        _pwrite(fd, json.dumps(_meta(header), sort_keys=True).encode("utf-8"),
+                _PREFIX + 8 * count)
+        _pwrite(fd, MAGIC + _HEADER.pack(*_dims(header))
+                + struct.pack("<B", 1 if header.coaxial else 0), 0)
         self._fh.close()
         os.replace(self._temp, self._path)
 
@@ -140,6 +147,14 @@ class PlttWriter:
         self._fh.close()
         if os.path.exists(self._temp):     # not finished, or failed while finishing
             os.remove(self._temp)
+
+
+def _pwrite(fd, data, offset):
+    """Write all of the bytes of ``data`` at ``offset`` of the file ``fd``."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
 
 
 def write_pltt(path, obj):
@@ -216,11 +231,18 @@ def _read_header(fh):
     return header
 
 
+def _filled(got, array):
+    """``array``, if a read of ``got`` bytes filled it; else the truncated-payload ValueError."""
+    if got != array.nbytes:
+        raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, array.nbytes))
+    return array
+
+
 class PlttReader:
     """
     An open PLTT file whose ``header`` is checked: a source, as the object
-    it holds is, whose ``chunks`` read its payload in camera-pixel order and
-    whose ``load`` reads it whole, each from the payload's start.
+    it holds is, whose ``chunks`` read runs of camera pixels at their
+    offsets and whose ``load`` reads the payload whole from its start.
     """
 
     def __init__(self, path):
@@ -245,26 +267,30 @@ class PlttReader:
         shape = (n,) + self.header.record
         size = math.prod(shape)
         flat = np.empty(size, dtype="<f8") if out is None else out.reshape(-1)[:size]
-        got = self._fh.readinto(flat)
-        if got != flat.nbytes:
-            raise ValueError("PLTT payload is truncated: read %d of %d bytes" % (got, flat.nbytes))
-        return flat.reshape(shape)
+        return _filled(self._fh.readinto(flat), flat).reshape(shape)
 
-    def chunks(self, *records):
+    def buffer(self, shape):
+        """A new array of ``shape``, to read ``chunks`` into."""
+        return np.empty(shape, dtype="<f8")
+
+    def chunks(self, span=None, buf=None):
         """
-        (first camera pixel, records) of the payload, as many camera pixels at
-        a time as ``chunk_pixels`` gives for its record and the per-pixel output
-        ``records`` a caller fills from them, read into one reused buffer. A
-        transport's records that hold NaN or inf fail as TransportTensor fails
-        on the whole payload.
+        (first camera pixel, records) of the payload, a chunk at each first
+        camera pixel of the range ``span`` (``tensor.chunk_starts`` by
+        default) up to the next or the span's end, read into the leading
+        rows of one ``buffer``, ``buf`` or a new one, by positional reads
+        (``os.preadv``), so workers read their spans of one reader at once.
+        A transport's records that hold NaN or inf fail as TransportTensor
+        fails on the whole payload.
         """
         head = self.header
         whole = (head.n_cam,) + head.record
-        step = chunk_pixels(head.n_cam, head.record, *records)
-        self._fh.seek(_PREFIX)
-        buf = np.empty(step * math.prod(head.record), dtype="<f8")
-        for start in range(0, head.n_cam, step):
-            chunk = self.read(min(step, head.n_cam - start), buf)
+        span = chunk_starts(head) if span is None else span
+        buf = self.buffer((span.step,) + head.record) if buf is None else buf
+        size = 8 * math.prod(head.record)
+        for start in span:
+            chunk = buf[:min(span.step, span.stop - start)]
+            chunk = _filled(os.preadv(self._fh.fileno(), [chunk], _PREFIX + size * start), chunk)
             if head.kind == "transport" and not np.isfinite(chunk).all():
                 # a payload of more than 16 values shows only its shape in the message
                 bad = chunk if chunk.shape == whole else np.broadcast_to(np.nan, whole)

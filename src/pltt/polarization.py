@@ -92,11 +92,6 @@ def quarter_wave_plate(theta=0.0):
     return retarder(theta, np.pi / 2.0)
 
 
-def rotator(theta):
-    """Optical rotator by ``theta`` radians."""
-    return rotation_mueller(theta)
-
-
 def ideal_mirror():
     """Ideal mirror: flips the diagonal linear and circular components."""
     return np.diag([1.0, 1.0, -1.0, -1.0])

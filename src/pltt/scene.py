@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import compose, ideal_mirror, retarder, rotator
+from .polarization import compose, ideal_mirror, retarder, rotation_mueller
 from .tensor import TransportTensor, check_grid, check_number
 
 SPEED_OF_LIGHT = 299792458.0
@@ -349,6 +349,6 @@ def generate_ensemble(seed, n, weights=(0.3, 0.35, 0.35)):
     depol = np.zeros_like(m)
     depol[:, 0, 0] = m[:, 0, 0]
     angle = _uniform(u[:, 3:], 0.0, np.pi)
-    composed = compose([retarder(angle[:, 1], angle[:, 2]), m, rotator(angle[:, 0])])
+    composed = compose([retarder(angle[:, 1], angle[:, 2]), m, rotation_mueller(angle[:, 0])])
     samples = np.choose(family[:, None, None], [m, lam * m + (1.0 - lam) * depol, composed])
     return SyntheticMuellerEnsemble(samples, int(seed), tuple(float(p) for p in probs))

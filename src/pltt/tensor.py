@@ -20,10 +20,18 @@ plus its array, and a PLTT container stores the pair.
 
 A source, what the streamed operations read, is such an object or a
 ``fileio.PlttReader`` open on its container: each has its ``header``,
-``chunks`` of its array over runs of camera pixels, and ``load``.
+``chunks`` of its array over runs of camera pixels, ``buffer`` and ``load``.
+
+Capture and reconstruction split the camera axis into spans and run them
+on ``WORKERS`` threads (``run_spans``): numpy's generators, matmul and
+einsum and the positional file reads and writes release the GIL.
 """
 
+import concurrent.futures
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,8 +39,16 @@ import numpy as np
 
 # the shape a TransportTensor's data must have
 TRANSPORT_SHAPE = (None, None, 4, 4, None)
-# bytes of one buffer of camera pixels that a streamed operation fills at once
+# bytes of one buffer of camera pixels that a streamed operation fills at once,
+# shared by the workers of ``run_spans``
 CHUNK_BYTES = 1 << 21
+# values of the record that one span of camera pixels holds, about: a span is
+# the unit of work of ``run_spans`` and holds one noise stream of a capture
+SPAN_VALUES = 1 << 20
+# the threads of ``run_spans``: one per CPU this process may run on, so
+# ``taskset`` caps them (PLTT_NUM_THREADS caps only the BLAS pools)
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 def _holds_bool(value):
@@ -184,13 +200,78 @@ class Header:
                              % (rows, self.record[1]))
 
 
-def chunk_pixels(n_cam, *records):
+def chunk_pixels(n_cam, *records, workers=1):
     """
     Camera pixels per chunk: as many as keep a buffer of each per-pixel
-    record shape in ``records`` within ``CHUNK_BYTES``, at least 1 and at
-    most ``n_cam``.
+    record shape in ``records`` within a ``workers``-th of ``CHUNK_BYTES``,
+    at least 1 and at most ``n_cam``.
     """
-    return min(n_cam, max(1, CHUNK_BYTES // (8 * max(math.prod(r) for r in records))))
+    largest = 8 * max(math.prod(r) for r in records)
+    return min(n_cam, max(1, CHUNK_BYTES // workers // largest))
+
+
+def chunk_starts(head):
+    """The first camera pixels of the chunks that one thread reads of a source of ``head``."""
+    return range(0, head.n_cam, chunk_pixels(head.n_cam, head.record))
+
+
+@functools.cache
+def _pool(workers):
+    """The pool of ``workers`` threads, made on first use and kept for the process."""
+    return concurrent.futures.ThreadPoolExecutor(workers, thread_name_prefix="pltt-span")
+
+
+def run_spans(n_cam, records, work, space):
+    """
+    Run ``work(j, span, ws)`` for each span j of ``n_cam`` camera pixels of
+    the per-pixel record shapes ``records``: a span is a range of the first
+    camera pixels of its chunks. Span j holds pixels j * P up to (j + 1) * P,
+    P as many as hold ``SPAN_VALUES`` values of ``records[0]`` (at least 1),
+    so the spans depend on the layout alone. The spans run on
+    min(``WORKERS``, spans) threads of a pool kept for the process, the
+    calling thread waiting, or in order on the calling thread when that is
+    one. Each worker's chunks keep every record within its share of
+    ``CHUNK_BYTES``, and ``space(step)`` makes the workspace of each worker
+    for chunks of ``step`` pixels on the calling thread, so that no worker's
+    allocator arena keeps a buffer. Spans start in order; once one
+    fails no other starts, the running ones are waited for, and the error of
+    the first failing span in span order is raised.
+    """
+    per_span = min(n_cam, max(1, SPAN_VALUES // math.prod(records[0])))
+    firsts = range(0, n_cam, per_span)
+    workers = min(WORKERS, len(firsts))
+    step = chunk_pixels(per_span, *records, workers=workers)
+    spans = [range(first, min(first + per_span, n_cam), step) for first in firsts]
+    if workers == 1:
+        ws = space(step)
+        for j, span in enumerate(spans):
+            work(j, span, ws)
+        return
+    todo, lock, stop, failed = iter(enumerate(spans)), threading.Lock(), threading.Event(), {}
+
+    def worker(ws):
+        while True:
+            with lock:
+                j, span = (None, None) if stop.is_set() else next(todo, (None, None))
+            if span is None:
+                return
+            try:
+                work(j, span, ws)
+            except BaseException as exc:
+                failed[j] = exc
+                stop.set()
+
+    spaces = [space(step) for _ in range(workers)]     # all of them before any span runs
+    futures = [_pool(workers).submit(worker, ws) for ws in spaces]
+    try:
+        concurrent.futures.wait(futures)
+    finally:    # an interrupt too starts no further span and waits for the running ones
+        stop.set()
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 class HeaderArray:
@@ -213,10 +294,14 @@ class HeaderArray:
         """The object holding ``array`` with the values of ``header`` that it has fields for."""
         return cls(array, **{f.name: getattr(header, f.name) for f in fields(cls)[1:] if f.init})
 
-    def chunks(self, *records):
+    def chunks(self, span=None, buf=None):
         """(first camera pixel, view) chunks of the array, as ``PlttReader.chunks``."""
-        step = chunk_pixels(self.n_cam, self.header.record, *records)
-        return ((start, self.array[start:start + step]) for start in range(0, self.n_cam, step))
+        span = chunk_starts(self.header) if span is None else span
+        return ((start, self.array[start:min(start + span.step, span.stop)]) for start in span)
+
+    def buffer(self, shape):
+        """None: ``chunks`` views the array and reads into no buffer."""
+        return None
 
     def load(self):
         """The object itself, as a container's ``load`` is the object it holds."""

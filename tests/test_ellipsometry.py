@@ -406,7 +406,7 @@ def test_capture_noise_is_seeded():
 @pytest.mark.parametrize("schedule, coaxial, cam, bins", [
     # 16 camera pixels of 16 x 36 x 8 values: one chunk
     (drr_schedule(36), False, (4, 4), 8),
-    # 36 camera pixels of 36 x 16 x 100 values: 4 per chunk, 9 chunks
+    # 36 camera pixels of 36 x 16 x 100 values: two spans of 18
     (drr_schedule(4, "polarizer_array"), False, (6, 6), 100),
     # the whole measurement is smaller than one chunk
     (drr_schedule(16), True, (4, 4), 7),
@@ -415,8 +415,15 @@ def test_capture_noise_is_the_normal_stream_of_the_seed(schedule, coaxial, cam, 
     tensor = random_tensor(np.random.default_rng(bins), coaxial, cam=cam, bins=bins)
     clean = capture(tensor, schedule).intensities
     noisy = capture(tensor, schedule, noise_sigma=2e-3, seed=41).intensities
-    # sigma * N(0, 1) of one SFC64 stream, drawn in the intensities' own order
-    noise = 2e-3 * np.random.Generator(np.random.SFC64(41)).standard_normal(clean.shape)
+    # sigma * N(0, 1) drawn in the intensities' own order, one SFC64 stream per span of
+    # the camera pixels that hold 2^20 intensities: SFC64(41) for span 0 (all of a
+    # capture of at most 2^20), SeedSequence(41, spawn_key=(j,)) for span j
+    per_span = max(1, 2**20 // clean[0].size)
+    streams = [np.random.SFC64(np.random.SeedSequence(41, spawn_key=(j,)) if j else 41)
+               for j in range(-(-len(clean) // per_span))]
+    noise = 2e-3 * np.concatenate([
+        np.random.Generator(stream).standard_normal(clean[j * per_span:(j + 1) * per_span].shape)
+        for j, stream in enumerate(streams)])
     assert noisy.tobytes() == (clean + noise).tobytes()
 
 

@@ -15,7 +15,6 @@ from pltt.polarization import (
     reverse_pass,
     rotate_element,
     rotation_mueller,
-    rotator,
 )
 
 
@@ -116,11 +115,11 @@ def test_angled_elements_have_period_pi():
 
 
 def test_rotator_rotates_polarization_plane():
-    out = rotator(np.pi / 4) @ HORIZ
+    out = rotation_mueller(np.pi / 4) @ HORIZ
     np.testing.assert_allclose(out, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
     # two rotators compose by angle addition
     np.testing.assert_allclose(
-        compose([rotator(0.3), rotator(0.5)]), rotator(0.8), atol=1e-12
+        compose([rotation_mueller(0.3), rotation_mueller(0.5)]), rotation_mueller(0.8), atol=1e-12
     )
 
 
@@ -162,12 +161,13 @@ def test_reverse_pass_element_identities():
     np.testing.assert_allclose(
         reverse_pass(retarder(0.4, 1.1)), retarder(-0.4, 1.1), atol=1e-12
     )
-    np.testing.assert_allclose(reverse_pass(rotator(0.3)), rotator(0.3), atol=1e-12)
+    np.testing.assert_allclose(reverse_pass(rotation_mueller(0.3)), rotation_mueller(0.3),
+                               atol=1e-12)
     np.testing.assert_allclose(reverse_pass(ideal_mirror()), ideal_mirror(), atol=1e-12)
 
 
 def test_reverse_pass_unwinds_rotator_round_trip():
-    rot = rotator(0.37)
+    rot = rotation_mueller(0.37)
     round_trip = compose([reverse_pass(rot), ideal_mirror(), rot])
     np.testing.assert_allclose(round_trip, ideal_mirror(), atol=1e-12)
 
@@ -239,7 +239,7 @@ def test_standard_elements_are_passive():
         theta = rng.uniform(0, np.pi)
         assert is_passive(linear_polarizer(theta))
         assert is_passive(retarder(theta, rng.uniform(0, 2 * np.pi)))
-        assert is_passive(rotator(theta))
+        assert is_passive(rotation_mueller(theta))
     assert is_passive(ideal_mirror())
     assert not is_passive(2.0 * np.eye(4))
 

@@ -12,7 +12,7 @@ from pltt.polarization import (
     is_passive,
     linear_polarizer,
     retarder,
-    rotator,
+    rotation_mueller,
 )
 from pltt.scene import (
     SPEED_OF_LIGHT,
@@ -87,7 +87,7 @@ def test_stacked_elements_are_the_stack_of_single_elements():
     axis, delta = rng.uniform(-np.pi, np.pi, (2, 6))
     for stacked, single in ((fresnel_mueller(eta, theta_i), map(fresnel_mueller, eta, theta_i)),
                             (retarder(axis, delta), map(retarder, axis, delta)),
-                            (rotator(axis), map(rotator, axis))):
+                            (rotation_mueller(axis), map(rotation_mueller, axis))):
         assert stacked.tobytes() == np.array(list(single)).tobytes()
 
 
@@ -201,7 +201,7 @@ def test_single_bounce_scene_is_diagonal():
 
 def test_chain_materials_compose_in_traversal_order():
     lp = linear_polarizer(0.0)
-    rot = rotator(np.pi / 4)
+    rot = rotation_mueller(np.pi / 4)
     scene = parse_scene(
         {
             "geometry_mode": "coaxial",
@@ -407,7 +407,7 @@ def reference_ensemble(seed, n, weights):
             lam = rng.uniform(0.1, 0.9)
             m = lam * m + (1.0 - lam) * np.diag([m[0, 0], 0.0, 0.0, 0.0])
         elif family == 2:
-            before = rotator(rng.uniform(0.0, np.pi))
+            before = rotation_mueller(rng.uniform(0.0, np.pi))
             after = retarder(rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi))
             m = compose([after, m, before])
         samples[i] = m

@@ -1,5 +1,6 @@
 """`import pltt` loads nothing but applies PLTT_NUM_THREADS; no command loads SciPy."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -101,3 +102,16 @@ def test_import_pltt_loads_nothing_and_caps_only_unset_thread_pools(tmp_path, th
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == {"OMP_NUM_THREADS": "5", "OPENBLAS_NUM_THREADS": capped,
                                        "MKL_NUM_THREADS": capped, "NUMEXPR_NUM_THREADS": capped}
+
+
+def test_reloading_pltt_caps_only_unset_thread_pools_in_process(monkeypatch):
+    # the fresh interpreters above are not traced; this runs the override block here
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "")     # records each variable, so the test restores it
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("OMP_NUM_THREADS", "5")
+    monkeypatch.setenv("PLTT_NUM_THREADS", "3")
+    importlib.reload(pltt)
+    assert {var: os.environ.get(var) for var in THREAD_VARS} == {
+        "OMP_NUM_THREADS": "5", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "3",
+        "NUMEXPR_NUM_THREADS": "3"}

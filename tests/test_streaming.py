@@ -10,7 +10,10 @@ import contextlib
 import os
 import re
 import struct
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from unittest import mock
@@ -25,7 +28,7 @@ import pltt.tensor
 from pltt.analysis import summed_polarimetric_image
 from pltt.cli import _write_diagnostics, main, slice_images
 from pltt.decomposition import lit_blocks
-from pltt.ellipsometry import CaptureKernel, capture, drr_schedule, reconstruct
+from pltt.ellipsometry import CaptureKernel, Decoder, capture, drr_schedule, reconstruct
 from pltt.fileio import MAGIC, PlttReader, PlttWriter, read_pltt, write_pltt
 from pltt.tensor import HeaderArray, TransportTensor, epipolar_masks, fold
 
@@ -562,3 +565,136 @@ def test_every_operation_reads_a_file_as_the_object_it_holds(
         write_pltt(meas, measured)
         with PlttReader(meas) as src:
             assert _items(reconstruct(src), work) == _items(reconstruct(measured), work)
+
+
+def _busy_span_workers():
+    """Names of the pool threads that are inside a span's work."""
+    frames = sys._current_frames()
+    busy = []
+    for thread in threading.enumerate():
+        frame = frames.get(thread.ident)
+        while frame is not None:
+            code = frame.f_code
+            if code.co_name == "worker" and code.co_filename == pltt.tensor.__file__:
+                busy.append(thread.name)
+            frame = frame.f_back
+    return busy
+
+
+def test_capture_of_a_nan_in_the_last_span_exits_two_leaving_nothing_running(
+        tmp_path, capsys, monkeypatch):
+    # nine spans of one camera pixel on three workers, whatever the host's CPUs
+    monkeypatch.setattr(pltt.tensor, "WORKERS", 3)
+    monkeypatch.setattr(pltt.tensor, "SPAN_VALUES", 1)
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", 8)
+    path = tmp_path / "truth.pltt"
+    write_pltt(path, truth_tensor((3, 3), False))
+    _poison_last_value(path)
+    with pytest.raises(ValueError) as whole:
+        read_pltt(path)
+    exited, late = [], []
+    pwrite, leave = os.pwrite, PlttWriter.__exit__
+
+    def slow_pwrite(fd, data, offset):
+        late.extend([offset] if exited else [])
+        time.sleep(0.002)     # the other spans still write when the last one fails
+        return pwrite(fd, data, offset)
+
+    def spied_exit(self, *exc):
+        exited.append(True)
+        return leave(self, *exc)
+
+    monkeypatch.setattr(os, "pwrite", slow_pwrite)
+    monkeypatch.setattr(PlttWriter, "__exit__", spied_exit)
+    assert main(["capture", "--tensor", str(path), "--noise", "1e-3",
+                 "--out", str(tmp_path / "meas.pltt")]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % whole.value
+    assert os.listdir(tmp_path) == ["truth.pltt"]
+    assert exited and not late
+    assert not _busy_span_workers()
+
+
+def _span_streams(seed, shape, per_span):
+    """Unit normals of ``shape``: SFC64(seed) over span 0, SeedSequence(seed, (j,)) over span j."""
+    out = np.empty(shape)
+    for j, first in enumerate(range(0, shape[0], per_span)):
+        stream = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(j,)) if j else seed)
+        span = out[first:first + per_span]
+        span[...] = np.random.Generator(stream).standard_normal(span.shape)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(coaxial=st.booleans(), masked=st.booleans(),
+       cam=st.tuples(st.integers(1, 4), st.integers(1, 4)), n_bins=st.integers(1, 3),
+       schedule=st.sampled_from([drr_schedule(20), drr_schedule(5, "polarizer_array")]),
+       noise=st.sampled_from([0.0, 1e-3]), workers=st.sampled_from([2, 3]),
+       chunk=st.integers(8, 1 << 14), span=st.integers(1, 1 << 13),
+       seed=st.integers(0, 2**32 - 1))
+def test_capture_and_reconstruct_bytes_depend_on_neither_workers_nor_chunks(
+        coaxial, masked, cam, n_bins, schedule, noise, workers, chunk, span, seed):
+    rng = np.random.default_rng(seed)
+    s_cam = cam[0] * cam[1]
+    data = rng.uniform(-1.0, 1.0, (s_cam, 1 if coaxial else s_cam, 4, 4, n_bins))
+    tensor = TransportTensor(data, cam, cam, BIN, coaxial=coaxial)
+    mask = rng.uniform(size=(s_cam, s_cam)) if masked and not coaxial else None
+
+    def outputs(work):
+        """Capture and reconstruct in memory and from file to file, as their bytes."""
+        meas = capture(tensor, schedule, noise, 7, mask)
+        result = reconstruct(meas)
+        truth, meas_path, recon = (os.path.join(work, name) for name in
+                                   ("truth.pltt", "meas.pltt", "recon.pltt"))
+        write_pltt(truth, tensor)
+        with PlttReader(truth) as src, PlttWriter(meas_path) as out:
+            kernel = CaptureKernel(src.header, schedule, noise, 7, mask)
+            kernel.run(src, out)
+            out.finish(kernel.header)
+        with PlttReader(meas_path) as src, PlttWriter(recon) as out:
+            header, sigma_hat, norms = Decoder.of_measurements(src.header).run(src, out)
+            out.finish(header)
+        files = []
+        for path in (meas_path, recon):
+            with open(path, "rb") as fh:
+                files.append(fh.read())
+        return [meas.intensities.tobytes(), result.tensor.data.tobytes(),
+                result.tensor.noise_std.tobytes(), result.residual_norms.tobytes(),
+                result.sigma_hat, norms.tobytes(), sigma_hat] + files, meas
+
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(pltt.tensor, "SPAN_VALUES", span):
+        with mock.patch.object(pltt.tensor, "WORKERS", 1):
+            one, meas = outputs(work)
+        with mock.patch.object(pltt.tensor, "WORKERS", workers), \
+                mock.patch.object(pltt.tensor, "CHUNK_BYTES", chunk):
+            many, _ = outputs(work)
+    assert one == many
+    if noise:
+        clean = capture(tensor, schedule, 0.0, 7, mask).intensities
+        per_span = max(1, span // clean[0].size)
+        want = clean + noise * _span_streams(7, clean.shape, per_span)
+        assert meas.intensities.tobytes() == want.tobytes()
+
+
+def test_more_workers_than_cores_write_every_chunk_once(tmp_path, monkeypatch):
+    # a switch every microsecond on eight workers: a lost update of the spans
+    # handed out or of the writer's value count would change or fail the file
+    tensor = truth_tensor((4, 4), False, seed=3)
+    write_pltt(tmp_path / "truth.pltt", tensor)
+    monkeypatch.setattr(pltt.tensor, "SPAN_VALUES", 1)     # a span per camera pixel
+    monkeypatch.setattr(pltt.tensor, "WORKERS", 1)
+    write_pltt(tmp_path / "lib.pltt", capture(tensor, drr_schedule(20), 1e-3, 5))
+    monkeypatch.setattr(pltt.tensor, "WORKERS", 8)
+    monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with PlttReader(tmp_path / "truth.pltt") as src, \
+                    PlttWriter(tmp_path / "meas.pltt") as out:
+                kernel = CaptureKernel(src.header, drr_schedule(20), 1e-3, 5)
+                kernel.run(src, out)
+                out.finish(kernel.header)
+            assert (tmp_path / "meas.pltt").read_bytes() == (tmp_path / "lib.pltt").read_bytes()
+    finally:
+        sys.setswitchinterval(interval)

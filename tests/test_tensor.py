@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -494,3 +497,53 @@ def test_detected_tensor_shape_checks():
         DetectedTensor(np.zeros((3, 4, 3)), (2, 2), BIN)
     with pytest.raises(ValueError):
         DetectedTensor(np.zeros((4, 3, 3)), (2, 2), BIN)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_spans_runs_each_span_once_with_workspaces_made_by_the_caller(monkeypatch, workers):
+    monkeypatch.setattr(tensor_module, "WORKERS", workers)
+    # spans of 4 camera pixels of 6 values, and chunks of 2 pixels for every worker count
+    monkeypatch.setattr(tensor_module, "SPAN_VALUES", 4 * 6)
+    monkeypatch.setattr(tensor_module, "CHUNK_BYTES", workers * 2 * 8 * 6)
+    caller, made, ran = threading.current_thread(), [], []
+
+    def space(step):
+        made.append(threading.current_thread())
+        return step
+
+    def work(j, span, step):
+        ran.append((j, span, step, threading.current_thread() is caller))
+
+    tensor_module.run_spans(10, ((2, 3), (1, 6)), work, space)
+    assert made == [caller] * workers
+    assert sorted(ran) == [(0, range(0, 4, 2), 2, workers == 1),
+                           (1, range(4, 8, 2), 2, workers == 1),
+                           (2, range(8, 10, 2), 2, workers == 1)]
+
+
+def test_a_failing_span_starts_no_other_and_waits_for_the_running_ones(monkeypatch):
+    monkeypatch.setattr(tensor_module, "WORKERS", 3)
+    monkeypatch.setattr(tensor_module, "SPAN_VALUES", 1)     # a span per camera pixel
+    failed_later, events = threading.Event(), []
+
+    def work(j, span, ws):
+        events.append(("start", j))
+        try:
+            if j == 0:
+                failed_later.wait(5)     # still running when span 2 fails
+                time.sleep(0.05)
+            elif j == 1:
+                time.sleep(0.05)
+                raise ValueError("span 1")
+            elif j == 2:
+                failed_later.set()
+                raise ValueError("span 2")
+        finally:
+            events.append(("end", j))
+
+    # span 2 fails first, but span 1 comes first in span order
+    with pytest.raises(ValueError, match="^span 1$"):
+        tensor_module.run_spans(40, ((1,),), work, lambda step: None)
+    started = sorted(j for event, j in events if event == "start")
+    assert started == sorted(j for event, j in events if event == "end")
+    assert {0, 1, 2} <= set(started) and 39 not in started
