@@ -28,12 +28,17 @@ set is, read over runs of camera pixels of about ``tensor.CHUNK_BYTES``:
 through a ``PlttWriter``, ``decompose``, ``descatter`` and ``slice`` keep
 only the projector fold or slice they read, and ``pca`` only the blocks
 above the noise floor. So none holds a whole transport tensor or
-measurement stack, but ``simulate``, which builds its tensor whole, and a
-coaxial ``decompose`` or ``descatter``, whose fold is the tensor itself.
+measurement stack, but a coaxial ``decompose`` or ``descatter``, whose
+fold is the tensor itself; ``simulate`` builds and writes a block-sparse
+truth, only the blocks of the pairs its scene couples, and ``capture``
+of such a container reads only those blocks.
+The parser is built once per process (``build_parser``), and each
+command runs as the module's ``cmd_<command>`` looked up when it runs.
 """
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -150,11 +155,15 @@ def _save_image(prefix, images, extra):
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args):
+    """
+    Build the scene's truth, a ``SparseTransport``, and write it as a sparse
+    container: its lit blocks and their index, never the dense array.
+    """
     scene = load_scene(args.scene)
     resolution = _parse_resolution(args.resolution)
     tensor = build_transport(scene, resolution, args.bins, args.bin_width)
-    with PlttWriter(args.out) as out:
-        out.write(tensor.data)
+    with PlttWriter(args.out, tensor.index) as out:
+        out.write(tensor.blocks)
         out.finish(replace(tensor.header, provenance="simulate(%s)" % os.path.basename(args.scene)))
     print("wrote %s: %s %s, %d bins" % (
         args.out, scene.geometry_mode, "x".join(str(v) for v in resolution), args.bins))
@@ -516,7 +525,12 @@ _FLOOR_HELP = ("m00 floor as a fraction of the largest m00; with a stored noise 
                "m00 must also exceed %g standard deviations of its noise" % NOISE_Z)
 
 
+@functools.cache
 def build_parser():
+    """
+    The ``pltt`` parser, built once per process. A command runs as the
+    module's ``cmd_<command>`` at the time it runs, looked up by its name.
+    """
     parser = _Parser(
         prog="pltt",
         description="Polarized light transport tensors: simulate, probe, "
@@ -531,7 +545,6 @@ def build_parser():
     p.add_argument("--bins", type=int, required=True, help="number of time bins")
     p.add_argument("--bin-width", type=float, required=True, help="bin width in seconds")
     p.add_argument("--out", required=True, help="output tensor (.pltt)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("capture", help="run an angle schedule against a tensor")
     p.add_argument("--tensor", required=True)
@@ -543,33 +556,28 @@ def build_parser():
     p.add_argument("--mask", choices=("epipolar", "non_epipolar"), default=None)
     p.add_argument("--split", type=float, default=0.5, help="beamsplitter split (coaxial)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_capture)
 
     p = sub.add_parser("reconstruct", help="recover Mueller blocks from measurements")
     p.add_argument("--measurements", required=True)
     p.add_argument("--split", type=float, default=None,
                    help="beamsplitter split; must match the one stored with the measurements")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("learn-angles", help="optimize an angle schedule on an ensemble")
     p.add_argument("--config", required=True, help="training config (JSON)")
     p.add_argument("--out", required=True, help="output schedule (JSON)")
-    p.set_defaults(func=cmd_learn_angles)
 
     p = sub.add_parser("decompose", help="polar-decompose every Mueller block")
     p.add_argument("--tensor", required=True)
     p.add_argument("--floor", type=float, default=1e-6, help=_FLOOR_HELP)
     p.add_argument("--bin", type=int, default=None, help="restrict to one time bin")
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("pca", help="principal components of the tensor's Mueller blocks")
     p.add_argument("--tensor", required=True)
     p.add_argument("--c", type=float, default=8.0, help="arctan compression factor")
     p.add_argument("--floor", type=float, default=1e-6, help=_FLOOR_HELP)
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("descatter", help="fit the affine scatter-suppression model")
     p.add_argument("--tensor", required=True)
@@ -578,19 +586,16 @@ def build_parser():
     p.add_argument("--mode", choices=("full", "intensity_only"), default="full")
     p.add_argument("--method", choices=("closed_form", "lbfgs"), default="closed_form")
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_descatter)
 
     p = sub.add_parser("slice", help="evaluate a slice expression into images")
     p.add_argument("--tensor", required=True)
     p.add_argument("--expr", required=True, help=_SLICE_GRAMMAR)
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_slice)
     return parser
 
 
 def _config_hash(args):
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    canonical = json.dumps(payload, sort_keys=True, default=str)
+    canonical = json.dumps(vars(args), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -619,13 +624,13 @@ def _write_manifest(args, info, duration):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
+    if args.command is None:
         parser.print_usage(sys.stderr)
         print("error: a subcommand is required", file=sys.stderr)
         return 2
     start = time.monotonic()
     try:
-        info = args.func(args)
+        info = globals()["cmd_" + args.command.replace("-", "_")](args)
     # LinAlgError is a ValueError, so the numerical failures go first
     except (ArithmeticError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)

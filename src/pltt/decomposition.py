@@ -274,7 +274,8 @@ def _unrealisable(m, noise_std=None):
 
 def decompose_tensor(tensor, floor_frac=1e-6):
     """
-    Polar-decompose every lit polarimetric block of a transport tensor.
+    Polar-decompose every lit polarimetric block of a transport source: a
+    tensor, dense or sparse, or an open container of one.
 
     Blocks that ``lit_blocks`` leaves out are NaN in every map and
     counted in ``n_null``. The rest go through one stack call of
@@ -288,7 +289,7 @@ def decompose_tensor(tensor, floor_frac=1e-6):
     res = polar_decompose(kept)
     counts = {"n_singular": int(res.singular_diattenuator.sum()),
               "n_negative_det": int(res.negative_det_branch.sum()),
-              "n_unrealisable": int(_unrealisable(kept, tensor.noise_std).sum())}
+              "n_unrealisable": int(_unrealisable(kept, tensor.header.noise_std).sum())}
     logger.info("decomposed %d of %d blocks: %s", lit.sum(), lit.size,
                 ", ".join("%s=%d" % kv for kv in counts.items()))
     maps = {name: _scatter(getattr(res, name), lit)

@@ -417,7 +417,7 @@ class MeasurementSet(HeaderArray):
         object.__setattr__(self, "intensities", arr)
         if arr.ndim != 4:
             raise ValueError("intensities must be 4D (S_cam, S_proj, rows, bins)")
-        self._check_header(arr.shape)
+        self._check_header(arr.shape[-1]).check_shape(arr.shape)
 
 
 class _ArrayWriter:
@@ -457,13 +457,20 @@ class CaptureKernel:
     spawn_key=(j,)))``. The spans depend on the layout alone, and the draws
     of a span's successive chunks concatenate, so neither the workers nor
     the chunk size can change a value, and a capture of at most
-    ``SPAN_VALUES`` intensities is the one ``SFC64(seed)`` stream. A noisy
-    chunk's draws go straight into its records, and the design products of
-    its lit (s, s') pairs, formed a run of adjacent ones at a time in the
-    worker's chunk of scratch, are added to them. A dark pair's product is
+    ``SPAN_VALUES`` intensities is the one ``SFC64(seed)`` stream.
+
+    Each chunk's blocks come as the source's ``pairs``: a dense source's
+    every (s, s') pair, a sparse one's indexed pairs alone, no other block
+    read. A noisy chunk's draws go straight into its records; the pairs
+    among those whose block is not all zero (its lit pairs) form their
+    design products, a run of adjacent ones at a time, in the worker's
+    chunk of scratch, which are added to them. A dark pair's product is
     +0.0, so its record is its noise: the bits of product + noise but where
     a noise value is -0.0 (a draw of exactly -0.0, or one that underflows at
-    a sigma near the smallest double).
+    a sigma near the smallest double). A noiseless chunk's pairs take their
+    products, a run at a time, and every other pair, whose block is +0.0,
+    the design's product with a zero block, ``dark``: the bits of one
+    product over the dense chunk either way.
     """
 
     def __init__(self, layout, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
@@ -472,6 +479,7 @@ class CaptureKernel:
                              schedule=schedule, noise_sigma=noise_sigma, seed=seed, split=split)
         self.mask = None if masks is None else probe_weights(layout, masks)
         self.a = Decoder.of_measurements(self.header).a
+        self.dark = np.matmul(self.a, np.zeros((1, 16, layout.n_bins)))[0]
         # the seed's entropy, drawn once when there is no seed, keys every span's stream
         self.entropy = (np.random.SeedSequence(self.header.seed).entropy
                         if self.header.noise_sigma > 0 else None)
@@ -496,31 +504,46 @@ class CaptureKernel:
             if sigma:
                 seeds = np.random.SeedSequence(self.entropy, spawn_key=(j,) if j else ())
                 rng = np.random.Generator(np.random.SFC64(seeds))
-            for start, blocks in source.chunks(span, read):
-                n, s_proj, _, _, n_bins = blocks.shape
-                if self.mask is not None:
-                    blocks = blocks * self.mask(start, n)[:, :, None, None, None]
+            for start, n, pairs, blocks in source.pairs(span, read, self.mask):
                 records = out.slot(start, n, slot)
-                flat = blocks.reshape(n * s_proj, 16, n_bins)
-                pairs = records.reshape(n * s_proj, -1, n_bins)
+                flat = records.reshape(n * record[0], -1, record[-1])
                 if not sigma:
-                    np.matmul(self.a, flat, out=pairs)
+                    end = 0
+                    for i, k, run in _runs(pairs, blocks, np.ones(len(pairs), bool)):
+                        flat[end:i] = self.dark
+                        np.matmul(self.a, run, out=flat[i:k])
+                        end = k
+                    flat[end:] = self.dark
                 else:
-                    lit = (flat != 0).reshape(len(flat), -1).any(axis=1)
-                    edges = np.diff(np.concatenate(([False], lit, [False])))
-                    runs = np.flatnonzero(edges).reshape(-1, 2)     # (first, end) of each lit run
+                    lit = _runs(pairs, blocks, (blocks != 0).any(axis=(1, 2)))
                     # the products first, while the chunk's blocks are still in cache
-                    for i, k in runs:
-                        np.matmul(self.a, flat[i:k], out=scratch[i:k])
+                    for i, k, run in lit:
+                        np.matmul(self.a, run, out=scratch[i:k])
                     rng.standard_normal(out=records)
                     records *= sigma
-                    for i, k in runs:
-                        run = pairs[i:k]
-                        run += scratch[i:k]
+                    for i, k, run in lit:
+                        part = flat[i:k]
+                        part += scratch[i:k]
                 out.write(records, start)
-                del flat    # a chunk's weighted blocks go before the next chunk's form
+                # a chunk's weighted blocks go before the next chunk's form
+                blocks = lit = run = None
 
         run_spans(self.header.n_cam, (record, source.header.record), work, space)
+
+
+def _runs(pairs, blocks, lit):
+    """
+    (first pair, end pair, blocks) of each run of adjacent pairs that ``lit``
+    marks, of the increasing pair numbers ``pairs`` and their ``blocks``: each
+    run's blocks a view of ``blocks``.
+    """
+    joined = lit[1:] & lit[:-1] & (np.diff(pairs) == 1)    # pair i + 1 continues pair i's run
+    first, last = lit.copy(), lit.copy()
+    first[1:] &= ~joined
+    last[:-1] &= ~joined
+    pairs = pairs.tolist()
+    return [(pairs[a], pairs[b] + 1, blocks[a:b + 1])
+            for a, b in zip(np.flatnonzero(first).tolist(), np.flatnonzero(last).tolist())]
 
 
 def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5):
@@ -541,10 +564,11 @@ def capture(tensor, schedule, noise_sigma=0.0, seed=None, masks=None, split=0.5)
     masks, if given, is a probe mask, an array or a rule (``tensor.probe_weights``),
     applied to the tensor before the scan (projector-camera geometry only).
 
-    The scan is ``CaptureKernel.run`` over the source's chunks, as in
-    ``pltt capture``, writing into the measurement's own array, its spans
+    The scan is ``CaptureKernel.run`` over the source's pairs and blocks, as
+    in ``pltt capture``, writing into the measurement's own array, its spans
     on one thread per CPU: the noise is drawn into the records, and only
-    the lit (s, s') pairs' design products are added to it. Beyond the
+    the lit (s, s') pairs' design products are added to it. A sparse source
+    (``tensor.SparseTransport``) forms only its indexed blocks. Beyond the
     source and the measurement it holds one chunk of scratch for those
     products and, with a mask, one chunk of mask rows and of weighted
     blocks, the workers sharing the chunk.

@@ -5,9 +5,14 @@ Layout of a PLTT v1 file:
 
 - 16-byte magic ``PLTT-TENSOR-v001``
 - 7 little-endian u32 dims: cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins
-- 1 byte coaxial flag (0/1; when 1 the stored projector axis has length 1
-  and holds the s' = s diagonal)
-- float64 little-endian payload, C order, axes (s, s', p, p', t)
+- 1 flag byte: bit 0 the coaxial flag (0/1; when 1 the stored projector
+  axis has length 1 and holds the s' = s diagonal), bit 7 a sparse
+  payload, the other bits 0
+- a sparse payload's index block: the pair count n as a little-endian
+  u64, then n little-endian u32 (s, s') pairs (s' = 0 when coaxial),
+  distinct and in increasing order
+- float64 little-endian payload, C order, axes (s, s', p, p', t); a
+  sparse payload holds only its n indexed (p, p', t) blocks, in index order
 - trailing UTF-8 JSON metadata: at least time_bin_width, channel_id,
   provenance, and a ``kind`` selecting the payload semantics; a
   transport with a noise model adds ``noise_std``, its 16 per-entry
@@ -16,7 +21,8 @@ Layout of a PLTT v1 file:
 One container serves two kinds, each stored as its in-memory array
 (header dims in the same seven slots):
 
-- transport:   ``TransportTensor.data``, (S_cam, S_proj|1, 4, 4, n_bins)
+- transport:   ``TransportTensor.data``, (S_cam, S_proj|1, 4, 4, n_bins),
+  or a ``SparseTransport``'s ``blocks``, (n, 4, 4, n_bins), after its index
 - measurement: ``MeasurementSet.intensities``, (S_cam, S_proj|1, K', n_bins),
   with K' in dim_p and dim_q = 1; schedule, noise and beamsplitter split
   metadata ride in the JSON block (a file without ``split`` is read as
@@ -50,6 +56,13 @@ output. Positional I/O lets the workers of ``tensor.run_spans`` read and
 write their spans of one file at once. ``PlttReader.load`` (so
 ``read_pltt``) and ``write_pltt`` are the one-chunk case: the whole payload
 read into a new array, or an array's own bytes written, with no bytes copy.
+
+Only ``SparseTransport`` writes a sparse payload, and only a transport may
+hold one. A dense container's bytes are those of a file written before
+the sparse form, and such files read as they did. A reader of a sparse
+file checks its index (``tensor.check_index``) with the header; its chunks
+are dense, filled from the index, its ``pairs`` read only the indexed
+blocks, and ``load`` gives the dense TransportTensor.
 """
 
 import json
@@ -61,8 +74,9 @@ import threading
 import numpy as np
 
 from .ellipsometry import MeasurementSet, schedule_from_dict, schedule_to_dict
-from .tensor import (TRANSPORT_SHAPE, Header, HeaderArray, TransportTensor, check_number,
-                     chunk_starts)
+from .tensor import (TRANSPORT_SHAPE, Header, HeaderArray, SparseTransport, TransportTensor,
+                     check_index, check_number, chunk_starts, index_pairs, sparse_chunks,
+                     whole_pairs)
 
 MAGIC = b"PLTT-TENSOR-v001"
 _HEADER = struct.Struct("<7I")
@@ -95,6 +109,11 @@ def _meta(header):
     return meta
 
 
+def _payload_start(index):
+    """The offset of the payload of a dense file (``index`` None) or of a sparse one."""
+    return _PREFIX if index is None else _PREFIX + 8 + 8 * len(index)
+
+
 class PlttWriter:
     """
     Writes a PLTT file: ``write(chunk, start)`` writes the records of camera
@@ -103,15 +122,19 @@ class PlttWriter:
     or the ``slot`` filled for it, and ``finish(header)`` checks the value
     count, adds the metadata and the header and renames the temporary file
     beside ``path`` over it. Leaving the ``with`` block without finishing
-    removes the temporary file.
+    removes the temporary file. A writer given the (n, 2) ``index`` of a
+    ``SparseTransport`` writes a sparse transport: its records are the n
+    blocks, ``start`` counts blocks, and ``finish`` adds the index block.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, index=None):
         self._path = os.fspath(path)
         self._temp = self._path + ".tmp"
         self._fh = open(self._temp, "wb", buffering=0)
         self._count = 0
         self._lock = threading.Lock()
+        self._index = index
+        self._start = _payload_start(index)
 
     def buffer(self, shape):
         """A new array of ``shape``, whose leading rows a worker's ``slot`` lends."""
@@ -123,20 +146,28 @@ class PlttWriter:
 
     def write(self, chunk, start=0):
         chunk = np.ascontiguousarray(chunk, dtype="<f8")
-        _pwrite(self._fh.fileno(), chunk, _PREFIX + 8 * start * (chunk.size // len(chunk)))
+        if chunk.size:      # a sparse transport may have no block
+            _pwrite(self._fh.fileno(), chunk,
+                    self._start + 8 * start * math.prod(chunk.shape[1:]))
         with self._lock:
             self._count += chunk.size
 
     def finish(self, header):
-        count = header.n_cam * math.prod(header.record)
+        sparse = self._index is not None
+        count = (len(self._index) * math.prod(header.record[1:]) if sparse
+                 else header.n_cam * math.prod(header.record))
         if self._count != count:
             raise ValueError("PLTT payload has %d values, its header dims %r need %d"
                              % (self._count, _dims(header), count))
         fd = self._fh.fileno()
         _pwrite(fd, json.dumps(_meta(header), sort_keys=True).encode("utf-8"),
-                _PREFIX + 8 * count)
-        _pwrite(fd, MAGIC + _HEADER.pack(*_dims(header))
-                + struct.pack("<B", 1 if header.coaxial else 0), 0)
+                self._start + 8 * count)
+        # the flag byte: bit 0 the coaxial flag, bit 7 a sparse payload
+        flag = (1 if header.coaxial else 0) | (0x80 if sparse else 0)
+        prefix = MAGIC + _HEADER.pack(*_dims(header)) + struct.pack("<B", flag)
+        if sparse:
+            prefix += struct.pack("<Q", len(self._index)) + self._index.astype("<u4").tobytes()
+        _pwrite(fd, prefix, 0)
         self._fh.close()
         os.replace(self._temp, self._path)
 
@@ -158,10 +189,13 @@ def _pwrite(fd, data, offset):
 
 
 def write_pltt(path, obj):
-    """Serialize a transport tensor or a measurement set: its array and its header."""
+    """
+    Serialize a transport tensor or a measurement set, its array and its
+    header; a SparseTransport as a sparse transport, its blocks and index.
+    """
     if not isinstance(obj, HeaderArray):
         raise TypeError("cannot serialize %r" % type(obj))
-    with PlttWriter(path) as out:
+    with PlttWriter(path, obj.index if isinstance(obj, SparseTransport) else None) as out:
         out.write(obj.array)
         out.finish(obj.header)
 
@@ -174,7 +208,10 @@ _REQUIRED_KEYS = {
 
 
 def _read_header(fh):
-    """A PLTT file's checked Header, read with its metadata."""
+    """
+    A PLTT file's checked Header, read with its metadata, and the (n, 2)
+    index of a sparse transport's payload, or None for a dense payload.
+    """
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(_PREFIX)
     if head[:len(MAGIC)] != MAGIC:
@@ -182,13 +219,22 @@ def _read_header(fh):
     if len(head) < _PREFIX:
         raise ValueError("PLTT header is truncated: %d of %d bytes" % (len(head), _PREFIX))
     dims = _HEADER.unpack_from(head, len(MAGIC))
-    if head[-1] > 1:
+    # bit 7 of the flag byte marks a sparse payload; the others hold the coaxial flag
+    if head[-1] & 0x7F > 1:
         raise ValueError("PLTT coaxial flag must be 0 or 1, got %d" % head[-1])
-    coaxial = head[-1] == 1
+    coaxial, sparse = head[-1] & 1 == 1, head[-1] & 0x80 != 0
     cam_w, cam_h, proj_w, proj_h, dim_p, dim_q, n_bins = dims
     s_proj = 1 if coaxial else proj_w * proj_h
-    count = cam_w * cam_h * s_proj * dim_p * dim_q * n_bins
-    end = _PREFIX + 8 * count
+    record = dim_p * dim_q * n_bins
+    count = cam_w * cam_h * s_proj * record
+    index = None
+    if sparse:
+        raw = fh.read(8)
+        n_blocks = struct.unpack("<Q", raw)[0] if len(raw) == 8 else None
+        if n_blocks is None or size < _PREFIX + 8 + 8 * n_blocks:
+            raise ValueError("PLTT sparse index is truncated: the file has %d bytes" % size)
+        index = np.frombuffer(fh.read(8 * n_blocks), dtype="<u4").reshape(n_blocks, 2)
+    end = _payload_start(index) + 8 * (count if index is None else len(index) * record)
     if size < end:
         raise ValueError("PLTT payload is truncated: the header dims %r need %d bytes, "
                          "the file has %d" % (dims, end, size))
@@ -202,6 +248,8 @@ def _read_header(fh):
     kind = meta.get("kind", "transport")
     if not isinstance(kind, str) or kind not in _REQUIRED_KEYS:
         raise ValueError("unknown PLTT payload kind %r" % (kind,))
+    if sparse and kind != "transport":
+        raise ValueError("a sparse PLTT payload must hold a transport, not a %s" % kind)
     for key in _REQUIRED_KEYS[kind]:
         if key not in meta:
             raise ValueError("PLTT %s metadata lacks the required key %r" % (kind, key))
@@ -228,7 +276,7 @@ def _read_header(fh):
         if value != want:
             raise ValueError("PLTT %s header slot %s is %d, must be %d"
                              % (kind, slot, value, want))
-    return header
+    return header, None if index is None else check_index(index, header)
 
 
 def _filled(got, array):
@@ -242,16 +290,21 @@ class PlttReader:
     """
     An open PLTT file whose ``header`` is checked: a source, as the object
     it holds is, whose ``chunks`` read runs of camera pixels at their
-    offsets and whose ``load`` reads the payload whole from its start.
+    offsets and whose ``load`` reads the payload whole, both by positional
+    reads (``os.preadv``). A sparse transport's file keeps its ``index``
+    (None for a dense payload): its chunks are dense views filled from the
+    index, as ``tensor.SparseTransport``'s, and its ``pairs`` read only the
+    indexed blocks.
     """
 
     def __init__(self, path):
         self._fh = open(path, "rb")
         try:
-            self.header = _read_header(self._fh)
+            self.header, self.index = _read_header(self._fh)
         except BaseException:
             self._fh.close()
             raise
+        self._start = _payload_start(self.index)
 
     def close(self):
         self._fh.close()
@@ -262,46 +315,72 @@ class PlttReader:
     def __exit__(self, *exc):
         self.close()
 
-    def read(self, n, out=None):
-        """The next ``n`` camera pixels' records, read into the start of ``out`` or a new array."""
-        shape = (n,) + self.header.record
-        size = math.prod(shape)
-        flat = np.empty(size, dtype="<f8") if out is None else out.reshape(-1)[:size]
-        return _filled(self._fh.readinto(flat), flat).reshape(shape)
-
     def buffer(self, shape):
         """A new array of ``shape``, to read ``chunks`` into."""
         return np.empty(shape, dtype="<f8")
+
+    def _read(self, values, first):
+        """``values`` filled by a positional read of the payload from its value ``first`` on."""
+        if values.size:
+            _filled(os.preadv(self._fh.fileno(), [values], self._start + 8 * first), values)
+        return values
+
+    def _finite(self, values):
+        """
+        ``values`` of the payload, if they are finite or not a transport's:
+        a transport's NaN or inf fails as TransportTensor fails on the whole payload.
+        """
+        head = self.header
+        if head.kind == "transport" and not np.isfinite(values).all():
+            # a payload of more than 16 values shows only its shape in the message
+            whole = (head.n_cam,) + head.record
+            bad = values if values.shape == whole else np.broadcast_to(np.nan, whole)
+            check_number(bad, "transport data", shape=TRANSPORT_SHAPE)
+        return values
+
+    def _blocks(self, lo, hi, out):
+        """Blocks lo..hi of a sparse payload, read into the start of ``out`` or a new array."""
+        block = self.header.record[1:]
+        size = (hi - lo) * math.prod(block)
+        flat = np.empty(size, dtype="<f8") if out is None else out.reshape(-1)[:size]
+        return self._finite(self._read(flat, lo * math.prod(block))).reshape((hi - lo,) + block)
 
     def chunks(self, span=None, buf=None):
         """
         (first camera pixel, records) of the payload, a chunk at each first
         camera pixel of the range ``span`` (``tensor.chunk_starts`` by
         default) up to the next or the span's end, read into the leading
-        rows of one ``buffer``, ``buf`` or a new one, by positional reads
-        (``os.preadv``), so workers read their spans of one reader at once.
-        A transport's records that hold NaN or inf fail as TransportTensor
-        fails on the whole payload.
+        rows of one ``buffer``, ``buf`` or a new one, so workers read their
+        spans of one reader at once.
         """
         head = self.header
-        whole = (head.n_cam,) + head.record
         span = chunk_starts(head) if span is None else span
         buf = self.buffer((span.step,) + head.record) if buf is None else buf
-        size = 8 * math.prod(head.record)
+        if self.index is not None:
+            yield from sparse_chunks(head, self.index, self._blocks, span, buf)
+            return
         for start in span:
-            chunk = buf[:min(span.step, span.stop - start)]
-            chunk = _filled(os.preadv(self._fh.fileno(), [chunk], _PREFIX + size * start), chunk)
-            if head.kind == "transport" and not np.isfinite(chunk).all():
-                # a payload of more than 16 values shows only its shape in the message
-                bad = chunk if chunk.shape == whole else np.broadcast_to(np.nan, whole)
-                check_number(bad, "transport data", shape=TRANSPORT_SHAPE)
-            yield start, chunk
+            yield start, self._finite(self._read(buf[:min(span.step, span.stop - start)],
+                                                 start * math.prod(head.record)))
+
+    def pairs(self, span, buf, mask):
+        """A transport's pairs for ``CaptureKernel.run``: its indexed ones, or every one."""
+        if self.index is None:
+            return whole_pairs(self.chunks(span, buf), mask)
+        return index_pairs(self.header, self.index, self._blocks, span, buf, mask)
 
     def load(self):
-        """The object the file holds, its whole payload read into a new array."""
+        """
+        The dense object the file holds, its payload read into a new array:
+        a dense payload by one positional read, which the object checks, a
+        sparse one as one chunk.
+        """
         head = self.header
-        self._fh.seek(_PREFIX)
-        return _KINDS[head.kind].of(head, self.read(head.n_cam))
+        whole = self.buffer((head.n_cam,) + head.record)
+        if self.index is None:
+            return _KINDS[head.kind].of(head, self._read(whole, 0))
+        (_, array), = self.chunks(range(0, head.n_cam, head.n_cam), whole)
+        return TransportTensor.of(head, array)
 
 
 def read_pltt(path):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polarization import compose, ideal_mirror, retarder, rotation_mueller
-from .tensor import TransportTensor, check_grid, check_number
+from .tensor import SparseTransport, check_grid, check_number
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -245,7 +245,8 @@ def _time_bin(path_length_m, bin_width, n_bins, what):
 
 def build_transport(scene, resolution, n_bins, time_bin_width):
     """
-    Assemble the ground-truth transport tensor of a scene.
+    Assemble the ground-truth transport tensor of a scene, as a
+    ``tensor.SparseTransport`` of the (s, s') pairs the scene couples.
 
     Parameters
     ----------
@@ -258,18 +259,23 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
     time_bin_width : float
         Seconds per bin.
 
-    Deterministic; bit-identical across runs.
+    Deterministic; bit-identical across runs. Every surface, chain and the
+    scatter volume, in that order, adds its block to its pairs at its bin,
+    so a pair's block is the same sum, in the same order, as a dense array
+    of zeros summed into; the dense array is never allocated, only one
+    block per coupled pair.
     """
     h, w = check_grid(resolution, "resolution")
     n_bins = check_number(n_bins, "n_bins", low=1, integer=True)
     time_bin_width = check_number(time_bin_width, "time_bin_width", above=0.0)
     n_pix = h * w
     coaxial = scene.geometry_mode == "coaxial"
-    data = np.zeros((n_pix, 1 if coaxial else n_pix, 4, 4, n_bins))
+    s_proj = 1 if coaxial else n_pix
+    adds = []   # (flat (s, s') pair numbers, time bin, block), in the order they add up
 
     def add(cam, proj, t_bin, block):
         # a coaxial tensor stores only the diagonal, at projector index 0
-        data[cam, 0 if coaxial else proj, :, :, t_bin] += block
+        adds.append((cam * s_proj + (0 if coaxial else proj), t_bin, block))
 
     for i, surf in enumerate(scene.surfaces):
         t_bin = _time_bin(2.0 * surf.depth_m, time_bin_width, n_bins,
@@ -297,7 +303,13 @@ def build_transport(scene, resolution, n_bins, time_bin_width):
         idx = np.arange(n_pix)
         add(idx, idx, t_bin, vol.strength.reshape(-1, 1, 1) * vol.block)
 
-    return TransportTensor(data, (h, w), (h, w), time_bin_width, coaxial=coaxial)
+    pairs = np.unique(np.concatenate([np.ravel(p) for p, _, _ in adds] + [np.zeros(0, int)]))
+    blocks = np.zeros((len(pairs), 4, 4, n_bins))
+    for p, t_bin, block in adds:
+        # a call's pairs are distinct, so each += adds one block to one pair
+        blocks[pairs.searchsorted(p), :, :, t_bin] += block
+    return SparseTransport(blocks, np.stack(np.divmod(pairs, s_proj), axis=1), (h, w), (h, w),
+                           time_bin_width, coaxial=coaxial)
 
 
 # ---------------------------------------------------------------------------

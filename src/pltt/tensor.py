@@ -1,5 +1,5 @@
 """
-Dense spatio-temporal polarimetric transport tensors.
+Spatio-temporal polarimetric transport tensors, dense and block-sparse.
 
 A transport tensor couples every projector pixel s' to every camera
 pixel s through a 4x4 Mueller block resolved over time bins t. Storage
@@ -18,9 +18,19 @@ A ``Header`` is the one record of a layout and its stored values: a
 TransportTensor, or an ``ellipsometry.MeasurementSet``, is its Header
 plus its array, and a PLTT container stores the pair.
 
+A ``SparseTransport`` stores only the blocks of its lit (s, s') pairs and
+their sorted index: a light transport matrix is sparse (Sen et al., "Dual
+photography", SIGGRAPH 2005; Peers et al., "Compressive light transport
+sensing", ACM TOG 28(1), 2009), and a simulated truth couples only the
+pixels its scene does.
+
 A source, what the streamed operations read, is such an object or a
 ``fileio.PlttReader`` open on its container: each has its ``header``,
-``chunks`` of its array over runs of camera pixels, ``buffer`` and ``load``.
+``chunks`` of its array over runs of camera pixels, dense even where only
+the lit blocks are stored, ``buffer`` and ``load``, which gives the dense
+object; a transport source also has ``pairs``, each chunk's (s, s')
+pairs that capture multiplies and their blocks: a sparse source's indexed
+pairs, a dense one's every pair.
 
 Capture and reconstruction split the camera axis into spans and run them
 on ``WORKERS`` threads (``run_spans``): numpy's generators, matmul and
@@ -307,14 +317,15 @@ class HeaderArray:
         """The object itself, as a container's ``load`` is the object it holds."""
         return self
 
-    def _check_header(self, shape):
-        """Check this object's values as the Header of an array of ``shape``; keep them checked."""
-        names = [f.name for f in fields(self)[1:] if f.init]
-        header = Header(self.kind, n_bins=shape[-1], **{n: getattr(self, n) for n in names})
-        header.check_shape(shape)
+    def _check_header(self, n_bins):
+        """Check this object's Header values for ``n_bins`` bins, keep them checked; the Header."""
+        names = [f.name for f in fields(self)[1:]
+                 if f.init and f.name in Header.__dataclass_fields__]
+        header = Header(self.kind, n_bins=n_bins, **{n: getattr(self, n) for n in names})
         object.__setattr__(self, "header", header)
         for name in names:
             object.__setattr__(self, name, getattr(header, name))
+        return header
 
 
 @dataclass(frozen=True)
@@ -358,7 +369,157 @@ class TransportTensor(HeaderArray):
         data = check_number(self.data, "transport data", shape=TRANSPORT_SHAPE).view()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        self._check_header(data.shape)
+        self._check_header(data.shape[-1]).check_shape(data.shape)
+
+    def pairs(self, span, buf, mask):
+        """The pairs of each chunk that ``CaptureKernel.run`` multiplies: all (``whole_pairs``)."""
+        return whole_pairs(self.chunks(span, buf), mask)
+
+
+def whole_pairs(chunks, mask):
+    """
+    (first camera pixel, camera pixels, pairs, blocks) of each (first camera
+    pixel, blocks) chunk of a dense transport source: every (s, s') pair of
+    the chunk, numbered (s - first) * S_proj + s', and its (pairs, 16, T)
+    blocks, weighted by their entries of the probe-mask rule ``mask`` if given.
+    """
+    for start, blocks in chunks:
+        n, s_proj = blocks.shape[:2]
+        if mask is not None:
+            blocks = blocks * mask(start, n)[:, :, None, None, None]
+        yield start, n, np.arange(n * s_proj), blocks.reshape(n * s_proj, 16, -1)
+        del blocks      # a chunk's weighted blocks go before the next chunk's form
+
+
+def check_index(index, head):
+    """
+    A sparse transport's (n, 2) index of (s, s') pairs (s' = 0 if coaxial) as
+    int64, if it holds integers that name distinct pairs of the layout
+    ``head`` in increasing (s, s') order; else a one-line ValueError.
+    """
+    index = np.asarray(index)
+    s_proj = head.record[0]
+    ok = index.ndim == 2 and index.shape[1] == 2 and index.dtype.kind in "iu"
+    if ok and len(index):
+        index = index.astype(np.int64)
+        pairs = index[:, 0] * s_proj + index[:, 1]
+        ok = bool(index.min() >= 0 and index[:, 0].max() < head.n_cam
+                  and index[:, 1].max() < s_proj and (np.diff(pairs) > 0).all())
+    if not ok:
+        raise ValueError("a sparse transport index must hold distinct (s, s') pairs of its %d "
+                         "camera and %d projector pixels in increasing order"
+                         % (head.n_cam, s_proj))
+    return index.astype(np.int64)
+
+
+def sparse_chunks(head, index, read, span, buf):
+    """
+    (first camera pixel, dense view) chunks of a block-sparse transport of
+    layout ``head``, as ``HeaderArray.chunks`` (``span`` None reads them all):
+    each chunk of ``buf`` (or a new buffer) holds zeros but at the pairs of
+    ``index``, where it holds their blocks, ``read(lo, hi, None)`` giving
+    blocks lo..hi of the index order.
+    """
+    span = chunk_starts(head) if span is None else span
+    buf = np.empty((span.step,) + head.record) if buf is None else buf
+    rows, s_proj = index[:, 0], head.record[0]
+    for start in span:
+        n = min(span.step, span.stop - start)
+        lo, hi = rows.searchsorted((start, start + n))
+        chunk = buf[:n]
+        chunk.fill(0.0)
+        pairs = chunk.reshape((n * s_proj,) + head.record[1:])
+        pairs[(rows[lo:hi] - start) * s_proj + index[lo:hi, 1]] = read(lo, hi, None)
+        yield start, chunk
+
+
+def index_pairs(head, index, read, span, buf, mask):
+    """
+    The chunks of ``whole_pairs`` of a block-sparse transport, read from its
+    index: a chunk's pairs are only its indexed ones, in index order, and its
+    blocks only theirs, ``read(lo, hi, buf)``; ``mask`` weights them as it
+    weights dense blocks. No other pair's block is read or formed.
+    """
+    rows, s_proj, n_bins = index[:, 0], head.record[0], head.n_bins
+    for start in span:
+        n = min(span.step, span.stop - start)
+        lo, hi = rows.searchsorted((start, start + n))
+        blocks = read(lo, hi, buf).reshape(hi - lo, 16, n_bins)
+        s, x = rows[lo:hi] - start, index[lo:hi, 1]
+        if mask is not None:
+            blocks = blocks * mask(start, n)[s, x][:, None, None]
+        yield start, n, s * s_proj + x, blocks
+        del blocks
+
+
+@dataclass(frozen=True)
+class SparseTransport(HeaderArray):
+    """
+    Block-sparse transport tensor: its ``header`` plus the (n, 4, 4, n_bins)
+    ``blocks`` of its lit (s, s') pairs and their (n, 2) ``index`` (s' = 0 if
+    coaxial), distinct and in increasing (s, s') order (``check_index``);
+    every other block is zero. The other fields are TransportTensor's.
+
+    As a source it is its dense ``load()``: ``chunks`` yields the same dense
+    chunks, each filled from the index into a ``buffer``, and every streamed
+    operation gives the same bytes on either; ``pairs`` forms only the
+    indexed blocks. ``data`` is the dense array, built on first access and kept, for
+    the callers that index a tensor's array; no streamed operation reads it.
+    ``blocks`` and ``index`` are read-only views of their checked arrays.
+    """
+
+    kind = "transport"
+
+    blocks: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    cam_shape: tuple
+    proj_shape: tuple
+    time_bin_width: float
+    channel_id: str = "mono"
+    coaxial: bool = False
+    noise_std: np.ndarray = field(default=None, repr=False)
+    provenance: str = ""
+    header: Header = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        blocks = check_number(self.blocks, "transport blocks", shape=None).view()
+        if blocks.ndim != 4 or blocks.shape[1:3] != (4, 4) or not blocks.shape[3]:
+            raise ValueError("transport blocks must have shape (n, 4, 4, n_bins), got %r"
+                             % (blocks.shape,))
+        index = check_index(self.index, self._check_header(blocks.shape[3]))
+        if len(index) != len(blocks):
+            raise ValueError("a sparse transport index of %d pairs cannot place %d blocks"
+                             % (len(index), len(blocks)))
+        for name, array in (("blocks", blocks), ("index", index)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def _read(self, lo, hi, out):
+        return self.blocks[lo:hi]
+
+    def chunks(self, span=None, buf=None):
+        """(first camera pixel, dense view) chunks, as its ``load()``'s (``sparse_chunks``)."""
+        return sparse_chunks(self.header, self.index, self._read, span, buf)
+
+    def buffer(self, shape):
+        """A new array of ``shape``, to fill ``chunks`` in."""
+        return np.empty(shape)
+
+    def pairs(self, span, buf, mask):
+        """The indexed pairs of each chunk and their blocks (``index_pairs``)."""
+        return index_pairs(self.header, self.index, self._read, span, buf, mask)
+
+    def load(self):
+        """The dense TransportTensor: zeros, and the blocks at their pairs."""
+        head = self.header
+        (_, data), = self.chunks(range(0, head.n_cam, head.n_cam),
+                                 self.buffer((head.n_cam,) + head.record))
+        return TransportTensor.of(head, data)
+
+    @functools.cached_property
+    def data(self):
+        """The dense array, as ``load()`` holds it."""
+        return self.load().data
 
 
 @dataclass(frozen=True)

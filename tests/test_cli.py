@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pltt.cli
 from pltt.analysis import summed_polarimetric_image
 from pltt.cli import main, slice_images
 from pltt.ellipsometry import capture, drr_schedule, reconstruct, save_schedule, schedule_to_dict
@@ -784,9 +785,13 @@ def test_every_slice_slot_takes_only_ascii_integers(expr, slot):
 
 
 def test_simulate_too_large_to_allocate_exits_three(tmp_path, capsys):
-    # 16e6 x 16e6 couplings of 16 doubles is 29 PiB, beyond any address space
+    # 16e6 x 16e6 couplings of 16 doubles is 29 PiB, beyond any address space: a
+    # sparse truth holds only the coupled pairs, so a chain couples all of them
     out = tmp_path / "big.pltt"
-    assert main(["simulate", "--scene", write_scene(tmp_path, DENSE_SCENE),
+    scene = {"geometry_mode": "projector_camera",
+             "chains": [{"materials": [{"kind": "ideal_mirror"}], "path_length_m": 0.0,
+                         "camera_patch": [0, 4000, 0, 4000]}]}
+    assert main(["simulate", "--scene", write_scene(tmp_path, scene),
                  "--resolution", "4000x4000", "--bins", "1", "--bin-width", "1e-10",
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -1331,3 +1336,22 @@ def test_usage_errors_exit_two(tmp_path, capsys, case, message):
         argv = ["learn-angles", "--config", str(config), "--out", str(tmp_path / "s.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_the_parser_is_built_once_and_each_command_runs_by_its_current_name(
+        tmp_path, monkeypatch, capsys):
+    pltt.cli.build_parser.cache_clear()
+    ran = []
+    monkeypatch.setattr(pltt.cli, "cmd_slice", lambda args: ran.append(args.expr) or
+                        {"outputs": []})
+    for expr in ("T(s, s, 0, 0, t)", "sum_t T(s, s, 0, 0, t)"):
+        assert main(["slice", "--tensor", "t.pltt", "--expr", expr,
+                     "--out", str(tmp_path / "s")]) == 0
+    assert ran == ["T(s, s, 0, 0, t)", "sum_t T(s, s, 0, 0, t)"]
+    assert pltt.cli.build_parser.cache_info().misses == 1
+    # a wrapper bound after the parser was built is the one that runs
+    monkeypatch.setattr(pltt.cli, "cmd_slice", lambda args: ran.append("wrapped") or
+                        {"outputs": []})
+    assert main(["slice", "--tensor", "t.pltt", "--expr", "T(s, s, 0, 0, t)",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert ran[-1] == "wrapped" and pltt.cli.build_parser.cache_info().misses == 1

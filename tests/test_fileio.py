@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import struct
 
@@ -11,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 import pltt.fileio
 from pltt.cli import main
 from pltt.ellipsometry import AngleSchedule, MeasurementSet, drr_schedule, schedule_to_dict
-from pltt.fileio import MAGIC, PlttWriter, read_pltt, write_csv_grid, write_pgm, write_pltt
-from pltt.tensor import TransportTensor
+from pltt.fileio import (MAGIC, PlttReader, PlttWriter, read_pltt, write_csv_grid, write_pgm,
+                         write_pltt)
+from pltt.tensor import SparseTransport, TransportTensor
 
 BIN = 2e-11
 
@@ -353,29 +355,16 @@ def test_the_json_block_is_pinned_byte_for_byte(tmp_path, obj, block):
 
 
 def test_short_payload_read_is_a_value_error(tmp_path, monkeypatch):
-    class ShortReads:
-        """A file whose reads stop halfway through the payload, as if it shrank."""
+    plain_preadv = os.preadv
 
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def __getattr__(self, name):
-            return getattr(self.fh, name)
-
-        def readinto(self, buf):
-            view = memoryview(buf).cast("B")
-            return self.fh.readinto(view[:len(view) // 2])
+    def short_preadv(fd, buffers, offset):
+        """A positional read that stops halfway through the payload, as if the file shrank."""
+        view = memoryview(buffers[0]).cast("B")
+        return plain_preadv(fd, [view[:len(view) // 2]], offset)
 
     path = tmp_path / "t.pltt"
     write_pltt(path, TransportTensor(np.ones((1, 1, 4, 4, 2)), (1, 1), (1, 1), BIN))
-    monkeypatch.setattr(pltt.fileio, "open", lambda p, mode: ShortReads(open(p, mode)),
-                        raising=False)
+    monkeypatch.setattr(os, "preadv", short_preadv)
     with pytest.raises(ValueError, match="payload is truncated: read 128 of 256 bytes"):
         read_pltt(path)
 
@@ -506,3 +495,89 @@ def _rewrite(path, dims=None, block=None):
 def test_writer_and_reader_errors(tmp_path, build, error, message):
     with pytest.raises(error, match=message):
         build(tmp_path / "out")
+
+
+def sparse_truth(coaxial, seed=0):
+    """A 2x2 sparse transport of 3 bins: three lit pairs, one of them a run of two."""
+    rng = np.random.default_rng(seed)
+    index = [[0, 0], [2, 0], [3, 0]] if coaxial else [[0, 1], [0, 2], [3, 0]]
+    return SparseTransport(rng.normal(size=(3, 4, 4, 3)), index, (2, 2), (2, 2), BIN,
+                           channel_id="red", coaxial=coaxial, provenance="sparse test")
+
+
+@pytest.mark.parametrize("coaxial", [False, True], ids=["projector-camera", "coaxial"])
+def test_a_sparse_truth_round_trips_through_its_container(tmp_path, coaxial):
+    truth = sparse_truth(coaxial)
+    path, again = tmp_path / "t.pltt", tmp_path / "again.pltt"
+    write_pltt(path, truth)
+    write_pltt(again, truth)
+    blob = path.read_bytes()
+    assert blob == again.read_bytes()
+    # the flag byte's bit 7, then the pair count and the (s, s') pairs as u32
+    assert blob[PREFIX - 1] == 0x80 | coaxial
+    assert blob[PREFIX:PREFIX + 8 + 24] == struct.pack("<Q", 3) + truth.index.astype(
+        "<u4").tobytes()
+    assert blob[PREFIX + 32:PREFIX + 32 + truth.blocks.nbytes] == truth.blocks.tobytes()
+    back = read_pltt(path)
+    assert isinstance(back, TransportTensor)
+    assert back.data.tobytes() == truth.data.tobytes()
+    assert (back.channel_id, back.provenance, back.coaxial) == ("red", "sparse test", coaxial)
+    with PlttReader(path) as src:
+        assert src.index.tobytes() == truth.index.tobytes()
+
+
+def test_a_dense_container_keeps_its_v1_bytes(tmp_path):
+    data = np.random.default_rng(3).normal(size=(2, 2, 4, 4, 1))
+    write_pltt(tmp_path / "t.pltt", TransportTensor(data, (1, 2), (1, 2), BIN, provenance="v1"))
+    meta = b'{"channel_id": "mono", "kind": "transport", "provenance": "v1", ' \
+           b'"time_bin_width": 2e-11}'
+    assert (tmp_path / "t.pltt").read_bytes() == (
+        MAGIC + struct.pack("<7I", 2, 1, 2, 1, 4, 4, 1) + b"\x00" + data.tobytes() + meta)
+
+
+def _sparse_file(tmp_path, edit):
+    """A sparse truth's container, its bytes passed through ``edit``."""
+    path = tmp_path / "t.pltt"
+    write_pltt(path, sparse_truth(False))
+    path.write_bytes(edit(bytearray(path.read_bytes())))
+    return path
+
+
+def _unordered(blob):
+    blob[PREFIX + 8:PREFIX + 24] = blob[PREFIX + 16:PREFIX + 24] + blob[PREFIX + 8:PREFIX + 16]
+    return blob
+
+
+def _as_measurement(blob):
+    end = blob.rindex(b'{"channel_id"')
+    return blob[:end] + json.dumps({"kind": "measurement"}).encode()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob[:PREFIX + 4], "PLTT sparse index is truncated: the file has 49 bytes"),
+    (lambda blob: blob[:PREFIX] + struct.pack("<Q", 1 << 40) + blob[PREFIX + 8:],
+     "PLTT sparse index is truncated: the file has"),
+    (lambda blob: blob[:PREFIX + 32 + 100], "PLTT payload is truncated"),
+    (_unordered, "a sparse transport index must hold distinct (s, s') pairs of its 4 camera "
+                 "and 4 projector pixels in increasing order"),
+    (_as_measurement, "a sparse PLTT payload must hold a transport, not a measurement"),
+], ids=["count-cut", "count-beyond-the-file", "payload-cut", "unordered", "measurement"])
+def test_a_malformed_sparse_container_exits_two(tmp_path, capsys, edit, message):
+    path = _sparse_file(tmp_path, edit)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        read_pltt(path)
+    assert main(["capture", "--tensor", str(path), "--out", str(tmp_path / "m.pltt")]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("blocks, index, message", [
+    (np.zeros((2, 4, 4)), [[0, 0], [1, 0]],
+     "transport blocks must have shape (n, 4, 4, n_bins), got (2, 4, 4)"),
+    (np.zeros((2, 4, 4, 1)), [[0, 0]], "a sparse transport index of 1 pairs cannot place 2 blocks"),
+    (np.zeros((1, 4, 4, 1)), [[0.0, 0.0]], "a sparse transport index must hold distinct"),
+    (np.zeros((1, 4, 4, 1)), [[0, 4]], "a sparse transport index must hold distinct"),
+    (np.zeros((2, 4, 4, 1)), [[1, 1], [1, 1]], "a sparse transport index must hold distinct"),
+], ids=["block-shape", "count", "float-index", "out-of-range", "repeated"])
+def test_a_sparse_transport_checks_its_blocks_and_index(blocks, index, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        SparseTransport(blocks, index, (2, 2), (2, 2), BIN)

@@ -45,6 +45,7 @@ from pltt.scene import diffuse_depolarizer, generate_ensemble
 from pltt.tensor import (
     DetectedTensor,
     IlluminationTensor,
+    SparseTransport,
     TransportTensor,
     check_number,
     fold,
@@ -355,6 +356,8 @@ def poisoned(arr, value):
 ARRAY_ENTRY_POINTS = [
     ("transport data", lambda v: TransportTensor(poisoned(dense_tensor().data, v), (2, 2),
                                                  (2, 2), BIN)),
+    ("transport blocks", lambda v: SparseTransport(poisoned(np.ones((2, 4, 4, 1)), v),
+                                                   [[0, 0], [3, 3]], (2, 2), (2, 2), BIN)),
     ("illumination data", lambda v: IlluminationTensor(poisoned(np.ones((4, 4)), v), (2, 2))),
     ("detected data", lambda v: DetectedTensor(poisoned(np.ones((4, 4, 2)), v), (2, 2), BIN)),
     ("probe mask", lambda v: probe(dense_tensor(), poisoned(np.ones((4, 4)), v))),
@@ -381,7 +384,7 @@ BASIS = pca(build_observation(BLOCKS).rows)
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name, call", ARRAY_ENTRY_POINTS, ids=[
-    "transport-tensor", "illumination-tensor", "detected-tensor", "probe", "fold",
+    "transport-tensor", "sparse-transport", "illumination-tensor", "detected-tensor", "probe", "fold",
     "schedule", "training-config", "loss", "grad-loss", "evaluate", "loss-noise-draws",
     "build-observation", "pca", "apply-descatter", "fit-descatter-image",
     "fit-descatter-target", "fold-rule", "pca-project", "pca-reconstruct", "arctan-map",

@@ -1,4 +1,8 @@
+import importlib.util
+import json
+import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltt import scene as scene_module
+from pltt.cli import main
+from pltt.fileio import PlttReader
 from pltt.polarization import (
     compose,
     ideal_mirror,
@@ -477,3 +483,98 @@ def _scene_errors():
 def test_scene_errors_name_their_cause(tmp_path, build, message):
     with pytest.raises(ValueError, match=message):
         build(tmp_path)
+
+
+_WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "workloads.py")
+
+
+def random_scene(seed, geometry, size):
+    """perfbench's random scene dict of a size x size grid, drawn from ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.random_scene(np.random.default_rng(seed), geometry, size, size)[0]
+
+
+def dense_truth(scene, resolution, n_bins, bin_width):
+    """
+    The truth as one dense array: every block added, in scene order, into a
+    zeroed (S_cam, S_proj, 4, 4, T) array, as build_transport once built it.
+    """
+    h, w = resolution
+    coaxial = scene.geometry_mode == "coaxial"
+    data = np.zeros((h * w, 1 if coaxial else h * w, 4, 4, n_bins))
+
+    def pixels(patch):
+        r0, r1, c0, c1 = patch
+        return (np.arange(r0, r1)[:, None] * w + np.arange(c0, c1)).ravel()
+
+    def add(cam, proj, path_length, block):
+        t_bin = int(np.floor(path_length / SPEED_OF_LIGHT / bin_width))
+        data[cam, 0 if coaxial else proj, :, :, t_bin] += block
+
+    for surf in scene.surfaces:
+        add(pixels(surf.patch), pixels(surf.patch), 2.0 * surf.depth_m, surf.block)
+    for chain in scene.chains:
+        add(pixels(chain.camera_patch)[:, None],
+            pixels(chain.projector_patch or chain.camera_patch)[None, :],
+            chain.path_length_m, chain.block)
+    vol = scene.scatter_volume
+    if vol is not None:
+        idx = np.arange(h * w)
+        add(idx, idx, 2.0 * vol.depth_m, vol.strength.reshape(-1, 1, 1) * vol.block)
+    return data
+
+
+@pytest.mark.parametrize("geometry, size", [("projector_camera", 12), ("coaxial", 16)])
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_truth_blocks_equal_the_dense_truth_at_every_pair(geometry, size, seed):
+    scene = parse_scene(random_scene(seed, geometry, size))
+    truth = build_transport(scene, (size, size), 16, 1e-10)
+    dense = dense_truth(scene, (size, size), 16, 1e-10)
+    s, x = truth.index.T
+    assert truth.blocks.tobytes() == dense[s, x].tobytes()
+    # every pair off the index is zero, and the dense view is the dense truth
+    assert not np.delete(dense.reshape(-1, 4, 4, 16), s * dense.shape[1] + x, axis=0).any()
+    assert truth.data.tobytes() == dense.tobytes()
+    assert truth.load().data.tobytes() == dense.tobytes()
+
+
+def test_an_empty_scene_is_a_truth_of_no_blocks(tmp_path):
+    truth = build_transport(parse_scene({"geometry_mode": "projector_camera"}), (2, 2), 3, 1e-10)
+    assert truth.blocks.shape == (0, 4, 4, 3) and truth.index.shape == (0, 2)
+    assert truth.data.shape == (4, 4, 4, 4, 3) and not truth.data.any()
+    (tmp_path / "scene.json").write_text(json.dumps({"geometry_mode": "projector_camera"}))
+    assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--resolution", "2x2",
+                 "--bins", "3", "--bin-width", "1e-10", "--out", str(tmp_path / "t.pltt")]) == 0
+    with PlttReader(tmp_path / "t.pltt") as src:
+        assert src.index.shape == (0, 2) and not src.load().data.any()
+    assert main(["capture", "--tensor", str(tmp_path / "t.pltt"), "--noise", "1e-3",
+                 "--out", str(tmp_path / "m.pltt")]) == 0
+
+
+def test_a_32x32_projector_camera_simulate_never_holds_the_dense_truth(tmp_path):
+    # the dense truth is 1024 * 1024 * 16 * 16 doubles, 2.1 GB
+    (tmp_path / "scene.json").write_text(json.dumps(random_scene(3, "projector_camera", 32)))
+    out = tmp_path / "truth.pltt"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--resolution", "32x32",
+                     "--bins", "16", "--bin-width", "1e-10", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    with PlttReader(out) as src:
+        assert src.header.cam_shape == (32, 32) and 1024 <= len(src.index) < 1024 * 1024
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_a_pc_scan_truth_file_is_under_a_megabyte(tmp_path, seed):
+    (tmp_path / "scene.json").write_text(json.dumps(random_scene(seed, "projector_camera", 12)))
+    out = tmp_path / "truth.pltt"
+    assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--resolution", "12x12",
+                 "--bins", "16", "--bin-width", "1e-10", "--out", str(out)]) == 0
+    # the dense truth's payload alone is 144 * 144 * 16 * 16 * 8 bytes, 42.5 MB
+    assert os.path.getsize(out) < 1e6

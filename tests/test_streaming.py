@@ -25,12 +25,12 @@ from hypothesis import given, settings, strategies as st
 import pltt.cli
 import pltt.fileio
 import pltt.tensor
-from pltt.analysis import summed_polarimetric_image
+from pltt.analysis import build_observation, pca, summed_polarimetric_image
 from pltt.cli import _write_diagnostics, main, slice_images
-from pltt.decomposition import lit_blocks
+from pltt.decomposition import decompose_tensor, lit_blocks
 from pltt.ellipsometry import CaptureKernel, Decoder, capture, drr_schedule, reconstruct
 from pltt.fileio import MAGIC, PlttReader, PlttWriter, read_pltt, write_pltt
-from pltt.tensor import HeaderArray, TransportTensor, epipolar_masks, fold
+from pltt.tensor import HeaderArray, SparseTransport, TransportTensor, epipolar_masks, fold
 
 BIN = 1e-10
 # (camera grid, coaxial, K, sensor mode, extra capture flags)
@@ -305,17 +305,20 @@ def test_no_reading_command_reads_a_whole_tensor(tmp_path, monkeypatch, capsys):
     np.savetxt(tmp_path / "target.csv", np.arange(9.0).reshape(3, 3), delimiter=",")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(pltt.tensor, "CHUNK_BYTES", 8)   # one camera pixel at a time
-    plain_read = PlttReader.read
+    plain_preadv = os.preadv
+    pixel = 8 * 9 * 16 * N_BINS     # one camera pixel's records of the 3x3 reconstruction
 
-    def read_one_pixel(self, n, out=None):
-        if self.header.kind == "transport" and n > 1:
-            raise AssertionError("read %d camera pixels of a transport tensor at once" % n)
-        return plain_read(self, n, out)
+    def read_one_pixel(fd, buffers, offset):
+        size = sum(memoryview(b).nbytes for b in buffers)
+        if size > pixel:
+            raise AssertionError("read %d bytes of a transport tensor at once, one camera "
+                                 "pixel holds %d" % (size, pixel))
+        return plain_preadv(fd, buffers, offset)
 
     def no_whole_tensor(path):
         raise AssertionError("read_pltt(%s)" % path)
 
-    monkeypatch.setattr(PlttReader, "read", read_one_pixel)
+    monkeypatch.setattr(os, "preadv", read_one_pixel)
     monkeypatch.setattr(pltt.fileio, "read_pltt", no_whole_tensor)
     for command in sorted(READERS):
         assert run(READERS[command] + ["--tensor", "recon.pltt"], capsys)[0] == 0, command
@@ -565,6 +568,75 @@ def test_every_operation_reads_a_file_as_the_object_it_holds(
         write_pltt(meas, measured)
         with PlttReader(meas) as src:
             assert _items(reconstruct(src), work) == _items(reconstruct(measured), work)
+
+
+def _pca_of_lit_blocks(src, floor):
+    """The PCA of a source's lit blocks, as ``pltt pca`` forms it, or None below 2 blocks."""
+    blocks, _ = lit_blocks(src, floor)
+    return pca(build_observation(blocks).rows) if len(blocks) >= 2 else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(coaxial=st.booleans(), masked=st.booleans(), lit=st.floats(0.0, 1.0),
+       cam=st.tuples(st.integers(1, 3), st.integers(1, 3)), n_bins=st.integers(1, 3),
+       chunk=st.integers(8, 1 << 14), workers=st.integers(1, 3), span=st.integers(1, 1 << 13),
+       seed=st.integers(0, 2**32 - 1),
+       schedule=st.sampled_from([drr_schedule(20), drr_schedule(5, "polarizer_array")]),
+       noise=st.sampled_from([0.0, 1e-3]), floor=st.sampled_from([0.0, 0.4]))
+def test_a_sparse_source_gives_the_bytes_of_its_dense_load(
+        coaxial, masked, lit, cam, n_bins, chunk, workers, span, seed, schedule, noise, floor):
+    rng = np.random.default_rng(seed)
+    s_cam = cam[0] * cam[1]
+    s_proj = 1 if coaxial else s_cam
+    pairs = np.flatnonzero(rng.random(s_cam * s_proj) < lit)
+    # negative entries, and indexed blocks that are all zero, so a zero weight makes -0.0
+    blocks = rng.uniform(-0.5, 1.0, (len(pairs), 4, 4, n_bins))
+    blocks[rng.random(len(pairs)) < 0.2] = 0.0
+    sparse = SparseTransport(blocks, np.stack(np.divmod(pairs, s_proj), axis=1), cam, cam, BIN,
+                             coaxial=coaxial)
+    dense = sparse.load()
+    mask = None
+    if masked and not coaxial:
+        mask = rng.uniform(size=(s_cam, s_cam)) * (rng.random((s_cam, s_cam)) < 0.6)
+    operations = {
+        "capture": lambda src: capture(src, schedule, noise, 7, mask),
+        "fold": lambda src: fold(src, mask),
+        "lit_blocks": lambda src: lit_blocks(src, floor),
+        "decompose_tensor": lambda src: decompose_tensor(src, floor),
+        "pca": lambda src: _pca_of_lit_blocks(src, floor),
+        **{expr: lambda src, expr=expr: slice_images(src, expr)
+           for expr in SOURCE_SLICES[coaxial]},
+    }
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(pltt.tensor, "CHUNK_BYTES", chunk), \
+            mock.patch.object(pltt.tensor, "WORKERS", workers), \
+            mock.patch.object(pltt.tensor, "SPAN_VALUES", span):
+        truth = os.path.join(work, "truth.pltt")
+        write_pltt(truth, sparse)
+        with PlttReader(truth) as src:
+            for name, operation in operations.items():
+                want = _items(operation(dense), work)
+                assert _items(operation(sparse), work) == want, name
+                assert _items(operation(src), work) == want, name
+
+
+def test_a_sparse_file_captures_as_its_dense_v1_file(tmp_path):
+    truth = SparseTransport(np.random.default_rng(2).uniform(-1.0, 1.0, (5, 4, 4, 3)),
+                            [[0, 1], [0, 2], [3, 3], [4, 0], [8, 8]], (3, 3), (3, 3), BIN)
+    write_pltt(tmp_path / "sparse.pltt", truth)
+    write_pltt(tmp_path / "dense.pltt", truth.load())
+    non_epi = epipolar_masks((3, 3), (3, 3))[1]
+    for noise, mask in ((0.0, None), (1e-3, None), (0.0, non_epi), (1e-3, non_epi)):
+        files = []
+        for name in ("sparse", "dense"):
+            with PlttReader(tmp_path / ("%s.pltt" % name)) as src, \
+                    PlttWriter(tmp_path / "meas.pltt") as out:
+                kernel = CaptureKernel(src.header, drr_schedule(20), noise, 5, mask)
+                kernel.run(src, out)
+                out.finish(kernel.header)
+            files.append((tmp_path / "meas.pltt").read_bytes())
+        assert files[0] == files[1]
+    assert read_pltt(tmp_path / "dense.pltt").data.tobytes() == truth.data.tobytes()
 
 
 def _busy_span_workers():

@@ -37,12 +37,17 @@ Every output file is compared byte for byte, except the manifests, which
 are compared as JSON without their ``duration_s`` and ``peak_rss_mb``. A
 differing CSV that parses on both sides to a float grid of one shape and
 one NaN pattern is reported with the largest absolute difference of its
-entries.
+entries. A differing ``.pltt`` container is decoded on both sides with the
+change checkout's reader (``pltt.fileio.read_pltt``) and reported as "same
+header and array, different bytes", or with the first ``Header`` field, or
+the array, that differs, so a declared change of the container's format
+cannot hide a change of what it holds.
 Exit codes and the commands' stdout and stderr are compared too, and the
 two failing slices and the three damaged containers must exit 2. Prints
 each difference and exits 1 if there is any, 0 otherwise.
 """
 
+import dataclasses
 import json
 import os
 import struct
@@ -261,6 +266,37 @@ def csv_difference(path_a, path_b):
     return grid_difference(*grids)
 
 
+def _same(a, b):
+    """Whether two decoded values are equal: arrays by shape and bytes, dataclasses by field."""
+    if dataclasses.is_dataclass(a) and type(a) is type(b):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (np.shape(a) == np.shape(b)
+                and np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes())
+    return a == b
+
+
+def pltt_difference(path_a, path_b):
+    """
+    How two PLTT containers that differ in bytes differ in what they hold,
+    read with the ``pltt`` on the import path: the first differing Header
+    field or the array, or "same header and array, different bytes".
+    """
+    from pltt.fileio import read_pltt
+    from pltt.tensor import Header
+
+    try:
+        a, b = read_pltt(path_a), read_pltt(path_b)
+    except ValueError as exc:
+        return "a side does not read: %s" % exc
+    for f in dataclasses.fields(Header):
+        if not _same(getattr(a.header, f.name), getattr(b.header, f.name)):
+            return "header field %s differs" % f.name
+    if not _same(a.array, b.array):
+        return "array differs"
+    return "same header and array, different bytes"
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -268,6 +304,7 @@ def main(argv=None):
         return 2
     parent, change = argv
     data_dir = os.path.join(change, "tests", "data")
+    sys.path.insert(0, os.path.join(os.path.abspath(change), "src"))     # the change's reader
     differences = []
     with tempfile.TemporaryDirectory() as dir_a, tempfile.TemporaryDirectory() as dir_b:
         runs_a = run_checkout(parent, data_dir, dir_a)
@@ -290,9 +327,14 @@ def main(argv=None):
         for name in common:
             path_a, path_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
             if not same_file(path_a, path_b):
-                size = csv_difference(path_a, path_b) if name.endswith(".csv") else None
-                differences.append("%s: differs%s" % (
-                    name, "" if size is None else " (max |difference| %.3g)" % size))
+                note = None
+                if name.endswith(".csv"):
+                    size = csv_difference(path_a, path_b)
+                    note = None if size is None else "max |difference| %.3g" % size
+                elif name.endswith(".pltt"):
+                    note = pltt_difference(path_a, path_b)
+                differences.append("%s: differs%s" % (name, "" if note is None else
+                                                       " (%s)" % note))
     for line in differences:
         print(line)
     codes = {}
